@@ -49,37 +49,61 @@ using Hash128 = std::array<std::uint64_t, 2>;
 
 constexpr std::uint64_t kNoParent = ~0ull;
 
-struct Hash128Hasher {
-  std::size_t operator()(const Hash128& h) const noexcept {
-    // h[0] is already splitmix-avalanched; use it directly as the bucket
-    // hash and h[1] (an independent lane) for shard selection.
-    return static_cast<std::size_t>(h[0]);
-  }
-};
-
-/// The visited set, sharded to keep per-table rehash cost bounded.  Phase
-/// discipline instead of locks: wave expansion only calls contains() (many
-/// threads, no writers), the inter-wave merge only calls insert() (one
-/// thread, no readers) — the pool's group barrier orders the two phases.
+/// The visited set: 64 open-addressed tables of 128-bit keys, linear
+/// probing, at most half full, so per-table rehash cost stays bounded and
+/// a key costs 16-32 bytes with no node allocation.  Both key lanes are
+/// splitmix-avalanched: h[0] picks the bucket and h[1] the shard.  The
+/// all-zero key marks an empty bucket, so that one key lives in a flag.
+/// Phase discipline instead of locks: wave expansion only calls contains()
+/// (many threads, no writers), the inter-wave merge only calls insert()
+/// (one thread, no readers) — the pool's group barrier orders the phases.
 class ShardedVisited {
  public:
   ShardedVisited() : shards_(kShards) {}
 
   [[nodiscard]] bool contains(const Hash128& h) const {
-    const auto& s = shards_[shard_of(h)];
-    return s.find(h) != s.end();
+    if (h == Hash128{}) return has_zero_;
+    const Shard& s = shards_[shard_of(h)];
+    if (s.slots.empty()) return false;
+    return s.slots[s.probe(h)] == h;
   }
   /// Merge phase only.  True when `h` was new.
   bool insert(const Hash128& h) {
-    return shards_[shard_of(h)].insert(h).second;
+    if (h == Hash128{}) return !std::exchange(has_zero_, true);
+    Shard& s = shards_[shard_of(h)];
+    if (2 * (s.used + 1) > s.slots.size()) s.grow();
+    Hash128& slot = s.slots[s.probe(h)];
+    if (slot == h) return false;
+    slot = h;
+    ++s.used;
+    return true;
   }
 
  private:
+  struct Shard {
+    std::vector<Hash128> slots;  // power-of-two size; {0, 0} = empty
+    std::size_t used = 0;
+    /// The bucket holding `h`, or the empty bucket where it would go.
+    [[nodiscard]] std::size_t probe(const Hash128& h) const {
+      const std::size_t mask = slots.size() - 1;
+      std::size_t i = static_cast<std::size_t>(h[0]) & mask;
+      while (slots[i] != h && slots[i] != Hash128{}) i = (i + 1) & mask;
+      return i;
+    }
+    void grow() {
+      std::vector<Hash128> old(std::max<std::size_t>(64, 2 * slots.size()));
+      old.swap(slots);
+      for (const Hash128& h : old) {
+        if (h != Hash128{}) slots[probe(h)] = h;
+      }
+    }
+  };
   static constexpr std::size_t kShards = 64;
   static std::size_t shard_of(const Hash128& h) noexcept {
     return static_cast<std::size_t>(h[1]) & (kShards - 1);
   }
-  std::vector<std::unordered_set<Hash128, Hash128Hasher>> shards_;
+  std::vector<Shard> shards_;
+  bool has_zero_ = false;
 };
 
 /// The structural symmetry group of a configuration: every permutation pi
@@ -136,28 +160,69 @@ struct ParentEdge {
   Machine::Action act{};
 };
 
-struct FrontierEntry {
-  Machine::Snapshot snap;
-  std::uint64_t id = 0;
+/// Machine states packed back to back in one word arena (Machine::save
+/// output), so a wave's frontier or a morsel's successors cost one growing
+/// allocation rather than one per state.
+class StateArena {
+ public:
+  /// Appends the machine's current state.
+  void push(const Machine& m) {
+    const std::size_t at = words_.size();
+    words_.resize(at + m.state_words());
+    m.save(words_.data() + at);
+    start_.push_back(at);
+  }
+  /// Appends state `i` of another arena.
+  void push(const StateArena& other, std::size_t i) {
+    const std::size_t at = words_.size();
+    words_.insert(words_.end(), other.words_.begin() + other.begin(i),
+                  other.words_.begin() + other.end(i));
+    start_.push_back(at);
+  }
+  [[nodiscard]] const std::uint64_t* operator[](std::size_t i) const {
+    return words_.data() + start_[i];
+  }
+  [[nodiscard]] std::size_t size() const { return start_.size(); }
+  void clear() {
+    words_.clear();
+    start_.clear();
+  }
+
+ private:
+  [[nodiscard]] std::size_t begin(std::size_t i) const { return start_[i]; }
+  [[nodiscard]] std::size_t end(std::size_t i) const {
+    return i + 1 < start_.size() ? start_[i + 1] : words_.size();
+  }
+  std::vector<std::uint64_t> words_;
+  std::vector<std::size_t> start_;
 };
 
 /// A successor produced during wave expansion, pending the merge's
-/// visited-set decision.
+/// visited-set decision; its state is the same index of the morsel's arena.
 struct Candidate {
   Hash128 hash{};
-  Machine::Snapshot snap;
   std::uint64_t parent = 0;
   Machine::Action act{};
 };
 
 /// One morsel's expansion output.  Slot-per-morsel and concatenated in
-/// morsel order, per the pool's determinism contract.
+/// morsel order, per the pool's determinism contract; reused across waves,
+/// so after the first few its buffers stop growing.
 struct MorselOut {
   std::vector<Candidate> candidates;
+  StateArena states;  // parallel to candidates
   std::vector<std::pair<std::string, std::string>> violations;  // raw, suffix
   std::vector<std::size_t> deadlocks;  // frontier indices
   std::uint64_t transitions = 0;
   std::uint64_t dedup_hits = 0;
+
+  void clear() {
+    candidates.clear();
+    states.clear();
+    violations.clear();
+    deadlocks.clear();
+    transitions = dedup_hits = 0;
+  }
 };
 
 }  // namespace
@@ -211,12 +276,17 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
 
   ShardedVisited visited;
   std::vector<ParentEdge> parents;
-  std::vector<FrontierEntry> frontier;
+  // This wave's states and their ids, the next wave's, and the per-morsel
+  // expansion outputs: all kept across waves so their buffers are reused.
+  StateArena frontier, next;
+  std::vector<std::uint64_t> ids, next_ids;
+  std::vector<MorselOut> outs;
 
   Machine& root = lane_machine();  // the caller's lane
   visited.insert(root.canonical_hash(group));
   parents.push_back(ParentEdge{});
-  frontier.push_back(FrontierEntry{root.snapshot(), 0});
+  frontier.push(root);
+  ids.push_back(0);
   result.states = 1;
 
   std::unordered_set<std::string> violations_seen;
@@ -228,25 +298,28 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
   bool stop = false;
   bool truncated = false;
 
-  while (!frontier.empty() && !stop) {
+  while (frontier.size() != 0 && !stop) {
     ++result.waves;
     const std::size_t n = frontier.size();
     const std::size_t morsels = (n + kGrain - 1) / kGrain;
-    std::vector<MorselOut> outs(morsels);
+    if (outs.size() < morsels) outs.resize(morsels);
 
+    CCSQL_SPAN(expand_span, "reach.expand", "checks");
+    expand_span.arg("wave", result.waves).arg("frontier", n);
     pool.parallel_for(
         n, kGrain, jobs,
         [&](std::size_t begin, std::size_t end, std::size_t m) {
           Machine& mach = lane_machine();
           MorselOut& out = outs[m];
+          out.clear();
+          thread_local std::vector<Machine::Action> actions;
           for (std::size_t i = begin; i < end; ++i) {
-            const Machine::Snapshot& state = frontier[i].snap;
+            const std::uint64_t* state = frontier[i];
             mach.restore(state);
-            const auto actions = mach.possible_actions();
+            mach.possible_actions(actions);
             bool any_fired = false;
             for (const auto& action : actions) {
               mach.restore(state);
-              mach.clear_errors();
               if (!mach.apply_action(action)) continue;  // blocked channel
               any_fired = true;
               ++out.transitions;
@@ -259,8 +332,8 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
                 ++out.dedup_hits;
                 continue;
               }
-              out.candidates.push_back(
-                  Candidate{h, mach.snapshot(), frontier[i].id, action});
+              out.candidates.push_back(Candidate{h, ids[i], action});
+              out.states.push(mach);
             }
             if (!any_fired) {
               // Terminal state: quiescent-and-done is fine; anything else
@@ -277,10 +350,14 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
           }
         });
 
+    expand_span.end();
+
     // Merge, single-threaded, in morsel order.  BFS discovery order here is
     // exactly the sequential explorer's, so first-occurrence annotations,
     // state ids, and the first-deadlock choice all agree with the oracle.
-    std::vector<FrontierEntry> next;
+    CCSQL_SPAN(merge_span, "reach.merge", "checks");
+    next.clear();
+    next_ids.clear();
     for (std::size_t m = 0; m < morsels; ++m) {
       MorselOut& out = outs[m];
       result.transitions += out.transitions;
@@ -293,22 +370,24 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
       for (std::size_t i : out.deadlocks) {
         ++result.deadlock_states;
         Machine& mach = lane_machine();
-        mach.restore(frontier[i].snap);
+        mach.restore(frontier[i]);
         if (first_deadlock == kNoParent) {
-          first_deadlock = frontier[i].id;
+          first_deadlock = ids[i];
           result.deadlock_example = mach.describe_network();
         }
-        first_by_wedge.try_emplace(mach.occupied_vcs(), frontier[i].id);
+        first_by_wedge.try_emplace(mach.occupied_vcs(), ids[i]);
       }
-      for (Candidate& cand : out.candidates) {
+      for (std::size_t c = 0; c < out.candidates.size(); ++c) {
         if (truncated) break;
+        const Candidate& cand = out.candidates[c];
         if (!visited.insert(cand.hash)) {
           ++result.dedup_hits;  // same-wave duplicate
           continue;
         }
         const std::uint64_t id = parents.size();
         parents.push_back(ParentEdge{cand.parent, cand.act});
-        next.push_back(FrontierEntry{std::move(cand.snap), id});
+        next.push(out.states, c);
+        next_ids.push_back(id);
         ++result.states;
         if (result.states >= config.max_states) {
           truncated = true;
@@ -323,10 +402,12 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
     }
     if (truncated) stop = true;
 
-    CCSQL_INSTANT("reach.wave", "checks", obs::arg("wave", result.waves),
-                  obs::arg("states", result.states),
-                  obs::arg("frontier", next.size()));
-    frontier = std::move(next);
+    merge_span.arg("wave", result.waves)
+        .arg("states", result.states)
+        .arg("frontier", next.size());
+    merge_span.end();
+    std::swap(frontier, next);
+    std::swap(ids, next_ids);
   }
 
   // Parent-pointer witness reconstruction.

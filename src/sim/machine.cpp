@@ -1,8 +1,13 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
+#include <type_traits>
 
 #include "obs/obs.hpp"
 #include "protocol/asura/asura.hpp"
@@ -85,6 +90,9 @@ namespace {
 
 Value v_of(std::string_view s) { return Symbol::intern(s); }
 
+/// Presence-vector bit of quad q (-1, a requester-less insert, is bit 0).
+constexpr std::uint64_t pv_bit(QuadId q) { return 1ull << (q + 1); }
+
 /// Interned symbols the scheduler compares against on every event — cached
 /// once per process so the hot path never touches the intern pool's lock.
 struct Sym {
@@ -148,29 +156,73 @@ Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
       net_(v, config.n_quads, config.channel_capacity),
       c2c_cost_(config.cycle_model.c2c_cycles(config.n_quads)),
       tables_(std::move(tables)),
+      ctl_(static_cast<std::size_t>(config.n_quads)),
+      cells_(ctl_.size() * static_cast<std::size_t>(config.n_addrs)),
+      gv_(static_cast<std::size_t>(config.n_addrs), 0),
+      local_words_((ctl_.size() * sizeof(Ctl) + cells_.size() * sizeof(Cell) +
+                    gv_.size() * sizeof(std::int64_t)) /
+                   sizeof(std::uint64_t)),
+      scripts_(ctl_.size()),
       rng_(config.seed) {
-  homes_.resize(static_cast<std::size_t>(config_.n_quads));
-  nodes_.resize(static_cast<std::size_t>(config_.n_quads));
-  for (auto& n : nodes_) {
-    n.ncst = sym().idle;
-    n.iocst = sym().idle;
+  // Presence vectors are bitmasks over quads (one bit kept for -1).
+  if (config_.n_quads < 1 || config_.n_quads > 63 || config_.n_addrs < 1) {
+    throw std::invalid_argument("sim: need 1..63 quads and >= 1 address");
   }
-  for (Addr a = 0; a < config_.n_addrs; ++a) {
-    gv_[a] = 0;
-    homes_[static_cast<std::size_t>(home_of(a))].memory[a] = 0;
+  const Sym& sy = sym();
+  for (Ctl& c : ctl_) c.ncst = c.iocst = sy.idle;
+  for (Addr a = 0; a < config_.n_addrs; ++a) memory(home_of(a), a) = 0;
+  const auto allowed = [&](Value op) {
+    return config_.workload_ops.empty() ||
+           std::find(config_.workload_ops.begin(), config_.workload_ops.end(),
+                     op.str()) != config_.workload_ops.end();
+  };
+  const std::array<std::vector<Value>, 3> ops{{
+      {sy.prd, sy.pwr, sy.patomic, sy.iord, sy.iowr},  // I
+      {sy.pup, sy.pfl, sy.pevict},                     // S
+      {sy.pwb},                                        // owned
+  }};
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    for (Value op : ops[k]) {
+      if (allowed(op)) legal_ops_[k].push_back(op);
+    }
   }
 }
 
-Machine::DirLine& Machine::line(QuadId home, Addr a) {
-  auto& dir = homes_[static_cast<std::size_t>(home)].dir;
-  auto it = dir.find(a);
-  if (it == dir.end()) {
-    DirLine l;
-    l.dirst = v_of("I");
-    l.bdirst = v_of("I");
-    it = dir.emplace(a, std::move(l)).first;
+Value Machine::cst_of(QuadId q, Addr a) const {
+  const Cell& c = cell(q, a);
+  return (c.present & kCst) != 0 ? c.cst : sym().I;
+}
+
+void Machine::set_cst(QuadId q, Addr a, Value v) {
+  Cell& c = cell(q, a);
+  c.cst = v;
+  c.present |= kCst;
+}
+
+std::int64_t Machine::cver_of(QuadId q, Addr a) const {
+  if (a < 0) return -1;
+  const Cell& c = cell(q, a);
+  return (c.present & kCver) != 0 ? c.cver : -1;
+}
+
+std::int64_t& Machine::entry(QuadId q, Addr a, std::int64_t Cell::*field,
+                            std::uint8_t bit) {
+  Cell& c = cell(q, a);
+  if ((c.present & bit) == 0) {
+    c.*field = 0;
+    c.present |= bit;
   }
-  return it->second;
+  return c.*field;
+}
+
+Machine::DirLine& Machine::line(QuadId home, Addr a) {
+  Cell& c = cell(home, a);
+  if ((c.present & kDir) == 0) {
+    c.dir = DirLine{};
+    c.dir.dirst = c.dir.bdirst = sym().I;
+    c.present |= kDir;
+  }
+  return c.dir;
 }
 
 Value Machine::enc_count(std::size_t n) {
@@ -182,45 +234,38 @@ Value Machine::enc_count(std::size_t n) {
 
 void Machine::set_line(Addr addr, std::string_view dirst,
                        const std::vector<QuadId>& holders) {
-  const QuadId home = home_of(addr);
-  DirLine& l = line(home, addr);
+  if (addr < 0 || addr >= config_.n_addrs) {
+    throw std::out_of_range("sim: set_line address out of range");
+  }
+  const Sym& sy = sym();
+  DirLine& l = line(home_of(addr), addr);
   l.dirst = v_of(dirst);
-  l.pv.clear();
-  const bool owned = l.dirst == v_of("MESI");
+  l.pv = 0;
+  const bool owned = l.dirst == sy.MESI;
   for (QuadId q : holders) {
-    l.pv.insert(q);
-    node(q).cst[addr] = owned ? v_of("M") : v_of("S");
-    node(q).cver[addr] = gv_[addr];
+    l.pv |= pv_bit(q);
+    set_cst(q, addr, owned ? sy.M : sy.S);
+    cver(q, addr) = gv_[static_cast<std::size_t>(addr)];
   }
   if (owned && holders.size() == 1) {
     // The owner holds a version ahead of memory.
-    gv_[addr] += 1;
-    node(holders[0]).cver[addr] = gv_[addr];
+    cver(holders[0], addr) = ++gv_[static_cast<std::size_t>(addr)];
   }
 }
 
 void Machine::script(QuadId n, std::string_view op, Addr addr) {
-  node(n).scripted.emplace_back(v_of(op), addr);
+  if (addr < 0 || addr >= config_.n_addrs) {
+    throw std::out_of_range("sim: scripted address out of range");
+  }
+  scripts_[static_cast<std::size_t>(n)].emplace_back(v_of(op), addr);
 }
 
 void Machine::enable_workload() {
-  for (std::size_t q = 0; q < nodes_.size(); ++q) {
-    nodes_[q].random_remaining =
-        q < config_.transactions_by_node.size()
-            ? config_.transactions_by_node[q]
-            : config_.transactions_per_node;
+  for (std::size_t q = 0; q < ctl_.size(); ++q) {
+    ctl_[q].random_remaining = q < config_.transactions_by_node.size()
+                                   ? config_.transactions_by_node[q]
+                                   : config_.transactions_per_node;
   }
-}
-
-const std::vector<QuadId>& Machine::snoop_targets(const DirLine& l,
-                                                  QuadId /*requester*/) {
-  // Snoops go to every presence-vector member, including the requester
-  // itself when it is one (an upgrading sharer's engine acknowledges its
-  // own invalidation): the coarse zero/one/gone encoding means the
-  // directory cannot exclude the requester, so the pending count is always
-  // the full holder count.
-  snoop_scratch_.assign(l.pv.begin(), l.pv.end());
-  return snoop_scratch_;
 }
 
 void Machine::post(const SimMessage& msg, QuadId home) {
@@ -249,16 +294,12 @@ bool Machine::tracing() noexcept {
 #endif
 }
 
-void Machine::trace_step(const char* what, QuadId q, const SimMessage& msg,
-                         std::string_view extra) {
+void Machine::trace_step([[maybe_unused]] const char* what,
+                         [[maybe_unused]] QuadId q,
+                         [[maybe_unused]] const SimMessage& msg,
+                         [[maybe_unused]] std::string_view extra) {
   CCSQL_INSTANT(what, "sim", obs::arg("t", now_), obs::arg("node", q),
                 obs::arg("msg", msg.to_string()), obs::arg("extra", extra));
-#if defined(CCSQL_TRACING_DISABLED)
-  (void)what;
-  (void)q;
-  (void)msg;
-  (void)extra;
-#endif
 }
 
 void Machine::record_error(std::string what) {
@@ -270,12 +311,13 @@ void Machine::record_error(std::string what) {
 }
 
 void Machine::check_swmr(Addr addr) {
+  const Sym& sy = sym();
   int owners = 0, sharers = 0;
-  for (const auto& n : nodes_) {
-    auto it = n.cst.find(addr);
-    if (it == n.cst.end()) continue;
-    if (it->second == sym().M || it->second == sym().E) ++owners;
-    if (it->second == sym().S) ++sharers;
+  for (QuadId q = 0; q < config_.n_quads; ++q) {
+    const Cell& c = cell(q, addr);
+    if ((c.present & kCst) == 0) continue;
+    if (c.cst == sy.M || c.cst == sy.E) ++owners;
+    if (c.cst == sy.S) ++sharers;
   }
   if (owners > 1 || (owners == 1 && sharers > 0)) {
     record_error("SWMR violated at addr " + std::to_string(addr) + ": " +
@@ -285,9 +327,7 @@ void Machine::check_swmr(Addr addr) {
 }
 
 Value Machine::apply_cache(QuadId q, Value cmd, Addr addr) {
-  Node& n = node(q);
-  const auto cit = n.cst.find(addr);
-  Value cst = cit != n.cst.end() ? cit->second : sym().I;
+  const Value cst = cst_of(q, addr);
   const ControllerDispatch& cc = tables_->cc;
   auto row = lookup(cc, {cmd, cst});
   if (!row) {
@@ -297,7 +337,7 @@ Value Machine::apply_cache(QuadId q, Value cmd, Addr addr) {
   }
   const Value nxt = cc.at(*row, tables_->ccc.nxtcst);
   if (!nxt.is_null()) {
-    n.cst[addr] = nxt;
+    set_cst(q, addr, nxt);
     check_swmr(addr);
   }
   return cc.at(*row, tables_->ccc.outmsg);
@@ -311,14 +351,15 @@ bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
   // While busy the directory entry lives in the busy directory: the stable
   // lookup reads invalid/empty (mutual-exclusion invariant).
   const Value dirst = busy ? sy.I : l.dirst;
-  const Value dirpv = busy ? sy.zero : enc_count(l.pv.size());
+  const Value dirpv =
+      busy ? sy.zero : enc_count(static_cast<std::size_t>(std::popcount(l.pv)));
   const Value bdirpv = enc_count(static_cast<std::size_t>(l.pending));
   // The directory lookup compares writeback / eviction senders against the
   // recorded holders: a sender outside the presence vector is stale.
   Value dirlookup = dirst == sy.I ? sy.miss : sy.hit;
   if (dirlookup == sy.hit &&
       (msg.type == sy.wb || msg.type == sy.evict) &&
-      l.pv.count(msg.src) == 0) {
+      (l.pv & pv_bit(msg.src)) == 0) {
     dirlookup = sy.stale;
   }
 
@@ -345,10 +386,15 @@ bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
 
   std::vector<SimMessage>& out = dir_out_;
   out.clear();
-  const std::vector<QuadId>& targets = snoop_targets(l, requester);
-
+  // Snoops go to every presence-vector member, including the requester
+  // itself when it is one (an upgrading sharer's engine acknowledges its
+  // own invalidation): the coarse zero/one/gone encoding means the
+  // directory cannot exclude the requester, so the pending count is always
+  // the full holder count.
+  const int holders = std::popcount(l.pv);
   if (!remmsg.is_null()) {
-    for (QuadId t : targets) {
+    for (std::uint64_t bits = l.pv; bits != 0; bits &= bits - 1) {
+      const QuadId t = std::countr_zero(bits) - 1;
       out.push_back(SimMessage{remmsg, msg.addr, q, t, sy.home,
                                sy.remote, -1});
     }
@@ -376,10 +422,11 @@ bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
     // An I/O read is serialized here: the data it returns must be the
     // globally latest committed value at this moment (later writes may
     // overtake the delivery, which is fine).
-    if (locmsg == sy.iodata && data_ver != gv_[msg.addr]) {
+    const std::int64_t want = gv_[static_cast<std::size_t>(msg.addr)];
+    if (locmsg == sy.iodata && data_ver != want) {
       record_error("stale I/O read at addr " + std::to_string(msg.addr) +
                    ": got v" + std::to_string(data_ver) + " want v" +
-                   std::to_string(gv_[msg.addr]));
+                   std::to_string(want));
     }
     out.push_back(SimMessage{locmsg, msg.addr, q, requester, sy.home,
                              sy.local,
@@ -411,17 +458,17 @@ bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
   }
   if (!nxtbdirst.is_null()) l.bdirst = nxtbdirst;
   if (nxtbdirpv == sy.repl) {
-    l.pending = static_cast<int>(targets.size());
+    l.pending = holders;
   } else if (nxtbdirpv == sy.dec) {
     l.pending = std::max(0, l.pending - 1);
   }
   if (!nxtdirst.is_null()) l.dirst = nxtdirst;
   if (nxtdirpv == sy.inc) {
-    l.pv.insert(requester);
+    l.pv |= pv_bit(requester);
   } else if (nxtdirpv == sy.repl) {
-    l.pv = {requester};
+    l.pv = pv_bit(requester);
   } else if (nxtdirpv == sy.drepl) {
-    l.pv.clear();
+    l.pv = 0;
   }
   // Buffer a data response that must be held until invalidations finish
   // (Figure 3: data at Busy-rx-sd).
@@ -441,7 +488,7 @@ bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
 bool Machine::step_memory(QuadId q, const Network::QueueRef& ref,
                           const SimMessage& msg) {
   const Sym& sy = sym();
-  HomeEngine& he = homes_[static_cast<std::size_t>(q)];
+  Ctl& he = ctl(q);
   if (he.cooldown > 0) return false;  // modelling memory latency
   const ControllerDispatch& m = tables_->m;
   auto row = lookup(m, {msg.type});
@@ -454,7 +501,7 @@ bool Machine::step_memory(QuadId q, const Network::QueueRef& ref,
   SimMessage resp;
   if (!outmsg.is_null()) {
     resp = SimMessage{outmsg, msg.addr, q, q, sy.home, sy.home,
-                      outmsg == sy.data ? he.memory[msg.addr] : -1};
+                      outmsg == sy.data ? memory(q, msg.addr) : -1};
     if (!net_.can_send(resp, q)) {
       ++counters_.send_stalls;
       return false;
@@ -468,16 +515,15 @@ bool Machine::step_memory(QuadId q, const Network::QueueRef& ref,
   if (m.at(*row, tables_->mc.memop) == sy.wr) {
     if (msg.version >= 0) {
       // Writeback / flush / posted update: install the carried version.
-      he.memory[msg.addr] = msg.version;
+      memory(q, msg.addr) = msg.version;
     } else if (msg.type == sy.mwrite || msg.type == sy.mrmw) {
       // Device write or atomic read-modify-write: commits a fresh value.
-      gv_[msg.addr] += 1;
-      he.memory[msg.addr] = gv_[msg.addr];
+      memory(q, msg.addr) = ++gv_[static_cast<std::size_t>(msg.addr)];
     }
   }
   if (!outmsg.is_null()) {
     // Reads observe memory after this request's own write (if any).
-    if (outmsg == sy.data) resp.version = he.memory[msg.addr];
+    if (outmsg == sy.data) resp.version = memory(q, msg.addr);
     post(resp, q);
   }
   he.cooldown = memory_latency_;
@@ -509,8 +555,8 @@ bool Machine::step_rsn(QuadId q, const Network::QueueRef& ref,
     return true;
   }
   const Value cmd = rsn.at(*row, rc.cmdmsg);
-  Node& n = node(q);
-  const Value cst = n.cst.count(msg.addr) ? n.cst[msg.addr] : sy.I;
+  const Ctl& n = ctl(q);
+  const Value cst = cst_of(q, msg.addr);
 
   // Determine the cache response without mutating (peek).
   const ControllerDispatch& cc = tables_->cc;
@@ -540,7 +586,7 @@ bool Machine::step_rsn(QuadId q, const Network::QueueRef& ref,
       cst == sy.M || cst == sy.E || pending_wb;
   std::int64_t ver = -1;
   if (cc_out == sy.cdata || (cc_out == sy.cwbdata && dirty)) {
-    ver = n.cver.count(msg.addr) ? n.cver[msg.addr] : -1;
+    ver = cver_of(q, msg.addr);
   }
   SimMessage resp{homemsg, msg.addr, q, home_of(msg.addr),
                   sy.remote, sy.home, ver};
@@ -561,23 +607,19 @@ bool Machine::step_rsn(QuadId q, const Network::QueueRef& ref,
   // An invalidated dirty owner writes its line through to home memory
   // before acknowledging (the Figure 4 race: the modified line reaches
   // memory before the invalidation acknowledgement is processed).
-  if (dirty) {
-    homes_[static_cast<std::size_t>(home_of(msg.addr))].memory[msg.addr] =
-        n.cver[msg.addr];
-  }
+  if (dirty) memory(home_of(msg.addr), msg.addr) = cver(q, msg.addr);
   if (pending_wb) {
     apply_nc_internal(q, sy.wbcancel, msg.addr);
     // If the writeback is still queued locally, purge it and complete the
     // transaction as absorbed; if it is already in the network it will
     // bounce off the busy line and its retry ends the transaction.
-    auto it = std::find_if(n.outbox.begin(), n.outbox.end(),
-                           [&](const SimMessage& m) {
-                             return m.type == sy.wb &&
-                                    m.addr == msg.addr;
-                           });
-    if (it != n.outbox.end()) {
-      n.outbox.erase(it);
-      apply_nc_internal(q, sy.retry, msg.addr);
+    const Network::Ring box = net_.outbox(q);
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      if (box[i].type == sy.wb && box[i].addr == msg.addr) {
+        net_.erase_outbox(q, i);
+        apply_nc_internal(q, sy.retry, msg.addr);
+        break;
+      }
     }
   }
   post(resp, q);
@@ -588,7 +630,7 @@ bool Machine::step_rsn(QuadId q, const Network::QueueRef& ref,
 }
 
 void Machine::apply_nc_internal(QuadId q, Value type, Addr addr) {
-  Node& n = node(q);
+  Ctl& n = ctl(q);
   const ControllerDispatch& nc = tables_->nc;
   auto row = lookup(nc, {type, n.ncst});
   if (!row) {
@@ -606,7 +648,7 @@ void Machine::apply_nc_internal(QuadId q, Value type, Addr addr) {
 bool Machine::step_node_response(QuadId q, const Network::QueueRef& ref,
                                  const SimMessage& msg) {
   const Sym& sy = sym();
-  Node& n = node(q);
+  Ctl& n = ctl(q);
   const ControllerDispatch& nc = tables_->nc;
   const CompiledTables::NodeCols& ncc = tables_->ncc;
   auto row = lookup(nc, {msg.type, n.ncst});
@@ -622,31 +664,30 @@ bool Machine::step_node_response(QuadId q, const Network::QueueRef& ref,
   const Value nxt = nc.at(*row, ncc.nxtncst);
   const Value cmpl = nc.at(*row, ncc.nccmpl);
 
+  std::int64_t& gv = gv_[static_cast<std::size_t>(msg.addr)];
   if (!fillmsg.is_null()) {
     if (fillmsg == sy.pfill) {
       // Reads must observe the latest committed write.
-      if (msg.version != gv_[msg.addr]) {
+      if (msg.version != gv) {
         record_error("stale read fill at addr " + std::to_string(msg.addr) +
                      ": got v" + std::to_string(msg.version) + " want v" +
-                     std::to_string(gv_[msg.addr]));
+                     std::to_string(gv));
       }
       (void)apply_cache(q, sy.pfill, msg.addr);
-      n.cver[msg.addr] = msg.version;
+      cver(q, msg.addr) = msg.version;
     } else if (fillmsg == sy.pfillx) {
-      if (msg.version >= 0 && msg.version != gv_[msg.addr]) {
+      if (msg.version >= 0 && msg.version != gv) {
         record_error("stale exclusive fill at addr " +
                      std::to_string(msg.addr));
       }
       (void)apply_cache(q, sy.pfillx, msg.addr);
-      gv_[msg.addr] += 1;  // the write commits
-      n.cver[msg.addr] = gv_[msg.addr];
+      cver(q, msg.addr) = ++gv;  // the write commits
     }
   }
   if (!netmsg.is_null()) {
     // Retry: re-issue the pending operation through the RAC buffer.
-    n.outbox.push_back(SimMessage{netmsg, n.cur, q, home_of(n.cur),
-                                  sy.local, sy.home,
-                                  n.cver.count(n.cur) ? n.cver[n.cur] : -1});
+    net_.push_outbox(q, SimMessage{netmsg, n.cur, q, home_of(n.cur),
+                                   sy.local, sy.home, cver_of(q, n.cur)});
   }
   if (!nxt.is_null()) n.ncst = nxt;
   if (cmpl == sy.done) {
@@ -660,7 +701,7 @@ bool Machine::step_node_response(QuadId q, const Network::QueueRef& ref,
 
 bool Machine::step_ioc(QuadId q, const Network::QueueRef& ref,
                        const SimMessage& msg) {
-  Node& n = node(q);
+  Ctl& n = ctl(q);
   const ControllerDispatch& ioc = tables_->ioc;
   const CompiledTables::IocCols& icc = tables_->iocc;
   auto row = lookup(ioc, {msg.type, n.iocst});
@@ -675,8 +716,8 @@ bool Machine::step_ioc(QuadId q, const Network::QueueRef& ref,
   const Value devmsg = ioc.at(*row, icc.devmsg);
   const Value nxt = ioc.at(*row, icc.nxtiocst);
   if (!outmsg.is_null()) {
-    n.outbox.push_back(SimMessage{outmsg, n.io_cur, q, home_of(n.io_cur),
-                                  sym().local, sym().home, -1});
+    net_.push_outbox(q, SimMessage{outmsg, n.io_cur, q, home_of(n.io_cur),
+                                   sym().local, sym().home, -1});
   }
   if (devmsg == sym().devdata) {
     ++n.done;  // freshness was checked at the serialization point (D)
@@ -691,7 +732,7 @@ bool Machine::step_ioc(QuadId q, const Network::QueueRef& ref,
 }
 
 bool Machine::deliver(QuadId q, const Network::QueueRef& ref,
-                      const SimMessage& msg) {
+                      const SimMessage msg) {
   const Sym& sy = sym();
   const Value role_src = msg.role_src;
   const Value role_dst = msg.role_dst;
@@ -702,34 +743,32 @@ bool Machine::deliver(QuadId q, const Network::QueueRef& ref,
   if (role_dst == sy.home) return step_directory(q, ref, msg);
   if (is_snoop(msg.type)) return step_rsn(q, ref, msg);
   if (msg.type == sy.iodata || msg.type == sy.iocompl ||
-      (msg.type == sy.retry && node(q).iocst != sy.idle &&
-       node(q).io_cur == msg.addr)) {
+      (msg.type == sy.retry && ctl(q).iocst != sy.idle &&
+       ctl(q).io_cur == msg.addr)) {
     return step_ioc(q, ref, msg);
   }
   return step_node_response(q, ref, msg);
 }
 
 bool Machine::drain_outbox(QuadId q) {
-  Node& n = node(q);
-  if (n.outbox.empty()) return false;
-  const SimMessage& m = n.outbox.front();
+  const Network::Ring box = net_.outbox(q);
+  if (box.empty()) return false;
+  const SimMessage m = box[0];  // post() may re-lay the ring arena out
   if (!net_.can_send(m, home_of(m.addr))) {
     ++counters_.send_stalls;
     return false;
   }
   post(m, home_of(m.addr));
-  n.outbox.pop_front();
+  net_.pop_outbox(q);
   return true;
 }
 
 std::pair<Value, Addr> Machine::random_op(QuadId q) {
   const Sym& sy = sym();
-  Node& n = node(q);
   const Addr addr =
       static_cast<Addr>(rng_() % static_cast<unsigned>(config_.n_addrs));
   Value op;
-  const auto cit = n.cst.find(addr);
-  const Value cst = cit != n.cst.end() ? cit->second : sy.I;
+  const Value cst = cst_of(q, addr);
   if (cst == sy.I) {
     // Reads and writes dominate; device I/O and atomics mixed in.
     const unsigned pick = rng_() % 8;
@@ -758,17 +797,12 @@ std::pair<Value, Addr> Machine::random_op(QuadId q) {
 
 std::pair<Value, Addr> Machine::workload_op(QuadId q) const {
   const Sym& sy = sym();
-  const Node& n = nodes_[static_cast<std::size_t>(q)];
-  const std::uint64_t t = n.wl_tick;
+  const std::uint64_t t = ctl_[static_cast<std::size_t>(q)].wl_tick;
   const auto addrs = static_cast<std::uint64_t>(config_.n_addrs);
   // Every shape is legality-adjusted against the node's cache state with
   // the same rules the random generator obeys (issue_op converts pwr@S to
   // pup; patomic/iord/iowr need I; pwb needs ownership), so a shape can
   // never steer the tables into an uncovered row.
-  const auto cst_of = [&](Addr a) {
-    auto it = n.cst.find(a);
-    return it == n.cst.end() ? sy.I : it->second;
-  };
   const auto write_to = [&](Addr a) -> std::pair<Value, Addr> {
     return {sy.pwr, a};  // issue_op: I -> miss, S -> pup, M -> hit
   };
@@ -782,7 +816,7 @@ std::pair<Value, Addr> Machine::workload_op(QuadId q) const {
       const Addr lock = 0;
       switch (t % 3) {
         case 0:
-          if (cst_of(lock) == sy.I) return {sy.patomic, lock};
+          if (cst_of(q, lock) == sy.I) return {sy.patomic, lock};
           return write_to(lock);
         case 1: {
           const Addr payload =
@@ -824,15 +858,14 @@ std::pair<Value, Addr> Machine::workload_op(QuadId q) const {
 }
 
 bool Machine::inject(QuadId q) {
-  Node& n = node(q);
+  Ctl& n = ctl(q);
   if (n.ncst != sym().idle || n.iocst != sym().idle) return false;
 
   Value op;
   Addr addr = -1;
-  if (!n.scripted.empty()) {
-    op = n.scripted.front().first;
-    addr = n.scripted.front().second;
-    n.scripted.pop_front();
+  const auto& script = scripts_[static_cast<std::size_t>(q)];
+  if (n.script_pos < script.size()) {
+    std::tie(op, addr) = script[n.script_pos++];
   } else if (n.random_remaining > 0) {
     const std::pair<Value, Addr> pick = config_.workload == Workload::kRandom
                                             ? random_op(q)
@@ -849,15 +882,21 @@ bool Machine::inject(QuadId q) {
 
 bool Machine::issue_op(QuadId q, Value op, Addr addr) {
   const Sym& sy = sym();
-  Node& n = node(q);
+  Ctl& n = ctl(q);
   ++counters_.ops_injected;
-  const auto cit = n.cst.find(addr);
-  const Value cst = cit != n.cst.end() ? cit->second : sy.I;
+  const Value cst = cst_of(q, addr);
+  std::int64_t& gv = gv_[static_cast<std::size_t>(addr)];
+  const auto injected = [&] {
+    CCSQL_INSTANT("sim.inject", "sim", obs::arg("t", now_),
+                  obs::arg("node", q), obs::arg("op", op.str()),
+                  obs::arg("addr", addr));
+    return true;
+  };
 
   // Processor-side rules: hits complete locally; a write to a shared copy
   // is an upgrade.
   if (op == sy.prd && cst != sy.I) {
-    if (n.cver[addr] != gv_[addr]) {
+    if (cver(q, addr) != gv) {
       record_error("stale local copy read at addr " + std::to_string(addr));
     }
     ++n.done;
@@ -867,8 +906,7 @@ bool Machine::issue_op(QuadId q, Value op, Addr addr) {
   if (op == sy.pwr) {
     if (cst == sy.M || cst == sy.E) {
       // Silent write hit on the owned line.
-      gv_[addr] += 1;
-      n.cver[addr] = gv_[addr];
+      cver(q, addr) = ++gv;
       ++n.done;
       ++counters_.cache_hits;  // write hit: 0 cycles
       return true;
@@ -884,18 +922,12 @@ bool Machine::issue_op(QuadId q, Value op, Addr addr) {
                    std::string(op.str()));
       return true;
     }
-    n.outbox.push_back(
-        SimMessage{ioc.at(*io_row, tables_->iocc.outmsg), addr, q,
-                   home_of(addr), sy.local, sy.home, -1});
+    net_.push_outbox(q, SimMessage{ioc.at(*io_row, tables_->iocc.outmsg),
+                                   addr, q, home_of(addr), sy.local, sy.home,
+                                   -1});
     n.io_cur = addr;
     n.iocst = ioc.at(*io_row, tables_->iocc.nxtiocst);
-    if (tracing()) {
-      CCSQL_INSTANT("sim.inject", "sim", ::ccsql::obs::arg("t", now_),
-                    ::ccsql::obs::arg("node", q),
-                    ::ccsql::obs::arg("op", op.str()),
-                    ::ccsql::obs::arg("addr", addr));
-    }
-    return true;
+    return injected();
   }
 
   const ControllerDispatch& nc = tables_->nc;
@@ -907,24 +939,17 @@ bool Machine::issue_op(QuadId q, Value op, Addr addr) {
   }
   const Value netmsg = nc.at(*row, tables_->ncc.netmsg);
   const Value fillmsg = nc.at(*row, tables_->ncc.fillmsg);
-  const auto vit = n.cver.find(addr);
-  const std::int64_t ver = vit != n.cver.end() ? vit->second : -1;
+  const std::int64_t ver = cver_of(q, addr);
   if (!fillmsg.is_null()) {
     (void)apply_cache(q, fillmsg, addr);
   }
   if (!netmsg.is_null()) {
-    n.outbox.push_back(SimMessage{netmsg, addr, q, home_of(addr),
-                                  sy.local, sy.home, ver});
+    net_.push_outbox(q, SimMessage{netmsg, addr, q, home_of(addr), sy.local,
+                                   sy.home, ver});
   }
   n.cur = addr;
   n.ncst = nc.at(*row, tables_->ncc.nxtncst);
-  if (tracing()) {
-    CCSQL_INSTANT("sim.inject", "sim", ::ccsql::obs::arg("t", now_),
-                  ::ccsql::obs::arg("node", q),
-                  ::ccsql::obs::arg("op", op.str()),
-                  ::ccsql::obs::arg("addr", addr));
-  }
-  return true;
+  return injected();
 }
 
 SimResult Machine::run() {
@@ -936,13 +961,12 @@ SimResult Machine::run() {
   const std::uint64_t stall_threshold =
       static_cast<std::uint64_t>(memory_latency_) + 16;
   std::uint64_t stall = 0;
-  const Value idle = sym().idle;
   const auto t0 = std::chrono::steady_clock::now();
 
   for (now_ = 0; now_ < config_.max_steps; ++now_) {
     bool progress = false;
-    for (auto& he : homes_) {
-      if (he.cooldown > 0) --he.cooldown;
+    for (Ctl& c : ctl_) {
+      if (c.cooldown > 0) --c.cooldown;
     }
     for (QuadId q = 0; q < config_.n_quads; ++q) {
       net_.queues_to(q, queue_scratch_);
@@ -956,13 +980,10 @@ SimResult Machine::run() {
     }
 
     // Completion: nothing in flight, all nodes idle and out of work.
-    bool all_done = net_.in_flight() == 0;
-    for (const auto& n : nodes_) {
-      if (n.ncst != idle || n.iocst != idle ||
-          !n.outbox.empty() || !n.scripted.empty() ||
-          n.random_remaining > 0) {
-        all_done = false;
-      }
+    bool all_done = quiescent();
+    for (std::size_t q = 0; all_done && q < ctl_.size(); ++q) {
+      all_done = ctl_[q].script_pos == scripts_[q].size() &&
+                 ctl_[q].random_remaining <= 0;
     }
     if (all_done) {
       result.completed = true;
@@ -986,7 +1007,7 @@ SimResult Machine::run() {
   }
 
   result.steps = now_;
-  for (const auto& n : nodes_) result.transactions_done += n.done;
+  for (const Ctl& c : ctl_) result.transactions_done += c.done;
   if (!result.completed && !result.deadlocked && !result.stalled) {
     result.stalled = true;  // ran out of steps
   }
@@ -1041,43 +1062,40 @@ SimCounters Machine::counters() const {
 }
 
 std::vector<std::string> Machine::check_quiescent_state() const {
+  const Sym& sy = sym();
   std::vector<std::string> out;
   for (Addr a = 0; a < config_.n_addrs; ++a) {
-    const auto& dir = homes_[static_cast<std::size_t>(home_of(a))].dir;
-    auto it = dir.find(a);
-    const DirLine* l = it == dir.end() ? nullptr : &it->second;
-    std::set<QuadId> holders;
+    const Cell& home = cell(home_of(a), a);
+    const DirLine* l = (home.present & kDir) != 0 ? &home.dir : nullptr;
+    std::uint64_t holders = 0;
     int owners = 0;
     for (QuadId q = 0; q < config_.n_quads; ++q) {
-      auto cit = nodes_[static_cast<std::size_t>(q)].cst.find(a);
-      if (cit == nodes_[static_cast<std::size_t>(q)].cst.end()) continue;
-      if (cit->second == v_of("S")) holders.insert(q);
-      if (cit->second == v_of("M") || cit->second == v_of("E")) {
-        holders.insert(q);
+      const Value cst = cst_of(q, a);
+      if (cst == sy.S) holders |= pv_bit(q);
+      if (cst == sy.M || cst == sy.E) {
+        holders |= pv_bit(q);
         ++owners;
       }
     }
-    const Value dirst = l ? l->dirst : v_of("I");
-    if (l && l->bdirst != v_of("I")) {
+    const Value dirst = l ? l->dirst : sy.I;
+    if (l && l->bdirst != sy.I) {
       out.push_back("busy entry left at quiescence, addr " +
                     std::to_string(a));
       continue;
     }
-    if (dirst == v_of("I") && !holders.empty()) {
+    if (dirst == sy.I && holders != 0) {
       out.push_back("directory I but cached, addr " + std::to_string(a));
     }
-    if (dirst == v_of("MESI") &&
-        (owners != 1 || holders != l->pv || l->pv.size() != 1)) {
+    if (dirst == sy.MESI &&
+        (owners != 1 || holders != l->pv || std::popcount(l->pv) != 1)) {
       out.push_back("directory MESI inconsistent, addr " +
                     std::to_string(a));
     }
-    if (dirst == v_of("SI")) {
+    if (dirst == sy.SI) {
       // The presence vector may conservatively overcount (a sharer whose
       // writeback/flush was absorbed stays marked until re-invalidated)
       // but must never undercount, and no owner may exist.
-      const bool covered = std::includes(l->pv.begin(), l->pv.end(),
-                                         holders.begin(), holders.end());
-      if (owners != 0 || !covered) {
+      if (owners != 0 || (holders & ~l->pv) != 0) {
         out.push_back("directory SI inconsistent, addr " +
                       std::to_string(a));
       }
@@ -1085,7 +1103,6 @@ std::vector<std::string> Machine::check_quiescent_state() const {
   }
   return out;
 }
-
 
 // ---- Single-action interface (exhaustive exploration) -----------------------
 
@@ -1105,65 +1122,30 @@ std::string Machine::Action::to_string() const {
   return "?";
 }
 
-std::vector<std::pair<Value, Addr>> Machine::legal_ops(QuadId q) const {
-  std::vector<std::pair<Value, Addr>> out;
-  const Node& n = nodes_[static_cast<std::size_t>(q)];
-  if (n.ncst != v_of("idle") || n.iocst != v_of("idle")) return out;
-  const auto allowed = [&](const char* op) {
-    if (config_.workload_ops.empty()) return true;
-    for (const auto& name : config_.workload_ops) {
-      if (name == op) return true;
-    }
-    return false;
-  };
-  for (Addr a = 0; a < config_.n_addrs; ++a) {
-    auto it = n.cst.find(a);
-    const Value cst = it == n.cst.end() ? v_of("I") : it->second;
-    if (cst == v_of("I")) {
-      for (const char* op : {"prd", "pwr", "patomic", "iord", "iowr"}) {
-        if (allowed(op)) out.emplace_back(v_of(op), a);
-      }
-    } else if (cst == v_of("S")) {
-      for (const char* op : {"pup", "pfl", "pevict"}) {
-        if (allowed(op)) out.emplace_back(v_of(op), a);
-      }
-    } else {
-      if (allowed("pwb")) out.emplace_back(v_of("pwb"), a);
-    }
-  }
-  return out;
-}
-
-std::vector<Machine::Action> Machine::possible_actions() const {
-  std::vector<Action> out;
+void Machine::possible_actions(std::vector<Action>& out) const {
+  const Sym& sy = sym();
+  out.clear();
+  thread_local std::vector<Network::QueueRef> refs;
   for (QuadId q = 0; q < config_.n_quads; ++q) {
-    for (const auto& ref : net_.queues_to(q)) {
-      Action a;
-      a.kind = Action::Kind::kDeliver;
-      a.queue = ref;
-      out.push_back(a);
-    }
+    net_.queues_to(q, refs);
+    for (const auto& ref : refs) out.push_back(Action{.queue = ref});
   }
   for (QuadId q = 0; q < config_.n_quads; ++q) {
-    const Node& n = nodes_[static_cast<std::size_t>(q)];
-    if (!n.outbox.empty()) {
-      Action a;
-      a.kind = Action::Kind::kDrain;
-      a.node = q;
-      out.push_back(a);
+    const Ctl& n = ctl_[static_cast<std::size_t>(q)];
+    if (!net_.outbox(q).empty()) {
+      out.push_back(Action{.kind = Action::Kind::kDrain, .node = q});
     }
-    if (n.random_remaining > 0) {
-      for (const auto& [op, addr] : legal_ops(q)) {
-        Action a;
-        a.kind = Action::Kind::kInject;
-        a.node = q;
-        a.op = op;
-        a.addr = addr;
-        out.push_back(a);
+    if (n.random_remaining <= 0 || n.ncst != sy.idle || n.iocst != sy.idle) {
+      continue;
+    }
+    for (Addr addr = 0; addr < config_.n_addrs; ++addr) {
+      const Value cst = cst_of(q, addr);
+      for (Value op : legal_ops_[cst == sy.I ? 0 : cst == sy.S ? 1 : 2]) {
+        out.push_back(Action{
+            .kind = Action::Kind::kInject, .node = q, .op = op, .addr = addr});
       }
     }
   }
-  return out;
 }
 
 bool Machine::apply_action(const Action& action) {
@@ -1173,14 +1155,14 @@ bool Machine::apply_action(const Action& action) {
       if (msg == nullptr) return false;
       // Exploration abstracts memory timing: the interleavings themselves
       // cover all orderings, so the cooldown is ignored here.
-      for (auto& he : homes_) he.cooldown = 0;
+      for (Ctl& c : ctl_) c.cooldown = 0;
       return deliver(action.queue.dst, action.queue, *msg);
     }
     case Action::Kind::kDrain:
       return drain_outbox(action.node);
     case Action::Kind::kInject: {
-      Node& n = node(action.node);
-      if (n.ncst != v_of("idle") || n.iocst != v_of("idle") ||
+      Ctl& n = ctl(action.node);
+      if (n.ncst != sym().idle || n.iocst != sym().idle ||
           n.random_remaining <= 0) {
         return false;
       }
@@ -1192,256 +1174,214 @@ bool Machine::apply_action(const Action& action) {
 }
 
 Machine::Snapshot Machine::snapshot() const {
-  return Snapshot{homes_, nodes_, gv_, net_.state(), errors_};
+  Snapshot snap;
+  snap.words.resize(state_words());
+  save(snap.words.data());
+  return snap;
 }
 
-void Machine::restore(const Snapshot& snap) {
-  homes_ = snap.homes;
-  nodes_ = snap.nodes;
-  gv_ = snap.gv;
-  net_.set_state(snap.net);
-  errors_ = snap.errors;
+void Machine::save(std::uint64_t* out) const {
+  static_assert(std::is_trivially_copyable_v<Ctl> &&
+                std::is_trivially_copyable_v<Cell>);
+  auto* p = reinterpret_cast<unsigned char*>(out);
+  std::memcpy(p, ctl_.data(), ctl_.size() * sizeof(Ctl));
+  p += ctl_.size() * sizeof(Ctl);
+  std::memcpy(p, cells_.data(), cells_.size() * sizeof(Cell));
+  p += cells_.size() * sizeof(Cell);
+  std::memcpy(p, gv_.data(), gv_.size() * sizeof(std::int64_t));
+  net_.save(out + local_words_);
 }
 
-namespace {
-
-/// Dense rank of `v` among the sorted distinct versions of its address.
-inline std::int64_t version_rank(const std::vector<std::int64_t>& vs,
-                                 std::int64_t v) noexcept {
-  if (v < 0) return -1;
-  return std::lower_bound(vs.begin(), vs.end(), v) - vs.begin();
+void Machine::restore(const std::uint64_t* words) {
+  const auto* p = reinterpret_cast<const unsigned char*>(words);
+  std::memcpy(ctl_.data(), p, ctl_.size() * sizeof(Ctl));
+  p += ctl_.size() * sizeof(Ctl);
+  std::memcpy(cells_.data(), p, cells_.size() * sizeof(Cell));
+  p += cells_.size() * sizeof(Cell);
+  std::memcpy(gv_.data(), p, gv_.size() * sizeof(std::int64_t));
+  net_.load(words + local_words_);
+  errors_.clear();
 }
 
-}  // namespace
+struct Machine::VersionRanks {
+  std::vector<std::pair<Addr, std::int64_t>> seen;  // collection scratch
+  std::vector<std::int64_t> vals;  // per address, sorted and distinct
+  std::vector<std::uint32_t> start;  // address a: [start[a], start[a + 1])
 
-std::vector<std::vector<std::int64_t>> Machine::version_table() const {
+  /// Dense rank of `v` among its address's versions; -1 for "none".
+  [[nodiscard]] std::int64_t rank(Addr a, std::int64_t v) const {
+    if (v < 0) return -1;
+    const std::int64_t* b = vals.data() + start[static_cast<std::size_t>(a)];
+    const std::int64_t* e =
+        vals.data() + start[static_cast<std::size_t>(a) + 1];
+    return std::lower_bound(b, e, v) - b;
+  }
+};
+
+void Machine::rank_versions(VersionRanks& vr) const {
   // Data versions are normalised per address (order-preserving dense rank)
   // so the visited set is finite: states differing only by absolute version
   // numbers are control-equivalent.
-  std::vector<std::vector<std::int64_t>> vers(
-      static_cast<std::size_t>(config_.n_addrs));
-  auto note = [&](Addr a, std::int64_t v) {
-    if (v >= 0) vers[static_cast<std::size_t>(a)].push_back(v);
+  vr.seen.clear();
+  const auto note = [&](Addr a, std::int64_t v) {
+    if (v >= 0) vr.seen.emplace_back(a, v);
   };
-  for (const auto& he : homes_) {
-    for (const auto& [a, v] : he.memory) note(a, v);
-    for (const auto& [a, l] : he.dir) {
-      note(a, l.held);
-      note(a, l.txver);
+  const auto note_ring = [&](const Network::Ring& ring) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      note(ring[i].addr, ring[i].version);
+    }
+  };
+  for (QuadId q = 0; q < config_.n_quads; ++q) {
+    for (Addr a = 0; a < config_.n_addrs; ++a) {
+      const Cell& c = cell(q, a);
+      if ((c.present & kMem) != 0) note(a, c.memory);
+      if ((c.present & kDir) != 0) {
+        note(a, c.dir.held);
+        note(a, c.dir.txver);
+      }
+      if ((c.present & kCver) != 0) note(a, c.cver);
+    }
+    note_ring(net_.outbox(q));
+    for (QuadId dst = 0; dst < config_.n_quads; ++dst) {
+      for (Network::VcCode code = 0; code < net_.vc_count(); ++code) {
+        note_ring(net_.queue(q, dst, code));
+      }
     }
   }
-  for (const auto& n : nodes_) {
-    for (const auto& [a, v] : n.cver) note(a, v);
-    for (const auto& m : n.outbox) note(m.addr, m.version);
+  for (Addr a = 0; a < config_.n_addrs; ++a) {
+    note(a, gv_[static_cast<std::size_t>(a)]);
   }
-  for (const auto& [key, queue] : net_.state()) {
-    for (const auto& m : queue) note(m.addr, m.version);
+  std::sort(vr.seen.begin(), vr.seen.end());
+  vr.seen.erase(std::unique(vr.seen.begin(), vr.seen.end()), vr.seen.end());
+  vr.vals.clear();
+  vr.start.assign(gv_.size() + 1, 0);
+  for (const auto& [a, v] : vr.seen) {
+    ++vr.start[static_cast<std::size_t>(a) + 1];
+    vr.vals.push_back(v);
   }
-  for (const auto& [a, v] : gv_) note(a, v);
-  for (auto& vs : vers) {
-    std::sort(vs.begin(), vs.end());
-    vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-  }
-  return vers;
+  for (std::size_t a = 0; a < gv_.size(); ++a) vr.start[a + 1] += vr.start[a];
 }
 
 std::string Machine::fingerprint() const {
-  const std::vector<std::vector<std::int64_t>> vers = version_table();
-  auto enc = [&](Addr a, std::int64_t v) {
-    return v < 0 ? std::string("-")
-                 : std::to_string(version_rank(
-                       vers[static_cast<std::size_t>(a)], v));
-  };
-
+  thread_local std::vector<std::uint64_t> words;
+  words.clear();
+  encode_state(words);
   std::string fp;
-  auto num = [&](long long v) {
-    fp += std::to_string(v);
+  for (const std::uint64_t w : words) {
+    fp += std::to_string(static_cast<std::int64_t>(w));
     fp += ',';
-  };
-  auto sym = [&](Value v) {
-    fp += std::to_string(v.id());
-    fp += ',';
-  };
-  for (const auto& he : homes_) {
-    fp += "H:";
-    for (const auto& [a, l] : he.dir) {
-      num(a);
-      sym(l.dirst);
-      for (QuadId q : l.pv) num(q);
-      fp += ';';
-      sym(l.bdirst);
-      num(l.pending);
-      num(l.requester);
-      fp += enc(a, l.held);
-      fp += ',';
-      fp += enc(a, l.txver);
-      fp += '|';
-    }
-    fp += "M:";
-    for (const auto& [a, v] : he.memory) {
-      num(a);
-      fp += enc(a, v);
-      fp += '|';
-    }
-  }
-  for (const auto& n : nodes_) {
-    fp += "N:";
-    for (const auto& [a, c] : n.cst) {
-      num(a);
-      sym(c);
-      fp += enc(a, n.cver.count(a) ? n.cver.at(a) : -1);
-      fp += '|';
-    }
-    sym(n.ncst);
-    num(n.cur);
-    sym(n.iocst);
-    num(n.io_cur);
-    num(n.random_remaining);
-    for (const auto& m : n.outbox) {
-      sym(m.type);
-      num(m.addr);
-      num(m.dst);
-      fp += enc(m.addr, m.version);
-      fp += '|';
-    }
-  }
-  fp += "Q:";
-  for (const auto& [key, queue] : net_.state()) {
-    if (queue.empty()) continue;
-    num(key.src);
-    num(key.dst);
-    sym(key.vc);
-    for (const auto& m : queue) {
-      sym(m.type);
-      num(m.addr);
-      num(m.src);
-      fp += enc(m.addr, m.version);
-      fp += '|';
-    }
-    fp += '/';
   }
   return fp;
 }
 
-void Machine::encode_state(std::vector<std::uint64_t>& out,
-                           const Relabeling* relabel) const {
-  encode_with(out, relabel, version_table());
-}
-
-void Machine::encode_with(
-    std::vector<std::uint64_t>& out, const Relabeling* relabel,
-    const std::vector<std::vector<std::int64_t>>& vers) const {
-  auto qm = [&](QuadId q) -> std::int64_t {
+template <class Sink>
+void Machine::encode(Sink& w, const Relabeling* relabel,
+                     const VersionRanks& vr) const {
+  const auto qm = [&](std::int64_t q) -> std::int64_t {
     return (relabel != nullptr && q >= 0)
                ? relabel->quad[static_cast<std::size_t>(q)]
                : q;
   };
-  auto am = [&](Addr a) -> std::int64_t {
+  const auto am = [&](std::int64_t a) -> std::int64_t {
     return (relabel != nullptr && a >= 0)
                ? relabel->addr[static_cast<std::size_t>(a)]
                : a;
   };
-  auto rk = [&](Addr a, std::int64_t v) -> std::int64_t {
-    if (v < 0) return -1;
-    return version_rank(vers[static_cast<std::size_t>(a)], v);
-  };
-  auto w = [&](std::int64_t x) { out.push_back(static_cast<std::uint64_t>(x)); };
-
-  // Inverse quad map: emit engines in relabeled order so equivalent states
-  // encode identically.
-  const auto n_quads = static_cast<std::size_t>(config_.n_quads);
-  std::vector<std::size_t> qinv(n_quads);
-  for (std::size_t q = 0; q < n_quads; ++q) {
-    qinv[static_cast<std::size_t>(qm(static_cast<QuadId>(q)))] = q;
+  // Relabeling permutes indices: engines, entries and queues are emitted
+  // in relabeled order by walking the inverse maps, so equivalent states
+  // encode identically without sorting anything.
+  const auto n_quads = static_cast<QuadId>(config_.n_quads);
+  const auto n_addrs = static_cast<Addr>(config_.n_addrs);
+  thread_local std::vector<QuadId> qinv;
+  thread_local std::vector<Addr> ainv;
+  qinv.resize(static_cast<std::size_t>(n_quads));
+  ainv.resize(static_cast<std::size_t>(n_addrs));
+  for (QuadId q = 0; q < n_quads; ++q) {
+    qinv[static_cast<std::size_t>(qm(q))] = q;
   }
-
-  for (std::size_t hp = 0; hp < n_quads; ++hp) {
-    const HomeEngine& he = homes_[qinv[hp]];
-    std::vector<std::pair<std::int64_t, Addr>> order;
-    order.reserve(he.dir.size());
-    for (const auto& [a, l] : he.dir) order.emplace_back(am(a), a);
-    std::sort(order.begin(), order.end());
-    w(static_cast<std::int64_t>(order.size()));
-    for (const auto& [ap, a] : order) {
-      const DirLine& l = he.dir.at(a);
+  for (Addr a = 0; a < n_addrs; ++a) {
+    ainv[static_cast<std::size_t>(am(a))] = a;
+  }
+  // Entries of one quad present under `bit`, in relabeled address order.
+  const auto entries = [&](QuadId q, std::uint8_t bit, auto&& emit) {
+    std::int64_t count = 0;
+    for (Addr a = 0; a < n_addrs; ++a) count += (cell(q, a).present & bit) != 0;
+    w(count);
+    for (Addr ap = 0; ap < n_addrs; ++ap) {
+      const Addr a = ainv[static_cast<std::size_t>(ap)];
+      const Cell& c = cell(q, a);
+      if ((c.present & bit) == 0) continue;
       w(ap);
+      emit(a, c);
+    }
+  };
+
+  for (QuadId hp = 0; hp < n_quads; ++hp) {
+    const QuadId h = qinv[static_cast<std::size_t>(hp)];
+    entries(h, kDir, [&](Addr a, const Cell& c) {
+      const DirLine& l = c.dir;
       w(l.dirst.id());
-      std::vector<std::int64_t> pv;
-      pv.reserve(l.pv.size());
-      for (QuadId q : l.pv) pv.push_back(qm(q));
-      std::sort(pv.begin(), pv.end());
-      w(static_cast<std::int64_t>(pv.size()));
-      for (std::int64_t q : pv) w(q);
+      w(std::popcount(l.pv));
+      if ((l.pv & 1) != 0) w(-1);
+      for (QuadId qp = 0; qp < n_quads; ++qp) {
+        if ((l.pv & pv_bit(qinv[static_cast<std::size_t>(qp)])) != 0) w(qp);
+      }
       w(l.bdirst.id());
       w(l.pending);
       w(qm(l.requester));
-      w(rk(a, l.held));
-      w(rk(a, l.txver));
-    }
-    order.clear();
-    for (const auto& [a, v] : he.memory) order.emplace_back(am(a), a);
-    std::sort(order.begin(), order.end());
-    w(static_cast<std::int64_t>(order.size()));
-    for (const auto& [ap, a] : order) {
-      w(ap);
-      w(rk(a, he.memory.at(a)));
-    }
+      w(vr.rank(a, l.held));
+      w(vr.rank(a, l.txver));
+    });
+    entries(h, kMem,
+            [&](Addr a, const Cell& c) { w(vr.rank(a, c.memory)); });
   }
 
-  for (std::size_t qp = 0; qp < n_quads; ++qp) {
-    const Node& nd = nodes_[qinv[qp]];
-    std::vector<std::pair<std::int64_t, Addr>> order;
-    order.reserve(nd.cst.size());
-    for (const auto& [a, c] : nd.cst) order.emplace_back(am(a), a);
-    std::sort(order.begin(), order.end());
-    w(static_cast<std::int64_t>(order.size()));
-    for (const auto& [ap, a] : order) {
-      w(ap);
-      w(nd.cst.at(a).id());
-      const auto it = nd.cver.find(a);
-      w(rk(a, it != nd.cver.end() ? it->second : -1));
-    }
-    w(nd.ncst.id());
-    w(am(nd.cur));
-    w(nd.iocst.id());
-    w(am(nd.io_cur));
-    w(nd.random_remaining);
-    w(static_cast<std::int64_t>(nd.outbox.size()));
-    for (const auto& m : nd.outbox) {
+  const auto msgs = [&](const Network::Ring& ring, bool by_dst) {
+    w(static_cast<std::int64_t>(ring.size()));
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const SimMessage& m = ring[i];
       w(m.type.id());
       w(am(m.addr));
-      w(qm(m.dst));
-      w(rk(m.addr, m.version));
-    }
-  }
-
-  struct QueueEnc {
-    std::int64_t src, dst;
-    std::uint32_t vc;
-    const std::deque<SimMessage>* q;
-    bool operator<(const QueueEnc& o) const {
-      if (src != o.src) return src < o.src;
-      if (dst != o.dst) return dst < o.dst;
-      return vc < o.vc;
+      w(qm(by_dst ? m.dst : m.src));
+      w(vr.rank(m.addr, m.version));
     }
   };
-  std::vector<QueueEnc> queues;
-  for (const auto& [key, queue] : net_.state()) {
-    if (queue.empty()) continue;
-    queues.push_back(QueueEnc{qm(key.src), qm(key.dst), key.vc.id(), &queue});
+  for (QuadId qp = 0; qp < n_quads; ++qp) {
+    const QuadId q = qinv[static_cast<std::size_t>(qp)];
+    entries(q, kCst, [&](Addr a, const Cell& c) {
+      w(c.cst.id());
+      w(vr.rank(a, cver_of(q, a)));
+    });
+    const Ctl& n = ctl_[static_cast<std::size_t>(q)];
+    w(n.ncst.id());
+    w(am(n.cur));
+    w(n.iocst.id());
+    w(am(n.io_cur));
+    w(n.random_remaining);
+    msgs(net_.outbox(q), true);
   }
-  std::sort(queues.begin(), queues.end());
-  w(static_cast<std::int64_t>(queues.size()));
-  for (const QueueEnc& qe : queues) {
-    w(qe.src);
-    w(qe.dst);
-    w(qe.vc);
-    w(static_cast<std::int64_t>(qe.q->size()));
-    for (const auto& m : *qe.q) {
-      w(m.type.id());
-      w(am(m.addr));
-      w(qm(m.src));
-      w(rk(m.addr, m.version));
+
+  std::int64_t queues = 0;
+  for (QuadId src = 0; src < n_quads; ++src) {
+    for (QuadId dst = 0; dst < n_quads; ++dst) {
+      for (Network::VcCode code = 0; code < net_.vc_count(); ++code) {
+        queues += !net_.queue(src, dst, code).empty();
+      }
+    }
+  }
+  w(queues);
+  for (QuadId sp = 0; sp < n_quads; ++sp) {
+    for (QuadId dp = 0; dp < n_quads; ++dp) {
+      for (Network::VcCode code = 0; code < net_.vc_count(); ++code) {
+        const Network::Ring ring =
+            net_.queue(qinv[static_cast<std::size_t>(sp)],
+                       qinv[static_cast<std::size_t>(dp)], code);
+        if (ring.empty()) continue;
+        w(sp);
+        w(dp);
+        w(net_.vc_value(code).id());
+        msgs(ring, false);
+      }
     }
   }
 }
@@ -1456,43 +1396,50 @@ inline std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-inline std::array<std::uint64_t, 2> hash_words(
-    const std::vector<std::uint64_t>& words) noexcept {
-  // Two independently-seeded splitmix lanes give an effective 128-bit key:
-  // at the few-million-state scales the explorer reaches, the collision
-  // probability is ~n^2 / 2^128 — negligible.
+/// Two independently-seeded splitmix lanes over the encoding words give an
+/// effective 128-bit key: at the few-million-state scales the explorer
+/// reaches, the collision probability is ~n^2 / 2^128 — negligible.
+struct HashSink {
   std::uint64_t h0 = 0x243F6A8885A308D3ull;
   std::uint64_t h1 = 0x13198A2E03707344ull;
-  for (std::uint64_t wrd : words) {
+  std::uint64_t n = 0;
+  void operator()(std::int64_t x) noexcept {
+    const auto wrd = static_cast<std::uint64_t>(x);
     h0 = splitmix64(h0 ^ wrd);
     h1 = splitmix64(h1 + (wrd * 0xA24BAED4963EE407ull));
+    ++n;
   }
-  return {splitmix64(h0 ^ words.size()), splitmix64(h1 ^ words.size())};
-}
+  [[nodiscard]] std::array<std::uint64_t, 2> value() const noexcept {
+    return {splitmix64(h0 ^ n), splitmix64(h1 ^ n)};
+  }
+};
+
+struct VectorSink {
+  std::vector<std::uint64_t>& out;
+  void operator()(std::int64_t x) { out.push_back(static_cast<std::uint64_t>(x)); }
+};
 
 }  // namespace
 
-std::array<std::uint64_t, 2> Machine::state_hash(
-    const Relabeling* relabel) const {
-  static thread_local std::vector<std::uint64_t> words;
-  words.clear();
-  encode_state(words, relabel);
-  return hash_words(words);
+void Machine::encode_state(std::vector<std::uint64_t>& out,
+                           const Relabeling* relabel) const {
+  thread_local VersionRanks vr;
+  rank_versions(vr);
+  VectorSink sink{out};
+  encode(sink, relabel, vr);
 }
 
 std::array<std::uint64_t, 2> Machine::canonical_hash(
     const std::vector<Relabeling>& group) const {
-  if (group.empty()) return state_hash(nullptr);
-  // The version ranking is relabeling-invariant modulo the per-address
-  // permutation of the table itself (encode_with indexes it through the
-  // *unrelabeled* address), so one computation serves the whole orbit.
-  const auto vers = version_table();
+  // The ranking is indexed by the unrelabeled address, so one computation
+  // serves the whole orbit.
+  thread_local VersionRanks vr;
+  rank_versions(vr);
   std::array<std::uint64_t, 2> best{~0ull, ~0ull};
-  static thread_local std::vector<std::uint64_t> words;
-  for (const Relabeling& r : group) {
-    words.clear();
-    encode_with(words, &r, vers);
-    best = std::min(best, hash_words(words));
+  for (std::size_t i = 0; i < std::max<std::size_t>(group.size(), 1); ++i) {
+    HashSink sink;
+    encode(sink, group.empty() ? nullptr : &group[i], vr);
+    best = std::min(best, sink.value());
   }
   return best;
 }
@@ -1500,8 +1447,9 @@ std::array<std::uint64_t, 2> Machine::canonical_hash(
 bool Machine::quiescent() const {
   if (net_.in_flight() != 0) return false;
   const Value idle = sym().idle;
-  for (const auto& n : nodes_) {
-    if (n.ncst != idle || n.iocst != idle || !n.outbox.empty()) {
+  for (QuadId q = 0; q < config_.n_quads; ++q) {
+    const Ctl& n = ctl_[static_cast<std::size_t>(q)];
+    if (n.ncst != idle || n.iocst != idle || !net_.outbox(q).empty()) {
       return false;
     }
   }
@@ -1510,7 +1458,7 @@ bool Machine::quiescent() const {
 
 int Machine::injection_budget() const {
   int total = 0;
-  for (const auto& n : nodes_) total += n.random_remaining;
+  for (const Ctl& c : ctl_) total += c.random_remaining;
   return total;
 }
 

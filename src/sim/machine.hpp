@@ -2,11 +2,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,40 +50,6 @@ struct SimResult {
 /// only, so a wrong table row surfaces as a dynamic error here.
 class Machine {
  public:
-  // ---- Controller-state records (public: Snapshot exposes them) -----------
-  struct DirLine {
-    Value dirst;             // I / SI / MESI
-    std::set<QuadId> pv;     // sharers / owner
-    Value bdirst;            // I or a busy state
-    int pending = 0;         // outstanding snoop acks
-    QuadId requester = -1;   // local node of the in-flight transaction
-    std::int64_t held = -1;  // buffered data version
-    std::int64_t txver = -1; // data version carried by the transaction
-  };
-
-  struct HomeEngine {
-    std::map<Addr, DirLine> dir;
-    std::map<Addr, std::int64_t> memory;
-    int cooldown = 0;  // memory-latency countdown
-  };
-
-  struct Node {
-    std::map<Addr, Value> cst;             // cache line states
-    std::map<Addr, std::int64_t> cver;     // cache data versions
-    Value ncst;                            // node controller state
-    Addr cur = -1;                         // outstanding address
-    Value iocst;                           // I/O controller state
-    Addr io_cur = -1;                      // outstanding I/O address
-    std::deque<SimMessage> outbox;         // the RAC decoupling buffer
-    std::deque<std::pair<Value, Addr>> scripted;
-    int random_remaining = 0;
-    int done = 0;
-    /// Per-node phase counter driving the deterministic workload shapes
-    /// (Workload::kLock and friends); untouched by kRandom and by the
-    /// exploration interface, so state encodings need not carry it.
-    std::uint64_t wl_tick = 0;
-  };
-
   /// Compiles the controller tables privately (per-machine cost, as the
   /// original TableIndex path paid; SimConfig::dense_dispatch picks the
   /// lookup engine).
@@ -122,7 +85,7 @@ class Machine {
   /// memory).  Also applied as the initial busy time.
   void set_memory_latency(int steps) {
     memory_latency_ = steps;
-    for (auto& he : homes_) he.cooldown = steps;
+    for (auto& c : ctl_) c.cooldown = steps;
   }
 
   SimResult run();
@@ -138,33 +101,47 @@ class Machine {
   struct Action {
     enum class Kind { kDeliver, kDrain, kInject };
     Kind kind = Kind::kDeliver;
-    Network::QueueRef queue;  // kDeliver
-    QuadId node = -1;         // kDrain / kInject
-    Value op;                 // kInject (processor/device op)
-    Addr addr = -1;           // kInject
+    Network::QueueRef queue{};  // kDeliver
+    QuadId node = -1;           // kDrain / kInject
+    Value op{};                 // kInject (processor/device op)
+    Addr addr = -1;             // kInject
 
     [[nodiscard]] std::string to_string() const;
   };
 
   /// Candidate actions in the current state.  A candidate may still fail
   /// to apply (blocked output channel): apply_action reports that.
-  [[nodiscard]] std::vector<Action> possible_actions() const;
+  [[nodiscard]] std::vector<Action> possible_actions() const {
+    std::vector<Action> out;
+    possible_actions(out);
+    return out;
+  }
+  /// Allocation-free variant for the explorer: replaces `out`'s contents.
+  void possible_actions(std::vector<Action>& out) const;
 
   /// Applies one action; returns true iff the state advanced.
   bool apply_action(const Action& action);
 
-  /// Opaque copy of the entire mutable state.
+  /// Copy of the entire mutable controller and network state: one word
+  /// vector, so a snapshot and a restore are a memcpy each.  Errors are
+  /// diagnostics, not state — restore clears them.
   struct Snapshot {
-    std::vector<HomeEngine> homes;
-    std::vector<Node> nodes;
-    std::map<Addr, std::int64_t> gv;
-    Network::State net;
-    std::vector<std::string> errors;
+    std::vector<std::uint64_t> words;
   };
   [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
+  void restore(const Snapshot& snap) { restore(snap.words.data()); }
 
-  /// Canonical encoding of the state, for visited-set hashing.
+  /// The same copy into caller storage (the explorer packs its frontier
+  /// into one arena): save() writes state_words() words, restore() reads
+  /// what a machine of the same configuration saved.
+  [[nodiscard]] std::size_t state_words() const noexcept {
+    return local_words_ + net_.state_words();
+  }
+  void save(std::uint64_t* out) const;
+  void restore(const std::uint64_t* words);
+
+  /// The canonical encoding (encode_state under identity labels) as text:
+  /// the visited-set key of the sequential explorer.
   [[nodiscard]] std::string fingerprint() const;
 
   // ---- Hashed canonical encodings (parallel exploration) -------------------
@@ -185,19 +162,15 @@ class Machine {
 
   /// Appends the canonical numeric encoding of the current state to `out`,
   /// every quad/address id relabeled through `relabel` (identity when null).
-  /// Two states encode equal iff fingerprint() distinguishes them equal
-  /// under the same relabeling; data versions are dense-ranked per address
-  /// exactly as in fingerprint().
+  /// Data versions are dense-ranked per address (order-preserving), so
+  /// states differing only in absolute version numbers encode equal.
   void encode_state(std::vector<std::uint64_t>& out,
                     const Relabeling* relabel = nullptr) const;
 
-  /// 128-bit splitmix-style hash of encode_state() under one relabeling.
-  [[nodiscard]] std::array<std::uint64_t, 2> state_hash(
-      const Relabeling* relabel = nullptr) const;
-
-  /// Orbit-canonical hash: the minimum state_hash over every relabeling in
-  /// `group` (the identity hash when the group is empty).  Equivalent states
-  /// — equal up to a group element — collapse onto one key.
+  /// Orbit-canonical hash: the minimum 128-bit hash of encode_state() over
+  /// every relabeling in `group` (the identity encoding's hash when the
+  /// group is empty).  Equivalent states — equal up to a group element —
+  /// collapse onto one key.
   [[nodiscard]] std::array<std::uint64_t, 2> canonical_hash(
       const std::vector<Relabeling>& group) const;
 
@@ -233,18 +206,82 @@ class Machine {
   [[nodiscard]] QuadId home_of(Addr a) const {
     return a % config_.n_quads;
   }
-  /// Sorted distinct live data versions per address — the order-preserving
-  /// dense-rank normalisation both fingerprint() and encode_state() apply so
-  /// the visited set is finite.  Indexed by address (0..n_addrs-1); a
-  /// version's rank is its position in the address's vector.
-  [[nodiscard]] std::vector<std::vector<std::int64_t>> version_table() const;
-  /// encode_state with a precomputed version table (the relabeling-invariant
-  /// part), so orbit canonicalization pays for the ranking only once.
-  void encode_with(std::vector<std::uint64_t>& out, const Relabeling* relabel,
-                   const std::vector<std::vector<std::int64_t>>& vers) const;
+
+  // ---- Flat state (DESIGN.md §14) ------------------------------------------
+  // Everything snapshot() copies lives in three trivially-copyable arrays
+  // sized at construction, plus the Network's rings.  Directory lines,
+  // memory words, cache states and cache versions are insert-only entries
+  // with a presence bit: "absent" and "present as I / -1 / 0" differ.
+
+  /// Directory entry of one (home, address) pair.
+  struct DirLine {
+    Value dirst;              // I / SI / MESI
+    Value bdirst;             // I or a busy state
+    std::uint64_t pv = 0;     // holders: bit q+1 for quad q, bit 0 for -1
+    int pending = 0;          // outstanding snoop acks
+    QuadId requester = -1;    // local node of the in-flight transaction
+    std::int64_t held = -1;   // buffered data version
+    std::int64_t txver = -1;  // data version carried by the transaction
+  };
+  enum : std::uint8_t { kDir = 1, kMem = 2, kCst = 4, kCver = 8 };
+  /// One (quad, address) pair: the quad's home-engine entry for the
+  /// address and the quad's cached copy of it.
+  struct Cell {
+    DirLine dir;
+    std::int64_t memory = 0;
+    std::int64_t cver = 0;     // cache data version
+    Value cst;                 // cache line state
+    std::uint8_t present = 0;  // kDir | kMem | kCst | kCver
+  };
+  /// One quad's controller scalars.
+  struct Ctl {
+    Value ncst;                 // node controller state
+    Value iocst;                // I/O controller state
+    Addr cur = -1;              // outstanding address
+    Addr io_cur = -1;           // outstanding I/O address
+    int random_remaining = 0;
+    int done = 0;
+    int cooldown = 0;           // memory-latency countdown
+    std::uint32_t script_pos = 0;  // next entry of scripts_
+    /// Phase counter of the deterministic workload shapes (kLock and
+    /// friends); untouched by exploration, so encodings skip it.
+    std::uint64_t wl_tick = 0;
+  };
+
+  [[nodiscard]] Cell& cell(QuadId q, Addr a) {
+    return cells_[static_cast<std::size_t>(q * config_.n_addrs + a)];
+  }
+  [[nodiscard]] const Cell& cell(QuadId q, Addr a) const {
+    return cells_[static_cast<std::size_t>(q * config_.n_addrs + a)];
+  }
+  [[nodiscard]] Ctl& ctl(QuadId q) { return ctl_[static_cast<std::size_t>(q)]; }
+  /// Cache state, I when absent.
+  [[nodiscard]] Value cst_of(QuadId q, Addr a) const;
+  void set_cst(QuadId q, Addr a, Value v);
+  /// Cache version, -1 when absent.
+  [[nodiscard]] std::int64_t cver_of(QuadId q, Addr a) const;
+  /// Cache version / memory word; the first touch inserts it as 0.
+  std::int64_t& entry(QuadId q, Addr a, std::int64_t Cell::*field,
+                      std::uint8_t bit);
+  std::int64_t& cver(QuadId q, Addr a) {
+    return entry(q, a, &Cell::cver, kCver);
+  }
+  std::int64_t& memory(QuadId q, Addr a) {
+    return entry(q, a, &Cell::memory, kMem);
+  }
   DirLine& line(QuadId home, Addr a);
-  Node& node(QuadId q) { return nodes_[static_cast<std::size_t>(q)]; }
   static Value enc_count(std::size_t n);
+
+  /// Per-address sorted distinct live data versions — the order-preserving
+  /// dense rank both fingerprint() and encode_state() apply so the visited
+  /// set is finite.
+  struct VersionRanks;
+  void rank_versions(VersionRanks& vr) const;
+  /// The canonical encoding, one word at a time into `sink` (a vector for
+  /// encode_state, a running hash for the hashes).
+  template <class Sink>
+  void encode(Sink& sink, const Relabeling* relabel,
+              const VersionRanks& vr) const;
 
   /// Controller-table lookup with per-run hit/miss accounting (the
   /// dispatch structures may be shared across machines, so the counters
@@ -260,10 +297,6 @@ class Machine {
     return row;
   }
 
-  /// Snoop targets for the row being applied (fills snoop_scratch_).
-  const std::vector<QuadId>& snoop_targets(const DirLine& l,
-                                           QuadId requester);
-
   // -- controller steps (return true on progress) ----------------------------
   bool step_directory(QuadId q, const Network::QueueRef& ref,
                       const SimMessage& msg);
@@ -278,8 +311,10 @@ class Machine {
   bool drain_outbox(QuadId q);
   bool inject(QuadId q);
 
-  /// Routes a queue-head message to its consuming controller.
-  bool deliver(QuadId q, const Network::QueueRef& ref, const SimMessage& msg);
+  /// Routes a queue-head message to its consuming controller.  Takes the
+  /// message by value: handlers read it after consume(), which frees its
+  /// ring slot for the messages they post.
+  bool deliver(QuadId q, const Network::QueueRef& ref, SimMessage msg);
 
   /// net_.send plus counter/trace bookkeeping.
   void post(const SimMessage& msg, QuadId home);
@@ -295,9 +330,6 @@ class Machine {
   /// Issues one processor/device operation (hit handling included); true on
   /// progress.
   bool issue_op(QuadId q, Value op, Addr addr);
-
-  /// Transaction-generating operations legal for this node right now.
-  [[nodiscard]] std::vector<std::pair<Value, Addr>> legal_ops(QuadId q) const;
 
   /// Next (op, addr) for a deterministic workload shape (kLock etc.),
   /// legality-adjusted against the node's current cache state.
@@ -327,9 +359,16 @@ class Machine {
   /// machines, or privately compiled by the two-argument constructor.
   std::shared_ptr<const CompiledTables> tables_;
 
-  std::vector<HomeEngine> homes_;
-  std::vector<Node> nodes_;
-  std::map<Addr, std::int64_t> gv_;  // committed write versions
+  std::vector<Ctl> ctl_;
+  std::vector<Cell> cells_;          // [quad * n_addrs + addr]
+  std::vector<std::int64_t> gv_;     // committed write version per address
+  std::size_t local_words_;          // the three arrays' size in words
+
+  /// Scripted (op, addr) lists per node: configuration, not state — a
+  /// node's progress through its list is Ctl::script_pos.
+  std::vector<std::vector<std::pair<Value, Addr>>> scripts_;
+  /// Operations exploration may inject, by cache state: I, S, owned.
+  std::array<std::vector<Value>, 3> legal_ops_;
 
   std::vector<std::string> errors_;
   std::mt19937 rng_;
@@ -344,7 +383,6 @@ class Machine {
   // steady state; these only grow to high-water marks).
   std::vector<Network::QueueRef> queue_scratch_;
   std::vector<SimMessage> dir_out_;
-  std::vector<QuadId> snoop_scratch_;
 };
 
 }  // namespace ccsql::sim

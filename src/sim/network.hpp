@@ -1,11 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "protocol/channel_assignment.hpp"
@@ -21,18 +17,19 @@ namespace ccsql::sim {
 /// Blocking-send semantics are what make deadlocks real here: a controller
 /// may only consume an input if every output it must emit has channel
 /// space, exactly like the paper's Figure 4 scenario.
+///
+/// Storage is flat (DESIGN.md §15): every queue is a ring buffer in one
+/// message arena sized at construction, next to one ring per quad for the
+/// node's outbox (the RAC decoupling buffer, which Machine keeps here so
+/// that one arena holds every queued message).  `capacity` bounds what
+/// can_send admits, not storage: dedicated paths are unbounded, and one
+/// step's outputs are each checked against the occupancy before any is
+/// sent, so a channel may briefly hold more.  Rings therefore share one
+/// storage capacity that doubles when a push finds a ring full.  The whole
+/// queue state is three trivially-copyable arrays; save/load are memcpys.
 class Network {
  public:
   Network(const ChannelAssignment& v, int n_quads, int capacity);
-
-  /// The role-level (src, dst) pair used to look a message up in V.
-  /// `home` is the home quad of msg.addr.
-  [[nodiscard]] std::pair<Value, Value> role_pair(const SimMessage& msg,
-                                                  QuadId home) const;
-
-  /// The virtual channel of a message, or nullopt for dedicated paths.
-  [[nodiscard]] std::optional<Value> vc_of(const SimMessage& msg,
-                                           QuadId home) const;
 
   /// True if the message can be sent now (always true on dedicated paths).
   [[nodiscard]] bool can_send(const SimMessage& msg, QuadId home) const;
@@ -45,24 +42,22 @@ class Network {
     QuadId src;
     QuadId dst;
     Value vc;  // NULL for the dedicated-path queue
-    /// Internal O(1) queue handle, filled by queues_to.  Refs built by
-    /// hand (snapshot replay) leave the default; front/pop then resolve
-    /// the queue from (src, dst, vc).  Slot indices are stable: every VC
-    /// registers at construction, so the slot table never re-layouts.
-    std::uint32_t slot = kNoSlot;
+    std::uint32_t slot = 0;  // ring index, filled by queues_to
   };
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   [[nodiscard]] std::vector<QueueRef> queues_to(QuadId dst) const;
 
   /// Allocation-free variant for the scheduler hot loop: clears `out` and
-  /// fills it with the non-empty queues addressed to `dst`, in the same
-  /// (src, vc) order as queues_to.
+  /// fills it with the non-empty queues addressed to `dst`, ordered by
+  /// (src, vc symbol id) — the delivery order.
   void queues_to(QuadId dst, std::vector<QueueRef>& out) const;
 
   [[nodiscard]] const SimMessage* front(const QueueRef& q) const;
   void pop(const QueueRef& q);
 
-  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
+  /// Messages queued on channels (outboxes excluded).
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return head_.in_flight;
+  }
 
   /// Occupancy of every non-empty queue, for deadlock reports.
   [[nodiscard]] std::string describe_blocked() const;
@@ -73,31 +68,16 @@ class Network {
   /// against VCG cycles.
   [[nodiscard]] std::vector<Value> occupied_vcs() const;
 
-  struct Key {
-    QuadId src;
-    QuadId dst;
-    Value vc;
-    bool operator<(const Key& o) const {
-      if (src != o.src) return src < o.src;
-      if (dst != o.dst) return dst < o.dst;
-      return vc < o.vc;
-    }
-  };
-
-  /// Full queue state, for snapshot/restore in exhaustive exploration.
-  using State = std::map<Key, std::deque<SimMessage>>;
-  [[nodiscard]] const State& state() const noexcept { return queues_; }
-  void set_state(State state);
-
   /// Small-integer handle for a virtual channel: 0 is the dedicated
-  /// (NULL-channel) path, 1..k are assigned VCs in first-seen order.  The
-  /// code space is tiny (one per distinct VC symbol in the assignment), so
-  /// it indexes the dense queue-slot table below.
+  /// (NULL-channel) path, 1..k the assignment's channels in symbol-id
+  /// order, so ascending codes are the delivery order.
   using VcCode = std::uint16_t;
+  [[nodiscard]] VcCode vc_count() const noexcept {
+    return static_cast<VcCode>(vc_values_.size());
+  }
 
-  /// The VC code of a message, registering the channel on first sight.
-  /// Memoized on the (type, role_src, role_dst) triple — the V table is
-  /// immutable during simulation.
+  /// The VC code of a message.  Memoized on the (type, role_src, role_dst)
+  /// triple — the V table is immutable during simulation.
   [[nodiscard]] VcCode vc_code(const SimMessage& msg, QuadId home) const;
 
   /// The channel Value for a code (null for code 0).
@@ -109,45 +89,90 @@ class Network {
   /// resolve the channel once per message instead of per Network call.
   void send_coded(const SimMessage& msg, VcCode code);
 
- private:
-  /// Registers a newly-created queue in the per-destination index, keeping
-  /// each destination's list in Key order (delivery order must match map
-  /// iteration exactly).
-  void index_queue(State::iterator it);
+  /// A ring's messages, oldest first.  Valid until the next push.
+  class Ring {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return len_; }
+    [[nodiscard]] bool empty() const noexcept { return len_ == 0; }
+    [[nodiscard]] const SimMessage& operator[](std::size_t i) const {
+      const std::size_t k = head_ + i;
+      return base_[k < cap_ ? k : k - cap_];
+    }
 
-  /// Dense slot for (src, dst, code): pointer slot into slots_.  The deque
-  /// pointer is null until the queue's map entry exists.  Map entries are
-  /// never erased, so the pointers stay valid across sends.
-  [[nodiscard]] std::size_t slot_index(QuadId src, QuadId dst,
-                                       VcCode code) const {
-    return (static_cast<std::size_t>(src) * static_cast<std::size_t>(n_quads_) +
-            static_cast<std::size_t>(dst)) *
-               vc_cap_ +
-           code;
+   private:
+    friend class Network;
+    Ring(const SimMessage* base, std::size_t cap, std::size_t head,
+         std::size_t len)
+        : base_(base), cap_(cap), head_(head), len_(len) {}
+    const SimMessage* base_;
+    std::size_t cap_, head_, len_;
+  };
+
+  [[nodiscard]] Ring queue(QuadId src, QuadId dst, VcCode code) const {
+    return ring(queue_ring(src, dst, code));
   }
 
-  /// Code for a VC value that may be unknown (a QueueRef for a queue that
-  /// was never created); returns kNoCode then.
-  [[nodiscard]] VcCode code_of(const Value& vc) const;
-  static constexpr VcCode kNoCode = 0xffff;
+  // ---- Node outboxes ------------------------------------------------------
+  [[nodiscard]] Ring outbox(QuadId q) const { return ring(outbox_ring(q)); }
+  void push_outbox(QuadId q, const SimMessage& msg) {
+    push(outbox_ring(q), msg);
+  }
+  void pop_outbox(QuadId q) { pop_ring(outbox_ring(q)); }
+  /// Removes the i-th oldest outbox message, keeping the rest in order.
+  void erase_outbox(QuadId q, std::size_t i);
 
-  /// Queue for a QueueRef, or nullptr when it was never created.
-  [[nodiscard]] std::deque<SimMessage>* ref_queue(const QueueRef& q) const;
+  // ---- Flat state ---------------------------------------------------------
+  /// Size of save()'s output in 64-bit words.
+  [[nodiscard]] std::size_t state_words() const noexcept;
+  /// Copies the queue state to `out` (state_words() words).
+  void save(std::uint64_t* out) const;
+  /// Replaces the queue state with one save() wrote, possibly by another
+  /// Network of the same configuration.
+  void load(const std::uint64_t* in);
 
-  /// Repopulates slots_ and dst_index_ from the queue map.  Called from
-  /// the constructor and set_state.
-  void rebuild_slots();
+ private:
+  struct Header {
+    std::uint32_t ring_cap;  // storage per ring; a full ring doubles all
+    std::uint32_t in_flight;
+  };
+  struct RingHdr {
+    std::uint32_t head = 0;
+    std::uint32_t len = 0;
+  };
+
+  [[nodiscard]] std::size_t queue_ring(QuadId src, QuadId dst,
+                                       VcCode code) const {
+    return (static_cast<std::size_t>(src) * n_quads_ +
+            static_cast<std::size_t>(dst)) *
+               vc_values_.size() +
+           code;
+  }
+  [[nodiscard]] std::size_t outbox_ring(QuadId q) const {
+    return n_queues_ + static_cast<std::size_t>(q);
+  }
+  [[nodiscard]] Ring ring(std::size_t r) const {
+    return Ring(arena_.data() + r * head_.ring_cap, head_.ring_cap,
+                rings_[r].head, rings_[r].len);
+  }
+  void push(std::size_t r, const SimMessage& msg);
+  void pop_ring(std::size_t r);
+  /// Re-lays the arena out with rings of `cap` messages, keeping every
+  /// ring's contents (oldest message at its ring's first slot).
+  void regrow(std::size_t cap);
+  /// Sets the ring capacity and arena size without keeping contents.
+  void layout(std::size_t cap);
 
   const ChannelAssignment* v_;
-  int n_quads_;
+  std::size_t n_quads_;
   std::size_t capacity_;
-  State queues_;
-  std::size_t in_flight_ = 0;
+  std::size_t n_queues_;  // quad pairs x VC codes; outbox rings follow
+
+  std::vector<Value> vc_values_;  // code -> channel (null for code 0)
 
   /// (type, role_src, role_dst) -> VC code, open-addressed with linear
   /// probing (the triple space is tiny and the lookup runs multiple times
-  /// per message — a std::unordered_map find was measurable here).  The
-  /// stored key is the packed triple plus one, so 0 marks an empty bucket.
+  /// per message).  The stored key is the packed triple plus one, so 0
+  /// marks an empty bucket.
   struct VcMemoEntry {
     std::uint64_t key_plus1 = 0;
     VcCode code = 0;
@@ -156,27 +181,10 @@ class Network {
   mutable std::size_t vc_memo_used_ = 0;
   void vc_memo_grow() const;
 
-  /// Code -> channel Value; index 0 is the dedicated NULL channel, the
-  /// rest are the assignment's channels() in order, registered up front so
-  /// slot indices stay stable for the Network's lifetime.
-  std::vector<Value> vc_values_;
-  std::size_t vc_cap_;  // slot-table stride, fixed at construction
-
-  /// (src, dst, code) -> queue, O(1); null until the queue exists.
-  mutable std::vector<std::deque<SimMessage>*> slots_;
-
-  /// Queue lengths parallel to slots_: occupancy checks in can_send and
-  /// queues_to read this contiguous array instead of chasing map nodes.
-  std::vector<std::uint32_t> slot_len_;
-
-  /// Per-destination (queue iterator, slot index) pairs in Key order:
-  /// queues_to scans only the destination's own queues and hands out O(1)
-  /// slot handles.
-  struct DstEntry {
-    State::iterator it;
-    std::uint32_t slot;
-  };
-  std::vector<std::vector<DstEntry>> dst_index_;
+  // The state save()/load() copy.
+  Header head_{};
+  std::vector<RingHdr> rings_;
+  std::vector<SimMessage> arena_;
 };
 
 }  // namespace ccsql::sim
