@@ -118,12 +118,15 @@ int main(int argc, char** argv) {
               "cols, %zu busy states (paper: ~500 x 30, ~40 busy states)\n",
               d.row_count(), d.column_count(), asura::busy_states().size());
   IncrementalTrace trace;
-  asura_spec().controller(asura::kDirectory).generate(
+  (void)asura_spec().controller(asura::kDirectory).generate(
       &asura_spec().database().functions(), &trace);
-  std::printf("# incremental pruning trace (column: rows-after):");
+  // The solver's per-column breakdown: rows left after each column's
+  // constraints, and the wall time of that cross+filter step.
+  std::printf("# incremental pruning trace (column: rows-after/us):");
   for (const auto& s : trace.steps) {
-    std::printf(" %s:%llu", s.column.c_str(),
-                static_cast<unsigned long long>(s.rows_after));
+    std::printf(" %s:%llu/%llu", s.column.c_str(),
+                static_cast<unsigned long long>(s.rows_after),
+                static_cast<unsigned long long>(s.micros));
   }
   std::printf("\n");
   enable_metrics();

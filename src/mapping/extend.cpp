@@ -40,15 +40,15 @@ ExtendedTableBuilder& ExtendedTableBuilder::extend_domain(
 
 ExtendedTableBuilder& ExtendedTableBuilder::add_input(
     const std::string& name, std::vector<std::string> values) {
-  new_inputs_.push_back(
-      Col{{name, ColumnKind::kInput}, Domain(name, std::move(values))});
+  new_inputs_.push_back(Col{Column{name, ColumnKind::kInput},
+                            Domain(name, std::move(values))});
   return *this;
 }
 
 ExtendedTableBuilder& ExtendedTableBuilder::add_output(
     const std::string& name, std::vector<std::string> values) {
-  new_outputs_.push_back(
-      Col{{name, ColumnKind::kOutput}, Domain(name, std::move(values))});
+  new_outputs_.push_back(Col{Column{name, ColumnKind::kOutput},
+                             Domain(name, std::move(values))});
   return *this;
 }
 

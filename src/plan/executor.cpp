@@ -185,9 +185,10 @@ struct Executor {
       // alias-renamed), so its indices address base rows directly.
       cols.push_back(node.schema->index_of(name));
     }
-    const bool cached = base.has_cached_index(cols);
+    CCSQL_COUNT(base.has_cached_index(cols) ? "plan.index_hits"
+                                            : "plan.index_builds",
+                1);
     const Table::IndexMap& index = base.index_on(cols);
-    CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
     bc::Sel sel;
     auto it = index.find(Table::index_key(node.key_values));
     if (it != index.end()) {
@@ -200,16 +201,14 @@ struct Executor {
     return base.gather(sel).with_schema(node.schema);
   }
 
-  /// Rows of `src` passing `pred`, in table order, as a table over `schema`.
-  /// Parallel when go_parallel(): each morsel collects its hits, morsels
-  /// concatenate in order — identical output to the serial scan.  With the
-  /// bytecode engine (the default) each morsel/batch evaluates over a
-  /// selection vector; --no-bytecode keeps the interpreted row loop.
-  Table filter(const Table& src, const SchemaPtr& schema,
-               const vec::RowFilter& pred, std::size_t limit,
-               std::size_t& visited, OpStats& stats) {
+  /// Row ids of `src` passing `pred`, in table order, stopping at `limit`
+  /// hits.  Parallel when go_parallel(): each morsel collects its hits,
+  /// morsels concatenate in order — identical output to the serial scan.
+  /// With the bytecode engine (the default) each morsel/batch evaluates
+  /// over a selection vector; --no-bytecode keeps the interpreted row loop.
+  bc::Sel matches(const Table& src, const vec::RowFilter& pred,
+                  std::size_t limit, std::size_t& visited, OpStats& stats) {
     const std::size_t n = src.row_count();
-    const std::size_t pred_cols = pred.columns_read(src.column_count());
     bc::Sel sel;
     if (go_parallel(limit, n)) {
       const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
@@ -249,25 +248,76 @@ struct Executor {
         if (pred.eval(src.row(i))) sel.push_back(static_cast<std::uint32_t>(i));
       }
     }
-    // Predicate pass reads only the referenced columns; the output gather
-    // reads and writes every cell of the passing rows.
+    // The predicate pass reads only the referenced columns.
     stats.bytes_touched +=
-        scan_bytes(visited, pred_cols) +
-        2 * scan_bytes(sel.size(), src.column_count());
+        scan_bytes(visited, pred.columns_read(src.column_count()));
+    return sel;
+  }
+
+  /// Rows of `src` passing `pred`, in table order, as a table over `schema`.
+  Table filter(const Table& src, const SchemaPtr& schema,
+               const vec::RowFilter& pred, std::size_t limit,
+               std::size_t& visited, OpStats& stats) {
+    const bc::Sel sel = matches(src, pred, limit, visited, stats);
+    // The output gather reads and writes every cell of the passing rows.
+    stats.bytes_touched += 2 * scan_bytes(sel.size(), src.column_count());
     return src.gather(sel).with_schema(schema);
   }
 
+  /// Select over Cross, late-materialised.  Crosses only the columns the
+  /// predicate reads (project() shares column storage, so only the narrow
+  /// product is copied), filters that product through the morsel path,
+  /// then gathers each surviving row from the two sides by index: product
+  /// row i*|right| + j pairs left row i with right row j.
+  Table select_cross(PlanNode& node, const vec::RowFilter& pred,
+                     const Schema& narrow, std::size_t limit,
+                     OpStats& stats) {
+    PlanNode& cross = node.child();
+    const Table l = exec(cross.child(0), kNoLimit);
+    const Table r = exec(cross.child(1), kNoLimit);
+    std::vector<std::string> lnames, rnames;
+    for (const Column& c : narrow.columns()) {
+      (l.schema().has(c.name) ? lnames : rnames).push_back(c.name);
+    }
+    const Table product = Table::cross(l.project(lnames, /*distinct=*/false),
+                                       r.project(rnames, /*distinct=*/false));
+    std::size_t visited = 0;
+    const bc::Sel sel = matches(product, pred, limit, visited, stats);
+    const std::uint32_t rn = static_cast<std::uint32_t>(r.row_count());
+    bc::Sel lsel(sel.size()), rsel(sel.size());
+    for (std::size_t i = 0; i < sel.size(); ++i) {
+      lsel[i] = sel[i] / rn;
+      rsel[i] = sel[i] % rn;
+    }
+    Table out = Table::hcat(node.schema, l.gather(lsel), r.gather(rsel));
+    // Each gather reads and writes every cell of the passing rows.
+    stats.bytes_touched += 2 * scan_bytes(sel.size(), l.column_count()) +
+                           2 * scan_bytes(sel.size(), r.column_count());
+    if (ctx.record) {
+      cross.actual_rows = product.row_count();
+      node.stats.rows_in += visited;
+    }
+    return out;
+  }
+
   Table select(PlanNode& node, std::size_t limit) {
+    // Over a Cross the predicate reads the narrow product of only the
+    // columns it references.
+    const SchemaPtr narrow = node.child().kind == PlanNode::Kind::kCross
+                                 ? predicate_schema(node, full_of(node))
+                                 : nullptr;
     // A cached plan carries its predicate pre-compiled (shared across
     // concurrent executions); otherwise compile here, per execution.
     std::optional<vec::RowFilter> local;
     const vec::RowFilter& pred =
         node.compiled ? *node.compiled
-                      : local.emplace(*node.predicate, *node.schema,
+                      : local.emplace(*node.predicate,
+                                      narrow ? *narrow : *node.schema,
                                       full_of(node), ctx.functions);
-    std::size_t visited = 0;
     OpStats scratch;  // discarded stats sink for record-off executions
     OpStats& stats = ctx.record ? node.stats : scratch;
+    if (narrow) return select_cross(node, pred, *narrow, limit, stats);
+    std::size_t visited = 0;
     if (node.child().kind == PlanNode::Kind::kIndexLookup) {
       // Fused path: evaluate the predicate on base rows straight out of the
       // index bucket.  Skips materialising the (possibly large) lookup
@@ -281,9 +331,10 @@ struct Executor {
       for (const auto& name : lookup.columns) {
         cols.push_back(lookup.schema->index_of(name));
       }
-      const bool cached = base.has_cached_index(cols);
+      CCSQL_COUNT(base.has_cached_index(cols) ? "plan.index_hits"
+                                              : "plan.index_builds",
+                  1);
       const Table::IndexMap& index = base.index_on(cols);
-      CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
       bc::Sel hits;
       auto it = index.find(Table::index_key(lookup.key_values));
       if (it != index.end()) {
@@ -394,8 +445,9 @@ struct Executor {
     obs::MemReservation build_mem;
     if (rhs.is_scan()) {
       right = &base_of(rhs);
-      const bool cached = right->has_cached_join_index(rk);
-      CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
+      CCSQL_COUNT(right->has_cached_join_index(rk) ? "plan.index_hits"
+                                                   : "plan.index_builds",
+                  1);
       if (ctx.record) rhs.actual_rows = right->row_count();
     } else {
       right_local = exec(rhs, kNoLimit);
@@ -509,6 +561,19 @@ struct Executor {
 };
 
 }  // namespace
+
+SchemaPtr predicate_schema(const PlanNode& select, const Schema& ident) {
+  if (select.child().kind != PlanNode::Kind::kCross) return select.schema;
+  const std::vector<std::string> refs =
+      select.predicate->referenced_columns(ident);
+  std::vector<Column> cols;
+  for (const Column& c : select.schema->columns()) {
+    if (std::find(refs.begin(), refs.end(), c.name) != refs.end()) {
+      cols.push_back(c);
+    }
+  }
+  return make_schema(std::move(cols));
+}
 
 Table execute(PlanNode& root, const ExecContext& ctx, std::size_t limit) {
   CCSQL_SPAN(span, "plan.execute", "plan");

@@ -1,10 +1,13 @@
 #pragma once
 
 // Plan execution.  Walks a PlanNode tree bottom-up, materialising Tables,
-// with two fusions the naive interpreter cannot do:
+// with fusions the naive interpreter cannot do:
 //
 //  - Select over Scan evaluates the compiled predicate directly against the
-//    base table's rows (no intermediate copy of the whole table), and
+//    base table's rows (no intermediate copy of the whole table);
+//  - Select over Cross crosses only the columns the predicate reads,
+//    filters that narrow product, and gathers the surviving rows from each
+//    side by index — the wide product is never materialised; and
 //  - HashJoin over a Scan build side probes the base table's persistent
 //    secondary index (Table::index_on), so repeated queries against catalog
 //    tables reuse the index across calls.
@@ -43,6 +46,14 @@ struct ExecContext {
   /// threads at once without cloning (the tree is never written).
   bool record = true;
 };
+
+/// The row schema a Select's predicate is compiled against.  A Select over
+/// a Cross runs fused: its predicate reads a product of only the columns it
+/// references, so this is those columns in the Cross's column order.  Any
+/// other Select reads rows of its own schema.  `ident` decides which
+/// identifiers are columns, as in compile().
+[[nodiscard]] SchemaPtr predicate_schema(const PlanNode& select,
+                                         const Schema& ident);
 
 /// Executes `root`, producing at most `limit` rows (kNoLimit = all).
 Table execute(PlanNode& root, const ExecContext& ctx,

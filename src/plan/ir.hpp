@@ -38,9 +38,9 @@ using PlanPtr = std::unique_ptr<PlanNode>;
 /// ExecContext::analyze is set (EXPLAIN ANALYZE).  wall_micros is inclusive
 /// of children executed through exec(); exclusive (self) time is derived at
 /// render time as inclusive minus the children's inclusive sums.  Fused
-/// paths (select-over-scan, hash-join scan sides) never run the child's
-/// exec(), so the fused work stays attributed to the fusing operator and
-/// the child's wall time reads 0.
+/// paths (select-over-scan, select-over-cross, hash-join scan sides) never
+/// run the child's exec(), so the fused work stays attributed to the
+/// fusing operator and the child's wall time reads 0.
 struct OpStats {
   std::uint64_t invocations = 0;   // exec() calls on this node
   std::uint64_t wall_micros = 0;   // inclusive wall time

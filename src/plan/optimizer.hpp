@@ -10,7 +10,12 @@
 //   3. predicate pushdown   — selects sink through Cross into the side whose
 //                             columns they mention (to fixpoint)
 //   4. hash-join lowering   — column=column equalities left above a Cross
-//                             turn it into a HashJoin on those keys
+//                             turn it into a HashJoin on those keys (4b:
+//                             a Project above it narrows its output)
+//   4c. residual merging    — the Selects still stacked on a Cross fold
+//                             back into one conjunction, so the executor's
+//                             fused Select-over-Cross path runs them in one
+//                             narrow pass
 //   5. index lowering       — column=literal filters directly above a Scan
 //                             become an IndexLookup on a secondary index
 //   6. exists mode          — for emptiness checks: sorts are dropped and

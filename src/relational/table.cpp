@@ -213,19 +213,24 @@ Table Table::cross(const Table& a, const Table& b) {
   out.rows_ = an * bn;
   // Row (i*bn + j) pairs a-row i with b-row j, so a's columns repeat each
   // cell bn times and b's columns tile whole an times — two sequential
-  // fills, no row assembly.
+  // fills through raw pointers (vector::insert per run costs ~10x more on
+  // the short runs solver steps produce), no row assembly.
   for (std::size_t j = 0; j < a.width(); ++j) {
     const Value* src = a.cols_[j]->data();
-    auto c = std::make_shared<ColumnData>();
-    c->reserve(out.rows_);
-    for (std::size_t i = 0; i < an; ++i) c->insert(c->end(), bn, src[i]);
+    auto c = std::make_shared<ColumnData>(out.rows_);
+    Value* dst = c->data();
+    for (std::size_t i = 0; i < an; ++i, dst += bn) {
+      std::fill_n(dst, bn, src[i]);
+    }
     out.cols_[j] = std::move(c);
   }
   for (std::size_t j = 0; j < b.width(); ++j) {
     const Value* src = b.cols_[j]->data();
-    auto c = std::make_shared<ColumnData>();
-    c->reserve(out.rows_);
-    for (std::size_t i = 0; i < an; ++i) c->insert(c->end(), src, src + bn);
+    auto c = std::make_shared<ColumnData>(out.rows_);
+    Value* dst = c->data();
+    for (std::size_t i = 0; i < an; ++i, dst += bn) {
+      std::copy_n(src, bn, dst);
+    }
     out.cols_[a.width() + j] = std::move(c);
   }
   return out;

@@ -29,12 +29,13 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
 
 /// Attaches a shared pre-compiled RowFilter to every kSelect node.  The
 /// executor runs this tree with ident_schema unset, so filters compile
-/// against (node schema, node schema) — the same pair the executor would
-/// use.
+/// against (predicate_schema(node, node schema), node schema) — the same
+/// pair the executor would use.
 void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
   if (n.kind == plan::PlanNode::Kind::kSelect && n.predicate) {
     n.compiled = std::make_shared<const plan::vec::RowFilter>(
-        *n.predicate, *n.schema, *n.schema, &catalog.functions());
+        *n.predicate, *plan::predicate_schema(n, *n.schema), *n.schema,
+        &catalog.functions());
   }
   for (auto& c : n.children) precompile_filters(*c, catalog);
 }

@@ -1,6 +1,7 @@
 #include "solver/generator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "obs/obs.hpp"
@@ -79,11 +80,22 @@ Table generate_incremental(const GenerationInput& input,
                            IncrementalTrace* trace) {
   input.validate();
   const Schema& full = *input.schema;
-  std::vector<bool> applied(input.constraints.size(), false);
 
   CCSQL_SPAN(gen_span, "solver.generate_incremental", "solver");
   gen_span.arg("columns", full.size());
   gen_span.arg("constraints", input.constraints.size());
+
+  // Bind every constraint once: it joins the filter of the step whose
+  // column completes its referenced columns, i.e. the highest schema index
+  // among them.  Within a step constraints keep their input order.
+  std::vector<std::vector<std::size_t>> binds(full.size());
+  for (std::size_t k = 0; k < input.constraints.size(); ++k) {
+    std::size_t step = 0;
+    for (const auto& ref : input.constraints[k].expr.referenced_columns(full)) {
+      step = std::max(step, full.index_of(ref));
+    }
+    binds[step].push_back(k);
+  }
 
   // The per-column cross+filter steps run as queries of a scratch session:
   // it carries the constraint predicates and this generation's jobs setting.
@@ -93,6 +105,7 @@ Table generate_incremental(const GenerationInput& input,
 
   Table cur = Table::unit();
   for (std::size_t ci = 0; ci < full.size(); ++ci) {
+    const auto t0 = std::chrono::steady_clock::now();
     const std::string& col = full.column(ci).name;
     CCSQL_SPAN(col_span, "solver.column", "solver");
     col_span.arg("column", col);
@@ -102,24 +115,10 @@ Table generate_incremental(const GenerationInput& input,
     step.column = col;
     step.rows_before_filter = cur.row_count() * dom.row_count();
 
-    // Every pending constraint that becomes fully bound once `col` joins
-    // the prefix is conjoined into this step's filter.
     std::vector<Expr> ready;
-    for (std::size_t k = 0; k < input.constraints.size(); ++k) {
-      if (applied[k]) continue;
-      bool bound = true;
-      for (const auto& ref :
-           input.constraints[k].expr.referenced_columns(full)) {
-        if (!cur.schema().has(ref) && ref != col) {
-          bound = false;
-          break;
-        }
-      }
-      if (bound) {
-        applied[k] = true;
-        ready.push_back(input.constraints[k].expr);
-        step.constraints_applied.push_back(input.constraints[k].column);
-      }
+    for (std::size_t k : binds[ci]) {
+      ready.push_back(input.constraints[k].expr);
+      step.constraints_applied.push_back(input.constraints[k].column);
     }
     if (ready.empty()) {
       cur = Table::cross(cur, dom);
@@ -137,6 +136,10 @@ Table generate_incremental(const GenerationInput& input,
     CCSQL_COUNT("solver.rows_pruned",
                 step.rows_before_filter - cur.row_count());
     step.rows_after = cur.row_count();
+    step.micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
     if (trace != nullptr) trace->steps.push_back(std::move(step));
   }
   gen_span.arg("rows", cur.row_count());

@@ -40,6 +40,7 @@ struct IncrementalTrace {
     std::string column;
     std::uint64_t rows_before_filter = 0;  // after crossing in the column
     std::uint64_t rows_after = 0;          // after applying constraints
+    std::uint64_t micros = 0;              // wall time of this step
     std::vector<std::string> constraints_applied;
   };
   std::vector<Step> steps;

@@ -12,6 +12,7 @@
 #include "plan/ir.hpp"
 #include "plan/optimizer.hpp"
 #include "protocol/asura/asura.hpp"
+#include "relational/bytecode.hpp"
 #include "relational/database.hpp"
 #include "relational/query.hpp"
 
@@ -280,6 +281,39 @@ TEST(ExplainAnalyze, DatabaseFacadeAppendsMemorySummary) {
   EXPECT_NE(r.plan.find("time="), std::string::npos) << r.plan;
   EXPECT_NE(r.plan.find("memory:"), std::string::npos) << r.plan;
   EXPECT_NE(r.plan.find("peak"), std::string::npos) << r.plan;
+}
+
+TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
+  // A cross-side inequality neither pushes down nor becomes a join key, so
+  // the Select runs fused over the Cross: the Cross reports the product
+  // size it never materialised, and bytes= is the narrow predicate read
+  // (15 rows x 2 columns) plus one gather per side (12 rows x 3 and x 2
+  // columns, each read and written), 4 bytes a cell.
+  // Pinned for the bytecode engine: the interpreted walk reads whole rows
+  // and runs no batches.
+  struct EngineGuard {
+    bool saved = bytecode_enabled();
+    ~EngineGuard() { set_bytecode_enabled(saved); }
+  } guard;
+  set_bytecode_enabled(true);
+  Catalog db = make_catalog();
+  plan::PlannerOptions opts;
+  opts.analyze = true;
+  std::string out = plan::explain_sql(
+      db, "select * from D a, M b where not a.memmsg = b.inmsg", opts);
+  // Wall times vary run to run: mask each "time=... self=..." pair and
+  // pin everything else.
+  for (std::size_t at = out.find("time="); at != std::string::npos;
+       at = out.find("time=", at + 4)) {
+    const std::size_t end = out.find_first_of(" ]", out.find("self=", at));
+    out.replace(at, end - at, "time");
+  }
+  EXPECT_EQ(out,
+            "Select (a.memmsg != b.inmsg) (est=5.0, actual=12) [time "
+            "rows_in=15 rows_out=12 batches=1 sel=80.0% bytes=600 B]\n"
+            "  Cross (est=15, actual=15) [fused]\n"
+            "    Scan D as a (est=5, actual=5) [time rows_out=5]\n"
+            "    Scan M as b (est=3, actual=3) [time rows_out=3]\n");
 }
 
 TEST(ExplainAnalyze, CountsAreIdenticalAcrossJobs) {
