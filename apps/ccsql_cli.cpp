@@ -36,10 +36,6 @@
 //                              memory accounting (no trace file needed)
 //   --no-planner               run every query through the naive executor
 //                              (CCSQL_NO_PLANNER=1 does the same)
-//   --no-bytecode              evaluate predicates with the interpreted
-//                              expression walk instead of the vectorized
-//                              bytecode engine (CCSQL_NO_BYTECODE=1 does
-//                              the same); results are identical
 //   --jobs N                   parallel lanes for query execution, the
 //                              invariant suite, and VCG composition
 //                              (CCSQL_JOBS=N does the same; default:
@@ -133,7 +129,7 @@ int usage() {
          "                           the prepared-statement cache\n"
          "  flow                     full push-button report\n"
          "global flags: --trace FILE [--trace-format text|jsonl|chrome] "
-         "--metrics --stats --no-planner --no-bytecode --jobs N\n";
+         "--metrics --stats --no-planner --jobs N\n";
   return 2;
 }
 
@@ -420,7 +416,6 @@ int configure_observability(const Args& args) {
   }
   if (args.has("--metrics") || args.has("--stats")) tracer.enable_metrics();
   if (args.has("--no-planner")) plan::set_planner_enabled(false);
-  if (args.has("--no-bytecode")) set_bytecode_enabled(false);
   if (args.has("--jobs")) {
     const int jobs = args.value_of("--jobs", 0);
     if (jobs < 1) {

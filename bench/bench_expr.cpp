@@ -2,11 +2,10 @@
 //
 // One ASURA-shaped predicate (the paper's directory column constraint — a
 // ternary over conjunctions of equality tests) is evaluated over synthetic
-// controller tables three ways:
+// controller tables two ways:
 //
 //   interpreted — CompiledExpr::eval, the pointer-chasing AST walk
-//   scalar      — bc::Program::eval, the flat bytecode program row at a time
-//   vectorized  — bc::Program::eval_batch over 1024-row selection vectors
+//   vectorized  — bc::Program::eval_range over 1024-row batches
 //
 // at 10k / 100k / 1M rows.  A direct best-of-N measurement at the largest
 // size is emitted as one machine-readable `# expr_speedup {...}` JSON line
@@ -75,15 +74,6 @@ std::size_t scan_interpreted(const Table& t, const CompiledExpr& e) {
   return hits;
 }
 
-std::size_t scan_scalar(const Table& t, const bc::Program& p) {
-  std::size_t hits = 0;
-  const std::size_t n = t.row_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p.eval(t.row(i))) ++hits;
-  }
-  return hits;
-}
-
 std::size_t scan_vectorized(const Table& t, const bc::Program& p,
                             bc::Scratch& scratch) {
   std::size_t hits = 0;
@@ -109,17 +99,6 @@ void BM_FilterInterpreted(benchmark::State& state) {
   const CompiledExpr e = compile(parse_expr(predicate_of(state)), s, s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scan_interpreted(t, e));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(t.row_count()));
-}
-
-void BM_FilterScalarBytecode(benchmark::State& state) {
-  const Table& t = table_of(static_cast<std::size_t>(state.range(0)));
-  const Schema& s = t.schema();
-  const bc::Program p = compile_bytecode(parse_expr(predicate_of(state)), s, s);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scan_scalar(t, p));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(t.row_count()));
@@ -162,18 +141,16 @@ void report_expr_speedup(std::size_t rows) {
   };
   (void)best_of([&] { return scan_vectorized(t, prog, scratch); });  // warm
   const auto interp_us = best_of([&] { return scan_interpreted(t, interp); });
-  const auto scalar_us = best_of([&] { return scan_scalar(t, prog); });
   const auto vector_us = best_of([&] { return scan_vectorized(t, prog, scratch); });
 
   CCSQL_COUNT("bench.expr_rows", static_cast<std::uint64_t>(rows));
   CCSQL_COUNT("bench.expr_interp_us", static_cast<std::uint64_t>(interp_us));
-  CCSQL_COUNT("bench.expr_scalar_us", static_cast<std::uint64_t>(scalar_us));
   CCSQL_COUNT("bench.expr_vector_us", static_cast<std::uint64_t>(vector_us));
   std::printf(
-      "# expr_speedup {\"rows\":%zu,\"interp_us\":%lld,\"scalar_us\":%lld,"
+      "# expr_speedup {\"rows\":%zu,\"interp_us\":%lld,"
       "\"vector_us\":%lld,\"speedup\":%.2f}\n",
       rows, static_cast<long long>(interp_us),
-      static_cast<long long>(scalar_us), static_cast<long long>(vector_us),
+      static_cast<long long>(vector_us),
       vector_us > 0
           ? static_cast<double>(interp_us) / static_cast<double>(vector_us)
           : 0.0);
@@ -196,12 +173,9 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> sizes =
       g_smoke ? std::vector<std::int64_t>{1000, 4000}
               : std::vector<std::int64_t>{10'000, 100'000, 1'000'000};
-  for (auto* fn : {&BM_FilterInterpreted, &BM_FilterScalarBytecode,
-                   &BM_FilterVectorized}) {
+  for (auto* fn : {&BM_FilterInterpreted, &BM_FilterVectorized}) {
     const char* name = fn == &BM_FilterInterpreted ? "BM_FilterInterpreted"
-                       : fn == &BM_FilterScalarBytecode
-                           ? "BM_FilterScalarBytecode"
-                           : "BM_FilterVectorized";
+                                                   : "BM_FilterVectorized";
     auto* b = benchmark::RegisterBenchmark(name, fn);
     for (auto n : sizes) {
       b->Args({n, 0});  // guard conjunction
@@ -210,8 +184,8 @@ int main(int argc, char** argv) {
     b->Unit(benchmark::kMicrosecond);
   }
 
-  std::printf("# Experiment EXPR: interpreted vs scalar-bytecode vs "
-              "vectorized predicate evaluation%s\n",
+  std::printf("# Experiment EXPR: interpreted vs vectorized predicate "
+              "evaluation%s\n",
               g_smoke ? " (smoke)" : "");
   enable_metrics();
   benchmark::Initialize(&argc, argv);

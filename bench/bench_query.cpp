@@ -118,7 +118,9 @@ BENCHMARK(BM_ExistsPlanned)->Unit(benchmark::kMicrosecond);
 
 Database synthetic_db(std::size_t left_rows, std::size_t right_rows) {
   std::mt19937 rng(2026);
-  auto randcol = [&](std::size_t n) { return "v" + std::to_string(rng() % n); };
+  auto randcol = [&](std::size_t n) {
+    return std::string("v").append(std::to_string(rng() % n));
+  };
   Catalog cat;
   Table l(Schema::of({"k", "p", "q"}));
   l.reserve_rows(left_rows);

@@ -27,7 +27,6 @@
 #include "bench/bench_util.hpp"
 #include "checks/invariant.hpp"
 #include "checks/vcg.hpp"
-#include "relational/bytecode.hpp"
 #include "core/pool.hpp"
 #include "obs/obs.hpp"
 
@@ -134,50 +133,6 @@ void report_suite_speedup() {
                       : 0.0);
 }
 
-/// The same suite timed with the bytecode predicate engine on and off
-/// (interpreted CompiledExpr fallback), at jobs=1 so the engines are
-/// compared head to head without pool scheduling in the way.  Emitted as a
-/// `# bytecode_suite {...}` JSON line plus `bench.suite_bytecode_*_us`
-/// metrics; the engine flag is restored afterwards.
-void report_bytecode_suite() {
-  using clock = std::chrono::steady_clock;
-  const bool before = bytecode_enabled();
-
-  auto time_suite = [&](bool engine_on) {
-    set_bytecode_enabled(engine_on);
-    Database db = asura_spec().database();
-    db.set_jobs(1);
-    InvariantChecker checker(db);
-    const auto t0 = clock::now();
-    auto results = checker.check_all(asura_spec().invariants());
-    benchmark::DoNotOptimize(results);
-    return std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                                 t0)
-        .count();
-  };
-  auto best_of = [&](bool engine_on) {
-    auto best = time_suite(engine_on);
-    for (int i = 0; i < (g_smoke ? 0 : 4); ++i) {
-      best = std::min(best, time_suite(engine_on));
-    }
-    return best;
-  };
-  const auto interp_us = best_of(false);
-  const auto bytecode_us = best_of(true);
-  set_bytecode_enabled(before);
-
-  CCSQL_COUNT("bench.suite_interp_us", static_cast<std::uint64_t>(interp_us));
-  CCSQL_COUNT("bench.suite_bytecode_us",
-              static_cast<std::uint64_t>(bytecode_us));
-  std::printf(
-      "# bytecode_suite {\"interp_us\":%lld,\"bytecode_us\":%lld,"
-      "\"speedup\":%.2f}\n",
-      static_cast<long long>(interp_us), static_cast<long long>(bytecode_us),
-      bytecode_us > 0 ? static_cast<double>(interp_us) /
-                            static_cast<double>(bytecode_us)
-                      : 0.0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,7 +159,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&bench_argc, bench_args.data());
   benchmark::RunSpecifiedBenchmarks();
   report_suite_speedup();
-  report_bytecode_suite();
   finish_metrics("bench_suite");
   return 0;
 }

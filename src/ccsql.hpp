@@ -18,8 +18,6 @@
 //  - ProtocolSpec + the bundled protocols (asura_spec, snoopbus_spec)
 //  - InvariantChecker — the paper's error-detection suite runner
 //  - DeadlockAnalysis — VCG construction / cycle detection
-//  - bytecode_enabled / set_bytecode_enabled — the predicate-engine switch
-//    (--no-bytecode / CCSQL_NO_BYTECODE falls back to the interpreted walk)
 //
 // Deeper layers (plan IR, the solver, the simulator core) stay internal;
 // include their headers directly only from within src/.
@@ -27,6 +25,5 @@
 #include "checks/invariant.hpp"
 #include "checks/vcg.hpp"
 #include "protocol/protocol_spec.hpp"
-#include "relational/bytecode.hpp"
 #include "relational/database.hpp"
 #include "relational/format.hpp"

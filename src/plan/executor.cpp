@@ -202,55 +202,35 @@ struct Executor {
   }
 
   /// Row ids of `src` passing `pred`, in table order, stopping at `limit`
-  /// hits.  Parallel when go_parallel(): each morsel collects its hits,
-  /// morsels concatenate in order — identical output to the serial scan.
-  /// With the bytecode engine (the default) each morsel/batch evaluates
-  /// over a selection vector; --no-bytecode keeps the interpreted row loop.
+  /// hits.  Parallel when go_parallel(): each morsel — one batch, since
+  /// kMorselGrain == kBatchRows — collects its hits, and morsels
+  /// concatenate in order: identical output to the serial scan.
   bc::Sel matches(const Table& src, const vec::RowFilter& pred,
                   std::size_t limit, std::size_t& visited, OpStats& stats) {
     const std::size_t n = src.row_count();
+    const std::vector<const Value*> cols = src.column_ptrs();
     bc::Sel sel;
     if (go_parallel(limit, n)) {
       const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
       stats.morsels += morsels;
+      stats.batches += morsels;
       std::vector<bc::Sel> hits(morsels);
-      if (pred.vectorized()) {
-        // One morsel = one vectorized batch (kMorselGrain == kBatchRows).
-        stats.batches += morsels;
-        core::Pool::global().parallel_for(
-            n, kMorselGrain, ctx.jobs,
-            [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-              pred.filter_range(src, begin, end, kNoLimit, hits[morsel]);
-            });
-      } else {
-        core::Pool::global().parallel_for(
-            n, kMorselGrain, ctx.jobs,
-            [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-              auto& h = hits[morsel];
-              for (std::size_t i = begin; i < end; ++i) {
-                if (pred.eval(src.row(i))) {
-                  h.push_back(static_cast<std::uint32_t>(i));
-                }
-              }
-            });
-      }
+      core::Pool::global().parallel_for(
+          n, kMorselGrain, ctx.jobs,
+          [&](std::size_t begin, std::size_t end, std::size_t morsel) {
+            pred.filter_range(cols, begin, end, kNoLimit, hits[morsel]);
+          });
       std::size_t total = 0;
       for (const auto& h : hits) total += h.size();
       sel.reserve(total);
       for (const auto& h : hits) sel.insert(sel.end(), h.begin(), h.end());
       visited = n;
-    } else if (pred.vectorized()) {
-      visited = pred.filter_range(src, 0, n, limit, sel);
-      stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
     } else {
-      for (std::size_t i = 0; i < n && sel.size() < limit; ++i) {
-        ++visited;
-        if (pred.eval(src.row(i))) sel.push_back(static_cast<std::uint32_t>(i));
-      }
+      visited = pred.filter_range(cols, 0, n, limit, sel);
+      stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
     }
     // The predicate pass reads only the referenced columns.
-    stats.bytes_touched +=
-        scan_bytes(visited, pred.columns_read(src.column_count()));
+    stats.bytes_touched += scan_bytes(visited, pred.columns_read());
     return sel;
   }
 
@@ -319,10 +299,10 @@ struct Executor {
     if (narrow) return select_cross(node, pred, *narrow, limit, stats);
     std::size_t visited = 0;
     if (node.child().kind == PlanNode::Kind::kIndexLookup) {
-      // Fused path: evaluate the predicate on base rows straight out of the
-      // index bucket.  Skips materialising the (possibly large) lookup
-      // result — with a row budget of 1 (exists mode) this stops at the
-      // first passing row.  Sound because an IndexLookup's schema is
+      // Fused path: filter the index bucket's row ids in place, batch by
+      // batch.  Skips materialising the (possibly large) lookup result —
+      // with a row budget of 1 (exists mode) this stops at the first batch
+      // holding a passing row.  Sound because an IndexLookup's schema is
       // positionally identical to its base table's.
       PlanNode& lookup = node.child();
       const Table& base = base_of(lookup);
@@ -338,19 +318,14 @@ struct Executor {
       bc::Sel hits;
       auto it = index.find(Table::index_key(lookup.key_values));
       if (it != index.end()) {
-        for (std::size_t i : it->second) {
-          if (hits.size() >= limit) break;
-          ++visited;
-          if (pred.eval(base.row(i))) {
-            hits.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
+        visited = pred.filter_rows(base.column_ptrs(), it->second, limit, hits);
       }
       if (ctx.record) {
         lookup.actual_rows = visited;
         node.stats.rows_in += visited;
+        node.stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
         node.stats.bytes_touched +=
-            scan_bytes(visited, base.column_count()) +
+            scan_bytes(visited, pred.columns_read()) +
             2 * scan_bytes(hits.size(), base.column_count());
       }
       CCSQL_COUNT("query.rows_scanned", visited);
@@ -394,25 +369,17 @@ struct Executor {
     if (ctx.record) {
       node.stats.morsels += morsels;
       node.stats.rows_in += n;
-      if (pred.vectorized()) node.stats.batches += morsels;
-      node.stats.bytes_touched +=
-          scan_bytes(n, pred.columns_read(base.column_count()));
+      node.stats.batches += morsels;
+      node.stats.bytes_touched += scan_bytes(n, pred.columns_read());
     }
+    const std::vector<const Value*> cols = base.column_ptrs();
     std::vector<std::size_t> counts(morsels, 0);
     core::Pool::global().parallel_for(
         n, kMorselGrain, ctx.jobs,
         [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-          if (pred.vectorized()) {
-            bc::Sel hits;
-            pred.filter_range(base, begin, end, kNoLimit, hits);
-            counts[morsel] = hits.size();
-            return;
-          }
-          std::size_t c = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (pred.eval(base.row(i))) ++c;
-          }
-          counts[morsel] = c;
+          bc::Sel hits;
+          pred.filter_range(cols, begin, end, kNoLimit, hits);
+          counts[morsel] = hits.size();
         });
     total = 0;
     for (std::size_t c : counts) total += c;

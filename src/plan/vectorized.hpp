@@ -3,22 +3,18 @@
 // Vectorized batch execution for the plan operators (DESIGN.md section 10).
 //
 // RowFilter is the executor's one predicate object: it compiles a resolved
-// Expr into whichever engine is active — the bytecode batch evaluator
-// (default) or the interpreted CompiledExpr walk (--no-bytecode) — and
-// exposes both a scalar row test and a batch filter over row-index ranges.
-//
-// The batch path walks the table in batches of kBatchRows rows, seeds a
-// dense selection vector per batch, and lets the bytecode program refine it
-// (bc::Program::eval_batch).  Row-index output keeps table order, so the
-// selection a batch produces is byte-identical to the serial scalar scan —
-// including under a row budget, where the filter stops at exactly the row
-// that fills the limit, like the scalar loop does.
+// Expr into a bytecode program and filters candidate rows — a dense row
+// range (a scan or a morsel) or a list of ascending row ids (an index
+// bucket) — in batches of kBatchRows rows, letting the program refine each
+// batch's selection vector (bc::Program::eval_batch).  Row-index output
+// keeps candidate order, so the selection is byte-identical to a row-by-row
+// scan — including under a row budget, where the filter stops at exactly
+// the row that fills the limit, as a row-by-row loop would.
 //
 // Morsels and batches share the same 1024-row grain: a parallel morsel is
 // one batch, so the parallel and serial paths see identical batch
 // boundaries and emit identical selections.
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -33,45 +29,46 @@ namespace ccsql::plan::vec {
 /// morsel is exactly one batch.
 inline constexpr std::size_t kBatchRows = 1024;
 
+/// One base pointer per column of the filtered table (Table::column_ptrs).
+using Columns = std::span<const Value* const>;
+
 class RowFilter {
  public:
   RowFilter() = default;
 
   /// Compiles `expr` for rows of `row_schema` (identifier-hood from
-  /// `full_schema`) into the active engine.
+  /// `full_schema`).
   RowFilter(const Expr& expr, const Schema& row_schema,
             const Schema& full_schema, const FunctionRegistry* functions);
 
-  /// True when the bytecode batch engine is active for this filter.
-  [[nodiscard]] bool vectorized() const noexcept {
-    return static_cast<bool>(prog_);
-  }
-
-  /// Scalar row test (either engine).
-  [[nodiscard]] bool eval(RowView row) const {
-    return prog_ ? prog_.eval(row) : interp_.eval(row);
-  }
-
   /// Distinct columns this predicate reads per row — the bytes-touched
-  /// basis for EXPLAIN ANALYZE.  The interpreted walk materialises whole
-  /// rows, so it reports the full `width`.
-  [[nodiscard]] std::size_t columns_read(std::size_t width) const {
-    return prog_ ? std::min(prog_.columns_read(), width) : width;
+  /// basis for EXPLAIN ANALYZE.
+  [[nodiscard]] std::size_t columns_read() const {
+    return prog_.columns_read();
   }
 
-  /// Batch-filters rows [begin, end) of `src`, appending passing row
-  /// indices to `sel` in ascending order, stopping once `limit` indices
-  /// have been appended in total across the call.  Returns the number of
-  /// rows visited — under a limit, exactly the index distance up to and
-  /// including the row that filled it, matching the scalar loop's count.
-  /// Requires vectorized().
-  std::size_t filter_range(const Table& src, std::size_t begin,
-                           std::size_t end, std::size_t limit,
-                           bc::Sel& sel) const;
+  /// Batch-filters rows [begin, end) of the table whose columns are `cols`,
+  /// appending passing row indices to `sel` in ascending order, stopping
+  /// once `limit` indices have been appended in total across the call.
+  /// Returns the number of rows visited — under a limit, exactly the index
+  /// distance up to and including the row that filled it.
+  std::size_t filter_range(Columns cols, std::size_t begin, std::size_t end,
+                           std::size_t limit, bc::Sel& sel) const;
+
+  /// filter_range over the ascending row ids `rows` (an index bucket)
+  /// instead of a dense range.  Returns the number of ids visited: under a
+  /// limit, the position in `rows` of the row that filled it, plus one.
+  std::size_t filter_rows(Columns cols, std::span<const std::size_t> rows,
+                          std::size_t limit, bc::Sel& sel) const;
+
+  /// Replaces `out` with the members of `sel` (ascending row ids) that
+  /// pass — how a later filter of a conjunctive chain refines the
+  /// survivors of an earlier one.
+  void refine(Columns cols, std::span<const std::uint32_t> sel,
+              bc::Sel& out) const;
 
  private:
-  bc::Program prog_;     // bytecode engine (empty when interpreting)
-  CompiledExpr interp_;  // interpreted oracle engine
+  bc::Program prog_;
 };
 
 }  // namespace ccsql::plan::vec

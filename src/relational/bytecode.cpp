@@ -1,27 +1,13 @@
 #include "relational/bytecode.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <iterator>
-#include <memory>
-#include <string_view>
+#include <numeric>
 
 #include "obs/obs.hpp"
 #include "relational/error.hpp"
 
 namespace ccsql {
 namespace {
-
-std::atomic<bool>& bytecode_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CCSQL_NO_BYTECODE");
-    const bool off =
-        env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
-    return !off;
-  }();
-  return flag;
-}
 
 /// Extends `out` by `extra` slots and returns a pointer to the first new
 /// slot.  The batch kernels write unconditionally through this pointer and
@@ -62,36 +48,7 @@ void merge_into(const bc::Sel& a, const bc::Sel& b, bc::Sel& out) {
   shrink_to(out, end);
 }
 
-/// complement() against the implicit dense selection [begin, end).
-void complement_range(std::uint32_t begin, std::uint32_t end,
-                      const bc::Sel& sub, bc::Sel& out) {
-  std::uint32_t* dst = grow(out, end - begin);
-  const std::uint32_t* s = sub.data();
-  const std::uint32_t* s_end = s + sub.size();
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const bool drop = s != s_end && *s == i;
-    s += drop;
-    *dst = i;
-    dst += !drop;
-  }
-  shrink_to(out, dst);
-}
-
-/// Appends begin..end-1 to `out`.
-void append_iota(std::uint32_t begin, std::uint32_t end, bc::Sel& out) {
-  std::uint32_t* dst = grow(out, end - begin);
-  for (std::uint32_t i = begin; i < end; ++i) *dst++ = i;
-}
-
 }  // namespace
-
-bool bytecode_enabled() {
-  return bytecode_flag().load(std::memory_order_relaxed);
-}
-
-void set_bytecode_enabled(bool enabled) {
-  bytecode_flag().store(enabled, std::memory_order_relaxed);
-}
 
 namespace bc {
 
@@ -230,150 +187,6 @@ struct Program::NodeEval {
     }
   }
 
-  /// Dense-range twin of run(): evaluates the subtree over the implicit
-  /// selection {begin, ..., end-1}, so the first full-width pass of every
-  /// predicate is a sequential strided loop — no index materialisation, no
-  /// gather.  Refined (sparse) selections drop down to run().
-  // NOLINTNEXTLINE(misc-no-recursion)
-  void run_range(std::uint32_t r, std::uint32_t begin, std::uint32_t end,
-                 Sel& out) const {
-    if (begin >= end) return;
-    const Insn& in = p.insns_[r];
-    switch (in.op) {
-      case Op::kConst:
-        if (in.imm) append_iota(begin, end, out);
-        return;
-      case Op::kCmp:
-        cmp_range(in, begin, end, out);
-        return;
-      case Op::kIn: {
-        std::uint32_t* dst = grow(out, end - begin);
-        const Operand* members = p.operands_.data() + in.args;
-        const std::uint32_t argc = in.argc;
-        const bool neg = in.negated;
-        const Operand& lhs = p.operands_[in.a];
-        for (std::uint32_t i = begin; i < end; ++i) {
-          const Value v = lhs.get_at(cols, i);
-          bool found = false;
-          for (std::uint32_t k = 0; k < argc; ++k) {
-            found |= members[k].get_at(cols, i) == v;
-          }
-          *dst = i;
-          dst += found != neg;
-        }
-        shrink_to(out, dst);
-        return;
-      }
-      case Op::kCall: {
-        std::uint32_t* dst = grow(out, end - begin);
-        for (std::uint32_t i = begin; i < end; ++i) {
-          *dst = i;
-          dst += call_at(in, i);
-        }
-        shrink_to(out, dst);
-        return;
-      }
-      case Op::kAnd: {
-        if (in.argc == 0) {
-          append_iota(begin, end, out);
-          return;
-        }
-        if (in.argc == 1) {
-          run_range(p.roots_[in.args], begin, end, out);
-          return;
-        }
-        Sel& a = scratch->acquire();
-        Sel& b = scratch->acquire();
-        run_range(p.roots_[in.args], begin, end, a);
-        std::span<const std::uint32_t> cur = a;
-        for (std::uint32_t k = 1; k + 1 < in.argc && !cur.empty(); ++k) {
-          Sel& dst = (cur.data() == a.data()) ? b : a;
-          dst.clear();
-          run(p.roots_[in.args + k], cur, dst);
-          cur = dst;
-        }
-        if (!cur.empty()) run(p.roots_[in.args + in.argc - 1], cur, out);
-        scratch->release(2);
-        return;
-      }
-      case Op::kOr: {
-        if (in.argc == 0) return;  // vacuous disjunction: nothing passes
-        Sel& rem = scratch->acquire();
-        Sel& next_rem = scratch->acquire();
-        Sel& hit = scratch->acquire();
-        Sel& acc = scratch->acquire();
-        Sel& merged = scratch->acquire();
-        run_range(p.roots_[in.args], begin, end, acc);
-        complement_range(begin, end, acc, rem);
-        for (std::uint32_t k = 1; k < in.argc && !rem.empty(); ++k) {
-          hit.clear();
-          run(p.roots_[in.args + k], rem, hit);
-          if (hit.empty()) continue;
-          merged.clear();
-          merge_into(acc, hit, merged);
-          acc.swap(merged);
-          next_rem.clear();
-          complement(rem, hit, next_rem);
-          rem.swap(next_rem);
-        }
-        out.insert(out.end(), acc.begin(), acc.end());
-        scratch->release(5);
-        return;
-      }
-      case Op::kNot: {
-        Sel& hit = scratch->acquire();
-        run_range(p.roots_[in.args], begin, end, hit);
-        complement_range(begin, end, hit, out);
-        scratch->release();
-        return;
-      }
-      case Op::kTernary: {
-        Sel& cond = scratch->acquire();
-        Sel& rest = scratch->acquire();
-        Sel& then_hit = scratch->acquire();
-        Sel& else_hit = scratch->acquire();
-        run_range(p.roots_[in.args], begin, end, cond);
-        complement_range(begin, end, cond, rest);
-        run(p.roots_[in.args + 1], cond, then_hit);
-        run(p.roots_[in.args + 2], rest, else_hit);
-        merge_into(then_hit, else_hit, out);
-        scratch->release(4);
-        return;
-      }
-    }
-  }
-
-  /// Dense-range twin of cmp_batch: stride-1 sequential loops over the
-  /// referenced columns — columnar storage makes the hot leaf a contiguous
-  /// scan of exactly the cells the predicate names.
-  void cmp_range(const Insn& in, std::uint32_t begin, std::uint32_t end,
-                 Sel& out) const {
-    const Operand& l = p.operands_[in.a];
-    const Operand& r = p.operands_[in.b];
-    const bool neg = in.negated;
-    if (!l.is_column && !r.is_column) {
-      if ((l.value == r.value) != neg) append_iota(begin, end, out);
-      return;
-    }
-    std::uint32_t* dst = grow(out, end - begin);
-    if (l.is_column != r.is_column) {
-      const Value* col = cols[l.is_column ? l.column : r.column];
-      const Value c = l.is_column ? r.value : l.value;
-      for (std::uint32_t i = begin; i < end; ++i) {
-        *dst = i;
-        dst += (col[i] == c) != neg;
-      }
-    } else {
-      const Value* ca = cols[l.column];
-      const Value* cb = cols[r.column];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        *dst = i;
-        dst += (ca[i] == cb[i]) != neg;
-      }
-    }
-    shrink_to(out, dst);
-  }
-
   /// The hot leaf: specialised branchless loops per operand shape, no
   /// dispatch inside.
   void cmp_batch(const Insn& in, std::span<const std::uint32_t> sel,
@@ -425,84 +238,6 @@ struct Program::NodeEval {
   }
 };
 
-bool Program::eval(RowView row) const {
-  // Postfix pays off here: children precede parents and each subtree leaves
-  // exactly one value, so one linear pass over insns_ with a bool stack
-  // evaluates the whole program — no recursion, no child-root chasing.
-  // (Unlike the interpreted walk this does not short-circuit; predicates
-  // are pure, so only timing can differ, never the result.)
-  if (insns_.empty()) return false;  // uncompiled program
-  bool inline_stack[64];
-  std::unique_ptr<bool[]> heap_stack;
-  bool* stack = inline_stack;
-  if (insns_.size() > 64) {
-    heap_stack = std::make_unique<bool[]>(insns_.size());
-    stack = heap_stack.get();
-  }
-  std::size_t sp = 0;
-  auto call = [&](const Insn& in) {
-    Value inline_args[8];
-    std::vector<Value> heap_args;
-    Value* args = inline_args;
-    if (in.argc > 8) {
-      heap_args.resize(in.argc);
-      args = heap_args.data();
-    }
-    for (std::uint32_t k = 0; k < in.argc; ++k) {
-      args[k] = operands_[in.args + k].get(row);
-    }
-    return (*in.fn)(std::span<const Value>(args, in.argc));
-  };
-  for (const Insn& in : insns_) {
-    switch (in.op) {
-      case Op::kConst:
-        stack[sp++] = in.imm;
-        break;
-      case Op::kCmp:
-        stack[sp++] = (operands_[in.a].get(row) == operands_[in.b].get(row)) !=
-                      in.negated;
-        break;
-      case Op::kIn: {
-        const Value v = operands_[in.a].get(row);
-        bool found = false;
-        for (std::uint32_t k = 0; k < in.argc; ++k) {
-          found |= operands_[in.args + k].get(row) == v;
-        }
-        stack[sp++] = found != in.negated;
-        break;
-      }
-      case Op::kCall:
-        stack[sp++] = call(in);
-        break;
-      case Op::kAnd: {
-        bool v = true;
-        for (std::uint32_t k = 0; k < in.argc; ++k) v &= stack[sp - in.argc + k];
-        sp -= in.argc;
-        stack[sp++] = v;
-        break;
-      }
-      case Op::kOr: {
-        bool v = false;
-        for (std::uint32_t k = 0; k < in.argc; ++k) v |= stack[sp - in.argc + k];
-        sp -= in.argc;
-        stack[sp++] = v;
-        break;
-      }
-      case Op::kNot:
-        stack[sp - 1] = !stack[sp - 1];
-        break;
-      case Op::kTernary: {
-        const bool else_v = stack[--sp];
-        const bool then_v = stack[--sp];
-        const bool cond_v = stack[--sp];
-        stack[sp++] = cond_v ? then_v : else_v;
-        break;
-      }
-    }
-  }
-  return stack[0];
-}
-
 void Program::eval_batch(std::span<const Value* const> cols,
                          std::span<const std::uint32_t> sel, Sel& out,
                          Scratch& scratch) const {
@@ -517,8 +252,12 @@ void Program::eval_range(std::span<const Value* const> cols,
                          Scratch& scratch) const {
   out.clear();
   if (begin >= end) return;
+  Sel& sel = scratch.acquire();
+  sel.resize(end - begin);
+  std::iota(sel.begin(), sel.end(), begin);
   NodeEval ev{*this, cols.data(), &scratch};
-  ev.run_range(static_cast<std::uint32_t>(insns_.size() - 1), begin, end, out);
+  ev.run(static_cast<std::uint32_t>(insns_.size() - 1), sel, out);
+  scratch.release();
 }
 
 std::size_t Program::columns_read() const {

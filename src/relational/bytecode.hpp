@@ -1,31 +1,28 @@
 #pragma once
 
-// Compiled predicate bytecode: the fast evaluation engine behind every hot
-// filter in the system (planner selects, hash-join residuals via selects,
-// fused counts, emptiness probes, solver generation).
+// Compiled predicate bytecode: the one evaluation engine behind every
+// planned filter in the system (planner selects, hash-join residuals via
+// selects, fused counts, index-bucket filters, serve emptiness probes,
+// solver steps).
 //
 // A resolved Expr is flattened into a postfix program over interned symbol
-// ids.  The program evaluates two ways:
-//
-//  - scalar: one row at a time (Program::eval), used by the row-budgeted
-//    serial paths and the monolithic solver's odometer loop;
-//  - batch: over a *selection vector* of ~1024 row indices at a time
-//    (Program::eval_batch), refining the selection operator by operator —
-//    AND evaluates its second conjunct only over rows the first accepted,
-//    OR evaluates later disjuncts only over rows still rejected, the
-//    ternary splits the selection on its condition.  Leaf comparisons run
-//    as tight loops over column data with no virtual dispatch.
+// ids and evaluated over a *selection vector* of ~1024 row indices at a
+// time (Program::eval_batch), refining the selection operator by operator —
+// AND evaluates its second conjunct only over rows the first accepted, OR
+// evaluates later disjuncts only over rows still rejected, the ternary
+// splits the selection on its condition.  Leaf comparisons run as tight
+// loops over column data with no virtual dispatch; a dense selection (a
+// contiguous run of row ids) takes a stride-1 loop with no gather.
 //
 // Batch evaluation reads columnar storage directly: the caller passes one
 // base pointer per schema column (Table::column_ptrs) and the leaf loops
-// index column[row] — dense passes are stride-1 sequential reads over
-// exactly the columns the predicate names, never whole rows.
+// index column[row] — exactly the columns the predicate names, never whole
+// rows.
 //
-// Both engines are exact drop-ins for CompiledExpr::eval: NULL is symbol
-// id 0 and compares as an ordinary value, and selection order is table
-// order, so results are byte-identical to the interpreted walk.  The
-// interpreter stays available behind --no-bytecode / CCSQL_NO_BYTECODE as
-// the differential oracle.
+// The engine is an exact drop-in for CompiledExpr::eval: NULL is symbol id
+// 0 and compares as an ordinary value, and selection order is table order,
+// so results are byte-identical to the interpreted walk, which the tests
+// keep as the differential oracle.
 
 #include <cstdint>
 #include <deque>
@@ -35,17 +32,9 @@
 #include "relational/expr.hpp"
 #include "relational/function_registry.hpp"
 #include "relational/schema.hpp"
-#include "relational/table.hpp"
 #include "relational/value.hpp"
 
 namespace ccsql {
-
-/// True (the default) when predicate evaluation should go through the
-/// bytecode engine instead of the interpreted CompiledExpr walk.
-/// Initialised from the environment on first use: CCSQL_NO_BYTECODE=1
-/// starts it off (the CLI's --no-bytecode does the same).
-[[nodiscard]] bool bytecode_enabled();
-void set_bytecode_enabled(bool enabled);
 
 namespace bc {
 class Program;
@@ -82,10 +71,6 @@ struct Operand {
   std::uint32_t column = 0;
   Value value;
 
-  /// Scalar access through the row proxy (flat or columnar).
-  [[nodiscard]] Value get(RowView row) const noexcept {
-    return is_column ? row[column] : value;
-  }
   /// Batch access: cell `i` of the column-pointer array.
   [[nodiscard]] Value get_at(const Value* const* cols,
                              std::uint32_t i) const noexcept {
@@ -139,11 +124,6 @@ class Program {
     return insns_;
   }
 
-  /// Scalar evaluation of one row: a single linear pass over the postfix
-  /// program with a bool stack.  Evaluates every node (no short-circuit);
-  /// predicates are pure, so results match the interpreted walk exactly.
-  [[nodiscard]] bool eval(RowView row) const;
-
   /// Batch evaluation: appends to `out` the members of `sel` (ascending row
   /// indices into the columnar table whose per-column base pointers are
   /// `cols`, one per schema column in order — Table::column_ptrs) that
@@ -152,11 +132,9 @@ class Program {
                   std::span<const std::uint32_t> sel, Sel& out,
                   Scratch& scratch) const;
 
-  /// Dense-range form of eval_batch over rows [begin, end): the selection
-  /// vector is implicit, so the first (full-batch) pass of every predicate
-  /// runs as a stride-1 sequential loop over each referenced column with no
-  /// index materialisation.  This is the executor's entry point — morsels
-  /// are dense by construction.
+  /// eval_batch over rows [begin, end): seeds a dense selection from
+  /// `scratch` and refines it.  The executor's scan entry point — morsels
+  /// are dense by construction, and the leaves run stride-1 on them.
   void eval_range(std::span<const Value* const> cols, std::uint32_t begin,
                   std::uint32_t end, Sel& out, Scratch& scratch) const;
 

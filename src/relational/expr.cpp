@@ -171,9 +171,17 @@ std::string Expr::to_string() const {
     }
     case Op::kNot:
       return "not " + children_[0].to_string();
-    case Op::kTernary:
-      return "(" + children_[0].to_string() + " ? " +
-             children_[1].to_string() + " : " + children_[2].to_string() + ")";
+    case Op::kTernary: {
+      // Appended piecewise: GCC 12's -O3 -Wrestrict misfires on the
+      // `"(" + std::string&&` chain.
+      std::string s = "(";
+      s += children_[0].to_string();
+      s += " ? ";
+      s += children_[1].to_string();
+      s += " : ";
+      s += children_[2].to_string();
+      return s + ")";
+    }
     case Op::kCall: {
       std::string s = callee_ + "(";
       for (std::size_t i = 0; i < atoms_.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <span>
 
 #include "obs/obs.hpp"
 #include "plan/executor.hpp"
@@ -73,6 +74,7 @@ std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
   } else {
     return std::nullopt;
   }
+  out.cols = out.base->column_ptrs();
   if (n->kind == Kind::kIndexLookup) {
     std::vector<std::size_t> cols;
     cols.reserve(n->columns.size());
@@ -258,42 +260,48 @@ bool unit_is_empty(const CachedStatement& cs, std::size_t index) {
   const CachedStatement::Unit& unit = cs.units.at(index);
   if (!unit.fast) return run_unit(cs, index, 1).row_count() == 0;
   const CachedStatement::Unit::FastEmpty& f = *unit.fast;
-  auto passes = [&f](RowView row) {
-    for (const plan::vec::RowFilter* filter : f.filters) {
-      if (!filter->eval(row)) return false;
-    }
-    return true;
-  };
-  std::size_t visited = 0;
-  bool empty = true;
+  // Candidates: the index bucket's row ids, or every base row.
+  std::span<const std::size_t> bucket;
   if (f.index != nullptr) {
-    if (const auto it = f.index->find(f.probe); it != f.index->end()) {
-      if (f.filters.empty()) {
-        empty = it->second.empty();
-      } else {
-        for (const std::size_t i : it->second) {
-          ++visited;
-          if (passes(f.base->row(i))) {
-            empty = false;
-            break;
-          }
-        }
-      }
-    }
-  } else if (f.filters.empty()) {
-    empty = f.base->row_count() == 0;
-  } else {
-    const std::size_t n = f.base->row_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      ++visited;
-      if (passes(f.base->row(i))) {
-        empty = false;
-        break;
-      }
-    }
+    const auto it = f.index->find(f.probe);
+    if (it == f.index->end()) return true;
+    bucket = it->second;
   }
-  CCSQL_COUNT("query.rows_scanned", visited);
-  return empty;
+  const std::size_t n =
+      f.index != nullptr ? bucket.size() : f.base->row_count();
+  if (f.filters.empty()) return n == 0;
+  // Batch by batch: the first filter picks the batch's survivors, each
+  // later filter refines them, and the probe stops at the first batch with
+  // a survivor.  rows_scanned counts candidates up to and including the
+  // first passing row, as a row-by-row probe would.
+  using plan::vec::kBatchRows;
+  thread_local bc::Sel hits, refined;
+  for (std::size_t b = 0; b < n; b += kBatchRows) {
+    const std::size_t e = std::min(b + kBatchRows, n);
+    hits.clear();
+    if (f.index != nullptr) {
+      f.filters[0]->filter_rows(f.cols, bucket.subspan(b, e - b),
+                                plan::kNoLimit, hits);
+    } else {
+      f.filters[0]->filter_range(f.cols, b, e, plan::kNoLimit, hits);
+    }
+    for (std::size_t k = 1; k < f.filters.size() && !hits.empty(); ++k) {
+      f.filters[k]->refine(f.cols, hits, refined);
+      hits.swap(refined);
+    }
+    if (hits.empty()) continue;
+    const std::size_t position =
+        f.index != nullptr
+            ? static_cast<std::size_t>(
+                  std::lower_bound(bucket.begin() + b, bucket.begin() + e,
+                                   hits.front()) -
+                  bucket.begin())
+            : hits.front();
+    CCSQL_COUNT("query.rows_scanned", position + 1);
+    return false;
+  }
+  CCSQL_COUNT("query.rows_scanned", n);
+  return true;
 }
 
 }  // namespace ccsql::serve

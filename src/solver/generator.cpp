@@ -161,11 +161,12 @@ Table generate_monolithic(const GenerationInput& input) {
     doms.push_back(&domain_for(input, full.column(i).name));
   }
 
-  // The odometer's per-candidate filter stays on the interpreted walk: its
-  // short-circuit beats the bytecode engine's linear scalar pass at
-  // one-row granularity, and keeping this path interpreter-only makes the
-  // monolithic-vs-incremental equivalence tests a genuine cross-engine
-  // check (the incremental path filters through the vectorized executor).
+  // The odometer tests one candidate row at a time, so it filters with the
+  // interpreted walk, whose short-circuit stops at the first failing
+  // conjunct; the bytecode engine only pays off over batches of rows.
+  // Keeping this path interpreter-only also makes the monolithic-vs-
+  // incremental equivalence tests a genuine cross-engine check (the
+  // incremental path filters through the batch executor).
   std::vector<CompiledExpr> preds;
   for (const auto& c : input.constraints) {
     preds.push_back(compile(c.expr, full, full, input.functions));

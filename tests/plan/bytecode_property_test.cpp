@@ -1,12 +1,14 @@
 // Property tests for the bytecode engine's differential contract: for any
-// expression the interpreter (CompiledExpr), the scalar bytecode engine
-// (Program::eval), and the vectorized batch engine (Program::eval_batch)
-// must select exactly the same rows, and whole queries must come out
-// byte-identical with the engine on or off, at any jobs value.  Expressions
-// and tables are random but seeded, so failures replay.
+// expression the batch engine must select exactly the rows the interpreted
+// oracle (CompiledExpr) selects — over dense batches, unaligned ranges
+// (Program::eval_range) and sparse selections (Program::eval_batch) — and
+// whole planned queries must come out byte-identical to the naive executor
+// (Catalog::run_naive) at any jobs value.  Expressions and tables are
+// random but seeded, so failures replay.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "relational/database.hpp"
 #include "relational/expr.hpp"
 #include "relational/format.hpp"
+#include "relational/parser.hpp"
 
 namespace ccsql {
 namespace {
@@ -80,84 +83,89 @@ Table random_table(Rng& rng, std::size_t rows) {
   return t;
 }
 
-// The core differential property: three engines, one selection.
+// The core differential property: every batch entry point selects exactly
+// the interpreter's rows.
 TEST(BytecodeProperty, EnginesSelectIdenticalRows) {
   for (unsigned seed : {1u, 2u, 3u, 4u, 5u}) {
     Rng rng(seed);
     const Table t = random_table(rng, 3000);
     const Schema& s = t.schema();
+    const std::vector<const Value*> cols = t.column_ptrs();
+    const std::uint32_t n = static_cast<std::uint32_t>(t.row_count());
     bc::Scratch scratch;
     for (int round = 0; round < 40; ++round) {
       const Expr e = random_expr(rng, 3);
       const CompiledExpr interp = compile(e, s, s);
       const bc::Program prog = compile_bytecode(e, s, s);
 
+      std::vector<bool> pass(n);
       bc::Sel expected;
-      for (std::uint32_t i = 0; i < t.row_count(); ++i) {
-        if (interp.eval(t.row(i))) expected.push_back(i);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        pass[i] = interp.eval(t.row(i));
+        if (pass[i]) expected.push_back(i);
       }
-
-      bc::Sel scalar_hits;
-      for (std::uint32_t i = 0; i < t.row_count(); ++i) {
-        if (prog.eval(t.row(i))) scalar_hits.push_back(i);
-      }
-      EXPECT_EQ(scalar_hits, expected)
-          << "seed " << seed << " scalar: " << e.to_string();
 
       // Vectorized, batch-at-a-time like the executor drives it.
       bc::Sel batch_hits;
       bc::Sel sel;
       bc::Sel out;
-      const std::size_t n = t.row_count();
-      for (std::size_t b = 0; b < n; b += 1024) {
-        const std::size_t be = std::min(n, b + 1024);
+      for (std::uint32_t b = 0; b < n; b += 1024) {
+        const std::uint32_t be = std::min(n, b + 1024);
         sel.clear();
-        for (std::size_t i = b; i < be; ++i) {
-          sel.push_back(static_cast<std::uint32_t>(i));
-        }
-        prog.eval_batch(t.column_ptrs(), sel, out, scratch);
+        for (std::uint32_t i = b; i < be; ++i) sel.push_back(i);
+        prog.eval_batch(cols, sel, out, scratch);
         batch_hits.insert(batch_hits.end(), out.begin(), out.end());
       }
       EXPECT_EQ(batch_hits, expected)
           << "seed " << seed << " batch: " << e.to_string();
+
+      // eval_range over an unaligned [begin, end), possibly empty.
+      std::uint32_t begin = static_cast<std::uint32_t>(pick(rng, n + 1));
+      std::uint32_t end = static_cast<std::uint32_t>(pick(rng, n + 1));
+      if (begin > end) std::swap(begin, end);
+      bc::Sel want;
+      for (std::uint32_t i = begin; i < end; ++i) {
+        if (pass[i]) want.push_back(i);
+      }
+      prog.eval_range(cols, begin, end, out, scratch);
+      EXPECT_EQ(out, want) << "seed " << seed << " range [" << begin << ", "
+                           << end << "): " << e.to_string();
+
+      // eval_batch over a random sparse selection.
+      const std::size_t keep = 1 + pick(rng, 8);  // keep ~1 row in `keep`
+      sel.clear();
+      want.clear();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (pick(rng, keep) != 0) continue;
+        sel.push_back(i);
+        if (pass[i]) want.push_back(i);
+      }
+      prog.eval_batch(cols, sel, out, scratch);
+      EXPECT_EQ(out, want) << "seed " << seed << " sparse 1/" << keep << ": "
+                           << e.to_string();
     }
   }
 }
 
-// End to end: the engine switch and the jobs knob must both be invisible in
-// query results.
+// End to end: planned execution, at any jobs value, must match the naive
+// executor byte for byte.
 TEST(BytecodeProperty, QueriesByteIdenticalAcrossEnginesAndJobs) {
-  const bool before = bytecode_enabled();
   for (unsigned seed : {11u, 29u}) {
     Rng rng(seed);
     Catalog cat;
     cat.put("T", random_table(rng, 3000));
-    std::vector<std::string> sqls;
     for (int round = 0; round < 12; ++round) {
-      sqls.push_back("select * from T where " +
-                     random_expr(rng, 2).to_string());
-    }
-
-    std::vector<std::string> reference;
-    for (int engine = 0; engine < 2; ++engine) {
-      set_bytecode_enabled(engine == 1);
+      const std::string sql =
+          "select * from T where " + random_expr(rng, 2).to_string();
+      const std::string naive = to_csv(cat.run_naive(parse_select(sql)));
       for (int jobs : {1, 4}) {
         Database db{Catalog(cat)};
         db.set_planner(true).set_jobs(jobs);
-        for (std::size_t q = 0; q < sqls.size(); ++q) {
-          const std::string got = to_csv(db.query(sqls[q]).rows);
-          if (reference.size() <= q) {
-            reference.push_back(got);
-          } else {
-            EXPECT_EQ(got, reference[q])
-                << "seed " << seed << " engine " << engine << " jobs " << jobs
-                << ": " << sqls[q];
-          }
-        }
+        EXPECT_EQ(to_csv(db.query(sql).rows), naive)
+            << "seed " << seed << " jobs " << jobs << ": " << sql;
       }
     }
   }
-  set_bytecode_enabled(before);
 }
 
 }  // namespace

@@ -17,9 +17,9 @@
 #include "mapping/asura_map.hpp"
 #include "plan/executor.hpp"
 #include "plan/ir.hpp"
-#include "plan/vectorized.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
+#include "relational/expr.hpp"
 #include "serve/plan_cache.hpp"
 #include "solver/generator.hpp"
 
@@ -44,12 +44,13 @@ std::string dump(const Table& t) {
   return out;
 }
 
-/// The replaced route: the full product, filtered row by row, gathered.
+/// The replaced route: the full product, filtered row by row through the
+/// interpreted walk, gathered.
 Table oracle(const Table& l, const Table& r, const Expr& pred,
              const Schema& ident, const FunctionRegistry* fns,
              std::size_t limit = plan::kNoLimit) {
   const Table product = Table::cross(l, r);
-  const plan::vec::RowFilter filter(pred, product.schema(), ident, fns);
+  const CompiledExpr filter = compile(pred, product.schema(), ident, fns);
   std::vector<std::uint32_t> sel;
   for (std::size_t i = 0; i < product.row_count() && sel.size() < limit;
        ++i) {

@@ -12,7 +12,6 @@
 #include "plan/ir.hpp"
 #include "plan/optimizer.hpp"
 #include "protocol/asura/asura.hpp"
-#include "relational/bytecode.hpp"
 #include "relational/database.hpp"
 #include "relational/query.hpp"
 
@@ -289,13 +288,6 @@ TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
   // size it never materialised, and bytes= is the narrow predicate read
   // (15 rows x 2 columns) plus one gather per side (12 rows x 3 and x 2
   // columns, each read and written), 4 bytes a cell.
-  // Pinned for the bytecode engine: the interpreted walk reads whole rows
-  // and runs no batches.
-  struct EngineGuard {
-    bool saved = bytecode_enabled();
-    ~EngineGuard() { set_bytecode_enabled(saved); }
-  } guard;
-  set_bytecode_enabled(true);
   Catalog db = make_catalog();
   plan::PlannerOptions opts;
   opts.analyze = true;

@@ -32,9 +32,9 @@ Table seeded_table(std::uint32_t seed, std::size_t rows, std::size_t keys,
   t.reserve_rows(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t k = key(rng);
-    t.append({V("a" + std::to_string(k % 97)),
-              V("b" + std::to_string(k / 97)),
-              V(payload_prefix + std::to_string(i % 1024))});
+    t.append({V(std::string("a").append(std::to_string(k % 97))),
+              V(std::string("b").append(std::to_string(k / 97))),
+              V(std::string(payload_prefix).append(std::to_string(i % 1024)))});
   }
   return t;
 }

@@ -154,8 +154,9 @@ TEST(Columnar, BuildKeysMatchesOfRow) {
   // 6 key columns force TupleKey overflow (only 4 ids pack inline).
   Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
   for (int i = 0; i < 32; ++i) {
-    t.append({V("k" + std::to_string(i)), V("x"), V("y"), V("z"), V("w"),
-              V("v" + std::to_string(i % 3))});
+    t.append({V(std::string("k").append(std::to_string(i))), V("x"), V("y"),
+              V("z"), V("w"),
+              V(std::string("v").append(std::to_string(i % 3)))});
   }
   const std::vector<std::size_t> cols{0, 1, 2, 3, 4, 5};
   std::vector<TupleKey> keys(t.row_count());
@@ -170,8 +171,8 @@ TEST(Columnar, BuildKeysMatchesOfRow) {
 TEST(Columnar, IndexMemoryCountsKeyOverflow) {
   Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
   for (int i = 0; i < 64; ++i) {
-    t.append({V("k" + std::to_string(i)), V("x"), V("y"), V("z"), V("w"),
-              V("u")});
+    t.append({V(std::string("k").append(std::to_string(i))), V("x"), V("y"),
+              V("z"), V("w"), V("u")});
   }
   const std::vector<std::size_t> wide{0, 1, 2, 3, 4, 5};
   const std::vector<std::size_t> narrow{0, 1};
@@ -226,7 +227,8 @@ TEST(Columnar, JoinIndexFindsEveryRowOnce) {
   Table t(Schema::of({"k", "v"}));
   const int n = 20000;  // above the radix threshold
   for (int i = 0; i < n; ++i) {
-    t.append({V("k" + std::to_string(i % 257)), V("v" + std::to_string(i))});
+    t.append({V(std::string("k").append(std::to_string(i % 257))),
+              V(std::string("v").append(std::to_string(i)))});
   }
   const std::vector<std::size_t> cols{0};
   const JoinIndex idx = JoinIndex::build(t, cols, /*jobs=*/4);

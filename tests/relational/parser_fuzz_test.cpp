@@ -77,10 +77,10 @@ Expr random_expr(std::mt19937& rng, int depth) {
   std::uniform_int_distribution<int> pick(0, 6);
   std::uniform_int_distribution<int> vals(0, 3);
   auto col = [&] {
-    return Atom::ident(std::string("c") + std::to_string(vals(rng) % 2));
+    return Atom::ident(std::string("c").append(std::to_string(vals(rng) % 2)));
   };
   auto val = [&] {
-    return Atom::ident(std::string("v") + std::to_string(vals(rng)));
+    return Atom::ident(std::string("v").append(std::to_string(vals(rng))));
   };
   if (depth <= 0) return Expr::compare(col(), rng() % 2 == 0, val());
   switch (pick(rng)) {
@@ -116,8 +116,9 @@ TEST_P(ParserFuzz, GeneratedExpressionsRoundTripSemantically) {
     CompiledExpr a = compile(e, *schema, *schema);
     CompiledExpr b = compile(reparsed, *schema, *schema);
     for (int r = 0; r < 16; ++r) {
-      std::vector<Value> row{V("v" + std::to_string(rng() % 4)),
-                             V("v" + std::to_string(rng() % 4))};
+      std::vector<Value> row{
+          V(std::string("v").append(std::to_string(rng() % 4))),
+          V(std::string("v").append(std::to_string(rng() % 4)))};
       EXPECT_EQ(a.eval(RowView(row)), b.eval(RowView(row))) << text;
     }
   }

@@ -29,7 +29,7 @@ TEST(Catalog, PutGetHas) {
   EXPECT_TRUE(cat.has("D"));
   EXPECT_FALSE(cat.has("E"));
   EXPECT_EQ(cat.get("D").row_count(), 4u);
-  EXPECT_THROW(cat.get("E"), BindError);
+  EXPECT_THROW((void)cat.get("E"), BindError);
   EXPECT_EQ(cat.size(), 1u);
 }
 

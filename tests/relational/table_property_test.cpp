@@ -18,7 +18,9 @@ Table random_table(std::mt19937& rng, std::vector<std::string> cols,
   std::uniform_int_distribution<int> dist(0, alphabet - 1);
   std::vector<Value> row(t.column_count());
   for (std::size_t r = 0; r < rows; ++r) {
-    for (auto& v : row) v = V("v" + std::to_string(dist(rng)));
+    for (auto& v : row) {
+      v = V(std::string("v").append(std::to_string(dist(rng))));
+    }
     t.append(RowView(row));
   }
   return t;

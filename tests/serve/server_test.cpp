@@ -1,7 +1,7 @@
 // serve::Server: the cached-vs-fresh differential over the full ASURA
-// invariant suite (across jobs and bytecode settings), cache eviction and
-// writer invalidation through the public API, prepared-statement execution,
-// admission gating, and the published stats.
+// invariant suite (across jobs, against the naive executor), cache
+// eviction and writer invalidation through the public API,
+// prepared-statement execution, admission gating, and the published stats.
 #include "serve/server.hpp"
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "core/pool.hpp"
 #include "obs/mem.hpp"
 #include "protocol/asura/asura.hpp"
-#include "relational/bytecode.hpp"
 #include "relational/format.hpp"
 
 namespace ccsql::serve {
@@ -33,39 +32,30 @@ std::vector<std::string> invariant_sqls() {
   return out;
 }
 
-/// Restores the process-wide bytecode toggle on scope exit.
-struct BytecodeGuard {
-  bool saved = bytecode_enabled();
-  ~BytecodeGuard() { set_bytecode_enabled(saved); }
-};
-
 // The acceptance differential: for every invariant query, the server's
-// cached answer must be byte-identical to a fresh Database evaluation —
-// under serial and parallel execution, with and without the bytecode
-// engine.  The second server pass answers from the cache (asserted via
-// stats), so this exercises the cached path, not just first compilation.
-TEST(Server, CachedMatchesFreshAcrossJobsAndBytecode) {
-  BytecodeGuard guard;
+// cached answer must equal a fresh Database evaluation through the naive
+// executor, whose predicates take the interpreted CompiledExpr walk —
+// under serial and parallel execution.  The second server pass answers from
+// the cache (asserted via stats), so this exercises the cached path, not
+// just first compilation.
+TEST(Server, CachedMatchesFreshAcrossJobs) {
   const std::vector<std::string> sqls = invariant_sqls();
-  for (const bool bytecode : {true, false}) {
-    set_bytecode_enabled(bytecode);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      Database fresh = spec().database();
-      fresh.set_jobs(jobs);
-      ServerOptions opts;
-      opts.jobs_per_query = jobs;
-      Server server(spec().database(), opts);
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const std::string& sql : sqls) {
-          EXPECT_EQ(server.check_empty(sql), fresh.check_empty(sql))
-              << "bytecode=" << bytecode << " jobs=" << jobs << " " << sql;
-        }
+  Database fresh = spec().database();
+  fresh.set_planner(false);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ServerOptions opts;
+    opts.jobs_per_query = jobs;
+    Server server(spec().database(), opts);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& sql : sqls) {
+        EXPECT_EQ(server.check_empty(sql), fresh.check_empty(sql))
+            << "jobs=" << jobs << " " << sql;
       }
-      const ServerStats s = server.stats();
-      EXPECT_GE(s.cache.hits, sqls.size())
-          << "second pass should answer from the cache";
-      EXPECT_EQ(s.uncached_queries, 0u);
     }
+    const ServerStats s = server.stats();
+    EXPECT_GE(s.cache.hits, sqls.size())
+        << "second pass should answer from the cache";
+    EXPECT_EQ(s.uncached_queries, 0u);
   }
 }
 
@@ -188,7 +178,9 @@ TEST(Server, AdmissionGateSerializesButCompletesAll) {
   // Waits are scheduler-dependent, so don't assert a count — only that the
   // accounting stayed consistent (every wait recorded nonzero-able time).
   const ServerStats s = server.stats();
-  if (s.admission_waits == 0) EXPECT_EQ(s.admission_wait_us, 0u);
+  if (s.admission_waits == 0) {
+    EXPECT_EQ(s.admission_wait_us, 0u);
+  }
 }
 
 TEST(Server, PublishStatsExposesServeGauges) {

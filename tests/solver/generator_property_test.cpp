@@ -23,7 +23,9 @@ Expr random_expr(std::mt19937& rng, const std::vector<std::string>& cols,
   std::uniform_int_distribution<int> col(0, static_cast<int>(cols.size()) - 1);
   std::uniform_int_distribution<int> val(0, alpha - 1);
   auto atom_col = [&] { return Atom::ident(cols[col(rng)]); };
-  auto atom_val = [&] { return Atom::ident("v" + std::to_string(val(rng))); };
+  auto atom_val = [&] {
+    return Atom::ident(std::string("v").append(std::to_string(val(rng))));
+  };
   if (depth <= 0) {
     return Expr::compare(atom_col(), rng() % 2 == 0, atom_val());
   }
@@ -60,11 +62,13 @@ TEST_P(GeneratorEquivalence, IncrementalEqualsMonolithic) {
   std::vector<std::string> names;
   std::vector<Column> cols;
   for (int i = 0; i < ncols; ++i) {
-    names.push_back("c" + std::to_string(i));
+    names.push_back(std::string("c").append(std::to_string(i)));
     cols.push_back({names.back(), i < ncols / 2 ? ColumnKind::kInput
                                                 : ColumnKind::kOutput});
     std::vector<std::string> vals;
-    for (int v = 0; v < alpha; ++v) vals.push_back("v" + std::to_string(v));
+    for (int v = 0; v < alpha; ++v) {
+      vals.push_back(std::string("v").append(std::to_string(v)));
+    }
     in.domains.emplace_back(names.back(), vals);
   }
   in.schema = make_schema(cols);

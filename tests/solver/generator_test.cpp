@@ -170,7 +170,7 @@ TEST(Generator, CrossCardinalitySaturates) {
   GenerationInput in;
   std::vector<Column> cols;
   for (int i = 0; i < 40; ++i) {
-    std::string name = "c" + std::to_string(i);
+    std::string name = std::string("c").append(std::to_string(i));
     cols.push_back({name, ColumnKind::kInput});
     std::vector<std::string> vals;
     for (int v = 0; v < 10; ++v) vals.push_back(std::to_string(v));
