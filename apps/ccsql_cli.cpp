@@ -34,13 +34,12 @@
 //   --stats                    end-of-run one-page summary: top counters,
 //                              histogram p50/p95/max, pool utilization,
 //                              memory accounting (no trace file needed)
-//   --no-planner               run every query through the naive executor
-//                              (CCSQL_NO_PLANNER=1 does the same)
 //   --jobs N                   parallel lanes for query execution, the
 //                              invariant suite, and VCG composition
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
+// An unknown flag is a usage error (exit 2).
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
 // environment do the same.
 //
@@ -50,6 +49,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,7 +61,6 @@
 #include "mapping/codegen.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
-#include "plan/planner.hpp"
 #include "protocol/asura/asura.hpp"
 #include "serve_driver.hpp"
 #include "sim/machine.hpp"
@@ -69,6 +68,37 @@
 namespace {
 
 using namespace ccsql;
+
+/// Every flag the CLI reads, and whether its value is a string (other
+/// valued flags take an integer).  main() rejects any flag not listed here.
+struct FlagSpec {
+  std::string_view name;
+  bool string_valued = false;
+};
+constexpr FlagSpec kFlags[] = {
+    // tables / explain / invariants / codegen
+    {"--csv"}, {"--analyze"}, {"-v"}, {"--casez"},
+    // sim
+    {"--fig4"}, {"--quads"}, {"--addrs"}, {"--capacity"}, {"--txns"},
+    {"--seed"}, {"--latency"}, {"--no-dense"}, {"--workload", true},
+    // reach
+    {"--ops"}, {"--max-states"}, {"--first-deadlock"}, {"--symmetry"},
+    {"--only-ops", true}, {"--node-ops", true}, {"--sequential"},
+    {"--witness"}, {"--classify"},
+    // serve
+    {"--sessions"}, {"--iterations"}, {"--no-cache"}, {"--max-inflight"},
+    {"--writer"}, {"--script", true},
+    // global
+    {"--trace", true}, {"--trace-format", true}, {"--metrics"}, {"--stats"},
+    {"--jobs"},
+};
+
+const FlagSpec* find_flag(std::string_view name) {
+  for (const FlagSpec& f : kFlags) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -129,7 +159,7 @@ int usage() {
          "                           the prepared-statement cache\n"
          "  flow                     full push-button report\n"
          "global flags: --trace FILE [--trace-format text|jsonl|chrome] "
-         "--metrics --stats --no-planner --jobs N\n";
+         "--metrics --stats --jobs N\n";
   return 2;
 }
 
@@ -415,7 +445,6 @@ int configure_observability(const Args& args) {
     tracer.set_sink(obs::open_trace_file(path, format));
   }
   if (args.has("--metrics") || args.has("--stats")) tracer.enable_metrics();
-  if (args.has("--no-planner")) plan::set_planner_enabled(false);
   if (args.has("--jobs")) {
     const int jobs = args.value_of("--jobs", 0);
     if (jobs < 1) {
@@ -498,16 +527,14 @@ int main(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     if (argv[i][0] == '-') {
-      const std::string flag = argv[i];
-      args.flags.emplace_back(flag);
-      const bool string_valued = flag == "--trace" ||
-                                 flag == "--trace-format" ||
-                                 flag == "--script" ||
-                                 flag == "--only-ops" ||
-                                 flag == "--node-ops" ||
-                                 flag == "--workload";
+      const FlagSpec* spec = find_flag(argv[i]);
+      if (spec == nullptr) {
+        std::cerr << "error: unknown flag " << argv[i] << "\n";
+        return usage();
+      }
+      args.flags.emplace_back(argv[i]);
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (string_valued) {
+        if (spec->string_valued) {
           args.flags.emplace_back(argv[++i]);
           continue;
         }

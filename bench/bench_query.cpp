@@ -2,8 +2,9 @@
 //
 // The paper leans on Oracle8's optimizer to make invariant queries cheap;
 // here the ccsql planner (src/plan) provides the same leverage.  Each shape
-// below is timed through the reference executor (Catalog::run_naive) and
-// through the planner (plan::run_select), on the real ASURA tables.
+// below is timed through the naive reference executor (naive::run, the
+// test-only oracle in tests/support/naive_exec) and through the planner
+// (plan::run_select), on the real ASURA tables.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "plan/planner.hpp"
 #include "relational/database.hpp"
 #include "relational/query.hpp"
+#include "support/naive_exec.hpp"
 
 namespace {
 
@@ -55,7 +57,7 @@ void run_shape(benchmark::State& state, const char* sql, bool planned) {
   SelectStmt stmt = parse_select(sql);
   std::size_t rows = 0;
   for (auto _ : state) {
-    Table t = planned ? plan::run_select(db, stmt) : db.run_naive(stmt);
+    Table t = planned ? plan::run_select(db, stmt) : naive::run(db, stmt);
     rows = t.row_count();
     benchmark::DoNotOptimize(t);
   }
@@ -93,7 +95,7 @@ void BM_ExistsNaive(benchmark::State& state) {
   const Catalog& db = asura_spec().database().catalog();
   SelectStmt stmt = parse_select(kSelfJoinSql);
   for (auto _ : state) {
-    bool empty = db.run_naive(stmt).row_count() == 0;
+    bool empty = naive::run(db, stmt).row_count() == 0;
     benchmark::DoNotOptimize(empty);
   }
 }
@@ -144,7 +146,7 @@ Database big_db() {
 
 void run_parallel_shape(benchmark::State& state, const char* sql) {
   static Database db = big_db();
-  db.set_planner(true).set_jobs(static_cast<std::size_t>(state.range(0)));
+  db.set_jobs(static_cast<std::size_t>(state.range(0)));
   SelectStmt stmt = parse_select(sql);
   std::size_t rows = 0;
   for (auto _ : state) {
@@ -185,7 +187,6 @@ BENCHMARK(BM_BigCountParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void report_query_timings(std::size_t rows) {
   using clock = std::chrono::steady_clock;
   Database db = synthetic_db(rows, rows / 4);
-  db.set_planner(true);
   const SelectStmt scan =
       parse_select("select k, p from L where p = v3 and q = v5");
   const SelectStmt join =

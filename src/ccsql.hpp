@@ -12,8 +12,9 @@
 //   ccsql::DeadlockAnalysis vcg(spec);
 //
 // Exposed here:
-//  - Database / QueryResult — the query-session facade (planner + --jobs
-//    settings, morsel-parallel execution, timing)
+//  - Database / QueryResult — the query-session facade (every statement
+//    planned through src/plan; --jobs setting, morsel-parallel execution,
+//    timing)
 //  - Table / Catalog / format helpers — the relational substrate
 //  - ProtocolSpec + the bundled protocols (asura_spec, snoopbus_spec)
 //  - InvariantChecker — the paper's error-detection suite runner

@@ -454,16 +454,13 @@ Expr fold_expr(const Expr& e) {
 }
 
 void optimize(PlanPtr& root, const PlannerOptions& opts) {
-  std::size_t rewrites = 0;
-  if (opts.optimize) {
-    rewrites += fold_predicates(root);
-    rewrites += split_conjunctions(root);
-    while (push_once(root, opts)) ++rewrites;
-    rewrites += lower_hash_joins(root, opts);
-    rewrites += prune_join_columns(root);
-    rewrites += merge_cross_residuals(root);
-    rewrites += lower_index_lookups(root, opts);
-  }
+  std::size_t rewrites = fold_predicates(root);
+  rewrites += split_conjunctions(root);
+  while (push_once(root, opts)) ++rewrites;
+  rewrites += lower_hash_joins(root, opts);
+  rewrites += prune_join_columns(root);
+  rewrites += merge_cross_residuals(root);
+  rewrites += lower_index_lookups(root, opts);
   if (opts.exists_only) {
     rewrites += drop_sorts(root);
     PlanPtr lim = make_node(PlanNode::Kind::kLimit);

@@ -32,9 +32,6 @@ struct PlannerOptions {
   /// The caller only needs to know whether the result is empty (invariant
   /// checks): drop ORDER BY and stop after the first row.
   bool exists_only = false;
-  /// Disable all rewrites (est/actual bookkeeping still happens); the plan
-  /// executes in its naive built shape.
-  bool optimize = true;
   /// Schema deciding identifier-hood of bare atoms (see compile() in
   /// relational/expr.hpp).  Defaults to each node's own schema; the solver
   /// passes the full target schema so partially-built rows resolve the same

@@ -1,7 +1,5 @@
 #include "plan/planner.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -9,16 +7,6 @@
 
 namespace ccsql::plan {
 namespace {
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CCSQL_NO_PLANNER");
-    const bool off =
-        env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
-    return !off;
-  }();
-  return flag;
-}
 
 /// A Cross node over `l` and `r` (schema = concatenation; duplicate column
 /// names throw SchemaError just like Table::cross would).
@@ -77,14 +65,6 @@ PlanPtr build_core(const Catalog& db, const SelectStmt& stmt) {
 
 }  // namespace
 
-bool planner_enabled() {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_planner_enabled(bool enabled) {
-  enabled_flag().store(enabled, std::memory_order_relaxed);
-}
-
 PlanPtr build_plan(const Catalog& db, const SelectStmt& stmt) {
   PlanPtr root = build_core(db, stmt);
   if (!stmt.union_with.empty()) {
@@ -131,12 +111,6 @@ bool is_empty(const Catalog& db, const SelectStmt& stmt) {
 Table cross_select(const Table& left, const Table& right, const Expr& pred,
                    const Schema& ident_schema,
                    const FunctionRegistry* functions, std::size_t jobs) {
-  if (!planner_enabled()) {
-    Table crossed = Table::cross(left, right);
-    CompiledExpr compiled =
-        compile(pred, crossed.schema(), ident_schema, functions);
-    return crossed.select(compiled.predicate());
-  }
   CCSQL_SPAN(span, "plan.cross_select", "plan");
   auto scan_of = [](const Table& t) {
     PlanPtr scan = make_node(PlanNode::Kind::kScan);

@@ -1,9 +1,9 @@
 #pragma once
 
-// Planner facade: parse tree -> plan -> optimized plan -> result, plus the
-// process-wide enable switch every SQL-consuming layer honours (the CLI's
-// --no-planner flag and the CCSQL_NO_PLANNER environment variable flip it
-// off, falling back to Catalog::run_naive everywhere).
+// Planner facade: parse tree -> plan -> optimized plan -> result.  Every
+// SQL-consuming layer (Catalog, Database, Snapshot, serve::Server, the
+// solver's cross_select) plans through here; the naive reference executor
+// lives in tests/support as the differential oracle.
 
 #include <string>
 #include <string_view>
@@ -14,12 +14,6 @@
 #include "relational/query.hpp"
 
 namespace ccsql::plan {
-
-/// True (the default) when SQL entry points should plan + optimize instead
-/// of running naively.  Initialised from the environment on first query:
-/// CCSQL_NO_PLANNER=1 starts it off.
-[[nodiscard]] bool planner_enabled();
-void set_planner_enabled(bool enabled);
 
 /// Builds the naive plan for `stmt`: scans crossed left-to-right, then the
 /// WHERE filter, then count/distinct/projection, union branches, ORDER BY.

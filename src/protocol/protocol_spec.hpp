@@ -72,8 +72,8 @@ class ProtocolSpec {
   /// over a catalog with one table per controller (named by the controller),
   /// plus the message catalog under "Messages".  The catalog's function
   /// registry mirrors this spec's.  The session carries the process-default
-  /// planner/jobs settings; callers needing different ones copy the
-  /// Database (cheap relative to generation) and override.
+  /// jobs setting; callers needing a different one copy the Database (cheap
+  /// relative to generation) and override.
   [[nodiscard]] const Database& database() const;
 
   /// Forces regeneration on next database() call.

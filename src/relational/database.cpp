@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "plan/planner.hpp"
 #include "relational/error.hpp"
-#include "relational/expr.hpp"
 
 namespace ccsql {
 namespace {
@@ -48,19 +47,14 @@ std::size_t catalog_copy_bytes(const Catalog& c) {
 // ---- Snapshot ---------------------------------------------------------------
 
 Snapshot::Snapshot(std::shared_ptr<const Catalog> state,
-                   std::uint64_t generation, std::optional<bool> use_planner,
-                   std::size_t jobs)
-    : state_(std::move(state)),
-      generation_(generation),
-      use_planner_(use_planner),
-      jobs_(jobs) {
+                   std::uint64_t generation, std::size_t jobs)
+    : state_(std::move(state)), generation_(generation), jobs_(jobs) {
   if (state_) g_active_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
 Snapshot::Snapshot(const Snapshot& other)
     : state_(other.state_),
       generation_(other.generation_),
-      use_planner_(other.use_planner_),
       jobs_(other.jobs_) {
   if (state_) g_active_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
@@ -68,7 +62,6 @@ Snapshot::Snapshot(const Snapshot& other)
 Snapshot::Snapshot(Snapshot&& other) noexcept
     : state_(std::move(other.state_)),
       generation_(other.generation_),
-      use_planner_(other.use_planner_),
       jobs_(other.jobs_) {
   other.state_.reset();
 }
@@ -82,7 +75,6 @@ Snapshot& Snapshot::operator=(const Snapshot& other) {
     }
     state_ = other.state_;
     generation_ = other.generation_;
-    use_planner_ = other.use_planner_;
     jobs_ = other.jobs_;
   }
   return *this;
@@ -94,7 +86,6 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
     state_ = std::move(other.state_);
     other.state_.reset();
     generation_ = other.generation_;
-    use_planner_ = other.use_planner_;
     jobs_ = other.jobs_;
   }
   return *this;
@@ -112,10 +103,6 @@ std::size_t Snapshot::jobs() const {
   return jobs_ != 0 ? jobs_ : core::Pool::default_jobs();
 }
 
-bool Snapshot::planner_on() const {
-  return use_planner_.value_or(plan::planner_enabled());
-}
-
 QueryResult Snapshot::query(std::string_view select_text) const {
   return query(parse_select(select_text));
 }
@@ -123,16 +110,11 @@ QueryResult Snapshot::query(std::string_view select_text) const {
 QueryResult Snapshot::query(const SelectStmt& stmt) const {
   if (!state_) throw BindError("query on empty snapshot");
   QueryResult r;
-  r.planned = planner_on();
   r.jobs = jobs();
+  plan::PlannerOptions opts;
+  opts.jobs = r.jobs;
   const auto t0 = std::chrono::steady_clock::now();
-  if (r.planned) {
-    plan::PlannerOptions opts;
-    opts.jobs = r.jobs;
-    r.rows = plan::run_select(*state_, stmt, opts);
-  } else {
-    r.rows = state_->run_naive(stmt);
-  }
+  r.rows = plan::run_select(*state_, stmt, opts);
   r.micros = micros_since(t0);
   return r;
 }
@@ -146,12 +128,7 @@ bool Snapshot::check_empty(std::string_view invariant_text) const {
 
 bool Snapshot::check_empty(const SelectStmt& stmt) const {
   if (!state_) throw BindError("check_empty on empty snapshot");
-  if (planner_on()) {
-    plan::PlannerOptions opts;
-    opts.exists_only = true;
-    return plan::run_select(*state_, stmt, opts).row_count() == 0;
-  }
-  return state_->run_naive(stmt).row_count() == 0;
+  return plan::is_empty(*state_, stmt);
 }
 
 // ---- Database ---------------------------------------------------------------
@@ -169,15 +146,11 @@ Snapshot Database::snapshot() const {
     snap_cache_ = std::shared_ptr<const Catalog>(std::move(frozen), view);
     snap_gen_ = catalog_.generation();
   }
-  return Snapshot(snap_cache_, snap_gen_, use_planner_, jobs_);
+  return Snapshot(snap_cache_, snap_gen_, jobs_);
 }
 
 std::size_t Database::jobs() const {
   return jobs_ != 0 ? jobs_ : core::Pool::default_jobs();
-}
-
-bool Database::planner_on() const {
-  return use_planner_.value_or(plan::planner_enabled());
 }
 
 QueryResult Database::query(std::string_view select_text) const {
@@ -187,18 +160,12 @@ QueryResult Database::query(std::string_view select_text) const {
 QueryResult Database::query(const SelectStmt& stmt) const {
   CCSQL_SPAN(span, "db.query", "relational");
   QueryResult r;
-  r.planned = planner_on();
   r.jobs = jobs();
+  plan::PlannerOptions opts;
+  opts.jobs = r.jobs;
   const auto t0 = std::chrono::steady_clock::now();
-  if (r.planned) {
-    plan::PlannerOptions opts;
-    opts.jobs = r.jobs;
-    r.rows = plan::run_select(catalog_, stmt, opts);
-  } else {
-    r.rows = catalog_.run_naive(stmt);
-  }
+  r.rows = plan::run_select(catalog_, stmt, opts);
   r.micros = micros_since(t0);
-  span.arg("planned", r.planned);
   span.arg("jobs", static_cast<std::uint64_t>(r.jobs));
   span.arg("rows", r.rows.row_count());
   CCSQL_COUNT("db.queries", 1);
@@ -215,17 +182,11 @@ bool Database::check_empty(std::string_view invariant_text) const {
 
 bool Database::check_empty(const SelectStmt& stmt) const {
   CCSQL_COUNT("db.emptiness_probes", 1);
-  if (planner_on()) {
-    plan::PlannerOptions opts;
-    opts.exists_only = true;
-    return plan::run_select(catalog_, stmt, opts).row_count() == 0;
-  }
-  return catalog_.run_naive(stmt).row_count() == 0;
+  return plan::is_empty(catalog_, stmt);
 }
 
 QueryResult Database::explain(std::string_view select_text) const {
   QueryResult r;
-  r.planned = true;
   r.jobs = jobs();
   plan::PlannerOptions opts;
   opts.jobs = r.jobs;
@@ -237,7 +198,6 @@ QueryResult Database::explain(std::string_view select_text) const {
 
 QueryResult Database::explain_analyze(std::string_view select_text) const {
   QueryResult r;
-  r.planned = true;
   r.jobs = jobs();
   plan::PlannerOptions opts;
   opts.jobs = r.jobs;
@@ -253,12 +213,6 @@ QueryResult Database::explain_analyze(std::string_view select_text) const {
 Table Database::cross_select(const Table& left, const Table& right,
                              const Expr& pred,
                              const Schema& ident_schema) const {
-  if (!planner_on()) {
-    Table crossed = Table::cross(left, right);
-    CompiledExpr compiled =
-        compile(pred, crossed.schema(), ident_schema, &catalog_.functions());
-    return crossed.select(compiled.predicate());
-  }
   return plan::cross_select(left, right, pred, ident_schema,
                             &catalog_.functions(), jobs());
 }

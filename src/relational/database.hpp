@@ -2,27 +2,24 @@
 
 // The unified query-session facade.  Every subsystem (invariant checker,
 // VCG composition, solver, simulator setup, CLI) issues SQL through a
-// Database instead of picking between Catalog::run / run_naive /
-// check_empty and carrying its own planner-toggle plumbing:
+// Database instead of picking between Catalog::run / check_empty and
+// carrying its own settings plumbing:
 //
 //   Database db(spec.database());      // or build a Catalog and wrap it
 //   QueryResult r = db.query("select * from t where s = 'I'");
 //   bool holds   = db.check_empty(invariant_sql);
 //   std::string p = db.explain(sql).plan;
 //
-// A Database owns its Catalog plus the session's execution settings: the
-// planner override (unset = follow the process-wide flag) and the parallel
-// lane count `jobs` (0 = the --jobs / CCSQL_JOBS / hardware default) that
-// the morsel-driven operators in src/plan fan out across the shared
-// core::Pool.  Results are bit-identical at any jobs value.
-//
-// Catalog::run / run_naive remain public only as the property-test oracle;
-// production code goes through Database.
+// A Database owns its Catalog plus the session's execution setting: the
+// parallel lane count `jobs` (0 = the --jobs / CCSQL_JOBS / hardware
+// default) that the morsel-driven operators in src/plan fan out across the
+// shared core::Pool.  Results are bit-identical at any jobs value.  Every
+// statement plans through src/plan; the naive reference executor the
+// planner is property-tested against lives in tests/support/naive_exec.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -40,8 +37,6 @@ struct QueryResult {
   Table rows;
   /// Rendered plan with est/actual row counts; filled by explain() only.
   std::string plan;
-  /// Whether the statement went through the planner (else the naive oracle).
-  bool planned = false;
   /// Parallel lanes the execution was allowed to use.
   std::size_t jobs = 1;
   /// Wall-clock plan+execute time.
@@ -73,7 +68,7 @@ struct QueryResult {
 };
 
 /// An immutable point-in-time view of a Database's catalog, plus the
-/// session settings it was taken with.  Cheap to copy (a shared_ptr and a
+/// session jobs setting it was taken with.  Cheap to copy (a shared_ptr and a
 /// few scalars); safe to query from any thread.  The tables — rows and
 /// their lazily-built TupleKey indexes — are shared with whatever versions
 /// the live catalog still holds, and stay valid after the live side
@@ -101,10 +96,9 @@ class Snapshot {
     return state_;
   }
   [[nodiscard]] std::size_t jobs() const;
-  [[nodiscard]] bool planner_on() const;
 
   /// SELECT / invariant evaluation against the frozen catalog, with the
-  /// originating session's planner/jobs settings.  Same semantics as the
+  /// originating session's jobs setting.  Same semantics as the
   /// Database methods of the same names.
   [[nodiscard]] QueryResult query(std::string_view select_text) const;
   [[nodiscard]] QueryResult query(const SelectStmt& stmt) const;
@@ -117,11 +111,10 @@ class Snapshot {
  private:
   friend class Database;
   Snapshot(std::shared_ptr<const Catalog> state, std::uint64_t generation,
-           std::optional<bool> use_planner, std::size_t jobs);
+           std::size_t jobs);
 
   std::shared_ptr<const Catalog> state_;
   std::uint64_t generation_ = 0;
-  std::optional<bool> use_planner_;
   std::size_t jobs_ = 0;
 };
 
@@ -129,20 +122,15 @@ class Database {
  public:
   Database() = default;
   explicit Database(Catalog catalog) : catalog_(std::move(catalog)) {}
-  // Copies and moves carry the catalog and session settings; the snapshot
+  // Copies and moves carry the catalog and the jobs setting; the snapshot
   // cache (and its mutex) is per-object and starts cold in the destination.
   Database(const Database& other)
-      : catalog_(other.catalog_),
-        use_planner_(other.use_planner_),
-        jobs_(other.jobs_) {}
+      : catalog_(other.catalog_), jobs_(other.jobs_) {}
   Database(Database&& other) noexcept
-      : catalog_(std::move(other.catalog_)),
-        use_planner_(other.use_planner_),
-        jobs_(other.jobs_) {}
+      : catalog_(std::move(other.catalog_)), jobs_(other.jobs_) {}
   Database& operator=(const Database& other) {
     if (this != &other) {
       catalog_ = other.catalog_;
-      use_planner_ = other.use_planner_;
       jobs_ = other.jobs_;
       std::lock_guard<std::mutex> lock(snap_mu_);
       snap_cache_.reset();
@@ -152,7 +140,6 @@ class Database {
   Database& operator=(Database&& other) noexcept {
     if (this != &other) {
       catalog_ = std::move(other.catalog_);
-      use_planner_ = other.use_planner_;
       jobs_ = other.jobs_;
       std::lock_guard<std::mutex> lock(snap_mu_);
       snap_cache_.reset();
@@ -162,13 +149,6 @@ class Database {
 
   // ---- session settings ----------------------------------------------------
 
-  /// Forces the planner on/off for this session.  Unset (the default)
-  /// follows the process-wide flag (plan::planner_enabled, i.e. the CLI's
-  /// --no-planner / CCSQL_NO_PLANNER).
-  Database& set_planner(bool on) {
-    use_planner_ = on;
-    return *this;
-  }
   /// Parallel lanes for this session's queries; 0 = process default
   /// (core::Pool::default_jobs, i.e. --jobs / CCSQL_JOBS / hardware).
   Database& set_jobs(std::size_t jobs) {
@@ -177,7 +157,6 @@ class Database {
   }
   /// The resolved lane count (never 0).
   [[nodiscard]] std::size_t jobs() const;
-  [[nodiscard]] bool planner_on() const;
 
   // ---- catalog -------------------------------------------------------------
 
@@ -220,7 +199,7 @@ class Database {
 
   // ---- queries -------------------------------------------------------------
 
-  /// Executes a SELECT with this session's planner/jobs settings.
+  /// Plans and executes a SELECT with this session's jobs setting.
   [[nodiscard]] QueryResult query(std::string_view select_text) const;
   [[nodiscard]] QueryResult query(const SelectStmt& stmt) const;
 
@@ -231,8 +210,7 @@ class Database {
   [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
 
   /// Plans, executes, and renders the plan (est vs actual rows) into
-  /// QueryResult::plan.  Always goes through the planner — there is no
-  /// plan to show otherwise.
+  /// QueryResult::plan.
   [[nodiscard]] QueryResult explain(std::string_view select_text) const;
 
   /// EXPLAIN ANALYZE: like explain(), but every operator is profiled (wall
@@ -248,14 +226,13 @@ class Database {
   }
 
   /// The solver's incremental-generation step — select(pred, cross(l, r))
-  /// over free-standing tables — under this session's settings.
+  /// over free-standing tables — under this session's jobs setting.
   [[nodiscard]] Table cross_select(const Table& left, const Table& right,
                                    const Expr& pred,
                                    const Schema& ident_schema) const;
 
  private:
   Catalog catalog_;
-  std::optional<bool> use_planner_;
   std::size_t jobs_ = 0;  // 0 = follow the process-wide default
   /// One frozen Catalog per generation, shared by every snapshot taken at
   /// that generation.  Rebuilt lazily when the generation moves on.

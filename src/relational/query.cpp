@@ -1,7 +1,6 @@
 #include "relational/query.hpp"
 
 #include "obs/obs.hpp"
-#include "plan/ir.hpp"
 #include "plan/planner.hpp"
 #include "relational/error.hpp"
 
@@ -33,53 +32,10 @@ Catalog::TablePtr Catalog::get_shared(std::string_view name) const {
 Table Catalog::run(const SelectStmt& stmt) const {
   CCSQL_SPAN(span, "query.select", "relational");
   span.arg("table", stmt.from.empty() ? "" : stmt.from[0].table);
-  span.arg("planned", plan::planner_enabled());
-  Table result = plan::planner_enabled() ? plan::run_select(*this, stmt)
-                                         : run_naive(stmt);
+  Table result = plan::run_select(*this, stmt);
   span.arg("rows_emitted", result.row_count());
   CCSQL_COUNT("query.selects", 1);
   CCSQL_COUNT("query.rows_emitted", result.row_count());
-  return result;
-}
-
-Table Catalog::run_naive(const SelectStmt& stmt) const {
-  // The FROM list as one cross product, columns renamed through aliases.
-  Table source;
-  bool first = true;
-  std::size_t scanned = 0;
-  for (const TableRef& ref : stmt.from) {
-    const Table& base = get(ref.table);
-    scanned += base.row_count();
-    Table t = ref.alias.empty()
-                  ? base
-                  : base.with_schema(plan::scan_schema(base.schema(),
-                                                       ref.alias));
-    source = first ? std::move(t) : Table::cross(source, t);
-    first = false;
-  }
-  Table filtered = source;
-  if (stmt.where) {
-    CompiledExpr pred =
-        compile(*stmt.where, source.schema(), source.schema(), &functions_);
-    filtered = source.select(pred.predicate());
-  }
-  Table result;
-  if (stmt.count_star) {
-    Table counted(make_schema({{"count", ColumnKind::kOutput}}));
-    counted.append({Symbol::intern(std::to_string(filtered.row_count()))});
-    result = std::move(counted);
-  } else if (stmt.star) {
-    result = stmt.distinct ? filtered.distinct() : std::move(filtered);
-  } else {
-    result = filtered.project(stmt.columns, stmt.distinct);
-  }
-  for (const SelectStmt& u : stmt.union_with) {
-    Table branch = run_naive(u);
-    result = Table::union_distinct(result,
-                                   branch.with_schema(result.schema_ptr()));
-  }
-  if (!stmt.order_by.empty()) result = result.sorted_by(stmt.order_by);
-  CCSQL_COUNT("query.rows_scanned", scanned);
   return result;
 }
 
@@ -130,11 +86,7 @@ Table Catalog::query(std::string_view select_text) const {
 bool Catalog::check_empty(std::string_view invariant_text) const {
   for (const SelectStmt& s : parse_invariant(invariant_text)) {
     // Emptiness only: the planner stops at the first row (Limit 1).
-    if (plan::planner_enabled()) {
-      if (!plan::is_empty(*this, s)) return false;
-    } else if (run_naive(s).row_count() != 0) {
-      return false;
-    }
+    if (!plan::is_empty(*this, s)) return false;
   }
   return true;
 }

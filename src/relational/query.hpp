@@ -64,15 +64,9 @@ class Catalog {
     return generation_;
   }
 
-  /// Executes a parsed SELECT against this catalog.  Goes through the query
-  /// planner (src/plan) unless it is disabled (plan::set_planner_enabled /
-  /// --no-planner), in which case run_naive is used.
+  /// Executes a parsed SELECT against this catalog through the query
+  /// planner (src/plan).
   [[nodiscard]] Table run(const SelectStmt& stmt) const;
-
-  /// The reference executor: materialises the FROM cross product, filters,
-  /// then projects — no rewrites, no indexes.  Kept as the oracle the
-  /// planner is property-tested against.
-  [[nodiscard]] Table run_naive(const SelectStmt& stmt) const;
 
   /// Parses and executes a full statement.  SELECT returns its result;
   /// CREATE TABLE ... AS SELECT materialises the result under the new name

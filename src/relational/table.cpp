@@ -1,8 +1,6 @@
 #include "relational/table.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <unordered_set>
@@ -647,23 +645,7 @@ constexpr std::size_t kRadixMinRows = 8192;
 constexpr std::size_t kRadixTargetRows = 4096;
 constexpr std::size_t kRadixMaxBits = 6;  // at most 64 partitions
 
-std::atomic<bool>& radix_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CCSQL_NO_RADIX");
-    return env == nullptr || env[0] == '\0' || env[0] == '0';
-  }();
-  return flag;
-}
-
 }  // namespace
-
-bool radix_join_enabled() {
-  return radix_flag().load(std::memory_order_relaxed);
-}
-
-void set_radix_join_enabled(bool enabled) {
-  radix_flag().store(enabled, std::memory_order_relaxed);
-}
 
 JoinIndex JoinIndex::build(const Table& t, std::span<const std::size_t> cols,
                            std::size_t jobs) {
@@ -672,7 +654,7 @@ JoinIndex JoinIndex::build(const Table& t, std::span<const std::size_t> cols,
   idx.rows_ = n;
 
   std::size_t bits = 0;
-  if (radix_join_enabled() && n >= kRadixMinRows) {
+  if (n >= kRadixMinRows) {
     while (bits < kRadixMaxBits &&
            (std::size_t{1} << (bits + 1)) <= n / kRadixTargetRows) {
       ++bits;

@@ -197,13 +197,6 @@ struct TupleKeyHash {
 using IndexMap =
     std::unordered_map<TupleKey, std::vector<std::size_t>, TupleKeyHash>;
 
-/// True (the default) when hash joins should use the radix-partitioned
-/// build+probe (JoinIndex with >1 partition on large build sides).
-/// CCSQL_NO_RADIX=1 (or set_radix_join_enabled(false)) forces every join
-/// index down to a single partition — the differential-test configuration.
-[[nodiscard]] bool radix_join_enabled();
-void set_radix_join_enabled(bool enabled);
-
 /// A radix-partitioned hash index: build-side rows are scattered into
 /// 2^bits partitions by the low bits of their key hash, and each partition
 /// is an independent IndexMap built in parallel (no serial merge).  Probes
@@ -216,7 +209,7 @@ class JoinIndex {
   JoinIndex() : parts_(1) {}
 
   /// Builds over the given columns of `t`; partition count is chosen from
-  /// the row count (1 below the radix threshold or when radix is disabled).
+  /// the row count alone (1 below the 8192-row radix threshold).
   /// `jobs` > 1 parallelizes both the partition scatter and the per-
   /// partition map builds on the pool.
   static JoinIndex build(const Table& t, std::span<const std::size_t> cols,

@@ -76,7 +76,7 @@ QueryResult Server::query(std::string_view select_text) {
   AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
-  if (!options_.use_plan_cache || !snap.planner_on()) {
+  if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
     return snap.query(select_text);
   }
@@ -87,7 +87,6 @@ QueryResult Server::query(std::string_view select_text) {
     return stmts;
   });
   QueryResult r;
-  r.planned = true;
   r.jobs = options_.jobs_per_query != 0 ? options_.jobs_per_query
                                         : snap.jobs();
   const auto t0 = std::chrono::steady_clock::now();
@@ -100,7 +99,7 @@ bool Server::check_empty(std::string_view invariant_text) {
   AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
-  if (!options_.use_plan_cache || !snap.planner_on()) {
+  if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
     return snap.check_empty(invariant_text);
   }
@@ -126,7 +125,7 @@ QueryResult Server::execute(const Prepared& prepared,
   AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
-  if (!options_.use_plan_cache || !snap.planner_on()) {
+  if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
     SelectStmt stmt = bind_params(parse_select(prepared.sql), values);
     return snap.query(stmt);
@@ -142,7 +141,6 @@ QueryResult Server::execute(const Prepared& prepared,
     return stmts;
   });
   QueryResult r;
-  r.planned = true;
   r.jobs = options_.jobs_per_query != 0 ? options_.jobs_per_query
                                         : snap.jobs();
   const auto t0 = std::chrono::steady_clock::now();

@@ -46,7 +46,7 @@ struct ServerOptions {
 
 struct ServerStats {
   std::uint64_t queries = 0;
-  /// Queries that bypassed the cache (cache off or planner off).
+  /// Queries that bypassed the cache (ServerOptions::use_plan_cache off).
   std::uint64_t uncached_queries = 0;
   std::uint64_t writer_swaps = 0;
   std::uint64_t admission_waits = 0;    // acquisitions that had to block

@@ -76,6 +76,20 @@ TEST(Cli, InvariantsPass) {
   EXPECT_NE(r.output.find("paper budget 300 s: PASS"), std::string::npos);
 }
 
+TEST(Cli, UnknownFlagsAreUsageErrors) {
+  for (const char* flag : {"--no-planner", "--bogus-flag"}) {
+    RunResult r = run(std::string("invariants ") + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.output.find(std::string("error: unknown flag ") + flag),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage: ccsql"), std::string::npos) << flag;
+  }
+  RunResult ok = run("invariants --jobs 2 --stats");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("0 violated"), std::string::npos);
+}
+
 TEST(Cli, DeadlockFindsFigure4AndExitsNonzero) {
   RunResult r = run("deadlock V5");
   EXPECT_EQ(r.exit_code, 1);

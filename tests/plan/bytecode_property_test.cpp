@@ -3,7 +3,7 @@
 // oracle (CompiledExpr) selects — over dense batches, unaligned ranges
 // (Program::eval_range) and sparse selections (Program::eval_batch) — and
 // whole planned queries must come out byte-identical to the naive executor
-// (Catalog::run_naive) at any jobs value.  Expressions and tables are
+// (naive::run, tests/support) at any jobs value.  Expressions and tables are
 // random but seeded, so failures replay.
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "relational/expr.hpp"
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -157,10 +158,10 @@ TEST(BytecodeProperty, QueriesByteIdenticalAcrossEnginesAndJobs) {
     for (int round = 0; round < 12; ++round) {
       const std::string sql =
           "select * from T where " + random_expr(rng, 2).to_string();
-      const std::string naive = to_csv(cat.run_naive(parse_select(sql)));
+      const std::string naive = to_csv(naive::run(cat, parse_select(sql)));
       for (int jobs : {1, 4}) {
         Database db{Catalog(cat)};
-        db.set_planner(true).set_jobs(jobs);
+        db.set_jobs(jobs);
         EXPECT_EQ(to_csv(db.query(sql).rows), naive)
             << "seed " << seed << " jobs " << jobs << ": " << sql;
       }

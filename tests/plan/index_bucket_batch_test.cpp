@@ -22,6 +22,7 @@
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
 #include "serve/plan_cache.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -86,7 +87,7 @@ void expect_fused(const Database& db, const std::string& sql,
   ctx.analyze = true;
   const Table got = plan::execute(*root, ctx, limit);
 
-  const Table naive = cat.run_naive(stmt);
+  const Table naive = naive::run(cat, stmt);
   EXPECT_EQ(to_csv(got),
             to_csv(naive.row_count() > limit ? naive.head(limit) : naive));
 
@@ -128,7 +129,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
   const std::uint64_t after = tracer.metrics().counter("query.rows_scanned");
   tracer.enable_metrics(false);
 
-  EXPECT_EQ(empty, db.catalog().run_naive(parse_select(sql)).row_count() == 0);
+  EXPECT_EQ(empty, naive::check_empty(db.catalog(), sql));
   EXPECT_EQ(after - before, visited);
 }
 

@@ -12,6 +12,7 @@
 
 #include "relational/database.hpp"
 #include "relational/format.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -68,9 +69,9 @@ const std::vector<std::string> kQueries = {
 TEST(ParallelProperty, QueriesAreByteIdenticalAcrossJobs) {
   for (unsigned seed : {1u, 7u, 42u}) {
     Database serial = seeded_db(seed);
-    serial.set_planner(true).set_jobs(1);
+    serial.set_jobs(1);
     Database wide = seeded_db(seed);
-    wide.set_planner(true).set_jobs(4);
+    wide.set_jobs(4);
     for (const auto& sql : kQueries) {
       EXPECT_EQ(to_csv(serial.query(sql).rows), to_csv(wide.query(sql).rows))
           << "seed " << seed << ": " << sql;
@@ -83,12 +84,10 @@ TEST(ParallelProperty, ParallelAgreesWithNaiveOracleOnScans) {
   // single-table statements are feasible at parallel-threshold sizes; the
   // joins get their oracle check below, on oracle-sized tables.
   Database wide = seeded_db(3);
-  wide.set_planner(true).set_jobs(4);
-  Database naive = seeded_db(3);
-  naive.set_planner(false);
+  wide.set_jobs(4);
   for (const auto& sql : kQueries) {
     if (sql.find(" y") != std::string::npos) continue;  // skip the joins
-    Table oracle = naive.query(sql).rows;
+    Table oracle = naive::run(wide.catalog(), parse_select(sql));
     Table parallel = wide.query(sql).rows;
     EXPECT_EQ(to_csv(parallel), to_csv(oracle)) << sql;
   }
@@ -100,12 +99,11 @@ TEST(ParallelProperty, JoinsAgreeWithNaiveOracleAtOracleScale) {
   cat.put("L", big_table(rng, {"k", "p", "q"}, 120));
   cat.put("R", big_table(rng, {"k", "r"}, 90));
   cat.put("S", big_table(rng, {"p", "s"}, 80));
-  Database naive = Database(cat);
-  naive.set_planner(false);
   Database wide = Database(std::move(cat));
-  wide.set_planner(true).set_jobs(4);
+  wide.set_jobs(4);
   for (const auto& sql : kQueries) {
-    EXPECT_EQ(to_csv(wide.query(sql).rows), to_csv(naive.query(sql).rows))
+    EXPECT_EQ(to_csv(wide.query(sql).rows),
+              to_csv(naive::run(wide.catalog(), parse_select(sql))))
         << sql;
   }
 }
@@ -129,9 +127,9 @@ TEST(ParallelProperty, CheckEmptyVerdictsMatchAcrossJobs) {
 TEST(ParallelProperty, UnionIsByteIdenticalAcrossJobs) {
   for (unsigned seed : {5u, 19u}) {
     Database serial = seeded_db(seed);
-    serial.set_planner(true).set_jobs(1);
+    serial.set_jobs(1);
     Database wide = seeded_db(seed);
-    wide.set_planner(true).set_jobs(4);
+    wide.set_jobs(4);
     const std::string sql =
         "select k from L where p = v0 union "
         "select k from R where r = v1 union "

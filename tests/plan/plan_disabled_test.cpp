@@ -13,6 +13,7 @@
 #include "plan/explain.hpp"
 #include "plan/planner.hpp"
 #include "relational/query.hpp"
+#include "support/naive_exec.hpp"
 
 #ifndef CCSQL_TRACING_DISABLED
 #error "this target must compile with CCSQL_TRACING_DISABLED"
@@ -45,7 +46,7 @@ TEST(PlanDisabledTracing, PlannedStillMatchesNaive) {
   for (const char* q : queries) {
     SelectStmt stmt = parse_select(q);
     Table planned = plan::run_select(db, stmt);
-    Table naive = db.run_naive(stmt);
+    Table naive = naive::run(db, stmt);
     EXPECT_EQ(planned.row_count(), naive.row_count()) << q;
     EXPECT_TRUE(planned.set_equal(naive)) << q;
   }

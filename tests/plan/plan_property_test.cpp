@@ -1,5 +1,5 @@
 // Property tests: the planned executor must agree with the naive reference
-// executor (Catalog::run_naive) on randomized tables and predicates, for
+// executor (naive::run, tests/support) on randomized tables and predicates, for
 // every fixed seed.  Any divergence is a planner bug by definition — the
 // naive path is the oracle.
 
@@ -12,6 +12,7 @@
 
 #include "plan/planner.hpp"
 #include "relational/query.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -145,7 +146,7 @@ std::string random_select(Rng& rng, const std::string& from,
 void expect_planned_matches_naive(const Catalog& db, const std::string& sql) {
   SelectStmt stmt = parse_select(sql);
   Table planned = plan::run_select(db, stmt);
-  Table naive = db.run_naive(stmt);
+  Table naive = naive::run(db, stmt);
   EXPECT_EQ(planned.row_count(), naive.row_count()) << sql;
   EXPECT_TRUE(planned.set_equal(naive)) << sql;
   EXPECT_EQ(plan::is_empty(db, stmt), naive.row_count() == 0) << sql;
@@ -202,9 +203,7 @@ TEST_P(PlanPropertyTest, CrossSelectMatchesNaiveCrossPlusFilter) {
     Expr pred = parse_expr(random_predicate(rng, all));
 
     Table planned = plan::cross_select(left, right, pred, *full);
-    Table crossed = Table::cross(left, right);
-    Table naive =
-        crossed.select(compile(pred, crossed.schema(), *full).predicate());
+    Table naive = naive::cross_select(left, right, pred, *full);
     EXPECT_EQ(planned.row_count(), naive.row_count()) << pred.to_string();
     EXPECT_TRUE(planned.set_equal(naive)) << pred.to_string();
   }

@@ -14,6 +14,7 @@
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
 #include "relational/query.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -146,23 +147,10 @@ TEST(Planner, PlannedMatchesNaiveOnRepresentativeQueries) {
   for (const char* q : queries) {
     SelectStmt stmt = parse_select(q);
     Table planned = plan::run_select(db, stmt);
-    Table naive = db.run_naive(stmt);
+    Table naive = naive::run(db, stmt);
     EXPECT_EQ(planned.row_count(), naive.row_count()) << q;
     EXPECT_TRUE(planned.set_equal(naive)) << q;
   }
-}
-
-TEST(Planner, GlobalToggleRoutesCatalogRun) {
-  Catalog db = make_catalog();
-  SelectStmt stmt =
-      parse_select("select a.memmsg from D a, M b where a.memmsg = b.inmsg");
-  ASSERT_TRUE(plan::planner_enabled());
-  Table planned = db.run(stmt);
-  plan::set_planner_enabled(false);
-  Table naive = db.run(stmt);
-  plan::set_planner_enabled(true);
-  EXPECT_TRUE(planned.set_equal(naive));
-  EXPECT_EQ(planned.row_count(), naive.row_count());
 }
 
 TEST(Planner, CheckEmptyAgreesWithNaive) {
@@ -174,11 +162,7 @@ TEST(Planner, CheckEmptyAgreesWithNaive) {
       "[select dirst from D where dirst = I] = empty",
   };
   for (const char* inv : invariants) {
-    const bool planned = db.check_empty(inv);
-    plan::set_planner_enabled(false);
-    const bool naive = db.check_empty(inv);
-    plan::set_planner_enabled(true);
-    EXPECT_EQ(planned, naive) << inv;
+    EXPECT_EQ(db.check_empty(inv), naive::check_empty(db, inv)) << inv;
   }
 }
 
@@ -195,9 +179,7 @@ TEST(CrossSelect, MatchesNaiveCrossPlusFilter) {
   Expr pred = parse_expr("y = z and not x = c");
 
   Table planned = plan::cross_select(left, right, pred, *full);
-  Table crossed = Table::cross(left, right);
-  Table naive =
-      crossed.select(compile(pred, crossed.schema(), *full).predicate());
+  Table naive = naive::cross_select(left, right, pred, *full);
   EXPECT_EQ(planned.row_count(), naive.row_count());
   EXPECT_TRUE(planned.set_equal(naive));
   EXPECT_EQ(planned.row_count(), 2u);  // (a, 1, 1) and (b, 2, 2)

@@ -1,11 +1,13 @@
 // Differential pin: the radix-partitioned hash join must be byte-identical
-// to the single-partition join, at every jobs level.  Seeded inputs large
-// enough to cross the radix threshold (build side >= 8192 rows) make the
-// partitioned path actually exercise multi-partition build + probe.
+// to a reference join that probes the unpartitioned Table::index_on, at
+// every jobs level.  Seeded inputs large enough to cross the radix
+// threshold (build side >= 8192 rows) make the partitioned path actually
+// exercise multi-partition build + probe.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <vector>
 
 #include "relational/database.hpp"
 #include "relational/format.hpp"
@@ -13,16 +15,6 @@
 
 namespace ccsql {
 namespace {
-
-/// Restores the process-wide radix toggle on scope exit.
-class RadixGuard {
- public:
-  RadixGuard() : prev_(radix_join_enabled()) {}
-  ~RadixGuard() { set_radix_join_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 Table seeded_table(std::uint32_t seed, std::size_t rows, std::size_t keys,
                    const char* payload_prefix) {
@@ -39,36 +31,55 @@ Table seeded_table(std::uint32_t seed, std::size_t rows, std::size_t keys,
   return t;
 }
 
-std::string run_join(bool radix, std::size_t jobs) {
-  RadixGuard guard;
-  set_radix_join_enabled(radix);
+Table left_table() {
+  return seeded_table(/*seed=*/7, /*rows=*/10000, /*keys=*/4096, "l");
+}
+// Build side (right) crosses the 8192-row radix threshold.
+Table right_table() {
+  return seeded_table(/*seed=*/11, /*rows=*/16384, /*keys=*/4096, "r");
+}
+
+std::string run_join(std::size_t jobs) {
   Database db;
-  // Build side (right) crosses the 8192-row radix threshold.
-  db.put("L", seeded_table(/*seed=*/7, /*rows=*/10000, /*keys=*/4096, "l"));
-  db.put("R", seeded_table(/*seed=*/11, /*rows=*/16384, /*keys=*/4096, "r"));
+  db.put("L", left_table());
+  db.put("R", right_table());
   db.set_jobs(jobs);
   const QueryResult res = db.query(
       "select l.lp, r.rp from L l, R r "
       "where l.k1 = r.k1 and l.k2 = r.k2");
-  EXPECT_TRUE(res.planned);
   EXPECT_GT(res.row_count(), 0u);
   return to_csv(res.rows);
 }
 
+/// The reference: L rows in order, each followed by its (k1, k2) matches in
+/// R in ascending row order, found through R's single unpartitioned
+/// index_on.  The header carries the planner's qualified output names.
+std::string reference_join() {
+  const Table l = left_table();
+  const Table r = right_table();
+  const std::vector<std::size_t> keys{0, 1};
+  const IndexMap& index = r.index_on(keys);
+  Table out(Schema::of({"l.lp", "r.rp"}));
+  for (std::size_t i = 0; i < l.row_count(); ++i) {
+    const auto it = index.find(TupleKey::of_row(l.row(i), keys));
+    if (it == index.end()) continue;
+    for (const std::size_t j : it->second) {
+      out.append({l.at(i, 2), r.at(j, 2)});
+    }
+  }
+  return to_csv(out);
+}
+
 TEST(RadixJoin, MatchesSinglePartitionAtEveryJobsLevel) {
-  const std::string reference = run_join(/*radix=*/false, /*jobs=*/1);
+  const std::string reference = reference_join();
   for (const std::size_t jobs : {1u, 4u, 8u}) {
-    EXPECT_EQ(run_join(/*radix=*/true, jobs), reference)
+    EXPECT_EQ(run_join(jobs), reference)
         << "radix join diverged at jobs=" << jobs;
-    EXPECT_EQ(run_join(/*radix=*/false, jobs), reference)
-        << "single-partition join diverged at jobs=" << jobs;
   }
 }
 
 TEST(RadixJoin, BuildsMultiplePartitionsAboveThreshold) {
-  RadixGuard guard;
-  set_radix_join_enabled(true);
-  Table r = seeded_table(/*seed=*/11, /*rows=*/16384, /*keys=*/4096, "r");
+  Table r = right_table();
   const std::vector<std::size_t> cols{0, 1};
   const JoinIndex& idx = r.join_index_on(cols, /*jobs=*/4);
   EXPECT_GT(idx.partitions(), 1u);
@@ -76,8 +87,6 @@ TEST(RadixJoin, BuildsMultiplePartitionsAboveThreshold) {
 }
 
 TEST(RadixJoin, SmallBuildSideStaysSinglePartition) {
-  RadixGuard guard;
-  set_radix_join_enabled(true);
   Table r = seeded_table(/*seed=*/3, /*rows=*/512, /*keys=*/64, "r");
   const std::vector<std::size_t> cols{0, 1};
   const JoinIndex& idx = r.join_index_on(cols, /*jobs=*/4);

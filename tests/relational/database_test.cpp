@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/pool.hpp"
-#include "plan/planner.hpp"
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -24,30 +24,17 @@ TEST(Database, QueryMatchesNaiveOracle) {
   Database db = small_db();
   const std::string sql = "select dirst, dirpv from D where not dirst = I";
   QueryResult r = db.query(sql);
-  EXPECT_EQ(to_csv(r.rows), to_csv(db.catalog().run_naive(parse_select(sql))));
+  EXPECT_EQ(to_csv(r.rows),
+            to_csv(naive::run(db.catalog(), parse_select(sql))));
   EXPECT_EQ(r.row_count(), 2u);
   EXPECT_FALSE(r.empty());
 }
 
 TEST(Database, QueryReportsSessionSettings) {
   Database db = small_db();
-  db.set_planner(true).set_jobs(3);
+  db.set_jobs(3);
   QueryResult r = db.query("select dirst from D");
-  EXPECT_TRUE(r.planned);
   EXPECT_EQ(r.jobs, 3u);
-
-  db.set_planner(false);
-  r = db.query("select dirst from D");
-  EXPECT_FALSE(r.planned);
-}
-
-TEST(Database, PlannerOverrideBeatsProcessFlag) {
-  Database db = small_db();
-  EXPECT_EQ(db.planner_on(), plan::planner_enabled());
-  db.set_planner(false);
-  EXPECT_FALSE(db.planner_on());
-  db.set_planner(true);
-  EXPECT_TRUE(db.planner_on());
 }
 
 TEST(Database, JobsZeroFollowsProcessDefault) {
@@ -71,22 +58,19 @@ TEST(Database, CheckEmptyMatchesQueryEmptiness) {
 }
 
 TEST(Database, CheckEmptyAgreesAcrossPlannerModes) {
-  Database planned = small_db();
-  planned.set_planner(true);
-  Database naive = small_db();
-  naive.set_planner(false);
+  Database db = small_db();
   for (const char* sql :
        {"[select dirst from D where dirst = X] = empty",
         "[select dirst from D where dirst = SI] = empty",
         "[select dirpv from D where dirst = MESI and dirpv = one] = empty"}) {
-    EXPECT_EQ(planned.check_empty(sql), naive.check_empty(sql)) << sql;
+    EXPECT_EQ(db.check_empty(sql), naive::check_empty(db.catalog(), sql))
+        << sql;
   }
 }
 
 TEST(Database, ExplainRendersThePlan) {
   Database db = small_db();
   QueryResult r = db.explain("select dirst from D where dirst = MESI");
-  EXPECT_TRUE(r.planned);
   // Executed plan with estimated and actual cardinalities (the operator
   // choice — Scan vs IndexLookup — is the planner's business).
   EXPECT_NE(r.plan.find("Project"), std::string::npos);
@@ -129,10 +113,8 @@ TEST(Database, CrossSelectMatchesNaiveCrossAndFilter) {
   EXPECT_EQ(joined.at(0, "a"), V("x"));
   EXPECT_EQ(joined.at(0, "b"), V("x"));
 
-  // Planner off must agree: the naive path is the oracle.
-  Database naive;
-  naive.set_planner(false);
-  EXPECT_EQ(to_csv(naive.cross_select(l, r, pred, *full)), to_csv(joined));
+  // The naive cross-then-filter is the oracle.
+  EXPECT_EQ(to_csv(naive::cross_select(l, r, pred, *full)), to_csv(joined));
 }
 
 }  // namespace

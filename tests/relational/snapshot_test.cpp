@@ -96,13 +96,12 @@ TEST(Snapshot, QueryAndCheckEmptyMatchDatabase) {
   EXPECT_FALSE(snap.check_empty("select dirst from D where dirst = \"I\""));
 }
 
-TEST(Snapshot, CarriesSessionPlannerAndJobsSettings) {
+TEST(Snapshot, CarriesSessionJobsSetting) {
   Database db = small_db();
-  db.set_jobs(3).set_planner(false);
+  db.set_jobs(3);
   Snapshot snap = db.snapshot();
   EXPECT_EQ(snap.jobs(), 3u);
-  EXPECT_FALSE(snap.planner_on());
-  EXPECT_FALSE(snap.query("select dirst from D").planned);
+  EXPECT_EQ(snap.query("select dirst from D").jobs, 3u);
 }
 
 TEST(Snapshot, EmptySnapshotIsInvalid) {

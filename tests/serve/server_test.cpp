@@ -15,6 +15,7 @@
 #include "obs/mem.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/format.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql::serve {
 namespace {
@@ -33,22 +34,21 @@ std::vector<std::string> invariant_sqls() {
 }
 
 // The acceptance differential: for every invariant query, the server's
-// cached answer must equal a fresh Database evaluation through the naive
-// executor, whose predicates take the interpreted CompiledExpr walk —
-// under serial and parallel execution.  The second server pass answers from
+// cached answer must equal a fresh evaluation through the naive executor
+// (naive::check_empty, tests/support), whose predicates take the
+// interpreted CompiledExpr walk — under serial and parallel execution.  The second server pass answers from
 // the cache (asserted via stats), so this exercises the cached path, not
 // just first compilation.
 TEST(Server, CachedMatchesFreshAcrossJobs) {
   const std::vector<std::string> sqls = invariant_sqls();
-  Database fresh = spec().database();
-  fresh.set_planner(false);
+  const Catalog& fresh = spec().database().catalog();
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     ServerOptions opts;
     opts.jobs_per_query = jobs;
     Server server(spec().database(), opts);
     for (int pass = 0; pass < 2; ++pass) {
       for (const std::string& sql : sqls) {
-        EXPECT_EQ(server.check_empty(sql), fresh.check_empty(sql))
+        EXPECT_EQ(server.check_empty(sql), naive::check_empty(fresh, sql))
             << "jobs=" << jobs << " " << sql;
       }
     }
