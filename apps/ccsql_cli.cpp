@@ -13,18 +13,18 @@
 //   ccsql codegen TABLE [--casez]     emit controller code from an
 //                                     implementation table
 //   ccsql sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]
-//         [--seed N] [--workload NAME] [--no-dense]
-//                                     table-driven simulation (dense
-//                                     dispatch; --no-dense for the hashed
-//                                     TableIndex baseline), reporting
+//         [--seed N] [--workload NAME]
+//                                     table-driven simulation, reporting
 //                                     events/sec
 //   ccsql reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]
-//         [--symmetry] [--classify] [--witness] [--sequential]
-//                                     exhaustive exploration: parallel
-//                                     symmetry-reduced explorer by default
-//                                     (--sequential for the string-keyed
-//                                     oracle), --classify labels VCG cycles
-//                                     against the reachable states
+//         [--symmetry] [--classify] [--witness]
+//                                     exhaustive exploration with the
+//                                     parallel explorer; --classify labels
+//                                     VCG cycles against the reachable
+//                                     states
+//   ccsql lint                        specification hygiene advisories
+//   ccsql serve [--sessions N] [--iterations N] [--writer N] [--script F]
+//                                     multi-session serving loop
 //   ccsql flow                        the full push-button report
 //
 // Global flags (any command):
@@ -39,14 +39,16 @@
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
-// An unknown flag is a usage error (exit 2).
+// An unknown flag, or an integer flag without a whole int after it, is a
+// usage error (exit 2).
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
 // environment do the same.
 //
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
-#include <cstring>
+#include <charconv>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -69,28 +71,33 @@ namespace {
 
 using namespace ccsql;
 
-/// Every flag the CLI reads, and whether its value is a string (other
-/// valued flags take an integer).  main() rejects any flag not listed here.
+/// Every flag the CLI reads and the value it takes.  main() rejects any
+/// flag not listed here, and an integer flag not followed by a whole int.
+/// Every integer the CLI takes is a count or a seed, so a sign is rejected.
+enum class FlagKind { kSwitch, kInt, kString };
 struct FlagSpec {
   std::string_view name;
-  bool string_valued = false;
+  FlagKind kind = FlagKind::kSwitch;
 };
+constexpr auto kInt = FlagKind::kInt;
+constexpr auto kString = FlagKind::kString;
 constexpr FlagSpec kFlags[] = {
     // tables / explain / invariants / codegen
     {"--csv"}, {"--analyze"}, {"-v"}, {"--casez"},
     // sim
-    {"--fig4"}, {"--quads"}, {"--addrs"}, {"--capacity"}, {"--txns"},
-    {"--seed"}, {"--latency"}, {"--no-dense"}, {"--workload", true},
+    {"--fig4"}, {"--quads", kInt}, {"--addrs", kInt}, {"--capacity", kInt},
+    {"--txns", kInt}, {"--seed", kInt}, {"--latency", kInt},
+    {"--workload", kString},
     // reach
-    {"--ops"}, {"--max-states"}, {"--first-deadlock"}, {"--symmetry"},
-    {"--only-ops", true}, {"--node-ops", true}, {"--sequential"},
+    {"--ops", kInt}, {"--max-states", kInt}, {"--first-deadlock"},
+    {"--symmetry"}, {"--only-ops", kString}, {"--node-ops", kString},
     {"--witness"}, {"--classify"},
     // serve
-    {"--sessions"}, {"--iterations"}, {"--no-cache"}, {"--max-inflight"},
-    {"--writer"}, {"--script", true},
+    {"--sessions", kInt}, {"--iterations", kInt}, {"--max-inflight", kInt},
+    {"--writer", kInt}, {"--script", kString},
     // global
-    {"--trace", true}, {"--trace-format", true}, {"--metrics"}, {"--stats"},
-    {"--jobs"},
+    {"--trace", kString}, {"--trace-format", kString}, {"--metrics"},
+    {"--stats"}, {"--jobs", kInt},
 };
 
 const FlagSpec* find_flag(std::string_view name) {
@@ -100,28 +107,40 @@ const FlagSpec* find_flag(std::string_view name) {
   return nullptr;
 }
 
-struct Args {
-  std::vector<std::string> positional;
-  std::vector<std::string> flags;
+/// The whole of `text` as an int, or nullopt.
+std::optional<int> parse_int(std::string_view text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
-  [[nodiscard]] bool has(const std::string& f) const {
+struct Args {
+  struct Flag {
+    std::string_view name;
+    std::string text;  // the value of a string flag
+    int number = 0;    // the value of an integer flag
+  };
+  std::vector<std::string> positional;
+  std::vector<Flag> flags;
+
+  [[nodiscard]] const Flag* find(std::string_view f) const {
     for (const auto& x : flags) {
-      if (x == f) return true;
+      if (x.name == f) return &x;
     }
-    return false;
+    return nullptr;
   }
-  [[nodiscard]] int value_of(const std::string& f, int fallback) const {
-    for (std::size_t i = 0; i + 1 < flags.size(); ++i) {
-      if (flags[i] == f) return std::stoi(flags[i + 1]);
-    }
-    return fallback;
+  [[nodiscard]] bool has(std::string_view f) const {
+    return find(f) != nullptr;
   }
-  [[nodiscard]] std::string str_value_of(const std::string& f,
-                                         const std::string& fallback) const {
-    for (std::size_t i = 0; i + 1 < flags.size(); ++i) {
-      if (flags[i] == f) return flags[i + 1];
-    }
-    return fallback;
+  [[nodiscard]] int value_of(std::string_view f, int fallback) const {
+    const Flag* x = find(f);
+    return x != nullptr ? x->number : fallback;
+  }
+  [[nodiscard]] std::string str_value_of(std::string_view f) const {
+    const Flag* x = find(f);
+    return x != nullptr ? x->text : std::string();
   }
 };
 
@@ -136,13 +155,12 @@ int usage() {
          "  map                      hardware-mapping flow\n"
          "  codegen TABLE [--casez]  emit code from an implementation table\n"
          "  sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]\n"
-         "      [--seed N] [--workload NAME] [--no-dense]\n"
+         "      [--seed N] [--workload NAME]\n"
          "                           table-driven simulation; workloads:\n"
          "                           random, lock, producer-consumer,\n"
-         "                           false-sharing, streaming; --no-dense\n"
-         "                           uses the hashed TableIndex baseline\n"
+         "                           false-sharing, streaming\n"
          "  reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]\n"
-         "        [--symmetry] [--classify] [--witness] [--sequential]\n"
+         "        [--symmetry] [--classify] [--witness]\n"
          "        [--max-states N] [--first-deadlock]\n"
          "        [--only-ops A,B] [--node-ops N,M]\n"
          "                           parallel reachability (sharded visited\n"
@@ -152,8 +170,8 @@ int usage() {
          "                           each VCG cycle reachable/unreachable,\n"
          "                           --witness prints the deadlock trace\n"
          "  lint                     specification hygiene advisories\n"
-         "  serve [--sessions N] [--iterations N] [--no-cache]\n"
-         "        [--max-inflight N] [--writer N] [--script FILE] [-v]\n"
+         "  serve [--sessions N] [--iterations N] [--max-inflight N]\n"
+         "        [--writer N] [--script FILE] [-v]\n"
          "                           multi-session serving loop (invariant\n"
          "                           suite or a SQL script) over snapshots +\n"
          "                           the prepared-statement cache\n"
@@ -268,8 +286,7 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
   cfg.channel_capacity = args.value_of("--capacity", 2);
   cfg.transactions_per_node = args.value_of("--txns", 100);
   cfg.seed = static_cast<unsigned>(args.value_of("--seed", 1));
-  cfg.dense_dispatch = !args.has("--no-dense");
-  if (const std::string wl = args.str_value_of("--workload", "");
+  if (const std::string wl = args.str_value_of("--workload");
       !wl.empty()) {
     const auto parsed = sim::parse_workload(wl);
     if (!parsed) {
@@ -308,7 +325,6 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
             << " steps=" << r.steps << " transactions="
             << r.transactions_done << " errors=" << r.errors.size()
             << " workload=" << sim::workload_name(cfg.workload)
-            << " dispatch=" << (cfg.dense_dispatch ? "dense" : "hashed")
             << " events/sec=" << r.events_per_sec() << "\n";
   for (const auto& e : r.errors) std::cout << "  " << e << "\n";
   if (r.deadlocked) std::cout << r.deadlock_report;
@@ -328,31 +344,25 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
   cfg.stop_at_first_deadlock = args.has("--first-deadlock");
   cfg.symmetry = args.has("--symmetry");
   // Directed exploration: comma-separated op names / per-node budgets.
-  if (const std::string ops = args.str_value_of("--only-ops", "");
+  if (const std::string ops = args.str_value_of("--only-ops");
       !ops.empty()) {
     std::istringstream ss(ops);
     for (std::string tok; std::getline(ss, tok, ',');) {
       if (!tok.empty()) cfg.inject_ops.push_back(tok);
     }
   }
-  if (const std::string budgets = args.str_value_of("--node-ops", "");
+  if (const std::string budgets = args.str_value_of("--node-ops");
       !budgets.empty()) {
     std::istringstream ss(budgets);
     for (std::string tok; std::getline(ss, tok, ',');) {
-      if (!tok.empty()) cfg.ops_by_node.push_back(std::stoi(tok));
+      if (tok.empty()) continue;
+      const std::optional<int> budget = parse_int(tok);
+      if (!budget) {
+        std::cerr << "error: --node-ops needs comma-separated integers\n";
+        return 2;
+      }
+      cfg.ops_by_node.push_back(*budget);
     }
-  }
-
-  if (args.has("--sequential")) {
-    ReachResult r = explore(spec, spec.assignment(assignment), cfg);
-    std::cout << "states=" << r.states << " transitions=" << r.transitions
-              << " complete=" << r.complete
-              << " deadlock_states=" << r.deadlock_states
-              << " violations=" << r.violations.size() << " ("
-              << r.seconds << "s)\n";
-    for (const auto& v : r.violations) std::cout << "  " << v << "\n";
-    if (r.deadlock_states > 0) std::cout << r.deadlock_example;
-    return r.verified() ? 0 : 1;
   }
 
   ReachParallelResult r =
@@ -402,11 +412,10 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
       static_cast<std::size_t>(args.value_of("--sessions", 8));
   opts.iterations =
       static_cast<std::size_t>(args.value_of("--iterations", 1));
-  opts.use_cache = !args.has("--no-cache");
   opts.max_inflight =
       static_cast<std::size_t>(args.value_of("--max-inflight", 0));
   opts.writer_swaps = static_cast<std::size_t>(args.value_of("--writer", 0));
-  opts.script_path = args.str_value_of("--script", "");
+  opts.script_path = args.str_value_of("--script");
   opts.verbose = args.has("-v");
   if (opts.sessions == 0) return usage();
   return apps::run_serve(spec, opts, std::cout);
@@ -428,14 +437,14 @@ int cmd_flow(const ProtocolSpec& spec, const Args&) {
 int configure_observability(const Args& args) {
   auto& tracer = obs::Tracer::global();
   if (args.has("--trace")) {
-    const std::string path = args.str_value_of("--trace", "");
+    const std::string path = args.str_value_of("--trace");
     if (path.empty()) {
       std::cerr << "error: --trace needs a file path\n";
       return 2;
     }
     obs::Format format = obs::format_for_path(path);
     if (args.has("--trace-format")) {
-      auto parsed = obs::parse_format(args.str_value_of("--trace-format", ""));
+      auto parsed = obs::parse_format(args.str_value_of("--trace-format"));
       if (!parsed) {
         std::cerr << "error: --trace-format must be text, jsonl or chrome\n";
         return 2;
@@ -532,18 +541,20 @@ int main(int argc, char** argv) {
         std::cerr << "error: unknown flag " << argv[i] << "\n";
         return usage();
       }
-      args.flags.emplace_back(argv[i]);
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (spec->string_valued) {
-          args.flags.emplace_back(argv[++i]);
-          continue;
+      Args::Flag& flag =
+          args.flags.emplace_back(Args::Flag{spec->name, {}, 0});
+      if (spec->kind == FlagKind::kInt) {
+        const std::optional<int> number =
+            i + 1 < argc ? parse_int(argv[i + 1]) : std::nullopt;
+        if (!number || *number < 0) {
+          std::cerr << "error: " << spec->name << " needs an integer value\n";
+          return 2;
         }
-        // A numeric flag value follows.
-        char* end = nullptr;
-        (void)std::strtol(argv[i + 1], &end, 10);
-        if (end != argv[i + 1] && *end == '\0') {
-          args.flags.emplace_back(argv[++i]);
-        }
+        flag.number = *number;
+        ++i;
+      } else if (spec->kind == FlagKind::kString && i + 1 < argc &&
+                 argv[i + 1][0] != '-') {
+        flag.text = argv[++i];
       }
     } else {
       args.positional.emplace_back(argv[i]);

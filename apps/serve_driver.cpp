@@ -39,7 +39,6 @@ int run_serve(const ProtocolSpec& spec, const ServeCliOptions& opts,
   }
 
   serve::ServerOptions server_opts;
-  server_opts.use_plan_cache = opts.use_cache;
   server_opts.max_inflight = opts.max_inflight;
   serve::Server server(spec.database(), server_opts);
 
@@ -57,10 +56,11 @@ int run_serve(const ProtocolSpec& spec, const ServeCliOptions& opts,
 
   os << "serve: " << opts.sessions << " sessions x " << opts.iterations
      << " iterations over " << statements.size()
-     << (exists_mode ? " invariants" : " queries") << " (cache "
-     << (opts.use_cache ? "on" : "off");
-  if (opts.max_inflight > 0) os << ", max-inflight " << opts.max_inflight;
-  os << ")\n";
+     << (exists_mode ? " invariants" : " queries");
+  if (opts.max_inflight > 0) {
+    os << " (max-inflight " << opts.max_inflight << ")";
+  }
+  os << "\n";
   os << "  queries=" << report.queries << " violations=" << report.violations
      << " wall=" << report.wall_us / 1000 << "ms qps=" << std::uint64_t(
             report.qps())

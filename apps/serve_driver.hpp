@@ -1,10 +1,9 @@
 #pragma once
 
-// Shared implementation of the serving front end: `ccsql serve` and the
-// standalone ccsql_serve binary both parse flags into ServeCliOptions and
-// call run_serve, which stands up a serve::Server over the protocol
-// database, drives N concurrent sessions (invariant suite by default, or a
-// SQL script), and prints the throughput/latency/cache report.
+// The serving front end behind `ccsql serve`: the CLI parses its flags into
+// ServeCliOptions and calls run_serve, which stands up a serve::Server over
+// the protocol database, drives N concurrent sessions (invariant suite by
+// default, or a SQL script), and prints the throughput/latency/cache report.
 
 #include <iosfwd>
 #include <string>
@@ -16,7 +15,6 @@ namespace ccsql::apps {
 struct ServeCliOptions {
   std::size_t sessions = 8;      // --sessions
   std::size_t iterations = 1;    // --iterations (loops per session)
-  bool use_cache = true;         // --no-cache turns the plan cache off
   std::size_t max_inflight = 0;  // --max-inflight (0 = unlimited)
   std::size_t writer_swaps = 0;  // --writer N: concurrent regenerations
   std::string script_path;       // --script FILE: SELECTs, one per line

@@ -502,15 +502,27 @@ void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
 namespace {
 
 /// Guards every table's index-cache pointers and map structure.  One global
-/// mutex (not per-table) keeps Table trivially copyable; the guarded
-/// sections are pointer installs and map lookups only — index *builds*
-/// happen outside it.
+/// mutex (not per-table) keeps Table copyable; the guarded sections are
+/// pointer copies and installs and map lookups only — index *builds* happen
+/// outside it.
 std::mutex& index_cache_mutex() {
   static std::mutex mu;
   return mu;
 }
 
 }  // namespace
+
+Table::Table(const Table& other)
+    : schema_(other.schema_), cols_(other.cols_), rows_(other.rows_) {
+  std::lock_guard<std::mutex> lock(index_cache_mutex());
+  index_cache_ = other.index_cache_;
+  join_cache_ = other.join_cache_;
+}
+
+Table& Table::operator=(const Table& other) {
+  if (this != &other) *this = Table(other);
+  return *this;
+}
 
 const Table::IndexMap& Table::index_on(const std::vector<std::string>& columns,
                                        std::size_t jobs) const {

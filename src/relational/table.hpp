@@ -256,6 +256,14 @@ class Table {
 
   explicit Table(SchemaPtr schema);
 
+  /// Copies share the columns and the index caches.  The caches are read
+  /// under the cache mutex: a const table shared across threads (a snapshot
+  /// entry) may be having an index installed while it is copied.
+  Table(const Table& other);
+  Table& operator=(const Table& other);
+  Table(Table&&) noexcept = default;
+  Table& operator=(Table&&) noexcept = default;
+
   /// The 0-column table with a single (empty) row: the identity element of
   /// cross(), used to seed incremental table generation.
   static Table unit();

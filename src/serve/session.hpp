@@ -4,8 +4,8 @@
 // sessions as pool tasks over one serve::Server (each session = the
 // paper's run-the-invariant-suite loop, or an arbitrary statement list),
 // optionally alongside a writer thread that regenerates a table on a fixed
-// cadence.  This is the engine behind the ccsql_serve app, the `ccsql
-// serve` subcommand and bench_serve.
+// cadence.  This is the engine behind the `ccsql serve` subcommand and
+// bench_serve.
 
 #include <cstdint>
 #include <string>

@@ -2,26 +2,18 @@
 
 // Dense transition dispatch for the forward simulator (DESIGN.md §15).
 //
-// The per-step cost of the table-driven Machine used to be dominated by
-// TableIndex: every controller lookup heap-allocated a key vector, rendered
-// it to a string, and hashed it; every output-cell read re-resolved the
-// column name through Schema::index_of.  ControllerDispatch compiles a
-// controller table once into a flat row array indexed by a packed
-// mixed-radix key over the interned symbol domains actually appearing in
-// the key columns, and resolves output columns to raw column-span pointers
-// at compile time.  A lookup is then a handful of array reads and one
-// branch per key column; a cell read is one indexed load.
+// ControllerDispatch compiles a controller table once into a flat row array
+// indexed by a packed mixed-radix key over the interned symbol domains
+// actually appearing in the key columns, and resolves output columns to raw
+// column-span pointers at compile time.  A lookup is then a handful of
+// array reads and one branch per key column; a cell read is one indexed
+// load.  A key space larger than kDenseLimit slots is a construction error:
+// no ASURA table comes near it.
 //
 // The compiled form is immutable and holds only pointers into the spec's
 // frozen catalog, so one CompiledTables instance is shared read-only by
 // every Machine of a parallel sweep (sim/sweep.hpp) — compilation is paid
 // once per process, not once per run.
-//
-// `Mode::kHashed` keeps the original TableIndex path alive behind the same
-// interface: it is the differential oracle (tests/sim/dispatch_test.cpp)
-// and the baseline bench_sim --smoke measures the dense speedup against.
-// Hashed-mode dispatch owns a mutable TableIndex, so hashed CompiledTables
-// must not be shared across threads; dense-mode sharing is safe.
 
 #include <cstdint>
 #include <initializer_list>
@@ -30,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/table_index.hpp"
+#include "relational/table.hpp"
 
 namespace ccsql {
 class ProtocolSpec;
@@ -40,77 +32,66 @@ namespace ccsql::sim {
 
 class ControllerDispatch {
  public:
-  enum class Mode {
-    kDense,   // packed-key flat array (falls back to kHashed on overflow)
-    kHashed,  // the original TableIndex path (string keys, name lookups)
-  };
+  /// The lookup engine.  Dense is the only one; the enum survives solely so
+  /// CompiledTables::compile keeps accepting the argument perfbench passes.
+  /// The benchmark change that folds bench/ into perfbench (ROADMAP item 1)
+  /// removes the argument and this enum.
+  enum class Mode { kDense };
 
   /// Handle to an output column, resolved once via col().
   using Col = std::uint16_t;
 
-  /// Compiles `table` for lookup on `key_columns` (same contract as
-  /// TableIndex: the key must be unique per row; duplicates throw).  Dense
-  /// compilation falls back to hashed when the packed key space would
-  /// exceed kDenseLimit slots (sparse/overflow keys).
-  ControllerDispatch(const Table& table, std::vector<std::string> key_columns,
-                     Mode mode);
+  /// Compiles `table` for lookup on `key_columns`.  The key must be unique
+  /// per row: duplicate key tuples throw Error, as does a packed key space
+  /// larger than kDenseLimit slots; an unknown column throws BindError.
+  ControllerDispatch(const Table& table,
+                     const std::vector<std::string>& key_columns);
 
   /// Row index matching the key values (order of key_columns), or nullopt
   /// when the table has no such row.  The caller owns hit/miss accounting
   /// (SimCounters is per-Machine; this object may be shared).
   [[nodiscard]] std::optional<std::size_t> find(
       std::initializer_list<Value> key) const {
-    if (!dense_rows_.empty()) {
-      std::size_t idx = 0;
-      const Value* it = key.begin();
-      for (const KeyCol& kc : key_cols_) {
-        const std::uint32_t id = it->id();
-        ++it;
-        const std::uint16_t code =
-            id < kc.codes.size() ? kc.codes[id] : 0;
-        if (code == 0) return std::nullopt;  // symbol outside the domain
-        idx += static_cast<std::size_t>(code - 1) * kc.stride;
-      }
-      const std::int32_t row = dense_rows_[idx];
-      if (row < 0) return std::nullopt;
-      return static_cast<std::size_t>(row);
+    std::size_t idx = 0;
+    const Value* it = key.begin();
+    for (const KeyCol& kc : key_cols_) {
+      const std::uint32_t id = it->id();
+      ++it;
+      const std::uint32_t code = id < kc.codes.size() ? kc.codes[id] : 0;
+      if (code == 0) return std::nullopt;  // symbol outside the domain
+      idx += static_cast<std::size_t>(code - 1) * kc.stride;
     }
-    // Hashed path: reproduce the original cost shape exactly (key vector
-    // materialization + string key) so it stays an honest baseline.
-    return fallback_->find(std::vector<Value>(key));
+    const std::int32_t row = rows_[idx];
+    if (row < 0) return std::nullopt;
+    return static_cast<std::size_t>(row);
   }
 
   /// Resolves an output column to a handle; call at compile time only.
   [[nodiscard]] Col col(std::string_view name);
 
-  /// Cell read for a found row.  Dense: one indexed load off the cached
-  /// column span.  Hashed: the original name-resolving TableIndex::at.
+  /// Cell read for a found row: one indexed load off the cached column span.
   [[nodiscard]] Value at(std::size_t row, Col c) const {
-    if (!dense_rows_.empty()) return col_data_[c][row];
-    return fallback_->at(row, col_names_[c]);
+    return col_data_[c][row];
   }
 
-  [[nodiscard]] bool dense() const noexcept { return !dense_rows_.empty(); }
   [[nodiscard]] const Table& table() const noexcept { return *table_; }
 
-  /// Dense slot budget: past this the packed key space falls back to the
-  /// hash map rather than materializing an enormous, mostly-empty array.
+  /// Dense slot budget: a packed key space past this is rejected rather
+  /// than materialized as an enormous, mostly-empty array.
   static constexpr std::size_t kDenseLimit = std::size_t{1} << 22;
 
  private:
   struct KeyCol {
     /// Symbol id -> 1 + dense code, 0 when the id never appears in this
     /// key column (indexing past the end means the same).
-    std::vector<std::uint16_t> codes;
-    std::uint32_t stride = 1;
+    std::vector<std::uint32_t> codes;
+    std::size_t stride = 1;
   };
 
   const Table* table_;
   std::vector<KeyCol> key_cols_;
-  std::vector<std::int32_t> dense_rows_;   // packed key -> row, -1 = none
-  std::vector<const Value*> col_data_;     // per handle, dense mode
-  std::vector<std::string> col_names_;     // per handle, hashed mode
-  std::unique_ptr<TableIndex> fallback_;   // hashed mode only
+  std::vector<std::int32_t> rows_;      // packed key -> row, -1 = none
+  std::vector<const Value*> col_data_;  // per handle
 };
 
 /// The six ASURA controller dispatch structures plus every output-column
@@ -139,14 +120,16 @@ struct CompiledTables {
     ControllerDispatch::Col outmsg, devmsg, nxtiocst;
   } iocc;
 
-  /// Compiles the spec's controller tables.  The returned object only
-  /// references the spec's catalog; the spec must outlive it.  Dense
-  /// compilations are immutable and safe to share across threads.
+  /// Compiles the spec's controller tables; a table that cannot compile
+  /// throws Error naming it.  The returned object only references the
+  /// spec's catalog; the spec must outlive it.  It is immutable and safe to
+  /// share across threads.  The Mode argument is ignored (see Mode).
   static std::shared_ptr<const CompiledTables> compile(
-      const ProtocolSpec& spec, ControllerDispatch::Mode mode);
+      const ProtocolSpec& spec,
+      ControllerDispatch::Mode mode = ControllerDispatch::Mode::kDense);
 
  private:
-  CompiledTables(const ProtocolSpec& spec, ControllerDispatch::Mode mode);
+  explicit CompiledTables(const ProtocolSpec& spec);
 };
 
 }  // namespace ccsql::sim

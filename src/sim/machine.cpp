@@ -142,11 +142,7 @@ bool is_mem_request(Value t) {
 
 Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config)
-    : Machine(spec, v, config,
-              CompiledTables::compile(
-                  spec, config.dense_dispatch
-                            ? ControllerDispatch::Mode::kDense
-                            : ControllerDispatch::Mode::kHashed)) {}
+    : Machine(spec, v, config, CompiledTables::compile(spec)) {}
 
 Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config,

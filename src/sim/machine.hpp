@@ -50,16 +50,13 @@ struct SimResult {
 /// only, so a wrong table row surfaces as a dynamic error here.
 class Machine {
  public:
-  /// Compiles the controller tables privately (per-machine cost, as the
-  /// original TableIndex path paid; SimConfig::dense_dispatch picks the
-  /// lookup engine).
+  /// Compiles the controller tables privately (a per-machine cost).
   Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
           SimConfig config);
 
   /// Shares a precompiled dispatch across machines — the sweep engine's
   /// constructor: compilation is paid once, every run reuses it read-only.
-  /// `tables` must be dense-compiled (hashed mode owns mutable TableIndex
-  /// state) and must outlive the machine, as must the spec it came from.
+  /// `tables` must outlive the machine, as must the spec it came from.
   Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
           SimConfig config, std::shared_ptr<const CompiledTables> tables);
 

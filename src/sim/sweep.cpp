@@ -14,14 +14,13 @@ std::string SweepRun::label() const {
   os << "quads=" << config.n_quads << " addrs=" << config.n_addrs
      << " cap=" << config.channel_capacity
      << " wl=" << workload_name(config.workload) << " v=" << assignment
-     << " seed=" << config.seed
-     << " dispatch=" << (config.dense_dispatch ? "dense" : "hashed");
+     << " seed=" << config.seed;
   return os.str();
 }
 
 SweepEngine::SweepEngine(const ProtocolSpec& spec)
     : spec_(&spec),
-      dense_(CompiledTables::compile(spec, ControllerDispatch::Mode::kDense)) {}
+      tables_(CompiledTables::compile(spec)) {}
 
 SweepResult SweepEngine::run(const std::vector<SweepRun>& grid,
                              std::size_t jobs) const {
@@ -36,11 +35,7 @@ SweepResult SweepEngine::run(const std::vector<SweepRun>& grid,
       grid.size(), jobs, [&](std::size_t i) {
         const SweepRun& cell = grid[i];
         const ChannelAssignment& v = spec_->assignment(cell.assignment);
-        // Dense cells share the engine's compiled tables; hashed cells own
-        // a private TableIndex (mutable, not shareable).
-        Machine m = cell.config.dense_dispatch
-                        ? Machine(*spec_, v, cell.config, dense_)
-                        : Machine(*spec_, v, cell.config);
+        Machine m(*spec_, v, cell.config, tables_);
         m.set_memory_latency(cell.memory_latency);
         m.enable_workload();
         out.runs[i] = m.run();

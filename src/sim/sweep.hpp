@@ -59,9 +59,8 @@ struct SweepResult {
   }
 };
 
-/// Runs sweep grids against one protocol spec, sharing one dense-compiled
-/// dispatch across every run (hashed-mode cells compile privately: the
-/// hashed fallback owns mutable state and cannot be shared).
+/// Runs sweep grids against one protocol spec, sharing one compiled
+/// dispatch across every run.
 class SweepEngine {
  public:
   explicit SweepEngine(const ProtocolSpec& spec);
@@ -75,7 +74,7 @@ class SweepEngine {
 
  private:
   const ProtocolSpec* spec_;
-  std::shared_ptr<const CompiledTables> dense_;
+  std::shared_ptr<const CompiledTables> tables_;
 };
 
 /// The default validation grid: quads x channel capacity x workload shapes

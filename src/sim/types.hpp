@@ -135,9 +135,6 @@ struct SimConfig {
   Workload workload = Workload::kRandom;
   /// Cycle-delay model charged per event into SimCounters.
   CycleModel cycle_model;
-  /// Controller-table lookup engine: precompiled dense dispatch (the fast
-  /// path) vs the original hashed TableIndex (the differential baseline).
-  bool dense_dispatch = true;
   unsigned seed = 1;
 };
 

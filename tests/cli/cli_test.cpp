@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 
 namespace {
 
@@ -88,6 +89,40 @@ TEST(Cli, UnknownFlagsAreUsageErrors) {
   RunResult ok = run("invariants --jobs 2 --stats");
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
   EXPECT_NE(ok.output.find("0 violated"), std::string::npos);
+  // Flags that selected since-deleted alternative engines are gone too.
+  for (const char* cmd : {"sim --no-dense", "reach --sequential",
+                          "serve --no-cache"}) {
+    RunResult r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd;
+    EXPECT_NE(r.output.find("error: unknown flag"), std::string::npos)
+        << r.output;
+  }
+}
+
+/// An integer flag takes the next argument, which must be a whole int: a
+/// trailing suffix, a word, or a missing value is a usage error rather than
+/// a silently ignored value or a stray positional argument.
+TEST(Cli, MalformedIntegerFlagsAreUsageErrors) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"sim V5fix --quads 2 --txns 1x", "--txns"},
+      {"sim --quads abc", "--quads"},
+      {"sim --quads --txns 5", "--quads"},
+      {"sim --quads", "--quads"},
+      {"reach --max-states -5", "--max-states"},
+      {"serve --sessions 2x", "--sessions"},
+  };
+  for (const auto& [cmd, flag] : cases) {
+    RunResult r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("error: ") + flag +
+                            " needs an integer value"),
+              std::string::npos)
+        << cmd << "\n" << r.output;
+  }
+  RunResult bad_budget = run("reach --node-ops 1,x");
+  EXPECT_EQ(bad_budget.exit_code, 2) << bad_budget.output;
+  EXPECT_NE(bad_budget.output.find("--node-ops needs"), std::string::npos)
+      << bad_budget.output;
 }
 
 TEST(Cli, DeadlockFindsFigure4AndExitsNonzero) {
@@ -135,6 +170,42 @@ TEST(Cli, ReachSmallConfigVerified) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("complete=1"), std::string::npos);
   EXPECT_NE(r.output.find("deadlock_states=0"), std::string::npos);
+}
+
+TEST(Cli, ServeSessionsRunTheSuiteClean) {
+  RunResult r = run("serve --sessions 2");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("violations=0"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("plan_cache: hits="), std::string::npos);
+}
+
+TEST(Cli, ServeWithConcurrentWriter) {
+  RunResult r = run("serve --sessions 2 --writer 2");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("writer: swaps="), std::string::npos) << r.output;
+}
+
+/// Script queries are read like invariants: each returned row counts as a
+/// violation, so a clean script exits 0.
+TEST(Cli, ServeRunsAScript) {
+  const std::string script =
+      "/tmp/ccsql_cli_serve_" + std::to_string(getpid()) + ".sql";
+  {
+    std::ofstream out(script);
+    out << "# one query\nselect dirst from D where dirst = \"nosuch\"\n";
+  }
+  RunResult r = run("serve --sessions 2 --script " + script);
+  std::remove(script.c_str());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("over 1 queries"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("violations=0"), std::string::npos) << r.output;
+}
+
+TEST(Cli, ServeMissingScriptIsUsageError) {
+  RunResult r = run("serve --script /nonexistent");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("cannot open script"), std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, LintReportsPinnedAdvisories) {

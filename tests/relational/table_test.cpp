@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "relational/error.hpp"
 
 namespace ccsql {
@@ -13,6 +16,31 @@ Table small() {
   t.append({V("readex"), V("SI")});
   t.append({V("wb"), V("MESI")});
   return t;
+}
+
+/// A const table shared across threads, as a snapshot entry is: one thread
+/// installs its indexes while another copies it (a serve writer copying the
+/// table it is about to swap).  Copies read the cache pointers under the
+/// cache mutex; the TSan CI leg flags the race if they do not.
+TEST(Table, CopyWhileAnotherThreadInstallsIndexes) {
+  Table t(Schema::of({"a", "b"}));
+  for (int i = 0; i < 64; ++i) {
+    t.append({V("copy_race" + std::to_string(i)), V(i % 2 == 0 ? "x" : "y")});
+  }
+  const Table& shared = t;
+  std::thread indexer([&shared] {
+    (void)shared.index_on(std::vector<std::string>{"a"});
+    (void)shared.join_index_on({1});
+    (void)shared.index_on(std::vector<std::string>{"b"});
+  });
+  for (int i = 0; i < 200; ++i) {
+    const Table copy = shared;
+    EXPECT_EQ(copy.row_count(), 64u);
+  }
+  indexer.join();
+  const Table copy = shared;
+  EXPECT_TRUE(copy.has_cached_index({0}));
+  EXPECT_TRUE(copy.has_cached_join_index({1}));
 }
 
 TEST(Table, AppendAndAccess) {

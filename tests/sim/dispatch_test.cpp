@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "protocol/asura/asura.hpp"
+#include "relational/error.hpp"
 #include "sim/machine.hpp"
-#include "sim/table_index.hpp"
+#include "sim/sweep.hpp"
 
 namespace ccsql::sim {
 namespace {
@@ -14,58 +20,236 @@ const ProtocolSpec& spec() {
   return *s;
 }
 
-/// Dense dispatch must agree with TableIndex on every row of a controller
-/// table: same hit rows, same cell values through column handles.
-TEST(ControllerDispatch, DenseMatchesTableIndexOnEveryRow) {
-  const Table& cc = spec().database().catalog().get(asura::kCache);
-  const std::vector<std::string> keys = {"inmsg", "cst"};
-  ControllerDispatch dense(cc, keys, ControllerDispatch::Mode::kDense);
-  ControllerDispatch hashed(cc, keys, ControllerDispatch::Mode::kHashed);
-  ASSERT_TRUE(dense.dense());
-  ASSERT_FALSE(hashed.dense());
+// Machine fingerprints encode interned symbol ids, so the pinned goldens
+// below hold only if the spec interns its symbols before any test-local
+// one: build it during static initialization, ahead of every test body.
+[[maybe_unused]] const ProtocolSpec& g_spec_interned_first = spec();
 
-  TableIndex oracle(cc, keys);
-  const auto d_nxt = dense.col("nxtcst");
-  const auto d_out = dense.col("outmsg");
-  const auto h_nxt = hashed.col("nxtcst");
-  const auto h_out = hashed.col("outmsg");
+Table sample() {
+  Table t(Schema::of({"inmsg", "st", "out"}));
+  t.append({V("req"), V("idle"), V("grant")});
+  t.append({V("req"), V("busy"), V("retry")});
+  t.append({V("resp"), V("busy"), V("done")});
+  return t;
+}
 
-  const ColumnView in_col = cc.column("inmsg");
-  const ColumnView st_col = cc.column("cst");
-  for (std::size_t r = 0; r < cc.row_count(); ++r) {
-    const Value in = in_col[r];
-    const Value st = st_col[r];
-    const auto dr = dense.find({in, st});
-    const auto hr = hashed.find({in, st});
-    const auto orc = oracle.find({in, st});
-    ASSERT_TRUE(dr.has_value());
-    ASSERT_TRUE(hr.has_value());
-    ASSERT_TRUE(orc.has_value());
-    EXPECT_EQ(*dr, *orc);
-    EXPECT_EQ(*hr, *orc);
-    EXPECT_EQ(dense.at(*dr, d_nxt), hashed.at(*hr, h_nxt));
-    EXPECT_EQ(dense.at(*dr, d_out), hashed.at(*hr, h_out));
+TEST(ControllerDispatch, FindsUniqueRow) {
+  Table t = sample();
+  ControllerDispatch d(t, {"inmsg", "st"});
+  const auto out = d.col("out");
+  auto row = d.find({V("req"), V("busy")});
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(d.at(*row, out), V("retry"));
+  // Both symbols are in their columns' domains, but no row pairs them.
+  EXPECT_FALSE(d.find({V("resp"), V("idle")}).has_value());
+}
+
+TEST(ControllerDispatch, SingleColumnKey) {
+  Table t(Schema::of({"inmsg", "out"}));
+  t.append({V("a"), V("x")});
+  t.append({V("b"), V("y")});
+  ControllerDispatch d(t, {"inmsg"});
+  const auto out = d.col("out");
+  auto row = d.find({V("b")});
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(d.at(*row, out), V("y"));
+}
+
+TEST(ControllerDispatch, DuplicateKeyRejected) {
+  Table t(Schema::of({"inmsg", "out"}));
+  t.append({V("a"), V("x")});
+  t.append({V("a"), V("y")});
+  EXPECT_THROW(ControllerDispatch(t, {"inmsg"}), Error);
+}
+
+TEST(ControllerDispatch, UnknownKeyColumnRejected) {
+  Table t = sample();
+  EXPECT_THROW(ControllerDispatch(t, {"nope"}), BindError);
+}
+
+TEST(ControllerDispatch, NullValuesInKeysWork) {
+  Table t(Schema::of({"inmsg", "out"}));
+  t.append({null_value(), V("x")});
+  t.append({V("a"), V("y")});
+  ControllerDispatch d(t, {"inmsg"});
+  const auto out = d.col("out");
+  auto row = d.find({null_value()});
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(d.at(*row, out), V("x"));
+}
+
+/// Three key columns of 200 distinct symbols each pack into 8,000,000 slots,
+/// past kDenseLimit: construction throws instead of allocating.
+TEST(ControllerDispatch, KeySpaceOverflowThrows) {
+  Table t(Schema::of({"a", "b", "c"}));
+  for (int i = 0; i < 200; ++i) {
+    const std::string n = std::to_string(i);
+    t.append({V("ovf_a" + n), V("ovf_b" + n), V("ovf_c" + n)});
+  }
+  ASSERT_GT(std::size_t{200} * 200 * 200, ControllerDispatch::kDenseLimit);
+  try {
+    ControllerDispatch d(t, {"a", "b", "c"});
+    FAIL() << "expected an Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("8000000 slots"), std::string::npos)
+        << e.what();
+  }
+  // Two of the columns fit.
+  EXPECT_NO_THROW(ControllerDispatch(t, {"a", "b"}));
+}
+
+/// One compiled dispatch of CompiledTables with the key and output columns
+/// the Machine reads through it — restated here so the oracle below does not
+/// trust the compiler's own lists.
+struct DispatchCase {
+  const char* table;
+  const ControllerDispatch* dispatch;
+  std::vector<std::string> keys;
+  std::vector<std::pair<ControllerDispatch::Col, std::string>> cols;
+};
+
+std::vector<DispatchCase> all_six(const CompiledTables& ct) {
+  return {
+      {asura::kDirectory, &ct.d,
+       {"inmsg", "dirst", "dirlookup", "dirpv", "bdirst", "bdirpv"},
+       {{ct.dc.locmsg, "locmsg"},
+        {ct.dc.remmsg, "remmsg"},
+        {ct.dc.memmsg, "memmsg"},
+        {ct.dc.datapath, "datapath"},
+        {ct.dc.nxtdirst, "nxtdirst"},
+        {ct.dc.nxtdirpv, "nxtdirpv"},
+        {ct.dc.nxtbdirst, "nxtbdirst"},
+        {ct.dc.nxtbdirpv, "nxtbdirpv"},
+        {ct.dc.bdirop, "bdirop"}}},
+      {asura::kMemory, &ct.m,
+       {"inmsg"},
+       {{ct.mc.outmsg, "outmsg"}, {ct.mc.memop, "memop"}}},
+      {asura::kNode, &ct.nc,
+       {"inmsg", "ncst"},
+       {{ct.ncc.netmsg, "netmsg"},
+        {ct.ncc.fillmsg, "fillmsg"},
+        {ct.ncc.nxtncst, "nxtncst"},
+        {ct.ncc.nccmpl, "nccmpl"}}},
+      {asura::kCache, &ct.cc,
+       {"inmsg", "cst"},
+       {{ct.ccc.nxtcst, "nxtcst"}, {ct.ccc.outmsg, "outmsg"}}},
+      {asura::kRemoteSnoop, &ct.rsn,
+       {"inmsg", "rsnst"},
+       {{ct.rsnc.cmdmsg, "cmdmsg"},
+        {ct.rsnc.nxtrsnst, "nxtrsnst"},
+        {ct.rsnc.homemsg, "homemsg"}}},
+      {asura::kIo, &ct.ioc,
+       {"inmsg", "iocst"},
+       {{ct.iocc.outmsg, "outmsg"},
+        {ct.iocc.devmsg, "devmsg"},
+        {ct.iocc.nxtiocst, "nxtiocst"}}},
+  };
+}
+
+/// find() with a runtime-length key (the tables key on 1, 2 or 6 columns).
+std::optional<std::size_t> find_key(const ControllerDispatch& d,
+                                    const std::vector<Value>& k) {
+  switch (k.size()) {
+    case 1:
+      return d.find({k[0]});
+    case 2:
+      return d.find({k[0], k[1]});
+    case 6:
+      return d.find({k[0], k[1], k[2], k[3], k[4], k[5]});
+    default:
+      ADD_FAILURE() << "no find() arity for " << k.size() << " key columns";
+      return std::nullopt;
+  }
+}
+
+/// The test-local oracle: a linear scan for the first row whose key columns
+/// equal `key`.
+std::optional<std::size_t> scan(const Table& t,
+                                const std::vector<std::string>& keys,
+                                const std::vector<Value>& key) {
+  std::vector<ColumnView> cols;
+  for (const auto& k : keys) cols.push_back(t.column(k));
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    bool match = true;
+    for (std::size_t k = 0; k < cols.size() && match; ++k) {
+      match = cols[k][r] == key[k];
+    }
+    if (match) return r;
+  }
+  return std::nullopt;
+}
+
+std::vector<Value> key_of(const Table& t, const std::vector<std::string>& keys,
+                          std::size_t row) {
+  std::vector<Value> key;
+  for (const auto& k : keys) key.push_back(t.column(k)[row]);
+  return key;
+}
+
+/// Every row of all six compiled dispatches: its key finds that row (the
+/// first and only match of a linear scan), and every output-column handle
+/// reads what Table::at reads by name.  Keys that take one column from
+/// another row probe in-domain tuples the table may lack; dispatch and scan
+/// must agree on those too.
+TEST(ControllerDispatch, AllSixMatchLinearScanOnEveryRow) {
+  const auto tables = CompiledTables::compile(spec());
+  for (const DispatchCase& c : all_six(*tables)) {
+    SCOPED_TRACE(c.table);
+    const Table& t = spec().database().catalog().get(c.table);
+    ASSERT_EQ(&c.dispatch->table(), &t);
+    ASSERT_GT(t.row_count(), 0u);
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      const std::vector<Value> key = key_of(t, c.keys, r);
+      const auto found = find_key(*c.dispatch, key);
+      ASSERT_TRUE(found.has_value()) << "row " << r;
+      EXPECT_EQ(*found, r);
+      EXPECT_EQ(scan(t, c.keys, key), std::optional<std::size_t>(r));
+      for (const auto& [handle, name] : c.cols) {
+        EXPECT_EQ(c.dispatch->at(r, handle),
+                  t.at(r, t.schema().index_of(name)))
+            << name << " at row " << r;
+      }
+      const std::vector<Value> other =
+          key_of(t, c.keys, (r * 7 + 3) % t.row_count());
+      for (std::size_t k = 0; k < key.size(); ++k) {
+        std::vector<Value> spliced = key;
+        spliced[k] = other[k];
+        EXPECT_EQ(find_key(*c.dispatch, spliced), scan(t, c.keys, spliced));
+      }
+    }
   }
 }
 
 TEST(ControllerDispatch, MissesAgree) {
   const Table& cc = spec().database().catalog().get(asura::kCache);
-  ControllerDispatch dense(cc, {"inmsg", "cst"},
-                           ControllerDispatch::Mode::kDense);
-  TableIndex oracle(cc, {"inmsg", "cst"});
+  ControllerDispatch dense(cc, {"inmsg", "cst"});
   // A symbol that never appears in the key columns, and a legal symbol in
   // the wrong column.
   const Value nosuch = Symbol::intern("definitely-not-a-message");
   const Value st = Symbol::intern("I");
   EXPECT_FALSE(dense.find({nosuch, st}).has_value());
-  EXPECT_FALSE(oracle.find({nosuch, st}).has_value());
+  EXPECT_FALSE(scan(cc, {"inmsg", "cst"}, {nosuch, st}).has_value());
   EXPECT_FALSE(dense.find({st, nosuch}).has_value());
-  EXPECT_FALSE(oracle.find({st, nosuch}).has_value());
+  EXPECT_FALSE(scan(cc, {"inmsg", "cst"}, {st, nosuch}).has_value());
+
+  // The same probes against all six: a foreign symbol in any key position
+  // misses.
+  const auto tables = CompiledTables::compile(spec());
+  for (const DispatchCase& c : all_six(*tables)) {
+    SCOPED_TRACE(c.table);
+    const Table& t = spec().database().catalog().get(c.table);
+    const std::vector<Value> key = key_of(t, c.keys, 0);
+    for (std::size_t k = 0; k < key.size(); ++k) {
+      std::vector<Value> probe = key;
+      probe[k] = nosuch;
+      EXPECT_FALSE(find_key(*c.dispatch, probe).has_value()) << c.keys[k];
+      EXPECT_FALSE(scan(t, c.keys, probe).has_value()) << c.keys[k];
+    }
+  }
 }
 
 TEST(CompiledTables, DenseIsSharedAcrossMachines) {
-  auto tables =
-      CompiledTables::compile(spec(), ControllerDispatch::Mode::kDense);
+  auto tables = CompiledTables::compile(spec());
   SimConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 4;
@@ -83,65 +267,103 @@ TEST(CompiledTables, DenseIsSharedAcrossMachines) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
-/// The differential replay at machine level: a dense-dispatch run and a
-/// hashed (TableIndex) run of the same configuration must make identical
-/// decisions — same final state fingerprint, same event counts, same cycle
-/// charges.  Only the dispatch-internal accounting (table hit counters are
-/// attributed per mode) and wall-clock rates may differ.
-void differential_replay(Workload wl, unsigned seed) {
-  SimConfig cfg;
-  cfg.n_quads = 4;
-  cfg.n_addrs = 8;
-  cfg.channel_capacity = 2;
-  cfg.transactions_per_node = 40;
-  cfg.workload = wl;
-  cfg.seed = seed;
+/// Machine-level replays pinned to golden values.  Each is the outcome the
+/// dense and the since-deleted hashed dispatch engines both produced for
+/// the configuration, so a dispatch change that alters any lookup shows up
+/// as a changed trajectory.  The fingerprint is pinned as its FNV-1a hash.
+struct Golden {
+  Workload workload;
+  unsigned seed;
+  std::uint64_t fingerprint_fnv;
+  std::uint64_t steps;
+  std::uint64_t msgs_sent;
+  std::uint64_t cycles;
+  std::uint64_t table_hits;
+  std::uint64_t vc_null, vc0, vc1, vc2, vc3;
+};
 
-  cfg.dense_dispatch = true;
-  Machine dense(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
-  cfg.dense_dispatch = false;
-  Machine hashed(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
+constexpr Golden kRandomGoldens[] = {
+    {Workload::kRandom, 7, 0x3cf509c5718a0c2fULL, 255, 1260, 16598, 1845,
+     137, 398, 104, 223, 398},
+    {Workload::kRandom, 1234, 0x81a415931f3a844eULL, 242, 1206, 15174, 1741,
+     123, 395, 96, 197, 395},
+};
+constexpr Golden kShapedGoldens[] = {
+    {Workload::kLock, 7, 0x8ec8f36ee0248813ULL, 318, 1374, 12648, 1829, 99,
+     501, 87, 186, 501},
+    {Workload::kProducerConsumer, 7, 0x219d5a597b59dfabULL, 244, 1572, 20824,
+     2564, 160, 442, 224, 304, 442},
+    {Workload::kFalseSharing, 7, 0x439ef7837824fe4dULL, 182, 816, 7332, 1095,
+     57, 296, 55, 112, 296},
+    {Workload::kStreaming, 7, 0x863ee85348855993ULL, 232, 1460, 20516, 2452,
+     160, 384, 224, 308, 384},
+};
 
-  dense.set_memory_latency(3);
-  hashed.set_memory_latency(3);
-  dense.enable_workload();
-  hashed.enable_workload();
-
-  const SimResult rd = dense.run();
-  const SimResult rh = hashed.run();
-
-  ASSERT_TRUE(rd.healthy()) << "dense run unhealthy (wl="
-                            << workload_name(wl) << ")";
-  ASSERT_TRUE(rh.healthy()) << "hashed run unhealthy (wl="
-                            << workload_name(wl) << ")";
-  EXPECT_EQ(dense.fingerprint(), hashed.fingerprint());
-  EXPECT_EQ(rd.steps, rh.steps);
-  EXPECT_EQ(rd.transactions_done, rh.transactions_done);
-  EXPECT_EQ(rd.counters.msgs_sent, rh.counters.msgs_sent);
-  EXPECT_EQ(rd.counters.msgs_recv, rh.counters.msgs_recv);
-  EXPECT_EQ(rd.counters.ops_injected, rh.counters.ops_injected);
-  EXPECT_EQ(rd.counters.send_stalls, rh.counters.send_stalls);
-  EXPECT_EQ(rd.counters.cache_hits, rh.counters.cache_hits);
-  EXPECT_EQ(rd.counters.cycles, rh.counters.cycles);
-  EXPECT_EQ(rd.counters.mem_cycles, rh.counters.mem_cycles);
-  EXPECT_EQ(rd.counters.bus_cycles, rh.counters.bus_cycles);
-  EXPECT_EQ(rd.counters.c2c_cycles, rh.counters.c2c_cycles);
-  EXPECT_EQ(rd.counters.table_hits, rh.counters.table_hits);
-  EXPECT_EQ(rd.counters.table_misses, rh.counters.table_misses);
-  EXPECT_EQ(rd.counters.per_vc_sent, rh.counters.per_vc_sent);
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
-TEST(DispatchDifferential, RandomWorkloadReplays) {
-  differential_replay(Workload::kRandom, 7);
-  differential_replay(Workload::kRandom, 1234);
+SweepRun golden_cell(const Golden& g) {
+  SweepRun cell;
+  cell.config.n_quads = 4;
+  cell.config.n_addrs = 8;
+  cell.config.channel_capacity = 2;
+  cell.config.transactions_per_node = 40;
+  cell.config.workload = g.workload;
+  cell.config.seed = g.seed;
+  cell.assignment = asura::kAssignV5Fix;
+  cell.memory_latency = 3;
+  return cell;
 }
 
-TEST(DispatchDifferential, ShapedWorkloadsReplay) {
-  differential_replay(Workload::kLock, 7);
-  differential_replay(Workload::kProducerConsumer, 7);
-  differential_replay(Workload::kFalseSharing, 7);
-  differential_replay(Workload::kStreaming, 7);
+void expect_golden(const Golden& g, const SimResult& r) {
+  ASSERT_TRUE(r.healthy());
+  EXPECT_EQ(r.steps, g.steps);
+  EXPECT_EQ(r.transactions_done, 160);
+  EXPECT_EQ(r.counters.msgs_sent, g.msgs_sent);
+  EXPECT_EQ(r.counters.msgs_recv, g.msgs_sent);
+  EXPECT_EQ(r.counters.cycles, g.cycles);
+  EXPECT_EQ(r.counters.table_hits, g.table_hits);
+  EXPECT_EQ(r.counters.table_misses, 0u);
+  const std::map<Value, std::uint64_t> vcs = {
+      {null_value(), g.vc_null}, {V("VC0"), g.vc0}, {V("VC1"), g.vc1},
+      {V("VC2"), g.vc2},         {V("VC3"), g.vc3}};
+  EXPECT_EQ(r.counters.per_vc_sent, vcs);
 }
+
+/// Each golden through a privately compiled Machine, then the whole set as
+/// one sweep on shared tables at several lane counts.
+template <std::size_t N>
+void replay_goldens(const Golden (&goldens)[N]) {
+  std::vector<SweepRun> grid;
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(workload_name(g.workload)) + " seed " +
+                 std::to_string(g.seed));
+    const SweepRun cell = golden_cell(g);
+    Machine m(spec(), spec().assignment(cell.assignment), cell.config);
+    m.set_memory_latency(cell.memory_latency);
+    m.enable_workload();
+    expect_golden(g, m.run());
+    EXPECT_EQ(fnv1a(m.fingerprint()), g.fingerprint_fnv);
+    grid.push_back(cell);
+  }
+  const SweepEngine engine(spec());
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const SweepResult swept = engine.run(grid, jobs);
+    ASSERT_EQ(swept.runs.size(), N);
+    for (std::size_t i = 0; i < N; ++i) expect_golden(goldens[i], swept.runs[i]);
+  }
+}
+
+TEST(DispatchGolden, RandomWorkloadReplays) { replay_goldens(kRandomGoldens); }
+
+TEST(DispatchGolden, ShapedWorkloadsReplay) { replay_goldens(kShapedGoldens); }
 
 }  // namespace
 }  // namespace ccsql::sim

@@ -103,7 +103,7 @@ TEST(Sweep, MatchesSequentialOracle) {
   const auto grid = small_grid();
   const SweepResult swept = engine.run(grid, 4);
 
-  auto tables = CompiledTables::compile(spec(), ControllerDispatch::Mode::kDense);
+  auto tables = CompiledTables::compile(spec());
   SimCounters oracle_merged;
   std::uint64_t oracle_events = 0;
   ASSERT_EQ(swept.runs.size(), grid.size());
@@ -140,27 +140,26 @@ TEST(Sweep, UnhealthyCellFailsTheSweep) {
   EXPECT_TRUE(r.runs[2].healthy());
 }
 
-/// Hashed-dispatch cells run through the same engine (private TableIndex
-/// per cell) and agree with their dense twins — the sweep-level face of the
-/// dispatch differential.
-TEST(Sweep, HashedCellsAgreeWithDense) {
+/// A sweep cell on the engine's shared tables replays exactly like a
+/// Machine that compiles its own tables.
+TEST(Sweep, SharedTablesMatchPrivateCompile) {
   const SweepEngine engine(spec());
-  std::vector<SweepRun> grid;
-  for (bool dense : {true, false}) {
-    SweepRun cell;
-    cell.config.n_quads = 3;
-    cell.config.n_addrs = 6;
-    cell.config.channel_capacity = 2;
-    cell.config.transactions_per_node = 25;
-    cell.config.seed = 7;
-    cell.config.dense_dispatch = dense;
-    cell.assignment = asura::kAssignV5Fix;
-    cell.memory_latency = 2;
-    grid.push_back(std::move(cell));
-  }
-  const SweepResult r = engine.run(grid, 2);
+  SweepRun cell;
+  cell.config.n_quads = 3;
+  cell.config.n_addrs = 6;
+  cell.config.channel_capacity = 2;
+  cell.config.transactions_per_node = 25;
+  cell.config.seed = 7;
+  cell.assignment = asura::kAssignV5Fix;
+  cell.memory_latency = 2;
+  const SweepResult r = engine.run({cell, cell}, 2);
   EXPECT_TRUE(r.all_healthy());
   expect_result_eq(r.runs[0], r.runs[1]);
+
+  Machine m(spec(), spec().assignment(cell.assignment), cell.config);
+  m.set_memory_latency(cell.memory_latency);
+  m.enable_workload();
+  expect_result_eq(r.runs[0], m.run());
 }
 
 TEST(Sweep, DefaultGridShape) {

@@ -1,11 +1,10 @@
 // Diagnostic: exhaustive exploration of small configurations.
 //
-//   reach_dump [QUADS [ADDRS [OPS]]] [--jobs N] [--symmetry] [--sequential]
+//   reach_dump [QUADS [ADDRS [OPS]]] [--jobs N] [--symmetry]
 //              [--max-states N] [--first-deadlock] [--trace] [--classify]
 //
 // Runs both channel assignments (V5 and the fixed V5) through the parallel
-// explorer (or the sequential oracle with --sequential), prints the
-// aggregate results, the deadlock witness trace when one exists (--trace
+// explorer, prints the aggregate results, the deadlock witness trace when one exists (--trace
 // prints every action), and with --classify labels each VCG cycle
 // reachable / unreachable / budget against the explored state space.
 #include <cstdio>
@@ -24,7 +23,6 @@ int main(int argc, char** argv) {
   auto spec = asura::make_asura();
 
   ReachParallelConfig cfg;
-  bool sequential = false;
   bool classify = false;
   bool print_trace = false;
   std::vector<int> positional;
@@ -35,8 +33,6 @@ int main(int argc, char** argv) {
       core::Pool::set_default_jobs(jobs == 0 ? 1 : jobs);
     } else if (std::strcmp(argv[i], "--symmetry") == 0) {
       cfg.symmetry = true;
-    } else if (std::strcmp(argv[i], "--sequential") == 0) {
-      sequential = true;
     } else if (std::strcmp(argv[i], "--classify") == 0) {
       classify = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -60,7 +56,7 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr,
                    "usage: reach_dump [QUADS [ADDRS [OPS]]] [--jobs N] "
-                   "[--symmetry] [--sequential] [--max-states N] "
+                   "[--symmetry] [--max-states N] "
                    "[--first-deadlock] [--trace] [--classify] "
                    "[--only-ops A,B] [--node-ops N,M]\n");
       return 2;
@@ -73,19 +69,6 @@ int main(int argc, char** argv) {
   cfg.ops_per_node = positional.size() > 2 ? positional[2] : 2;
 
   for (const char* a : {asura::kAssignV5, asura::kAssignV5Fix}) {
-    if (sequential) {
-      ReachResult r = explore(*spec, spec->assignment(a), cfg);
-      std::printf(
-          "%s: states=%llu transitions=%llu complete=%d deadlocks=%llu "
-          "violations=%zu %.2fs\n",
-          a, (unsigned long long)r.states, (unsigned long long)r.transitions,
-          r.complete, (unsigned long long)r.deadlock_states,
-          r.violations.size(), r.seconds);
-      for (auto& viol : r.violations) std::printf("  %s\n", viol.c_str());
-      if (r.deadlock_states) std::printf("%s", r.deadlock_example.c_str());
-      continue;
-    }
-
     ReachParallelResult r =
         explore_parallel(*spec, spec->assignment(a), cfg);
     std::printf(

@@ -1,8 +1,7 @@
 // Pool-parallel validation sweep across topologies / capacities / workload
 // shapes / seeds, measured in events/sec (DESIGN.md §15).
 //
-// Usage: sim_sweep [--jobs N] [--seeds N] [--assignment V5fix]
-//                  [--hashed] [--quiet]
+// Usage: sim_sweep [--jobs N] [--seeds N] [--assignment V5fix] [--quiet]
 //
 // The grid is run through sim::SweepEngine: the controller tables are
 // dense-compiled once and shared read-only across every run; --jobs (or
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
   std::size_t jobs = core::Pool::default_jobs();
   unsigned seeds = 8;
   std::string assignment = asura::kAssignV5Fix;
-  bool dense = true;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -41,14 +39,12 @@ int main(int argc, char** argv) {
       seeds = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--assignment" && i + 1 < argc) {
       assignment = argv[++i];
-    } else if (arg == "--hashed") {
-      dense = false;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
       std::fprintf(stderr,
                    "usage: sim_sweep [--jobs N] [--seeds N] "
-                   "[--assignment NAME] [--hashed] [--quiet]\n");
+                   "[--assignment NAME] [--quiet]\n");
       return 2;
     }
   }
@@ -57,13 +53,9 @@ int main(int argc, char** argv) {
   bench::enable_metrics();
   const ProtocolSpec& spec = bench::asura_spec();
   SweepEngine engine(spec);
-  std::vector<SweepRun> grid = default_sweep_grid(assignment, seeds);
-  if (!dense) {
-    for (SweepRun& cell : grid) cell.config.dense_dispatch = false;
-  }
-  std::printf("# sim_sweep: %zu runs (%s, %s dispatch), jobs=%zu\n",
-              grid.size(), assignment.c_str(), dense ? "dense" : "hashed",
-              jobs);
+  const std::vector<SweepRun> grid = default_sweep_grid(assignment, seeds);
+  std::printf("# sim_sweep: %zu runs (%s), jobs=%zu\n", grid.size(),
+              assignment.c_str(), jobs);
 
   const SweepResult result = engine.run(grid, jobs);
 
