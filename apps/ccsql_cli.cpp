@@ -17,11 +17,11 @@
 //                                     table-driven simulation, reporting
 //                                     events/sec
 //   ccsql reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]
-//         [--symmetry] [--classify] [--witness]
+//         [--symmetry] [--classify] [--witness] [--max-bytes N]
 //                                     exhaustive exploration with the
 //                                     parallel explorer; --classify labels
 //                                     VCG cycles against the reachable
-//                                     states
+//                                     states, --max-bytes caps its memory
 //   ccsql lint                        specification hygiene advisories
 //   ccsql serve [--sessions N] [--iterations N] [--writer N] [--script F]
 //                                     multi-session serving loop
@@ -91,7 +91,7 @@ constexpr FlagSpec kFlags[] = {
     // reach
     {"--ops", kInt}, {"--max-states", kInt}, {"--first-deadlock"},
     {"--symmetry"}, {"--only-ops", kString}, {"--node-ops", kString},
-    {"--witness"}, {"--classify"},
+    {"--witness"}, {"--classify"}, {"--max-bytes", kString},
     // serve
     {"--sessions", kInt}, {"--iterations", kInt}, {"--max-inflight", kInt},
     {"--writer", kInt}, {"--script", kString},
@@ -161,14 +161,16 @@ int usage() {
          "                           false-sharing, streaming\n"
          "  reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]\n"
          "        [--symmetry] [--classify] [--witness]\n"
-         "        [--max-states N] [--first-deadlock]\n"
+         "        [--max-states N] [--max-bytes N] [--first-deadlock]\n"
          "        [--only-ops A,B] [--node-ops N,M]\n"
          "                           parallel reachability (sharded visited\n"
          "                           set, deterministic at any --jobs);\n"
          "                           --symmetry canonicalizes modulo quad/\n"
          "                           address permutations, --classify labels\n"
          "                           each VCG cycle reachable/unreachable,\n"
-         "                           --witness prints the deadlock trace\n"
+         "                           --witness prints the deadlock trace,\n"
+         "                           --max-bytes stops the search once its\n"
+         "                           tracked memory passes N bytes\n"
          "  lint                     specification hygiene advisories\n"
          "  serve [--sessions N] [--iterations N] [--max-inflight N]\n"
          "        [--writer N] [--script FILE] [-v]\n"
@@ -343,6 +345,16 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
       static_cast<std::uint64_t>(args.value_of("--max-states", 2000000));
   cfg.stop_at_first_deadlock = args.has("--first-deadlock");
   cfg.symmetry = args.has("--symmetry");
+  if (args.has("--max-bytes")) {
+    // A string flag: byte budgets pass the int range integer flags take.
+    const std::string text = args.str_value_of("--max-bytes");
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, cfg.max_bytes);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+      std::cerr << "error: --max-bytes needs a byte count\n";
+      return 2;
+    }
+  }
   // Directed exploration: comma-separated op names / per-node budgets.
   if (const std::string ops = args.str_value_of("--only-ops");
       !ops.empty()) {
@@ -373,6 +385,11 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
             << " violations=" << r.violations.size()
             << " waves=" << r.waves << " dedup=" << r.dedup_hits
             << " canon=" << r.canon_group << " (" << r.seconds << "s)\n";
+  if (args.has("--stats")) {
+    std::cout << "explorer memory: peak " << obs::format_bytes(r.peak_bytes)
+              << " (" << r.peak_bytes / std::max<std::uint64_t>(r.states, 1)
+              << " B/state)\n";
+  }
   for (const auto& v : r.violations) std::cout << "  " << v << "\n";
   if (r.deadlock_states > 0) {
     std::cout << r.deadlock_example;

@@ -85,6 +85,12 @@ struct ReachParallelConfig : ReachConfig {
   /// system, so verdicts are preserved; visited-state counts shrink by up
   /// to the orbit factor.
   bool symmetry = false;
+  /// Memory budget in bytes for the explorer's tracked state (the
+  /// MemTracker kExplorer figure: visited set, frontiers, successor
+  /// buffers, parent edges); 0 = unlimited.  Checked after each wave's
+  /// merge, so the search can pass it by one wave's growth; it then stops
+  /// with `complete = false`, and classify_cycles reports kBudget.
+  std::uint64_t max_bytes = 0;
 };
 
 /// One reachable global-deadlock state, with enough context to classify
@@ -101,6 +107,9 @@ struct ReachParallelResult : ReachResult {
   std::uint64_t waves = 0;       // BFS depth reached
   std::uint64_t dedup_hits = 0;  // successor candidates already visited
   std::uint64_t canon_group = 1; // symmetry-group order (relabelings tried)
+  /// High-water mark of the explorer's tracked bytes (see max_bytes); the
+  /// same at any jobs value.
+  std::uint64_t peak_bytes = 0;
   /// First deadlock found per distinct wedged-channel set, in BFS order.
   std::vector<ReachDeadlock> deadlocks;
   /// Convenience: the trace of the first deadlock (empty when none).
@@ -122,7 +131,8 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
 enum class CycleVerdict {
   kReachable,    // a reachable deadlock realizes exactly this channel set
   kUnreachable,  // search exhausted the space without realizing it
-  kBudget,       // search truncated (max_states / first-deadlock stop)
+  kBudget,       // search truncated (max_states / max_bytes /
+                 // first-deadlock stop)
 };
 
 struct CycleClassification {

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/pool.hpp"
+#include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "sim/machine.hpp"
 
@@ -77,6 +78,12 @@ class ShardedVisited {
     slot = h;
     ++s.used;
     return true;
+  }
+  /// Bytes the tables hold.
+  [[nodiscard]] std::size_t bytes() const {
+    std::size_t total = 0;
+    for (const Shard& s : shards_) total += s.slots.size() * sizeof(Hash128);
+    return total;
   }
 
  private:
@@ -160,9 +167,9 @@ struct ParentEdge {
   Machine::Action act{};
 };
 
-/// Machine states packed back to back in one word arena (Machine::save
-/// output), so a wave's frontier or a morsel's successors cost one growing
-/// allocation rather than one per state.
+/// Machine states packed back to back in one word buffer (Machine::save
+/// output, variable length), so a wave's frontier or a lane's successors
+/// cost one growing allocation rather than one per state.
 class StateArena {
  public:
   /// Appends the machine's current state.
@@ -187,6 +194,15 @@ class StateArena {
     words_.clear();
     start_.clear();
   }
+  /// Bytes held: capacity, or only what the states fill.
+  [[nodiscard]] std::size_t capacity_bytes() const {
+    return words_.capacity() * sizeof(std::uint64_t) +
+           start_.capacity() * sizeof(std::size_t);
+  }
+  [[nodiscard]] std::size_t used_bytes() const {
+    return words_.size() * sizeof(std::uint64_t) +
+           start_.size() * sizeof(std::size_t);
+  }
 
  private:
   [[nodiscard]] std::size_t begin(std::size_t i) const { return start_[i]; }
@@ -198,27 +214,34 @@ class StateArena {
 };
 
 /// A successor produced during wave expansion, pending the merge's
-/// visited-set decision; its state is the same index of the morsel's arena.
+/// visited-set decision; its state is the same index of its lane's arena.
 struct Candidate {
   Hash128 hash{};
   std::uint64_t parent = 0;
   Machine::Action act{};
 };
 
-/// One morsel's expansion output.  Slot-per-morsel and concatenated in
-/// morsel order, per the pool's determinism contract; reused across waves,
-/// so after the first few its buffers stop growing.
-struct MorselOut {
+/// One pool lane's expansion output for a wave: the successors of every
+/// morsel the lane ran, in the order it ran them.  One buffer per lane,
+/// reused across waves, holds at most one wave's successors.  Cache-line
+/// aligned: lanes append to their own buffers concurrently.
+struct alignas(64) LaneOut {
   std::vector<Candidate> candidates;
   StateArena states;  // parallel to candidates
+};
+
+/// One morsel's expansion output: its successors' range in its lane's
+/// buffer, plus its findings.  Slot-per-morsel and walked in morsel order,
+/// per the pool's determinism contract.
+struct MorselOut {
+  std::size_t lane = 0;
+  std::size_t first = 0, last = 0;  // candidate range in lane_outs[lane]
   std::vector<std::pair<std::string, std::string>> violations;  // raw, suffix
   std::vector<std::size_t> deadlocks;  // frontier indices
   std::uint64_t transitions = 0;
   std::uint64_t dedup_hits = 0;
 
   void clear() {
-    candidates.clear();
-    states.clear();
     violations.clear();
     deadlocks.clear();
     transitions = dedup_hits = 0;
@@ -276,11 +299,32 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
 
   ShardedVisited visited;
   std::vector<ParentEdge> parents;
-  // This wave's states and their ids, the next wave's, and the per-morsel
-  // expansion outputs: all kept across waves so their buffers are reused.
+  // This wave's states and their ids, the next wave's, the per-lane
+  // successor buffers and the per-morsel records: all kept across waves so
+  // their buffers are reused.
   StateArena frontier, next;
   std::vector<std::uint64_t> ids, next_ids;
+  std::vector<LaneOut> lane_outs(lanes);
   std::vector<MorselOut> outs;
+
+  // The explorer's bytes, sampled after each merge: the visited set,
+  // parent edges, both frontier buffers at capacity, and the wave's
+  // successors at the size they fill in the lane buffers.  Every term is a
+  // function of the search alone, not of which lane ran which morsel, so
+  // the figure — and a max_bytes stop — is the same at any jobs value.
+  obs::MemReservation mem(obs::MemTracker::Category::kExplorer, 0);
+  const auto tracked_bytes = [&] {
+    std::size_t bytes = visited.bytes() +
+                        parents.capacity() * sizeof(ParentEdge) +
+                        frontier.capacity_bytes() + next.capacity_bytes() +
+                        (ids.capacity() + next_ids.capacity()) *
+                            sizeof(std::uint64_t);
+    for (const LaneOut& lane : lane_outs) {
+      bytes += lane.candidates.size() * sizeof(Candidate) +
+               lane.states.used_bytes();
+    }
+    return bytes;
+  };
 
   Machine& root = lane_machine();  // the caller's lane
   visited.insert(root.canonical_hash(group));
@@ -303,6 +347,10 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
     const std::size_t n = frontier.size();
     const std::size_t morsels = (n + kGrain - 1) / kGrain;
     if (outs.size() < morsels) outs.resize(morsels);
+    for (LaneOut& lane : lane_outs) {
+      lane.candidates.clear();
+      lane.states.clear();
+    }
 
     CCSQL_SPAN(expand_span, "reach.expand", "checks");
     expand_span.arg("wave", result.waves).arg("frontier", n);
@@ -312,6 +360,9 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
           Machine& mach = lane_machine();
           MorselOut& out = outs[m];
           out.clear();
+          out.lane = static_cast<std::size_t>(core::Pool::worker_id() + 1);
+          LaneOut& lane = lane_outs[out.lane];
+          out.first = lane.candidates.size();
           thread_local std::vector<Machine::Action> actions;
           for (std::size_t i = begin; i < end; ++i) {
             const std::uint64_t* state = frontier[i];
@@ -332,8 +383,8 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
                 ++out.dedup_hits;
                 continue;
               }
-              out.candidates.push_back(Candidate{h, ids[i], action});
-              out.states.push(mach);
+              lane.candidates.push_back(Candidate{h, ids[i], action});
+              lane.states.push(mach);
             }
             if (!any_fired) {
               // Terminal state: quiescent-and-done is fine; anything else
@@ -348,6 +399,7 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
               }
             }
           }
+          out.last = lane.candidates.size();
         });
 
     expand_span.end();
@@ -360,6 +412,7 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
     next_ids.clear();
     for (std::size_t m = 0; m < morsels; ++m) {
       MorselOut& out = outs[m];
+      const LaneOut& lane = lane_outs[out.lane];
       result.transitions += out.transitions;
       result.dedup_hits += out.dedup_hits;
       for (auto& [raw, suffix] : out.violations) {
@@ -377,16 +430,16 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
         }
         first_by_wedge.try_emplace(mach.occupied_vcs(), ids[i]);
       }
-      for (std::size_t c = 0; c < out.candidates.size(); ++c) {
+      for (std::size_t c = out.first; c < out.last; ++c) {
         if (truncated) break;
-        const Candidate& cand = out.candidates[c];
+        const Candidate& cand = lane.candidates[c];
         if (!visited.insert(cand.hash)) {
           ++result.dedup_hits;  // same-wave duplicate
           continue;
         }
         const std::uint64_t id = parents.size();
         parents.push_back(ParentEdge{cand.parent, cand.act});
-        next.push(out.states, c);
+        next.push(lane.states, c);
         next_ids.push_back(id);
         ++result.states;
         if (result.states >= config.max_states) {
@@ -402,9 +455,18 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
     }
     if (truncated) stop = true;
 
+    const std::size_t bytes = tracked_bytes();
+    mem.resize(bytes);
+    result.peak_bytes = std::max<std::uint64_t>(result.peak_bytes, bytes);
+    if (config.max_bytes != 0 && bytes > config.max_bytes) {
+      result.complete = false;
+      stop = true;
+    }
+
     merge_span.arg("wave", result.waves)
         .arg("states", result.states)
-        .arg("frontier", next.size());
+        .arg("frontier", next.size())
+        .arg("bytes", bytes);
     merge_span.end();
     std::swap(frontier, next);
     std::swap(ids, next_ids);

@@ -94,6 +94,8 @@ const char* to_string(MemTracker::Category cat) noexcept {
       return "hash_builds";
     case MemTracker::Category::kPlans:
       return "plans";
+    case MemTracker::Category::kExplorer:
+      return "explorer";
   }
   return "?";
 }

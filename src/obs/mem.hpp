@@ -1,13 +1,15 @@
 #pragma once
 
-// Memory accounting for the long-lived allocations the query engine makes:
-// catalog-resident tables, secondary indexes, and hash-join build sides.
+// Memory accounting for the long-lived allocations the query engine makes
+// (catalog-resident tables, secondary indexes, hash-join build sides, cached
+// plans) and for the reachability explorer's search state.
 //
 // MemTracker keeps a live/peak byte pair per category behind relaxed
 // atomics, so the hooks (Catalog::put, Table::index_on, the executor's
-// local build sides) cost two atomic RMWs each — cheap enough to stay on
-// unconditionally, with or without tracing.  EXPLAIN ANALYZE, the CLI's
-// --stats page, and the bench metrics JSON all read the same tracker.
+// local build sides, the explorer's per-wave sample) cost two atomic RMWs
+// each — cheap enough to stay on unconditionally, with or without tracing.
+// EXPLAIN ANALYZE, the CLI's --stats page, and the bench metrics JSON all
+// read the same tracker.
 //
 // MemReservation is the RAII handle the hooks hold: it registers bytes on
 // construction and releases them on destruction, so live counts stay
@@ -30,8 +32,9 @@ class MemTracker {
     kIndexes = 1,     // secondary indexes (Table::index_on cache)
     kHashBuilds = 2,  // materialised hash-join build sides
     kPlans = 3,       // prepared-statement cache (serve::PlanCache)
+    kExplorer = 4,    // explore_parallel: visited set, frontiers, parents
   };
-  static constexpr unsigned kCategories = 4;
+  static constexpr unsigned kCategories = 5;
 
   MemTracker() = default;
   MemTracker(const MemTracker&) = delete;
@@ -116,6 +119,17 @@ class MemReservation {
   void reset() noexcept {
     if (bytes_ != 0) MemTracker::global().release(cat_, bytes_);
     bytes_ = 0;
+  }
+
+  /// Re-registers as `bytes` (the owner grew or shrank), charging only the
+  /// difference so the category's peak never counts both sizes at once.
+  void resize(std::uint64_t bytes) noexcept {
+    if (bytes > bytes_) {
+      MemTracker::global().add(cat_, bytes - bytes_);
+    } else if (bytes < bytes_) {
+      MemTracker::global().release(cat_, bytes_ - bytes);
+    }
+    bytes_ = bytes;
   }
 
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }

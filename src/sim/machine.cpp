@@ -1176,7 +1176,7 @@ Machine::Snapshot Machine::snapshot() const {
   return snap;
 }
 
-void Machine::save(std::uint64_t* out) const {
+std::size_t Machine::save(std::uint64_t* out) const {
   static_assert(std::is_trivially_copyable_v<Ctl> &&
                 std::is_trivially_copyable_v<Cell>);
   auto* p = reinterpret_cast<unsigned char*>(out);
@@ -1185,7 +1185,7 @@ void Machine::save(std::uint64_t* out) const {
   std::memcpy(p, cells_.data(), cells_.size() * sizeof(Cell));
   p += cells_.size() * sizeof(Cell);
   std::memcpy(p, gv_.data(), gv_.size() * sizeof(std::int64_t));
-  net_.save(out + local_words_);
+  return local_words_ + net_.save(out + local_words_);
 }
 
 void Machine::restore(const std::uint64_t* words) {

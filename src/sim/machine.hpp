@@ -119,23 +119,31 @@ class Machine {
   /// Applies one action; returns true iff the state advanced.
   bool apply_action(const Action& action);
 
-  /// Copy of the entire mutable controller and network state: one word
-  /// vector, so a snapshot and a restore are a memcpy each.  Errors are
-  /// diagnostics, not state — restore clears them.
+  /// The entire mutable controller and network state, packed into one word
+  /// vector: the controller arrays, then only the messages in flight (the
+  /// format is Network::save's).  Errors are diagnostics, not state —
+  /// restore clears them.
   struct Snapshot {
     std::vector<std::uint64_t> words;
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap) { restore(snap.words.data()); }
 
-  /// The same copy into caller storage (the explorer packs its frontier
-  /// into one arena): save() writes state_words() words, restore() reads
-  /// what a machine of the same configuration saved.
+  /// The same packing into caller storage (the explorer packs its states
+  /// back to back): save() writes state_words() words and returns that
+  /// count, restore() reads what a machine of the same configuration saved.
+  /// The length varies with the messages in flight.
   [[nodiscard]] std::size_t state_words() const noexcept {
     return local_words_ + net_.state_words();
   }
-  void save(std::uint64_t* out) const;
+  std::size_t save(std::uint64_t* out) const;
   void restore(const std::uint64_t* words);
+
+  /// Message slots per network ring: storage, not state — it grows when a
+  /// push or a restore needs more and never shrinks.
+  [[nodiscard]] std::size_t ring_capacity() const noexcept {
+    return net_.ring_capacity();
+  }
 
   /// The canonical encoding (encode_state under identity labels) as text:
   /// the visited-set key of the sequential explorer.
@@ -206,9 +214,10 @@ class Machine {
 
   // ---- Flat state (DESIGN.md §14) ------------------------------------------
   // Everything snapshot() copies lives in three trivially-copyable arrays
-  // sized at construction, plus the Network's rings.  Directory lines,
-  // memory words, cache states and cache versions are insert-only entries
-  // with a presence bit: "absent" and "present as I / -1 / 0" differ.
+  // sized at construction, plus the messages in the Network's rings.
+  // Directory lines, memory words, cache states and cache versions are
+  // insert-only entries with a presence bit: "absent" and "present as
+  // I / -1 / 0" differ.
 
   /// Directory entry of one (home, address) pair.
   struct DirLine {

@@ -18,7 +18,8 @@ Network::Network(const ChannelAssignment& v, int n_quads, int capacity)
   std::sort(vc_values_.begin(), vc_values_.end());
   n_queues_ = n_quads_ * n_quads_ * vc_values_.size();
   rings_.resize(n_queues_ + n_quads_);
-  layout(std::max<std::size_t>(capacity_, 1));
+  ring_cap_ = static_cast<std::uint32_t>(std::max<std::size_t>(capacity_, 1));
+  arena_.resize(rings_.size() * ring_cap_);
 }
 
 void Network::vc_memo_grow() const {
@@ -69,11 +70,6 @@ Network::VcCode Network::vc_code(const SimMessage& msg,
   return code;
 }
 
-void Network::layout(std::size_t cap) {
-  head_.ring_cap = static_cast<std::uint32_t>(cap);
-  arena_.resize(rings_.size() * cap);
-}
-
 void Network::regrow(std::size_t cap) {
   std::vector<SimMessage> bigger(rings_.size() * cap);
   for (std::size_t r = 0; r < rings_.size(); ++r) {
@@ -82,28 +78,28 @@ void Network::regrow(std::size_t cap) {
     rings_[r].head = 0;
   }
   arena_ = std::move(bigger);
-  head_.ring_cap = static_cast<std::uint32_t>(cap);
+  ring_cap_ = static_cast<std::uint32_t>(cap);
 }
 
 void Network::push(std::size_t r, const SimMessage& msg) {
-  if (rings_[r].len == head_.ring_cap) regrow(2 * head_.ring_cap);
+  if (rings_[r].len == ring_cap_) regrow(2 * std::size_t{ring_cap_});
   RingHdr& h = rings_[r];
   std::size_t k = h.head + h.len;
-  if (k >= head_.ring_cap) k -= head_.ring_cap;
-  arena_[r * head_.ring_cap + k] = msg;
+  if (k >= ring_cap_) k -= ring_cap_;
+  arena_[r * ring_cap_ + k] = msg;
   ++h.len;
 }
 
 void Network::pop_ring(std::size_t r) {
   RingHdr& h = rings_[r];
   if (h.len == 0) return;
-  h.head = h.head + 1 == head_.ring_cap ? 0 : h.head + 1;
+  h.head = h.head + 1 == ring_cap_ ? 0 : h.head + 1;
   --h.len;
 }
 
 void Network::erase_outbox(QuadId q, std::size_t i) {
   const std::size_t r = outbox_ring(q);
-  const std::size_t cap = head_.ring_cap;
+  const std::size_t cap = ring_cap_;
   RingHdr& h = rings_[r];
   for (std::size_t k = i; k + 1 < h.len; ++k) {
     arena_[r * cap + (h.head + k) % cap] =
@@ -120,7 +116,7 @@ bool Network::can_send(const SimMessage& msg, QuadId home) const {
 
 void Network::send_coded(const SimMessage& msg, VcCode code) {
   push(queue_ring(msg.src, msg.dst, code), msg);
-  ++head_.in_flight;
+  ++in_flight_;
 }
 
 void Network::send(const SimMessage& msg, QuadId home) {
@@ -154,39 +150,59 @@ const SimMessage* Network::front(const QueueRef& q) const {
 void Network::pop(const QueueRef& q) {
   if (rings_[q.slot].len == 0) return;
   pop_ring(q.slot);
-  --head_.in_flight;
+  --in_flight_;
 }
 
 std::size_t Network::state_words() const noexcept {
-  return (sizeof(Header) + rings_.size() * sizeof(RingHdr) +
-          arena_.size() * sizeof(SimMessage)) /
-         sizeof(std::uint64_t);
+  std::size_t words = 1;
+  for (const RingHdr& h : rings_) {
+    if (h.len != 0) words += 1 + h.len * kMessageWords;
+  }
+  return words;
 }
 
-void Network::save(std::uint64_t* out) const {
-  auto* p = reinterpret_cast<unsigned char*>(out);
-  std::memcpy(p, &head_, sizeof(Header));
-  p += sizeof(Header);
-  std::memcpy(p, rings_.data(), rings_.size() * sizeof(RingHdr));
-  p += rings_.size() * sizeof(RingHdr);
-  std::memcpy(p, arena_.data(), arena_.size() * sizeof(SimMessage));
+std::size_t Network::save(std::uint64_t* out) const {
+  std::uint64_t* p = out + 1;
+  std::uint32_t saved = 0;
+  for (std::size_t r = 0; r < rings_.size(); ++r) {
+    const RingHdr& h = rings_[r];
+    if (h.len == 0) continue;
+    const RingTag tag{static_cast<std::uint32_t>(r), h.len};
+    std::memcpy(p++, &tag, sizeof(RingTag));
+    // Oldest first: head to the end of storage, then the wrapped part.
+    const SimMessage* base = arena_.data() + r * ring_cap_;
+    const std::size_t first = std::min<std::size_t>(h.len, ring_cap_ - h.head);
+    std::memcpy(p, base + h.head, first * sizeof(SimMessage));
+    std::memcpy(p + first * kMessageWords, base,
+                (h.len - first) * sizeof(SimMessage));
+    p += h.len * kMessageWords;
+    ++saved;
+  }
+  const StateHead head{in_flight_, saved};
+  std::memcpy(out, &head, sizeof(StateHead));
+  return static_cast<std::size_t>(p - out);
 }
 
 void Network::load(const std::uint64_t* in) {
-  // A saved state's rings may be smaller than this Network's (it grew
-  // since): copy it at its own size, then grow back.  Capacity never
-  // shrinks, so explorer lanes settle on the largest layout they meet.
-  const std::size_t keep = head_.ring_cap;
-  Header saved{};
-  std::memcpy(&saved, in, sizeof(Header));
-  if (saved.ring_cap != keep) layout(saved.ring_cap);
-  const auto* p = reinterpret_cast<const unsigned char*>(in);
-  std::memcpy(&head_, p, sizeof(Header));
-  p += sizeof(Header);
-  std::memcpy(rings_.data(), p, rings_.size() * sizeof(RingHdr));
-  p += rings_.size() * sizeof(RingHdr);
-  std::memcpy(arena_.data(), p, arena_.size() * sizeof(SimMessage));
-  if (saved.ring_cap < keep) regrow(keep);
+  StateHead head{};
+  std::memcpy(&head, in++, sizeof(StateHead));
+  in_flight_ = head.in_flight;
+  std::fill(rings_.begin(), rings_.end(), RingHdr{});
+  for (std::uint32_t i = 0; i < head.rings; ++i) {
+    RingTag tag{};
+    std::memcpy(&tag, in++, sizeof(RingTag));
+    if (tag.len > ring_cap_) {
+      // Rings restored so far keep their contents (their heads are 0).
+      std::size_t cap = ring_cap_;
+      while (cap < tag.len) cap *= 2;
+      regrow(cap);
+    }
+    std::memcpy(static_cast<void*>(arena_.data() +
+                                   std::size_t{tag.ring} * ring_cap_),
+                in, tag.len * sizeof(SimMessage));
+    rings_[tag.ring].len = tag.len;
+    in += tag.len * kMessageWords;
+  }
 }
 
 std::string Network::describe_blocked() const {

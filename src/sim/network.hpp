@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "protocol/channel_assignment.hpp"
@@ -25,8 +26,14 @@ namespace ccsql::sim {
 /// can_send admits, not storage: dedicated paths are unbounded, and one
 /// step's outputs are each checked against the occupancy before any is
 /// sent, so a channel may briefly hold more.  Rings therefore share one
-/// storage capacity that doubles when a push finds a ring full.  The whole
-/// queue state is three trivially-copyable arrays; save/load are memcpys.
+/// storage capacity that doubles when a push finds a ring full.
+///
+/// save() packs the queue state: `in_flight`, then each non-empty ring as
+/// its (ring, length) followed by its messages, oldest first.  Empty slots
+/// and the ring layout (storage capacity, head offsets) are not state, so
+/// one logical state saves to the same words whatever the rings' history.
+/// load() rebuilds every ring from slot 0 and grows the storage itself
+/// when a saved ring is longer than the current capacity.
 class Network {
  public:
   Network(const ChannelAssignment& v, int n_quads, int capacity);
@@ -55,9 +62,7 @@ class Network {
   void pop(const QueueRef& q);
 
   /// Messages queued on channels (outboxes excluded).
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return head_.in_flight;
-  }
+  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
   /// Occupancy of every non-empty queue, for deadlock reports.
   [[nodiscard]] std::string describe_blocked() const;
@@ -121,20 +126,37 @@ class Network {
   /// Removes the i-th oldest outbox message, keeping the rest in order.
   void erase_outbox(QuadId q, std::size_t i);
 
-  // ---- Flat state ---------------------------------------------------------
-  /// Size of save()'s output in 64-bit words.
+  // ---- Packed state -------------------------------------------------------
+  /// Size of save()'s output for the current state, in 64-bit words.
   [[nodiscard]] std::size_t state_words() const noexcept;
-  /// Copies the queue state to `out` (state_words() words).
-  void save(std::uint64_t* out) const;
+  /// Packs the queue state into `out`; returns the words written
+  /// (state_words()).
+  std::size_t save(std::uint64_t* out) const;
   /// Replaces the queue state with one save() wrote, possibly by another
   /// Network of the same configuration.
   void load(const std::uint64_t* in);
 
+  /// Message slots per ring: storage, not state (doubles on demand, never
+  /// shrinks).
+  [[nodiscard]] std::size_t ring_capacity() const noexcept {
+    return ring_cap_;
+  }
+
  private:
-  struct Header {
-    std::uint32_t ring_cap;  // storage per ring; a full ring doubles all
+  /// save()'s first word, and the word before each saved ring's messages.
+  struct StateHead {
     std::uint32_t in_flight;
+    std::uint32_t rings;  // non-empty rings that follow
   };
+  struct RingTag {
+    std::uint32_t ring;
+    std::uint32_t len;
+  };
+  static_assert(std::is_trivially_copyable_v<SimMessage> &&
+                sizeof(SimMessage) % sizeof(std::uint64_t) == 0);
+  static constexpr std::size_t kMessageWords =
+      sizeof(SimMessage) / sizeof(std::uint64_t);
+
   struct RingHdr {
     std::uint32_t head = 0;
     std::uint32_t len = 0;
@@ -151,16 +173,14 @@ class Network {
     return n_queues_ + static_cast<std::size_t>(q);
   }
   [[nodiscard]] Ring ring(std::size_t r) const {
-    return Ring(arena_.data() + r * head_.ring_cap, head_.ring_cap,
-                rings_[r].head, rings_[r].len);
+    return Ring(arena_.data() + r * ring_cap_, ring_cap_, rings_[r].head,
+                rings_[r].len);
   }
   void push(std::size_t r, const SimMessage& msg);
   void pop_ring(std::size_t r);
   /// Re-lays the arena out with rings of `cap` messages, keeping every
   /// ring's contents (oldest message at its ring's first slot).
   void regrow(std::size_t cap);
-  /// Sets the ring capacity and arena size without keeping contents.
-  void layout(std::size_t cap);
 
   const ChannelAssignment* v_;
   std::size_t n_quads_;
@@ -181,8 +201,9 @@ class Network {
   mutable std::size_t vc_memo_used_ = 0;
   void vc_memo_grow() const;
 
-  // The state save()/load() copy.
-  Header head_{};
+  // The state save()/load() pack: in_flight_ and the rings' contents.
+  std::uint32_t ring_cap_ = 0;  // storage per ring; a full ring doubles all
+  std::uint32_t in_flight_ = 0;
   std::vector<RingHdr> rings_;
   std::vector<SimMessage> arena_;
 };

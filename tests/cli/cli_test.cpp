@@ -172,6 +172,22 @@ TEST(Cli, ReachSmallConfigVerified) {
   EXPECT_NE(r.output.find("deadlock_states=0"), std::string::npos);
 }
 
+TEST(Cli, ReachByteBudgetStopsTheSearch) {
+  RunResult r = run("reach V5fix --ops 2 --max-bytes 100000 --stats");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("complete=0"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("explorer memory: peak"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("explorer 0 B live /"), std::string::npos);
+  for (const char* bad : {"reach --max-bytes 1x", "reach --max-bytes"}) {
+    RunResult b = run(bad);
+    EXPECT_EQ(b.exit_code, 2) << bad << "\n" << b.output;
+    EXPECT_NE(b.output.find("--max-bytes needs a byte count"),
+              std::string::npos)
+        << b.output;
+  }
+}
+
 TEST(Cli, ServeSessionsRunTheSuiteClean) {
   RunResult r = run("serve --sessions 2");
   EXPECT_EQ(r.exit_code, 0) << r.output;

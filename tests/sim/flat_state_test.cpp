@@ -1,6 +1,7 @@
-// The flat machine state: snapshots are word vectors that restore exactly,
-// and handlers read a consumed message correctly even when the step posts
-// into the ring slot that message occupied.
+// The packed machine state: snapshots are word vectors that restore
+// exactly, whatever the ring storage of the machine that saved or restores
+// them, and handlers read a consumed message correctly even when the step
+// posts into the ring slot that message occupied.
 #include <memory>
 #include <random>
 #include <string>
@@ -58,7 +59,11 @@ TEST(FlatState, SnapshotRestoreSnapshotIsWordIdentical) {
       walker.enable_random_workload();
       random_walk(walker, seed, 60, [&](Machine& w) {
         const Machine::Snapshot s1 = w.snapshot();
-        EXPECT_EQ(s1.words.size(), w.state_words());
+        // The packed length varies with the messages in flight.
+        std::vector<std::uint64_t> buf(s1.words.size() + 8, ~0ull);
+        EXPECT_EQ(w.save(buf.data()), s1.words.size());
+        EXPECT_EQ(w.state_words(), s1.words.size());
+        EXPECT_EQ(buf[s1.words.size()], ~0ull);  // nothing past the end
         w.restore(s1);
         EXPECT_EQ(w.snapshot().words, s1.words);
         // A machine that never saw the state restores it word for word too.
@@ -73,6 +78,17 @@ TEST(FlatState, SnapshotRestoreSnapshotIsWordIdentical) {
   }
 }
 
+/// Walks `m` from `initial` under successive seeds until its ring storage
+/// has grown; returns false when no walk grew it.
+bool grow_rings(Machine& m, const Machine::Snapshot& initial) {
+  const std::size_t small = m.ring_capacity();
+  for (unsigned seed = 1; seed <= 64 && m.ring_capacity() == small; ++seed) {
+    m.restore(initial);
+    random_walk(m, seed, 200, [](Machine&) {});
+  }
+  return m.ring_capacity() > small;
+}
+
 TEST(FlatState, GrownRingsRestoreSmallerSnapshots) {
   // Ring storage doubles on demand and never shrinks, so a grown machine
   // lays a snapshot taken before the growth out at its own size.  It must
@@ -82,13 +98,8 @@ TEST(FlatState, GrownRingsRestoreSmallerSnapshots) {
   Machine m(spec(), v, cfg);
   m.enable_random_workload();
   const Machine::Snapshot initial = m.snapshot();
-  const std::size_t small = m.state_words();
   std::vector<std::string> fingerprints;
-  for (unsigned seed = 1; seed <= 64 && m.state_words() == small; ++seed) {
-    m.restore(initial);
-    random_walk(m, seed, 200, [](Machine&) {});
-  }
-  ASSERT_GT(m.state_words(), small) << "no walk grew a ring";
+  ASSERT_TRUE(grow_rings(m, initial)) << "no walk grew a ring";
 
   Machine fresh(spec(), v, cfg);
   fresh.enable_random_workload();
@@ -107,6 +118,61 @@ TEST(FlatState, GrownRingsRestoreSmallerSnapshots) {
     EXPECT_EQ(w.fingerprint(), fingerprints[i++]);
   });
   EXPECT_EQ(i, fingerprints.size());
+}
+
+TEST(FlatState, RingLongerThanStorageRestoresOnAFreshMachine) {
+  // With no channel assigned every message takes an unbounded dedicated
+  // path, so a ring can hold more messages than the one slot a fresh
+  // machine's storage starts with.  Restoring such a state must grow the
+  // fresh machine's storage and give back the same words.
+  const ChannelAssignment dedicated("dedicated");
+  const SimConfig cfg = config(2, 2, 3);
+  int longer = 0;
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    Machine walker(spec(), dedicated, cfg);
+    walker.enable_random_workload();
+    random_walk(walker, seed, 80, [&](Machine& w) {
+      const Machine::Snapshot s = w.snapshot();
+      Machine fresh(spec(), dedicated, cfg);
+      ASSERT_EQ(fresh.ring_capacity(), 1u);
+      fresh.restore(s);
+      if (fresh.ring_capacity() == 1) return;  // every ring fits one slot
+      ++longer;
+      EXPECT_EQ(fresh.snapshot().words, s.words);
+      EXPECT_EQ(fresh.fingerprint(), w.fingerprint());
+    });
+  }
+  EXPECT_GT(longer, 0) << "no walk queued two messages on one ring";
+}
+
+TEST(FlatState, SavedWordsDoNotDependOnRingLayout) {
+  // Two machines walk the same path, one with ring storage grown by
+  // earlier walks (and so other capacities and head offsets): every state
+  // on the path saves to the same words on both.
+  const ChannelAssignment& v = spec().assignment(asura::kAssignV5Fix);
+  const SimConfig cfg = config(2, 2, 3);
+  Machine grown(spec(), v, cfg);
+  grown.enable_random_workload();
+  const Machine::Snapshot initial = grown.snapshot();
+  ASSERT_TRUE(grow_rings(grown, initial)) << "no walk grew a ring";
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    Machine small(spec(), v, cfg);
+    small.enable_random_workload();
+    grown.restore(initial);
+    std::vector<std::vector<std::uint64_t>> path;
+    int differing_layouts = 0;
+    random_walk(small, seed, 150, [&](Machine& w) {
+      path.push_back(w.snapshot().words);
+      if (w.ring_capacity() != grown.ring_capacity()) ++differing_layouts;
+    });
+    std::size_t i = 0;
+    random_walk(grown, seed, 150, [&](Machine& w) {
+      ASSERT_LT(i, path.size());
+      EXPECT_EQ(w.snapshot().words, path[i++]);
+    });
+    EXPECT_EQ(i, path.size());
+    EXPECT_GT(differing_layouts, 0);
+  }
 }
 
 /// Stores every event in an external vector (the tracer owns the sink).

@@ -74,12 +74,13 @@ int main(int argc, char** argv) {
     std::printf(
         "%s: states=%llu transitions=%llu complete=%d deadlocks=%llu "
         "violations=%zu waves=%llu dedup=%llu canon=%llu %.2fs "
-        "(%.0f states/s)\n",
+        "(%.0f states/s, peak %.1f MiB tracked)\n",
         a, (unsigned long long)r.states, (unsigned long long)r.transitions,
         r.complete, (unsigned long long)r.deadlock_states,
         r.violations.size(), (unsigned long long)r.waves,
         (unsigned long long)r.dedup_hits, (unsigned long long)r.canon_group,
-        r.seconds, r.states / (r.seconds > 0 ? r.seconds : 1));
+        r.seconds, r.states / (r.seconds > 0 ? r.seconds : 1),
+        static_cast<double>(r.peak_bytes) / (1 << 20));
     for (auto& viol : r.violations) std::printf("  %s\n", viol.c_str());
     if (r.deadlock_states) {
       std::printf("%s", r.deadlock_example.c_str());
