@@ -1,7 +1,7 @@
 #pragma once
 
 // Memory accounting for the long-lived allocations the query engine makes
-// (catalog-resident tables, secondary indexes, hash-join build sides, cached
+// (catalog-resident tables, hash indexes, hash-join build sides, cached
 // plans) and for the reachability explorer's search state.
 //
 // MemTracker keeps a live/peak byte pair per category behind relaxed
@@ -29,7 +29,8 @@ class MemTracker {
  public:
   enum class Category : unsigned {
     kTables = 0,      // catalog-resident table buffers
-    kIndexes = 1,     // secondary indexes (Table::index_on cache)
+    kIndexes = 1,     // hash indexes (Table::index_on cache: point lookups
+                      // and hash-join build sides share one per column set)
     kHashBuilds = 2,  // materialised hash-join build sides
     kPlans = 3,       // prepared-statement cache (serve::PlanCache)
     kExplorer = 4,    // explore_parallel: visited set, frontiers, parents

@@ -176,23 +176,29 @@ struct Executor {
     return base.head(limit).with_schema(node.schema);
   }
 
-  Table index_lookup(PlanNode& node, std::size_t limit) {
-    const Table& base = base_of(node);
+  /// The base rows an IndexLookup selects (ascending), probed through the
+  /// base table's cached hash index; nullptr when the key is absent.
+  const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup) const {
+    const Table& base = base_of(lookup);
     std::vector<std::size_t> cols;
-    cols.reserve(node.columns.size());
-    for (const auto& name : node.columns) {
-      // node.schema is positionally identical to the base schema (only
+    cols.reserve(lookup.columns.size());
+    for (const auto& name : lookup.columns) {
+      // lookup.schema is positionally identical to the base schema (only
       // alias-renamed), so its indices address base rows directly.
-      cols.push_back(node.schema->index_of(name));
+      cols.push_back(lookup.schema->index_of(name));
     }
     CCSQL_COUNT(base.has_cached_index(cols) ? "plan.index_hits"
                                             : "plan.index_builds",
                 1);
-    const Table::IndexMap& index = base.index_on(cols);
+    return base.index_on(cols).find(Table::index_key(lookup.key_values));
+  }
+
+  Table index_lookup(PlanNode& node, std::size_t limit) {
+    const Table& base = base_of(node);
+    const std::vector<std::size_t>* rows = lookup_rows(node);
     bc::Sel sel;
-    auto it = index.find(Table::index_key(node.key_values));
-    if (it != index.end()) {
-      for (std::size_t i : it->second) {
+    if (rows != nullptr) {
+      for (std::size_t i : *rows) {
         if (sel.size() >= limit) break;
         sel.push_back(static_cast<std::uint32_t>(i));
       }
@@ -306,19 +312,9 @@ struct Executor {
       // positionally identical to its base table's.
       PlanNode& lookup = node.child();
       const Table& base = base_of(lookup);
-      std::vector<std::size_t> cols;
-      cols.reserve(lookup.columns.size());
-      for (const auto& name : lookup.columns) {
-        cols.push_back(lookup.schema->index_of(name));
-      }
-      CCSQL_COUNT(base.has_cached_index(cols) ? "plan.index_hits"
-                                              : "plan.index_builds",
-                  1);
-      const Table::IndexMap& index = base.index_on(cols);
       bc::Sel hits;
-      auto it = index.find(Table::index_key(lookup.key_values));
-      if (it != index.end()) {
-        visited = pred.filter_rows(base.column_ptrs(), it->second, limit, hits);
+      if (const auto* rows = lookup_rows(lookup)) {
+        visited = pred.filter_rows(base.column_ptrs(), *rows, limit, hits);
       }
       if (ctx.record) {
         lookup.actual_rows = visited;
@@ -403,17 +399,18 @@ struct Executor {
     }
 
     // Build side: the right child.  A scan build side probes the base
-    // table's persistent radix join index (reused across queries); anything
-    // else materialises and indexes its local result.  The index partitions
-    // by key-hash radix above ~8k build rows (partitions built in parallel
-    // on the pool) and degenerates to the classic single hash table below.
+    // table's cached hash index — the same one its point lookups use,
+    // reused across queries; anything else materialises and indexes its
+    // local result.  The index partitions by key-hash radix above ~8k build
+    // rows (partitions built in parallel on the pool) and is the classic
+    // single hash table below.
     const Table* right = nullptr;
     Table right_local;
     obs::MemReservation build_mem;
     if (rhs.is_scan()) {
       right = &base_of(rhs);
-      CCSQL_COUNT(right->has_cached_join_index(rk) ? "plan.index_hits"
-                                                   : "plan.index_builds",
+      CCSQL_COUNT(right->has_cached_index(rk) ? "plan.index_hits"
+                                              : "plan.index_builds",
                   1);
       if (ctx.record) rhs.actual_rows = right->row_count();
     } else {
@@ -424,7 +421,7 @@ struct Executor {
       build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
                                       right_local.memory_bytes());
     }
-    const JoinIndex& index = right->join_index_on(rk, ctx.jobs);
+    const HashIndex& index = right->index_on(rk, ctx.jobs);
     if (ctx.record) {
       node.stats.build_rows += right->row_count();
       node.stats.build_keys += index.key_count();

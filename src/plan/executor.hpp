@@ -5,12 +5,17 @@
 //
 //  - Select over Scan evaluates the compiled predicate directly against the
 //    base table's rows (no intermediate copy of the whole table);
+//  - Select over IndexLookup filters the index bucket's row ids in place;
 //  - Select over Cross crosses only the columns the predicate reads,
 //    filters that narrow product, and gathers the surviving rows from each
 //    side by index — the wide product is never materialised; and
-//  - HashJoin over a Scan build side probes the base table's persistent
-//    secondary index (Table::index_on), so repeated queries against catalog
-//    tables reuse the index across calls.
+//  - IndexLookup and HashJoin over a Scan build side probe the base table's
+//    one cached hash index per column set (Table::index_on), so repeated
+//    queries against catalog tables reuse the index across calls.
+//
+// The optimizer merges every Select chain into one conjunction, so each of
+// these fused paths runs exactly one compiled filter: the executor never
+// sees a Select over a Select.
 //
 // A row budget (`limit`) flows down where sound — most importantly the
 // budget of 1 used by emptiness checks, which stops every operator at its

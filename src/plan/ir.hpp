@@ -62,7 +62,7 @@ struct OpStats {
 struct PlanNode {
   enum class Kind {
     kScan,         // whole catalog table (table_name) or bound table
-    kIndexLookup,  // point lookup on a base table via a secondary index
+    kIndexLookup,  // point lookup on a base table via its hash index
     kSelect,       // filter rows by predicate
     kProject,      // named columns, optionally distinct
     kDistinct,     // remove duplicate rows

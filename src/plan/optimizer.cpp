@@ -236,36 +236,6 @@ std::size_t prune_join_columns(PlanPtr& node) {
   return n;
 }
 
-// ---- 4c. residual merging ---------------------------------------------------
-
-/// Folds a chain of Selects left directly above a Cross — the residuals
-/// that neither pushed down nor became join keys — back into one Select
-/// over their conjunction, innermost first (the order the chain ran in).
-/// The executor's fused Select-over-Cross path then crosses the columns of
-/// every residual once and refines one selection through them, instead of
-/// materialising each intermediate result at full width.
-std::size_t merge_cross_residuals(PlanPtr& node) {
-  std::size_t n = 0;
-  if (node->kind == PlanNode::Kind::kSelect &&
-      node->child().kind == PlanNode::Kind::kSelect) {
-    std::vector<Expr> preds;
-    PlanPtr* cur = &node;
-    while ((*cur)->kind == PlanNode::Kind::kSelect) {
-      preds.push_back(*(*cur)->predicate);
-      cur = &(*cur)->children[0];
-    }
-    if ((*cur)->kind == PlanNode::Kind::kCross) {
-      std::reverse(preds.begin(), preds.end());
-      PlanPtr cross = std::move(*cur);
-      node->predicate = Expr::conjunction(std::move(preds));
-      node->children[0] = std::move(cross);
-      ++n;
-    }
-  }
-  for (auto& c : node->children) n += merge_cross_residuals(c);
-  return n;
-}
-
 // ---- 5. index lowering ------------------------------------------------------
 
 /// If `node` heads a chain of Selects over a Scan, turns the column=literal
@@ -331,7 +301,36 @@ std::size_t lower_index_lookups(PlanPtr& node, const PlannerOptions& opts) {
   return n;
 }
 
-// ---- 6. exists mode ---------------------------------------------------------
+// ---- 6. select merging -----------------------------------------------------
+
+/// Folds every chain of stacked Selects — over a Scan, an IndexLookup, a
+/// Cross (the residuals that neither pushed down nor became join keys) or
+/// anything else — into one Select over their conjunction, innermost first
+/// (the order the chain ran in).  Batch bytecode's `and` narrows the
+/// selection one conjunct at a time, exactly as the chain did, so each
+/// fused executor path runs one compiled filter over its candidates instead
+/// of materialising every intermediate result.
+std::size_t merge_selects(PlanPtr& node) {
+  std::size_t n = 0;
+  if (node->kind == PlanNode::Kind::kSelect &&
+      node->child().kind == PlanNode::Kind::kSelect) {
+    std::vector<Expr> preds;
+    PlanPtr* cur = &node;
+    while ((*cur)->kind == PlanNode::Kind::kSelect) {
+      preds.push_back(std::move(*(*cur)->predicate));
+      cur = &(*cur)->children[0];
+    }
+    std::reverse(preds.begin(), preds.end());
+    PlanPtr below = std::move(*cur);
+    node->predicate = Expr::conjunction(std::move(preds));
+    node->children[0] = std::move(below);
+    ++n;
+  }
+  for (auto& c : node->children) n += merge_selects(c);
+  return n;
+}
+
+// ---- 7. exists mode ---------------------------------------------------------
 
 std::size_t drop_sorts(PlanPtr& node) {
   std::size_t n = 0;
@@ -344,7 +343,7 @@ std::size_t drop_sorts(PlanPtr& node) {
   return n;
 }
 
-// ---- 7. estimation ----------------------------------------------------------
+// ---- 8. estimation ----------------------------------------------------------
 
 void estimate(PlanNode& node) {
   for (auto& c : node.children) estimate(*c);
@@ -459,8 +458,8 @@ void optimize(PlanPtr& root, const PlannerOptions& opts) {
   while (push_once(root, opts)) ++rewrites;
   rewrites += lower_hash_joins(root, opts);
   rewrites += prune_join_columns(root);
-  rewrites += merge_cross_residuals(root);
   rewrites += lower_index_lookups(root, opts);
+  rewrites += merge_selects(root);
   if (opts.exists_only) {
     rewrites += drop_sorts(root);
     PlanPtr lim = make_node(PlanNode::Kind::kLimit);

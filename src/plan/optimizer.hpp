@@ -12,15 +12,15 @@
 //   4. hash-join lowering   — column=column equalities left above a Cross
 //                             turn it into a HashJoin on those keys (4b:
 //                             a Project above it narrows its output)
-//   4c. residual merging    — the Selects still stacked on a Cross fold
-//                             back into one conjunction, so the executor's
-//                             fused Select-over-Cross path runs them in one
-//                             narrow pass
 //   5. index lowering       — column=literal filters directly above a Scan
-//                             become an IndexLookup on a secondary index
-//   6. exists mode          — for emptiness checks: sorts are dropped and
+//                             become an IndexLookup on the table's hash index
+//   6. select merging       — every Select chain still standing (over a
+//                             Scan, IndexLookup, Cross, ...) folds into one
+//                             Select over the conjunction, innermost first,
+//                             so each fused executor path runs one filter
+//   7. exists mode          — for emptiness checks: sorts are dropped and
 //                             the plan is capped with Limit 1
-//   7. estimation           — bottom-up est_rows for EXPLAIN
+//   8. estimation           — bottom-up est_rows for EXPLAIN
 //
 // Each applied rewrite bumps the `plan.rewrites` counter.
 

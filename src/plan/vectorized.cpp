@@ -90,9 +90,4 @@ std::size_t RowFilter::filter_rows(Columns cols,
       });
 }
 
-void RowFilter::refine(Columns cols, std::span<const std::uint32_t> sel,
-                       bc::Sel& out) const {
-  prog_.eval_batch(cols, sel, out, scratch());
-}
-
 }  // namespace ccsql::plan::vec

@@ -61,12 +61,6 @@ class RowFilter {
   std::size_t filter_rows(Columns cols, std::span<const std::size_t> rows,
                           std::size_t limit, bc::Sel& sel) const;
 
-  /// Replaces `out` with the members of `sel` (ascending row ids) that
-  /// pass — how a later filter of a conjunctive chain refines the
-  /// survivors of an earlier one.
-  void refine(Columns cols, std::span<const std::uint32_t> sel,
-              bc::Sel& out) const;
-
  private:
   bc::Program prog_;
 };

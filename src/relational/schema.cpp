@@ -72,13 +72,6 @@ std::shared_ptr<const Schema> Schema::project(
   return std::make_shared<const Schema>(std::move(cols));
 }
 
-std::shared_ptr<const Schema> Schema::renamed(std::string_view from,
-                                              std::string_view to) const {
-  auto cols = columns_;
-  cols[index_of(from)].name = std::string(to);
-  return std::make_shared<const Schema>(std::move(cols));
-}
-
 SchemaPtr make_schema(std::vector<Column> columns) {
   return std::make_shared<const Schema>(std::move(columns));
 }

@@ -66,10 +66,6 @@ class Schema {
   [[nodiscard]] std::shared_ptr<const Schema> project(
       const std::vector<std::string>& names) const;
 
-  /// Returns a new schema with column `from` renamed to `to`.
-  [[nodiscard]] std::shared_ptr<const Schema> renamed(
-      std::string_view from, std::string_view to) const;
-
   friend bool operator==(const Schema& a, const Schema& b) {
     return a.columns_ == b.columns_;
   }

@@ -63,10 +63,6 @@ namespace {
 /// recycled; also the morsel grain of parallel index builds.
 constexpr std::size_t kKeyChunk = 4096;
 
-/// Below this row count a parallel index build costs more than it saves.
-constexpr std::size_t kParallelIndexThreshold = 2048;
-constexpr std::size_t kIndexBuildGrain = 1024;
-
 std::vector<std::size_t> iota_cols(std::size_t n) {
   std::vector<std::size_t> cols(n);
   std::iota(cols.begin(), cols.end(), std::size_t{0});
@@ -256,28 +252,24 @@ void Table::check_same_names(const Table& other) const {
   }
 }
 
-Table Table::union_all(const Table& a, const Table& b) {
+Table Table::union_distinct(const Table& a, const Table& b) {
   a.check_same_names(b);
-  Table out = a;
-  out.invalidate_indexes();
-  for (std::size_t j = 0; j < out.width(); ++j) {
-    ColumnData& c = out.mut_col(j);
+  Table all = a;
+  all.invalidate_indexes();
+  for (std::size_t j = 0; j < all.width(); ++j) {
+    ColumnData& c = all.mut_col(j);
     const ColumnView bc = b.column(j);
-    c.reserve(out.rows_ + bc.size());
+    c.reserve(all.rows_ + bc.size());
     c.insert(c.end(), bc.begin(), bc.end());
   }
-  out.rows_ += b.rows_;
-  return out;
-}
-
-Table Table::union_distinct(const Table& a, const Table& b) {
-  return union_all(a, b).distinct();
+  all.rows_ += b.rows_;
+  return all.distinct();
 }
 
 namespace {
 
 /// Full-row key set of a table, built column-at-a-time — the shape
-/// difference/contains_all dedupe against.
+/// contains_all probes.
 std::unordered_set<TupleKey, TupleKeyHash> row_key_set(const Table& t) {
   std::unordered_set<TupleKey, TupleKeyHash> set;
   const std::size_t n = t.row_count();
@@ -294,30 +286,6 @@ std::unordered_set<TupleKey, TupleKeyHash> row_key_set(const Table& t) {
 }
 
 }  // namespace
-
-Table Table::difference(const Table& a, const Table& b) {
-  a.check_same_names(b);
-  if (a.width() == 0) {
-    Table out(a.schema_);
-    out.rows_ = (a.rows_ > 0 && b.rows_ == 0) ? a.rows_ : 0;
-    return out;
-  }
-  const auto forbidden = row_key_set(b);
-  const std::vector<std::size_t> cols = iota_cols(a.width());
-  std::vector<std::uint32_t> sel;
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < a.rows_; begin += kKeyChunk) {
-    const std::size_t end = std::min(a.rows_, begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    a.build_keys(cols, begin, end, keys.data());
-    for (std::size_t i = begin; i < end; ++i) {
-      if (forbidden.count(keys[i - begin]) == 0) {
-        sel.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  }
-  return a.gather(sel);
-}
 
 Table Table::natural_join(const Table& a, const Table& b) {
   // Common columns and b's private columns.
@@ -338,30 +306,21 @@ Table Table::natural_join(const Table& a, const Table& b) {
   for (std::size_t j : b_rest) cols.push_back(b.schema().column(j));
   Table out(make_schema(std::move(cols)));
 
-  // Hash b's rows by their key tuple (keys packed per-column).
-  IndexMap index;
-  index.reserve(b.row_count());
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < b.row_count(); begin += kKeyChunk) {
-    const std::size_t end = std::min(b.row_count(), begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    b.build_keys(b_keys, begin, end, keys.data());
-    for (std::size_t j = begin; j < end; ++j) {
-      index[std::move(keys[j - begin])].push_back(j);
-    }
-  }
+  // Hash b's rows by their key tuple (an uncached, local index).
+  const HashIndex index = HashIndex::build(b, b_keys, /*jobs=*/1);
 
   // Probe in a-row order, collecting matching (a-row, b-row) id pairs; the
   // output is then a per-column gather from each side.
   std::vector<std::uint32_t> lsel, rsel;
+  std::vector<TupleKey> keys;
   for (std::size_t begin = 0; begin < a.row_count(); begin += kKeyChunk) {
     const std::size_t end = std::min(a.row_count(), begin + kKeyChunk);
     keys.assign(end - begin, TupleKey{});
     a.build_keys(a_keys, begin, end, keys.data());
     for (std::size_t i = begin; i < end; ++i) {
-      auto it = index.find(keys[i - begin]);
-      if (it == index.end()) continue;
-      for (std::size_t j : it->second) {
+      const std::vector<std::size_t>* rows = index.find(keys[i - begin]);
+      if (rows == nullptr) continue;
+      for (std::size_t j : *rows) {
         lsel.push_back(static_cast<std::uint32_t>(i));
         rsel.push_back(static_cast<std::uint32_t>(j));
       }
@@ -384,12 +343,6 @@ Table Table::natural_join(const Table& a, const Table& b) {
   return out;
 }
 
-Table Table::renamed(std::string_view from, std::string_view to) const {
-  Table out = *this;
-  out.schema_ = schema_->renamed(from, to);
-  return out;
-}
-
 Table Table::with_schema(SchemaPtr schema) const {
   if (!schema || schema->size() != schema_->size()) {
     throw SchemaError("with_schema: arity mismatch");
@@ -397,22 +350,6 @@ Table Table::with_schema(SchemaPtr schema) const {
   Table out = *this;
   out.schema_ = std::move(schema);
   return out;
-}
-
-bool Table::contains(RowView r) const {
-  if (r.size() != width()) return false;
-  if (width() == 0) return rows_ > 0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    bool eq = true;
-    for (std::size_t j = 0; j < width(); ++j) {
-      if ((*cols_[j])[i] != r[j]) {
-        eq = false;
-        break;
-      }
-    }
-    if (eq) return true;
-  }
-  return false;
 }
 
 bool Table::contains_all(const Table& other) const {
@@ -434,21 +371,6 @@ bool Table::contains_all(const Table& other) const {
 
 bool Table::set_equal(const Table& other) const {
   return contains_all(other) && other.contains_all(*this);
-}
-
-Table Table::sorted() const {
-  std::vector<std::uint32_t> order(rows_);
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              for (std::size_t j = 0; j < width(); ++j) {
-                const std::uint32_t x = (*cols_[j])[a].id();
-                const std::uint32_t y = (*cols_[j])[b].id();
-                if (x != y) return x < y;
-              }
-              return false;
-            });
-  return gather(order);
 }
 
 Table Table::sorted_by(const std::vector<std::string>& columns) const {
@@ -497,7 +419,7 @@ void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
   }
 }
 
-// ---- Secondary indexes ------------------------------------------------------
+// ---- Hash index cache -------------------------------------------------------
 
 namespace {
 
@@ -516,7 +438,6 @@ Table::Table(const Table& other)
     : schema_(other.schema_), cols_(other.cols_), rows_(other.rows_) {
   std::lock_guard<std::mutex> lock(index_cache_mutex());
   index_cache_ = other.index_cache_;
-  join_cache_ = other.join_cache_;
 }
 
 Table& Table::operator=(const Table& other) {
@@ -524,22 +445,14 @@ Table& Table::operator=(const Table& other) {
   return *this;
 }
 
-const Table::IndexMap& Table::index_on(const std::vector<std::string>& columns,
-                                       std::size_t jobs) const {
-  std::vector<std::size_t> idx;
-  idx.reserve(columns.size());
-  for (const auto& name : columns) idx.push_back(schema_->index_of(name));
-  return index_on(idx, jobs);
-}
-
-const Table::IndexMap& Table::index_on(const std::vector<std::size_t>& columns,
-                                       std::size_t jobs) const {
+const HashIndex& Table::index_on(const std::vector<std::size_t>& columns,
+                                 std::size_t jobs) const {
   {
     std::lock_guard<std::mutex> lock(index_cache_mutex());
     if (index_cache_) {
       auto it = index_cache_->find(columns);
       // std::map nodes are stable: the reference survives later inserts.
-      if (it != index_cache_->end()) return it->second.map;
+      if (it != index_cache_->end()) return it->second.index;
     }
   }
   // Build outside the lock: a pool worker building here can still take part
@@ -547,92 +460,17 @@ const Table::IndexMap& Table::index_on(const std::vector<std::size_t>& columns,
   // mutex across it.  Concurrent callers may build the same index twice;
   // emplace below keeps the first and drops the duplicate — wasted work,
   // never a wrong answer.
-  IndexMap m = build_index(columns, jobs);
+  HashIndex built = HashIndex::build(*this, columns, jobs);
   obs::MemReservation mem(obs::MemTracker::Category::kIndexes,
-                          index_memory_bytes(m));
+                          built.memory_bytes());
   std::lock_guard<std::mutex> lock(index_cache_mutex());
   if (!index_cache_) {
     index_cache_ =
         std::make_shared<std::map<std::vector<std::size_t>, CachedIndex>>();
   }
   return index_cache_
-      ->emplace(columns, CachedIndex{std::move(m), std::move(mem)})
-      .first->second.map;
-}
-
-const JoinIndex& Table::join_index_on(const std::vector<std::size_t>& columns,
-                                      std::size_t jobs) const {
-  {
-    std::lock_guard<std::mutex> lock(index_cache_mutex());
-    if (join_cache_) {
-      auto it = join_cache_->find(columns);
-      if (it != join_cache_->end()) return it->second.index;
-    }
-  }
-  JoinIndex built = JoinIndex::build(*this, columns, jobs);
-  obs::MemReservation mem(obs::MemTracker::Category::kIndexes,
-                          built.memory_bytes());
-  std::lock_guard<std::mutex> lock(index_cache_mutex());
-  if (!join_cache_) {
-    join_cache_ =
-        std::make_shared<std::map<std::vector<std::size_t>, CachedJoin>>();
-  }
-  return join_cache_
-      ->emplace(columns, CachedJoin{std::move(built), std::move(mem)})
+      ->emplace(columns, CachedIndex{std::move(built), std::move(mem)})
       .first->second.index;
-}
-
-std::size_t Table::index_memory_bytes(const IndexMap& index) {
-  std::size_t bytes = index.bucket_count() * sizeof(void*);
-  for (const auto& [key, rows] : index) {
-    bytes += sizeof(std::pair<TupleKey, std::vector<std::size_t>>) +
-             key.heap_bytes() + rows.capacity() * sizeof(std::size_t);
-  }
-  return bytes;
-}
-
-Table::IndexMap Table::build_index(const std::vector<std::size_t>& columns,
-                                   std::size_t jobs) const {
-  const std::size_t n = row_count();
-  IndexMap m;
-  m.reserve(n);
-  if (jobs > 1 && n >= kParallelIndexThreshold) {
-    // Partitioned build: each morsel packs and hashes its own row range,
-    // partitions merge in morsel order.  Morsel i's rows all precede morsel
-    // j's for i < j, so every key's row list comes out ascending —
-    // byte-identical to the serial build.
-    const std::size_t morsels =
-        (n + kIndexBuildGrain - 1) / kIndexBuildGrain;
-    std::vector<IndexMap> parts(morsels);
-    core::Pool::global().parallel_for(
-        n, kIndexBuildGrain, jobs,
-        [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-          IndexMap& part = parts[morsel];
-          part.reserve(end - begin);
-          std::vector<TupleKey> keys(end - begin);
-          build_keys(columns, begin, end, keys.data());
-          for (std::size_t i = begin; i < end; ++i) {
-            part[std::move(keys[i - begin])].push_back(i);
-          }
-        });
-    for (IndexMap& part : parts) {
-      for (auto& [key, rows] : part) {
-        auto& dst = m[key];
-        dst.insert(dst.end(), rows.begin(), rows.end());
-      }
-    }
-  } else {
-    std::vector<TupleKey> keys;
-    for (std::size_t begin = 0; begin < n; begin += kKeyChunk) {
-      const std::size_t end = std::min(n, begin + kKeyChunk);
-      keys.assign(end - begin, TupleKey{});
-      build_keys(columns, begin, end, keys.data());
-      for (std::size_t i = begin; i < end; ++i) {
-        m[std::move(keys[i - begin])].push_back(i);
-      }
-    }
-  }
-  return m;
 }
 
 bool Table::has_cached_index(const std::vector<std::size_t>& columns) const {
@@ -640,13 +478,7 @@ bool Table::has_cached_index(const std::vector<std::size_t>& columns) const {
   return index_cache_ && index_cache_->count(columns) > 0;
 }
 
-bool Table::has_cached_join_index(
-    const std::vector<std::size_t>& columns) const {
-  std::lock_guard<std::mutex> lock(index_cache_mutex());
-  return join_cache_ && join_cache_->count(columns) > 0;
-}
-
-// ---- Radix join index -------------------------------------------------------
+// ---- Hash index -------------------------------------------------------------
 
 namespace {
 
@@ -659,9 +491,9 @@ constexpr std::size_t kRadixMaxBits = 6;  // at most 64 partitions
 
 }  // namespace
 
-JoinIndex JoinIndex::build(const Table& t, std::span<const std::size_t> cols,
+HashIndex HashIndex::build(const Table& t, std::span<const std::size_t> cols,
                            std::size_t jobs) {
-  JoinIndex idx;
+  HashIndex idx;
   const std::size_t n = t.row_count();
   idx.rows_ = n;
 
@@ -762,15 +594,24 @@ JoinIndex JoinIndex::build(const Table& t, std::span<const std::size_t> cols,
   return idx;
 }
 
-std::size_t JoinIndex::key_count() const noexcept {
+std::size_t HashIndex::key_count() const noexcept {
   std::size_t keys = 0;
   for (const auto& p : parts_) keys += p.size();
   return keys;
 }
 
-std::size_t JoinIndex::memory_bytes() const noexcept {
+std::size_t HashIndex::memory_bytes() const noexcept {
   std::size_t bytes = parts_.capacity() * sizeof(IndexMap);
-  for (const auto& p : parts_) bytes += Table::index_memory_bytes(p);
+  for (const auto& p : parts_) bytes += partition_bytes(p);
+  return bytes;
+}
+
+std::size_t HashIndex::partition_bytes(const IndexMap& m) noexcept {
+  std::size_t bytes = m.bucket_count() * sizeof(void*);
+  for (const auto& [key, rows] : m) {
+    bytes += sizeof(std::pair<TupleKey, std::vector<std::size_t>>) +
+             key.heap_bytes() + rows.capacity() * sizeof(std::size_t);
+  }
   return bytes;
 }
 

@@ -147,7 +147,7 @@ class RowView {
   std::size_t n_ = 0;
 };
 
-/// A tuple of symbol ids packed for hashing: the key type of secondary
+/// A tuple of symbol ids packed for hashing: the key type of hash
 /// indexes, join probes, and row deduplication.  Values are already interned
 /// 32-bit ids, so up to four of them pack into two inline words (no heap
 /// traffic for the common 1-4 column keys); wider tuples spill the remainder
@@ -192,33 +192,34 @@ struct TupleKeyHash {
 };
 
 /// A hash index over a column set: key tuple to the row indices holding it,
-/// ascending.  Keys are packed symbol-id tuples, not strings: probing never
-/// formats or allocates for keys of up to four columns.
-using IndexMap =
-    std::unordered_map<TupleKey, std::vector<std::size_t>, TupleKeyHash>;
-
-/// A radix-partitioned hash index: build-side rows are scattered into
-/// 2^bits partitions by the low bits of their key hash, and each partition
-/// is an independent IndexMap built in parallel (no serial merge).  Probes
-/// route by the same bits, so each lookup touches one cache-resident
-/// partition.  With bits == 0 this is exactly the old single hash index;
-/// row lists stay ascending at any partition count and any jobs value, so
+/// ascending.  The one index structure of the engine: point lookups
+/// (IndexLookup, the serve layer's FastEmpty probe) and hash-join build
+/// sides share it through Table::index_on.  Keys are packed symbol-id
+/// tuples, not strings: probing never formats or allocates for keys of up
+/// to four columns.
+///
+/// Radix-partitioned: above 8192 rows, rows are scattered into 2^bits
+/// partitions by the low bits of their key hash, and each partition is an
+/// independent hash map built in parallel (no serial merge); probes route
+/// by the same bits, so each lookup touches one cache-resident partition.
+/// Smaller tables get a single partition, the classic hash table.  Row
+/// lists stay ascending at any partition count and any jobs value, so
 /// probe output is byte-identical across configurations.
-class JoinIndex {
+class HashIndex {
  public:
-  JoinIndex() : parts_(1) {}
+  HashIndex() : parts_(1) {}
 
   /// Builds over the given columns of `t`; partition count is chosen from
-  /// the row count alone (1 below the 8192-row radix threshold).
-  /// `jobs` > 1 parallelizes both the partition scatter and the per-
-  /// partition map builds on the pool.
-  static JoinIndex build(const Table& t, std::span<const std::size_t> cols,
+  /// the row count alone.  `jobs` > 1 parallelizes key packing, the
+  /// partition scatter and the per-partition map builds on the pool.
+  static HashIndex build(const Table& t, std::span<const std::size_t> cols,
                          std::size_t jobs);
 
-  /// The build rows holding `k`, ascending; nullptr when absent.
+  /// The rows holding `k`, ascending; nullptr when absent.
   [[nodiscard]] const std::vector<std::size_t>* find(
       const TupleKey& k) const noexcept {
-    const IndexMap& m = parts_[k.hash() & mask_];
+    // One partition (most tables): skip the routing hash; the map hashes.
+    const IndexMap& m = mask_ == 0 ? parts_[0] : parts_[k.hash() & mask_];
     auto it = m.find(k);
     return it == m.end() ? nullptr : &it->second;
   }
@@ -228,11 +229,18 @@ class JoinIndex {
   }
   [[nodiscard]] std::size_t key_count() const noexcept;
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_; }
-  /// Approximate heap footprint (buckets, key nodes incl. overflow spill,
-  /// row lists) — the MemTracker kIndexes reservation backing the cache.
+  /// Approximate heap footprint (buckets, key nodes incl. TupleKey overflow
+  /// spill, row lists) — the MemTracker kIndexes reservation backing the
+  /// index cache.  O(keys).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  /// One partition: key tuple to its ascending row list.
+  using IndexMap =
+      std::unordered_map<TupleKey, std::vector<std::size_t>, TupleKeyHash>;
+
+  [[nodiscard]] static std::size_t partition_bytes(const IndexMap& m) noexcept;
+
   std::vector<IndexMap> parts_;  // power-of-two count
   std::size_t mask_ = 0;
   std::size_t rows_ = 0;
@@ -256,7 +264,7 @@ class Table {
 
   explicit Table(SchemaPtr schema);
 
-  /// Copies share the columns and the index caches.  The caches are read
+  /// Copies share the columns and the index cache.  The cache is read
   /// under the cache mutex: a const table shared across threads (a snapshot
   /// entry) may be having an index installed while it is copied.
   Table(const Table& other);
@@ -396,14 +404,9 @@ class Table {
   [[nodiscard]] static Table hcat(SchemaPtr schema, const Table& a,
                                   const Table& b);
 
-  /// Multiset union; schemas must have identical column names/order.
-  [[nodiscard]] static Table union_all(const Table& a, const Table& b);
-
-  /// Set union (duplicates removed).
+  /// Set union (duplicates removed, first occurrences kept in order: a's
+  /// rows, then b's); schemas must have identical column names/order.
   [[nodiscard]] static Table union_distinct(const Table& a, const Table& b);
-
-  /// Set difference a \ b.
-  [[nodiscard]] static Table difference(const Table& a, const Table& b);
 
   /// Natural join: rows of `a` and `b` agreeing on all columns common to
   /// both schemas; result columns are a's columns followed by b's
@@ -411,18 +414,11 @@ class Table {
   /// column.
   [[nodiscard]] static Table natural_join(const Table& a, const Table& b);
 
-  /// Renames one column.
-  [[nodiscard]] Table renamed(std::string_view from,
-                              std::string_view to) const;
-
   /// Reorders/renames columns to match `schema` by position (arity must
-  /// match); used to align tables before union/difference.
+  /// match); used to align tables before union.
   [[nodiscard]] Table with_schema(SchemaPtr schema) const;
 
   // ---- Set queries ---------------------------------------------------------
-
-  /// True if `r` occurs in this table.
-  [[nodiscard]] bool contains(RowView r) const;
 
   /// True if every row of `other` occurs in this table (both projected to
   /// their common order; schemas must have identical names).  This is the
@@ -433,16 +429,10 @@ class Table {
   /// True if both tables hold the same set of rows (duplicates ignored).
   [[nodiscard]] bool set_equal(const Table& other) const;
 
-  /// Rows sorted lexicographically by symbol id (canonical order for
-  /// deterministic output and comparisons).
-  [[nodiscard]] Table sorted() const;
-
   /// Rows sorted by the given columns' textual values (SQL ORDER BY).
   [[nodiscard]] Table sorted_by(const std::vector<std::string>& columns) const;
 
-  // ---- Secondary indexes ---------------------------------------------------
-
-  using IndexMap = ccsql::IndexMap;
+  // ---- Hash indexes --------------------------------------------------------
 
   /// Encodes the given cells of a row as an index probe key.
   static TupleKey index_key(RowView row, std::span<const std::size_t> cols) {
@@ -460,33 +450,21 @@ class Table {
   void build_keys(std::span<const std::size_t> cols, std::size_t begin,
                   std::size_t end, TupleKey* out) const;
 
-  /// Lazily-built secondary index keyed by the named columns.  Built on
-  /// first use and cached on the table (appending invalidates the cache);
-  /// copies of a table share the already-built indexes.  Used by the query
-  /// planner for point-lookup selects.
+  /// Lazily-built hash index keyed by the given columns — what point
+  /// lookups, FastEmpty probes and hash-join build sides all probe.  Built
+  /// on first use and cached on the table (appending invalidates the
+  /// cache); copies of a table share the already-built indexes.
   ///
   /// Thread-safe: concurrent callers may race to build the same index, but
-  /// exactly one result is cached and all callers see a consistent map.
+  /// exactly one result is cached and all callers see a consistent index.
   /// The build itself runs outside the cache lock, so a pool worker building
-  /// an index can still help with other pool tasks.  `jobs` > 1 partitions
-  /// the build across the pool; per-key row lists stay in ascending table
-  /// order (partitions are merged in row order), so results are identical
-  /// at any jobs value.
-  const IndexMap& index_on(const std::vector<std::string>& columns,
-                           std::size_t jobs = 1) const;
-  const IndexMap& index_on(const std::vector<std::size_t>& columns,
-                           std::size_t jobs = 1) const;
-
-  /// Lazily-built radix-partitioned join index over the named columns —
-  /// the hash-join build side (cached and shared like index_on).
-  const JoinIndex& join_index_on(const std::vector<std::size_t>& columns,
-                                 std::size_t jobs = 1) const;
+  /// an index can still help with other pool tasks.  `jobs` > 1 builds on
+  /// the pool; the index is identical at any jobs value.
+  const HashIndex& index_on(const std::vector<std::size_t>& columns,
+                            std::size_t jobs = 1) const;
 
   /// True if index_on(columns) has already been built (observability).
   [[nodiscard]] bool has_cached_index(
-      const std::vector<std::size_t>& columns) const;
-  /// True if join_index_on(columns) has already been built.
-  [[nodiscard]] bool has_cached_join_index(
       const std::vector<std::size_t>& columns) const;
 
   // ---- Memory accounting ---------------------------------------------------
@@ -501,15 +479,9 @@ class Table {
     return bytes;
   }
 
-  /// Approximate heap footprint of a secondary index: bucket array plus
-  /// per-key node (including TupleKey overflow spill) and row-list
-  /// storage.  O(keys).
-  [[nodiscard]] static std::size_t index_memory_bytes(const IndexMap& index);
-
  private:
   friend class RowView;
   friend RowView::iterator;
-  friend class JoinIndex;
 
   using ColumnData = std::vector<Value>;
   using ColumnPtr = std::shared_ptr<ColumnData>;
@@ -523,15 +495,11 @@ class Table {
 
   void check_same_names(const Table& other) const;
 
-  [[nodiscard]] IndexMap build_index(const std::vector<std::size_t>& columns,
-                                     std::size_t jobs) const;
-
-  /// Drops the index caches before a mutation.  A copy sharing the caches
-  /// keeps the old (still valid for its rows) indexes; this table starts
-  /// fresh caches on next use.
+  /// Drops the index cache before a mutation.  A copy sharing the cache
+  /// keeps the old (still valid for its rows) indexes; this table starts a
+  /// fresh cache on next use.
   void invalidate_indexes() noexcept {
     if (index_cache_) index_cache_.reset();
-    if (join_cache_) join_cache_.reset();
   }
 
   /// A built index plus the MemTracker reservation covering it.  The
@@ -539,11 +507,7 @@ class Table {
   /// the last table copy drops (or invalidates) the cache — copies sharing
   /// the cache never double-count.
   struct CachedIndex {
-    IndexMap map;
-    obs::MemReservation mem;
-  };
-  struct CachedJoin {
-    JoinIndex index;
+    HashIndex index;
     obs::MemReservation mem;
   };
 
@@ -552,13 +516,11 @@ class Table {
   // (a shared LIMIT head leaves a tail that mut_col trims on first write).
   std::vector<ColumnPtr> cols_;
   std::size_t rows_ = 0;
-  // Secondary indexes by column-index set, built lazily.  Shared between
-  // copies (rows are identical until one of them mutates, which resets only
-  // that copy's pointer).
+  // Hash indexes by column-index set, built lazily.  Shared between copies
+  // (rows are identical until one of them mutates, which resets only that
+  // copy's pointer).
   mutable std::shared_ptr<std::map<std::vector<std::size_t>, CachedIndex>>
       index_cache_;
-  mutable std::shared_ptr<std::map<std::vector<std::size_t>, CachedJoin>>
-      join_cache_;
 };
 
 inline RowView::RowView(const Table& t, std::size_t row) noexcept

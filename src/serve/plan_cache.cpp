@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <span>
 
 #include "obs/obs.hpp"
 #include "plan/executor.hpp"
@@ -43,8 +42,8 @@ void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
 
 /// Precomputes the FastEmpty probe when the plan matches the supported
 /// shapes: emptiness-preserving wrappers (Limit >= 1, Project, Distinct,
-/// Sort) over a chain of compiled kSelects over one kScan or kIndexLookup.
-/// The secondary index is resolved (and thereby built and cached on the
+/// Sort) over at most one compiled kSelect over one kScan or kIndexLookup.
+/// The hash index is resolved (and thereby built and cached on the
 /// snapshot's table) here, at build time.
 std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
     const plan::PlanNode& root, const Catalog& catalog) {
@@ -57,13 +56,11 @@ std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
     n = &n->child();
   }
   CachedStatement::Unit::FastEmpty out;
-  while (n->kind == Kind::kSelect) {
+  if (n->kind == Kind::kSelect) {
     if (!n->compiled || n->children.size() != 1) return std::nullopt;
-    out.filters.push_back(n->compiled.get());
+    out.filter = n->compiled.get();
     n = &n->child();
   }
-  // Innermost filter first: cheapest-first, matching executor order.
-  std::reverse(out.filters.begin(), out.filters.end());
   if (n->kind != Kind::kScan && n->kind != Kind::kIndexLookup) {
     return std::nullopt;
   }
@@ -261,47 +258,25 @@ bool unit_is_empty(const CachedStatement& cs, std::size_t index) {
   if (!unit.fast) return run_unit(cs, index, 1).row_count() == 0;
   const CachedStatement::Unit::FastEmpty& f = *unit.fast;
   // Candidates: the index bucket's row ids, or every base row.
-  std::span<const std::size_t> bucket;
+  const std::vector<std::size_t>* bucket = nullptr;
   if (f.index != nullptr) {
-    const auto it = f.index->find(f.probe);
-    if (it == f.index->end()) return true;
-    bucket = it->second;
+    bucket = f.index->find(f.probe);
+    if (bucket == nullptr) return true;
   }
-  const std::size_t n =
-      f.index != nullptr ? bucket.size() : f.base->row_count();
-  if (f.filters.empty()) return n == 0;
-  // Batch by batch: the first filter picks the batch's survivors, each
-  // later filter refines them, and the probe stops at the first batch with
-  // a survivor.  rows_scanned counts candidates up to and including the
-  // first passing row, as a row-by-row probe would.
-  using plan::vec::kBatchRows;
-  thread_local bc::Sel hits, refined;
-  for (std::size_t b = 0; b < n; b += kBatchRows) {
-    const std::size_t e = std::min(b + kBatchRows, n);
-    hits.clear();
-    if (f.index != nullptr) {
-      f.filters[0]->filter_rows(f.cols, bucket.subspan(b, e - b),
-                                plan::kNoLimit, hits);
-    } else {
-      f.filters[0]->filter_range(f.cols, b, e, plan::kNoLimit, hits);
-    }
-    for (std::size_t k = 1; k < f.filters.size() && !hits.empty(); ++k) {
-      f.filters[k]->refine(f.cols, hits, refined);
-      hits.swap(refined);
-    }
-    if (hits.empty()) continue;
-    const std::size_t position =
-        f.index != nullptr
-            ? static_cast<std::size_t>(
-                  std::lower_bound(bucket.begin() + b, bucket.begin() + e,
-                                   hits.front()) -
-                  bucket.begin())
-            : hits.front();
-    CCSQL_COUNT("query.rows_scanned", position + 1);
-    return false;
+  if (f.filter == nullptr) {
+    return (bucket != nullptr ? bucket->size() : f.base->row_count()) == 0;
   }
-  CCSQL_COUNT("query.rows_scanned", n);
-  return true;
+  // One filter with a row budget of 1: it stops at the first passing row
+  // and reports the candidates visited up to and including it, as a
+  // row-by-row probe would.
+  thread_local bc::Sel hits;
+  hits.clear();
+  const std::size_t visited =
+      bucket != nullptr
+          ? f.filter->filter_rows(f.cols, *bucket, 1, hits)
+          : f.filter->filter_range(f.cols, 0, f.base->row_count(), 1, hits);
+  CCSQL_COUNT("query.rows_scanned", visited);
+  return hits.empty();
 }
 
 }  // namespace ccsql::serve

@@ -63,19 +63,18 @@ struct CachedStatement {
     /// common exists-mode shapes (Limit/Project/Distinct wrappers over a
     /// filtered scan or index lookup).  Emptiness is invariant under those
     /// wrappers, so the probe inspects base rows directly: find the index
-    /// bucket (or scan), run the pre-compiled filters over its rows batch
-    /// by batch, stop at the first batch with a passing row.  All pointers
-    /// target the pinned snapshot catalog (tables, their index caches,
-    /// compiled filters), so they live as long as the entry.  Unset: probe
-    /// shapes the walk doesn't cover (unions, joins) fall back to the
-    /// generic executor.
+    /// bucket (or scan), run the pre-compiled filter over its rows with a
+    /// row budget of 1.  All pointers target the pinned snapshot catalog
+    /// (tables, their index caches, compiled filters), so they live as long
+    /// as the entry.  Unset: probe shapes the walk doesn't cover (unions,
+    /// joins) fall back to the generic executor.
     struct FastEmpty {
       const Table* base = nullptr;
-      const Table::IndexMap* index = nullptr;  // null: scan all base rows
-      TupleKey probe;                          // index bucket key
-      /// Conjunctive predicate chain (stacked kSelects), innermost first;
-      /// empty: bucket/table non-emptiness is the answer.
-      std::vector<const plan::vec::RowFilter*> filters;
+      const HashIndex* index = nullptr;  // null: scan all base rows
+      TupleKey probe;                    // index bucket key
+      /// The plan's one Select (the optimizer merges every chain); null:
+      /// bucket/table non-emptiness is the answer.
+      const plan::vec::RowFilter* filter = nullptr;
       /// The base table's column pointers, resolved once at build time.
       std::vector<const Value*> cols;
     };

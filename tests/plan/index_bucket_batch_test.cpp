@@ -39,8 +39,8 @@ constexpr std::size_t kBucket = kRows / 2;
 constexpr std::size_t kHitPos = 1100;
 // Bucket positions of two decoys in the first batch, each passing one of
 // `b != "b0"` and `c != "c0"` but not the other: whichever order the
-// optimizer stacks those two filters in, the inner one has a survivor in
-// the first batch that the outer one must reject.
+// merged conjunction evaluates those two conjuncts in, the first one has a
+// survivor in the first batch that the second one must reject.
 constexpr std::size_t kDecoyB = 10;
 constexpr std::size_t kDecoyC = 20;
 
@@ -107,12 +107,12 @@ void expect_fused(const Database& db, const std::string& sql,
 }
 
 /// unit_is_empty over the exists-mode cached plan of `sql`, whose
-/// FastEmpty probe runs `filters` filters over an index bucket (or a scan
-/// when `indexed` is false): the verdict must match the naive executor and
+/// FastEmpty probe runs its one filter over an index bucket (or a scan when
+/// `indexed` is false): the verdict must match the naive executor and
 /// query.rows_scanned must count the candidates up to and including the
 /// first passing one.
 void expect_probe(const Database& db, const std::string& sql, bool indexed,
-                  std::size_t filters, std::size_t visited) {
+                  std::size_t visited) {
   SCOPED_TRACE(sql);
   const Snapshot snap = db.snapshot();
   const serve::CachedStatementPtr cs =
@@ -120,7 +120,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
   const auto& unit = cs->units.at(0);
   ASSERT_TRUE(unit.fast.has_value()) << plan::render(*unit.plan);
   EXPECT_EQ(unit.fast->index != nullptr, indexed) << plan::render(*unit.plan);
-  EXPECT_EQ(unit.fast->filters.size(), filters) << plan::render(*unit.plan);
+  EXPECT_NE(unit.fast->filter, nullptr) << plan::render(*unit.plan);
 
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.enable_metrics();
@@ -151,29 +151,29 @@ TEST(IndexBucketBatch, FusedSelectWithNoPassingRowVisitsWholeBucket) {
 TEST(IndexBucketBatch, FastEmptyFindsRowInSecondBatch) {
   const Database db = make_db();
   expect_probe(db, "select * from T where k = \"x\" and a != \"miss\"",
-               true, 1, kHitPos + 1);
+               true, kHitPos + 1);
   expect_probe(db,
                "select * from T where k = \"x\" and "
                "not a in (\"miss\", \"hit\")",
-               true, 1, kBucket);
+               true, kBucket);
 }
 
 TEST(IndexBucketBatch, FastEmptyFilterChainRefinesAcrossBatches) {
   const Database db = make_db();
-  // Two stacked Selects over the bucket: the first batch holds a survivor
-  // of the inner filter (a decoy) that the outer one rejects, so the probe
-  // must go on to the second batch.
+  // Two residual conjuncts over the bucket, merged into one filter: the
+  // first batch holds a survivor of one conjunct (a decoy) that the other
+  // rejects, so the probe must go on to the second batch.
   expect_probe(db,
                "select * from T where k = \"x\" and b != \"b0\" and "
                "c != \"c0\"",
-               true, 2, kHitPos + 1);
-  // A three-filter chain over a scan: odd row 1 fails `k != "y"`, the
-  // decoys fail one of the others, and row 2,200 — in the third batch —
-  // passes all three.
+               true, kHitPos + 1);
+  // Three conjuncts over a scan: odd row 1 fails `k != "y"`, the decoys
+  // fail one of the others, and row 2,200 — in the third batch — passes
+  // all three.
   expect_probe(db,
                "select * from T where k != \"y\" and b != \"b0\" and "
                "c != \"c0\"",
-               false, 3, 2 * kHitPos + 1);
+               false, 2 * kHitPos + 1);
 }
 
 }  // namespace

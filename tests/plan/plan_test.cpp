@@ -84,6 +84,48 @@ TEST(Planner, EqualityLiteralLowersToIndexLookup) {
   EXPECT_EQ(p->child().columns, std::vector<std::string>{"dirst"});
 }
 
+// Select merging runs after index lowering and folds every Select chain
+// into one Select over the conjunction, innermost first: a conjunction
+// left over an IndexLookup or a Scan executes as one filter, never as a
+// Select over a Select.
+TEST(Plan, SelectChainsFoldIntoOneConjunction) {
+  Catalog db;
+  Table t(Schema::of({"k", "a", "b"}));
+  t.append_texts({"x", "y", "z"});
+  t.append_texts({"x", "w", "w"});
+  t.append_texts({"x", "y", "w"});
+  t.append_texts({"u", "w", "w"});
+  t.append_texts({"u", "y", "z"});
+  db.put("T", std::move(t));
+  struct Case {
+    const char* sql;
+    PlanNode::Kind leaf;
+    std::size_t rows;
+  };
+  const Case cases[] = {
+      {"select * from T where k = \"x\" and a <> \"y\" and b <> \"z\"",
+       PlanNode::Kind::kIndexLookup, 1},
+      {"select * from T where a <> \"y\" and b <> \"z\"",
+       PlanNode::Kind::kScan, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const SelectStmt stmt = parse_select(c.sql);
+    PlanPtr p = plan::plan_select(db, stmt);
+    const PlanNode& sel = *p;  // `select *` needs no Project
+    ASSERT_EQ(sel.kind, PlanNode::Kind::kSelect) << plan::render(*p);
+    EXPECT_EQ(sel.predicate->op(), Expr::Op::kAnd);
+    // Innermost first: the chain split ran the last conjunct innermost.
+    EXPECT_EQ(sel.predicate->to_string(), "(b != \"z\" and a != \"y\")");
+    EXPECT_EQ(sel.child().kind, c.leaf) << plan::render(*p);
+    const Table planned = plan::run_select(db, stmt);
+    const Table naive = naive::run(db, stmt);
+    EXPECT_EQ(planned.row_count(), c.rows);
+    EXPECT_EQ(planned.row_count(), naive.row_count());
+    EXPECT_TRUE(planned.set_equal(naive));
+  }
+}
+
 TEST(Planner, CrossWithEqualityLowersToHashJoin) {
   Catalog db = make_catalog();
   PlanPtr p = plan::plan_select(

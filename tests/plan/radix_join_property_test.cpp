@@ -1,12 +1,13 @@
 // Differential pin: the radix-partitioned hash join must be byte-identical
-// to a reference join that probes the unpartitioned Table::index_on, at
-// every jobs level.  Seeded inputs large enough to cross the radix
+// to a reference join over a test-local std::unordered_map built row by
+// row, at every jobs level.  Seeded inputs large enough to cross the radix
 // threshold (build side >= 8192 rows) make the partitioned path actually
 // exercise multi-partition build + probe.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "relational/database.hpp"
@@ -52,13 +53,17 @@ std::string run_join(std::size_t jobs) {
 }
 
 /// The reference: L rows in order, each followed by its (k1, k2) matches in
-/// R in ascending row order, found through R's single unpartitioned
-/// index_on.  The header carries the planner's qualified output names.
+/// R in ascending row order, found through a plain hash map filled by a row
+/// loop — independent of the HashIndex under test.  The header carries the
+/// planner's qualified output names.
 std::string reference_join() {
   const Table l = left_table();
   const Table r = right_table();
   const std::vector<std::size_t> keys{0, 1};
-  const IndexMap& index = r.index_on(keys);
+  std::unordered_map<TupleKey, std::vector<std::size_t>, TupleKeyHash> index;
+  for (std::size_t j = 0; j < r.row_count(); ++j) {
+    index[TupleKey::of_row(r.row(j), keys)].push_back(j);
+  }
   Table out(Schema::of({"l.lp", "r.rp"}));
   for (std::size_t i = 0; i < l.row_count(); ++i) {
     const auto it = index.find(TupleKey::of_row(l.row(i), keys));
@@ -81,7 +86,7 @@ TEST(RadixJoin, MatchesSinglePartitionAtEveryJobsLevel) {
 TEST(RadixJoin, BuildsMultiplePartitionsAboveThreshold) {
   Table r = right_table();
   const std::vector<std::size_t> cols{0, 1};
-  const JoinIndex& idx = r.join_index_on(cols, /*jobs=*/4);
+  const HashIndex& idx = r.index_on(cols, /*jobs=*/4);
   EXPECT_GT(idx.partitions(), 1u);
   EXPECT_EQ(idx.row_count(), r.row_count());
 }
@@ -89,7 +94,7 @@ TEST(RadixJoin, BuildsMultiplePartitionsAboveThreshold) {
 TEST(RadixJoin, SmallBuildSideStaysSinglePartition) {
   Table r = seeded_table(/*seed=*/3, /*rows=*/512, /*keys=*/64, "r");
   const std::vector<std::size_t> cols{0, 1};
-  const JoinIndex& idx = r.join_index_on(cols, /*jobs=*/4);
+  const HashIndex& idx = r.index_on(cols, /*jobs=*/4);
   EXPECT_EQ(idx.partitions(), 1u);
 }
 

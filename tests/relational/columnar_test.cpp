@@ -1,8 +1,8 @@
 // Round-trip tests for the columnar Table storage: ColumnView access,
 // copy-on-write column sharing, zero-copy head/project/hcat, width-0
 // (unit-row) semantics, and the memory accounting that rides along
-// (TupleKey overflow heap bytes in index_memory_bytes, snapshot catalog
-// copies under kTables).
+// (TupleKey overflow heap bytes in HashIndex::memory_bytes, snapshot
+// catalog copies under kTables).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -113,11 +113,16 @@ TEST(Columnar, HcatZipsColumns) {
 TEST(Columnar, UnionAllDoesNotDisturbSharedSource) {
   Table a = small();
   Table keep = a;  // holds a second reference to a's columns
-  Table u = Table::union_all(a, a);
-  EXPECT_EQ(u.row_count(), 6u);
+  Table b(a.schema_ptr());
+  b.append({V("rd"), V("S")});
+  // union_distinct appends b's rows into a copy of a's columns before
+  // deduplicating: copy-on-write must leave the shared source alone.
+  Table u = Table::union_distinct(a, b);
+  EXPECT_EQ(u.row_count(), 4u);
   EXPECT_EQ(keep.row_count(), 3u);
+  EXPECT_EQ(a.row_count(), 3u);
   EXPECT_EQ(keep.column(0)[2], V("wb"));
-  EXPECT_EQ(u.column(0)[5], V("wb"));
+  EXPECT_EQ(u.column(0)[3], V("rd"));
 }
 
 // Width-0 tables carry pure row multiplicity (the old unit_rows_).
@@ -125,10 +130,16 @@ TEST(Columnar, WidthZeroRowSemantics) {
   Table u = Table::unit();
   EXPECT_EQ(u.row_count(), 1u);
   EXPECT_EQ(u.column_count(), 0u);
-  Table uu = Table::union_all(u, u);
+  // Two unit rows: a two-row table projected to no columns.
+  Table two(Schema::of({"n"}));
+  two.append({V("1")});
+  two.append({V("2")});
+  Table uu = two.project({}, /*distinct=*/false);
   EXPECT_EQ(uu.row_count(), 2u);
-  // distinct collapses to a single unit row.
+  EXPECT_EQ(uu.column_count(), 0u);
+  // distinct and union_distinct collapse to a single unit row.
   EXPECT_EQ(uu.distinct().row_count(), 1u);
+  EXPECT_EQ(Table::union_distinct(uu, uu).row_count(), 1u);
   // select counts predicate passes over empty rows.
   Table kept = uu.select([](RowView r) { return r.empty(); });
   EXPECT_EQ(kept.row_count(), 2u);
@@ -167,7 +178,9 @@ TEST(Columnar, BuildKeysMatchesOfRow) {
   }
 }
 
-// Satellite: index_memory_bytes must count TupleKey overflow allocations.
+// HashIndex::memory_bytes must count TupleKey overflow allocations: a
+// 6-column key spills two ids to the heap, so the wide index reports at
+// least the narrow (inline-key) index over the same rows plus that spill.
 TEST(Columnar, IndexMemoryCountsKeyOverflow) {
   Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
   for (int i = 0; i < 64; ++i) {
@@ -176,23 +189,21 @@ TEST(Columnar, IndexMemoryCountsKeyOverflow) {
   }
   const std::vector<std::size_t> wide{0, 1, 2, 3, 4, 5};
   const std::vector<std::size_t> narrow{0, 1};
-  const IndexMap& wide_index = t.index_on(wide);
+  // Both key sets are unique per row (column a is), so the two indexes
+  // hold the same 64 keys and row lists; only the key payload differs.
+  const HashIndex& wide_index = t.index_on(wide);
+  const HashIndex& narrow_index = t.index_on(narrow);
+  ASSERT_EQ(wide_index.key_count(), 64u);
+  ASSERT_EQ(narrow_index.key_count(), 64u);
   std::size_t overflow = 0;
-  for (const auto& [key, rows] : wide_index) overflow += key.heap_bytes();
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    overflow += TupleKey::of_row(t.row(r), wide).heap_bytes();
+  }
   EXPECT_GT(overflow, 0u);
-  // The reported footprint includes every key's overflow heap allocation.
-  std::size_t base = 0;
-  for (const auto& [key, rows] : wide_index) {
-    base += sizeof(key) + rows.capacity() * sizeof(std::size_t);
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    EXPECT_EQ(TupleKey::of_row(t.row(r), narrow).heap_bytes(), 0u);
   }
-  EXPECT_GE(Table::index_memory_bytes(wide_index), base + overflow);
-  // And a narrow (inline-key) index reports no overflow component.
-  const IndexMap& narrow_index = t.index_on(narrow);
-  std::size_t narrow_overflow = 0;
-  for (const auto& [key, rows] : narrow_index) {
-    narrow_overflow += key.heap_bytes();
-  }
-  EXPECT_EQ(narrow_overflow, 0u);
+  EXPECT_GE(wide_index.memory_bytes(), narrow_index.memory_bytes() + overflow);
 }
 
 // Satellite: per-generation frozen snapshot copies are tracked as kTables.
@@ -231,7 +242,7 @@ TEST(Columnar, JoinIndexFindsEveryRowOnce) {
               V(std::string("v").append(std::to_string(i)))});
   }
   const std::vector<std::size_t> cols{0};
-  const JoinIndex idx = JoinIndex::build(t, cols, /*jobs=*/4);
+  const HashIndex idx = HashIndex::build(t, cols, /*jobs=*/4);
   EXPECT_GT(idx.partitions(), 1u);
   EXPECT_EQ(idx.key_count(), 257u);
   EXPECT_EQ(idx.row_count(), static_cast<std::size_t>(n));

@@ -52,14 +52,6 @@ TEST(Schema, ProjectKeepsOrderGiven) {
   EXPECT_EQ(p->column(0).kind, ColumnKind::kOutput);
 }
 
-TEST(Schema, RenamedReplacesOneColumn) {
-  auto s = dir_schema();
-  auto r = s->renamed("inmsg", "m1");
-  EXPECT_TRUE(r->has("m1"));
-  EXPECT_FALSE(r->has("inmsg"));
-  EXPECT_TRUE(s->has("inmsg"));
-}
-
 TEST(Schema, SameNamesIgnoresKinds) {
   auto a = make_schema({{"x", ColumnKind::kInput}, {"y", ColumnKind::kInput}});
   auto b =
