@@ -16,6 +16,9 @@
 //         [--seed N] [--workload NAME]
 //                                     table-driven simulation, reporting
 //                                     events/sec
+//   ccsql sweep [ASSIGNMENT] [--seeds N]
+//                                     the validation grid of simulations;
+//                                     exit 1 on any unhealthy run
 //   ccsql reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]
 //         [--symmetry] [--classify] [--witness] [--max-bytes N]
 //                                     exhaustive exploration with the
@@ -35,7 +38,8 @@
 //                              histogram p50/p95/max, pool utilization,
 //                              memory accounting (no trace file needed)
 //   --jobs N                   parallel lanes for query execution, the
-//                              invariant suite, and VCG composition
+//                              invariant suite, VCG composition, the
+//                              explorer and the sweep
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
@@ -47,6 +51,7 @@
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
 #include <charconv>
+#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -66,6 +71,7 @@
 #include "protocol/asura/asura.hpp"
 #include "serve_driver.hpp"
 #include "sim/machine.hpp"
+#include "sim/sweep.hpp"
 
 namespace {
 
@@ -88,6 +94,8 @@ constexpr FlagSpec kFlags[] = {
     {"--fig4"}, {"--quads", kInt}, {"--addrs", kInt}, {"--capacity", kInt},
     {"--txns", kInt}, {"--seed", kInt}, {"--latency", kInt},
     {"--workload", kString},
+    // sweep
+    {"--seeds", kInt},
     // reach
     {"--ops", kInt}, {"--max-states", kInt}, {"--first-deadlock"},
     {"--symmetry"}, {"--only-ops", kString}, {"--node-ops", kString},
@@ -159,6 +167,9 @@ int usage() {
          "                           table-driven simulation; workloads:\n"
          "                           random, lock, producer-consumer,\n"
          "                           false-sharing, streaming\n"
+         "  sweep [ASSIGNMENT] [--seeds N]\n"
+         "                           validation grid of simulations on the\n"
+         "                           pool; exit 1 on any unhealthy run\n"
          "  reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]\n"
          "        [--symmetry] [--classify] [--witness]\n"
          "        [--max-states N] [--max-bytes N] [--first-deadlock]\n"
@@ -334,6 +345,43 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
   return r.healthy() ? 0 : 1;
 }
 
+int cmd_sweep(const ProtocolSpec& spec, const Args& args) {
+  const std::string assignment =
+      args.positional.empty() ? asura::kAssignV5Fix : args.positional[0];
+  const auto seeds = static_cast<unsigned>(args.value_of("--seeds", 8));
+  const std::size_t jobs = core::Pool::default_jobs();
+  const std::vector<sim::SweepRun> grid =
+      sim::default_sweep_grid(assignment, seeds);
+  std::cout << "# sweep: " << grid.size() << " runs (" << assignment
+            << "), jobs=" << jobs << "\n";
+  const sim::SweepResult result = sim::SweepEngine(spec).run(grid, jobs);
+
+  int bad = 0;
+  for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    const sim::SimResult& r = result.runs[i];
+    if (r.healthy() || ++bad > 8) continue;
+    std::cout << "BAD " << grid[i].label() << ": completed=" << r.completed
+              << " deadlocked=" << r.deadlocked << " stalled=" << r.stalled
+              << " steps=" << r.steps << "\n";
+    for (const auto& e : r.errors) std::cout << "  " << e << "\n";
+  }
+  const double per_cycle =
+      result.merged.cycles != 0
+          ? static_cast<double>(result.events) /
+                static_cast<double>(result.merged.cycles)
+          : 0.0;
+  std::ostringstream os;  // keeps std::fixed off std::cout
+  os << std::fixed << std::setprecision(3) << "# " << result.runs.size()
+     << " runs: " << result.completed << " completed, " << result.deadlocked
+     << " deadlocked, " << result.stalled << " stalled, " << result.unhealthy
+     << " unhealthy\n# events " << result.events << "  cycles "
+     << result.merged.cycles << "  events/cycle " << per_cycle << "\n# wall "
+     << result.seconds << "s  events/sec " << result.events_per_sec << "\n";
+  std::cout << os.str();
+  if (args.has("--metrics")) std::cout << result.merged.summary();
+  return result.all_healthy() && bad == 0 ? 0 : 1;
+}
+
 int cmd_reach(const ProtocolSpec& spec, const Args& args) {
   const std::string assignment =
       args.positional.empty() ? asura::kAssignV5Fix : args.positional[0];
@@ -369,8 +417,8 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
     for (std::string tok; std::getline(ss, tok, ',');) {
       if (tok.empty()) continue;
       const std::optional<int> budget = parse_int(tok);
-      if (!budget) {
-        std::cerr << "error: --node-ops needs comma-separated integers\n";
+      if (!budget || *budget < 0) {
+        std::cerr << "error: --node-ops needs comma-separated counts\n";
         return 2;
       }
       cfg.ops_by_node.push_back(*budget);
@@ -539,6 +587,7 @@ int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "map") return cmd_map(*spec, args);
   if (cmd == "codegen") return cmd_codegen(*spec, args);
   if (cmd == "sim") return cmd_sim(*spec, args);
+  if (cmd == "sweep") return cmd_sweep(*spec, args);
   if (cmd == "reach") return cmd_reach(*spec, args);
   if (cmd == "lint") return cmd_lint(*spec, args);
   if (cmd == "serve") return cmd_serve(*spec, args);

@@ -151,7 +151,7 @@ std::vector<CycleClassification> classify_cycles(
     const ProtocolSpec& spec, const ChannelAssignment& v,
     const std::vector<VcgCycle>& cycles, const ReachParallelConfig& config);
 
-/// The `reach_dump --classify` report: one line per cycle, golden-testable.
+/// The `ccsql reach --classify` report: one line per cycle, golden-testable.
 std::string format_classification(
     const std::vector<CycleClassification>& classifications);
 

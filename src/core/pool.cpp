@@ -28,11 +28,11 @@ std::size_t resolve_default_jobs() {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
+      return std::min(static_cast<std::size_t>(v), Pool::kMaxJobs);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return std::clamp<std::size_t>(hw, 1, Pool::kMaxJobs);
 }
 
 }  // namespace
@@ -81,7 +81,7 @@ std::size_t Pool::default_jobs() {
 }
 
 void Pool::set_default_jobs(std::size_t jobs) {
-  default_jobs_cell().store(std::max<std::size_t>(1, jobs),
+  default_jobs_cell().store(std::clamp<std::size_t>(jobs, 1, kMaxJobs),
                             std::memory_order_relaxed);
 }
 

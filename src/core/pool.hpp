@@ -67,12 +67,18 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
+  /// Upper bound on default_jobs(): a larger --jobs, CCSQL_JOBS or
+  /// set_default_jobs() value is clamped to it, so no setting can ask the
+  /// global pool for an unbounded number of threads.
+  static constexpr std::size_t kMaxJobs = 256;
+
   /// The process-wide pool shared by all subsystems.  Created on first use
   /// with default_jobs() - 1 workers (the calling thread is the extra lane).
   static Pool& global();
 
   /// Process-wide parallelism default: the last set_default_jobs() value,
-  /// else CCSQL_JOBS from the environment, else hardware_concurrency (min 1).
+  /// else CCSQL_JOBS from the environment, else hardware_concurrency, each
+  /// clamped to [1, kMaxJobs].
   [[nodiscard]] static std::size_t default_jobs();
 
   /// Overrides default_jobs (the CLI's --jobs flag).  Call before the first

@@ -56,7 +56,7 @@ struct ExecContext {
 /// a Cross runs fused: its predicate reads a product of only the columns it
 /// references, so this is those columns in the Cross's column order.  Any
 /// other Select reads rows of its own schema.  `ident` decides which
-/// identifiers are columns, as in compile().
+/// identifiers are columns, as in compile_bytecode().
 [[nodiscard]] SchemaPtr predicate_schema(const PlanNode& select,
                                          const Schema& ident);
 

@@ -34,7 +34,7 @@ const Schema& ident_schema_of(const PlanNode& node, const PlannerOptions& opts) 
   return opts.ident_schema != nullptr ? *opts.ident_schema : *node.schema;
 }
 
-/// Same identifier-hood rule as compile() in relational/expr.cpp.
+/// The identifier-hood rule of Atom in relational/expr.hpp.
 bool is_column(const Atom& a, const Schema& ident) {
   return a.kind == Atom::Kind::kIdent && ident.has(a.text);
 }

@@ -32,7 +32,7 @@ struct PlannerOptions {
   /// The caller only needs to know whether the result is empty (invariant
   /// checks): drop ORDER BY and stop after the first row.
   bool exists_only = false;
-  /// Schema deciding identifier-hood of bare atoms (see compile() in
+  /// Schema deciding identifier-hood of bare atoms (see Atom in
   /// relational/expr.hpp).  Defaults to each node's own schema; the solver
   /// passes the full target schema so partially-built rows resolve the same
   /// way as complete ones.

@@ -1,9 +1,10 @@
 #pragma once
 
 // Planner facade: parse tree -> plan -> optimized plan -> result.  Every
-// SQL-consuming layer (Catalog, Database, Snapshot, serve::Server, the
-// solver's cross_select) plans through here; the naive reference executor
-// lives in tests/support as the differential oracle.
+// SQL-consuming layer (Catalog, Database, Snapshot, serve::Server) and the
+// solver's per-column steps (plan::cross_select, called directly) plan
+// through here; the naive reference executor lives in tests/support as the
+// differential oracle.
 
 #include <string>
 #include <string_view>

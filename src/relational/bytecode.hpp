@@ -1,9 +1,8 @@
 #pragma once
 
-// Compiled predicate bytecode: the one evaluation engine behind every
-// planned filter in the system (planner selects, hash-join residuals via
-// selects, fused counts, index-bucket filters, serve emptiness probes,
-// solver steps).
+// Compiled predicate bytecode: the only predicate engine in src/, behind
+// every planned filter (planner selects, hash-join residuals via selects,
+// fused counts, index-bucket filters, serve emptiness probes, solver steps).
 //
 // A resolved Expr is flattened into a postfix program over interned symbol
 // ids and evaluated over a *selection vector* of ~1024 row indices at a
@@ -19,10 +18,10 @@
 // index column[row] — exactly the columns the predicate names, never whole
 // rows.
 //
-// The engine is an exact drop-in for CompiledExpr::eval: NULL is symbol id
-// 0 and compares as an ordinary value, and selection order is table order,
-// so results are byte-identical to the interpreted walk, which the tests
-// keep as the differential oracle.
+// NULL is symbol id 0 and compares as an ordinary value, and selection
+// order is table order, so results are byte-identical to a row-at-a-time
+// walk of the Expr tree, which tests/support keeps as the differential
+// oracle.
 
 #include <cstdint>
 #include <deque>
@@ -41,9 +40,8 @@ class Program;
 }
 
 /// Compiles `expr` to bytecode, resolved against `row_schema` with
-/// identifier-hood decided by `full_schema` — the same contract as
-/// ccsql::compile for CompiledExpr (BindError on unknown columns or
-/// functions).
+/// identifier-hood decided by `full_schema` (see Atom in relational/expr.hpp;
+/// BindError on unknown columns or functions).
 bc::Program compile_bytecode(const Expr& expr, const Schema& row_schema,
                              const Schema& full_schema,
                              const FunctionRegistry* functions = nullptr);

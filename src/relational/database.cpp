@@ -210,11 +210,4 @@ QueryResult Database::explain_analyze(std::string_view select_text) const {
   return r;
 }
 
-Table Database::cross_select(const Table& left, const Table& right,
-                             const Expr& pred,
-                             const Schema& ident_schema) const {
-  return plan::cross_select(left, right, pred, ident_schema,
-                            &catalog_.functions(), jobs());
-}
-
 }  // namespace ccsql

@@ -225,12 +225,6 @@ class Database {
     return catalog_.execute(statement_text);
   }
 
-  /// The solver's incremental-generation step — select(pred, cross(l, r))
-  /// over free-standing tables — under this session's jobs setting.
-  [[nodiscard]] Table cross_select(const Table& left, const Table& right,
-                                   const Expr& pred,
-                                   const Schema& ident_schema) const;
-
  private:
   Catalog catalog_;
   std::size_t jobs_ = 0;  // 0 = follow the process-wide default

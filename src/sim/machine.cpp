@@ -164,6 +164,10 @@ Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
   if (config_.n_quads < 1 || config_.n_quads > 63 || config_.n_addrs < 1) {
     throw std::invalid_argument("sim: need 1..63 quads and >= 1 address");
   }
+  // A zero-capacity channel can never accept a message: the run would stall.
+  if (config_.channel_capacity < 1) {
+    throw std::invalid_argument("sim: need a channel capacity >= 1");
+  }
   const Sym& sy = sym();
   for (Ctl& c : ctl_) c.ncst = c.iocst = sy.idle;
   for (Addr a = 0; a < config_.n_addrs; ++a) memory(home_of(a), a) = 0;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
+#include "core/pool.hpp"
 #include "obs/obs.hpp"
-#include "relational/database.hpp"
+#include "plan/planner.hpp"
 #include "relational/error.hpp"
 #include "relational/expr.hpp"
 
@@ -42,18 +42,6 @@ void GenerationInput::validate() const {
       throw BindError("constraint on unknown column: " + c.column);
     }
   }
-}
-
-std::uint64_t GenerationInput::cross_cardinality() const {
-  std::uint64_t n = 1;
-  for (const auto& d : domains) {
-    const std::uint64_t s = d.size();
-    if (n > std::numeric_limits<std::uint64_t>::max() / s) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    n *= s;
-  }
-  return n;
 }
 
 namespace {
@@ -97,12 +85,9 @@ Table generate_incremental(const GenerationInput& input,
     binds[step].push_back(k);
   }
 
-  // The per-column cross+filter steps run as queries of a scratch session:
-  // it carries the constraint predicates and this generation's jobs setting.
-  Database session;
-  if (input.functions != nullptr) session.functions() = *input.functions;
-  session.set_jobs(input.jobs);
-
+  // Every step runs on the process-wide lane count; the output is the same
+  // at any count.
+  const std::size_t jobs = core::Pool::default_jobs();
   Table cur = Table::unit();
   for (std::size_t ci = 0; ci < full.size(); ++ci) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -126,8 +111,8 @@ Table generate_incremental(const GenerationInput& input,
       // The planner pushes single-side conjuncts below the cross and turns
       // prefix-column = new-column equalities into a hash join, so the
       // unconstrained product is never materialised.
-      cur = session.cross_select(cur, dom, Expr::conjunction(std::move(ready)),
-                                 full);
+      cur = plan::cross_select(cur, dom, Expr::conjunction(std::move(ready)),
+                               full, input.functions, jobs);
     }
     col_span.arg("rows_before", step.rows_before_filter);
     col_span.arg("rows_after", cur.row_count());
@@ -145,65 +130,6 @@ Table generate_incremental(const GenerationInput& input,
   gen_span.arg("rows", cur.row_count());
   CCSQL_COUNT("solver.tables_generated", 1);
   return cur;
-}
-
-Table generate_monolithic(const GenerationInput& input) {
-  input.validate();
-  const Schema& full = *input.schema;
-  CCSQL_SPAN(span, "solver.generate_monolithic", "solver");
-  span.arg("columns", full.size());
-  span.arg("cross_cardinality", input.cross_cardinality());
-
-  // Domains in schema order.
-  std::vector<const Domain*> doms;
-  doms.reserve(full.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    doms.push_back(&domain_for(input, full.column(i).name));
-  }
-
-  // The odometer tests one candidate row at a time, so it filters with the
-  // interpreted walk, whose short-circuit stops at the first failing
-  // conjunct; the bytecode engine only pays off over batches of rows.
-  // Keeping this path interpreter-only also makes the monolithic-vs-
-  // incremental equivalence tests a genuine cross-engine check (the
-  // incremental path filters through the batch executor).
-  std::vector<CompiledExpr> preds;
-  for (const auto& c : input.constraints) {
-    preds.push_back(compile(c.expr, full, full, input.functions));
-  }
-
-  Table out(input.schema);
-  if (full.size() == 0) return Table::unit();
-
-  // Odometer enumeration of the cross product (no materialization).
-  std::vector<std::size_t> idx(full.size(), 0);
-  std::vector<Value> row(full.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    row[i] = doms[i]->values()[0];
-  }
-  for (;;) {
-    bool ok = true;
-    for (const auto& p : preds) {
-      if (!p.eval(RowView(row))) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.append(RowView(row));
-
-    // Advance the odometer (last column fastest).
-    std::size_t i = full.size();
-    while (i > 0) {
-      --i;
-      if (++idx[i] < doms[i]->size()) {
-        row[i] = doms[i]->values()[idx[i]];
-        break;
-      }
-      idx[i] = 0;
-      row[i] = doms[i]->values()[0];
-      if (i == 0) return out;
-    }
-  }
 }
 
 std::string first_emptying_column(const GenerationInput& input) {

@@ -20,17 +20,10 @@ struct GenerationInput {
   std::vector<Domain> domains;
   std::vector<ColumnConstraint> constraints;
   const FunctionRegistry* functions = nullptr;
-  /// Parallel lanes for each per-column cross+filter step (0 = process
-  /// default).  Output is identical at any value.
-  std::size_t jobs = 0;
 
   /// Throws SchemaError/BindError unless every schema column has exactly one
   /// domain and every constraint names a schema column.
   void validate() const;
-
-  /// Product of domain sizes: the size of the unsolved cross product the
-  /// monolithic strategy enumerates (saturates at uint64 max).
-  [[nodiscard]] std::uint64_t cross_cardinality() const;
 };
 
 /// Per-column progress record of incremental generation, used by tests and
@@ -53,12 +46,6 @@ struct IncrementalTrace {
 /// which is what turned the paper's 6-hour solve into minutes.
 Table generate_incremental(const GenerationInput& input,
                            IncrementalTrace* trace = nullptr);
-
-/// Monolithic generation: enumerate the full cross product of all domains
-/// (without materializing it) and keep rows satisfying the conjunction of
-/// all constraints.  Exponential in the column count; exists as the paper's
-/// baseline and as a differential-testing oracle for the incremental path.
-Table generate_monolithic(const GenerationInput& input);
 
 /// Diagnoses an empty generation result: returns the name of the first
 /// column whose addition pruned the table to zero rows (the paper notes an

@@ -1,6 +1,5 @@
-// Golden output for VCG cycle classification (ccsql reach --classify /
-// reach_dump --classify): the Figure 4 cycle is reachable with a concrete
-// witness, the composition-artifact self-loops are provably unreachable,
+// Golden output for VCG cycle classification (ccsql reach --classify): the
+// Figure 4 cycle is reachable with a concrete witness, the composition-artifact self-loops are provably unreachable,
 // and a truncated search says so instead of claiming either.
 #include <gtest/gtest.h>
 

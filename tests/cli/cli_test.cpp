@@ -110,6 +110,7 @@ TEST(Cli, MalformedIntegerFlagsAreUsageErrors) {
       {"sim --quads", "--quads"},
       {"reach --max-states -5", "--max-states"},
       {"serve --sessions 2x", "--sessions"},
+      {"sweep --seeds x", "--seeds"},
   };
   for (const auto& [cmd, flag] : cases) {
     RunResult r = run(cmd);
@@ -119,10 +120,20 @@ TEST(Cli, MalformedIntegerFlagsAreUsageErrors) {
               std::string::npos)
         << cmd << "\n" << r.output;
   }
-  RunResult bad_budget = run("reach --node-ops 1,x");
-  EXPECT_EQ(bad_budget.exit_code, 2) << bad_budget.output;
-  EXPECT_NE(bad_budget.output.find("--node-ops needs"), std::string::npos)
-      << bad_budget.output;
+  // A per-node budget is a count too: a sign is rejected, not read as 0.
+  for (const char* cmd : {"reach --node-ops 1,x", "reach --node-ops 2,-1"}) {
+    RunResult bad_budget = run(cmd);
+    EXPECT_EQ(bad_budget.exit_code, 2) << cmd << "\n" << bad_budget.output;
+    EXPECT_NE(bad_budget.output.find("--node-ops needs"), std::string::npos)
+        << cmd << "\n" << bad_budget.output;
+  }
+  // A zero-capacity channel never accepts a message; the simulator refuses
+  // the configuration instead of stalling.
+  RunResult no_capacity = run("sim --capacity 0");
+  EXPECT_EQ(no_capacity.exit_code, 1) << no_capacity.output;
+  EXPECT_NE(no_capacity.output.find("error: sim: need a channel capacity"),
+            std::string::npos)
+      << no_capacity.output;
 }
 
 TEST(Cli, DeadlockFindsFigure4AndExitsNonzero) {
@@ -170,6 +181,26 @@ TEST(Cli, ReachSmallConfigVerified) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("complete=1"), std::string::npos);
   EXPECT_NE(r.output.find("deadlock_states=0"), std::string::npos);
+}
+
+TEST(Cli, ReachClassifiesTheFigure4Cycle) {
+  RunResult r = run(
+      "reach V5 --quads 2 --addrs 3 --ops 2 --only-ops prd,patomic "
+      "--node-ops 2,1 --classify");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("cycle 0 [VC2 VC4]: reachable"), std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, SweepRunsTheValidationGrid) {
+  RunResult r = run("sweep V5fix --seeds 1");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("45 runs: 45 completed"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("BAD "), std::string::npos) << r.output;
+  RunResult v5 = run("sweep V5 --seeds 1");
+  EXPECT_EQ(v5.exit_code, 1) << v5.output;
+  EXPECT_NE(v5.output.find("BAD "), std::string::npos) << v5.output;
 }
 
 TEST(Cli, ReachByteBudgetStopsTheSearch) {

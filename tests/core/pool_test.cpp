@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -14,6 +15,16 @@ namespace {
 
 TEST(Pool, DefaultJobsIsAtLeastOne) {
   EXPECT_GE(Pool::default_jobs(), 1u);
+}
+
+// Reads the clamped setting only: no pool is started at the extreme value.
+TEST(Pool, DefaultJobsIsBounded) {
+  const std::size_t saved = Pool::default_jobs();
+  Pool::set_default_jobs(SIZE_MAX);
+  EXPECT_EQ(Pool::default_jobs(), Pool::kMaxJobs);
+  Pool::set_default_jobs(0);
+  EXPECT_EQ(Pool::default_jobs(), 1u);
+  Pool::set_default_jobs(saved);
 }
 
 TEST(Pool, WorkerIdIsMinusOneOffPool) {

@@ -18,6 +18,7 @@
 #include "relational/expr.hpp"
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
+#include "support/interpreted_expr.hpp"
 #include "support/naive_exec.hpp"
 
 namespace ccsql {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pool.hpp"
 #include "mapping/asura_map.hpp"
 #include "plan/executor.hpp"
 #include "plan/ir.hpp"
@@ -22,6 +23,7 @@
 #include "relational/expr.hpp"
 #include "serve/plan_cache.hpp"
 #include "solver/generator.hpp"
+#include "support/interpreted_expr.hpp"
 
 namespace ccsql {
 namespace {
@@ -308,17 +310,19 @@ TEST(FusedCrossSelect, AsuraTablesMatchRecordedDigests) {
   auto spec = asura::make_asura();
   const FunctionRegistry* fns = &spec->database().functions();
   const ControllerSpec ed = mapping::make_extended_directory(*spec);
+  const std::size_t saved_jobs = core::Pool::default_jobs();
   for (const auto& pin : kPinned) {
     const ControllerSpec& c = std::string(pin.name) == "ED"
                                   ? ed
                                   : spec->controller(pin.name);
     GenerationInput in = c.generation_input(fns);
     for (std::size_t jobs : {1, 4, 8}) {
-      in.jobs = jobs;
+      core::Pool::set_default_jobs(jobs);
       EXPECT_EQ(digest(generate_incremental(in)), pin.digest)
           << pin.name << " at jobs " << jobs;
     }
   }
+  core::Pool::set_default_jobs(saved_jobs);
 }
 
 }  // namespace

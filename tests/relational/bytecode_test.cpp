@@ -10,6 +10,7 @@
 #include "relational/expr.hpp"
 #include "relational/parser.hpp"
 #include "relational/table.hpp"
+#include "support/interpreted_expr.hpp"
 
 namespace ccsql {
 namespace {

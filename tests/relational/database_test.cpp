@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pool.hpp"
+#include "plan/planner.hpp"
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
 #include "support/naive_exec.hpp"
@@ -98,7 +99,6 @@ TEST(Database, CopiesAreIndependentSessions) {
 }
 
 TEST(Database, CrossSelectMatchesNaiveCrossAndFilter) {
-  Database db;  // settings-only session; cross_select takes free tables
   Table l(Schema::of({"a"}));
   l.append({V("x")});
   l.append({V("y")});
@@ -108,7 +108,7 @@ TEST(Database, CrossSelectMatchesNaiveCrossAndFilter) {
   SchemaPtr full = Schema::of({"a", "b"});
 
   Expr pred = parse_expr("a = b");
-  Table joined = db.cross_select(l, r, pred, *full);
+  Table joined = plan::cross_select(l, r, pred, *full);
   ASSERT_EQ(joined.row_count(), 1u);
   EXPECT_EQ(joined.at(0, "a"), V("x"));
   EXPECT_EQ(joined.at(0, "b"), V("x"));

@@ -4,6 +4,7 @@
 
 #include "relational/error.hpp"
 #include "relational/parser.hpp"
+#include "support/interpreted_expr.hpp"
 
 namespace ccsql {
 namespace {

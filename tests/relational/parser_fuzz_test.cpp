@@ -11,6 +11,7 @@
 #include "relational/error.hpp"
 #include "relational/expr.hpp"
 #include "relational/parser.hpp"
+#include "support/interpreted_expr.hpp"
 
 namespace ccsql {
 namespace {

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "solver/generator.hpp"
+#include "support/interpreted_expr.hpp"
+#include "support/naive_solver.hpp"
 
 namespace ccsql {
 namespace {
@@ -82,7 +84,7 @@ TEST_P(GeneratorEquivalence, IncrementalEqualsMonolithic) {
   }
 
   Table inc = generate_incremental(in);
-  Table mono = generate_monolithic(in);
+  Table mono = naive::generate_monolithic(in);
   EXPECT_TRUE(inc.set_equal(mono))
       << "ncols=" << ncols << " alpha=" << alpha
       << " constraints=" << nconstraints;
@@ -109,7 +111,7 @@ TEST_P(GeneratorEquivalence, GeneratedRowsSatisfyAllConstraints) {
     }
   }
   // And every cross-product row NOT in t violates some constraint.
-  Table mono = generate_monolithic(in);
+  Table mono = naive::generate_monolithic(in);
   EXPECT_TRUE(t.set_equal(mono));
 }
 

@@ -2,6 +2,7 @@
 
 #include "plan/ir.hpp"
 #include "relational/parser.hpp"
+#include "support/interpreted_expr.hpp"
 
 namespace ccsql::naive {
 
