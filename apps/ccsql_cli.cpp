@@ -51,6 +51,7 @@
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
 #include <charconv>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <optional>
@@ -69,7 +70,7 @@
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "protocol/asura/asura.hpp"
-#include "serve_driver.hpp"
+#include "serve/session.hpp"
 #include "sim/machine.hpp"
 #include "sim/sweep.hpp"
 
@@ -472,18 +473,87 @@ int cmd_lint(const ProtocolSpec& spec, const Args&) {
 }
 
 int cmd_serve(const ProtocolSpec& spec, const Args& args) {
-  apps::ServeCliOptions opts;
-  opts.sessions =
-      static_cast<std::size_t>(args.value_of("--sessions", 8));
-  opts.iterations =
-      static_cast<std::size_t>(args.value_of("--iterations", 1));
-  opts.max_inflight =
+  serve::ServerOptions server_opts;
+  server_opts.max_inflight =
       static_cast<std::size_t>(args.value_of("--max-inflight", 0));
-  opts.writer_swaps = static_cast<std::size_t>(args.value_of("--writer", 0));
-  opts.script_path = args.str_value_of("--script");
-  opts.verbose = args.has("-v");
-  if (opts.sessions == 0) return usage();
-  return apps::run_serve(spec, opts, std::cout);
+  serve::DriveOptions drive_opts;
+  drive_opts.sessions =
+      static_cast<std::size_t>(args.value_of("--sessions", 8));
+  drive_opts.iterations =
+      static_cast<std::size_t>(args.value_of("--iterations", 1));
+  drive_opts.writer_swaps =
+      static_cast<std::size_t>(args.value_of("--writer", 0));
+  if (drive_opts.sessions == 0) return usage();
+  if (drive_opts.writer_swaps > 0) {
+    drive_opts.writer_table = spec.controllers().front()->name();
+  }
+
+  // Workload: the paper's invariant suite (exists mode), or a SQL script
+  // of SELECTs, one per line ('#' comments and blank lines skipped).
+  std::vector<std::string> statements;
+  if (const std::string path = args.str_value_of("--script"); !path.empty()) {
+    std::ifstream in(path);
+    if (!in) {
+      std::cout << "serve: cannot open script " << path << "\n";
+      return 2;
+    }
+    for (std::string line; std::getline(in, line);) {
+      const std::size_t first = line.find_first_not_of(" \t\r");
+      if (first == std::string::npos || line[first] == '#') continue;
+      statements.push_back(line);
+    }
+    drive_opts.exists_mode = false;
+  } else {
+    for (const auto& inv : spec.invariants()) statements.push_back(inv.sql);
+  }
+  if (statements.empty()) {
+    std::cout << "serve: nothing to run\n";
+    return 2;
+  }
+
+  serve::Server server(spec.database(), server_opts);
+  const serve::DriveReport report =
+      serve::drive(server, statements, drive_opts);
+  const serve::ServerStats stats = server.stats();
+
+  std::cout << "serve: " << drive_opts.sessions << " sessions x "
+            << drive_opts.iterations << " iterations over "
+            << statements.size()
+            << (drive_opts.exists_mode ? " invariants" : " queries");
+  if (server_opts.max_inflight > 0) {
+    std::cout << " (max-inflight " << server_opts.max_inflight << ")";
+  }
+  std::cout << "\n  queries=" << report.queries
+            << " violations=" << report.violations
+            << " wall=" << report.wall_us / 1000
+            << "ms qps=" << std::uint64_t(report.qps())
+            << " p50=" << report.latency_percentile_us(0.5)
+            << "us p95=" << report.latency_percentile_us(0.95) << "us\n";
+  std::cout << "  plan_cache: hits=" << stats.cache.hits
+            << " misses=" << stats.cache.misses
+            << " evictions=" << stats.cache.evictions
+            << " invalidations=" << stats.cache.invalidations
+            << " entries=" << stats.cache.entries << "\n";
+  if (drive_opts.writer_swaps > 0) {
+    std::cout << "  writer: swaps=" << report.writer_swaps
+              << " generation=" << stats.generation
+              << " admission_waits=" << stats.admission_waits << "\n";
+  }
+  if (args.has("-v")) {
+    for (const auto& s : report.sessions) {
+      std::cout << "  session " << s.id << ": queries=" << s.queries
+                << " violations=" << s.violations
+                << " run=" << s.run_us / 1000 << "ms\n";
+    }
+  }
+
+  // Make the run observable: serve.* gauges land in the process metrics
+  // registry (the --stats page reads them there, and a tracing run
+  // flushes them as counter events for trace_summary's serve digest).
+  if (obs::Tracer::global().enabled()) {
+    server.publish_stats(obs::Tracer::global().metrics());
+  }
+  return report.violations == 0 ? 0 : 1;
 }
 
 int cmd_flow(const ProtocolSpec& spec, const Args&) {

@@ -103,7 +103,7 @@ void BM_ExistsPlanned(benchmark::State& state) {
   const Catalog& db = asura_spec().database().catalog();
   SelectStmt stmt = parse_select(kSelfJoinSql);
   for (auto _ : state) {
-    bool empty = plan::is_empty(db, stmt);
+    bool empty = db.check_empty(stmt);
     benchmark::DoNotOptimize(empty);
   }
 }

@@ -12,9 +12,10 @@
 //   ccsql::DeadlockAnalysis vcg(spec);
 //
 // Exposed here:
-//  - Database / QueryResult — the query-session facade (every statement
-//    planned through src/plan; --jobs setting, morsel-parallel execution,
-//    timing)
+//  - Database / QueryResult — the query-session facade: each statement
+//    runs through the Catalog's one SELECT / emptiness path
+//    (Catalog::query / check_empty, planned through src/plan) at the
+//    session's --jobs setting, morsel-parallel
 //  - Table / Catalog / format helpers — the relational substrate
 //  - ProtocolSpec + the bundled protocols (asura_spec, snoopbus_spec)
 //  - InvariantChecker — the paper's error-detection suite runner

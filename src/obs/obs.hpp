@@ -8,9 +8,7 @@
 // Design rules:
 //  - Disabled is the default and must stay near-free: every instrumentation
 //    site guards on one relaxed atomic load before doing any work.
-//  - Instrumentation goes through the CCSQL_* macros below; building with
-//    -DCCSQL_TRACING=OFF compiles the sites out entirely (the library
-//    itself — sinks, metrics, the summary tool — still builds).
+//  - Instrumentation goes through the CCSQL_* macros below.
 //  - One process-wide tracer (Tracer::global()) so deep layers (the query
 //    engine, the simulator) need no plumbing; tests may construct private
 //    Tracer instances.
@@ -279,11 +277,8 @@ class Tracer {
 
 // ---- instrumentation macros -------------------------------------------------
 //
-// All call sites in src/ use these; `cmake -DCCSQL_TRACING=OFF` defines
-// CCSQL_TRACING_DISABLED and compiles them out (spans become inert objects,
-// instants and counts disappear, their argument expressions unevaluated).
-
-#if !defined(CCSQL_TRACING_DISABLED)
+// All call sites in src/ use these.  Instant args and counter/histogram
+// values are evaluated only while the tracer is enabled.
 
 /// Declares `var` as a scoped span over the rest of the enclosing block.
 #define CCSQL_SPAN(var, name, category)             \
@@ -312,19 +307,3 @@ class Tracer {
     ::ccsql::obs::Tracer& ccsql_obs_t = ::ccsql::obs::Tracer::global(); \
     if (ccsql_obs_t.enabled()) ccsql_obs_t.observe((name), (value));    \
   } while (0)
-
-#else  // CCSQL_TRACING_DISABLED
-
-#define CCSQL_SPAN(var, name, category) \
-  ::ccsql::obs::Span var {}
-#define CCSQL_INSTANT(name, category, ...) \
-  do {                                     \
-  } while (0)
-#define CCSQL_COUNT(name, delta) \
-  do {                           \
-  } while (0)
-#define CCSQL_OBSERVE(name, value) \
-  do {                             \
-  } while (0)
-
-#endif  // CCSQL_TRACING_DISABLED

@@ -102,12 +102,6 @@ Table run_select(const Catalog& db, const SelectStmt& stmt,
   return execute(*root, ctx, opts.exists_only ? 1 : kNoLimit);
 }
 
-bool is_empty(const Catalog& db, const SelectStmt& stmt) {
-  PlannerOptions opts;
-  opts.exists_only = true;
-  return run_select(db, stmt, opts).row_count() == 0;
-}
-
 Table cross_select(const Table& left, const Table& right, const Expr& pred,
                    const Schema& ident_schema,
                    const FunctionRegistry* functions, std::size_t jobs) {

@@ -1,10 +1,12 @@
 #pragma once
 
-// Planner facade: parse tree -> plan -> optimized plan -> result.  Every
-// SQL-consuming layer (Catalog, Database, Snapshot, serve::Server) and the
-// solver's per-column steps (plan::cross_select, called directly) plan
-// through here; the naive reference executor lives in tests/support as the
-// differential oracle.
+// Planner facade: parse tree -> plan -> optimized plan -> result.  Its SQL
+// callers are Catalog::query / Catalog::check_empty (the one SELECT and
+// emptiness path, which Database and Snapshot delegate to), EXPLAIN, the
+// serving layer's prepared-statement cache (build_statement plans once and
+// runs the plan in place) and the solver's per-column steps
+// (plan::cross_select, called directly).  The naive reference executor
+// lives in tests/support as the differential oracle.
 
 #include <string>
 #include <string_view>
@@ -27,9 +29,6 @@ namespace ccsql::plan {
 /// Plans and executes `stmt` against `db`.
 [[nodiscard]] Table run_select(const Catalog& db, const SelectStmt& stmt,
                                const PlannerOptions& opts = {});
-
-/// Emptiness check for `stmt` in exists mode: stops at the first row.
-[[nodiscard]] bool is_empty(const Catalog& db, const SelectStmt& stmt);
 
 /// Plans and runs `select(pred, cross(left, right))` over two free-standing
 /// tables — the solver's incremental-generation step.  `ident_schema`

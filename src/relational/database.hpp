@@ -1,9 +1,7 @@
 #pragma once
 
-// The unified query-session facade.  Every subsystem (invariant checker,
-// VCG composition, solver, simulator setup, CLI) issues SQL through a
-// Database instead of picking between Catalog::run / check_empty and
-// carrying its own settings plumbing:
+// The query-session facade.  Every subsystem (invariant checker, VCG
+// composition, simulator setup, CLI) issues SQL through a Database:
 //
 //   Database db(spec.database());      // or build a Catalog and wrap it
 //   QueryResult r = db.query("select * from t where s = 'I'");
@@ -13,13 +11,14 @@
 // A Database owns its Catalog plus the session's execution setting: the
 // parallel lane count `jobs` (0 = the --jobs / CCSQL_JOBS / hardware
 // default) that the morsel-driven operators in src/plan fan out across the
-// shared core::Pool.  Results are bit-identical at any jobs value.  Every
-// statement plans through src/plan; the naive reference executor the
+// shared core::Pool.  Results are bit-identical at any jobs value.
+// Catalog::query / Catalog::check_empty are the one SELECT and emptiness
+// implementation: a Database, a Snapshot and serve::Server's uncached leg
+// only choose the catalog and the jobs.  The naive reference executor the
 // planner is property-tested against lives in tests/support/naive_exec.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -27,7 +26,7 @@
 
 namespace ccsql {
 
-/// Rows plus the execution facts that accompany them.
+/// A statement's rows, plus the rendered plan for explain().
 ///
 /// Results are columnar like the tables they come from: column() hands out
 /// contiguous spans with no copying, and is the primary way to consume a
@@ -37,10 +36,6 @@ struct QueryResult {
   Table rows;
   /// Rendered plan with est/actual row counts; filled by explain() only.
   std::string plan;
-  /// Parallel lanes the execution was allowed to use.
-  std::size_t jobs = 1;
-  /// Wall-clock plan+execute time.
-  std::uint64_t micros = 0;
 
   [[nodiscard]] std::size_t row_count() const noexcept {
     return rows.row_count();
@@ -88,9 +83,9 @@ class Snapshot {
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }
-  /// The frozen catalog.  Shared: every snapshot of one generation is the
-  /// same Catalog object.
-  [[nodiscard]] const Catalog& catalog() const { return *state_; }
+  /// The frozen catalog, shared by every copy of this snapshot.  Throws
+  /// BindError on an empty snapshot.
+  [[nodiscard]] const Catalog& catalog() const;
   [[nodiscard]] const std::shared_ptr<const Catalog>& shared_catalog()
       const noexcept {
     return state_;
@@ -98,12 +93,19 @@ class Snapshot {
   [[nodiscard]] std::size_t jobs() const;
 
   /// SELECT / invariant evaluation against the frozen catalog, with the
-  /// originating session's jobs setting.  Same semantics as the
-  /// Database methods of the same names.
-  [[nodiscard]] QueryResult query(std::string_view select_text) const;
-  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const;
-  [[nodiscard]] bool check_empty(std::string_view invariant_text) const;
-  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
+  /// originating session's jobs setting: Catalog::query / check_empty.
+  [[nodiscard]] QueryResult query(std::string_view select_text) const {
+    return query(parse_select(select_text));
+  }
+  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const {
+    return {catalog().query(stmt, jobs()), {}};
+  }
+  [[nodiscard]] bool check_empty(std::string_view invariant_text) const {
+    return catalog().check_empty(invariant_text);
+  }
+  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const {
+    return catalog().check_empty(stmt);
+  }
 
   /// Live snapshot handles process-wide — the serve.snapshot.active gauge.
   [[nodiscard]] static std::size_t active() noexcept;
@@ -122,30 +124,6 @@ class Database {
  public:
   Database() = default;
   explicit Database(Catalog catalog) : catalog_(std::move(catalog)) {}
-  // Copies and moves carry the catalog and the jobs setting; the snapshot
-  // cache (and its mutex) is per-object and starts cold in the destination.
-  Database(const Database& other)
-      : catalog_(other.catalog_), jobs_(other.jobs_) {}
-  Database(Database&& other) noexcept
-      : catalog_(std::move(other.catalog_)), jobs_(other.jobs_) {}
-  Database& operator=(const Database& other) {
-    if (this != &other) {
-      catalog_ = other.catalog_;
-      jobs_ = other.jobs_;
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap_cache_.reset();
-    }
-    return *this;
-  }
-  Database& operator=(Database&& other) noexcept {
-    if (this != &other) {
-      catalog_ = std::move(other.catalog_);
-      jobs_ = other.jobs_;
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap_cache_.reset();
-    }
-    return *this;
-  }
 
   // ---- session settings ----------------------------------------------------
 
@@ -189,25 +167,34 @@ class Database {
 
   // ---- snapshots -----------------------------------------------------------
 
-  /// An immutable view of the catalog as of now.  All snapshots taken at
-  /// one generation share a single frozen Catalog (the copy is made at most
-  /// once per generation and cached), so acquisition is a pointer copy in
-  /// the steady state.  The caller must serialize snapshot() against
-  /// catalog mutations (as serve::Server does); concurrent snapshot()
-  /// calls against a quiescent catalog are safe.
+  /// An immutable view of the catalog as of now: a frozen copy of the
+  /// catalog map (O(#tables) pointer copies; the tables themselves are
+  /// shared).  Copies of the returned Snapshot share that frozen Catalog,
+  /// so a reader that needs the current view repeatedly keeps a Snapshot
+  /// rather than calling this again (serve::Server publishes one per
+  /// writer swap).  The caller must serialize snapshot() against catalog
+  /// mutations.
   [[nodiscard]] Snapshot snapshot() const;
 
   // ---- queries -------------------------------------------------------------
 
-  /// Plans and executes a SELECT with this session's jobs setting.
-  [[nodiscard]] QueryResult query(std::string_view select_text) const;
-  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const;
+  /// Plans and executes a SELECT with this session's jobs setting
+  /// (Catalog::query).
+  [[nodiscard]] QueryResult query(std::string_view select_text) const {
+    return query(parse_select(select_text));
+  }
+  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const {
+    return {catalog_.query(stmt, jobs()), {}};
+  }
 
-  /// True iff every SELECT of the invariant yields no rows.  Runs in exists
-  /// mode (stops at the first violating row); always serial per statement —
-  /// parallelism for invariants fans out across the suite, not within one.
-  [[nodiscard]] bool check_empty(std::string_view invariant_text) const;
-  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
+  /// True iff every SELECT of the invariant yields no rows
+  /// (Catalog::check_empty: exists mode, serial per statement).
+  [[nodiscard]] bool check_empty(std::string_view invariant_text) const {
+    return catalog_.check_empty(invariant_text);
+  }
+  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const {
+    return catalog_.check_empty(stmt);
+  }
 
   /// Plans, executes, and renders the plan (est vs actual rows) into
   /// QueryResult::plan.
@@ -220,19 +207,14 @@ class Database {
   [[nodiscard]] QueryResult explain_analyze(std::string_view select_text) const;
 
   /// Full-statement execution (CREATE TABLE AS / DROP / INSERT / SELECT),
-  /// mutating the owned catalog.
+  /// mutating the owned catalog; SELECTs run with this session's jobs.
   Table execute(std::string_view statement_text) {
-    return catalog_.execute(statement_text);
+    return catalog_.execute(statement_text, jobs());
   }
 
  private:
   Catalog catalog_;
   std::size_t jobs_ = 0;  // 0 = follow the process-wide default
-  /// One frozen Catalog per generation, shared by every snapshot taken at
-  /// that generation.  Rebuilt lazily when the generation moves on.
-  mutable std::mutex snap_mu_;
-  mutable std::shared_ptr<const Catalog> snap_cache_;
-  mutable std::uint64_t snap_gen_ = 0;
 };
 
 }  // namespace ccsql

@@ -29,26 +29,47 @@ Catalog::TablePtr Catalog::get_shared(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second;
 }
 
-Table Catalog::run(const SelectStmt& stmt) const {
+Table Catalog::query(const SelectStmt& stmt, std::size_t jobs) const {
   CCSQL_SPAN(span, "query.select", "relational");
   span.arg("table", stmt.from.empty() ? "" : stmt.from[0].table);
-  Table result = plan::run_select(*this, stmt);
+  span.arg("jobs", static_cast<std::uint64_t>(jobs));
+  plan::PlannerOptions opts;
+  opts.jobs = jobs;
+  Table result = plan::run_select(*this, stmt, opts);
   span.arg("rows_emitted", result.row_count());
   CCSQL_COUNT("query.selects", 1);
   CCSQL_COUNT("query.rows_emitted", result.row_count());
   return result;
 }
 
-Table Catalog::execute(std::string_view statement_text) {
-  return execute(parse_statement(statement_text));
+Table Catalog::query(std::string_view select_text) const {
+  return query(parse_select(select_text));
 }
 
-Table Catalog::execute(const Statement& stmt) {
+bool Catalog::check_empty(const SelectStmt& stmt) const {
+  CCSQL_COUNT("query.emptiness_probes", 1);
+  plan::PlannerOptions opts;
+  opts.exists_only = true;  // the planner stops at the first row (Limit 1)
+  return plan::run_select(*this, stmt, opts).row_count() == 0;
+}
+
+bool Catalog::check_empty(std::string_view invariant_text) const {
+  for (const SelectStmt& s : parse_invariant(invariant_text)) {
+    if (!check_empty(s)) return false;
+  }
+  return true;
+}
+
+Table Catalog::execute(std::string_view statement_text, std::size_t jobs) {
+  return execute(parse_statement(statement_text), jobs);
+}
+
+Table Catalog::execute(const Statement& stmt, std::size_t jobs) {
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return run(stmt.select);
+      return query(stmt.select, jobs);
     case Statement::Kind::kCreateTableAs: {
-      Table result = run(stmt.select);
+      Table result = query(stmt.select, jobs);
       put(stmt.table, result);
       return result;
     }
@@ -77,18 +98,6 @@ Table Catalog::execute(const Statement& stmt) {
     }
   }
   return Table();
-}
-
-Table Catalog::query(std::string_view select_text) const {
-  return run(parse_select(select_text));
-}
-
-bool Catalog::check_empty(std::string_view invariant_text) const {
-  for (const SelectStmt& s : parse_invariant(invariant_text)) {
-    // Emptiness only: the planner stops at the first row (Limit 1).
-    if (!plan::is_empty(*this, s)) return false;
-  }
-  return true;
 }
 
 }  // namespace ccsql

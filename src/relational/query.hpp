@@ -64,23 +64,30 @@ class Catalog {
     return generation_;
   }
 
-  /// Executes a parsed SELECT against this catalog through the query
-  /// planner (src/plan).
-  [[nodiscard]] Table run(const SelectStmt& stmt) const;
+  /// The one SELECT path: plans `stmt` through src/plan and executes it on
+  /// up to `jobs` pool lanes (bit-identical at any jobs).  Database,
+  /// Snapshot and CREATE TABLE AS all run here, so every SELECT opens one
+  /// query.select span and counts query.selects / query.rows_emitted.
+  [[nodiscard]] Table query(const SelectStmt& stmt, std::size_t jobs = 1) const;
+  /// Parses and executes SELECT text serially.
+  [[nodiscard]] Table query(std::string_view select_text) const;
+
+  /// The one emptiness probe: true iff `stmt` yields no rows.  Runs in
+  /// exists mode (stops at the first row) and serially — parallelism for
+  /// invariants fans out across the suite, not within one probe.  Counts
+  /// query.emptiness_probes.
+  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
+  /// Parses invariant text (see parse_invariant) and evaluates it: returns
+  /// true iff every constituent SELECT yields an empty result.
+  [[nodiscard]] bool check_empty(std::string_view invariant_text) const;
 
   /// Parses and executes a full statement.  SELECT returns its result;
   /// CREATE TABLE ... AS SELECT materialises the result under the new name
   /// and returns it (the paper's flow for the implementation tables);
-  /// DROP TABLE / INSERT INTO return an empty unit table.
-  Table execute(std::string_view statement_text);
-  Table execute(const Statement& stmt);
-
-  /// Parses and executes SELECT text.
-  [[nodiscard]] Table query(std::string_view select_text) const;
-
-  /// Parses invariant text (see parse_invariant) and evaluates it: returns
-  /// true iff every constituent SELECT yields an empty result.
-  [[nodiscard]] bool check_empty(std::string_view invariant_text) const;
+  /// DROP TABLE / INSERT INTO return an empty unit table.  SELECTs run on up
+  /// to `jobs` pool lanes.
+  Table execute(std::string_view statement_text, std::size_t jobs = 1);
+  Table execute(const Statement& stmt, std::size_t jobs = 1);
 
  private:
   TableMap tables_;

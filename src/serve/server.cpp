@@ -72,27 +72,26 @@ CachedStatementPtr Server::get_or_build(
   return built;
 }
 
-QueryResult Server::query(std::string_view select_text) {
+QueryResult Server::select(const std::string& key,
+                           const std::function<SelectStmt()>& parse) {
   AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
   if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
-    return snap.query(select_text);
+    return snap.query(parse());
   }
-  const std::string key = cache_key('Q', select_text);
   CachedStatementPtr cs = get_or_build(key, snap, /*exists_mode=*/false, [&] {
     std::vector<SelectStmt> stmts;
-    stmts.push_back(parse_select(std::string_view(key).substr(2)));
+    stmts.push_back(parse());
     return stmts;
   });
-  QueryResult r;
-  r.jobs = options_.jobs_per_query != 0 ? options_.jobs_per_query
-                                        : snap.jobs();
-  const auto t0 = std::chrono::steady_clock::now();
-  r.rows = run_unit(*cs, 0, r.jobs);
-  r.micros = micros_since(t0);
-  return r;
+  return {run_unit(*cs, 0, /*jobs=*/1), {}};
+}
+
+QueryResult Server::query(std::string_view select_text) {
+  return select(cache_key('Q', select_text),
+                [&] { return parse_select(select_text); });
 }
 
 bool Server::check_empty(std::string_view invariant_text) {
@@ -122,40 +121,23 @@ Server::Prepared Server::prepare(std::string_view select_text) const {
 
 QueryResult Server::execute(const Prepared& prepared,
                             const std::vector<std::string>& values) {
-  AdmissionGuard slot(*this);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  Snapshot snap = snapshot();
-  if (!options_.use_plan_cache) {
-    uncached_.fetch_add(1, std::memory_order_relaxed);
-    SelectStmt stmt = bind_params(parse_select(prepared.sql), values);
-    return snap.query(stmt);
-  }
   std::string key = cache_key('Q', prepared.sql);
   for (const std::string& v : values) {
     key += kValueSep;
     key += v;
   }
-  CachedStatementPtr cs = get_or_build(key, snap, /*exists_mode=*/false, [&] {
-    std::vector<SelectStmt> stmts;
-    stmts.push_back(bind_params(parse_select(prepared.sql), values));
-    return stmts;
+  return select(key, [&] {
+    return bind_params(parse_select(prepared.sql), values);
   });
-  QueryResult r;
-  r.jobs = options_.jobs_per_query != 0 ? options_.jobs_per_query
-                                        : snap.jobs();
-  const auto t0 = std::chrono::steady_clock::now();
-  r.rows = run_unit(*cs, 0, r.jobs);
-  r.micros = micros_since(t0);
-  return r;
 }
 
 void Server::update(const std::function<void(Database&)>& mutator) {
   std::lock_guard<std::mutex> db_lock(db_mu_);
   mutator(db_);
-  // One swap publishes the whole mutation: the frozen per-generation
-  // catalog is rebuilt (table pointers are shared, so this is O(#tables)),
-  // and readers pick it up on their next snapshot() — in-flight readers
-  // keep the generation they started with.
+  // One swap publishes the whole mutation: the catalog is frozen anew
+  // (table pointers are shared, so this is O(#tables)), and readers pick it
+  // up on their next snapshot() — in-flight readers keep the generation
+  // they started with.
   Snapshot fresh = db_.snapshot();
   {
     std::lock_guard<std::mutex> snap_lock(snap_mu_);

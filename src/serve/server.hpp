@@ -39,9 +39,6 @@ struct ServerOptions {
   /// Maximum queries executing at once; 0 = unlimited.  Excess callers
   /// block FIFO-ish on a condition variable (admission queueing).
   std::size_t max_inflight = 0;
-  /// Parallel lanes inside one query; serving workloads multiplex many
-  /// sessions over the pool, so intra-query parallelism defaults off.
-  std::size_t jobs_per_query = 1;
 };
 
 struct ServerStats {
@@ -69,7 +66,9 @@ class Server {
   /// The current catalog snapshot (cheap: a shared_ptr copy).
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Executes a SELECT.  Thread-safe; cached when the cache is on.
+  /// Executes a SELECT.  Thread-safe; cached when the cache is on.  A
+  /// cached plan runs on one lane: serving workloads multiplex many
+  /// sessions over the pool, so they parallelise across queries.
   [[nodiscard]] QueryResult query(std::string_view select_text);
 
   /// True iff every SELECT of the invariant yields no rows.  Thread-safe;
@@ -117,6 +116,12 @@ class Server {
     AdmissionGuard& operator=(const AdmissionGuard&) = delete;
     Server& server;
   };
+
+  /// The one SELECT path behind query() and execute(): `key` names the
+  /// statement in the plan cache, `parse` builds its parse tree (on a cache
+  /// miss, or on every call with the cache off).
+  [[nodiscard]] QueryResult select(const std::string& key,
+                                   const std::function<SelectStmt()>& parse);
 
   [[nodiscard]] CachedStatementPtr get_or_build(
       const std::string& key, const Snapshot& snap, bool exists_mode,

@@ -287,11 +287,7 @@ void Machine::consume(const Network::QueueRef& ref) {
 }
 
 bool Machine::tracing() noexcept {
-#if defined(CCSQL_TRACING_DISABLED)
-  return false;
-#else
   return obs::Tracer::global().tracing();
-#endif
 }
 
 void Machine::trace_step([[maybe_unused]] const char* what,

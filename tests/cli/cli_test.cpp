@@ -288,9 +288,6 @@ TEST(Cli, ExplainAnalyzeProfilesOperators) {
 }
 
 TEST(Cli, StatsPrintsOnePageSummary) {
-#ifdef CCSQL_TRACING_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
-#endif
   RunResult r = run("invariants --stats");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("=== run stats ==="), std::string::npos);
@@ -300,9 +297,6 @@ TEST(Cli, StatsPrintsOnePageSummary) {
 }
 
 TEST(Cli, SimMetricsPrintsCounterTable) {
-#ifdef CCSQL_TRACING_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
-#endif
   RunResult r = run("sim V5fix --quads 2 --txns 10 --metrics");
   EXPECT_EQ(r.exit_code, 0);
   // Per-run counters ...
@@ -314,9 +308,6 @@ TEST(Cli, SimMetricsPrintsCounterTable) {
 }
 
 TEST(Cli, FlowChromeTraceCoversEveryLayer) {
-#ifdef CCSQL_TRACING_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
-#endif
   const std::string trace =
       "/tmp/ccsql_cli_trace_" + std::to_string(getpid()) + ".json";
   RunResult r = run("flow --trace " + trace + " --trace-format chrome");

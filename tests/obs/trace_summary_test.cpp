@@ -45,9 +45,6 @@ TEST(TraceSummary, MissingFileFails) {
 }
 
 TEST(TraceSummary, DigestsASimTrace) {
-#ifdef CCSQL_TRACING_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
-#endif
   const std::string trace = temp_trace_path();
   RunResult sim = run(std::string(CCSQL_BIN) +
                       " sim V5fix --quads 2 --txns 5 --trace " + trace);

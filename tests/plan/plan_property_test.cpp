@@ -149,7 +149,7 @@ void expect_planned_matches_naive(const Catalog& db, const std::string& sql) {
   Table naive = naive::run(db, stmt);
   EXPECT_EQ(planned.row_count(), naive.row_count()) << sql;
   EXPECT_TRUE(planned.set_equal(naive)) << sql;
-  EXPECT_EQ(plan::is_empty(db, stmt), naive.row_count() == 0) << sql;
+  EXPECT_EQ(db.check_empty(stmt), naive.row_count() == 0) << sql;
 }
 
 class PlanPropertyTest : public ::testing::TestWithParam<unsigned> {};

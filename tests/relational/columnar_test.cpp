@@ -206,32 +206,25 @@ TEST(Columnar, IndexMemoryCountsKeyOverflow) {
   EXPECT_GE(wide_index.memory_bytes(), narrow_index.memory_bytes() + overflow);
 }
 
-// Satellite: per-generation frozen snapshot copies are tracked as kTables.
+// A snapshot's frozen catalog copy is tracked as kTables while any copy of
+// the snapshot lives, and released with the last one.
 TEST(Columnar, SnapshotCopyIsAccounted) {
   using Cat = obs::MemTracker::Category;
   Database db;
   db.put("t", small());
-  const std::uint64_t before =
-      obs::MemTracker::global().usage(Cat::kTables).live;
+  const auto live = [] {
+    return obs::MemTracker::global().usage(Cat::kTables).live;
+  };
+  const std::uint64_t before = live();
   {
     Snapshot s = db.snapshot();
-    const std::uint64_t during =
-        obs::MemTracker::global().usage(Cat::kTables).live;
+    const std::uint64_t during = live();
     EXPECT_GT(during, before) << "frozen catalog copy must be tracked";
-    // Snapshots of one generation share the frozen copy: no double count.
-    Snapshot s2 = db.snapshot();
-    EXPECT_EQ(obs::MemTracker::global().usage(Cat::kTables).live, during);
+    // Copies of one snapshot share its frozen catalog: no double count.
+    Snapshot s2 = s;
+    EXPECT_EQ(live(), during);
   }
-  // The cache inside Database still pins the frozen copy; a new generation
-  // swaps it out and the old reservation drains.
-  const std::uint64_t held =
-      obs::MemTracker::global().usage(Cat::kTables).live;
-  db.put("u", small());  // bump the generation
-  {
-    Snapshot s3 = db.snapshot();
-  }
-  (void)held;
-  EXPECT_GT(obs::MemTracker::global().usage(Cat::kTables).live, before);
+  EXPECT_EQ(live(), before);
 }
 
 TEST(Columnar, JoinIndexFindsEveryRowOnce) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/pool.hpp"
+#include "obs/obs.hpp"
 #include "plan/planner.hpp"
+#include "protocol/asura/asura.hpp"
 #include "relational/format.hpp"
 #include "relational/parser.hpp"
 #include "support/naive_exec.hpp"
@@ -31,11 +35,59 @@ TEST(Database, QueryMatchesNaiveOracle) {
   EXPECT_FALSE(r.empty());
 }
 
-TEST(Database, QueryReportsSessionSettings) {
+// The session's jobs reach the planner through every statement path: at
+// set_jobs(4) the filter over the 11,916-row D x NC cross fans out on the
+// pool from execute() (SELECT and CREATE TABLE AS) as from query(), and
+// returns the rows of jobs 1.
+TEST(Database, ExecuteHonoursSessionJobs) {
+  // Four lanes whatever the host's core count.  ctest runs each test in a
+  // process of its own, so this precedes the global pool's creation.
+  const std::size_t saved_jobs = core::Pool::default_jobs();
+  core::Pool::set_default_jobs(4);
+  Database db = asura::make_asura()->database();
+  ASSERT_GE(core::Pool::global().size(), 3u);
+  const auto tasks = [] { return core::Pool::global().stats().tasks_run; };
+  // Every row passes (no directory state names a message), so the Select
+  // filters all 11,916 rows of the cross: past the parallel threshold.
+  const std::string sql = "select * from D a, NC b where not a.dirst = b.inmsg";
+
+  db.set_jobs(1);
+  std::uint64_t before = tasks();
+  const std::string serial = to_csv(db.execute(sql));
+  EXPECT_EQ(tasks(), before) << "jobs 1 runs inline";
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 11916 + 1);
+
+  db.set_jobs(4);
+  before = tasks();
+  EXPECT_EQ(to_csv(db.execute(sql)), serial);
+  EXPECT_GT(tasks(), before) << "execute(SELECT) ran serially";
+  before = tasks();
+  (void)db.execute("create table X as " + sql);
+  EXPECT_GT(tasks(), before) << "execute(CREATE TABLE AS) ran serially";
+  EXPECT_EQ(to_csv(db.get("X")), serial);
+  before = tasks();
+  EXPECT_EQ(to_csv(db.query(sql).rows), serial);
+  EXPECT_GT(tasks(), before) << "query() ran serially";
+  core::Pool::set_default_jobs(saved_jobs);
+}
+
+// One counter set: a SELECT counts once in query.selects whichever facade
+// issues it.
+TEST(Database, QueryAndSnapshotQueryEachCountOneSelect) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable_metrics();
+  const auto selects = [&] {
+    return tracer.metrics().counter("query.selects");
+  };
   Database db = small_db();
-  db.set_jobs(3);
-  QueryResult r = db.query("select dirst from D");
-  EXPECT_EQ(r.jobs, 3u);
+  const Snapshot snap = db.snapshot();
+  std::uint64_t before = selects();
+  (void)db.query("select dirst from D");
+  EXPECT_EQ(selects(), before + 1);
+  before = selects();
+  (void)snap.query("select dirst from D");
+  EXPECT_EQ(selects(), before + 1);
+  tracer.enable_metrics(false);
 }
 
 TEST(Database, JobsZeroFollowsProcessDefault) {

@@ -1,5 +1,5 @@
 // serve::Server: the cached-vs-fresh differential over the full ASURA
-// invariant suite (across jobs, against the naive executor), cache
+// invariant suite (against the naive executor), cache
 // eviction and writer invalidation through the public API,
 // prepared-statement execution, admission gating, and the published stats.
 #include "serve/server.hpp"
@@ -36,27 +36,23 @@ std::vector<std::string> invariant_sqls() {
 // The acceptance differential: for every invariant query, the server's
 // cached answer must equal a fresh evaluation through the naive executor
 // (naive::check_empty, tests/support), whose predicates take the
-// interpreted CompiledExpr walk — under serial and parallel execution.  The second server pass answers from
-// the cache (asserted via stats), so this exercises the cached path, not
-// just first compilation.
-TEST(Server, CachedMatchesFreshAcrossJobs) {
+// interpreted CompiledExpr walk.  The second server pass answers from the
+// cache (asserted via stats), so this exercises the cached path, not just
+// first compilation.
+TEST(Server, CachedMatchesFresh) {
   const std::vector<std::string> sqls = invariant_sqls();
   const Catalog& fresh = spec().database().catalog();
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    ServerOptions opts;
-    opts.jobs_per_query = jobs;
-    Server server(spec().database(), opts);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const std::string& sql : sqls) {
-        EXPECT_EQ(server.check_empty(sql), naive::check_empty(fresh, sql))
-            << "jobs=" << jobs << " " << sql;
-      }
+  Server server(spec().database());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& sql : sqls) {
+      EXPECT_EQ(server.check_empty(sql), naive::check_empty(fresh, sql))
+          << sql;
     }
-    const ServerStats s = server.stats();
-    EXPECT_GE(s.cache.hits, sqls.size())
-        << "second pass should answer from the cache";
-    EXPECT_EQ(s.uncached_queries, 0u);
   }
+  const ServerStats s = server.stats();
+  EXPECT_GE(s.cache.hits, sqls.size())
+      << "second pass should answer from the cache";
+  EXPECT_EQ(s.uncached_queries, 0u);
 }
 
 TEST(Server, QueryResultsMatchDatabaseRowForRow) {

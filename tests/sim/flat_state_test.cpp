@@ -210,9 +210,7 @@ TEST(FlatState, ConsumeThenRepostReadsTheConsumedMessage) {
       if (a.key == "msg") served.push_back(a.value);
     }
   }
-#if !defined(CCSQL_TRACING_DISABLED)
   EXPECT_EQ(served, std::vector<std::string>{"mread(a0 0->0)"});
-#endif
 }
 
 }  // namespace
