@@ -219,8 +219,14 @@ int cmd_sql(const ProtocolSpec& spec, const Args& args) {
   std::string stmt;
   while (std::getline(statements, stmt, ';')) {
     if (stmt.find_first_not_of(" \t\n") == std::string::npos) continue;
-    Table result = db.execute(stmt);
-    if (result.column_count() > 0) std::cout << to_ascii(result);
+    const Table result = db.execute(stmt);
+    // A CREATE TABLE AS reports its table, not the rows it stored.
+    const Statement parsed = parse_statement(stmt);
+    if (parsed.kind == Statement::Kind::kCreateTableAs) {
+      std::cout << parsed.table << ": " << result.row_count() << " rows\n";
+    } else if (result.column_count() > 0) {
+      std::cout << to_ascii(result);
+    }
   }
   return 0;
 }

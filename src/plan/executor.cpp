@@ -103,7 +103,9 @@ struct Executor {
         const std::size_t child_limit = limit == 1 ? 1 : kNoLimit;
         Table l = exec(node.child(0), child_limit);
         Table r = exec(node.child(1), child_limit);
-        out = take(Table::cross(l, r), limit);
+        const std::size_t n = l.row_count() * r.row_count();
+        out = take(Table::cross(l, r, go_parallel(limit, n) ? ctx.jobs : 1),
+                   limit);
         break;
       }
       case PlanNode::Kind::kHashJoin:

@@ -66,6 +66,7 @@ void add_cache(ProtocolSpec& p) {
 
   c.add_message_triple({"inmsg", "inmsgsrc", "inmsgdest", true});
   c.add_message_triple({"outmsg", "outmsgsrc", "outmsgdest", false});
+  c.simulate({.key = {"inmsg", "cst"}, .sets = {{"nxtcst", "cst"}}});
 }
 
 }  // namespace ccsql::asura::detail

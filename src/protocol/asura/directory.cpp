@@ -353,6 +353,10 @@ void add_directory(ProtocolSpec& p) {
   c.add_message_triple({"locmsg", "locmsgsrc", "locmsgdest", false});
   c.add_message_triple({"remmsg", "remmsgsrc", "remmsgdest", false});
   c.add_message_triple({"memmsg", "memmsgsrc", "memmsgdest", false});
+  c.simulate({.key = {"inmsg", "dirst", "dirlookup", "dirpv", "bdirst",
+                      "bdirpv"},
+              .sets = {{"nxtdirst", "dirst"}, {"nxtbdirst", "bdirst"}},
+              .counts = {{"nxtdirpv", "dirpv"}, {"nxtbdirpv", "bdirpv"}}});
 }
 
 }  // namespace ccsql::asura::detail

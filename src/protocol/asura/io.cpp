@@ -50,6 +50,7 @@ void add_io(ProtocolSpec& p) {
 
   c.add_message_triple({"inmsg", "inmsgsrc", "inmsgdest", true});
   c.add_message_triple({"outmsg", "outmsgsrc", "outmsgdest", false});
+  c.simulate({.key = {"inmsg", "iocst"}, .sets = {{"nxtiocst", "iocst"}}});
 }
 
 }  // namespace ccsql::asura::detail

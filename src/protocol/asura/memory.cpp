@@ -37,6 +37,7 @@ void add_memory(ProtocolSpec& p) {
 
   c.add_message_triple({"inmsg", "inmsgsrc", "inmsgdest", true});
   c.add_message_triple({"outmsg", "outmsgsrc", "outmsgdest", false});
+  c.simulate({.key = {"inmsg"}});
 }
 
 }  // namespace ccsql::asura::detail

@@ -139,6 +139,7 @@ void add_node(ProtocolSpec& p) {
 
   c.add_message_triple({"inmsg", "inmsgsrc", "inmsgdest", true});
   c.add_message_triple({"netmsg", "netmsgsrc", "netmsgdest", false});
+  c.simulate({.key = {"inmsg", "ncst"}, .sets = {{"nxtncst", "ncst"}}});
 }
 
 }  // namespace ccsql::asura::detail

@@ -59,6 +59,7 @@ void add_remote_snoop(ProtocolSpec& p) {
   c.add_message_triple({"inmsg", "inmsgsrc", "inmsgdest", true});
   c.add_message_triple({"cmdmsg", "cmdmsgsrc", "cmdmsgdest", false});
   c.add_message_triple({"homemsg", "homemsgsrc", "homemsgdest", false});
+  c.simulate({.key = {"inmsg", "rsnst"}, .sets = {{"nxtrsnst", "rsnst"}}});
 }
 
 }  // namespace ccsql::asura::detail

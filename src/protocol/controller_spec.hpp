@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relational/function_registry.hpp"
@@ -18,6 +19,19 @@ struct MessageTriple {
   std::string src;   // source-role column, e.g. "inmsgsrc"
   std::string dst;   // destination-role column
   bool is_input = false;
+};
+
+/// The simulator's reading of a controller's rows as guarded actions
+/// (DESIGN.md §15).  `key` names the guard columns, the input message
+/// column first.  `sets` pairs an output column with the guard column whose
+/// state it overwrites (nxtdirst -> dirst); `counts` pairs an output column
+/// with the guard column that encodes the counter its inc/dec/repl/drepl
+/// op updates (nxtdirpv -> dirpv).  Every output MessageTriple is a send.
+/// A controller with no key is not simulated.
+struct SimReading {
+  std::vector<std::string> key{};
+  std::vector<std::pair<std::string, std::string>> sets{};
+  std::vector<std::pair<std::string, std::string>> counts{};
 };
 
 /// The database input for one controller (paper, section 3): the table
@@ -53,6 +67,10 @@ class ControllerSpec {
   [[nodiscard]] const MessageTriple* input_triple() const;
   [[nodiscard]] std::vector<MessageTriple> output_triples() const;
 
+  /// Declares how the simulator executes this controller's rows.
+  void simulate(SimReading reading) { sim_ = std::move(reading); }
+  [[nodiscard]] const SimReading& sim() const noexcept { return sim_; }
+
   [[nodiscard]] const SchemaPtr& schema() const;
   [[nodiscard]] const std::vector<Domain>& domains() const noexcept {
     return input_.domains;
@@ -78,6 +96,7 @@ class ControllerSpec {
   std::string name_;
   std::vector<Column> columns_;
   std::vector<MessageTriple> triples_;
+  SimReading sim_;
   mutable GenerationInput input_;
   mutable bool generated_ = false;
   mutable Table table_;

@@ -197,35 +197,43 @@ Table Table::distinct() const {
   return gather(sel);
 }
 
-Table Table::cross(const Table& a, const Table& b) {
+Table Table::cross(const Table& a, const Table& b, std::size_t jobs) {
   std::vector<Column> cols = a.schema().columns();
   for (const auto& c : b.schema().columns()) {
     cols.push_back(c);
   }
   Table out(make_schema(std::move(cols)));  // throws on duplicate names
-  const std::size_t an = a.row_count(), bn = b.row_count();
-  out.rows_ = an * bn;
+  const std::size_t bn = b.row_count();
+  out.rows_ = a.row_count() * bn;
+  for (auto& c : out.cols_) c = std::make_shared<ColumnData>(out.rows_);
   // Row (i*bn + j) pairs a-row i with b-row j, so a's columns repeat each
-  // cell bn times and b's columns tile whole an times — two sequential
-  // fills through raw pointers (vector::insert per run costs ~10x more on
-  // the short runs solver steps produce), no row assembly.
-  for (std::size_t j = 0; j < a.width(); ++j) {
-    const Value* src = a.cols_[j]->data();
-    auto c = std::make_shared<ColumnData>(out.rows_);
-    Value* dst = c->data();
-    for (std::size_t i = 0; i < an; ++i, dst += bn) {
-      std::fill_n(dst, bn, src[i]);
+  // cell bn times and b's columns tile whole: run-wise fills through raw
+  // pointers (vector::insert per run costs ~10x more on the short runs
+  // solver steps produce), no row assembly.
+  const auto fill = [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t j = 0; j < a.width(); ++j) {
+      const Value* src = a.cols_[j]->data();
+      Value* dst = out.cols_[j]->data();
+      for (std::size_t r = begin; r < end;) {
+        const std::size_t run = std::min(end, (r / bn + 1) * bn) - r;
+        std::fill_n(dst + r, run, src[r / bn]);
+        r += run;
+      }
     }
-    out.cols_[j] = std::move(c);
-  }
-  for (std::size_t j = 0; j < b.width(); ++j) {
-    const Value* src = b.cols_[j]->data();
-    auto c = std::make_shared<ColumnData>(out.rows_);
-    Value* dst = c->data();
-    for (std::size_t i = 0; i < an; ++i, dst += bn) {
-      std::copy_n(src, bn, dst);
+    for (std::size_t j = 0; j < b.width(); ++j) {
+      const Value* src = b.cols_[j]->data();
+      Value* dst = out.cols_[a.width() + j]->data();
+      for (std::size_t r = begin; r < end;) {
+        const std::size_t run = std::min(end - r, bn - r % bn);
+        std::copy_n(src + r % bn, run, dst + r);
+        r += run;
+      }
     }
-    out.cols_[a.width() + j] = std::move(c);
+  };
+  if (jobs <= 1) {
+    fill(0, out.rows_, 0);
+  } else {
+    core::Pool::global().parallel_for(out.rows_, 4096, jobs, fill);
   }
   return out;
 }

@@ -395,8 +395,11 @@ class Table {
   /// First min(n, row_count()) rows.  O(columns): shares column storage.
   [[nodiscard]] Table head(std::size_t n) const;
 
-  /// Cartesian product; column names must be disjoint.
-  [[nodiscard]] static Table cross(const Table& a, const Table& b);
+  /// Cartesian product; column names must be disjoint.  At jobs > 1 the
+  /// product's rows fill in fixed-size morsels on the pool: the same table
+  /// at any jobs.
+  [[nodiscard]] static Table cross(const Table& a, const Table& b,
+                                   std::size_t jobs = 1);
 
   /// Horizontal concatenation: a's columns followed by b's, under `schema`
   /// (arity must equal a.width + b.width; row counts must match).  Shares

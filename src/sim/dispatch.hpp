@@ -19,12 +19,14 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "relational/table.hpp"
 
 namespace ccsql {
+class ControllerSpec;
 class ProtocolSpec;
 }  // namespace ccsql
 
@@ -47,16 +49,17 @@ class ControllerDispatch {
   ControllerDispatch(const Table& table,
                      const std::vector<std::string>& key_columns);
 
+  /// Compiles a simulated controller's table (ControllerSpec::sim): keyed on
+  /// its guard columns, with every row's effects read off once.
+  ControllerDispatch(const ControllerSpec& spec, const Table& table);
+
   /// Row index matching the key values (order of key_columns), or nullopt
   /// when the table has no such row.  The caller owns hit/miss accounting
   /// (SimCounters is per-Machine; this object may be shared).
-  [[nodiscard]] std::optional<std::size_t> find(
-      std::initializer_list<Value> key) const {
+  [[nodiscard]] std::optional<std::size_t> find(const Value* key) const {
     std::size_t idx = 0;
-    const Value* it = key.begin();
     for (const KeyCol& kc : key_cols_) {
-      const std::uint32_t id = it->id();
-      ++it;
+      const std::uint32_t id = (key++)->id();
       const std::uint32_t code = id < kc.codes.size() ? kc.codes[id] : 0;
       if (code == 0) return std::nullopt;  // symbol outside the domain
       idx += static_cast<std::size_t>(code - 1) * kc.stride;
@@ -64,6 +67,10 @@ class ControllerDispatch {
     const std::int32_t row = rows_[idx];
     if (row < 0) return std::nullopt;
     return static_cast<std::size_t>(row);
+  }
+  [[nodiscard]] std::optional<std::size_t> find(
+      std::initializer_list<Value> key) const {
+    return find(key.begin());
   }
 
   /// Resolves an output column to a handle; call at compile time only.
@@ -75,6 +82,35 @@ class ControllerDispatch {
   }
 
   [[nodiscard]] const Table& table() const noexcept { return *table_; }
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] const std::vector<std::string>& key_columns() const noexcept {
+    return key_names_;
+  }
+  /// Every column resolved through col(), by handle.
+  [[nodiscard]] const std::vector<std::string>& resolved() const noexcept {
+    return col_names_;
+  }
+
+  /// A row's effects (DESIGN.md §15), compiled from its cells.  A send is
+  /// a non-NULL output MessageTriple — type, source role, destination role
+  /// — in declaration order.  A set or count is a non-NULL declared column:
+  /// its value, and the guard column whose state it updates.
+  struct Send {
+    Value type, src, dst;
+  };
+  struct Update {
+    std::size_t key;  // index into key_columns()
+    Value value;
+  };
+  [[nodiscard]] std::span<const Send> sends(std::size_t row) const {
+    return sends_.row(row);
+  }
+  [[nodiscard]] std::span<const Update> sets(std::size_t row) const {
+    return sets_.row(row);
+  }
+  [[nodiscard]] std::span<const Update> counts(std::size_t row) const {
+    return counts_.row(row);
+  }
 
   /// Dense slot budget: a packed key space past this is rejected rather
   /// than materialized as an enormous, mostly-empty array.
@@ -89,47 +125,77 @@ class ControllerDispatch {
   };
 
   const Table* table_;
+  std::string name_;
+  std::vector<std::string> key_names_;
   std::vector<KeyCol> key_cols_;
   std::vector<std::int32_t> rows_;      // packed key -> row, -1 = none
   std::vector<const Value*> col_data_;  // per handle
+  std::vector<std::string> col_names_;  // per handle
+
+  /// Effects of every row, flat: row r's are [start[r], start[r + 1]).
+  template <class T>
+  struct PerRow {
+    std::vector<T> items;
+    std::vector<std::uint32_t> start{0};
+    [[nodiscard]] std::span<const T> row(std::size_t r) const {
+      return {items.data() + start[r], items.data() + start[r + 1]};
+    }
+    void end_row() {
+      start.push_back(static_cast<std::uint32_t>(items.size()));
+    }
+  };
+  PerRow<Send> sends_;
+  PerRow<Update> sets_, counts_;
 };
 
-/// The six ASURA controller dispatch structures plus every output-column
-/// handle the Machine hot path reads — compiled once from a spec's frozen
-/// catalog and shared read-only across the Machines of a sweep.
+class Glue;
+
+/// One ControllerDispatch per simulated controller plus the spec's glue —
+/// compiled once from a spec's frozen catalog and shared read-only across
+/// the Machines of a sweep.
 struct CompiledTables {
-  ControllerDispatch d, m, nc, cc, rsn, ioc;
+  /// The controllers the spec simulates, in spec order.
+  std::vector<ControllerDispatch> ctl;
+  /// What the tables do not say (sim/glue.hpp), compiled against `ctl`.
+  std::unique_ptr<const Glue> glue;
 
-  struct DirCols {
-    ControllerDispatch::Col locmsg, remmsg, memmsg, datapath, nxtdirst,
-        nxtdirpv, nxtbdirst, nxtbdirpv, bdirop;
-  } dc;
-  struct MemCols {
-    ControllerDispatch::Col outmsg, memop;
-  } mc;
-  struct NodeCols {
-    ControllerDispatch::Col netmsg, fillmsg, nxtncst, nccmpl;
-  } ncc;
-  struct CacheCols {
-    ControllerDispatch::Col nxtcst, outmsg;
-  } ccc;
-  struct RsnCols {
-    ControllerDispatch::Col cmdmsg, nxtrsnst, homemsg;
-  } rsnc;
-  struct IocCols {
-    ControllerDispatch::Col outmsg, devmsg, nxtiocst;
-  } iocc;
+  /// Index into ctl of a simulated controller; throws Error otherwise.
+  [[nodiscard]] std::size_t index_of(std::string_view name) const;
 
-  /// Compiles the spec's controller tables; a table that cannot compile
-  /// throws Error naming it.  The returned object only references the
-  /// spec's catalog; the spec must outlive it.  It is immutable and safe to
-  /// share across threads.  The Mode argument is ignored (see Mode).
+  /// The one simulated controller with a row taking (type, src, dst) as its
+  /// input triple (or forwarded to one), or -1 when none or several do.
+  [[nodiscard]] int consumer(Value type, Value src, Value dst) const {
+    if (type.id() >= inputs_.size()) return -1;
+    for (const Input& i : inputs_[type.id()]) {
+      if (i.src == src && i.dst == dst) return i.ctl;
+    }
+    return -1;
+  }
+
+  /// Delivers every message type arriving as (src, dst) that no input
+  /// triple takes to the controller that takes it as (to_src, to_dst): a
+  /// forwarding controller the simulator does not run (the glue's call).
+  void forward(Value src, Value dst, Value to_src, Value to_dst);
+
+  /// Compiles the spec's simulated controllers and its glue; a table that
+  /// cannot compile throws Error naming it.  The returned object only
+  /// references the spec's catalog; the spec must outlive it.  It is
+  /// immutable and safe to share across threads.  The Mode argument is
+  /// ignored (see Mode).
   static std::shared_ptr<const CompiledTables> compile(
       const ProtocolSpec& spec,
       ControllerDispatch::Mode mode = ControllerDispatch::Mode::kDense);
 
+  ~CompiledTables();
+
  private:
   explicit CompiledTables(const ProtocolSpec& spec);
+
+  struct Input {
+    Value src, dst;
+    int ctl;  // -1 once a second controller takes the same triple
+  };
+  std::vector<std::vector<Input>> inputs_;  // by message type symbol id
 };
 
 }  // namespace ccsql::sim

@@ -90,52 +90,21 @@ namespace {
 
 Value v_of(std::string_view s) { return Symbol::intern(s); }
 
-/// Presence-vector bit of quad q (-1, a requester-less insert, is bit 0).
-constexpr std::uint64_t pv_bit(QuadId q) { return 1ull << (q + 1); }
-
-/// Interned symbols the scheduler compares against on every event — cached
-/// once per process so the hot path never touches the intern pool's lock.
+/// The cache states and processor operations the workload generators, the
+/// coherence checks and the line setup compare against — cached once per
+/// process so the hot path never touches the intern pool's lock.
 struct Sym {
   Value I = v_of("I"), S = v_of("S"), M = v_of("M"), E = v_of("E");
-  Value SI = v_of("SI"), MESI = v_of("MESI");
-  Value idle = v_of("idle"), w_wb = v_of("w-wb");
-  Value zero = v_of("zero"), one = v_of("one"), gone = v_of("gone");
-  Value miss = v_of("miss"), hit = v_of("hit"), stale = v_of("stale");
-  Value wb = v_of("wb"), evict = v_of("evict"), data = v_of("data");
-  Value iodata = v_of("iodata"), iocompl = v_of("iocompl");
-  Value retry = v_of("retry"), wbcancel = v_of("wbcancel");
-  Value mread = v_of("mread"), mwrite = v_of("mwrite");
-  Value mupd = v_of("mupd"), mrmw = v_of("mrmw");
-  Value sinv = v_of("sinv"), sfetch = v_of("sfetch"), sflush = v_of("sflush");
-  Value home = v_of("home"), remote = v_of("remote"), local = v_of("local");
-  Value mem2loc = v_of("mem2loc"), rem2loc = v_of("rem2loc");
-  Value alloc = v_of("alloc"), free_op = v_of("free");
-  Value repl = v_of("repl"), drepl = v_of("drepl");
-  Value inc = v_of("inc"), dec = v_of("dec");
-  Value done = v_of("done"), wr = v_of("wr");
-  Value cdata = v_of("cdata"), cwbdata = v_of("cwbdata");
-  Value pfill = v_of("pfill"), pfillx = v_of("pfillx");
+  Value SI = v_of("SI"), MESI = v_of("MESI"), idle = v_of("idle");
   Value prd = v_of("prd"), pwr = v_of("pwr"), pup = v_of("pup");
   Value pwb = v_of("pwb"), pfl = v_of("pfl"), pevict = v_of("pevict");
   Value patomic = v_of("patomic");
   Value iord = v_of("iord"), iowr = v_of("iowr");
-  Value devdata = v_of("devdata"), devdone = v_of("devdone");
 };
 
 const Sym& sym() {
   static const Sym s;
   return s;
-}
-
-bool is_snoop(Value t) {
-  const Sym& s = sym();
-  return t == s.sinv || t == s.sfetch || t == s.sflush;
-}
-
-bool is_mem_request(Value t) {
-  const Sym& s = sym();
-  return t == s.mread || t == s.mwrite || t == s.mupd || t == s.mrmw ||
-         t == s.wb;
 }
 
 }  // namespace
@@ -144,11 +113,10 @@ Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config)
     : Machine(spec, v, config, CompiledTables::compile(spec)) {}
 
-Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
+Machine::Machine(const ProtocolSpec& /*spec*/, const ChannelAssignment& v,
                  SimConfig config,
                  std::shared_ptr<const CompiledTables> tables)
-    : spec_(&spec),
-      config_(config),
+    : config_(config),
       net_(v, config.n_quads, config.channel_capacity),
       c2c_cost_(config.cycle_model.c2c_cycles(config.n_quads)),
       tables_(std::move(tables)),
@@ -188,48 +156,12 @@ Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
   }
 }
 
-Value Machine::cst_of(QuadId q, Addr a) const {
-  const Cell& c = cell(q, a);
-  return (c.present & kCst) != 0 ? c.cst : sym().I;
-}
+Value Machine::invalid() { return sym().I; }
 
-void Machine::set_cst(QuadId q, Addr a, Value v) {
-  Cell& c = cell(q, a);
-  c.cst = v;
-  c.present |= kCst;
-}
-
-std::int64_t Machine::cver_of(QuadId q, Addr a) const {
-  if (a < 0) return -1;
-  const Cell& c = cell(q, a);
-  return (c.present & kCver) != 0 ? c.cver : -1;
-}
-
-std::int64_t& Machine::entry(QuadId q, Addr a, std::int64_t Cell::*field,
-                            std::uint8_t bit) {
-  Cell& c = cell(q, a);
-  if ((c.present & bit) == 0) {
-    c.*field = 0;
-    c.present |= bit;
-  }
-  return c.*field;
-}
-
-Machine::DirLine& Machine::line(QuadId home, Addr a) {
-  Cell& c = cell(home, a);
-  if ((c.present & kDir) == 0) {
-    c.dir = DirLine{};
-    c.dir.dirst = c.dir.bdirst = sym().I;
-    c.present |= kDir;
-  }
-  return c.dir;
-}
-
-Value Machine::enc_count(std::size_t n) {
-  const Sym& sy = sym();
-  if (n == 0) return sy.zero;
-  if (n == 1) return sy.one;
-  return sy.gone;
+void Machine::insert_line(Cell& c) {
+  c.dir = DirLine{};
+  c.dir.dirst = c.dir.bdirst = sym().I;
+  c.present |= kDir;
 }
 
 void Machine::set_line(Addr addr, std::string_view dirst,
@@ -268,9 +200,8 @@ void Machine::enable_workload() {
   }
 }
 
-void Machine::post(const SimMessage& msg, QuadId home) {
+void Machine::post(const SimMessage& msg, Network::VcCode code) {
   ++counters_.msgs_sent;
-  const Network::VcCode code = net_.vc_code(msg, home);
   // Per-VC accounting goes into a flat array by code; counters() folds it
   // into the per_vc_sent map — a map op per message would dominate post().
   if (code >= vc_sent_.size()) vc_sent_.resize(code + 1, 0);
@@ -286,16 +217,10 @@ void Machine::consume(const Network::QueueRef& ref) {
   net_.pop(ref);
 }
 
-bool Machine::tracing() noexcept {
-  return obs::Tracer::global().tracing();
-}
-
-void Machine::trace_step([[maybe_unused]] const char* what,
-                         [[maybe_unused]] QuadId q,
-                         [[maybe_unused]] const SimMessage& msg,
-                         [[maybe_unused]] std::string_view extra) {
-  CCSQL_INSTANT(what, "sim", obs::arg("t", now_), obs::arg("node", q),
-                obs::arg("msg", msg.to_string()), obs::arg("extra", extra));
+void Machine::trace_step([[maybe_unused]] const Step& s) {
+  CCSQL_INSTANT("sim.step", "sim", obs::arg("t", now_), obs::arg("node", s.q),
+                obs::arg("ctl", tables_->ctl[s.ctl].name()),
+                obs::arg("msg", s.in.to_string()), obs::arg("row", s.row));
 }
 
 void Machine::record_error(std::string what) {
@@ -322,439 +247,38 @@ void Machine::check_swmr(Addr addr) {
   }
 }
 
-Value Machine::apply_cache(QuadId q, Value cmd, Addr addr) {
-  const Value cst = cst_of(q, addr);
-  const ControllerDispatch& cc = tables_->cc;
-  auto row = lookup(cc, {cmd, cst});
-  if (!row) {
-    record_error("CC table has no row for (" + std::string(cmd.str()) +
-                 ", " + std::string(cst.str()) + ")");
-    return Value{};
+void Machine::missing_row(const Step& s) {
+  const ControllerDispatch& t = tables_->ctl[s.ctl];
+  std::string what = t.name() + " table has no row for " + s.in.to_string();
+  for (std::size_t k = 1; k < t.key_columns().size(); ++k) {
+    what += " " + t.key_columns()[k] + "=";
+    what += s.key[k].str();
   }
-  const Value nxt = cc.at(*row, tables_->ccc.nxtcst);
-  if (!nxt.is_null()) {
-    set_cst(q, addr, nxt);
-    check_swmr(addr);
-  }
-  return cc.at(*row, tables_->ccc.outmsg);
-}
-
-bool Machine::step_directory(QuadId q, const Network::QueueRef& ref,
-                             const SimMessage& msg) {
-  const Sym& sy = sym();
-  DirLine& l = line(q, msg.addr);
-  const bool busy = l.bdirst != sy.I;
-  // While busy the directory entry lives in the busy directory: the stable
-  // lookup reads invalid/empty (mutual-exclusion invariant).
-  const Value dirst = busy ? sy.I : l.dirst;
-  const Value dirpv =
-      busy ? sy.zero : enc_count(static_cast<std::size_t>(std::popcount(l.pv)));
-  const Value bdirpv = enc_count(static_cast<std::size_t>(l.pending));
-  // The directory lookup compares writeback / eviction senders against the
-  // recorded holders: a sender outside the presence vector is stale.
-  Value dirlookup = dirst == sy.I ? sy.miss : sy.hit;
-  if (dirlookup == sy.hit &&
-      (msg.type == sy.wb || msg.type == sy.evict) &&
-      (l.pv & pv_bit(msg.src)) == 0) {
-    dirlookup = sy.stale;
-  }
-
-  const ControllerDispatch& d = tables_->d;
-  const CompiledTables::DirCols& dc = tables_->dc;
-  auto row = lookup(d, {msg.type, dirst, dirlookup, dirpv, l.bdirst, bdirpv});
-  if (!row) {
-    record_error("D table has no row for " + msg.to_string() + " dirst=" +
-                 std::string(dirst.str()) + " dirlookup=" +
-                 std::string(dirlookup.str()) + " dirpv=" +
-                 std::string(dirpv.str()) + " bdirst=" +
-                 std::string(l.bdirst.str()) + " bdirpv=" +
-                 std::string(bdirpv.str()));
-    consume(ref);
-    return true;
-  }
-
-  const bool request = spec_->messages().is_request(msg.type);
-  const QuadId requester = request ? msg.src : l.requester;
-  const Value locmsg = d.at(*row, dc.locmsg);
-  const Value remmsg = d.at(*row, dc.remmsg);
-  const Value memmsg = d.at(*row, dc.memmsg);
-  const Value datapath = d.at(*row, dc.datapath);
-
-  std::vector<SimMessage>& out = dir_out_;
-  out.clear();
-  // Snoops go to every presence-vector member, including the requester
-  // itself when it is one (an upgrading sharer's engine acknowledges its
-  // own invalidation): the coarse zero/one/gone encoding means the
-  // directory cannot exclude the requester, so the pending count is always
-  // the full holder count.
-  const int holders = std::popcount(l.pv);
-  if (!remmsg.is_null()) {
-    for (std::uint64_t bits = l.pv; bits != 0; bits &= bits - 1) {
-      const QuadId t = std::countr_zero(bits) - 1;
-      out.push_back(SimMessage{remmsg, msg.addr, q, t, sy.home,
-                               sy.remote, -1});
-    }
-  }
-  if (!memmsg.is_null()) {
-    std::int64_t ver = -1;
-    if (memmsg == sy.wb || memmsg == sy.mupd) ver = msg.version;
-    if (memmsg == sy.mwrite) {
-      ver = msg.version >= 0 ? msg.version : l.txver;
-    }
-    out.push_back(SimMessage{memmsg, msg.addr, q, q, sy.home,
-                             sy.home, ver});
-  }
-  // Data routed to the requester travels as a `data` response unless the
-  // completion message itself carries it (iodata).
-  std::int64_t data_ver = -1;
-  if (datapath == sy.mem2loc || datapath == sy.rem2loc) {
-    data_ver = msg.version >= 0 ? msg.version : l.held;
-    if (locmsg != sy.iodata) {
-      out.push_back(SimMessage{sy.data, msg.addr, q, requester,
-                               sy.home, sy.local, data_ver});
-    }
-  }
-  if (!locmsg.is_null()) {
-    // An I/O read is serialized here: the data it returns must be the
-    // globally latest committed value at this moment (later writes may
-    // overtake the delivery, which is fine).
-    const std::int64_t want = gv_[static_cast<std::size_t>(msg.addr)];
-    if (locmsg == sy.iodata && data_ver != want) {
-      record_error("stale I/O read at addr " + std::to_string(msg.addr) +
-                   ": got v" + std::to_string(data_ver) + " want v" +
-                   std::to_string(want));
-    }
-    out.push_back(SimMessage{locmsg, msg.addr, q, requester, sy.home,
-                             sy.local,
-                             locmsg == sy.iodata ? data_ver : -1});
-  }
-
-  for (const auto& m : out) {
-    if (!net_.can_send(m, q)) {  // stall: output channel full
-      ++counters_.send_stalls;
-      return false;
-    }
-  }
-
-  consume(ref);
-  if (tracing()) {
-    trace_step("sim.directory", q, msg, "row " + std::to_string(*row));
-  }
-
-  // State updates.
-  const Value nxtdirst = d.at(*row, dc.nxtdirst);
-  const Value nxtdirpv = d.at(*row, dc.nxtdirpv);
-  const Value nxtbdirst = d.at(*row, dc.nxtbdirst);
-  const Value nxtbdirpv = d.at(*row, dc.nxtbdirpv);
-  const Value bdirop = d.at(*row, dc.bdirop);
-
-  if (bdirop == sy.alloc) {
-    l.requester = msg.src;
-    l.txver = msg.version;
-  }
-  if (!nxtbdirst.is_null()) l.bdirst = nxtbdirst;
-  if (nxtbdirpv == sy.repl) {
-    l.pending = holders;
-  } else if (nxtbdirpv == sy.dec) {
-    l.pending = std::max(0, l.pending - 1);
-  }
-  if (!nxtdirst.is_null()) l.dirst = nxtdirst;
-  if (nxtdirpv == sy.inc) {
-    l.pv |= pv_bit(requester);
-  } else if (nxtdirpv == sy.repl) {
-    l.pv = pv_bit(requester);
-  } else if (nxtdirpv == sy.drepl) {
-    l.pv = 0;
-  }
-  // Buffer a data response that must be held until invalidations finish
-  // (Figure 3: data at Busy-rx-sd).
-  if (msg.type == sy.data && datapath.is_null() && busy) {
-    l.held = msg.version;
-  }
-  if (bdirop == sy.free_op) {
-    l.requester = -1;
-    l.held = -1;
-    l.txver = -1;
-    l.pending = 0;
-  }
-  for (const auto& m : out) post(m, q);
-  return true;
-}
-
-bool Machine::step_memory(QuadId q, const Network::QueueRef& ref,
-                          const SimMessage& msg) {
-  const Sym& sy = sym();
-  Ctl& he = ctl(q);
-  if (he.cooldown > 0) return false;  // modelling memory latency
-  const ControllerDispatch& m = tables_->m;
-  auto row = lookup(m, {msg.type});
-  if (!row) {
-    record_error("M table has no row for " + msg.to_string());
-    consume(ref);
-    return true;
-  }
-  const Value outmsg = m.at(*row, tables_->mc.outmsg);
-  SimMessage resp;
-  if (!outmsg.is_null()) {
-    resp = SimMessage{outmsg, msg.addr, q, q, sy.home, sy.home,
-                      outmsg == sy.data ? memory(q, msg.addr) : -1};
-    if (!net_.can_send(resp, q)) {
-      ++counters_.send_stalls;
-      return false;
-    }
-  }
-  consume(ref);
-  // Every consumed memory-controller message is a main-memory access.
-  const auto mem = static_cast<std::uint64_t>(config_.cycle_model.memory_cycles);
-  counters_.mem_cycles += mem;
-  counters_.cycles += mem;
-  if (m.at(*row, tables_->mc.memop) == sy.wr) {
-    if (msg.version >= 0) {
-      // Writeback / flush / posted update: install the carried version.
-      memory(q, msg.addr) = msg.version;
-    } else if (msg.type == sy.mwrite || msg.type == sy.mrmw) {
-      // Device write or atomic read-modify-write: commits a fresh value.
-      memory(q, msg.addr) = ++gv_[static_cast<std::size_t>(msg.addr)];
-    }
-  }
-  if (!outmsg.is_null()) {
-    // Reads observe memory after this request's own write (if any).
-    if (outmsg == sy.data) resp.version = memory(q, msg.addr);
-    post(resp, q);
-  }
-  he.cooldown = memory_latency_;
-  if (tracing()) trace_step("sim.memory", q, msg);
-  return true;
-}
-
-bool Machine::step_rsn(QuadId q, const Network::QueueRef& ref,
-                       const SimMessage& msg) {
-  // A snoop can overtake the data fill it targets (responses and snoops
-  // travel on different channels).  Like the DASH remote access cache, the
-  // engine defers snoops for a line whose fill is still outstanding at
-  // this node; the fill arrives on the response channel independently, so
-  // the deferral always resolves.
-  // No snoop can ever target a line whose grant is still in flight: the
-  // directory keeps the line busy (Busy-*-g) until the requester's gdone
-  // confirms the grant was consumed, so snoops here always find settled
-  // cache state.
-  // The snoop is serviced atomically: snoop -> cache command -> cache
-  // response -> home response.  Consuming the snoop therefore requires a
-  // slot for the home response (this is the VC1 -> VC2 dependency).
-  const Sym& sy = sym();
-  const ControllerDispatch& rsn = tables_->rsn;
-  const CompiledTables::RsnCols& rc = tables_->rsnc;
-  auto row = lookup(rsn, {msg.type, sy.idle});
-  if (!row) {
-    record_error("RSN table has no row for " + msg.to_string());
-    consume(ref);
-    return true;
-  }
-  const Value cmd = rsn.at(*row, rc.cmdmsg);
-  const Ctl& n = ctl(q);
-  const Value cst = cst_of(q, msg.addr);
-
-  // Determine the cache response without mutating (peek).
-  const ControllerDispatch& cc = tables_->cc;
-  auto cc_row = lookup(cc, {cmd, cst});
-  if (!cc_row) {
-    record_error("CC table has no row for (" + std::string(cmd.str()) +
-                 ", " + std::string(cst.str()) + ")");
-    consume(ref);
-    return true;
-  }
-  const Value cc_out = cc.at(*cc_row, tables_->ccc.outmsg);
-  auto resp_row = lookup(rsn, {cc_out, rsn.at(*row, rc.nxtrsnst)});
-  if (!resp_row) {
-    record_error("RSN table has no row for cache response " +
-                 std::string(cc_out.str()));
-    consume(ref);
-    return true;
-  }
-  const Value homemsg = rsn.at(*resp_row, rc.homemsg);
-  // A snoop can hit a line whose writeback is still in flight (the node
-  // invalidated its copy when it issued pwb).  The snoop absorbs the
-  // writeback: the dirty data is written through now and the node
-  // controller is told to drop the transaction (wbcancel).
-  const bool pending_wb =
-      n.ncst == sy.w_wb && n.cur == msg.addr;
-  const bool dirty =
-      cst == sy.M || cst == sy.E || pending_wb;
-  std::int64_t ver = -1;
-  if (cc_out == sy.cdata || (cc_out == sy.cwbdata && dirty)) {
-    ver = cver_of(q, msg.addr);
-  }
-  SimMessage resp{homemsg, msg.addr, q, home_of(msg.addr),
-                  sy.remote, sy.home, ver};
-  if (!net_.can_send(resp, q)) {
-    ++counters_.send_stalls;
-    return false;
-  }
-
-  consume(ref);
-  if (ver >= 0) {
-    // The snoop response carries the block out of this cache: a
-    // cache-to-cache transfer at 4N + (P+1) cycles.
-    counters_.c2c_cycles += static_cast<std::uint64_t>(c2c_cost_);
-    counters_.cycles += static_cast<std::uint64_t>(c2c_cost_);
-  }
-  // Now apply the cache command for real.
-  (void)apply_cache(q, cmd, msg.addr);
-  // An invalidated dirty owner writes its line through to home memory
-  // before acknowledging (the Figure 4 race: the modified line reaches
-  // memory before the invalidation acknowledgement is processed).
-  if (dirty) memory(home_of(msg.addr), msg.addr) = cver(q, msg.addr);
-  if (pending_wb) {
-    apply_nc_internal(q, sy.wbcancel, msg.addr);
-    // If the writeback is still queued locally, purge it and complete the
-    // transaction as absorbed; if it is already in the network it will
-    // bounce off the busy line and its retry ends the transaction.
-    const Network::Ring box = net_.outbox(q);
-    for (std::size_t i = 0; i < box.size(); ++i) {
-      if (box[i].type == sy.wb && box[i].addr == msg.addr) {
-        net_.erase_outbox(q, i);
-        apply_nc_internal(q, sy.retry, msg.addr);
-        break;
-      }
-    }
-  }
-  post(resp, q);
-  if (tracing()) {
-    trace_step("sim.rsnoop", q, msg, "-> " + resp.to_string());
-  }
-  return true;
-}
-
-void Machine::apply_nc_internal(QuadId q, Value type, Addr addr) {
-  Ctl& n = ctl(q);
-  const ControllerDispatch& nc = tables_->nc;
-  auto row = lookup(nc, {type, n.ncst});
-  if (!row) {
-    record_error("NC table has no row for internal (" +
-                 std::string(type.str()) + ", " +
-                 std::string(n.ncst.str()) + ")");
-    return;
-  }
-  const Value nxt = nc.at(*row, tables_->ncc.nxtncst);
-  if (!nxt.is_null()) n.ncst = nxt;
-  if (nc.at(*row, tables_->ncc.nccmpl) == sym().done) ++n.done;
-  (void)addr;
-}
-
-bool Machine::step_node_response(QuadId q, const Network::QueueRef& ref,
-                                 const SimMessage& msg) {
-  const Sym& sy = sym();
-  Ctl& n = ctl(q);
-  const ControllerDispatch& nc = tables_->nc;
-  const CompiledTables::NodeCols& ncc = tables_->ncc;
-  auto row = lookup(nc, {msg.type, n.ncst});
-  if (!row) {
-    record_error("NC table has no row for (" + msg.to_string() + ", " +
-                 std::string(n.ncst.str()) + ")");
-    consume(ref);
-    return true;
-  }
-  consume(ref);
-  const Value netmsg = nc.at(*row, ncc.netmsg);
-  const Value fillmsg = nc.at(*row, ncc.fillmsg);
-  const Value nxt = nc.at(*row, ncc.nxtncst);
-  const Value cmpl = nc.at(*row, ncc.nccmpl);
-
-  std::int64_t& gv = gv_[static_cast<std::size_t>(msg.addr)];
-  if (!fillmsg.is_null()) {
-    if (fillmsg == sy.pfill) {
-      // Reads must observe the latest committed write.
-      if (msg.version != gv) {
-        record_error("stale read fill at addr " + std::to_string(msg.addr) +
-                     ": got v" + std::to_string(msg.version) + " want v" +
-                     std::to_string(gv));
-      }
-      (void)apply_cache(q, sy.pfill, msg.addr);
-      cver(q, msg.addr) = msg.version;
-    } else if (fillmsg == sy.pfillx) {
-      if (msg.version >= 0 && msg.version != gv) {
-        record_error("stale exclusive fill at addr " +
-                     std::to_string(msg.addr));
-      }
-      (void)apply_cache(q, sy.pfillx, msg.addr);
-      cver(q, msg.addr) = ++gv;  // the write commits
-    }
-  }
-  if (!netmsg.is_null()) {
-    // Retry: re-issue the pending operation through the RAC buffer.
-    net_.push_outbox(q, SimMessage{netmsg, n.cur, q, home_of(n.cur),
-                                   sy.local, sy.home, cver_of(q, n.cur)});
-  }
-  if (!nxt.is_null()) n.ncst = nxt;
-  if (cmpl == sy.done) {
-    ++n.done;
-  }
-  if (tracing()) {
-    trace_step("sim.node", q, msg, "ncst=" + std::string(n.ncst.str()));
-  }
-  return true;
-}
-
-bool Machine::step_ioc(QuadId q, const Network::QueueRef& ref,
-                       const SimMessage& msg) {
-  Ctl& n = ctl(q);
-  const ControllerDispatch& ioc = tables_->ioc;
-  const CompiledTables::IocCols& icc = tables_->iocc;
-  auto row = lookup(ioc, {msg.type, n.iocst});
-  if (!row) {
-    record_error("IOC table has no row for (" + msg.to_string() + ", " +
-                 std::string(n.iocst.str()) + ")");
-    consume(ref);
-    return true;
-  }
-  consume(ref);
-  const Value outmsg = ioc.at(*row, icc.outmsg);
-  const Value devmsg = ioc.at(*row, icc.devmsg);
-  const Value nxt = ioc.at(*row, icc.nxtiocst);
-  if (!outmsg.is_null()) {
-    net_.push_outbox(q, SimMessage{outmsg, n.io_cur, q, home_of(n.io_cur),
-                                   sym().local, sym().home, -1});
-  }
-  if (devmsg == sym().devdata) {
-    ++n.done;  // freshness was checked at the serialization point (D)
-  } else if (devmsg == sym().devdone) {
-    ++n.done;
-  }
-  if (!nxt.is_null()) n.iocst = nxt;
-  if (tracing()) {
-    trace_step("sim.ioc", q, msg, "iocst=" + std::string(n.iocst.str()));
-  }
-  return true;
+  record_error(std::move(what));
 }
 
 bool Machine::deliver(QuadId q, const Network::QueueRef& ref,
-                      const SimMessage msg) {
-  const Sym& sy = sym();
-  const Value role_src = msg.role_src;
-  const Value role_dst = msg.role_dst;
-  if (role_src == sy.home && role_dst == sy.home) {
-    return is_mem_request(msg.type) ? step_memory(q, ref, msg)
-                                    : step_directory(q, ref, msg);
+                      const SimMessage& msg) {
+  int c = tables_->consumer(msg.type, msg.role_src, msg.role_dst);
+  if (c < 0) c = tables_->glue->consumer(*this, q, msg);
+  if (c < 0) {
+    record_error("no controller takes " + msg.to_string());
+    consume(ref);
+    return true;
   }
-  if (role_dst == sy.home) return step_directory(q, ref, msg);
-  if (is_snoop(msg.type)) return step_rsn(q, ref, msg);
-  if (msg.type == sy.iodata || msg.type == sy.iocompl ||
-      (msg.type == sy.retry && ctl(q).iocst != sy.idle &&
-       ctl(q).io_cur == msg.addr)) {
-    return step_ioc(q, ref, msg);
-  }
-  return step_node_response(q, ref, msg);
+  return step(static_cast<std::size_t>(c), q, &ref, msg);
 }
 
 bool Machine::drain_outbox(QuadId q) {
   const Network::Ring box = net_.outbox(q);
   if (box.empty()) return false;
   const SimMessage m = box[0];  // post() may re-lay the ring arena out
-  if (!net_.can_send(m, home_of(m.addr))) {
+  const Network::VcCode code = net_.vc_code(m, home_of(m.addr));
+  if (!net_.has_room(m, code)) {
     ++counters_.send_stalls;
     return false;
   }
-  post(m, home_of(m.addr));
+  post(m, code);
   net_.pop_outbox(q);
   return true;
 }
@@ -877,75 +401,13 @@ bool Machine::inject(QuadId q) {
 }
 
 bool Machine::issue_op(QuadId q, Value op, Addr addr) {
-  const Sym& sy = sym();
-  Ctl& n = ctl(q);
   ++counters_.ops_injected;
-  const Value cst = cst_of(q, addr);
-  std::int64_t& gv = gv_[static_cast<std::size_t>(addr)];
-  const auto injected = [&] {
+  if (tables_->glue->issue(*this, q, op, addr)) {
     CCSQL_INSTANT("sim.inject", "sim", obs::arg("t", now_),
                   obs::arg("node", q), obs::arg("op", op.str()),
                   obs::arg("addr", addr));
-    return true;
-  };
-
-  // Processor-side rules: hits complete locally; a write to a shared copy
-  // is an upgrade.
-  if (op == sy.prd && cst != sy.I) {
-    if (cver(q, addr) != gv) {
-      record_error("stale local copy read at addr " + std::to_string(addr));
-    }
-    ++n.done;
-    ++counters_.cache_hits;  // read hit: 0 cycles
-    return true;
   }
-  if (op == sy.pwr) {
-    if (cst == sy.M || cst == sy.E) {
-      // Silent write hit on the owned line.
-      cver(q, addr) = ++gv;
-      ++n.done;
-      ++counters_.cache_hits;  // write hit: 0 cycles
-      return true;
-    }
-    if (cst == sy.S) op = sy.pup;
-  }
-  if (op == sy.iord || op == sy.iowr) {
-    // Device operations go through the I/O controller.
-    const ControllerDispatch& ioc = tables_->ioc;
-    auto io_row = lookup(ioc, {op, sy.idle});
-    if (!io_row) {
-      record_error("IOC table has no row for device op " +
-                   std::string(op.str()));
-      return true;
-    }
-    net_.push_outbox(q, SimMessage{ioc.at(*io_row, tables_->iocc.outmsg),
-                                   addr, q, home_of(addr), sy.local, sy.home,
-                                   -1});
-    n.io_cur = addr;
-    n.iocst = ioc.at(*io_row, tables_->iocc.nxtiocst);
-    return injected();
-  }
-
-  const ControllerDispatch& nc = tables_->nc;
-  auto row = lookup(nc, {op, sy.idle});
-  if (!row) {
-    record_error("NC table has no row for processor op " +
-                 std::string(op.str()));
-    return true;
-  }
-  const Value netmsg = nc.at(*row, tables_->ncc.netmsg);
-  const Value fillmsg = nc.at(*row, tables_->ncc.fillmsg);
-  const std::int64_t ver = cver_of(q, addr);
-  if (!fillmsg.is_null()) {
-    (void)apply_cache(q, fillmsg, addr);
-  }
-  if (!netmsg.is_null()) {
-    net_.push_outbox(q, SimMessage{netmsg, addr, q, home_of(addr), sy.local,
-                                   sy.home, ver});
-  }
-  n.cur = addr;
-  n.ncst = nc.at(*row, tables_->ncc.nxtncst);
-  return injected();
+  return true;
 }
 
 SimResult Machine::run() {
@@ -1450,12 +912,6 @@ bool Machine::quiescent() const {
     }
   }
   return true;
-}
-
-int Machine::injection_budget() const {
-  int total = 0;
-  for (const Ctl& c : ctl_) total += c.random_remaining;
-  return total;
 }
 
 }  // namespace ccsql::sim

@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "protocol/protocol_spec.hpp"
 #include "sim/dispatch.hpp"
+#include "sim/glue.hpp"
 #include "sim/network.hpp"
 #include "sim/types.hpp"
 
@@ -45,9 +47,10 @@ struct SimResult {
 /// A table-driven execution of the ASURA protocol: quads with a node each
 /// (cache + node controller), a home engine per quad (directory + memory
 /// controller) and a remote snoop engine, wired by finite virtual channels
-/// per the chosen assignment.  All control decisions come from the
-/// generated controller tables — the simulator owns state and transport
-/// only, so a wrong table row surfaces as a dynamic error here.
+/// per the chosen assignment.  Every controller step interprets a table row
+/// as a guarded action (step(), DESIGN.md §15) — the simulator owns state
+/// and transport, the spec's Glue what no table says, so a wrong table row
+/// surfaces as a dynamic error here.
 class Machine {
  public:
   /// Compiles the controller tables privately (a per-machine cost).
@@ -193,9 +196,6 @@ class Machine {
   }
   void clear_errors() { errors_.clear(); }
 
-  /// Remaining random-workload budget across all nodes (0 in scripted use).
-  [[nodiscard]] int injection_budget() const;
-
   /// Occupied-channel dump (deadlock reporting).
   [[nodiscard]] std::string describe_network() const {
     return net_.describe_blocked();
@@ -206,11 +206,14 @@ class Machine {
   [[nodiscard]] SimCounters counters() const;
 
  private:
+  friend class AsuraGlue;
 
   // -- helpers ---------------------------------------------------------------
   [[nodiscard]] QuadId home_of(Addr a) const {
     return a % config_.n_quads;
   }
+  /// Presence-vector bit of quad q (-1, a requester-less insert, is bit 0).
+  static constexpr std::uint64_t pv_bit(QuadId q) { return 1ull << (q + 1); }
 
   // ---- Flat state (DESIGN.md §14) ------------------------------------------
   // Everything snapshot() copies lives in three trivially-copyable arrays
@@ -262,21 +265,46 @@ class Machine {
   }
   [[nodiscard]] Ctl& ctl(QuadId q) { return ctl_[static_cast<std::size_t>(q)]; }
   /// Cache state, I when absent.
-  [[nodiscard]] Value cst_of(QuadId q, Addr a) const;
-  void set_cst(QuadId q, Addr a, Value v);
+  [[nodiscard]] Value cst_of(QuadId q, Addr a) const {
+    const Cell& c = cell(q, a);
+    return (c.present & kCst) != 0 ? c.cst : invalid();
+  }
+  void set_cst(QuadId q, Addr a, Value v) {
+    Cell& c = cell(q, a);
+    c.cst = v;
+    c.present |= kCst;
+  }
   /// Cache version, -1 when absent.
-  [[nodiscard]] std::int64_t cver_of(QuadId q, Addr a) const;
+  [[nodiscard]] std::int64_t cver_of(QuadId q, Addr a) const {
+    if (a < 0) return -1;
+    const Cell& c = cell(q, a);
+    return (c.present & kCver) != 0 ? c.cver : -1;
+  }
   /// Cache version / memory word; the first touch inserts it as 0.
   std::int64_t& entry(QuadId q, Addr a, std::int64_t Cell::*field,
-                      std::uint8_t bit);
+                      std::uint8_t bit) {
+    Cell& c = cell(q, a);
+    if ((c.present & bit) == 0) {
+      c.*field = 0;
+      c.present |= bit;
+    }
+    return c.*field;
+  }
   std::int64_t& cver(QuadId q, Addr a) {
     return entry(q, a, &Cell::cver, kCver);
   }
   std::int64_t& memory(QuadId q, Addr a) {
     return entry(q, a, &Cell::memory, kMem);
   }
-  DirLine& line(QuadId home, Addr a);
-  static Value enc_count(std::size_t n);
+  /// The directory entry; the first touch inserts it as I, empty.
+  DirLine& line(QuadId home, Addr a) {
+    Cell& c = cell(home, a);
+    if ((c.present & kDir) == 0) insert_line(c);
+    return c.dir;
+  }
+  static void insert_line(Cell& c);
+  /// The invalid cache and directory state, I.
+  static Value invalid();
 
   /// Per-address sorted distinct live data versions — the order-preserving
   /// dense rank both fingerprint() and encode_state() apply so the visited
@@ -293,7 +321,7 @@ class Machine {
   /// dispatch structures may be shared across machines, so the counters
   /// live here, not there).
   std::optional<std::size_t> lookup(const ControllerDispatch& t,
-                                    std::initializer_list<Value> key) {
+                                    const Value* key) {
     auto row = t.find(key);
     if (row) {
       ++counters_.table_hits;
@@ -303,35 +331,44 @@ class Machine {
     return row;
   }
 
-  // -- controller steps (return true on progress) ----------------------------
-  bool step_directory(QuadId q, const Network::QueueRef& ref,
-                      const SimMessage& msg);
-  bool step_memory(QuadId q, const Network::QueueRef& ref,
-                   const SimMessage& msg);
-  bool step_rsn(QuadId q, const Network::QueueRef& ref,
-                const SimMessage& msg);
-  bool step_node_response(QuadId q, const Network::QueueRef& ref,
-                          const SimMessage& msg);
-  bool step_ioc(QuadId q, const Network::QueueRef& ref,
-                const SimMessage& msg);
+  /// One step of controller `c` at quad q on `msg`, the row read as a
+  /// guarded action: derive the guard, find the row, plan its sends, stall
+  /// (false) unless every planned send fits, then consume `ref` (none for a
+  /// message that is not queued), apply the row's sets, counts and glue
+  /// effects, and post the sends.  A missing row is an error, not a stall.
+  bool step(std::size_t c, QuadId q, const Network::QueueRef* ref,
+            const SimMessage& msg) {
+    return tables_->glue->step(*this, c, q, ref, msg);
+  }
+  /// The step's body (sim/step.hpp), compiled against the spec's glue type
+  /// so its hooks inline; `fire_as` is a synchronous invocation inside
+  /// another step (a snoop's cache command, a fill): the row's sets,
+  /// counts and glue effects, no sends.
+  template <class G>
+  bool step_as(const G& glue, std::size_t c, QuadId q,
+               const Network::QueueRef* ref, const SimMessage& msg);
+  template <class G>
+  void fire_as(const G& glue, std::size_t c, QuadId q, const SimMessage& msg);
+  struct Frame;
+  /// Records a guard with no row as an error.
+  void missing_row(const Step& s);
   bool drain_outbox(QuadId q);
   bool inject(QuadId q);
 
-  /// Routes a queue-head message to its consuming controller.  Takes the
-  /// message by value: handlers read it after consume(), which frees its
-  /// ring slot for the messages they post.
-  bool deliver(QuadId q, const Network::QueueRef& ref, SimMessage msg);
+  /// Steps the controller whose input triple takes a queue-head message.
+  bool deliver(QuadId q, const Network::QueueRef& ref, const SimMessage& msg);
 
   /// net_.send plus counter/trace bookkeeping.
-  void post(const SimMessage& msg, QuadId home);
+  void post(const SimMessage& msg, Network::VcCode code);
   /// net_.pop plus counter bookkeeping.
   void consume(const Network::QueueRef& ref);
-  /// True when the global tracer wants per-event instants (constant false
-  /// when instrumentation is compiled out) — guard before building strings.
-  [[nodiscard]] static bool tracing() noexcept;
-  /// Emits a per-event trace instant; call only under tracing().
-  void trace_step(const char* what, QuadId q, const SimMessage& msg,
-                  std::string_view extra = {});
+  /// True when the global tracer wants per-event instants — guard before
+  /// building strings.
+  [[nodiscard]] static bool tracing() noexcept {
+    return obs::Tracer::global().tracing();
+  }
+  /// Emits a per-step trace instant; call only under tracing().
+  void trace_step(const Step& s);
 
   /// Issues one processor/device operation (hit handling included); true on
   /// progress.
@@ -344,18 +381,9 @@ class Machine {
   /// One random-workload (op, addr) draw; advances rng_.
   [[nodiscard]] std::pair<Value, Addr> random_op(QuadId q);
 
-  /// Applies a cache command via the CC table; returns the output message
-  /// type (cack/cdata/cwbdata/hit/miss or NULL).
-  Value apply_cache(QuadId q, Value cmd, Addr addr);
-
-  /// Applies a node-internal NC input (wbcancel / synthetic retry) via the
-  /// NC table — no network message involved.
-  void apply_nc_internal(QuadId q, Value type, Addr addr);
-
   void record_error(std::string what);
   void check_swmr(Addr addr);
 
-  const ProtocolSpec* spec_;
   SimConfig config_;
   Network net_;
   int memory_latency_ = 0;
@@ -386,9 +414,12 @@ class Machine {
   std::uint64_t now_ = 0;
 
   // Reusable hot-path scratch (the scheduler loop is allocation-free in
-  // steady state; these only grow to high-water marks).
+  // steady state; these only grow to high-water marks).  A step's glue may
+  // run nested steps (a snoop applies its cache command, a fill its cache
+  // fill: two deep at most), so steps_ is a stack.
   std::vector<Network::QueueRef> queue_scratch_;
-  std::vector<SimMessage> dir_out_;
+  std::array<Step, 4> steps_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace ccsql::sim

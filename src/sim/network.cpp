@@ -22,12 +22,22 @@ Network::Network(const ChannelAssignment& v, int n_quads, int capacity)
   arena_.resize(rings_.size() * ring_cap_);
 }
 
+namespace {
+
+/// Memo bucket of a packed triple: the key's low bits are only its
+/// destination role, which a handful of symbols share, so mix first.
+std::size_t memo_slot(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
+}  // namespace
+
 void Network::vc_memo_grow() const {
   std::vector<VcMemoEntry> bigger(vc_memo_.size() * 2);
   const std::size_t mask = bigger.size() - 1;
   for (const VcMemoEntry& e : vc_memo_) {
     if (e.key_plus1 == 0) continue;
-    std::size_t i = static_cast<std::size_t>(e.key_plus1) & mask;
+    std::size_t i = memo_slot(e.key_plus1, mask);
     while (bigger[i].key_plus1 != 0) i = (i + 1) & mask;
     bigger[i] = e;
   }
@@ -45,7 +55,7 @@ Network::VcCode Network::vc_code(const SimMessage& msg,
        msg.role_dst.id()) +
       1;
   const std::size_t mask = vc_memo_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(key1) & mask;
+  std::size_t i = memo_slot(key1, mask);
   while (true) {
     const VcMemoEntry& e = vc_memo_[i];
     if (e.key_plus1 == key1) return e.code;
@@ -62,7 +72,7 @@ Network::VcCode Network::vc_code(const SimMessage& msg,
   if (vc_memo_used_ * 2 >= vc_memo_.size()) {
     vc_memo_grow();
     const std::size_t m2 = vc_memo_.size() - 1;
-    i = static_cast<std::size_t>(key1) & m2;
+    i = memo_slot(key1, m2);
     while (vc_memo_[i].key_plus1 != 0) i = (i + 1) & m2;
   }
   vc_memo_[i] = VcMemoEntry{key1, code};
@@ -109,9 +119,7 @@ void Network::erase_outbox(QuadId q, std::size_t i) {
 }
 
 bool Network::can_send(const SimMessage& msg, QuadId home) const {
-  const VcCode code = vc_code(msg, home);
-  if (code == 0) return true;  // dedicated path, unbounded
-  return rings_[queue_ring(msg.src, msg.dst, code)].len < capacity_;
+  return has_room(msg, vc_code(msg, home));
 }
 
 void Network::send_coded(const SimMessage& msg, VcCode code) {

@@ -90,8 +90,12 @@ class Network {
     return vc_values_[code];
   }
 
-  /// Enqueue with a VC already resolved via vc_code — lets Machine::post
-  /// resolve the channel once per message instead of per Network call.
+  /// can_send and send with the VC already resolved via vc_code — lets
+  /// Machine resolve a message's channel once, not per Network call.
+  [[nodiscard]] bool has_room(const SimMessage& msg, VcCode code) const {
+    return code == 0 ||  // dedicated path, unbounded
+           rings_[queue_ring(msg.src, msg.dst, code)].len < capacity_;
+  }
   void send_coded(const SimMessage& msg, VcCode code);
 
   /// A ring's messages, oldest first.  Valid until the next push.

@@ -60,6 +60,12 @@ TEST(Cli, SqlStatementChain) {
       "select count(*) from T order by count\"");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("3"), std::string::npos);  // I, SI, MESI
+  // The CREATE TABLE AS names its table and row count instead of printing
+  // the rows it stored.
+  EXPECT_NE(r.output.find("T: 3 rows"), std::string::npos) << r.output;
+  for (const char* state : {"dirst", "MESI", "SI"}) {
+    EXPECT_EQ(r.output.find(state), std::string::npos) << r.output;
+  }
 }
 
 TEST(Cli, SqlErrorsAreReported) {
@@ -163,10 +169,20 @@ TEST(Cli, CodegenEmitsFunction) {
   EXPECT_NE(casez.output.find("casez"), std::string::npos);
 }
 
+// The Figure 4 wedge, pinned: the home's idone on VC2 waits behind the
+// writeback on VC4 and vice versa.  V5fix runs the same script to the end.
 TEST(Cli, SimFig4DeadlocksUnderV5) {
   RunResult r = run("sim V5 --fig4");
   EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("DEADLOCK"), std::string::npos);
+  for (const char* line : {"DEADLOCK in 35 steps",
+                           "VC2 2->2 [1/1]: idone(a2 2->2)",
+                           "VC4 2->2 [1/1]: wb(a5 2->2)"}) {
+    EXPECT_NE(r.output.find(line), std::string::npos) << line << r.output;
+  }
+  RunResult fixed = run("sim V5fix --fig4");
+  EXPECT_EQ(fixed.exit_code, 0) << fixed.output;
+  EXPECT_NE(fixed.output.find("completed in 34 steps"), std::string::npos)
+      << fixed.output;
 }
 
 TEST(Cli, SimRandomHealthyUnderFix) {

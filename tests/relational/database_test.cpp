@@ -71,6 +71,31 @@ TEST(Database, ExecuteHonoursSessionJobs) {
   core::Pool::set_default_jobs(saved_jobs);
 }
 
+// A cross with no filter above it fills its product on the pool too: the
+// same 11,916 rows at jobs 1, 4 and 8, with pool tasks past jobs 1.
+TEST(Database, BareCrossFansOutAtSessionJobs) {
+  // Four lanes whatever the host's core count (see above).
+  const std::size_t saved_jobs = core::Pool::default_jobs();
+  core::Pool::set_default_jobs(4);
+  Database db = asura::make_asura()->database();
+  ASSERT_GE(core::Pool::global().size(), 3u);
+  const auto tasks = [] { return core::Pool::global().stats().tasks_run; };
+  const std::string sql = "select * from D a, NC b";
+
+  db.set_jobs(1);
+  std::uint64_t before = tasks();
+  const std::string serial = to_csv(db.query(sql).rows);
+  EXPECT_EQ(tasks(), before) << "jobs 1 runs inline";
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 11916 + 1);
+  for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
+    db.set_jobs(jobs);
+    before = tasks();
+    EXPECT_EQ(to_csv(db.query(sql).rows), serial) << "jobs " << jobs;
+    EXPECT_GT(tasks(), before) << "the cross ran serially at jobs " << jobs;
+  }
+  core::Pool::set_default_jobs(saved_jobs);
+}
+
 // One counter set: a SELECT counts once in query.selects whichever facade
 // issues it.
 TEST(Database, QueryAndSnapshotQueryEachCountOneSelect) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "protocol/asura/asura.hpp"
+#include "protocol/controller_spec.hpp"
 #include "relational/error.hpp"
 #include "sim/machine.hpp"
 #include "sim/sweep.hpp"
@@ -98,52 +102,83 @@ TEST(ControllerDispatch, KeySpaceOverflowThrows) {
   EXPECT_NO_THROW(ControllerDispatch(t, {"a", "b"}));
 }
 
-/// One compiled dispatch of CompiledTables with the key and output columns
-/// the Machine reads through it — restated here so the oracle below does not
-/// trust the compiler's own lists.
+/// One simulated controller's key and the output columns its compiled row
+/// effects come from — restated here so the oracle below does not trust
+/// the compiler's own lists.
 struct DispatchCase {
   const char* table;
-  const ControllerDispatch* dispatch;
   std::vector<std::string> keys;
-  std::vector<std::pair<ControllerDispatch::Col, std::string>> cols;
+  std::vector<std::array<std::string, 3>> sends;  // type, source, dest
+  std::vector<std::pair<std::string, std::string>> sets, counts;
 };
 
-std::vector<DispatchCase> all_six(const CompiledTables& ct) {
-  return {
-      {asura::kDirectory, &ct.d,
+const std::vector<DispatchCase>& simulated() {
+  static const std::vector<DispatchCase> cases = {
+      {asura::kDirectory,
        {"inmsg", "dirst", "dirlookup", "dirpv", "bdirst", "bdirpv"},
-       {{ct.dc.locmsg, "locmsg"},
-        {ct.dc.remmsg, "remmsg"},
-        {ct.dc.memmsg, "memmsg"},
-        {ct.dc.datapath, "datapath"},
-        {ct.dc.nxtdirst, "nxtdirst"},
-        {ct.dc.nxtdirpv, "nxtdirpv"},
-        {ct.dc.nxtbdirst, "nxtbdirst"},
-        {ct.dc.nxtbdirpv, "nxtbdirpv"},
-        {ct.dc.bdirop, "bdirop"}}},
-      {asura::kMemory, &ct.m,
-       {"inmsg"},
-       {{ct.mc.outmsg, "outmsg"}, {ct.mc.memop, "memop"}}},
-      {asura::kNode, &ct.nc,
+       {{"locmsg", "locmsgsrc", "locmsgdest"},
+        {"remmsg", "remmsgsrc", "remmsgdest"},
+        {"memmsg", "memmsgsrc", "memmsgdest"}},
+       {{"nxtdirst", "dirst"}, {"nxtbdirst", "bdirst"}},
+       {{"nxtdirpv", "dirpv"}, {"nxtbdirpv", "bdirpv"}}},
+      {asura::kMemory, {"inmsg"}, {{"outmsg", "outmsgsrc", "outmsgdest"}},
+       {}, {}},
+      {asura::kNode,
        {"inmsg", "ncst"},
-       {{ct.ncc.netmsg, "netmsg"},
-        {ct.ncc.fillmsg, "fillmsg"},
-        {ct.ncc.nxtncst, "nxtncst"},
-        {ct.ncc.nccmpl, "nccmpl"}}},
-      {asura::kCache, &ct.cc,
+       {{"netmsg", "netmsgsrc", "netmsgdest"}},
+       {{"nxtncst", "ncst"}},
+       {}},
+      {asura::kCache,
        {"inmsg", "cst"},
-       {{ct.ccc.nxtcst, "nxtcst"}, {ct.ccc.outmsg, "outmsg"}}},
-      {asura::kRemoteSnoop, &ct.rsn,
+       {{"outmsg", "outmsgsrc", "outmsgdest"}},
+       {{"nxtcst", "cst"}},
+       {}},
+      {asura::kRemoteSnoop,
        {"inmsg", "rsnst"},
-       {{ct.rsnc.cmdmsg, "cmdmsg"},
-        {ct.rsnc.nxtrsnst, "nxtrsnst"},
-        {ct.rsnc.homemsg, "homemsg"}}},
-      {asura::kIo, &ct.ioc,
+       {{"cmdmsg", "cmdmsgsrc", "cmdmsgdest"},
+        {"homemsg", "homemsgsrc", "homemsgdest"}},
+       {{"nxtrsnst", "rsnst"}},
+       {}},
+      {asura::kIo,
        {"inmsg", "iocst"},
-       {{ct.iocc.outmsg, "outmsg"},
-        {ct.iocc.devmsg, "devmsg"},
-        {ct.iocc.nxtiocst, "nxtiocst"}}},
+       {{"outmsg", "outmsgsrc", "outmsgdest"}},
+       {{"nxtiocst", "iocst"}},
+       {}},
   };
+  return cases;
+}
+
+/// The sets or counts row `r` should compile to: every non-NULL cell of
+/// the restated columns, with its guard column's index.
+std::vector<std::pair<std::size_t, Value>> updates_of(
+    const Table& t, const DispatchCase& c,
+    const std::vector<std::pair<std::string, std::string>>& cols,
+    std::size_t r) {
+  std::vector<std::pair<std::size_t, Value>> out;
+  for (const auto& [col, field] : cols) {
+    const Value v = t.column(col)[r];
+    const auto k = std::find(c.keys.begin(), c.keys.end(), field);
+    if (!v.is_null()) {
+      out.emplace_back(static_cast<std::size_t>(k - c.keys.begin()), v);
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<std::size_t, Value>> updates_of(
+    std::span<const ControllerDispatch::Update> compiled) {
+  std::vector<std::pair<std::size_t, Value>> out;
+  for (const auto& u : compiled) out.emplace_back(u.key, u.value);
+  return out;
+}
+
+/// The compiled dispatch of every simulated controller, in the order above.
+std::vector<const ControllerDispatch*> dispatches(const CompiledTables& ct) {
+  std::vector<const ControllerDispatch*> out;
+  for (const DispatchCase& c : simulated()) {
+    out.push_back(&ct.ctl[ct.index_of(c.table)]);
+  }
+  return out;
 }
 
 /// find() with a runtime-length key (the tables key on 1, 2 or 6 columns).
@@ -186,26 +221,49 @@ std::vector<Value> key_of(const Table& t, const std::vector<std::string>& keys,
   return key;
 }
 
-/// Every row of all six compiled dispatches: its key finds that row (the
-/// first and only match of a linear scan), and every output-column handle
-/// reads what Table::at reads by name.  Keys that take one column from
-/// another row probe in-domain tuples the table may lack; dispatch and scan
-/// must agree on those too.
+/// Every row of every simulated controller's compiled dispatch: its key
+/// finds that row (the first and only match of a linear scan), and every
+/// output-column handle reads what Table::at reads by name.  Keys that take
+/// one column from another row probe in-domain tuples the table may lack;
+/// dispatch and scan must agree on those too.
 TEST(ControllerDispatch, AllSixMatchLinearScanOnEveryRow) {
   const auto tables = CompiledTables::compile(spec());
-  for (const DispatchCase& c : all_six(*tables)) {
+  ASSERT_EQ(tables->ctl.size(), simulated().size());
+  const auto compiled = dispatches(*tables);
+  for (std::size_t i = 0; i < compiled.size(); ++i) {
+    const DispatchCase& c = simulated()[i];
+    const ControllerDispatch& d = *compiled[i];
     SCOPED_TRACE(c.table);
     const Table& t = spec().database().catalog().get(c.table);
-    ASSERT_EQ(&c.dispatch->table(), &t);
+    ASSERT_EQ(&d.table(), &t);
+    EXPECT_EQ(d.key_columns(), c.keys);
     ASSERT_GT(t.row_count(), 0u);
     for (std::size_t r = 0; r < t.row_count(); ++r) {
+      // The row's compiled effects are its cells: the non-NULL sends with
+      // their roles, in triple order, and the non-NULL sets and counts.
+      std::vector<std::array<Value, 3>> sends;
+      for (const auto& [type, src, dst] : c.sends) {
+        if (t.column(type)[r].is_null()) continue;
+        sends.push_back(
+            {t.column(type)[r], t.column(src)[r], t.column(dst)[r]});
+      }
+      std::vector<std::array<Value, 3>> compiled;
+      for (const auto& send : d.sends(r)) {
+        compiled.push_back({send.type, send.src, send.dst});
+      }
+      EXPECT_EQ(compiled, sends) << "sends of row " << r;
+      EXPECT_EQ(updates_of(d.sets(r)), updates_of(t, c, c.sets, r))
+          << "sets of row " << r;
+      EXPECT_EQ(updates_of(d.counts(r)), updates_of(t, c, c.counts, r))
+          << "counts of row " << r;
       const std::vector<Value> key = key_of(t, c.keys, r);
-      const auto found = find_key(*c.dispatch, key);
+      const auto found = find_key(d, key);
       ASSERT_TRUE(found.has_value()) << "row " << r;
       EXPECT_EQ(*found, r);
       EXPECT_EQ(scan(t, c.keys, key), std::optional<std::size_t>(r));
-      for (const auto& [handle, name] : c.cols) {
-        EXPECT_EQ(c.dispatch->at(r, handle),
+      for (std::size_t h = 0; h < d.resolved().size(); ++h) {
+        const std::string& name = d.resolved()[h];
+        EXPECT_EQ(d.at(r, static_cast<ControllerDispatch::Col>(h)),
                   t.at(r, t.schema().index_of(name)))
             << name << " at row " << r;
       }
@@ -214,7 +272,7 @@ TEST(ControllerDispatch, AllSixMatchLinearScanOnEveryRow) {
       for (std::size_t k = 0; k < key.size(); ++k) {
         std::vector<Value> spliced = key;
         spliced[k] = other[k];
-        EXPECT_EQ(find_key(*c.dispatch, spliced), scan(t, c.keys, spliced));
+        EXPECT_EQ(find_key(d, spliced), scan(t, c.keys, spliced));
       }
     }
   }
@@ -232,20 +290,60 @@ TEST(ControllerDispatch, MissesAgree) {
   EXPECT_FALSE(dense.find({st, nosuch}).has_value());
   EXPECT_FALSE(scan(cc, {"inmsg", "cst"}, {st, nosuch}).has_value());
 
-  // The same probes against all six: a foreign symbol in any key position
-  // misses.
+  // The same probes against every simulated controller: a foreign symbol
+  // in any key position misses.
   const auto tables = CompiledTables::compile(spec());
-  for (const DispatchCase& c : all_six(*tables)) {
+  const auto compiled = dispatches(*tables);
+  for (std::size_t i = 0; i < compiled.size(); ++i) {
+    const DispatchCase& c = simulated()[i];
     SCOPED_TRACE(c.table);
     const Table& t = spec().database().catalog().get(c.table);
     const std::vector<Value> key = key_of(t, c.keys, 0);
     for (std::size_t k = 0; k < key.size(); ++k) {
       std::vector<Value> probe = key;
       probe[k] = nosuch;
-      EXPECT_FALSE(find_key(*c.dispatch, probe).has_value()) << c.keys[k];
+      EXPECT_FALSE(find_key(*compiled[i], probe).has_value()) << c.keys[k];
       EXPECT_FALSE(scan(t, c.keys, probe).has_value()) << c.keys[k];
     }
   }
+}
+
+/// Every output column of every simulated controller is classified: a
+/// send (an output triple's type, source or destination column), a set, a
+/// count, a glue read (resolved by the spec's Glue), or unread.  The glue
+/// reads and the unread columns are pinned, so a new output column has to
+/// be given a meaning here on purpose.
+TEST(CompiledTables, EveryOutputColumnIsClassified) {
+  const auto tables = CompiledTables::compile(spec());
+  std::vector<std::string> glue, unread;
+  for (const ControllerDispatch& d : tables->ctl) {
+    const ControllerSpec& c = spec().controller(d.name());
+    std::map<std::string, std::string> kind;
+    for (const MessageTriple& t : c.output_triples()) {
+      kind[t.msg] = kind[t.src] = kind[t.dst] = "send";
+    }
+    for (const auto& [column, field] : c.sim().sets) kind[column] = "set";
+    for (const auto& [column, field] : c.sim().counts) kind[column] = "count";
+    for (const std::string& name : d.resolved()) kind.emplace(name, "glue");
+    for (const Column& col : c.schema()->columns()) {
+      if (col.kind != ColumnKind::kOutput) continue;
+      const auto it = kind.find(col.name);
+      if (it == kind.end()) {
+        unread.push_back(d.name() + "." + col.name);
+      } else if (it->second == "glue") {
+        glue.push_back(d.name() + "." + col.name);
+      }
+    }
+  }
+  EXPECT_EQ(glue, (std::vector<std::string>{"D.bdirop", "D.datapath",
+                                            "M.memop", "NC.fillmsg",
+                                            "NC.nccmpl", "IOC.devmsg"}));
+  // Resource columns (the request/response queue a port uses), the
+  // directory-update and completion flags, and the processor-bound message.
+  EXPECT_EQ(unread, (std::vector<std::string>{
+                        "D.locmsgres", "D.remmsgres", "D.memmsgres",
+                        "D.dirupd", "D.cmpl", "M.outmsgres", "M.mcmpl",
+                        "NC.procmsg"}));
 }
 
 TEST(CompiledTables, DenseIsSharedAcrossMachines) {

@@ -205,10 +205,13 @@ TEST(FlatState, ConsumeThenRepostReadsTheConsumedMessage) {
   EXPECT_EQ(r.transactions_done, 1);
   std::vector<std::string> served;
   for (const obs::Event& e : events) {
-    if (e.name != "sim.memory") continue;
+    if (e.name != "sim.step") continue;
+    std::string ctl, msg;
     for (const obs::Arg& a : e.args) {
-      if (a.key == "msg") served.push_back(a.value);
+      if (a.key == "ctl") ctl = a.value;
+      if (a.key == "msg") msg = a.value;
     }
+    if (ctl == asura::kMemory) served.push_back(msg);
   }
   EXPECT_EQ(served, std::vector<std::string>{"mread(a0 0->0)"});
 }
