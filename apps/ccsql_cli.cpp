@@ -1,34 +1,10 @@
 // ccsql — command-line driver for the table-driven protocol methodology.
 //
-//   ccsql tables [NAME] [--csv]       print controller tables
-//   ccsql sql "STMT[; STMT...]"       run SQL against the protocol database
-//   ccsql explain "SELECT" [--analyze]
-//                                     show the optimized query plan with
-//                                     estimated vs actual row counts;
-//                                     --analyze adds per-operator wall time,
-//                                     rows/batches/morsels, and memory
-//   ccsql invariants [-v]             run the invariant suite
-//   ccsql deadlock [ASSIGNMENT]       virtual-channel deadlock analysis
-//   ccsql map                         section 5 hardware-mapping flow
-//   ccsql codegen TABLE [--casez]     emit controller code from an
-//                                     implementation table
-//   ccsql sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]
-//         [--seed N] [--workload NAME]
-//                                     table-driven simulation, reporting
-//                                     events/sec
-//   ccsql sweep [ASSIGNMENT] [--seeds N]
-//                                     the validation grid of simulations;
-//                                     exit 1 on any unhealthy run
-//   ccsql reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]
-//         [--symmetry] [--classify] [--witness] [--max-bytes N]
-//                                     exhaustive exploration with the
-//                                     parallel explorer; --classify labels
-//                                     VCG cycles against the reachable
-//                                     states, --max-bytes caps its memory
-//   ccsql lint                        specification hygiene advisories
-//   ccsql serve [--sessions N] [--iterations N] [--writer N] [--script F]
-//                                     multi-session serving loop
-//   ccsql flow                        the full push-button report
+//   ccsql COMMAND [ARGS] [FLAGS]
+//
+// Commands: tables, sql, explain, invariants, deadlock, map, codegen, sim,
+// sweep, reach, lint, serve, flow.  `ccsql` with no arguments prints each
+// command with the flags it reads (kCommands and kFlags below).
 //
 // Global flags (any command):
 //   --trace FILE               write a trace (format from extension)
@@ -43,13 +19,14 @@
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
-// An unknown flag, or an integer flag without a whole int after it, is a
-// usage error (exit 2).
+// An unknown flag, a flag the command does not read, or an integer flag
+// without a whole int after it is a usage error (exit 2).
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
 // environment do the same.
 //
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <fstream>
 #include <iomanip>
@@ -78,36 +55,61 @@ namespace {
 
 using namespace ccsql;
 
-/// Every flag the CLI reads and the value it takes.  main() rejects any
-/// flag not listed here, and an integer flag not followed by a whole int.
-/// Every integer the CLI takes is a count or a seed, so a sign is rejected.
+/// Every flag the CLI reads, the value it takes, and the commands that read
+/// it (global flags name none).  main() rejects any flag not listed here, a
+/// flag the command does not read, and an integer flag not followed by a
+/// whole int.  Every integer the CLI takes is a count or a seed, so a sign
+/// is rejected.
 enum class FlagKind { kSwitch, kInt, kString };
 struct FlagSpec {
   std::string_view name;
-  FlagKind kind = FlagKind::kSwitch;
+  FlagKind kind;
+  std::string_view value;  // the value's name in usage()
+  std::array<std::string_view, 2> commands;  // none for a global flag
 };
+constexpr auto kSwitch = FlagKind::kSwitch;
 constexpr auto kInt = FlagKind::kInt;
 constexpr auto kString = FlagKind::kString;
 constexpr FlagSpec kFlags[] = {
-    // tables / explain / invariants / codegen
-    {"--csv"}, {"--analyze"}, {"-v"}, {"--casez"},
-    // sim
-    {"--fig4"}, {"--quads", kInt}, {"--addrs", kInt}, {"--capacity", kInt},
-    {"--txns", kInt}, {"--seed", kInt}, {"--latency", kInt},
-    {"--workload", kString},
-    // sweep
-    {"--seeds", kInt},
-    // reach
-    {"--ops", kInt}, {"--max-states", kInt}, {"--first-deadlock"},
-    {"--symmetry"}, {"--only-ops", kString}, {"--node-ops", kString},
-    {"--witness"}, {"--classify"}, {"--max-bytes", kString},
-    // serve
-    {"--sessions", kInt}, {"--iterations", kInt}, {"--max-inflight", kInt},
-    {"--writer", kInt}, {"--script", kString},
-    // global
-    {"--trace", kString}, {"--trace-format", kString}, {"--metrics"},
-    {"--stats"}, {"--jobs", kInt},
+    {"--csv", kSwitch, "", {"tables"}},
+    {"--analyze", kSwitch, "", {"explain"}},
+    {"-v", kSwitch, "", {"invariants", "serve"}},
+    {"--casez", kSwitch, "", {"codegen"}},
+    {"--fig4", kSwitch, "", {"sim"}},
+    {"--quads", kInt, "N", {"sim", "reach"}},
+    {"--addrs", kInt, "N", {"sim", "reach"}},
+    {"--capacity", kInt, "N", {"sim"}},
+    {"--txns", kInt, "N", {"sim"}},
+    {"--seed", kInt, "N", {"sim"}},
+    {"--latency", kInt, "N", {"sim"}},
+    {"--workload", kString, "NAME", {"sim"}},
+    {"--seeds", kInt, "N", {"sweep"}},
+    {"--ops", kInt, "N", {"reach"}},
+    {"--symmetry", kSwitch, "", {"reach"}},
+    {"--classify", kSwitch, "", {"reach"}},
+    {"--witness", kSwitch, "", {"reach"}},
+    {"--max-states", kInt, "N", {"reach"}},
+    {"--max-bytes", kString, "N", {"reach"}},
+    {"--first-deadlock", kSwitch, "", {"reach"}},
+    {"--only-ops", kString, "A,B", {"reach"}},
+    {"--node-ops", kString, "N,M", {"reach"}},
+    {"--sessions", kInt, "N", {"serve"}},
+    {"--iterations", kInt, "N", {"serve"}},
+    {"--writer", kInt, "N", {"serve"}},
+    {"--script", kString, "FILE", {"serve"}},
+    {"--trace", kString, "FILE", {}},
+    {"--trace-format", kString, "text|jsonl|chrome", {}},
+    {"--metrics", kSwitch, "", {}},
+    {"--stats", kSwitch, "", {}},
+    {"--jobs", kInt, "N", {}},
 };
+
+bool is_global(const FlagSpec& f) { return f.commands[0].empty(); }
+
+/// True iff `command` reads flag `f` (every command reads a global flag).
+bool reads(const FlagSpec& f, std::string_view command) {
+  return is_global(f) || f.commands[0] == command || f.commands[1] == command;
+}
 
 const FlagSpec* find_flag(std::string_view name) {
   for (const FlagSpec& f : kFlags) {
@@ -153,47 +155,7 @@ struct Args {
   }
 };
 
-int usage() {
-  std::cerr
-      << "usage: ccsql COMMAND [ARGS]\n"
-         "  tables [NAME] [--csv]    print controller tables\n"
-         "  sql \"STMT[; ...]\"        run SQL against the protocol database\n"
-         "  explain \"SELECT\" [--analyze]  show the optimized query plan\n"
-         "  invariants [-v]          run the invariant suite\n"
-         "  deadlock [ASSIGNMENT]    deadlock analysis (default: all)\n"
-         "  map                      hardware-mapping flow\n"
-         "  codegen TABLE [--casez]  emit code from an implementation table\n"
-         "  sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]\n"
-         "      [--seed N] [--workload NAME]\n"
-         "                           table-driven simulation; workloads:\n"
-         "                           random, lock, producer-consumer,\n"
-         "                           false-sharing, streaming\n"
-         "  sweep [ASSIGNMENT] [--seeds N]\n"
-         "                           validation grid of simulations on the\n"
-         "                           pool; exit 1 on any unhealthy run\n"
-         "  reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]\n"
-         "        [--symmetry] [--classify] [--witness]\n"
-         "        [--max-states N] [--max-bytes N] [--first-deadlock]\n"
-         "        [--only-ops A,B] [--node-ops N,M]\n"
-         "                           parallel reachability (sharded visited\n"
-         "                           set, deterministic at any --jobs);\n"
-         "                           --symmetry canonicalizes modulo quad/\n"
-         "                           address permutations, --classify labels\n"
-         "                           each VCG cycle reachable/unreachable,\n"
-         "                           --witness prints the deadlock trace,\n"
-         "                           --max-bytes stops the search once its\n"
-         "                           tracked memory passes N bytes\n"
-         "  lint                     specification hygiene advisories\n"
-         "  serve [--sessions N] [--iterations N] [--max-inflight N]\n"
-         "        [--writer N] [--script FILE] [-v]\n"
-         "                           multi-session serving loop (invariant\n"
-         "                           suite or a SQL script) over snapshots +\n"
-         "                           the prepared-statement cache\n"
-         "  flow                     full push-button report\n"
-         "global flags: --trace FILE [--trace-format text|jsonl|chrome] "
-         "--metrics --stats --jobs N\n";
-  return 2;
-}
+int usage();
 
 int cmd_tables(const ProtocolSpec& spec, const Args& args) {
   const Database& db = spec.database();
@@ -356,6 +318,10 @@ int cmd_sweep(const ProtocolSpec& spec, const Args& args) {
   const std::string assignment =
       args.positional.empty() ? asura::kAssignV5Fix : args.positional[0];
   const auto seeds = static_cast<unsigned>(args.value_of("--seeds", 8));
+  if (seeds == 0) {
+    std::cerr << "error: --seeds needs at least 1 seed\n";
+    return 2;
+  }
   const std::size_t jobs = core::Pool::default_jobs();
   const std::vector<sim::SweepRun> grid =
       sim::default_sweep_grid(assignment, seeds);
@@ -415,7 +381,13 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
       !ops.empty()) {
     std::istringstream ss(ops);
     for (std::string tok; std::getline(ss, tok, ',');) {
-      if (!tok.empty()) cfg.inject_ops.push_back(tok);
+      if (tok.empty()) continue;
+      if (!sim::is_workload_op(tok)) {
+        std::cerr << "error: --only-ops: unknown operation '" << tok
+                  << "'\n";
+        return 2;
+      }
+      cfg.inject_ops.push_back(tok);
     }
   }
   if (const std::string budgets = args.str_value_of("--node-ops");
@@ -429,6 +401,11 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
         return 2;
       }
       cfg.ops_by_node.push_back(*budget);
+    }
+    if (cfg.ops_by_node.size() > static_cast<std::size_t>(cfg.n_quads)) {
+      std::cerr << "error: --node-ops gives " << cfg.ops_by_node.size()
+                << " budgets for " << cfg.n_quads << " quads\n";
+      return 2;
     }
   }
 
@@ -479,9 +456,6 @@ int cmd_lint(const ProtocolSpec& spec, const Args&) {
 }
 
 int cmd_serve(const ProtocolSpec& spec, const Args& args) {
-  serve::ServerOptions server_opts;
-  server_opts.max_inflight =
-      static_cast<std::size_t>(args.value_of("--max-inflight", 0));
   serve::DriveOptions drive_opts;
   drive_opts.sessions =
       static_cast<std::size_t>(args.value_of("--sessions", 8));
@@ -517,7 +491,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
     return 2;
   }
 
-  serve::Server server(spec.database(), server_opts);
+  serve::Server server(spec.database());
   const serve::DriveReport report =
       serve::drive(server, statements, drive_opts);
   const serve::ServerStats stats = server.stats();
@@ -526,9 +500,6 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
             << drive_opts.iterations << " iterations over "
             << statements.size()
             << (drive_opts.exists_mode ? " invariants" : " queries");
-  if (server_opts.max_inflight > 0) {
-    std::cout << " (max-inflight " << server_opts.max_inflight << ")";
-  }
   std::cout << "\n  queries=" << report.queries
             << " violations=" << report.violations
             << " wall=" << report.wall_us / 1000
@@ -542,8 +513,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
             << " entries=" << stats.cache.entries << "\n";
   if (drive_opts.writer_swaps > 0) {
     std::cout << "  writer: swaps=" << report.writer_swaps
-              << " generation=" << stats.generation
-              << " admission_waits=" << stats.admission_waits << "\n";
+              << " generation=" << stats.generation << "\n";
   }
   if (args.has("-v")) {
     for (const auto& s : report.sessions) {
@@ -653,34 +623,110 @@ void print_stats_page(std::ostream& os) {
   }
 }
 
-int dispatch(const std::string& cmd, const Args& args) {
-  auto spec = ccsql::asura::make_asura();
-  if (cmd == "tables") return cmd_tables(*spec, args);
-  if (cmd == "sql") return cmd_sql(*spec, args);
-  if (cmd == "explain") return cmd_explain(*spec, args);
-  if (cmd == "invariants") return cmd_invariants(*spec, args);
-  if (cmd == "deadlock") return cmd_deadlock(*spec, args);
-  if (cmd == "map") return cmd_map(*spec, args);
-  if (cmd == "codegen") return cmd_codegen(*spec, args);
-  if (cmd == "sim") return cmd_sim(*spec, args);
-  if (cmd == "sweep") return cmd_sweep(*spec, args);
-  if (cmd == "reach") return cmd_reach(*spec, args);
-  if (cmd == "lint") return cmd_lint(*spec, args);
-  if (cmd == "serve") return cmd_serve(*spec, args);
-  if (cmd == "flow") return cmd_flow(*spec, args);
-  return usage();
+/// Every command: its name, its operands and help as usage() shows them,
+/// and its entry point.  The flags each one reads are in kFlags.
+struct Command {
+  std::string_view name;
+  std::string_view operands;
+  std::string_view help;
+  int (*run)(const ProtocolSpec&, const Args&);
+};
+constexpr Command kCommands[] = {
+    {"tables", "[NAME]", "print controller tables", cmd_tables},
+    {"sql", "\"STMT[; ...]\"", "run SQL against the protocol database",
+     cmd_sql},
+    {"explain", "\"SELECT\"", "show the optimized query plan", cmd_explain},
+    {"invariants", "", "run the invariant suite", cmd_invariants},
+    {"deadlock", "[ASSIGNMENT]", "deadlock analysis (default: all)",
+     cmd_deadlock},
+    {"map", "", "hardware-mapping flow", cmd_map},
+    {"codegen", "TABLE", "emit code from an implementation table",
+     cmd_codegen},
+    {"sim", "[ASSIGNMENT]",
+     "table-driven simulation; workloads: random, lock,\n"
+     "      producer-consumer, false-sharing, streaming",
+     cmd_sim},
+    {"sweep", "[ASSIGNMENT]",
+     "validation grid of simulations on the pool; exit 1 on any\n"
+     "      unhealthy run",
+     cmd_sweep},
+    {"reach", "[ASSIGNMENT]",
+     "exhaustive exploration, deterministic at any --jobs; --classify\n"
+     "      labels each VCG cycle reachable/unreachable, --witness prints\n"
+     "      the deadlock trace, --max-bytes caps the search's memory",
+     cmd_reach},
+    {"lint", "", "specification hygiene advisories", cmd_lint},
+    {"serve", "",
+     "multi-session serving loop (invariant suite or a SQL script) over\n"
+     "      snapshots + the prepared-statement cache",
+     cmd_serve},
+    {"flow", "", "full push-button report", cmd_flow},
+};
+
+const Command* find_command(std::string_view name) {
+  for (const Command& c : kCommands) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+/// Prints `line` followed by the flags `command` reads (the global flags
+/// for ""), wrapped before column 76.
+void print_flags(std::ostream& os, std::string line,
+                 std::string_view command) {
+  for (const FlagSpec& f : kFlags) {
+    if (is_global(f) != command.empty() || !reads(f, command)) continue;
+    std::string word = " [";
+    word += f.name;
+    if (!f.value.empty()) {
+      word += ' ';
+      word += f.value;
+    }
+    word += ']';
+    if (line.size() + word.size() > 76) {
+      os << line << "\n";
+      line = "       ";
+    }
+    line += word;
+  }
+  os << line << "\n";
+}
+
+int usage() {
+  std::ostringstream os;
+  os << "usage: ccsql COMMAND [ARGS]\n";
+  for (const Command& c : kCommands) {
+    std::string head = "  ";
+    head += c.name;
+    if (!c.operands.empty()) {
+      head += ' ';
+      head += c.operands;
+    }
+    print_flags(os, std::move(head), c.name);
+    os << "      " << c.help << "\n";
+  }
+  print_flags(os, "global flags (any command):", "");
+  std::cerr << os.str();
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const Command* command = find_command(argv[1]);
+  if (command == nullptr) return usage();
   Args args;
   for (int i = 2; i < argc; ++i) {
     if (argv[i][0] == '-') {
       const FlagSpec* spec = find_flag(argv[i]);
       if (spec == nullptr) {
         std::cerr << "error: unknown flag " << argv[i] << "\n";
+        return usage();
+      }
+      if (!reads(*spec, command->name)) {
+        std::cerr << "error: " << command->name << " does not take "
+                  << spec->name << "\n";
         return usage();
       }
       Args::Flag& flag =
@@ -703,7 +749,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string cmd = argv[1];
   // Flushes and closes the trace sink however main unwinds — error returns,
   // thrown exceptions — so JSONL/Chrome traces are never truncated
   // mid-event.  finish() is idempotent: the explicit call below makes the
@@ -714,7 +759,7 @@ int main(int argc, char** argv) {
   int rc = 1;
   try {
     rc = configure_observability(args);
-    if (rc == 0) rc = dispatch(cmd, args);
+    if (rc == 0) rc = command->run(*asura::make_asura(), args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     rc = 1;

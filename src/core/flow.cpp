@@ -88,7 +88,7 @@ FlowReport Flow::run(const FlowOptions& options) const {
   }
 
   // 2. Static checks: invariants (section 4.3).
-  if (options.check_invariants) {
+  {
     CCSQL_SPAN(span, "flow.invariants", "core");
     InvariantChecker checker(spec_->database());
     report.invariants = checker.check_all(spec_->invariants());

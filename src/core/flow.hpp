@@ -13,7 +13,6 @@ namespace ccsql {
 
 /// Options for one run of the methodology flow.
 struct FlowOptions {
-  bool check_invariants = true;
   /// Channel assignments to analyse for deadlocks; empty = all of the
   /// spec's assignments.
   std::vector<std::string> assignments;

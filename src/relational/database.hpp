@@ -30,8 +30,8 @@ namespace ccsql {
 ///
 /// Results are columnar like the tables they come from: column() hands out
 /// contiguous spans with no copying, and is the primary way to consume a
-/// result (DESIGN.md section 13).  row()/row_views() remain as gather
-/// adapters for cold consumers.
+/// result (DESIGN.md section 13).  row() remains as a gather adapter for
+/// cold consumers.
 struct QueryResult {
   Table rows;
   /// Rendered plan with est/actual row counts; filled by explain() only.
@@ -53,12 +53,9 @@ struct QueryResult {
     return rows.column(name);
   }
 
-  /// Row-at-a-time adapters (gather path — prefer column() in bulk code).
+  /// Row-at-a-time adapter (gather path — prefer column() in bulk code).
   [[nodiscard]] RowView row(std::size_t i) const noexcept {
     return rows.row(i);
-  }
-  [[nodiscard]] Table::RowRange row_views() const noexcept {
-    return rows.rows();
   }
 };
 

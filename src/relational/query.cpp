@@ -24,11 +24,6 @@ const Table& Catalog::get(std::string_view name) const {
   return it->second->table;
 }
 
-Catalog::TablePtr Catalog::get_shared(std::string_view name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second;
-}
-
 Table Catalog::query(const SelectStmt& stmt, std::size_t jobs) const {
   CCSQL_SPAN(span, "query.select", "relational");
   span.arg("table", stmt.from.empty() ? "" : stmt.from[0].table);

@@ -45,10 +45,6 @@ class Catalog {
   /// Throws BindError if absent.
   [[nodiscard]] const Table& get(std::string_view name) const;
 
-  /// Shared ownership of a resident table version, or nullptr if absent.
-  /// What a snapshot holds: the rows stay valid after the catalog moves on.
-  [[nodiscard]] TablePtr get_shared(std::string_view name) const;
-
   [[nodiscard]] FunctionRegistry& functions() noexcept { return functions_; }
   [[nodiscard]] const FunctionRegistry& functions() const noexcept {
     return functions_;

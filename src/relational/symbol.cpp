@@ -41,11 +41,6 @@ class Pool {
     return strings_[id];
   }
 
-  std::size_t size() const noexcept {
-    std::shared_lock lock(mu_);
-    return strings_.size();
-  }
-
  private:
   Pool() {
     strings_.emplace_back("NULL");
@@ -76,7 +71,5 @@ Symbol Symbol::lookup(std::string_view text) noexcept {
 std::string_view Symbol::str() const noexcept {
   return Pool::instance().str(id_);
 }
-
-std::size_t Symbol::pool_size() noexcept { return Pool::instance().size(); }
 
 }  // namespace ccsql

@@ -47,9 +47,6 @@ class Symbol {
     return a.id_ < b.id_;
   }
 
-  /// Total number of distinct symbols interned so far (including NULL).
-  static std::size_t pool_size() noexcept;
-
  private:
   constexpr explicit Symbol(std::uint32_t id) noexcept : id_(id) {}
   std::uint32_t id_;

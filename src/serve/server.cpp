@@ -1,18 +1,9 @@
 #include "serve/server.hpp"
 
-#include <chrono>
-
 #include "relational/parser.hpp"
 
 namespace ccsql::serve {
 namespace {
-
-std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
 
 /// Separates bound parameter values in an execute() cache key; below any
 /// character that can appear in SQL text.  (The mode/text separator is
@@ -22,40 +13,13 @@ constexpr char kValueSep = '\x1e';
 }  // namespace
 
 Server::Server(Database db, ServerOptions options)
-    : options_(options),
-      db_(std::move(db)),
-      cache_(options.plan_cache_capacity) {
+    : options_(options), db_(std::move(db)) {
   snap_ = db_.snapshot();
 }
 
 Snapshot Server::snapshot() const {
   std::lock_guard<std::mutex> lock(snap_mu_);
   return snap_;
-}
-
-void Server::admit() {
-  if (options_.max_inflight == 0) return;
-  std::unique_lock<std::mutex> lock(adm_mu_);
-  if (inflight_ < options_.max_inflight) {
-    ++inflight_;
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  adm_cv_.wait(lock, [this] { return inflight_ < options_.max_inflight; });
-  ++inflight_;
-  const std::uint64_t waited = micros_since(t0);
-  admission_waits_.fetch_add(1, std::memory_order_relaxed);
-  admission_wait_us_.fetch_add(waited, std::memory_order_relaxed);
-  CCSQL_OBSERVE("serve.admission.wait_us", static_cast<double>(waited));
-}
-
-void Server::release() {
-  if (options_.max_inflight == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(adm_mu_);
-    --inflight_;
-  }
-  adm_cv_.notify_one();
 }
 
 CachedStatementPtr Server::get_or_build(
@@ -74,7 +38,6 @@ CachedStatementPtr Server::get_or_build(
 
 QueryResult Server::select(const std::string& key,
                            const std::function<SelectStmt()>& parse) {
-  AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
   if (!options_.use_plan_cache) {
@@ -95,7 +58,6 @@ QueryResult Server::query(std::string_view select_text) {
 }
 
 bool Server::check_empty(std::string_view invariant_text) {
-  AdmissionGuard slot(*this);
   queries_.fetch_add(1, std::memory_order_relaxed);
   Snapshot snap = snapshot();
   if (!options_.use_plan_cache) {
@@ -152,8 +114,6 @@ ServerStats Server::stats() const {
   s.queries = queries_.load(std::memory_order_relaxed);
   s.uncached_queries = uncached_.load(std::memory_order_relaxed);
   s.writer_swaps = writer_swaps_.load(std::memory_order_relaxed);
-  s.admission_waits = admission_waits_.load(std::memory_order_relaxed);
-  s.admission_wait_us = admission_wait_us_.load(std::memory_order_relaxed);
   s.snapshots_active = Snapshot::active();
   s.cache = cache_.stats();
   {
@@ -175,8 +135,6 @@ void Server::publish_stats(obs::Metrics& metrics) const {
   metrics.set("serve.plan_cache.mem_bytes", s.cache.bytes);
   metrics.set("serve.snapshot.active", s.snapshots_active);
   metrics.set("serve.writer_swaps", s.writer_swaps);
-  metrics.set("serve.admission.waits", s.admission_waits);
-  metrics.set("serve.admission.wait_us", s.admission_wait_us);
   metrics.set("serve.generation", s.generation);
 }
 

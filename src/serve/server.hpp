@@ -11,13 +11,10 @@
 // current copy-on-write Snapshot, which shares table storage and indexes
 // with the live side and stays valid across writer swaps.  Parsing and
 // planning are amortized through the prepared-statement PlanCache, keyed
-// on normalized SQL and invalidated by catalog generation.  An optional
-// admission gate bounds in-flight queries (max_inflight), queueing the
-// rest FIFO and recording the wait.
+// on normalized SQL and invalidated by catalog generation.
 
 #include <atomic>
 #include <cstdint>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -31,14 +28,9 @@
 namespace ccsql::serve {
 
 struct ServerOptions {
-  /// Prepared-statement cache entries (LRU beyond this).
-  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Off: every query re-parses and re-plans (the bench_serve baseline
   /// leg and the cached-vs-fresh differential oracle).
   bool use_plan_cache = true;
-  /// Maximum queries executing at once; 0 = unlimited.  Excess callers
-  /// block FIFO-ish on a condition variable (admission queueing).
-  std::size_t max_inflight = 0;
 };
 
 struct ServerStats {
@@ -46,8 +38,6 @@ struct ServerStats {
   /// Queries that bypassed the cache (ServerOptions::use_plan_cache off).
   std::uint64_t uncached_queries = 0;
   std::uint64_t writer_swaps = 0;
-  std::uint64_t admission_waits = 0;    // acquisitions that had to block
-  std::uint64_t admission_wait_us = 0;  // total time spent blocked
   std::uint64_t generation = 0;
   std::size_t snapshots_active = 0;     // process-wide live Snapshot handles
   PlanCacheStats cache;
@@ -101,22 +91,11 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
   /// Folds the serve.* gauges (queries, cache hits/misses/evictions,
-  /// snapshot.active, admission waits, ...) into `metrics` — the --stats
-  /// one-pager and trace_summary read these.
+  /// snapshot.active, ...) into `metrics` — the --stats one-pager and
+  /// trace_summary read these.
   void publish_stats(obs::Metrics& metrics) const;
 
  private:
-  /// RAII admission slot: blocks in the constructor while max_inflight
-  /// queries are executing, releases (and wakes one waiter) on scope exit —
-  /// including the exception paths out of a query.
-  struct AdmissionGuard {
-    explicit AdmissionGuard(Server& s) : server(s) { server.admit(); }
-    ~AdmissionGuard() { server.release(); }
-    AdmissionGuard(const AdmissionGuard&) = delete;
-    AdmissionGuard& operator=(const AdmissionGuard&) = delete;
-    Server& server;
-  };
-
   /// The one SELECT path behind query() and execute(): `key` names the
   /// statement in the plan cache, `parse` builds its parse tree (on a cache
   /// miss, or on every call with the cache off).
@@ -127,9 +106,6 @@ class Server {
       const std::string& key, const Snapshot& snap, bool exists_mode,
       const std::function<std::vector<SelectStmt>()>& parse);
 
-  void admit();
-  void release();
-
   const ServerOptions options_;
   Database db_;                // guarded by db_mu_ (writers only)
   mutable std::mutex db_mu_;
@@ -137,15 +113,9 @@ class Server {
   mutable std::mutex snap_mu_;
   PlanCache cache_;
 
-  std::mutex adm_mu_;
-  std::condition_variable adm_cv_;
-  std::size_t inflight_ = 0;
-
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> uncached_{0};
   std::atomic<std::uint64_t> writer_swaps_{0};
-  std::atomic<std::uint64_t> admission_waits_{0};
-  std::atomic<std::uint64_t> admission_wait_us_{0};
 };
 
 }  // namespace ccsql::serve

@@ -289,10 +289,8 @@ bool AsuraGlue::exchange(Machine& m, Step& s, Value cmd) const {
     }
     case kMem: {
       // Every consumed memory-controller message is a main-memory access.
-      const auto mem =
-          static_cast<std::uint64_t>(m.config_.cycle_model.memory_cycles);
-      m.counters_.mem_cycles += mem;
-      m.counters_.cycles += mem;
+      m.counters_.mem_cycles += CycleModel::kMemoryCycles;
+      m.counters_.cycles += CycleModel::kMemoryCycles;
       if (t_.ctl[m_].at(s.row, memop_) == wr_) {
         if (s.in.version >= 0) {  // writeback, flush, posted update
           m.memory(s.q, a) = s.in.version;

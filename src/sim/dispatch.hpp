@@ -16,7 +16,6 @@
 // once per process, not once per run.
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -67,10 +66,6 @@ class ControllerDispatch {
     const std::int32_t row = rows_[idx];
     if (row < 0) return std::nullopt;
     return static_cast<std::size_t>(row);
-  }
-  [[nodiscard]] std::optional<std::size_t> find(
-      std::initializer_list<Value> key) const {
-    return find(key.begin());
   }
 
   /// Resolves an output column to a handle; call at compile time only.

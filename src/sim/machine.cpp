@@ -107,7 +107,28 @@ const Sym& sym() {
   return s;
 }
 
+/// Operations a workload may inject, by the line's cache state: I, S,
+/// owned.
+const std::array<std::vector<Value>, 3>& op_alphabet() {
+  const Sym& sy = sym();
+  static const std::array<std::vector<Value>, 3> ops{{
+      {sy.prd, sy.pwr, sy.patomic, sy.iord, sy.iowr},  // I
+      {sy.pup, sy.pfl, sy.pevict},                     // S
+      {sy.pwb},                                        // owned
+  }};
+  return ops;
+}
+
 }  // namespace
+
+bool is_workload_op(std::string_view name) {
+  for (const std::vector<Value>& ops : op_alphabet()) {
+    for (Value op : ops) {
+      if (op.str() == name) return true;
+    }
+  }
+  return false;
+}
 
 Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config)
@@ -118,7 +139,7 @@ Machine::Machine(const ProtocolSpec& /*spec*/, const ChannelAssignment& v,
                  std::shared_ptr<const CompiledTables> tables)
     : config_(config),
       net_(v, config.n_quads, config.channel_capacity),
-      c2c_cost_(config.cycle_model.c2c_cycles(config.n_quads)),
+      c2c_cost_(CycleModel::c2c_cycles(config.n_quads)),
       tables_(std::move(tables)),
       ctl_(static_cast<std::size_t>(config.n_quads)),
       cells_(ctl_.size() * static_cast<std::size_t>(config.n_addrs)),
@@ -139,16 +160,20 @@ Machine::Machine(const ProtocolSpec& /*spec*/, const ChannelAssignment& v,
   const Sym& sy = sym();
   for (Ctl& c : ctl_) c.ncst = c.iocst = sy.idle;
   for (Addr a = 0; a < config_.n_addrs; ++a) memory(home_of(a), a) = 0;
+  for (const std::string& name : config_.workload_ops) {
+    if (!is_workload_op(name)) {
+      std::string msg = "sim: unknown workload operation '";
+      msg += name;
+      msg += "'";
+      throw std::invalid_argument(msg);
+    }
+  }
   const auto allowed = [&](Value op) {
     return config_.workload_ops.empty() ||
            std::find(config_.workload_ops.begin(), config_.workload_ops.end(),
                      op.str()) != config_.workload_ops.end();
   };
-  const std::array<std::vector<Value>, 3> ops{{
-      {sy.prd, sy.pwr, sy.patomic, sy.iord, sy.iowr},  // I
-      {sy.pup, sy.pfl, sy.pevict},                     // S
-      {sy.pwb},                                        // owned
-  }};
+  const std::array<std::vector<Value>, 3>& ops = op_alphabet();
   for (std::size_t k = 0; k < ops.size(); ++k) {
     for (Value op : ops[k]) {
       if (allowed(op)) legal_ops_[k].push_back(op);
@@ -206,9 +231,8 @@ void Machine::post(const SimMessage& msg, Network::VcCode code) {
   // into the per_vc_sent map — a map op per message would dominate post().
   if (code >= vc_sent_.size()) vc_sent_.resize(code + 1, 0);
   ++vc_sent_[code];
-  const auto bus = static_cast<std::uint64_t>(config_.cycle_model.bus_cycles);
-  counters_.bus_cycles += bus;
-  counters_.cycles += bus;
+  counters_.bus_cycles += CycleModel::kBusCycles;
+  counters_.cycles += CycleModel::kBusCycles;
   net_.send_coded(msg, code);
 }
 

@@ -118,23 +118,9 @@ void Network::erase_outbox(QuadId q, std::size_t i) {
   --h.len;
 }
 
-bool Network::can_send(const SimMessage& msg, QuadId home) const {
-  return has_room(msg, vc_code(msg, home));
-}
-
 void Network::send_coded(const SimMessage& msg, VcCode code) {
   push(queue_ring(msg.src, msg.dst, code), msg);
   ++in_flight_;
-}
-
-void Network::send(const SimMessage& msg, QuadId home) {
-  send_coded(msg, vc_code(msg, home));
-}
-
-std::vector<Network::QueueRef> Network::queues_to(QuadId dst) const {
-  std::vector<QueueRef> out;
-  queues_to(dst, out);
-  return out;
 }
 
 void Network::queues_to(QuadId dst, std::vector<QueueRef>& out) const {

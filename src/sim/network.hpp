@@ -23,7 +23,7 @@ namespace ccsql::sim {
 /// message arena sized at construction, next to one ring per quad for the
 /// node's outbox (the RAC decoupling buffer, which Machine keeps here so
 /// that one arena holds every queued message).  `capacity` bounds what
-/// can_send admits, not storage: dedicated paths are unbounded, and one
+/// has_room admits, not storage: dedicated paths are unbounded, and one
 /// step's outputs are each checked against the occupancy before any is
 /// sent, so a channel may briefly hold more.  Rings therefore share one
 /// storage capacity that doubles when a push finds a ring full.
@@ -38,12 +38,6 @@ class Network {
  public:
   Network(const ChannelAssignment& v, int n_quads, int capacity);
 
-  /// True if the message can be sent now (always true on dedicated paths).
-  [[nodiscard]] bool can_send(const SimMessage& msg, QuadId home) const;
-
-  /// Enqueues; the caller must have checked can_send.
-  void send(const SimMessage& msg, QuadId home);
-
   /// A channel endpoint for receivers: all queues addressed to `dst`.
   struct QueueRef {
     QuadId src;
@@ -51,11 +45,10 @@ class Network {
     Value vc;  // NULL for the dedicated-path queue
     std::uint32_t slot = 0;  // ring index, filled by queues_to
   };
-  [[nodiscard]] std::vector<QueueRef> queues_to(QuadId dst) const;
 
-  /// Allocation-free variant for the scheduler hot loop: clears `out` and
-  /// fills it with the non-empty queues addressed to `dst`, ordered by
-  /// (src, vc symbol id) — the delivery order.
+  /// Clears `out` and fills it with the non-empty queues addressed to
+  /// `dst`, ordered by (src, vc symbol id) — the delivery order.  An
+  /// out-parameter so the scheduler's hot loop reuses one buffer.
   void queues_to(QuadId dst, std::vector<QueueRef>& out) const;
 
   [[nodiscard]] const SimMessage* front(const QueueRef& q) const;
@@ -90,12 +83,15 @@ class Network {
     return vc_values_[code];
   }
 
-  /// can_send and send with the VC already resolved via vc_code — lets
-  /// Machine resolve a message's channel once, not per Network call.
+  /// True if a message on channel `code` (from vc_code) can be sent now:
+  /// always on the dedicated path, else while its channel is below
+  /// capacity.  Machine resolves a message's channel once and passes the
+  /// code to both calls.
   [[nodiscard]] bool has_room(const SimMessage& msg, VcCode code) const {
     return code == 0 ||  // dedicated path, unbounded
            rings_[queue_ring(msg.src, msg.dst, code)].len < capacity_;
   }
+  /// Enqueues on channel `code`; the caller must have checked has_room.
   void send_coded(const SimMessage& msg, VcCode code);
 
   /// A ring's messages, oldest first.  Valid until the next push.

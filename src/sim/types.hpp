@@ -45,14 +45,15 @@ struct SimMessage {
 /// block transfer of N words across P processors — the P+1 models the
 /// coordination overhead — 2 cycles per bus/interconnect transaction, and
 /// cache hits are free).  Every run charges these per event, so results
-/// report cycles and events/cycle alongside raw step counts.
+/// report cycles and events/cycle alongside raw step counts.  The costs are
+/// fixed; only the cache-to-cache transfer varies, with the quad count.
 struct CycleModel {
-  int memory_cycles = 100;     // cache <-> main memory access
-  int bus_cycles = 2;          // per message placed on the interconnect
-  int words_per_line = 4;      // N in the cache-to-cache formula
+  static constexpr int kMemoryCycles = 100;  // cache <-> main memory
+  static constexpr int kBusCycles = 2;       // per interconnect message
+  static constexpr int kWordsPerLine = 4;    // N in the c2c formula
   /// Cache-to-cache block transfer: 4N + (P+1) for `quads` processors.
-  [[nodiscard]] int c2c_cycles(int quads) const noexcept {
-    return 4 * words_per_line + (quads + 1);
+  [[nodiscard]] static constexpr int c2c_cycles(int quads) noexcept {
+    return 4 * kWordsPerLine + (quads + 1);
   }
 };
 
@@ -110,6 +111,11 @@ enum class Workload {
 std::optional<Workload> parse_workload(std::string_view name);
 std::string_view workload_name(Workload w);
 
+/// True iff a workload may inject the operation `name` (prd, pwr, patomic,
+/// iord, iowr, pup, pfl, pevict, pwb): the names SimConfig::workload_ops
+/// accepts.
+[[nodiscard]] bool is_workload_op(std::string_view name);
+
 /// Simulation configuration.
 struct SimConfig {
   int n_quads = 2;
@@ -128,13 +134,13 @@ struct SimConfig {
   std::vector<int> transactions_by_node;
   /// When non-empty, the random workload injects only these operation
   /// names (directed exploration of a suspected interleaving, e.g.
-  /// {"prd", "patomic"} for the Figure 4 memory-interference wedge).
+  /// {"prd", "patomic"} for the Figure 4 memory-interference wedge).  A
+  /// name outside is_workload_op makes Machine throw invalid_argument:
+  /// silently dropping it would shrink the search to a false proof.
   std::vector<std::string> workload_ops;
   /// Workload shape driven by enable_workload() (kRandom reproduces the
   /// legacy enable_random_workload behavior exactly).
   Workload workload = Workload::kRandom;
-  /// Cycle-delay model charged per event into SimCounters.
-  CycleModel cycle_model;
   unsigned seed = 1;
 };
 

@@ -1,5 +1,7 @@
 #include "checks/reach.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "protocol/asura/asura.hpp"
@@ -92,6 +94,19 @@ TEST(Reach, DiscoversTheFigure4DeadlockUnaided) {
   EXPECT_NE(r.deadlock_example.find("VC4"), std::string::npos);
   EXPECT_NE(r.deadlock_example.find("idone"), std::string::npos);
   EXPECT_TRUE(r.violations.empty());
+}
+
+/// An operation outside the injectable alphabet is an error in both
+/// explorers, not a silently smaller (and falsely complete) search.
+TEST(Reach, UnknownInjectedOpIsRejected) {
+  ReachParallelConfig cfg;
+  cfg.n_quads = 2;
+  cfg.n_addrs = 3;
+  cfg.ops_per_node = 2;
+  cfg.inject_ops = {"prd", "patomc"};
+  const ChannelAssignment& v5 = spec().assignment(asura::kAssignV5);
+  EXPECT_THROW(explore(spec(), v5, cfg), std::invalid_argument);
+  EXPECT_THROW(explore_parallel(spec(), v5, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -97,11 +97,54 @@ TEST(Cli, UnknownFlagsAreUsageErrors) {
   EXPECT_NE(ok.output.find("0 violated"), std::string::npos);
   // Flags that selected since-deleted alternative engines are gone too.
   for (const char* cmd : {"sim --no-dense", "reach --sequential",
-                          "serve --no-cache"}) {
+                          "serve --no-cache", "serve --max-inflight 2"}) {
     RunResult r = run(cmd);
     EXPECT_EQ(r.exit_code, 2) << cmd;
     EXPECT_NE(r.output.find("error: unknown flag"), std::string::npos)
         << r.output;
+  }
+  // A known flag the command does not read is refused, naming the command,
+  // instead of running as if it were absent.
+  const std::pair<const char*, const char*> unread[] = {
+      {"reach V5fix --capacity 3 --ops 1", "reach does not take --capacity"},
+      {"invariants --quads 9", "invariants does not take --quads"},
+      {"sim --seeds 2", "sim does not take --seeds"},
+      {"flow -v", "flow does not take -v"},
+  };
+  for (const auto& [cmd, message] : unread) {
+    RunResult r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("error: ") + message),
+              std::string::npos)
+        << cmd << "\n" << r.output;
+  }
+  // usage() lists each command's own flags: sim's line names the capacity
+  // and latency it reads.
+  RunResult help = run("");
+  for (const char* flag : {"[--capacity N]", "[--latency N]"}) {
+    EXPECT_NE(help.output.find(flag), std::string::npos) << help.output;
+  }
+}
+
+/// A run that would check nothing, or less than asked, is a usage error
+/// rather than a verdict.
+TEST(Cli, VacuousRunsAreUsageErrors) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"sweep --seeds 0", "--seeds needs at least 1 seed"},
+      {"reach --quads 2 --node-ops 1,1,7",
+       "--node-ops gives 3 budgets for 2 quads"},
+      // A misspelt operation would leave the Figure 4 search over prd alone
+      // and certify the wedge unreachable.
+      {"reach V5 --quads 2 --addrs 3 --ops 2 --only-ops prd,patomc "
+       "--node-ops 2,1 --classify",
+       "--only-ops: unknown operation 'patomc'"},
+  };
+  for (const auto& [cmd, message] : cases) {
+    RunResult r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos)
+        << cmd << "\n" << r.output;
+    EXPECT_EQ(r.output.find("unreachable"), std::string::npos) << r.output;
   }
 }
 

@@ -102,15 +102,6 @@ TEST(Flow, SummaryMentionsEverything) {
   EXPECT_NE(s.find("healthy"), std::string::npos);
 }
 
-TEST(Flow, SkippingInvariantsLeavesThemEmpty) {
-  Flow flow(asura_spec());
-  FlowOptions opts;
-  opts.check_invariants = false;
-  FlowReport report = flow.run(opts);
-  EXPECT_TRUE(report.invariants.empty());
-  EXPECT_TRUE(report.invariants_hold());  // vacuously
-}
-
 TEST(Flow, CatchesInjectedInvariantViolation) {
   // A fresh spec with a deliberately broken extra invariant.
   auto spec = asura::make_asura();

@@ -95,11 +95,9 @@ TEST(SimCounters, SummaryListsCycleBreakdown) {
 }
 
 TEST(CycleModel, CacheToCacheFollowsFormula) {
-  CycleModel m;  // 4 words/line
-  EXPECT_EQ(m.c2c_cycles(4), 4 * 4 + (4 + 1));
-  EXPECT_EQ(m.c2c_cycles(2), 4 * 4 + (2 + 1));
-  m.words_per_line = 8;
-  EXPECT_EQ(m.c2c_cycles(3), 4 * 8 + (3 + 1));
+  // 4 words/line: 4N + (P+1).
+  EXPECT_EQ(CycleModel::c2c_cycles(4), 4 * 4 + (4 + 1));
+  EXPECT_EQ(CycleModel::c2c_cycles(2), 4 * 4 + (2 + 1));
 }
 
 TEST(Workload, ParseRoundTrips) {

@@ -41,11 +41,13 @@ TEST(ControllerDispatch, FindsUniqueRow) {
   Table t = sample();
   ControllerDispatch d(t, {"inmsg", "st"});
   const auto out = d.col("out");
-  auto row = d.find({V("req"), V("busy")});
+  const Value hit[] = {V("req"), V("busy")};
+  auto row = d.find(hit);
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(d.at(*row, out), V("retry"));
   // Both symbols are in their columns' domains, but no row pairs them.
-  EXPECT_FALSE(d.find({V("resp"), V("idle")}).has_value());
+  const Value unpaired[] = {V("resp"), V("idle")};
+  EXPECT_FALSE(d.find(unpaired).has_value());
 }
 
 TEST(ControllerDispatch, SingleColumnKey) {
@@ -54,7 +56,8 @@ TEST(ControllerDispatch, SingleColumnKey) {
   t.append({V("b"), V("y")});
   ControllerDispatch d(t, {"inmsg"});
   const auto out = d.col("out");
-  auto row = d.find({V("b")});
+  const Value key[] = {V("b")};
+  auto row = d.find(key);
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(d.at(*row, out), V("y"));
 }
@@ -77,7 +80,8 @@ TEST(ControllerDispatch, NullValuesInKeysWork) {
   t.append({V("a"), V("y")});
   ControllerDispatch d(t, {"inmsg"});
   const auto out = d.col("out");
-  auto row = d.find({null_value()});
+  const Value key[] = {null_value()};
+  auto row = d.find(key);
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(d.at(*row, out), V("x"));
 }
@@ -184,17 +188,12 @@ std::vector<const ControllerDispatch*> dispatches(const CompiledTables& ct) {
 /// find() with a runtime-length key (the tables key on 1, 2 or 6 columns).
 std::optional<std::size_t> find_key(const ControllerDispatch& d,
                                     const std::vector<Value>& k) {
-  switch (k.size()) {
-    case 1:
-      return d.find({k[0]});
-    case 2:
-      return d.find({k[0], k[1]});
-    case 6:
-      return d.find({k[0], k[1], k[2], k[3], k[4], k[5]});
-    default:
-      ADD_FAILURE() << "no find() arity for " << k.size() << " key columns";
-      return std::nullopt;
+  if (k.size() != d.key_columns().size()) {
+    ADD_FAILURE() << k.size() << " key values for "
+                  << d.key_columns().size() << " key columns";
+    return std::nullopt;
   }
+  return d.find(k.data());
 }
 
 /// The test-local oracle: a linear scan for the first row whose key columns
@@ -285,9 +284,11 @@ TEST(ControllerDispatch, MissesAgree) {
   // the wrong column.
   const Value nosuch = Symbol::intern("definitely-not-a-message");
   const Value st = Symbol::intern("I");
-  EXPECT_FALSE(dense.find({nosuch, st}).has_value());
+  const Value foreign_first[] = {nosuch, st};
+  EXPECT_FALSE(dense.find(foreign_first).has_value());
   EXPECT_FALSE(scan(cc, {"inmsg", "cst"}, {nosuch, st}).has_value());
-  EXPECT_FALSE(dense.find({st, nosuch}).has_value());
+  const Value foreign_second[] = {st, nosuch};
+  EXPECT_FALSE(dense.find(foreign_second).has_value());
   EXPECT_FALSE(scan(cc, {"inmsg", "cst"}, {st, nosuch}).has_value());
 
   // The same probes against every simulated controller: a foreign symbol

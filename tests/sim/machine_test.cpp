@@ -1,5 +1,8 @@
 #include "sim/machine.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "protocol/asura/asura.hpp"
@@ -56,6 +59,22 @@ TEST(MachineFig4, DeadlocksUnderV4Too) {
   SimResult r = run_fig4(asura::kAssignV4);
   EXPECT_FALSE(r.completed);
   EXPECT_TRUE(r.deadlocked);
+}
+
+/// A misspelt operation must not shrink the injected alphabet silently: a
+/// search over the rest would report the Figure 4 wedge unreachable.
+TEST(MachineConfig, UnknownWorkloadOpThrowsNamingIt) {
+  SimConfig cfg;
+  cfg.workload_ops = {"prd", "patomc"};
+  try {
+    Machine m(spec(), spec().assignment(asura::kAssignV5), cfg);
+    FAIL() << "an unknown operation was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'patomc'"), std::string::npos)
+        << e.what();
+  }
+  cfg.workload_ops = {"prd", "patomic"};
+  EXPECT_NO_THROW(Machine(spec(), spec().assignment(asura::kAssignV5), cfg));
 }
 
 TEST(MachineScripted, ReadExclusiveTransfersOwnership) {

@@ -1,5 +1,7 @@
 #include "sim/network.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace ccsql::sim {
@@ -21,10 +23,13 @@ TEST(Network, SendAndReceive) {
   ChannelAssignment v = assignment();
   Network net(v, 2, 2);
   SimMessage m = msg("readex", 0, 0, 1, "local", "home");
-  ASSERT_TRUE(net.can_send(m, 1));
-  net.send(m, 1);
+  const Network::VcCode code = net.vc_code(m, 1);
+  EXPECT_EQ(net.vc_value(code), V("VC0"));
+  ASSERT_TRUE(net.has_room(m, code));
+  net.send_coded(m, code);
   EXPECT_EQ(net.in_flight(), 1u);
-  auto queues = net.queues_to(1);
+  std::vector<Network::QueueRef> queues;
+  net.queues_to(1, queues);
   ASSERT_EQ(queues.size(), 1u);
   EXPECT_EQ(queues[0].vc, V("VC0"));
   const SimMessage* front = net.front(queues[0]);
@@ -32,33 +37,37 @@ TEST(Network, SendAndReceive) {
   EXPECT_EQ(front->type, V("readex"));
   net.pop(queues[0]);
   EXPECT_EQ(net.in_flight(), 0u);
-  EXPECT_TRUE(net.queues_to(1).empty());
+  net.queues_to(1, queues);
+  EXPECT_TRUE(queues.empty());
 }
 
 TEST(Network, CapacityBlocks) {
   ChannelAssignment v = assignment();
   Network net(v, 2, 1);
   SimMessage m = msg("readex", 0, 0, 1, "local", "home");
-  net.send(m, 1);
-  EXPECT_FALSE(net.can_send(m, 1));  // VC0 0->1 full
+  net.send_coded(m, net.vc_code(m, 1));
+  EXPECT_FALSE(net.has_room(m, net.vc_code(m, 1)));  // VC0 0->1 full
   // A different link is independent.
   SimMessage m2 = msg("readex", 1, 1, 0, "local", "home");
-  EXPECT_TRUE(net.can_send(m2, 0));
+  EXPECT_TRUE(net.has_room(m2, net.vc_code(m2, 0)));
   // A different channel on the same link is independent.
   SimMessage m3 = msg("compl", 0, 0, 1, "home", "local");
-  EXPECT_TRUE(net.can_send(m3, 1));
+  EXPECT_TRUE(net.has_room(m3, net.vc_code(m3, 1)));
 }
 
 TEST(Network, DedicatedPathNeverBlocks) {
   ChannelAssignment v = assignment();  // mread unassigned
   Network net(v, 2, 1);
   SimMessage m = msg("mread", 0, 1, 1, "home", "home");
+  const Network::VcCode code = net.vc_code(m, 1);
+  EXPECT_EQ(code, 0);  // the dedicated path
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(net.can_send(m, 1));
-    net.send(m, 1);
+    ASSERT_TRUE(net.has_room(m, code));
+    net.send_coded(m, code);
   }
   EXPECT_EQ(net.in_flight(), 10u);
-  auto queues = net.queues_to(1);
+  std::vector<Network::QueueRef> queues;
+  net.queues_to(1, queues);
   ASSERT_EQ(queues.size(), 1u);
   EXPECT_TRUE(queues[0].vc.is_null());
 }
@@ -68,9 +77,10 @@ TEST(Network, FifoOrderPerChannel) {
   Network net(v, 2, 4);
   SimMessage a = msg("readex", 1, 0, 1, "local", "home");
   SimMessage b = msg("readex", 2, 0, 1, "local", "home");
-  net.send(a, 1);
-  net.send(b, 1);
-  auto queues = net.queues_to(1);
+  net.send_coded(a, net.vc_code(a, 1));
+  net.send_coded(b, net.vc_code(b, 1));
+  std::vector<Network::QueueRef> queues;
+  net.queues_to(1, queues);
   ASSERT_EQ(queues.size(), 1u);
   EXPECT_EQ(net.front(queues[0])->addr, 1);
   net.pop(queues[0]);
@@ -80,7 +90,8 @@ TEST(Network, FifoOrderPerChannel) {
 TEST(Network, DescribeBlockedListsOccupiedQueues) {
   ChannelAssignment v = assignment();
   Network net(v, 2, 1);
-  net.send(msg("readex", 7, 0, 1, "local", "home"), 1);
+  const SimMessage m = msg("readex", 7, 0, 1, "local", "home");
+  net.send_coded(m, net.vc_code(m, 1));
   std::string s = net.describe_blocked();
   EXPECT_NE(s.find("VC0"), std::string::npos);
   EXPECT_NE(s.find("readex(a7 0->1)"), std::string::npos);

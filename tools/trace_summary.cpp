@@ -205,9 +205,7 @@ int main(int argc, char** argv) {
               << "\n  snapshots active="
               << std::uint64_t(sv("serve.snapshot.active"))
               << "  writer swaps=" << std::uint64_t(sv("serve.writer_swaps"))
-              << "  admission waits="
-              << std::uint64_t(sv("serve.admission.waits")) << " ("
-              << std::uint64_t(sv("serve.admission.wait_us")) << " us)\n";
+              << "\n";
   }
 
   // Simulator digest: run/event totals with the events/sec throughput the
