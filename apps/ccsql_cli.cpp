@@ -19,8 +19,9 @@
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
-// An unknown flag, a flag the command does not read, or an integer flag
-// without a whole int after it is a usage error (exit 2).
+// An unknown flag, a flag the command does not read, an integer flag
+// without a whole int after it, --trace-format without --trace, or a sim
+// flag beside --fig4 (which runs a fixed machine) is a usage error (exit 2).
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
 // environment do the same.
 //
@@ -281,6 +282,14 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
   }
 
   if (args.has("--fig4")) {
+    // The Figure 4 scenario fixes its own machine: refuse the sim flags it
+    // would ignore rather than print a run they did not shape.
+    for (const Args::Flag& f : args.flags) {
+      if (f.name != "--fig4" && !is_global(*find_flag(f.name))) {
+        std::cerr << "error: sim --fig4 does not take " << f.name << "\n";
+        return 2;
+      }
+    }
     cfg.n_quads = 3;
     cfg.n_addrs = 6;
     cfg.channel_capacity = 1;
@@ -547,6 +556,10 @@ int cmd_flow(const ProtocolSpec& spec, const Args&) {
 /// (the CCSQL_TRACE environment path is handled by Tracer::global() itself).
 int configure_observability(const Args& args) {
   auto& tracer = obs::Tracer::global();
+  if (args.has("--trace-format") && !args.has("--trace")) {
+    std::cerr << "error: --trace-format needs --trace FILE\n";
+    return 2;
+  }
   if (args.has("--trace")) {
     const std::string path = args.str_value_of("--trace");
     if (path.empty()) {

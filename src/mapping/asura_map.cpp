@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mapping/extend.hpp"
+#include "obs/obs.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/error.hpp"
 
@@ -15,6 +16,17 @@ std::vector<std::string> ed_input_columns(const Table& ed) {
   std::vector<std::string> out;
   for (const auto& col : ed.schema().columns()) {
     if (col.kind == ColumnKind::kInput) out.push_back(col.name);
+  }
+  return out;
+}
+
+/// `names` joined by `sep`.
+std::string joined(const std::vector<std::string>& names,
+                   const char* sep = ", ") {
+  std::string out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) out += sep;
+    out += names[i];
   }
   return out;
 }
@@ -113,12 +125,7 @@ std::vector<ImplementationTable> partition_directory(
       //   Create Table Request_remmsg as
       //     Select distinct ED.Inputs, remmsg from ED
       //     where isrequest(ED.Inputs.inmsg)
-      std::string sql = "select distinct ";
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        if (i > 0) sql += ", ";
-        sql += cols[i];
-      }
-      sql += " from ED where ";
+      std::string sql = "select distinct " + joined(cols) + " from ED where ";
       sql += request ? "isrequest(inmsg)" : "isresponse(inmsg)";
       ImplementationTable t;
       t.name = (request ? "Request_" : "Response_") + group.name;
@@ -133,89 +140,104 @@ std::vector<ImplementationTable> partition_directory(
 
 Table reconstruct_extended(const std::vector<ImplementationTable>& parts,
                            const Table& ed_reference) {
-  Table request_side, response_side;
-  bool req_init = false, resp_init = false;
-  for (const auto& p : parts) {
-    Table& side = p.request ? request_side : response_side;
-    bool& init = p.request ? req_init : resp_init;
-    if (!init) {
-      side = p.table;
-      init = true;
-    } else {
-      side = Table::natural_join(side, p.table);
-    }
-  }
-  if (!req_init || !resp_init) {
-    throw Error("reconstruct_extended: missing partition tables");
-  }
-
-  // The response side has no remmsg group: responses never snoop, so those
-  // columns are NULL by construction.  Re-synthesize them before the union.
-  for (const auto& col : ed_reference.schema().columns()) {
-    if (col.kind == ColumnKind::kOutput &&
-        !response_side.schema().has(col.name)) {
-      // Widen columnar: hcat the existing columns with one all-NULL column
-      // (a positional zip — no per-row copying).
-      Table nulls(make_schema({col}));
-      nulls.reserve_rows(response_side.row_count());
-      for (std::size_t i = 0; i < response_side.row_count(); ++i) {
-        nulls.append({null_value()});
+  // One SQL statement: per controller, its tables joined on the input
+  // columns; the two controllers unioned.  A group a controller has no
+  // table for (responses never snoop, so there is no Response_remmsg)
+  // reads from a one-row table of NULLs.
+  Catalog cat;
+  const std::vector<std::string> inputs = ed_input_columns(ed_reference);
+  std::string sql;
+  for (bool request : {true, false}) {
+    std::vector<std::string> from, equalities, nulls_from;
+    std::vector<std::string> source(ed_reference.column_count());
+    std::string first;  // the alias the input columns are read from
+    for (const OutputGroup& group : directory_output_groups()) {
+      const auto part =
+          std::find_if(parts.begin(), parts.end(), [&](const auto& p) {
+            return p.request == request && p.group == group.name;
+          });
+      std::string alias = "t";
+      alias += std::to_string(from.size() + nulls_from.size());
+      if (part != parts.end()) {
+        cat.put(part->name, part->table);
+        from.push_back(part->name + " " + alias);
+        if (first.empty()) {
+          first = alias;
+        } else {
+          for (const std::string& in : inputs) {
+            equalities.push_back(first + "." + in + " = " + alias + "." + in);
+          }
+        }
+      } else {
+        const std::string name = "Null_" + group.name;
+        Table nulls(ed_reference.schema().project(group.columns));
+        const std::vector<Value> row(group.columns.size(), null_value());
+        nulls.append(RowView(row));
+        cat.put(name, std::move(nulls));
+        nulls_from.push_back(name + " " + alias);
       }
-      SchemaPtr widened = make_schema([&] {
-        auto cols = response_side.schema().columns();
-        cols.push_back(col);
-        return cols;
-      }());
-      response_side =
-          Table::hcat(std::move(widened), response_side, nulls);
+      for (const std::string& col : group.columns) {
+        source[ed_reference.schema().index_of(col)] = alias + "." + col;
+      }
     }
+    if (from.empty()) {
+      throw Error("reconstruct_extended: missing partition tables");
+    }
+    for (const std::string& in : inputs) {
+      source[ed_reference.schema().index_of(in)] = first + "." + in;
+    }
+    from.insert(from.end(), nulls_from.begin(), nulls_from.end());
+    if (!sql.empty()) sql += " union ";
+    sql += "select " + joined(source) + " from " + joined(from);
+    if (!equalities.empty()) sql += " where " + joined(equalities, " and ");
   }
-
-  // Align both sides to the reference column order and union.
-  std::vector<std::string> ref_cols;
-  for (const auto& c : ed_reference.schema().columns()) {
-    ref_cols.push_back(c.name);
-  }
-  Table req = request_side.project(ref_cols, /*distinct=*/false);
-  Table resp = response_side.project(ref_cols, /*distinct=*/false);
-  return Table::union_distinct(req, resp).with_schema(
-      ed_reference.schema_ptr());
+  return cat.query(sql).with_schema(ed_reference.schema_ptr());
 }
 
 Table reconstruct_base(const Table& ed, const Table& d_reference) {
-  const Value dfdback = V("Dfdback");
-  const Value full = V("Full");
-  const std::size_t c_inmsg = ed.schema().index_of("inmsg");
-  const std::size_t c_q = ed.schema().index_of("Qstatus");
-  const std::size_t c_dq = ed.schema().index_of("Dqstatus");
-  Table restricted = ed.select([&](RowView r) {
-    return r[c_inmsg] != dfdback && r[c_q] != full && r[c_dq] != full;
-  });
+  Catalog cat;
+  cat.put("ED", ed);
   std::vector<std::string> d_cols;
   for (const auto& c : d_reference.schema().columns()) {
     d_cols.push_back(c.name);
   }
-  return restricted.project(d_cols, /*distinct=*/true)
+  return cat
+      .query("select distinct " + joined(d_cols) +
+             " from ED where not inmsg = Dfdback and not Qstatus = Full "
+             "and not Dqstatus = Full")
       .with_schema(d_reference.schema_ptr());
 }
 
 MappingReport verify_directory_mapping(const ProtocolSpec& asura) {
   MappingReport report;
-  ControllerSpec ed_spec = make_extended_directory(asura);
-  const Table& ed = ed_spec.generate(&asura.database().functions());
+  const FunctionRegistry& functions = asura.database().functions();
+  Table ed;
+  {
+    CCSQL_SPAN(span, "mapping.extend", "mapping");
+    const ControllerSpec ed_spec = make_extended_directory(asura);
+    ed = ed_spec.generate(&functions);
+  }
   report.ed_rows = ed.row_count();
   report.ed_cols = ed.column_count();
 
-  auto parts = partition_directory(ed, asura.database().functions());
+  std::vector<ImplementationTable> parts;
+  {
+    CCSQL_SPAN(span, "mapping.partition", "mapping");
+    parts = partition_directory(ed, functions);
+  }
   for (const auto& p : parts) {
     report.table_rows.emplace_back(p.name, p.table.row_count());
   }
 
-  Table rebuilt = reconstruct_extended(parts, ed);
-  report.ed_reconstructed = rebuilt.set_equal(ed);
-
   const Table& d = asura.database().get(asura::kDirectory);
-  Table base = reconstruct_base(ed, d);
+  Table rebuilt, base;
+  {
+    CCSQL_SPAN(span, "mapping.reconstruct", "mapping");
+    rebuilt = reconstruct_extended(parts, ed);
+    base = reconstruct_base(ed, d);
+  }
+  CCSQL_SPAN(span, "mapping.check", "mapping");
+  report.ed_reconstructed = rebuilt.set_equal(ed);
   report.base_recovered = base.set_equal(d);
   report.contains_debugged = base.contains_all(d);
   return report;

@@ -12,16 +12,20 @@ namespace {
 bool is_const(const Expr& e) { return e.op() == Expr::Op::kBool; }
 
 /// `not e` with the negation folded into comparisons / IN / constants where
-/// possible (`e` is assumed already folded).
-Expr fold_not(const Expr& e) {
+/// possible (`e` is assumed already folded); sets `changed` when it folds.
+Expr fold_not(const Expr& e, bool& changed) {
   switch (e.op()) {
     case Expr::Op::kBool:
+      changed = true;
       return Expr::boolean(!e.bool_value());
     case Expr::Op::kNot:
+      changed = true;
       return e.children()[0];
     case Expr::Op::kCompare:
+      changed = true;
       return Expr::compare(e.atoms()[0], !e.negated(), e.atoms()[1]);
     case Expr::Op::kIn: {
+      changed = true;
       std::vector<Atom> set(e.atoms().begin() + 1, e.atoms().end());
       return Expr::in(e.atoms()[0], !e.negated(), std::move(set));
     }
@@ -52,8 +56,9 @@ std::size_t fold_predicates(PlanPtr& node) {
   std::size_t n = 0;
   for (auto& c : node->children) n += fold_predicates(c);
   if (node->kind == PlanNode::Kind::kSelect && node->predicate) {
-    Expr folded = fold_expr(*node->predicate);
-    if (folded.to_string() != node->predicate->to_string()) {
+    bool changed = false;
+    Expr folded = fold_expr(*node->predicate, changed);
+    if (changed) {
       node->predicate = std::move(folded);
       ++n;
     }
@@ -67,7 +72,7 @@ std::size_t fold_predicates(PlanPtr& node) {
   return n;
 }
 
-// ---- 2. conjunction splitting -----------------------------------------------
+// ---- 2. conjunct placement --------------------------------------------------
 
 void collect_conjuncts(const Expr& e, std::vector<Expr>& out) {
   if (e.op() == Expr::Op::kAnd) {
@@ -77,132 +82,117 @@ void collect_conjuncts(const Expr& e, std::vector<Expr>& out) {
   }
 }
 
-std::size_t split_conjunctions(PlanPtr& node) {
-  std::size_t n = 0;
-  for (auto& c : node->children) n += split_conjunctions(c);
-  if (node->kind == PlanNode::Kind::kSelect && node->predicate &&
-      node->predicate->op() == Expr::Op::kAnd) {
-    std::vector<Expr> conjuncts;
-    collect_conjuncts(*node->predicate, conjuncts);
-    PlanPtr cur = std::move(node->children[0]);
-    for (std::size_t i = conjuncts.size(); i-- > 0;) {
-      PlanPtr sel = make_node(PlanNode::Kind::kSelect);
-      sel->predicate = std::move(conjuncts[i]);
-      sel->schema = cur->schema;
-      sel->children.push_back(std::move(cur));
-      cur = std::move(sel);
-    }
-    node = std::move(cur);
-    ++n;
-  }
-  return n;
+/// The operands of `p` when it is a non-negated equality, else nullptr.
+const std::vector<Atom>* equality_operands(const Expr& p) {
+  return p.op() == Expr::Op::kCompare && !p.negated() ? &p.atoms() : nullptr;
 }
 
-// ---- 3. predicate pushdown --------------------------------------------------
-
-/// One sweep: moves the first pushable Select below the Cross at the bottom
-/// of its Select chain and reports whether anything moved (optimize() loops
-/// this to fixpoint).  Walking the whole chain matters: a non-pushable
-/// residual (e.g. a cross-side inequality) sitting directly above the Cross
-/// must not pin the pushable filters stacked above it.
-bool push_once(PlanPtr& node, const PlannerOptions& opts) {
+/// Places the conjuncts stacked above `node` (`above`, outermost first) in
+/// one walk down the tree and returns the number of rewrites:
+///  * a Select's own conjuncts join the stack and the Select dissolves;
+///  * at a Cross, a conjunct whose columns all lie in one side goes down
+///    that side, and column=column equalities across the two sides become
+///    HashJoin keys;
+///  * at a Scan, column=literal equalities become IndexLookup keys;
+///  * whatever is left becomes one Select over the node, so each fused
+///    executor path runs one compiled filter.
+/// Keys keep stack order, a side receives its conjuncts reversed, and the
+/// Select left at a node lists them innermost first; the EXPLAIN goldens
+/// pin these orders.
+std::size_t place(PlanPtr& node, std::vector<Expr> above,
+                  const PlannerOptions& opts) {
   if (node->kind == PlanNode::Kind::kSelect) {
-    std::vector<PlanPtr*> links;  // slots holding each Select of the chain
-    PlanPtr* cur = &node;
-    while ((*cur)->kind == PlanNode::Kind::kSelect) {
-      links.push_back(cur);
-      cur = &(*cur)->children[0];
-    }
-    if ((*cur)->kind == PlanNode::Kind::kCross) {
-      PlanNode& cross = **cur;
-      for (PlanPtr* slot : links) {
-        PlanNode& sel = **slot;
-        const std::vector<std::string> cols =
-            sel.predicate->referenced_columns(ident_schema_of(sel, opts));
-        for (std::size_t side = 0; side < 2; ++side) {
-          if (cols.empty() || !all_in(cols, *cross.children[side]->schema)) {
-            continue;
-          }
-          PlanPtr pushed = make_node(PlanNode::Kind::kSelect);
-          pushed->predicate = std::move(sel.predicate);
-          pushed->children.push_back(std::move(cross.children[side]));
-          pushed->schema = pushed->children[0]->schema;
-          cross.children[side] = std::move(pushed);
-          // Splice the emptied Select out of the chain.  The Cross object
-          // itself never moves, so mutating it first is safe even when
-          // `slot` is the Select directly above it.
-          PlanPtr child = std::move((*slot)->children[0]);
-          *slot = std::move(child);
-          return true;
+    collect_conjuncts(*node->predicate, above);
+    PlanPtr child = std::move(node->children[0]);
+    node = std::move(child);
+    return place(node, std::move(above), opts);
+  }
+  PlanNode& n = *node;
+  const Schema& ident = ident_schema_of(n, opts);
+  std::size_t rewrites = 0;
+  std::vector<Expr> rest;
+  if (n.kind == PlanNode::Kind::kCross) {
+    const Schema& left = *n.children[0]->schema;
+    const Schema& right = *n.children[1]->schema;
+    std::vector<Expr> sides[2];
+    for (Expr& p : above) {
+      const std::vector<std::string> cols = p.referenced_columns(ident);
+      if (!cols.empty() && all_in(cols, left)) {
+        sides[0].push_back(std::move(p));
+        continue;
+      }
+      if (!cols.empty() && all_in(cols, right)) {
+        sides[1].push_back(std::move(p));
+        continue;
+      }
+      const std::vector<Atom>* eq = equality_operands(p);
+      if (eq != nullptr && is_column((*eq)[0], ident) &&
+          is_column((*eq)[1], ident)) {
+        const std::string& a = (*eq)[0].text;
+        const std::string& b = (*eq)[1].text;
+        if (left.has(a) && right.has(b)) {
+          n.left_keys.push_back(a);
+          n.right_keys.push_back(b);
+          continue;
+        }
+        if (left.has(b) && right.has(a)) {
+          n.left_keys.push_back(b);
+          n.right_keys.push_back(a);
+          continue;
         }
       }
+      rest.push_back(std::move(p));
     }
-  }
-  for (auto& c : node->children) {
-    if (push_once(c, opts)) return true;
-  }
-  return false;
-}
-
-// ---- 4. hash-join lowering --------------------------------------------------
-
-/// If `node` heads a chain of Selects over a Cross, converts the
-/// column=column equalities that span the two sides into HashJoin keys and
-/// removes the consumed Selects.  Returns the number of rewrites.
-std::size_t try_lower_join(PlanPtr& node, const PlannerOptions& opts) {
-  if (node->kind != PlanNode::Kind::kSelect) return 0;
-  std::vector<PlanPtr*> links;  // slots holding each Select of the chain
-  PlanPtr* cur = &node;
-  while ((*cur)->kind == PlanNode::Kind::kSelect) {
-    links.push_back(cur);
-    cur = &(*cur)->children[0];
-  }
-  if ((*cur)->kind != PlanNode::Kind::kCross) return 0;
-  PlanNode& cross = **cur;
-  const Schema& left = *cross.children[0]->schema;
-  const Schema& right = *cross.children[1]->schema;
-
-  std::vector<std::string> left_keys, right_keys;
-  std::vector<std::size_t> consumed;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const Expr& p = *(*links[i])->predicate;
-    if (p.op() != Expr::Op::kCompare || p.negated()) continue;
-    const Schema& ident = ident_schema_of(**links[i], opts);
-    const Atom& a = p.atoms()[0];
-    const Atom& b = p.atoms()[1];
-    if (!is_column(a, ident) || !is_column(b, ident)) continue;
-    if (left.has(a.text) && right.has(b.text)) {
-      left_keys.push_back(a.text);
-      right_keys.push_back(b.text);
-      consumed.push_back(i);
-    } else if (left.has(b.text) && right.has(a.text)) {
-      left_keys.push_back(b.text);
-      right_keys.push_back(a.text);
-      consumed.push_back(i);
+    if (!n.left_keys.empty()) {
+      n.kind = PlanNode::Kind::kHashJoin;
+      ++rewrites;
     }
+    for (std::size_t side = 0; side < 2; ++side) {
+      rewrites += sides[side].size();
+      std::reverse(sides[side].begin(), sides[side].end());
+      rewrites += place(n.children[side], std::move(sides[side]), opts);
+    }
+  } else if (n.kind == PlanNode::Kind::kScan) {
+    for (Expr& p : above) {
+      // Exactly one operand a column of the scan, the other a literal (same
+      // interning rule as expression compilation).  An unbound $N parameter
+      // is not a literal: interning it here would silently probe for its
+      // slot number, so it stays in the filter, whose compilation raises
+      // BindError.
+      const std::vector<Atom>* eq = equality_operands(p);
+      const bool col0 = eq != nullptr && is_column((*eq)[0], ident);
+      const bool col1 = eq != nullptr && is_column((*eq)[1], ident);
+      if (col0 != col1) {
+        const Atom& col = (*eq)[col0 ? 0 : 1];
+        const Atom& lit = (*eq)[col0 ? 1 : 0];
+        if (lit.kind != Atom::Kind::kParam && n.schema->has(col.text)) {
+          n.columns.push_back(col.text);
+          n.key_values.push_back(Symbol::intern(lit.text));
+          continue;
+        }
+      }
+      rest.push_back(std::move(p));
+    }
+    if (!n.columns.empty()) {
+      n.kind = PlanNode::Kind::kIndexLookup;
+      ++rewrites;
+    }
+  } else {
+    rest = std::move(above);
+    for (auto& c : n.children) rewrites += place(c, {}, opts);
   }
-  if (consumed.empty()) return 0;
-
-  cross.kind = PlanNode::Kind::kHashJoin;
-  cross.left_keys = std::move(left_keys);
-  cross.right_keys = std::move(right_keys);
-  // Splice out the consumed Selects, deepest first so shallower slots stay
-  // valid.
-  for (std::size_t i = consumed.size(); i-- > 0;) {
-    PlanPtr* slot = links[consumed[i]];
-    PlanPtr child = std::move((*slot)->children[0]);
-    *slot = std::move(child);
+  if (!rest.empty()) {
+    std::reverse(rest.begin(), rest.end());
+    PlanPtr sel = make_node(PlanNode::Kind::kSelect);
+    sel->schema = node->schema;
+    sel->predicate = Expr::conjunction(std::move(rest));
+    sel->children.push_back(std::move(node));
+    node = std::move(sel);
   }
-  return 1;
+  return rewrites;
 }
 
-std::size_t lower_hash_joins(PlanPtr& node, const PlannerOptions& opts) {
-  std::size_t n = try_lower_join(node, opts);
-  for (auto& c : node->children) n += lower_hash_joins(c, opts);
-  return n;
-}
-
-// ---- 4b. join column pruning ------------------------------------------------
+// ---- 3. join column pruning -------------------------------------------------
 
 /// A Project directly above a HashJoin narrows the join's output schema to
 /// the projected columns: the executor then gathers only those columns when
@@ -236,101 +226,7 @@ std::size_t prune_join_columns(PlanPtr& node) {
   return n;
 }
 
-// ---- 5. index lowering ------------------------------------------------------
-
-/// If `node` heads a chain of Selects over a Scan, turns the column=literal
-/// equalities into an IndexLookup on the scan and removes those Selects.
-std::size_t try_lower_index(PlanPtr& node, const PlannerOptions& opts) {
-  if (node->kind != PlanNode::Kind::kSelect) return 0;
-  std::vector<PlanPtr*> links;
-  PlanPtr* cur = &node;
-  while ((*cur)->kind == PlanNode::Kind::kSelect) {
-    links.push_back(cur);
-    cur = &(*cur)->children[0];
-  }
-  if ((*cur)->kind != PlanNode::Kind::kScan) return 0;
-  PlanNode& scan = **cur;
-
-  std::vector<std::string> key_cols;
-  std::vector<Value> key_vals;
-  std::vector<std::size_t> consumed;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const Expr& p = *(*links[i])->predicate;
-    if (p.op() != Expr::Op::kCompare || p.negated()) continue;
-    const Schema& ident = ident_schema_of(**links[i], opts);
-    const Atom& a = p.atoms()[0];
-    const Atom& b = p.atoms()[1];
-    // Exactly one side a column of the scan, the other a literal (same
-    // interning rule as expression compilation).
-    const Atom* col = nullptr;
-    const Atom* lit = nullptr;
-    if (is_column(a, ident) && !is_column(b, ident)) {
-      col = &a;
-      lit = &b;
-    } else if (is_column(b, ident) && !is_column(a, ident)) {
-      col = &b;
-      lit = &a;
-    } else {
-      continue;
-    }
-    // An unbound $N parameter is not a literal: interning it here would
-    // silently probe for its slot number.  Leave the predicate in place so
-    // filter compilation raises BindError.
-    if (lit->kind == Atom::Kind::kParam) continue;
-    if (!scan.schema->has(col->text)) continue;
-    key_cols.push_back(col->text);
-    key_vals.push_back(Symbol::intern(lit->text));
-    consumed.push_back(i);
-  }
-  if (consumed.empty()) return 0;
-
-  scan.kind = PlanNode::Kind::kIndexLookup;
-  scan.columns = std::move(key_cols);
-  scan.key_values = std::move(key_vals);
-  for (std::size_t i = consumed.size(); i-- > 0;) {
-    PlanPtr* slot = links[consumed[i]];
-    PlanPtr child = std::move((*slot)->children[0]);
-    *slot = std::move(child);
-  }
-  return 1;
-}
-
-std::size_t lower_index_lookups(PlanPtr& node, const PlannerOptions& opts) {
-  std::size_t n = try_lower_index(node, opts);
-  for (auto& c : node->children) n += lower_index_lookups(c, opts);
-  return n;
-}
-
-// ---- 6. select merging -----------------------------------------------------
-
-/// Folds every chain of stacked Selects — over a Scan, an IndexLookup, a
-/// Cross (the residuals that neither pushed down nor became join keys) or
-/// anything else — into one Select over their conjunction, innermost first
-/// (the order the chain ran in).  Batch bytecode's `and` narrows the
-/// selection one conjunct at a time, exactly as the chain did, so each
-/// fused executor path runs one compiled filter over its candidates instead
-/// of materialising every intermediate result.
-std::size_t merge_selects(PlanPtr& node) {
-  std::size_t n = 0;
-  if (node->kind == PlanNode::Kind::kSelect &&
-      node->child().kind == PlanNode::Kind::kSelect) {
-    std::vector<Expr> preds;
-    PlanPtr* cur = &node;
-    while ((*cur)->kind == PlanNode::Kind::kSelect) {
-      preds.push_back(std::move(*(*cur)->predicate));
-      cur = &(*cur)->children[0];
-    }
-    std::reverse(preds.begin(), preds.end());
-    PlanPtr below = std::move(*cur);
-    node->predicate = Expr::conjunction(std::move(preds));
-    node->children[0] = std::move(below);
-    ++n;
-  }
-  for (auto& c : node->children) n += merge_selects(c);
-  return n;
-}
-
-// ---- 7. exists mode ---------------------------------------------------------
+// ---- 4. exists mode ---------------------------------------------------------
 
 std::size_t drop_sorts(PlanPtr& node) {
   std::size_t n = 0;
@@ -343,7 +239,7 @@ std::size_t drop_sorts(PlanPtr& node) {
   return n;
 }
 
-// ---- 8. estimation ----------------------------------------------------------
+// ---- 5. estimation ----------------------------------------------------------
 
 void estimate(PlanNode& node) {
   for (auto& c : node.children) estimate(*c);
@@ -405,13 +301,14 @@ void estimate(PlanNode& node) {
 
 }  // namespace
 
-Expr fold_expr(const Expr& e) {
+Expr fold_expr(const Expr& e, bool& changed) {
   switch (e.op()) {
     case Expr::Op::kAnd: {
       std::vector<Expr> kids;
       for (const auto& c : e.children()) {
-        Expr f = fold_expr(c);
+        Expr f = fold_expr(c, changed);
         if (is_const(f)) {
+          changed = true;
           if (!f.bool_value()) return Expr::boolean(false);
           continue;  // drop neutral `true`
         }
@@ -423,8 +320,9 @@ Expr fold_expr(const Expr& e) {
     case Expr::Op::kOr: {
       std::vector<Expr> kids;
       for (const auto& c : e.children()) {
-        Expr f = fold_expr(c);
+        Expr f = fold_expr(c, changed);
         if (is_const(f)) {
+          changed = true;
           if (f.bool_value()) return Expr::boolean(true);
           continue;
         }
@@ -434,15 +332,19 @@ Expr fold_expr(const Expr& e) {
       return Expr::disjunction(std::move(kids));
     }
     case Expr::Op::kNot:
-      return fold_not(fold_expr(e.children()[0]));
+      return fold_not(fold_expr(e.children()[0], changed), changed);
     case Expr::Op::kTernary: {
-      Expr cond = fold_expr(e.children()[0]);
-      Expr then_e = fold_expr(e.children()[1]);
-      Expr else_e = fold_expr(e.children()[2]);
-      if (is_const(cond)) return cond.bool_value() ? then_e : else_e;
+      Expr cond = fold_expr(e.children()[0], changed);
+      Expr then_e = fold_expr(e.children()[1], changed);
+      Expr else_e = fold_expr(e.children()[2], changed);
+      if (is_const(cond)) {
+        changed = true;
+        return cond.bool_value() ? then_e : else_e;
+      }
       if (is_const(then_e) && is_const(else_e)) {
+        changed = true;
         if (then_e.bool_value() == else_e.bool_value()) return then_e;
-        return then_e.bool_value() ? cond : fold_not(cond);
+        return then_e.bool_value() ? cond : fold_not(cond, changed);
       }
       return Expr::ternary(std::move(cond), std::move(then_e),
                            std::move(else_e));
@@ -454,12 +356,8 @@ Expr fold_expr(const Expr& e) {
 
 void optimize(PlanPtr& root, const PlannerOptions& opts) {
   std::size_t rewrites = fold_predicates(root);
-  rewrites += split_conjunctions(root);
-  while (push_once(root, opts)) ++rewrites;
-  rewrites += lower_hash_joins(root, opts);
+  rewrites += place(root, {}, opts);
   rewrites += prune_join_columns(root);
-  rewrites += lower_index_lookups(root, opts);
-  rewrites += merge_selects(root);
   if (opts.exists_only) {
     rewrites += drop_sorts(root);
     PlanPtr lim = make_node(PlanNode::Kind::kLimit);

@@ -3,24 +3,22 @@
 // Rule-based rewrites over the plan IR (ir.hpp).  optimize() runs the rules
 // in a fixed order:
 //
-//   1. constant folding     — ternary/not/and/or predicates with constant
-//                             parts collapse; always-true filters vanish
-//   2. conjunction splitting — Select(a and b) becomes Select(a)·Select(b)
-//                             so each conjunct can move independently
-//   3. predicate pushdown   — selects sink through Cross into the side whose
-//                             columns they mention (to fixpoint)
-//   4. hash-join lowering   — column=column equalities left above a Cross
-//                             turn it into a HashJoin on those keys (4b:
-//                             a Project above it narrows its output)
-//   5. index lowering       — column=literal filters directly above a Scan
-//                             become an IndexLookup on the table's hash index
-//   6. select merging       — every Select chain still standing (over a
-//                             Scan, IndexLookup, Cross, ...) folds into one
-//                             Select over the conjunction, innermost first,
-//                             so each fused executor path runs one filter
-//   7. exists mode          — for emptiness checks: sorts are dropped and
-//                             the plan is capped with Limit 1
-//   8. estimation           — bottom-up est_rows for EXPLAIN
+//   1. constant folding      — ternary/not/and/or predicates with constant
+//                              parts collapse; always-true filters vanish
+//   2. conjunct placement    — one walk down the tree carries each WHERE
+//                              conjunct to where it applies: into the side
+//                              of a Cross holding all its columns; as a
+//                              HashJoin key when it equates columns of a
+//                              Cross's two sides; as an IndexLookup key when
+//                              it equates a Scan column with a literal.
+//                              What stays at a node becomes one Select over
+//                              the conjunction, so each fused executor path
+//                              runs one filter
+//   3. join column pruning   — a Project directly above a HashJoin narrows
+//                              the join's output
+//   4. exists mode           — for emptiness checks: sorts are dropped and
+//                              the plan is capped with Limit 1
+//   5. estimation            — bottom-up est_rows for EXPLAIN
 //
 // Each applied rewrite bumps the `plan.rewrites` counter.
 
@@ -49,7 +47,8 @@ struct PlannerOptions {
 void optimize(PlanPtr& root, const PlannerOptions& opts = {});
 
 /// Constant-folds one predicate expression (exposed for tests): resolves
-/// ternaries/negations/conjunctions with constant parts.
-[[nodiscard]] Expr fold_expr(const Expr& e);
+/// ternaries/negations/conjunctions with constant parts.  Sets `changed`
+/// when it rewrote anything (never clears it).
+[[nodiscard]] Expr fold_expr(const Expr& e, bool& changed);
 
 }  // namespace ccsql::plan

@@ -144,21 +144,6 @@ Table Table::head(std::size_t n) const {
   return out;
 }
 
-Table Table::select(const std::function<bool(RowView)>& pred) const {
-  if (width() == 0) {
-    Table out(schema_);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (pred(RowView{})) ++out.rows_;
-    }
-    return out;
-  }
-  std::vector<std::uint32_t> sel;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    if (pred(row(i))) sel.push_back(static_cast<std::uint32_t>(i));
-  }
-  return gather(sel);
-}
-
 Table Table::project(const std::vector<std::string>& names,
                      bool distinct) const {
   Table out(schema_->project(names));
@@ -294,62 +279,6 @@ std::unordered_set<TupleKey, TupleKeyHash> row_key_set(const Table& t) {
 }
 
 }  // namespace
-
-Table Table::natural_join(const Table& a, const Table& b) {
-  // Common columns and b's private columns.
-  std::vector<std::size_t> a_keys, b_keys, b_rest;
-  for (std::size_t j = 0; j < b.column_count(); ++j) {
-    if (auto i = a.schema().find(b.schema().column(j).name)) {
-      a_keys.push_back(*i);
-      b_keys.push_back(j);
-    } else {
-      b_rest.push_back(j);
-    }
-  }
-  if (a_keys.empty()) {
-    throw SchemaError("natural_join: schemas share no column");
-  }
-
-  std::vector<Column> cols = a.schema().columns();
-  for (std::size_t j : b_rest) cols.push_back(b.schema().column(j));
-  Table out(make_schema(std::move(cols)));
-
-  // Hash b's rows by their key tuple (an uncached, local index).
-  const HashIndex index = HashIndex::build(b, b_keys, /*jobs=*/1);
-
-  // Probe in a-row order, collecting matching (a-row, b-row) id pairs; the
-  // output is then a per-column gather from each side.
-  std::vector<std::uint32_t> lsel, rsel;
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < a.row_count(); begin += kKeyChunk) {
-    const std::size_t end = std::min(a.row_count(), begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    a.build_keys(a_keys, begin, end, keys.data());
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::vector<std::size_t>* rows = index.find(keys[i - begin]);
-      if (rows == nullptr) continue;
-      for (std::size_t j : *rows) {
-        lsel.push_back(static_cast<std::uint32_t>(i));
-        rsel.push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-  }
-
-  out.rows_ = lsel.size();
-  auto gather_col = [](const Value* src, std::span<const std::uint32_t> sel) {
-    auto c = std::make_shared<ColumnData>(sel.size());
-    Value* dst = c->data();
-    for (std::size_t i = 0; i < sel.size(); ++i) dst[i] = src[sel[i]];
-    return c;
-  };
-  for (std::size_t j = 0; j < a.width(); ++j) {
-    out.cols_[j] = gather_col(a.cols_[j]->data(), lsel);
-  }
-  for (std::size_t k = 0; k < b_rest.size(); ++k) {
-    out.cols_[a.width() + k] = gather_col(b.cols_[b_rest[k]]->data(), rsel);
-  }
-  return out;
-}
 
 Table Table::with_schema(SchemaPtr schema) const {
   if (!schema || schema->size() != schema_->size()) {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <map>
@@ -374,10 +373,6 @@ class Table {
   // ---- Relational algebra ------------------------------------------------
   // All operations return new tables; none mutate the receiver.
 
-  /// sigma: rows satisfying `pred`.
-  [[nodiscard]] Table select(
-      const std::function<bool(RowView)>& pred) const;
-
   /// pi: the named columns, in the given order.  If `distinct`, duplicate
   /// result rows are removed (SELECT DISTINCT).  A non-distinct projection
   /// copies no cells at all: the result shares the selected column vectors.
@@ -410,12 +405,6 @@ class Table {
   /// Set union (duplicates removed, first occurrences kept in order: a's
   /// rows, then b's); schemas must have identical column names/order.
   [[nodiscard]] static Table union_distinct(const Table& a, const Table& b);
-
-  /// Natural join: rows of `a` and `b` agreeing on all columns common to
-  /// both schemas; result columns are a's columns followed by b's
-  /// non-common columns.  Throws SchemaError when the schemas share no
-  /// column.
-  [[nodiscard]] static Table natural_join(const Table& a, const Table& b);
 
   /// Reorders/renames columns to match `schema` by position (arity must
   /// match); used to align tables before union.

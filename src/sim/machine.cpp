@@ -157,6 +157,16 @@ Machine::Machine(const ProtocolSpec& /*spec*/, const ChannelAssignment& v,
   if (config_.channel_capacity < 1) {
     throw std::invalid_argument("sim: need a channel capacity >= 1");
   }
+  // A budget for a quad the machine does not have would be dropped
+  // silently, and a search would cover less than it was asked to.
+  if (config_.transactions_by_node.size() > ctl_.size()) {
+    std::string msg = "sim: transactions_by_node gives ";
+    msg += std::to_string(config_.transactions_by_node.size());
+    msg += " budgets for ";
+    msg += std::to_string(ctl_.size());
+    msg += " quads";
+    throw std::invalid_argument(msg);
+  }
   const Sym& sy = sym();
   for (Ctl& c : ctl_) c.ncst = c.iocst = sy.idle;
   for (Addr a = 0; a < config_.n_addrs; ++a) memory(home_of(a), a) = 0;

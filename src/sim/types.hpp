@@ -128,7 +128,8 @@ struct SimConfig {
   /// Transactions to inject per node.
   int transactions_per_node = 50;
   /// Per-node budgets overriding transactions_per_node (index = node id;
-  /// nodes beyond the vector keep the uniform budget).  Asymmetric budgets
+  /// nodes beyond the vector keep the uniform budget).  More budgets than
+  /// n_quads make Machine throw invalid_argument.  Asymmetric budgets
   /// break quad interchangeability, so the reachability explorer disables
   /// symmetry reduction when this is set.
   std::vector<int> transactions_by_node;

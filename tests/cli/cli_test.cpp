@@ -110,6 +110,12 @@ TEST(Cli, UnknownFlagsAreUsageErrors) {
       {"invariants --quads 9", "invariants does not take --quads"},
       {"sim --seeds 2", "sim does not take --seeds"},
       {"flow -v", "flow does not take -v"},
+      // --fig4 runs a fixed 3-quad, capacity-1 machine: sim flags that
+      // would shape another machine are refused, not ignored.
+      {"sim V5 --fig4 --capacity 4 --quads 6",
+       "sim --fig4 does not take --capacity"},
+      {"sim V5fix --fig4 --workload lock --txns 500",
+       "sim --fig4 does not take --workload"},
   };
   for (const auto& [cmd, message] : unread) {
     RunResult r = run(cmd);
@@ -401,6 +407,12 @@ TEST(Cli, BadTraceFormatIsRejected) {
   RunResult r = run("flow --trace /tmp/x.json --trace-format yaml");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("--trace-format must be"), std::string::npos);
+  // A format with no trace to apply it to is refused, not ignored.
+  RunResult lone = run("invariants --trace-format chrome");
+  EXPECT_EQ(lone.exit_code, 2) << lone.output;
+  EXPECT_NE(lone.output.find("error: --trace-format needs --trace"),
+            std::string::npos)
+      << lone.output;
 }
 
 }  // namespace

@@ -178,6 +178,59 @@ TEST_P(PlanPropertyTest, AliasedTwoTableQueries) {
   }
 }
 
+/// A conjunction of 3–7 leaves over three aliased tables: literal
+/// equalities (index keys), cross-table equalities (join keys at whichever
+/// Cross first sees both tables), one-table filters and residuals.
+std::string random_three_table_where(Rng& rng,
+                                     const std::vector<std::string>& cols) {
+  const std::size_t n = 3 + pick(rng, 5);
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) s += " and ";
+    const std::string& col = cols[pick(rng, cols.size())];
+    const std::string& other = cols[pick(rng, cols.size())];
+    switch (pick(rng, 6)) {
+      case 0:
+        s += col + " = " + random_value(rng);
+        break;
+      case 1:
+      case 2:
+        s += col + " = " + other;
+        break;
+      case 3:
+        s += "not " + col + " = " + other;
+        break;
+      case 4:
+        s += random_leaf(rng, cols) + " or " + random_leaf(rng, cols);
+        break;
+      default:
+        s += random_leaf(rng, cols);
+        break;
+    }
+  }
+  return s;
+}
+
+TEST_P(PlanPropertyTest, AliasedThreeTableQueries) {
+  Rng rng(GetParam() + 4000);
+  const std::vector<std::string> a_cols = {"a0", "a1"};
+  const std::vector<std::string> b_cols = {"b0", "b1"};
+  const std::vector<std::string> c_cols = {"c0", "c1"};
+  const std::vector<std::string> visible = {"x.a0", "x.a1", "y.b0",
+                                            "y.b1", "z.c0", "z.c1"};
+  for (int iter = 0; iter < 60; ++iter) {
+    Catalog db;
+    db.put("A", random_table(rng, a_cols));
+    db.put("B", random_table(rng, b_cols));
+    db.put("C", random_table(rng, c_cols));
+    std::vector<std::string> chosen;
+    const std::string proj = random_projection(rng, visible, &chosen);
+    expect_planned_matches_naive(
+        db, "select " + proj + " from A x, B y, C z where " +
+                random_three_table_where(rng, visible));
+  }
+}
+
 TEST_P(PlanPropertyTest, UnionQueries) {
   Rng rng(GetParam() + 2000);
   const std::vector<std::string> cols = {"a0", "a1", "a2"};

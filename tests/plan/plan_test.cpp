@@ -39,40 +39,51 @@ Catalog make_catalog() {
   return db;
 }
 
+/// fold_expr's rendering of `text`.  Its change report must agree with
+/// the rendering: a rewrite always shows in the text.
+std::string folded(const char* text) {
+  const Expr e = parse_expr(text);
+  bool changed = false;
+  const std::string out = plan::fold_expr(e, changed).to_string();
+  EXPECT_EQ(changed, out != e.to_string()) << text;
+  return out;
+}
+
 TEST(FoldExpr, TernaryWithConstantCondition) {
-  Expr e = plan::fold_expr(parse_expr("true ? a = x : b = y"));
-  EXPECT_EQ(e.to_string(), "a = x");
-  e = plan::fold_expr(parse_expr("false ? a = x : b = y"));
-  EXPECT_EQ(e.to_string(), "b = y");
+  EXPECT_EQ(folded("true ? a = x : b = y"), "a = x");
+  EXPECT_EQ(folded("false ? a = x : b = y"), "b = y");
 }
 
 TEST(FoldExpr, TernaryWithConstantBranches) {
   // c ? true : false  ==  c
-  Expr e = plan::fold_expr(parse_expr("a = x ? true : false"));
-  EXPECT_EQ(e.to_string(), "a = x");
+  EXPECT_EQ(folded("a = x ? true : false"), "a = x");
   // c ? false : true  ==  not c (folded into the comparison)
-  e = plan::fold_expr(parse_expr("a = x ? false : true"));
-  EXPECT_EQ(e.to_string(), "a != x");
-  e = plan::fold_expr(parse_expr("a = x ? true : true"));
-  EXPECT_EQ(e.to_string(), "true");
+  EXPECT_EQ(folded("a = x ? false : true"), "a != x");
+  EXPECT_EQ(folded("a = x ? true : true"), "true");
 }
 
 TEST(FoldExpr, NegationsFoldIntoComparisons) {
-  EXPECT_EQ(plan::fold_expr(parse_expr("not a = x")).to_string(), "a != x");
-  EXPECT_EQ(plan::fold_expr(parse_expr("not not a = x")).to_string(),
-            "a = x");
-  EXPECT_EQ(plan::fold_expr(parse_expr("not a in (x, y)")).to_string(),
-            "a not in (x, y)");
+  EXPECT_EQ(folded("not a = x"), "a != x");
+  EXPECT_EQ(folded("not not a = x"), "a = x");
+  EXPECT_EQ(folded("not a in (x, y)"), "a not in (x, y)");
 }
 
 TEST(FoldExpr, ConjunctionConstants) {
-  EXPECT_EQ(plan::fold_expr(parse_expr("a = x and false")).to_string(),
-            "false");
-  EXPECT_EQ(plan::fold_expr(parse_expr("a = x and true")).to_string(),
-            "a = x");
-  EXPECT_EQ(plan::fold_expr(parse_expr("a = x or true")).to_string(), "true");
-  EXPECT_EQ(plan::fold_expr(parse_expr("a = x or false")).to_string(),
-            "a = x");
+  EXPECT_EQ(folded("a = x and false"), "false");
+  EXPECT_EQ(folded("a = x and true"), "a = x");
+  EXPECT_EQ(folded("a = x or true"), "true");
+  EXPECT_EQ(folded("a = x or false"), "a = x");
+}
+
+TEST(FoldExpr, ReportsNoChangeWhenNothingFolds) {
+  for (const char* text :
+       {"a = x", "a != x and b in (y, z)", "not (a = x or b = y)",
+        "a = x ? b = y : c = z", "isrequest(inmsg) and a != x"}) {
+    const Expr e = parse_expr(text);
+    bool changed = false;
+    EXPECT_EQ(plan::fold_expr(e, changed).to_string(), e.to_string());
+    EXPECT_FALSE(changed) << text;
+  }
 }
 
 TEST(Planner, EqualityLiteralLowersToIndexLookup) {
@@ -262,6 +273,35 @@ TEST(Explain, GoldenCrossTableHashJoin) {
       "      Scan M as b (est=5, actual=5)\n");
   EXPECT_NE(out.find("HashJoin"), std::string::npos);
   EXPECT_EQ(out.find("Cross"), std::string::npos);
+}
+
+TEST(Explain, GoldenThreeWayMultiKeyJoin) {
+  auto spec = asura::make_asura();
+  // A directory row's memory request, the memory's reply, and the
+  // directory row consuming that reply.  Each conjunct lands where it
+  // applies: cross-side equalities become join keys (stack order at the
+  // top join, reversed one level down), the literal an index lookup, the
+  // one-table filter a Select on its scan, and the residual spanning a and
+  // c one Select above the join that first sees both.
+  const std::string out = plan::explain_sql(
+      spec->database().catalog(),
+      "select a.inmsg, b.outmsg, c.nxtdirst from D a, M b, D c "
+      "where a.memmsg = b.inmsg and a.memmsgsrc = b.inmsgsrc and "
+      "a.memmsgdest = b.inmsgdest and b.outmsg = c.inmsg and "
+      "b.outmsgdest = c.inmsgdest and a.dirst = \"SI\" and "
+      "not b.outmsg = mdone and not c.nxtdirst = a.nxtdirst");
+  EXPECT_EQ(
+      out,
+      "Project [a.inmsg, b.outmsg, c.nxtdirst] (est=0.1, actual=48)\n"
+      "  Select (c.nxtdirst != a.nxtdirst) (est=0.1, actual=48)\n"
+      "    HashJoin (b.outmsg = c.inmsg and b.outmsgdest = c.inmsgdest) "
+      "(est=0.2, actual=48)\n"
+      "      HashJoin (a.memmsgdest = b.inmsgdest and a.memmsgsrc = "
+      "b.inmsgsrc and a.memmsg = b.inmsg) (est=0.1, actual=8)\n"
+      "        IndexLookup D as a (a.dirst = \"SI\") (est=33.1, actual=22)\n"
+      "        Select (b.outmsg != mdone) (est=1.7, actual=3)\n"
+      "          Scan M as b (est=5, actual=5)\n"
+      "      Scan D as c (est=331, actual=331)\n");
 }
 
 TEST(Explain, UnexecutedPlanShowsDashForActual) {

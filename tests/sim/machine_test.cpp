@@ -77,6 +77,22 @@ TEST(MachineConfig, UnknownWorkloadOpThrowsNamingIt) {
   EXPECT_NO_THROW(Machine(spec(), spec().assignment(asura::kAssignV5), cfg));
 }
 
+TEST(MachineConfig, MoreNodeBudgetsThanQuadsThrows) {
+  SimConfig cfg;
+  cfg.n_quads = 2;
+  cfg.transactions_by_node = {1, 1, 7};
+  try {
+    Machine m(spec(), spec().assignment(asura::kAssignV5), cfg);
+    FAIL() << "a budget for a third quad was accepted at 2 quads";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("3 budgets for 2 quads"),
+              std::string::npos)
+        << e.what();
+  }
+  cfg.transactions_by_node = {1, 7};
+  EXPECT_NO_THROW(Machine(spec(), spec().assignment(asura::kAssignV5), cfg));
+}
+
 TEST(MachineScripted, ReadExclusiveTransfersOwnership) {
   SimConfig cfg;
   cfg.n_quads = 2;

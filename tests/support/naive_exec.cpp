@@ -1,10 +1,21 @@
 #include "support/naive_exec.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "plan/ir.hpp"
 #include "relational/parser.hpp"
 #include "support/interpreted_expr.hpp"
 
 namespace ccsql::naive {
+
+Table select(const Table& t, const std::function<bool(RowView)>& pred) {
+  std::vector<std::uint32_t> sel;
+  for (std::size_t i = 0; i < t.row_count(); ++i) {
+    if (pred(t.row(i))) sel.push_back(static_cast<std::uint32_t>(i));
+  }
+  return t.gather(sel);
+}
 
 Table run(const Catalog& db, const SelectStmt& stmt) {
   // The FROM list as one cross product, columns renamed through aliases.
@@ -23,7 +34,7 @@ Table run(const Catalog& db, const SelectStmt& stmt) {
   if (stmt.where) {
     CompiledExpr pred = compile(*stmt.where, source.schema(),
                                 source.schema(), &db.functions());
-    filtered = source.select(pred.predicate());
+    filtered = select(source, pred.predicate());
   }
   Table result;
   if (stmt.count_star) {
@@ -57,7 +68,7 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
   Table crossed = Table::cross(left, right);
   CompiledExpr compiled =
       compile(pred, crossed.schema(), ident_schema, functions);
-  return crossed.select(compiled.predicate());
+  return select(crossed, compiled.predicate());
 }
 
 }  // namespace ccsql::naive

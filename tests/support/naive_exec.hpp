@@ -7,12 +7,18 @@
 // Production SQL always plans; this library is linked only by tests and by
 // bench_query's naive-vs-planned legs.
 
+#include <functional>
 #include <string_view>
 
 #include "relational/expr.hpp"
 #include "relational/query.hpp"
 
 namespace ccsql::naive {
+
+/// sigma: the rows of `t` satisfying `pred`, in order — the row-at-a-time
+/// filter the naive executor runs its interpreted predicates through.
+[[nodiscard]] Table select(const Table& t,
+                           const std::function<bool(RowView)>& pred);
 
 /// Executes `stmt` against `db` the naive way: the rows Catalog::run must
 /// produce.
