@@ -1,7 +1,10 @@
 #include "checks/vcg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,14 +30,60 @@ ControllerTableRef ControllerTableRef::from_spec(const ControllerSpec& spec,
   return ref;
 }
 
-std::string DependencyRow::key() const {
-  std::string k;
-  for (Value v : {m1, s1, d1, v1, m2, s2, d2, v2}) {
-    k += v.str();
-    k += '|';
+namespace {
+
+/// A dependency row's identity as packed symbol ids: the 8-tuple
+/// (m1,s1,d1,v1,m2,s2,d2,v2) and a placement slot.  Controller rows dedup
+/// per placement (slot = placement + 1); the protocol table dedups on the
+/// 8-tuple alone (slot 0).  Symbols are interned, so id equality is text
+/// equality: no row is rendered to compare it.
+struct DepKey {
+  std::array<std::uint32_t, 9> ids;
+  friend bool operator==(const DepKey&, const DepKey&) = default;
+};
+
+struct DepKeyHash {
+  std::size_t operator()(const DepKey& k) const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the ids
+    for (std::uint32_t id : k.ids) h = (h ^ id) * 0x100000001b3ull;
+    return static_cast<std::size_t>(h);
   }
-  return k;
+};
+
+using DepKeySet = std::unordered_set<DepKey, DepKeyHash>;
+
+DepKey dep_key(const DependencyRow& r, std::uint32_t slot) {
+  return DepKey{{r.m1.id(), r.s1.id(), r.d1.id(), r.v1.id(), r.m2.id(),
+                 r.s2.id(), r.d2.id(), r.v2.id(), slot}};
 }
+
+/// Symbols "0", "1", ... that tag staged rows with their positions in the
+/// composition join, with the map back from symbol id to position.
+/// Interned once per process and grown copy-on-write under a mutex, so a
+/// round stages and reads back positions without formatting text.
+struct PositionTags {
+  std::vector<Value> tag;
+  std::unordered_map<std::uint32_t, std::size_t> position;
+};
+
+std::shared_ptr<const PositionTags> position_tags(std::size_t n) {
+  static std::mutex mu;
+  static std::shared_ptr<const PositionTags> tags =
+      std::make_shared<const PositionTags>();
+  std::lock_guard<std::mutex> lock(mu);
+  if (tags->tag.size() < n) {
+    auto grown = std::make_shared<PositionTags>(*tags);
+    for (std::size_t i = grown->tag.size(); i < n; ++i) {
+      const Value v = V(std::to_string(i));
+      grown->tag.push_back(v);
+      grown->position.emplace(v.id(), i);
+    }
+    tags = std::move(grown);
+  }
+  return tags;
+}
+
+}  // namespace
 
 std::string VcgCycle::to_string() const {
   std::ostringstream os;
@@ -103,8 +152,9 @@ void DeadlockAnalysis::build_controller_rows(
     const QuadPlacement placement = placements[pi];
     std::vector<DependencyRow>& rows = per_placement[pi];
     // Deduplicate per placement: identical role-substituted rows from
-    // different table rows carry the same dependency.
-    std::unordered_set<std::string> seen;
+    // different table rows carry the same dependency.  Only a surviving
+    // row formats its provenance.
+    DepKeySet seen;
     for (const auto& ref : tables) {
       const Table& t = *ref.table;
       const Schema& schema = t.schema();
@@ -148,13 +198,15 @@ void DeadlockAnalysis::build_controller_rows(
           row.d2 = place_role(placement, d2);
           row.v2 = *vc2;
           row.placement = placement;
-          row.origin = ref.name + "#" + std::to_string(r) + " [" +
-                       std::string(to_string(placement)) + "]";
-          const std::string k =
-              row.key() + std::string(to_string(placement));
-          if (seen.insert(k).second) {
-            rows.push_back(std::move(row));
-          }
+          const auto slot = static_cast<std::uint32_t>(placement) + 1;
+          if (!seen.insert(dep_key(row, slot)).second) continue;
+          row.origin = ref.name;
+          row.origin += '#';
+          row.origin += std::to_string(r);
+          row.origin += " [";
+          row.origin += to_string(placement);
+          row.origin += ']';
+          rows.push_back(std::move(row));
         }
       }
     }
@@ -175,9 +227,13 @@ void DeadlockAnalysis::build_controller_rows(
 
 void DeadlockAnalysis::compose() {
   // Start the protocol dependency table with the controller rows.
-  std::unordered_set<std::string> seen;
+  DepKeySet seen;
   for (const auto& row : controller_rows_) {
-    if (seen.insert(row.key()).second) protocol_rows_.push_back(row);
+    if (seen.insert(dep_key(row, 0)).second) protocol_rows_.push_back(row);
+  }
+  std::array<Value, kAllPlacements.size()> placement_value;
+  for (QuadPlacement pl : kAllPlacements) {
+    placement_value[static_cast<std::size_t>(pl)] = V(to_string(pl));
   }
 
   std::vector<DependencyRow> frontier = controller_rows_;
@@ -190,19 +246,23 @@ void DeadlockAnalysis::compose() {
     Database db;
     db.set_jobs(options_.jobs != 0 ? options_.jobs
                                    : core::Pool::default_jobs());
+    const std::shared_ptr<const PositionTags> tags =
+        position_tags(std::max(frontier.size(), protocol_rows_.size()));
     Table f(Schema::of({"m2", "s2", "d2", "v2", "placement", "idx"}));
     f.reserve_rows(frontier.size());
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       const DependencyRow& r = frontier[i];
-      f.append({r.m2, r.s2, r.d2, r.v2, V(to_string(r.placement)),
-                V(std::to_string(i))});
+      f.append({r.m2, r.s2, r.d2, r.v2,
+                placement_value[static_cast<std::size_t>(r.placement)],
+                tags->tag[i]});
     }
     Table p(Schema::of({"m1", "s1", "d1", "v1", "placement", "idx"}));
     p.reserve_rows(protocol_rows_.size());
     for (std::size_t i = 0; i < protocol_rows_.size(); ++i) {
       const DependencyRow& r = protocol_rows_[i];
-      p.append({r.m1, r.s1, r.d1, r.v1, V(to_string(r.placement)),
-                V(std::to_string(i))});
+      p.append({r.m1, r.s1, r.d1, r.v1,
+                placement_value[static_cast<std::size_t>(r.placement)],
+                tags->tag[i]});
     }
     db.put("F", std::move(f));
     db.put("P", std::move(p));
@@ -221,10 +281,9 @@ void DeadlockAnalysis::compose() {
     const ColumnView fidx = pairs.column(0);
     const ColumnView pidx = pairs.column(1);
     for (std::size_t i = 0; i < pairs.row_count(); ++i) {
-      const DependencyRow& r =
-          frontier[std::stoul(std::string(fidx[i].str()))];
+      const DependencyRow& r = frontier[tags->position.at(fidx[i].id())];
       const DependencyRow& s =
-          protocol_rows_[std::stoul(std::string(pidx[i].str()))];
+          protocol_rows_[tags->position.at(pidx[i].id())];
       const bool exact = s.m1 == r.m2;
       DependencyRow composed;
       composed.m1 = r.m1;
@@ -238,11 +297,14 @@ void DeadlockAnalysis::compose() {
       composed.placement = r.placement;
       composed.composed = true;
       composed.ignored_message = !exact;
-      composed.origin = "compose(" + r.origin + " ; " + s.origin + ")" +
-                        (exact ? "" : " ignoring message");
-      if (seen.insert(composed.key()).second) {
-        fresh.push_back(composed);
-      }
+      if (!seen.insert(dep_key(composed, 0)).second) continue;
+      composed.origin = "compose(";
+      composed.origin += r.origin;
+      composed.origin += " ; ";
+      composed.origin += s.origin;
+      composed.origin += ')';
+      if (!exact) composed.origin += " ignoring message";
+      fresh.push_back(std::move(composed));
     }
     CCSQL_COUNT("vcg.compositions", fresh.size());
     CCSQL_INSTANT("vcg.compose_round", "checks",

@@ -35,9 +35,6 @@ struct DependencyRow {
   bool composed = false;       // produced by pairwise composition
   bool ignored_message = false;  // produced by the relaxed matching
   std::string origin;          // human-readable provenance
-
-  /// The 8-tuple as text, for deduplication and display.
-  [[nodiscard]] std::string key() const;
 };
 
 /// A cycle in the virtual channel dependency graph: the channel sequence

@@ -88,7 +88,7 @@ ControllerSpec ExtendedTableBuilder::build() const {
     }
   }
   for (const auto& c : constraints_) {
-    spec.constrain(c.column, c.expr.to_string());
+    spec.constrain(c.column, c.expr);
   }
   for (const auto& t : triples_) spec.add_message_triple(t);
   return spec;

@@ -194,35 +194,84 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
 
 // ---- 3. join column pruning -------------------------------------------------
 
-/// A Project directly above a HashJoin narrows the join's output schema to
-/// the projected columns: the executor then gathers only those columns when
-/// materialising match pairs (the join keys are read from the *children*,
-/// so dropping unprojected output columns never affects matching).  On wide
+/// Narrows HashJoin outputs to the columns read above them, down a whole
+/// left-deep chain.  `needed` names the columns the parent reads from
+/// `node` (nullptr = all of them): a Project reads its columns; a HashJoin
+/// keeps the needed columns of its output and asks each side for its share
+/// plus its own keys; a Select over a HashJoin adds its predicate's columns
+/// and takes the narrowed schema; a Cross asks each side for its share and
+/// re-derives its schema.  Every other node reads all its children's
+/// columns.  The executor gathers only a join's surviving columns when
+/// materialising match pairs (keys are read from the children), so on wide
 /// joins feeding narrow projections this removes most of the output copy —
 /// the dominant cost of a high-fanout join under columnar storage.
-std::size_t try_prune_join_columns(PlanNode& node) {
-  if (node.kind != PlanNode::Kind::kProject || node.children.empty()) {
-    return 0;
-  }
-  PlanNode& join = *node.children[0];
-  if (join.kind != PlanNode::Kind::kHashJoin) return 0;
-  std::vector<Column> kept;
-  for (const Column& c : join.schema->columns()) {
-    for (const std::string& name : node.columns) {
-      if (c.name == name) {
-        kept.push_back(c);
-        break;
+std::size_t prune_join_columns(PlanNode& node,
+                               const std::vector<std::string>* needed,
+                               const PlannerOptions& opts) {
+  const auto needs = [](const std::vector<std::string>& names,
+                        const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  // The names of `side`'s columns that `out` lists, plus `extra`.
+  const auto share = [&](const PlanNode& side, const Schema& out,
+                         const std::vector<std::string>& extra) {
+    std::vector<std::string> names = extra;
+    for (const Column& c : out.columns()) {
+      if (side.schema->has(c.name) && !needs(names, c.name)) {
+        names.push_back(c.name);
       }
     }
+    return names;
+  };
+  std::size_t n = 0;
+  if (node.kind == PlanNode::Kind::kProject) {
+    return prune_join_columns(node.child(), &node.columns, opts);
   }
-  if (kept.size() >= join.schema->size()) return 0;
-  join.schema = make_schema(std::move(kept));
-  return 1;
-}
-
-std::size_t prune_join_columns(PlanPtr& node) {
-  std::size_t n = try_prune_join_columns(*node);
-  for (auto& c : node->children) n += prune_join_columns(c);
+  if (needed != nullptr && node.kind == PlanNode::Kind::kHashJoin) {
+    std::vector<Column> kept;
+    for (const Column& c : node.schema->columns()) {
+      if (needs(*needed, c.name)) kept.push_back(c);
+    }
+    // A join never narrows to no columns: its rows must stay countable.
+    if (!kept.empty() && kept.size() < node.schema->size()) {
+      node.schema = make_schema(std::move(kept));
+      ++n;
+    }
+    const std::vector<std::string> left =
+        share(node.child(0), *node.schema, node.left_keys);
+    const std::vector<std::string> right =
+        share(node.child(1), *node.schema, node.right_keys);
+    n += prune_join_columns(node.child(0), &left, opts);
+    n += prune_join_columns(node.child(1), &right, opts);
+    return n;
+  }
+  if (needed != nullptr && node.kind == PlanNode::Kind::kSelect &&
+      node.child().kind == PlanNode::Kind::kHashJoin) {
+    std::vector<std::string> below = *needed;
+    for (std::string& c :
+         node.predicate->referenced_columns(ident_schema_of(node, opts))) {
+      if (!needs(below, c)) below.push_back(std::move(c));
+    }
+    n += prune_join_columns(node.child(), &below, opts);
+    node.schema = node.child().schema;
+    return n;
+  }
+  if (needed != nullptr && node.kind == PlanNode::Kind::kCross) {
+    for (auto& side : node.children) {
+      std::vector<std::string> wanted;
+      for (const Column& c : side->schema->columns()) {
+        if (needs(*needed, c.name)) wanted.push_back(c.name);
+      }
+      n += prune_join_columns(*side, &wanted, opts);
+    }
+    std::vector<Column> cols = node.child(0).schema->columns();
+    for (const Column& c : node.child(1).schema->columns()) cols.push_back(c);
+    if (cols.size() < node.schema->size()) {
+      node.schema = make_schema(std::move(cols));
+    }
+    return n;
+  }
+  for (auto& c : node.children) n += prune_join_columns(*c, nullptr, opts);
   return n;
 }
 
@@ -264,9 +313,11 @@ void estimate(PlanNode& node) {
       node.est_rows = node.child(0).est_rows * node.child(1).est_rows;
       break;
     case PlanNode::Kind::kHashJoin:
-      node.est_rows =
-          node.child(0).est_rows * node.child(1).est_rows *
-          std::pow(0.1, static_cast<double>(node.left_keys.size()));
+      // Each key selects ~10%; floored at one row like IndexLookup, so a
+      // chain of many-key joins cannot compound towards zero.
+      node.est_rows = std::max(
+          1.0, node.child(0).est_rows * node.child(1).est_rows *
+                   std::pow(0.1, static_cast<double>(node.left_keys.size())));
       break;
     case PlanNode::Kind::kProject:
       node.est_rows = node.distinct && node.child().est_rows > 0
@@ -357,7 +408,7 @@ Expr fold_expr(const Expr& e, bool& changed) {
 void optimize(PlanPtr& root, const PlannerOptions& opts) {
   std::size_t rewrites = fold_predicates(root);
   rewrites += place(root, {}, opts);
-  rewrites += prune_join_columns(root);
+  rewrites += prune_join_columns(*root, nullptr, opts);
   if (opts.exists_only) {
     rewrites += drop_sorts(root);
     PlanPtr lim = make_node(PlanNode::Kind::kLimit);

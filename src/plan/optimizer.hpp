@@ -14,8 +14,9 @@
 //                              What stays at a node becomes one Select over
 //                              the conjunction, so each fused executor path
 //                              runs one filter
-//   3. join column pruning   — a Project directly above a HashJoin narrows
-//                              the join's output
+//   3. join column pruning   — the columns a Project reads are carried
+//                              down its join chain: every HashJoin keeps
+//                              only what is read above it
 //   4. exists mode           — for emptiness checks: sorts are dropped and
 //                              the plan is capped with Limit 1
 //   5. estimation            — bottom-up est_rows for EXPLAIN

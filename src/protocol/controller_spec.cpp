@@ -37,6 +37,10 @@ void ControllerSpec::constrain(const std::string& column,
   }
 }
 
+void ControllerSpec::constrain(const std::string& column, Expr expr) {
+  input_.constraints.push_back(ColumnConstraint{column, std::move(expr)});
+}
+
 void ControllerSpec::add_message_triple(MessageTriple triple) {
   triples_.push_back(std::move(triple));
 }

@@ -56,6 +56,8 @@ class ControllerSpec {
   /// Attaches constraint text to a column (see ColumnConstraint).  Multiple
   /// constraints per column are allowed and conjoined.
   void constrain(const std::string& column, std::string_view text);
+  /// Attaches an already-parsed constraint to a column.
+  void constrain(const std::string& column, Expr expr);
 
   /// Declares a message port.
   void add_message_triple(MessageTriple triple);

@@ -18,9 +18,20 @@ inline constexpr std::string_view kLocal = "local";
 inline constexpr std::string_view kHome = "home";
 inline constexpr std::string_view kRemote = "remote";
 
-inline Value local() { return Symbol::intern(kLocal); }
-inline Value home() { return Symbol::intern(kHome); }
-inline Value remote() { return Symbol::intern(kRemote); }
+// Interned once per process: placement substitution asks for these on every
+// candidate dependency row.
+inline Value local() {
+  static const Value v = Symbol::intern(kLocal);
+  return v;
+}
+inline Value home() {
+  static const Value v = Symbol::intern(kHome);
+  return v;
+}
+inline Value remote() {
+  static const Value v = Symbol::intern(kRemote);
+  return v;
+}
 
 inline std::array<Value, 3> all() { return {local(), home(), remote()}; }
 

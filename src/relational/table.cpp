@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -67,6 +68,25 @@ std::vector<std::size_t> iota_cols(std::size_t n) {
   std::vector<std::size_t> cols(n);
   std::iota(cols.begin(), cols.end(), std::size_t{0});
   return cols;
+}
+
+/// Calls `fn(key, row)` with each row's full-row key, in row order; keys are
+/// built column-at-a-time, one chunk at a time.  Stops and returns false as
+/// soon as `fn` does.
+template <typename Fn>
+bool for_each_row_key(const Table& t, Fn fn) {
+  const std::size_t n = t.row_count();
+  const std::vector<std::size_t> cols = iota_cols(t.column_count());
+  std::vector<TupleKey> keys;
+  for (std::size_t begin = 0; begin < n; begin += kKeyChunk) {
+    const std::size_t end = std::min(n, begin + kKeyChunk);
+    keys.assign(end - begin, TupleKey{});
+    t.build_keys(cols, begin, end, keys.data());
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!fn(keys[i - begin], i)) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -164,21 +184,15 @@ Table Table::distinct() const {
   // Dedupe on packed symbol-id tuples built column-at-a-time: rows of up to
   // four columns hash and compare as two inline words, with no per-row key
   // formatting and no row materialisation.
-  const std::vector<std::size_t> cols = iota_cols(width());
   std::unordered_set<TupleKey, TupleKeyHash> seen;
   seen.reserve(rows_);
   std::vector<std::uint32_t> sel;
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < rows_; begin += kKeyChunk) {
-    const std::size_t end = std::min(rows_, begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    build_keys(cols, begin, end, keys.data());
-    for (std::size_t i = begin; i < end; ++i) {
-      if (seen.insert(std::move(keys[i - begin])).second) {
-        sel.push_back(static_cast<std::uint32_t>(i));
-      }
+  for_each_row_key(*this, [&](TupleKey& k, std::size_t row) {
+    if (seen.insert(std::move(k)).second) {
+      sel.push_back(static_cast<std::uint32_t>(row));
     }
-  }
+    return true;
+  });
   return gather(sel);
 }
 
@@ -259,27 +273,6 @@ Table Table::union_distinct(const Table& a, const Table& b) {
   return all.distinct();
 }
 
-namespace {
-
-/// Full-row key set of a table, built column-at-a-time — the shape
-/// contains_all probes.
-std::unordered_set<TupleKey, TupleKeyHash> row_key_set(const Table& t) {
-  std::unordered_set<TupleKey, TupleKeyHash> set;
-  const std::size_t n = t.row_count();
-  set.reserve(n);
-  const std::vector<std::size_t> cols = iota_cols(t.column_count());
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < n; begin += kKeyChunk) {
-    const std::size_t end = std::min(n, begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    t.build_keys(cols, begin, end, keys.data());
-    for (auto& k : keys) set.insert(std::move(k));
-  }
-  return set;
-}
-
-}  // namespace
-
 Table Table::with_schema(SchemaPtr schema) const {
   if (!schema || schema->size() != schema_->size()) {
     throw SchemaError("with_schema: arity mismatch");
@@ -292,22 +285,40 @@ Table Table::with_schema(SchemaPtr schema) const {
 bool Table::contains_all(const Table& other) const {
   check_same_names(other);
   if (width() == 0) return rows_ > 0 || other.rows_ == 0;
-  const auto mine = row_key_set(*this);
-  const std::vector<std::size_t> cols = iota_cols(width());
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < other.rows_; begin += kKeyChunk) {
-    const std::size_t end = std::min(other.rows_, begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    other.build_keys(cols, begin, end, keys.data());
-    for (const auto& k : keys) {
-      if (mine.count(k) == 0) return false;
-    }
-  }
-  return true;
+  std::unordered_set<TupleKey, TupleKeyHash> mine;
+  mine.reserve(rows_);
+  for_each_row_key(*this, [&](TupleKey& k, std::size_t) {
+    mine.insert(std::move(k));
+    return true;
+  });
+  return for_each_row_key(other, [&](const TupleKey& k, std::size_t) {
+    return mine.count(k) != 0;
+  });
 }
 
 bool Table::set_equal(const Table& other) const {
-  return contains_all(other) && other.contains_all(*this);
+  check_same_names(other);
+  if (width() == 0) return (rows_ > 0) == (other.rows_ > 0);
+  // One key set: every row of `other` must find its key in it, and those
+  // finds must cover every distinct key of this table.
+  std::unordered_map<TupleKey, bool, TupleKeyHash> mine;  // key -> matched
+  mine.reserve(rows_);
+  for_each_row_key(*this, [&](TupleKey& k, std::size_t) {
+    mine.emplace(std::move(k), false);
+    return true;
+  });
+  std::size_t matched = 0;
+  const bool covered =
+      for_each_row_key(other, [&](const TupleKey& k, std::size_t) {
+        const auto it = mine.find(k);
+        if (it == mine.end()) return false;
+        if (!it->second) {
+          it->second = true;
+          ++matched;
+        }
+        return true;
+      });
+  return covered && matched == mine.size();
 }
 
 Table Table::sorted_by(const std::vector<std::string>& columns) const {
@@ -333,6 +344,13 @@ Table Table::sorted_by(const std::vector<std::string>& columns) const {
 void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
                        std::size_t end, TupleKey* out) const {
   const std::size_t n = end - begin;
+  // A wide key's overflow ids get their storage in one exact-size
+  // allocation up front, not one growth step per pushed id.
+  if (cols.size() > 4) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i].overflow_.reserve(cols.size() - 4);
+    }
+  }
   // Position-major: one sequential pass per key column.  Positions ascend,
   // so overflow ids (arity > 4) push in the same order of_row encodes them.
   for (std::size_t pos = 0; pos < cols.size(); ++pos) {

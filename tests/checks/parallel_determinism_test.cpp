@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -104,9 +105,16 @@ TEST(ParallelDeterminism, VcgAnalysisMatchesAcrossJobs) {
   // Identical dependency rows in identical order, identical cycles,
   // identical rendered report.
   ASSERT_EQ(serial.protocol_rows().size(), wide.protocol_rows().size());
+  const auto tuple = [](const DependencyRow& r) {
+    return std::array<Value, 8>{r.m1, r.s1, r.d1, r.v1,
+                                r.m2, r.s2, r.d2, r.v2};
+  };
   for (std::size_t i = 0; i < serial.protocol_rows().size(); ++i) {
-    EXPECT_EQ(serial.protocol_rows()[i].key(), wide.protocol_rows()[i].key())
-        << i;
+    const DependencyRow& a = serial.protocol_rows()[i];
+    const DependencyRow& b = wide.protocol_rows()[i];
+    EXPECT_EQ(tuple(a), tuple(b)) << i;
+    EXPECT_EQ(a.placement, b.placement) << i;
+    EXPECT_EQ(a.origin, b.origin) << i;
   }
   EXPECT_EQ(serial.cycles().size(), wide.cycles().size());
   EXPECT_EQ(serial.report(), wide.report());

@@ -166,6 +166,58 @@ TEST(Planner, SingleSidePredicatesPushBelowTheJoin) {
   EXPECT_EQ(join.child(1).child().kind, PlanNode::Kind::kScan);
 }
 
+std::vector<std::string> column_names(const PlanNode& n) {
+  std::vector<std::string> names;
+  for (const Column& c : n.schema->columns()) names.push_back(c.name);
+  return names;
+}
+
+TEST(Planner, JoinChainNarrowsEveryJoinToTheColumnsReadAbove) {
+  Catalog db = make_catalog();
+  const SelectStmt stmt = parse_select(
+      "select a.dirst, c.dirpv from D a, M b, D c where a.memmsg = b.inmsg "
+      "and b.outmsg = c.memmsg and not c.dirst = a.dirst");
+  PlanPtr p = plan::plan_select(db, stmt);
+  ASSERT_EQ(p->kind, PlanNode::Kind::kProject);
+  const PlanNode& sel = p->child();
+  ASSERT_EQ(sel.kind, PlanNode::Kind::kSelect);
+  const PlanNode& top = sel.child();
+  ASSERT_EQ(top.kind, PlanNode::Kind::kHashJoin);
+  // The residual's columns ride with the projected ones; the Select takes
+  // the join's narrowed schema.
+  EXPECT_EQ(column_names(top),
+            (std::vector<std::string>{"a.dirst", "c.dirst", "c.dirpv"}));
+  EXPECT_EQ(column_names(sel), column_names(top));
+  // The inner join keeps what the top join reads of it: a projected
+  // column and the top join's left key — none of b's input columns.
+  const PlanNode& inner = top.child(0);
+  ASSERT_EQ(inner.kind, PlanNode::Kind::kHashJoin);
+  EXPECT_EQ(column_names(inner),
+            (std::vector<std::string>{"a.dirst", "b.outmsg"}));
+  const Table planned = plan::run_select(db, stmt);
+  const Table naive = naive::run(db, stmt);
+  EXPECT_EQ(planned.row_count(), naive.row_count());
+  EXPECT_TRUE(planned.set_equal(naive));
+}
+
+TEST(Planner, CrossOverAJoinNarrowsTheJoinBelowIt) {
+  Catalog db = make_catalog();
+  const SelectStmt stmt = parse_select(
+      "select a.dirst, m.outmsg from D a, M b, M m where a.memmsg = b.inmsg");
+  PlanPtr p = plan::plan_select(db, stmt);
+  const PlanNode& cross = p->child();
+  ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
+  ASSERT_EQ(cross.child(0).kind, PlanNode::Kind::kHashJoin);
+  EXPECT_EQ(column_names(cross.child(0)),
+            std::vector<std::string>{"a.dirst"});
+  EXPECT_EQ(column_names(cross),
+            (std::vector<std::string>{"a.dirst", "m.inmsg", "m.outmsg"}));
+  const Table planned = plan::run_select(db, stmt);
+  const Table naive = naive::run(db, stmt);
+  EXPECT_EQ(planned.row_count(), naive.row_count());
+  EXPECT_TRUE(planned.set_equal(naive));
+}
+
 TEST(Planner, ExistsModeCapsThePlanWithLimitOne) {
   Catalog db = make_catalog();
   plan::PlannerOptions opts;
@@ -282,7 +334,9 @@ TEST(Explain, GoldenThreeWayMultiKeyJoin) {
   // applies: cross-side equalities become join keys (stack order at the
   // top join, reversed one level down), the literal an index lookup, the
   // one-table filter a Select on its scan, and the residual spanning a and
-  // c one Select above the join that first sees both.
+  // c one Select above the join that first sees both.  A join's estimate
+  // is floored at one row, so the 3-key inner join reads est=1 and the
+  // outer one builds on it.
   const std::string out = plan::explain_sql(
       spec->database().catalog(),
       "select a.inmsg, b.outmsg, c.nxtdirst from D a, M b, D c "
@@ -292,12 +346,12 @@ TEST(Explain, GoldenThreeWayMultiKeyJoin) {
       "not b.outmsg = mdone and not c.nxtdirst = a.nxtdirst");
   EXPECT_EQ(
       out,
-      "Project [a.inmsg, b.outmsg, c.nxtdirst] (est=0.1, actual=48)\n"
-      "  Select (c.nxtdirst != a.nxtdirst) (est=0.1, actual=48)\n"
+      "Project [a.inmsg, b.outmsg, c.nxtdirst] (est=1.1, actual=48)\n"
+      "  Select (c.nxtdirst != a.nxtdirst) (est=1.1, actual=48)\n"
       "    HashJoin (b.outmsg = c.inmsg and b.outmsgdest = c.inmsgdest) "
-      "(est=0.2, actual=48)\n"
+      "(est=3.3, actual=48)\n"
       "      HashJoin (a.memmsgdest = b.inmsgdest and a.memmsgsrc = "
-      "b.inmsgsrc and a.memmsg = b.inmsg) (est=0.1, actual=8)\n"
+      "b.inmsgsrc and a.memmsg = b.inmsg) (est=1, actual=8)\n"
       "        IndexLookup D as a (a.dirst = \"SI\") (est=33.1, actual=22)\n"
       "        Select (b.outmsg != mdone) (est=1.7, actual=3)\n"
       "          Scan M as b (est=5, actual=5)\n"

@@ -14,6 +14,12 @@ TEST(Roles, Constants) {
   EXPECT_EQ(roles::all().size(), 3u);
 }
 
+TEST(Roles, CachedSymbolsEqualInterned) {
+  EXPECT_EQ(roles::local(), Symbol::intern(roles::kLocal));
+  EXPECT_EQ(roles::home(), Symbol::intern(roles::kHome));
+  EXPECT_EQ(roles::remote(), Symbol::intern(roles::kRemote));
+}
+
 TEST(QuadPlacement, AllDistinctIsIdentity) {
   for (Value r : roles::all()) {
     EXPECT_EQ(place_role(QuadPlacement::kAllDistinct, r), r);

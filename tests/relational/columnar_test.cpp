@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "obs/mem.hpp"
@@ -176,6 +179,49 @@ TEST(Columnar, BuildKeysMatchesOfRow) {
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_EQ(keys[r], TupleKey::of_row(t.row(r), cols));
     EXPECT_GT(keys[r].heap_bytes(), 0u) << "6-wide keys must overflow";
+  }
+}
+
+// Column-at-a-time and row-at-a-time key building agree on every arity
+// (5: one spilled id, 8: four, 33: the extended directory's full row), for
+// whole-table and offset ranges, and a wide key's spill is one exact-size
+// allocation.
+TEST(Columnar, WideKeysMatchOfRowAtEveryArity) {
+  for (const std::size_t arity : {std::size_t{5}, std::size_t{8},
+                                  std::size_t{33}}) {
+    std::vector<std::string> names;
+    for (std::size_t j = 0; j < arity; ++j) {
+      names.push_back(std::string("c").append(std::to_string(j)));
+    }
+    Table t(Schema::of(names));
+    for (std::size_t r = 0; r < 12; ++r) {
+      std::vector<Value> row;
+      for (std::size_t j = 0; j < arity; ++j) {
+        row.push_back(V(std::string("v").append(std::to_string((r + j) % 5))));
+      }
+      t.append(row);
+    }
+    std::vector<std::size_t> cols(arity);
+    std::iota(cols.begin(), cols.end(), std::size_t{0});
+    std::vector<TupleKey> keys(t.row_count());
+    t.build_keys(cols, 0, t.row_count(), keys.data());
+    std::vector<TupleKey> tail(t.row_count() - 5);
+    t.build_keys(cols, 5, t.row_count(), tail.data());
+    const std::size_t spill = (arity - 4) * sizeof(std::uint32_t);
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      const TupleKey expect = TupleKey::of_row(t.row(r), cols);
+      EXPECT_EQ(keys[r], expect) << arity << " row " << r;
+      EXPECT_EQ(keys[r].hash(), expect.hash()) << arity << " row " << r;
+      EXPECT_EQ(keys[r].heap_bytes(), spill) << arity;
+      EXPECT_EQ(expect.heap_bytes(), spill) << arity;
+      if (r >= 5) {
+        EXPECT_EQ(tail[r - 5], expect) << arity << " row " << r;
+        EXPECT_EQ(tail[r - 5].hash(), expect.hash()) << arity << " row " << r;
+      }
+    }
+    // Rows 0 and 5 hold the same cells ((r + j) % 5 repeats every 5 rows).
+    EXPECT_EQ(keys[0], keys[5]);
+    EXPECT_FALSE(keys[0] == keys[1]);
   }
 }
 

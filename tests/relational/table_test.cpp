@@ -227,6 +227,60 @@ TEST(Table, SetEqualIgnoresOrderAndDuplicates) {
   EXPECT_TRUE(a.set_equal(b));
 }
 
+/// A row of the 33-column table below: all columns alternate x/y except
+/// the inline first column `head` and the spilled last column "k<k>".
+std::vector<Value> wide_row(int k, const char* head = "x") {
+  std::vector<Value> row;
+  row.push_back(V(head));
+  for (int j = 1; j < 32; ++j) row.push_back(V(j % 2 == 0 ? "x" : "y"));
+  row.push_back(V(std::string("k").append(std::to_string(k))));
+  return row;
+}
+
+Table wide_table(std::initializer_list<int> ks) {
+  std::vector<std::string> names;
+  for (int j = 0; j < 33; ++j) {
+    names.push_back(std::string("c").append(std::to_string(j)));
+  }
+  Table t(Schema::of(names));
+  for (int k : ks) t.append(wide_row(k));
+  return t;
+}
+
+// 33 columns — the extended directory's width: 4 ids pack inline and 29
+// spill.  Duplicates on one side and unequal row counts must not fool the
+// set comparisons.
+TEST(Table, WideRowSetOperations) {
+  const Table a = wide_table({0, 1, 2, 1, 3, 3});
+  const Table b = wide_table({3, 2, 1, 0});
+  const Table d = a.distinct();
+  ASSERT_EQ(d.row_count(), 4u);
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(d.at(static_cast<std::size_t>(k), "c32"),
+              V(std::string("k").append(std::to_string(k))));
+  }
+  EXPECT_TRUE(a.set_equal(b));
+  EXPECT_TRUE(b.set_equal(a));
+  EXPECT_TRUE(a.contains_all(b));
+  EXPECT_TRUE(b.contains_all(a));
+
+  // Every row of `c` is in `b`, but `b`'s k0 is not in `c`.
+  const Table c = wide_table({1, 1, 2, 3, 3});
+  EXPECT_TRUE(b.contains_all(c));
+  EXPECT_FALSE(c.contains_all(b));
+  EXPECT_FALSE(b.set_equal(c));
+  EXPECT_FALSE(c.set_equal(b));
+
+  // Tables differing in one inline cell, and in one spilled cell.
+  Table inline_diff = wide_table({0, 1, 2});
+  inline_diff.append(wide_row(3, "z"));
+  EXPECT_FALSE(b.set_equal(inline_diff));
+  EXPECT_FALSE(b.contains_all(inline_diff));
+  const Table spill_diff = wide_table({0, 1, 2, 4});
+  EXPECT_FALSE(b.set_equal(spill_diff));
+  EXPECT_FALSE(spill_diff.contains_all(b));
+}
+
 TEST(Table, SortedIsCanonical) {
   Table a = small();
   Table b(a.schema_ptr());
