@@ -217,9 +217,16 @@ int cmd_deadlock(const ProtocolSpec& spec, const Args& args) {
     refs.push_back(
         ControllerTableRef::from_spec(*c, spec.database().get(c->name())));
   }
+  // A named assignment must exist: skipping every assignment would report
+  // no cycles, a false certificate of deadlock freedom.
+  std::vector<const ChannelAssignment*> chosen;
+  if (!args.positional.empty()) {
+    chosen.push_back(&spec.assignment(args.positional[0]));
+  } else {
+    for (const auto& a : spec.assignments()) chosen.push_back(a.get());
+  }
   bool any_cycles = false;
-  for (const auto& a : spec.assignments()) {
-    if (!args.positional.empty() && a->name() != args.positional[0]) continue;
+  for (const ChannelAssignment* a : chosen) {
     DeadlockAnalysis analysis(refs, *a);
     std::cout << "=== assignment " << a->name() << " ===\n"
               << analysis.report() << "\n";
@@ -331,6 +338,7 @@ int cmd_sweep(const ProtocolSpec& spec, const Args& args) {
     std::cerr << "error: --seeds needs at least 1 seed\n";
     return 2;
   }
+  (void)spec.assignment(assignment);  // unknown: error before the header
   const std::size_t jobs = core::Pool::default_jobs();
   const std::vector<sim::SweepRun> grid =
       sim::default_sweep_grid(assignment, seeds);

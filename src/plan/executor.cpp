@@ -6,6 +6,7 @@
 #include "core/pool.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
+#include "plan/route.hpp"
 #include "plan/vectorized.hpp"
 #include "relational/error.hpp"
 #include "relational/expr.hpp"
@@ -252,59 +253,74 @@ struct Executor {
     return src.gather(sel).with_schema(schema);
   }
 
-  /// Select over Cross, late-materialised.  Crosses only the columns the
-  /// predicate reads (project() shares column storage, so only the narrow
-  /// product is copied), filters that product through the morsel path,
-  /// then gathers each surviving row from the two sides by index: product
-  /// row i*|right| + j pairs left row i with right row j.
-  Table select_cross(PlanNode& node, const vec::RowFilter& pred,
-                     const Schema& narrow, std::size_t limit,
-                     OpStats& stats) {
+  /// Select over Cross through its route (route.hpp): the route picks
+  /// each left row's candidate right rows, in product order; the residual
+  /// filters only those pairs, reading a narrow pair table of just its
+  /// columns through the morsel path; the surviving pairs are then
+  /// gathered from the two sides by index.  The degenerate route makes
+  /// every pair a candidate: the full product, still never materialised
+  /// wider than the residual's columns.
+  Table select_cross(PlanNode& node, const CrossRoute& route,
+                     std::size_t limit, OpStats& stats) {
     PlanNode& cross = node.child();
     const Table l = exec(cross.child(0), kNoLimit);
     const Table r = exec(cross.child(1), kNoLimit);
-    std::vector<std::string> lnames, rnames;
-    for (const Column& c : narrow.columns()) {
-      (l.schema().has(c.name) ? lnames : rnames).push_back(c.name);
-    }
-    const Table product = Table::cross(l.project(lnames, /*distinct=*/false),
-                                       r.project(rnames, /*distinct=*/false));
-    std::size_t visited = 0;
-    const bc::Sel sel = matches(product, pred, limit, visited, stats);
-    const std::uint32_t rn = static_cast<std::uint32_t>(r.row_count());
-    bc::Sel lsel(sel.size()), rsel(sel.size());
-    for (std::size_t i = 0; i < sel.size(); ++i) {
-      lsel[i] = sel[i] / rn;
-      rsel[i] = sel[i] % rn;
+    // A scan's base table holds the index cache the keyed leaves probe,
+    // so repeated queries reuse it.
+    const Table& rbase =
+        cross.child(1).is_scan() ? base_of(cross.child(1)) : r;
+    const vec::RowFilter* residual = route.residual();
+    bc::Sel lsel, rsel;
+    route.candidates(l, rbase, residual != nullptr ? kNoLimit : limit, lsel,
+                     rsel);
+    const std::size_t pairs = lsel.size();
+    std::size_t visited = pairs;
+    if (residual != nullptr) {
+      const Table narrow = Table::hcat(
+          route.pair_schema(),
+          l.project(route.left_columns(), /*distinct=*/false).gather(lsel),
+          r.project(route.right_columns(), /*distinct=*/false).gather(rsel));
+      const bc::Sel sel = matches(narrow, *residual, limit, visited, stats);
+      for (std::size_t k = 0; k < sel.size(); ++k) {
+        lsel[k] = lsel[sel[k]];
+        rsel[k] = rsel[sel[k]];
+      }
+      lsel.resize(sel.size());
+      rsel.resize(sel.size());
     }
     Table out = Table::hcat(node.schema, l.gather(lsel), r.gather(rsel));
     // Each gather reads and writes every cell of the passing rows.
-    stats.bytes_touched += 2 * scan_bytes(sel.size(), l.column_count()) +
-                           2 * scan_bytes(sel.size(), r.column_count());
+    stats.bytes_touched += 2 * scan_bytes(lsel.size(), l.column_count()) +
+                           2 * scan_bytes(lsel.size(), r.column_count());
     if (ctx.record) {
-      cross.actual_rows = product.row_count();
+      cross.actual_rows = pairs;
+      cross.routed = route.keyed();
       node.stats.rows_in += visited;
     }
     return out;
   }
 
   Table select(PlanNode& node, std::size_t limit) {
-    // Over a Cross the predicate reads the narrow product of only the
-    // columns it references.
-    const SchemaPtr narrow = node.child().kind == PlanNode::Kind::kCross
-                                 ? predicate_schema(node, full_of(node))
-                                 : nullptr;
+    OpStats scratch;  // discarded stats sink for record-off executions
+    OpStats& stats = ctx.record ? node.stats : scratch;
     // A cached plan carries its predicate pre-compiled (shared across
-    // concurrent executions); otherwise compile here, per execution.
+    // concurrent executions) — as a route over a Cross, as a filter
+    // elsewhere; otherwise compile here, per execution.
+    if (node.child().kind == PlanNode::Kind::kCross) {
+      std::optional<CrossRoute> local;
+      const CrossRoute& route =
+          node.route ? *node.route
+                     : local.emplace(*node.predicate,
+                                     *node.child().child(0).schema,
+                                     *node.child().child(1).schema,
+                                     full_of(node), ctx.functions);
+      return select_cross(node, route, limit, stats);
+    }
     std::optional<vec::RowFilter> local;
     const vec::RowFilter& pred =
         node.compiled ? *node.compiled
-                      : local.emplace(*node.predicate,
-                                      narrow ? *narrow : *node.schema,
+                      : local.emplace(*node.predicate, *node.schema,
                                       full_of(node), ctx.functions);
-    OpStats scratch;  // discarded stats sink for record-off executions
-    OpStats& stats = ctx.record ? node.stats : scratch;
-    if (narrow) return select_cross(node, pred, *narrow, limit, stats);
     std::size_t visited = 0;
     if (node.child().kind == PlanNode::Kind::kIndexLookup) {
       // Fused path: filter the index bucket's row ids in place, batch by
@@ -527,19 +543,6 @@ struct Executor {
 };
 
 }  // namespace
-
-SchemaPtr predicate_schema(const PlanNode& select, const Schema& ident) {
-  if (select.child().kind != PlanNode::Kind::kCross) return select.schema;
-  const std::vector<std::string> refs =
-      select.predicate->referenced_columns(ident);
-  std::vector<Column> cols;
-  for (const Column& c : select.schema->columns()) {
-    if (std::find(refs.begin(), refs.end(), c.name) != refs.end()) {
-      cols.push_back(c);
-    }
-  }
-  return make_schema(std::move(cols));
-}
 
 Table execute(PlanNode& root, const ExecContext& ctx, std::size_t limit) {
   CCSQL_SPAN(span, "plan.execute", "plan");

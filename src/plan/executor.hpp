@@ -6,8 +6,9 @@
 //  - Select over Scan evaluates the compiled predicate directly against the
 //    base table's rows (no intermediate copy of the whole table);
 //  - Select over IndexLookup filters the index bucket's row ids in place;
-//  - Select over Cross crosses only the columns the predicate reads,
-//    filters that narrow product, and gathers the surviving rows from each
+//  - Select over Cross routes on its guards (route.hpp): each left row
+//    meets only its candidate right rows, the residual filters a narrow
+//    table of those pairs, and the surviving rows are gathered from each
 //    side by index — the wide product is never materialised; and
 //  - IndexLookup and HashJoin over a Scan build side probe the base table's
 //    one cached hash index per column set (Table::index_on), so repeated
@@ -51,14 +52,6 @@ struct ExecContext {
   /// threads at once without cloning (the tree is never written).
   bool record = true;
 };
-
-/// The row schema a Select's predicate is compiled against.  A Select over
-/// a Cross runs fused: its predicate reads a product of only the columns it
-/// references, so this is those columns in the Cross's column order.  Any
-/// other Select reads rows of its own schema.  `ident` decides which
-/// identifiers are columns, as in compile_bytecode().
-[[nodiscard]] SchemaPtr predicate_schema(const PlanNode& select,
-                                         const Schema& ident);
 
 /// Executes `root`, producing at most `limit` rows (kNoLimit = all).
 Table execute(PlanNode& root, const ExecContext& ctx,

@@ -99,8 +99,10 @@ std::string PlanNode::label() const {
     case Kind::kCount:
       out += "(*)";
       break;
-    case Kind::kDistinct:
     case Kind::kCross:
+      if (routed) out += " [routed]";
+      break;
+    case Kind::kDistinct:
     case Kind::kUnion:
       break;
   }
@@ -116,6 +118,7 @@ PlanPtr clone_plan(const PlanNode& root) {
   out->alias = root.alias;
   out->predicate = root.predicate;
   out->compiled = root.compiled;
+  out->route = root.route;
   out->columns = root.columns;
   out->distinct = root.distinct;
   out->key_values = root.key_values;
@@ -124,8 +127,8 @@ PlanPtr clone_plan(const PlanNode& root) {
   out->order_by = root.order_by;
   out->limit = root.limit;
   out->est_rows = root.est_rows;
-  // Runtime state (actual_rows, stats) deliberately left at the fresh
-  // defaults: the clone has not been executed.
+  // Runtime state (actual_rows, stats, routed) deliberately left at the
+  // fresh defaults: the clone has not been executed.
   out->children.reserve(root.children.size());
   for (const PlanPtr& c : root.children) {
     out->children.push_back(clone_plan(*c));

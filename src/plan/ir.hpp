@@ -25,6 +25,7 @@ namespace ccsql::plan {
 namespace vec {
 class RowFilter;
 }  // namespace vec
+class CrossRoute;
 
 /// "No limit" sentinel for row budgets.
 inline constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
@@ -92,6 +93,15 @@ struct PlanNode {
   /// evaluation is const and thread-safe, so concurrent sessions executing
   /// clones of one cached plan reuse a single compiled artifact.
   std::shared_ptr<const vec::RowFilter> compiled;
+  /// A Select over a Cross runs through a CrossRoute (route.hpp) instead
+  /// of `compiled`: pre-built by the prepared-statement cache and shared
+  /// like `compiled`, else built per execution.
+  std::shared_ptr<const CrossRoute> route;
+
+  // -- kCross -----------------------------------------------------------------
+  /// The Select above routed this Cross's candidates through a keyed leaf;
+  /// set by the executor, rendered `Cross [routed]`.
+  bool routed = false;
 
   // -- kProject (projection list) / kIndexLookup (key columns) ---------------
   std::vector<std::string> columns;  // names in this node's schema

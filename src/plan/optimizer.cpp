@@ -52,14 +52,35 @@ bool all_in(const std::vector<std::string>& names, const Schema& schema) {
 
 // ---- 1. constant folding ----------------------------------------------------
 
+/// True when fold_expr would rewrite `e`.  Most predicates have nothing to
+/// fold, and this walk decides it without fold_expr's copy of the tree.
+// NOLINTNEXTLINE(misc-no-recursion)
+bool foldable(const Expr& e) {
+  const auto& kids = e.children();
+  if (std::any_of(kids.begin(), kids.end(), foldable)) return true;
+  switch (e.op()) {
+    case Expr::Op::kAnd:
+    case Expr::Op::kOr:
+      return std::any_of(kids.begin(), kids.end(), is_const);
+    case Expr::Op::kNot: {
+      const Expr::Op op = kids[0].op();
+      return op == Expr::Op::kBool || op == Expr::Op::kNot ||
+             op == Expr::Op::kCompare || op == Expr::Op::kIn;
+    }
+    case Expr::Op::kTernary:
+      return is_const(kids[0]) || (is_const(kids[1]) && is_const(kids[2]));
+    default:
+      return false;
+  }
+}
+
 std::size_t fold_predicates(PlanPtr& node) {
   std::size_t n = 0;
   for (auto& c : node->children) n += fold_predicates(c);
   if (node->kind == PlanNode::Kind::kSelect && node->predicate) {
-    bool changed = false;
-    Expr folded = fold_expr(*node->predicate, changed);
-    if (changed) {
-      node->predicate = std::move(folded);
+    if (foldable(*node->predicate)) {
+      bool changed = false;
+      node->predicate = fold_expr(*node->predicate, changed);
       ++n;
     }
     if (is_const(*node->predicate) && node->predicate->bool_value()) {
@@ -73,14 +94,6 @@ std::size_t fold_predicates(PlanPtr& node) {
 }
 
 // ---- 2. conjunct placement --------------------------------------------------
-
-void collect_conjuncts(const Expr& e, std::vector<Expr>& out) {
-  if (e.op() == Expr::Op::kAnd) {
-    for (const auto& c : e.children()) collect_conjuncts(c, out);
-  } else {
-    out.push_back(e);
-  }
-}
 
 /// The operands of `p` when it is a non-negated equality, else nullptr.
 const std::vector<Atom>* equality_operands(const Expr& p) {
@@ -351,6 +364,15 @@ void estimate(PlanNode& node) {
 }
 
 }  // namespace
+
+// NOLINTNEXTLINE(misc-no-recursion)
+void collect_conjuncts(const Expr& e, std::vector<Expr>& out) {
+  if (e.op() == Expr::Op::kAnd) {
+    for (const auto& c : e.children()) collect_conjuncts(c, out);
+  } else {
+    out.push_back(e);
+  }
+}
 
 Expr fold_expr(const Expr& e, bool& changed) {
   switch (e.op()) {

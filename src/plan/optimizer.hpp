@@ -47,6 +47,10 @@ struct PlannerOptions {
 /// Rewrites `root` in place according to `opts`.
 void optimize(PlanPtr& root, const PlannerOptions& opts = {});
 
+/// Appends the conjuncts of `e` to `out`, nested `and`s flattened, in
+/// order: the units conjunct placement and guard routing work on.
+void collect_conjuncts(const Expr& e, std::vector<Expr>& out);
+
 /// Constant-folds one predicate expression (exposed for tests): resolves
 /// ternaries/negations/conjunctions with constant parts.  Sets `changed`
 /// when it rewrote anything (never clears it).

@@ -104,7 +104,8 @@ Table run_select(const Catalog& db, const SelectStmt& stmt,
 
 Table cross_select(const Table& left, const Table& right, const Expr& pred,
                    const Schema& ident_schema,
-                   const FunctionRegistry* functions, std::size_t jobs) {
+                   const FunctionRegistry* functions, std::size_t jobs,
+                   std::size_t* candidates) {
   CCSQL_SPAN(span, "plan.cross_select", "plan");
   auto scan_of = [](const Table& t) {
     PlanPtr scan = make_node(PlanNode::Kind::kScan);
@@ -119,7 +120,17 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
   opts.ident_schema = &ident_schema;
   optimize(root, opts);
   ExecContext ctx{nullptr, functions, &ident_schema, jobs};
-  return execute(*root, ctx);
+  Table out = execute(*root, ctx);
+  if (candidates != nullptr) {
+    // The Cross or HashJoin under the Selects pairs the two sides; its
+    // actual rows are the pairs the remaining predicate was evaluated on.
+    const PlanNode* pairing = root.get();
+    while (pairing->kind == PlanNode::Kind::kSelect) {
+      pairing = &pairing->child();
+    }
+    *candidates = pairing->actual_rows;
+  }
+  return out;
 }
 
 std::string explain(const Catalog& db, const SelectStmt& stmt,

@@ -34,11 +34,14 @@ namespace ccsql::plan {
 /// tables — the solver's incremental-generation step.  `ident_schema`
 /// decides which bare identifiers in `pred` are columns (the solver passes
 /// the full target schema so constraints resolve identically at every
-/// prefix width).
+/// prefix width).  When `candidates` is set it receives the number of
+/// pairs the step built: the route's candidate pairs, a hash join's
+/// matches, or the whole product when nothing constrains it.
 [[nodiscard]] Table cross_select(const Table& left, const Table& right,
                                  const Expr& pred, const Schema& ident_schema,
                                  const FunctionRegistry* functions = nullptr,
-                                 std::size_t jobs = 1);
+                                 std::size_t jobs = 1,
+                                 std::size_t* candidates = nullptr);
 
 /// Plans, executes, and renders `stmt` with estimated vs actual row counts
 /// (see explain.hpp for the format).

@@ -90,4 +90,15 @@ std::size_t RowFilter::filter_rows(Columns cols,
       });
 }
 
+void RowFilter::refine(Columns cols, std::span<const std::uint32_t> rows,
+                       bc::Sel& pass) const {
+  bc::Sel& hits = scratch().acquire();
+  for (std::size_t b = 0; b < rows.size(); b += kBatchRows) {
+    const std::size_t n = std::min(kBatchRows, rows.size() - b);
+    prog_.eval_batch(cols, rows.subspan(b, n), hits, scratch());
+    pass.insert(pass.end(), hits.begin(), hits.end());
+  }
+  scratch().release();
+}
+
 }  // namespace ccsql::plan::vec

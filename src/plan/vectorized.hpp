@@ -61,6 +61,11 @@ class RowFilter {
   std::size_t filter_rows(Columns cols, std::span<const std::size_t> rows,
                           std::size_t limit, bc::Sel& sel) const;
 
+  /// Appends the members of `rows` (ascending row ids) that pass to `pass`,
+  /// in order, with no row budget: a guard condition splitting a selection.
+  void refine(Columns cols, std::span<const std::uint32_t> rows,
+              bc::Sel& pass) const;
+
  private:
   bc::Program prog_;
 };

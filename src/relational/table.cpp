@@ -145,6 +145,13 @@ void Table::reserve_rows(std::size_t n) {
 }
 
 Table Table::gather(std::span<const std::uint32_t> sel) const {
+  // The identity selection keeps every row in order: share the columns
+  // (and the index cache) instead of copying them.
+  if (sel.size() == rows_) {
+    std::uint32_t i = 0;
+    while (i < sel.size() && sel[i] == i) ++i;
+    if (i == sel.size()) return *this;
+  }
   Table out(schema_);
   out.rows_ = sel.size();
   for (std::size_t j = 0; j < width(); ++j) {

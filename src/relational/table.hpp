@@ -384,7 +384,8 @@ class Table {
 
   /// The given rows of this table, in `sel` order, as a new table.  The
   /// column-at-a-time gather every selecting operator (filter, join,
-  /// sort, limit) funnels through.
+  /// sort, limit) funnels through.  The identity selection (every row, in
+  /// order) copies nothing: the result shares this table's columns.
   [[nodiscard]] Table gather(std::span<const std::uint32_t> sel) const;
 
   /// First min(n, row_count()) rows.  O(columns): shares column storage.

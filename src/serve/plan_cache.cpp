@@ -6,6 +6,7 @@
 #include "obs/obs.hpp"
 #include "plan/executor.hpp"
 #include "plan/planner.hpp"
+#include "plan/route.hpp"
 #include "plan/vectorized.hpp"
 #include "relational/error.hpp"
 
@@ -27,15 +28,20 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
   return bytes;
 }
 
-/// Attaches a shared pre-compiled RowFilter to every kSelect node.  The
-/// executor runs this tree with ident_schema unset, so filters compile
-/// against (predicate_schema(node, node schema), node schema) — the same
-/// pair the executor would use.
+/// Attaches a shared pre-compiled route to every kSelect over a kCross and
+/// a shared pre-compiled RowFilter to every other kSelect.  The executor
+/// runs this tree with ident_schema unset, so both compile with the node's
+/// own schema deciding identifier-hood — as the executor would.
 void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
   if (n.kind == plan::PlanNode::Kind::kSelect && n.predicate) {
-    n.compiled = std::make_shared<const plan::vec::RowFilter>(
-        *n.predicate, *plan::predicate_schema(n, *n.schema), *n.schema,
-        &catalog.functions());
+    if (n.child().kind == plan::PlanNode::Kind::kCross) {
+      n.route = std::make_shared<const plan::CrossRoute>(
+          *n.predicate, *n.child().child(0).schema,
+          *n.child().child(1).schema, *n.schema, &catalog.functions());
+    } else {
+      n.compiled = std::make_shared<const plan::vec::RowFilter>(
+          *n.predicate, *n.schema, *n.schema, &catalog.functions());
+    }
   }
   for (auto& c : n.children) precompile_filters(*c, catalog);
 }

@@ -13,7 +13,8 @@
 // A cached plan tree is executed in place, concurrently, with no per-query
 // clone: the executor's const overload runs with ExecContext::record off,
 // under which no PlanNode field is ever written.  Pre-compiled RowFilters
-// are likewise shared — their evaluation is const and thread-safe.
+// and CrossRoutes are likewise shared — their evaluation is const and
+// thread-safe.
 
 #include <cstdint>
 #include <list>

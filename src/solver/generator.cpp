@@ -105,16 +105,21 @@ Table generate_incremental(const GenerationInput& input,
       ready.push_back(input.constraints[k].expr);
       step.constraints_applied.push_back(input.constraints[k].column);
     }
+    step.candidates = step.rows_before_filter;
     if (ready.empty()) {
       cur = Table::cross(cur, dom);
     } else {
       // The planner pushes single-side conjuncts below the cross and turns
-      // prefix-column = new-column equalities into a hash join, so the
-      // unconstrained product is never materialised.
+      // prefix-column = new-column equalities into a hash join; the rest
+      // routes on its guards, so each prefix row meets only its candidate
+      // domain values and the product is never materialised.
+      std::size_t candidates = 0;
       cur = plan::cross_select(cur, dom, Expr::conjunction(std::move(ready)),
-                               full, input.functions, jobs);
+                               full, input.functions, jobs, &candidates);
+      step.candidates = candidates;
     }
     col_span.arg("rows_before", step.rows_before_filter);
+    col_span.arg("candidates", step.candidates);
     col_span.arg("rows_after", cur.row_count());
     col_span.arg("constraints_applied", step.constraints_applied.size());
     CCSQL_COUNT("solver.columns_generated", 1);

@@ -32,6 +32,7 @@ struct IncrementalTrace {
   struct Step {
     std::string column;
     std::uint64_t rows_before_filter = 0;  // after crossing in the column
+    std::uint64_t candidates = 0;          // pairs the step actually built
     std::uint64_t rows_after = 0;          // after applying constraints
     std::uint64_t micros = 0;              // wall time of this step
     std::vector<std::string> constraints_applied;

@@ -18,8 +18,11 @@ struct RunResult {
   std::string output;
 };
 
-RunResult run(const std::string& args) {
-  const std::string cmd = std::string(CCSQL_BIN) + " " + args + " 2>&1";
+/// Runs ccsql with `args`; the output is stdout and stderr merged, or
+/// stdout alone when `stderr_too` is false.
+RunResult run(const std::string& args, bool stderr_too = true) {
+  const std::string cmd = std::string(CCSQL_BIN) + " " + args +
+                          (stderr_too ? " 2>&1" : " 2>/dev/null");
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return r;
@@ -202,6 +205,21 @@ TEST(Cli, DeadlockCleanAssignmentExitsZero) {
   RunResult r = run("deadlock V5fix");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("deadlock-free"), std::string::npos);
+}
+
+TEST(Cli, UnknownAssignmentIsAnError) {
+  // `deadlock V9` used to skip every assignment and exit 0 with no output:
+  // a certificate of deadlock freedom for an assignment that does not
+  // exist.  `sweep V9` printed its grid header before failing.
+  for (const char* cmd : {"deadlock V9", "sweep V9 --seeds 1"}) {
+    const RunResult out = run(cmd, /*stderr_too=*/false);
+    EXPECT_EQ(out.exit_code, 1) << cmd;
+    EXPECT_EQ(out.output, "") << cmd;
+    const RunResult both = run(cmd);
+    EXPECT_NE(both.output.find("error: unknown channel assignment: V9"),
+              std::string::npos)
+        << cmd << ": " << both.output;
+  }
 }
 
 TEST(Cli, MapVerifies) {

@@ -1,12 +1,14 @@
-// Differential pin for the executor's fused Select-over-Cross path, which
-// crosses only the columns a predicate reads and gathers the surviving rows
-// from each side by index.  The oracle below is the route the fused path
+// Differential pin for the executor's Select-over-Cross path, which routes
+// each left row to its candidate right rows on the predicate's guards
+// (plan/route.hpp), filters only those pairs, and gathers the surviving
+// rows from each side by index.  The oracle below is what the route
 // replaced: materialise the whole product, filter it row by row, gather.
 // Seeded random predicates over random tables must give byte-identical
 // tables (same rows, same order) at every jobs level, under a row budget
 // of 1, with a width-0 side, with predicates reading one side or no
-// column, and through a serve cached plan whose filters are precompiled.
-// The ASURA controller tables and ED are pinned row for row by digest.
+// column, and through a serve cached plan whose routes are precompiled.
+// Seeded guard trees cover every leaf class the route tells apart.  The
+// ASURA controller tables and ED are pinned row for row by digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,12 +88,17 @@ PlanPtr select_over_cross(const Table& l, const Table& r, const Expr& pred) {
   return sel;
 }
 
+/// Runs the Select over Cross; `routed` (when set) receives whether the
+/// route went through a keyed leaf.
 Table fused(const Table& l, const Table& r, const Expr& pred,
             const Schema& ident, const FunctionRegistry* fns,
-            std::size_t jobs, std::size_t limit = plan::kNoLimit) {
+            std::size_t jobs, std::size_t limit = plan::kNoLimit,
+            bool* routed = nullptr) {
   PlanPtr root = select_over_cross(l, r, pred);
   plan::ExecContext ctx{nullptr, fns, &ident, jobs};
-  return plan::execute(*root, ctx, limit);
+  Table out = plan::execute(*root, ctx, limit);
+  if (routed != nullptr) *routed = root->child().routed;
+  return out;
 }
 
 /// "v<i>", appended: `"v" + std::to_string(i)` trips GCC 12's -Wrestrict
@@ -160,6 +167,107 @@ class PredicateGen {
 
   std::mt19937& rng_;
   std::vector<std::string> columns_;
+};
+
+/// Random guard-tree text (`c ? t : e` nested) whose conditions read only
+/// left columns or none, over leaves of every class the route tells apart:
+/// keyed (`r = v`, `r = l`, `r in (...)` with repeated, out-of-domain and
+/// left-column atoms), left-only or constant, and residual (`r != ...`,
+/// two right columns, a condition that reads the right side, a call on a
+/// right column).  v7 is in no table.
+class GuardTreeGen {
+ public:
+  GuardTreeGen(std::mt19937& rng, std::vector<std::string> left,
+               std::vector<std::string> right)
+      : rng_(rng), left_(std::move(left)), right_(std::move(right)) {}
+
+  std::string tree(int depth) {
+    if (depth == 0 || pick(4) == 0) return leaf();
+    return "(" + cond() + " ? " + tree(depth - 1) + " : " + tree(depth - 1) +
+           ")";
+  }
+
+  /// A conjunction of trees and plain conjuncts, as a solver step's
+  /// predicate: several routed conjuncts intersect their picks.
+  std::string predicate() {
+    std::string out = tree(3);
+    for (int n = pick(3); n > 0; --n) {
+      out += " and ";
+      out += pick(2) ? tree(2) : leaf();
+    }
+    return out;
+  }
+
+ private:
+  int pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+  const std::string& of(const std::vector<std::string>& cols) {
+    return cols[static_cast<std::size_t>(
+        pick(static_cast<int>(cols.size())))];
+  }
+  std::string literal() { return pick(6) == 0 ? "v7" : value_text(pick(5)); }
+  std::string lcol() { return left_.empty() ? literal() : of(left_); }
+  std::string rcol() { return of(right_); }
+
+  /// Reads left columns or none.
+  std::string cond() {
+    switch (pick(6)) {
+      case 0:
+        return lcol() + " = " + literal();
+      case 1:
+        return lcol() + " != " + lcol();
+      case 2:
+        return lcol() + " in (" + literal() + ", " + literal() + ")";
+      case 3:
+        return "isv1(" + lcol() + ")";
+      case 4:
+        return "(" + cond() + (pick(2) ? " and " : " or ") + cond() + ")";
+      default:
+        return literal() + " = " + literal();
+    }
+  }
+
+  std::string leaf() {
+    switch (pick(11)) {
+      case 0:
+        return rcol() + " = " + literal();
+      case 1:
+        return rcol() + " = " + lcol();
+      case 2:
+        return lcol() + " = " + rcol();
+      case 3: {
+        std::string set = pick(2) ? lcol() : literal();
+        for (int n = 1 + pick(3); n > 0; --n) {
+          set += ", ";
+          set += pick(3) == 0 ? lcol() : literal();
+        }
+        if (pick(2) != 0) {  // every atom repeated
+          const std::string once = set;
+          set += ", ";
+          set += once;
+        }
+        return rcol() + " in (" + set + ")";
+      }
+      case 4:
+        return cond();
+      case 5:
+        return pick(2) ? "true" : "false";
+      case 6:
+        return rcol() + " != " + (pick(2) ? lcol() : literal());
+      case 7:
+        return rcol() + " = " + rcol();
+      case 8:
+        return "(" + rcol() + " = " + literal() + " ? " + cond() + " : " +
+               rcol() + " = " + lcol() + ")";
+      case 9:
+        return "isv1(" + rcol() + ")";
+      default:
+        return rcol() + " not in (" + literal() + ", " + lcol() + ")";
+    }
+  }
+
+  std::mt19937& rng_;
+  std::vector<std::string> left_;
+  std::vector<std::string> right_;
 };
 
 FunctionRegistry test_functions() {
@@ -246,11 +354,58 @@ TEST(FusedCrossSelect, WidthZeroSide) {
             dump(oracle(Table::unit(), r, pred, ident, &fns)));
 }
 
+/// One seeded guard-tree case against the oracle at jobs 1/4/8 and under a
+/// row budget of 1; returns whether the route went through a keyed leaf.
+bool check_guard_case(std::uint32_t seed, std::size_t lw, std::size_t rw,
+                      std::size_t ln, std::size_t rn) {
+  std::mt19937 rng(seed);
+  const Table l = random_table(rng, "l", lw, ln);
+  const Table r = random_table(rng, "r", rw, rn);
+  const FunctionRegistry fns = test_functions();
+  const std::string text =
+      GuardTreeGen(rng, names_of(l), names_of(r)).predicate();
+  SCOPED_TRACE("seed " + std::to_string(seed) + ": " + text);
+  const Expr pred = parse_expr(text);
+  const SchemaPtr wide = Table::cross(l, r).schema_ptr();
+  const Schema& ident = *wide;
+  const std::string want = dump(oracle(l, r, pred, ident, &fns));
+  bool routed = false;
+  for (std::size_t jobs : {1, 4, 8}) {
+    EXPECT_EQ(dump(fused(l, r, pred, ident, &fns, jobs, plan::kNoLimit,
+                         &routed)),
+              want)
+        << "jobs " << jobs;
+  }
+  EXPECT_EQ(dump(fused(l, r, pred, ident, &fns, 1, 1)),
+            dump(oracle(l, r, pred, ident, &fns, 1)));
+  return routed;
+}
+
+TEST(FusedCrossSelect, GuardTreesMatchOracle) {
+  // Right tables of 6-13 rows over five values hold duplicate keys.
+  std::size_t routed = 0;
+  const std::uint32_t cases = 300;
+  for (std::uint32_t seed = 500; seed < 500 + cases; ++seed) {
+    routed += check_guard_case(seed, seed % 4, 1 + seed % 3, seed % 23,
+                               6 + seed % 8);
+  }
+  // Most seeded trees reach a keyed leaf, so the route, not the degenerate
+  // full product, is what this compares.
+  EXPECT_GT(routed, cases / 2);
+}
+
+TEST(FusedCrossSelect, GuardTreesAcrossParallelMorsels) {
+  // Up to 300 x 12 pairs: candidate sets past the parallel threshold.
+  for (std::uint32_t seed = 900; seed < 920; ++seed) {
+    check_guard_case(seed, 3, 2, 300, 12);
+  }
+}
+
 TEST(FusedCrossSelect, ServeCachedPlanMatchesOracle) {
   // Predicates spanning both sides with no equality conjunct stay a
-  // Select over a Cross after optimisation; the cached plan's filter is
-  // precompiled against the narrowed schema.
-  for (std::uint32_t seed = 400; seed < 420; ++seed) {
+  // Select over a Cross after optimisation; the cached plan carries its
+  // route precompiled.
+  for (std::uint32_t seed = 400; seed < 440; ++seed) {
     std::mt19937 rng(seed);
     Database db;
     db.functions() = test_functions();
@@ -258,9 +413,15 @@ TEST(FusedCrossSelect, ServeCachedPlanMatchesOracle) {
     db.put("B", random_table(rng, "r", 2, 20));
     const Table& a = db.get("A");
     const Table& b = db.get("B");
+    // Seeds from 420 route on a guard tree; the others run the degenerate
+    // route.
     const std::string where =
-        "(l" + std::to_string(seed % 3) + " = r" + std::to_string(seed % 2) +
-        " or " + PredicateGen(rng, readable(a, b, Reads::kBoth)).expr(2) + ")";
+        seed >= 420
+            ? GuardTreeGen(rng, names_of(a), names_of(b)).predicate()
+            : "(l" + std::to_string(seed % 3) + " = r" +
+                  std::to_string(seed % 2) + " or " +
+                  PredicateGen(rng, readable(a, b, Reads::kBoth)).expr(2) +
+                  ")";
     SCOPED_TRACE(where);
     const std::string sql = "select * from A, B where " + where;
     const SchemaPtr wide = Table::cross(a, b).schema_ptr();

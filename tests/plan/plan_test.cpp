@@ -13,6 +13,7 @@
 #include "plan/optimizer.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
+#include "relational/format.hpp"
 #include "relational/query.hpp"
 #include "support/naive_exec.hpp"
 
@@ -424,6 +425,42 @@ TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
             "  Cross (est=15, actual=15) [fused]\n"
             "    Scan D as a (est=5, actual=5) [time rows_out=5]\n"
             "    Scan M as b (est=3, actual=3) [time rows_out=3]\n");
+}
+
+TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
+  // A guarded assignment across the two sides routes: dirst = I rows meet
+  // the M rows whose inmsg is their memmsg (one each), the others the rows
+  // whose outmsg is data or mdone (two each).  The Cross reads [routed]
+  // and reports those 8 candidate pairs, not the 15-row product; the
+  // Select's rows_in is the 8 pairs its residual (the inequality) visited,
+  // and bytes= is that residual's read (8 pairs x 2 columns) plus one
+  // gather per side (8 rows x 3 and x 2 columns, each read and written).
+  Catalog db = make_catalog();
+  plan::PlannerOptions opts;
+  opts.analyze = true;
+  const char* sql =
+      "select * from D a, M b where "
+      "(a.dirst = I ? b.inmsg = a.memmsg : b.outmsg in (data, mdone)) and "
+      "not a.dirpv = b.outmsg";
+  std::string out = plan::explain_sql(db, sql, opts);
+  for (std::size_t at = out.find("time="); at != std::string::npos;
+       at = out.find("time=", at + 4)) {
+    const std::size_t end = out.find_first_of(" ]", out.find("self=", at));
+    out.replace(at, end - at, "time");
+  }
+  EXPECT_EQ(out,
+            "Select ((a.dirpv != b.outmsg and (a.dirst = I ? b.inmsg = "
+            "a.memmsg : b.outmsg in (data, mdone)))) (est=5.0, actual=8) "
+            "[time rows_in=8 rows_out=8 batches=1 sel=100.0% bytes=384 B]\n"
+            "  Cross [routed] (est=15, actual=8) [fused]\n"
+            "    Scan D as a (est=5, actual=5) [time rows_out=5]\n"
+            "    Scan M as b (est=3, actual=3) [time rows_out=3]\n");
+  // Plain EXPLAIN marks the route too.
+  EXPECT_NE(plan::explain_sql(db, sql).find("Cross [routed] (est=15, "
+                                            "actual=8)"),
+            std::string::npos);
+  EXPECT_EQ(to_csv(db.query(sql)),
+            to_csv(naive::run(db, parse_select(sql))));
 }
 
 TEST(ExplainAnalyze, CountsAreIdenticalAcrossJobs) {

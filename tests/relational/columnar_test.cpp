@@ -94,6 +94,45 @@ TEST(Columnar, GatherRoundTrip) {
   EXPECT_EQ(g.column(1)[3], V("SI"));
 }
 
+// Gathering every row in order shares the columns: after guard routing a
+// solver step keeps each prefix row once, and its left gather used to copy
+// the whole prefix.  A selection that skips, repeats or reorders a row
+// still copies.
+TEST(Columnar, IdentityGatherSharesColumns) {
+  using Cat = obs::MemTracker::Category;
+  const auto live = [] {
+    return obs::MemTracker::global().usage(Cat::kTables).live;
+  };
+  const Table t = small();
+  const std::uint64_t before = live();
+  const std::array<std::uint32_t, 3> all{0, 1, 2};
+  const Table g = t.gather(all);
+  EXPECT_EQ(live(), before);
+  ASSERT_EQ(g.row_count(), 3u);
+  EXPECT_EQ(g.column_data(0), t.column_data(0));
+  EXPECT_EQ(g.column_data(1), t.column_data(1));
+  EXPECT_EQ(g.memory_bytes(), t.memory_bytes());
+  for (const std::array<std::uint32_t, 3>& sel :
+       {std::array<std::uint32_t, 3>{0, 2, 1},
+        std::array<std::uint32_t, 3>{0, 1, 1}}) {
+    const Table copy = t.gather(sel);
+    EXPECT_NE(copy.column_data(0), t.column_data(0));
+    EXPECT_EQ(copy.column(1)[1], t.column(1)[sel[1]]);
+  }
+  EXPECT_NE(t.gather(std::array<std::uint32_t, 2>{0, 1}).column_data(0),
+            t.column_data(0));
+  // A shared gather is copy-on-write like any copy.
+  Table w = t.gather(all);
+  w.append({V("inv"), V("M")});
+  EXPECT_EQ(t.row_count(), 3u);
+  EXPECT_EQ(w.column(0)[3], V("inv"));
+  // A head's identity gather shares too, and still reads only its rows.
+  const Table h = t.head(2);
+  const Table hg = h.gather(std::array<std::uint32_t, 2>{0, 1});
+  EXPECT_EQ(hg.column_data(0), t.column_data(0));
+  EXPECT_EQ(hg.row_count(), 2u);
+}
+
 TEST(Columnar, HcatZipsColumns) {
   Table a = small();
   Table b(Schema::of({"x"}));

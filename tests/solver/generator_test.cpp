@@ -89,6 +89,25 @@ TEST(Generator, TraceRecordsPruning) {
   EXPECT_EQ(trace.steps.back().rows_after, t.row_count());
 }
 
+TEST(Generator, GuardedStepsBuildOnlyTheirCandidates) {
+  IncrementalTrace trace;
+  (void)generate_incremental(mini_input(), &trace);
+  ASSERT_EQ(trace.steps.size(), 4u);
+  // No constraint: the product is the step's work.
+  EXPECT_EQ(trace.steps[0].candidates, 2u);
+  // dirst: the wb row is keyed to MESI alone; the readex row's leaf
+  // (dirst != MESI) takes all three values and filters them.
+  EXPECT_EQ(trace.steps[1].rows_before_filter, 6u);
+  EXPECT_EQ(trace.steps[1].candidates, 4u);
+  // remmsg and nxtdirst are guarded assignments: one candidate per prefix
+  // row, whatever the domain size.
+  EXPECT_EQ(trace.steps[2].rows_before_filter, 6u);
+  EXPECT_EQ(trace.steps[2].candidates, 3u);
+  EXPECT_EQ(trace.steps[3].rows_before_filter, 9u);
+  EXPECT_EQ(trace.steps[3].candidates, 3u);
+  EXPECT_EQ(trace.steps[3].rows_after, 3u);
+}
+
 TEST(Generator, UnconstrainedColumnsGiveFullCross) {
   GenerationInput in;
   in.schema = Schema::of({"a", "b"});
