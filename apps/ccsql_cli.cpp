@@ -60,8 +60,9 @@ using namespace ccsql;
 /// it (global flags name none).  main() rejects any flag not listed here, a
 /// flag the command does not read, and an integer flag not followed by a
 /// whole int.  Every integer the CLI takes is a count or a seed, so a sign
-/// is rejected.
-enum class FlagKind { kSwitch, kInt, kString };
+/// is rejected; a kCount of 0 would make a run that does nothing and
+/// certifies nothing, so it is rejected too.
+enum class FlagKind { kSwitch, kInt, kCount, kString };
 struct FlagSpec {
   std::string_view name;
   FlagKind kind;
@@ -70,6 +71,7 @@ struct FlagSpec {
 };
 constexpr auto kSwitch = FlagKind::kSwitch;
 constexpr auto kInt = FlagKind::kInt;
+constexpr auto kCount = FlagKind::kCount;
 constexpr auto kString = FlagKind::kString;
 constexpr FlagSpec kFlags[] = {
     {"--csv", kSwitch, "", {"tables"}},
@@ -80,29 +82,29 @@ constexpr FlagSpec kFlags[] = {
     {"--quads", kInt, "N", {"sim", "reach"}},
     {"--addrs", kInt, "N", {"sim", "reach"}},
     {"--capacity", kInt, "N", {"sim"}},
-    {"--txns", kInt, "N", {"sim"}},
+    {"--txns", kCount, "N", {"sim"}},
     {"--seed", kInt, "N", {"sim"}},
     {"--latency", kInt, "N", {"sim"}},
     {"--workload", kString, "NAME", {"sim"}},
-    {"--seeds", kInt, "N", {"sweep"}},
+    {"--seeds", kCount, "N", {"sweep"}},
     {"--ops", kInt, "N", {"reach"}},
     {"--symmetry", kSwitch, "", {"reach"}},
     {"--classify", kSwitch, "", {"reach"}},
     {"--witness", kSwitch, "", {"reach"}},
-    {"--max-states", kInt, "N", {"reach"}},
+    {"--max-states", kCount, "N", {"reach"}},
     {"--max-bytes", kString, "N", {"reach"}},
     {"--first-deadlock", kSwitch, "", {"reach"}},
     {"--only-ops", kString, "A,B", {"reach"}},
     {"--node-ops", kString, "N,M", {"reach"}},
-    {"--sessions", kInt, "N", {"serve"}},
-    {"--iterations", kInt, "N", {"serve"}},
+    {"--sessions", kCount, "N", {"serve"}},
+    {"--iterations", kCount, "N", {"serve"}},
     {"--writer", kInt, "N", {"serve"}},
     {"--script", kString, "FILE", {"serve"}},
     {"--trace", kString, "FILE", {}},
     {"--trace-format", kString, "text|jsonl|chrome", {}},
     {"--metrics", kSwitch, "", {}},
     {"--stats", kSwitch, "", {}},
-    {"--jobs", kInt, "N", {}},
+    {"--jobs", kCount, "N", {}},
 };
 
 bool is_global(const FlagSpec& f) { return f.commands[0].empty(); }
@@ -334,10 +336,6 @@ int cmd_sweep(const ProtocolSpec& spec, const Args& args) {
   const std::string assignment =
       args.positional.empty() ? asura::kAssignV5Fix : args.positional[0];
   const auto seeds = static_cast<unsigned>(args.value_of("--seeds", 8));
-  if (seeds == 0) {
-    std::cerr << "error: --seeds needs at least 1 seed\n";
-    return 2;
-  }
   (void)spec.assignment(assignment);  // unknown: error before the header
   const std::size_t jobs = core::Pool::default_jobs();
   const std::vector<sim::SweepRun> grid =
@@ -426,6 +424,20 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
     }
   }
 
+  // A search that injects nothing explores the initial state alone and
+  // would certify every cycle unreachable.
+  // Tested without arithmetic: large counts cannot overflow.
+  const bool any_budget =
+      (cfg.ops_per_node > 0 &&
+       static_cast<std::size_t>(cfg.n_quads) > cfg.ops_by_node.size()) ||
+      std::any_of(cfg.ops_by_node.begin(), cfg.ops_by_node.end(),
+                  [](int ops) { return ops > 0; });
+  if (!any_budget) {
+    std::cerr << "error: every node's operation budget (--ops, --node-ops) "
+                 "is 0: nothing to explore\n";
+    return 2;
+  }
+
   ReachParallelResult r =
       explore_parallel(spec, spec.assignment(assignment), cfg);
   std::cout << "states=" << r.states << " transitions=" << r.transitions
@@ -480,7 +492,6 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
       static_cast<std::size_t>(args.value_of("--iterations", 1));
   drive_opts.writer_swaps =
       static_cast<std::size_t>(args.value_of("--writer", 0));
-  if (drive_opts.sessions == 0) return usage();
   if (drive_opts.writer_swaps > 0) {
     drive_opts.writer_table = spec.controllers().front()->name();
   }
@@ -587,13 +598,9 @@ int configure_observability(const Args& args) {
   }
   if (args.has("--metrics") || args.has("--stats")) tracer.enable_metrics();
   if (args.has("--jobs")) {
-    const int jobs = args.value_of("--jobs", 0);
-    if (jobs < 1) {
-      std::cerr << "error: --jobs needs a positive thread count\n";
-      return 2;
-    }
     // Before any parallel region, so the global pool is sized to match.
-    core::Pool::set_default_jobs(static_cast<std::size_t>(jobs));
+    core::Pool::set_default_jobs(
+        static_cast<std::size_t>(args.value_of("--jobs", 1)));
   }
   return 0;
 }
@@ -752,11 +759,15 @@ int main(int argc, char** argv) {
       }
       Args::Flag& flag =
           args.flags.emplace_back(Args::Flag{spec->name, {}, 0});
-      if (spec->kind == FlagKind::kInt) {
+      if (spec->kind == kInt || spec->kind == kCount) {
         const std::optional<int> number =
             i + 1 < argc ? parse_int(argv[i + 1]) : std::nullopt;
         if (!number || *number < 0) {
           std::cerr << "error: " << spec->name << " needs an integer value\n";
+          return 2;
+        }
+        if (spec->kind == kCount && *number == 0) {
+          std::cerr << "error: " << spec->name << " needs at least 1\n";
           return 2;
         }
         flag.number = *number;

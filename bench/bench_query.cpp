@@ -33,7 +33,7 @@ bool g_smoke = false;
 
 // The cross+equality shape of the mem-wb-reaches-completion invariant: the
 // naive executor materialises the D x M cross product, the planner runs an
-// index lookup feeding a hash join.
+// index lookup feeding a join routed on its equality (a keyed index probe).
 constexpr const char* kJoinSql =
     "Select a.memmsg, b.inmsg, b.outmsg from D a, M b "
     "where a.memmsg = b.inmsg and a.memmsg = \"wb\" and "

@@ -241,8 +241,8 @@ void DeadlockAnalysis::compose() {
     // The composition step is itself a relational join: the frontier rows'
     // *output* assignment against every protocol row's *input* assignment,
     // same placement (paper, section 4.4).  Stage both sides as tables and
-    // let the query planner turn the match into a hash join; the idx
-    // columns carry row provenance back out.
+    // let the query planner route the match through a keyed index probe;
+    // the idx columns carry row provenance back out.
     Database db;
     db.set_jobs(options_.jobs != 0 ? options_.jobs
                                    : core::Pool::default_jobs());

@@ -13,7 +13,7 @@
 //    and steals FIFO from victims when idle.
 //  - Group::wait() *helps*: a thread blocked on a group keeps draining pool
 //    tasks, so nested parallelism (a parallel invariant task running a
-//    parallel hash join) cannot deadlock and the caller's core is never idle.
+//    parallel join probe) cannot deadlock and the caller's core is never idle.
 //  - parallel_for() hands out fixed-size morsels from an atomic dispenser.
 //    Morsel boundaries depend only on (n, grain) — never on the worker count
 //    — so callers that write one result slot per morsel and concatenate in

@@ -47,9 +47,15 @@ struct Executor {
     return ctx.catalog->get(scan.table_name);
   }
 
-  /// Identifier-hood schema for compiling `node`'s predicate.
+  /// Identifier-hood schema for compiling `node`'s predicate.  A Select
+  /// over a Cross reads its Cross's schema: column pruning may narrow the
+  /// Select to fewer columns than its predicate reads.
   [[nodiscard]] const Schema& full_of(const PlanNode& node) const {
-    return ctx.ident_schema != nullptr ? *ctx.ident_schema : *node.schema;
+    if (ctx.ident_schema != nullptr) return *ctx.ident_schema;
+    return node.kind == PlanNode::Kind::kSelect &&
+                   node.child().kind == PlanNode::Kind::kCross
+               ? *node.child().schema
+               : *node.schema;
   }
 
   /// True when work over `rows` input rows should fan out across the pool.
@@ -109,9 +115,6 @@ struct Executor {
                    limit);
         break;
       }
-      case PlanNode::Kind::kHashJoin:
-        out = hash_join(node, limit);
-        break;
       case PlanNode::Kind::kUnion: {
         if (ctx.jobs > 1 && limit == kNoLimit && node.children.size() > 1) {
           // Branches execute concurrently (each touches only its own
@@ -253,26 +256,61 @@ struct Executor {
     return src.gather(sel).with_schema(schema);
   }
 
-  /// Select over Cross through its route (route.hpp): the route picks
-  /// each left row's candidate right rows, in product order; the residual
-  /// filters only those pairs, reading a narrow pair table of just its
-  /// columns through the morsel path; the surviving pairs are then
-  /// gathered from the two sides by index.  The degenerate route makes
-  /// every pair a candidate: the full product, still never materialised
-  /// wider than the residual's columns.
+  /// Select over Cross through its route (route.hpp) — every join: the
+  /// route picks each left row's candidate right rows, in product order,
+  /// on pool morsels of left rows when the left side is large; the
+  /// residual filters only those pairs, reading a narrow pair table of
+  /// just its columns through the morsel path; the surviving pairs are
+  /// then gathered from the two sides by index, only the columns the
+  /// Select outputs.  The degenerate route makes every pair a candidate:
+  /// the full product, still never materialised wider than the residual's
+  /// columns.
   Table select_cross(PlanNode& node, const CrossRoute& route,
                      std::size_t limit, OpStats& stats) {
     PlanNode& cross = node.child();
     const Table l = exec(cross.child(0), kNoLimit);
     const Table r = exec(cross.child(1), kNoLimit);
-    // A scan's base table holds the index cache the keyed leaves probe,
-    // so repeated queries reuse it.
-    const Table& rbase =
-        cross.child(1).is_scan() ? base_of(cross.child(1)) : r;
+    // A scan's base table holds the index cache the keyed nodes probe, so
+    // repeated queries reuse it; a materialised right side is held for the
+    // index built over it: join-local memory.
+    const bool scan = cross.child(1).is_scan();
+    const Table& rbase = scan ? base_of(cross.child(1)) : r;
+    obs::MemReservation build_mem;
+    if (route.keyed() && !scan) {
+      build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
+                                      r.memory_bytes());
+    }
+    const CrossRoute::Right right = route.right_side(rbase, ctx.jobs);
     const vec::RowFilter* residual = route.residual();
+    const std::size_t ln = l.row_count();
     bc::Sel lsel, rsel;
-    route.candidates(l, rbase, residual != nullptr ? kNoLimit : limit, lsel,
-                     rsel);
+    if (go_parallel(limit, ln)) {
+      // Each morsel of left rows routes on its own; morsels concatenate
+      // in order, so the pairs are those of one serial pass.  A morsel
+      // fills vectors of its own, not the shared array's neighbouring
+      // slots, so lanes do not contend for their cache lines.
+      const std::size_t morsels = (ln + kMorselGrain - 1) / kMorselGrain;
+      stats.morsels += morsels;
+      std::vector<std::pair<bc::Sel, bc::Sel>> parts(morsels);
+      core::Pool::global().parallel_for(
+          ln, kMorselGrain, ctx.jobs,
+          [&](std::size_t begin, std::size_t end, std::size_t morsel) {
+            bc::Sel ls, rs;
+            route.candidates(l, right, begin, end, kNoLimit, ls, rs);
+            parts[morsel] = {std::move(ls), std::move(rs)};
+          });
+      std::size_t total = 0;
+      for (const auto& p : parts) total += p.first.size();
+      lsel.reserve(total);
+      rsel.reserve(total);
+      for (auto& [ls, rs] : parts) {
+        lsel.insert(lsel.end(), ls.begin(), ls.end());
+        rsel.insert(rsel.end(), rs.begin(), rs.end());
+      }
+    } else {
+      route.candidates(l, right, 0, ln, residual != nullptr ? kNoLimit : limit,
+                       lsel, rsel);
+    }
     const std::size_t pairs = lsel.size();
     std::size_t visited = pairs;
     if (residual != nullptr) {
@@ -288,16 +326,37 @@ struct Executor {
       lsel.resize(sel.size());
       rsel.resize(sel.size());
     }
-    Table out = Table::hcat(node.schema, l.gather(lsel), r.gather(rsel));
+    Table out = narrow_gather(node.schema, l, lsel, r, rsel);
     // Each gather reads and writes every cell of the passing rows.
-    stats.bytes_touched += 2 * scan_bytes(lsel.size(), l.column_count()) +
-                           2 * scan_bytes(lsel.size(), r.column_count());
+    stats.bytes_touched += 2 * scan_bytes(lsel.size(), out.column_count());
     if (ctx.record) {
       cross.actual_rows = pairs;
       cross.routed = route.keyed();
       node.stats.rows_in += visited;
     }
+    if (ctx.analyze && !right.index.empty()) {
+      cross.stats.build_rows += right.rows;
+      cross.stats.build_bytes += build_mem.bytes();
+      for (const HashIndex* index : right.index) {
+        cross.stats.build_keys += index->key_count();
+        cross.stats.build_bytes += index->memory_bytes();
+      }
+    }
     return out;
+  }
+
+  /// The pairs' columns of `schema` — all of the two sides', or the fewer
+  /// column pruning left: only those are gathered.
+  static Table narrow_gather(const SchemaPtr& schema, const Table& l,
+                             const bc::Sel& lsel, const Table& r,
+                             const bc::Sel& rsel) {
+    std::vector<std::string> lnames, rnames;
+    for (const Column& c : schema->columns()) {
+      (l.schema().has(c.name) ? lnames : rnames).push_back(c.name);
+    }
+    return Table::hcat(schema,
+                       l.project(lnames, /*distinct=*/false).gather(lsel),
+                       r.project(rnames, /*distinct=*/false).gather(rsel));
   }
 
   Table select(PlanNode& node, std::size_t limit) {
@@ -403,142 +462,6 @@ struct Executor {
     }
     CCSQL_COUNT("query.rows_scanned", n);
     return true;
-  }
-
-  Table hash_join(PlanNode& node, std::size_t limit) {
-    PlanNode& lhs = node.child(0);
-    PlanNode& rhs = node.child(1);
-    std::vector<std::size_t> lk, rk;
-    for (const auto& name : node.left_keys) {
-      lk.push_back(lhs.schema->index_of(name));
-    }
-    for (const auto& name : node.right_keys) {
-      rk.push_back(rhs.schema->index_of(name));
-    }
-
-    // Build side: the right child.  A scan build side probes the base
-    // table's cached hash index — the same one its point lookups use,
-    // reused across queries; anything else materialises and indexes its
-    // local result.  The index partitions by key-hash radix above ~8k build
-    // rows (partitions built in parallel on the pool) and is the classic
-    // single hash table below.
-    const Table* right = nullptr;
-    Table right_local;
-    obs::MemReservation build_mem;
-    if (rhs.is_scan()) {
-      right = &base_of(rhs);
-      CCSQL_COUNT(right->has_cached_index(rk) ? "plan.index_hits"
-                                              : "plan.index_builds",
-                  1);
-      if (ctx.record) rhs.actual_rows = right->row_count();
-    } else {
-      right_local = exec(rhs, kNoLimit);
-      right = &right_local;
-      // The materialised build side is join-local memory; the index built
-      // over it is accounted by the table's index cache.
-      build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
-                                      right_local.memory_bytes());
-    }
-    const HashIndex& index = right->index_on(rk, ctx.jobs);
-    if (ctx.record) {
-      node.stats.build_rows += right->row_count();
-      node.stats.build_keys += index.key_count();
-      node.stats.build_bytes += index.memory_bytes() + build_mem.bytes();
-    }
-
-    // Probe side: the left child, streamed straight off the base table when
-    // it is a scan.
-    const Table* left = nullptr;
-    Table left_local;
-    if (lhs.is_scan()) {
-      left = &base_of(lhs);
-    } else {
-      left_local = exec(lhs, kNoLimit);
-      left = &left_local;
-    }
-
-    // Probe emits (probe-row, build-row) id pairs; the output is then one
-    // gather per column from each side — no per-row assembly.  Only the
-    // build side is partitioned, so probing stays in probe-row order and
-    // output order matches the single-partition join exactly.
-    const std::size_t n = left->row_count();
-    bc::Sel lsel, rsel;
-    std::size_t visited = 0;
-    if (go_parallel(limit, n)) {
-      const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
-      if (ctx.record) node.stats.morsels += morsels;
-      std::vector<std::pair<bc::Sel, bc::Sel>> parts(morsels);
-      core::Pool::global().parallel_for(
-          n, kMorselGrain, ctx.jobs,
-          [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-            auto& [ls, rs] = parts[morsel];
-            std::vector<TupleKey> keys(end - begin);
-            left->build_keys(lk, begin, end, keys.data());
-            for (std::size_t i = begin; i < end; ++i) {
-              const auto* rows = index.find(keys[i - begin]);
-              if (rows == nullptr) continue;
-              for (std::size_t j : *rows) {
-                ls.push_back(static_cast<std::uint32_t>(i));
-                rs.push_back(static_cast<std::uint32_t>(j));
-              }
-            }
-          });
-      std::size_t total = 0;
-      for (const auto& p : parts) total += p.first.size();
-      lsel.reserve(total);
-      rsel.reserve(total);
-      for (auto& [ls, rs] : parts) {
-        lsel.insert(lsel.end(), ls.begin(), ls.end());
-        rsel.insert(rsel.end(), rs.begin(), rs.end());
-      }
-      visited = n;
-    } else {
-      std::vector<TupleKey> keys;
-      for (std::size_t begin = 0; begin < n && lsel.size() < limit;
-           begin += kMorselGrain) {
-        const std::size_t end = std::min(n, begin + kMorselGrain);
-        keys.assign(end - begin, TupleKey{});
-        left->build_keys(lk, begin, end, keys.data());
-        for (std::size_t i = begin; i < end && lsel.size() < limit; ++i) {
-          ++visited;
-          const auto* rows = index.find(keys[i - begin]);
-          if (rows == nullptr) continue;
-          for (std::size_t j : *rows) {
-            lsel.push_back(static_cast<std::uint32_t>(i));
-            rsel.push_back(static_cast<std::uint32_t>(j));
-            if (lsel.size() >= limit) break;
-          }
-        }
-      }
-    }
-
-    // The output schema may be narrower than the two inputs (projection
-    // pushdown, optimizer pass 4b): gather only the surviving columns.
-    // project() shares column storage, so the narrowing itself is free.
-    std::vector<std::string> lnames, rnames;
-    for (const Column& c : node.schema->columns()) {
-      (lhs.schema->has(c.name) ? lnames : rnames).push_back(c.name);
-    }
-    // Rebind the children's qualified schemas first: a scan probes the bare
-    // base table, whose column names are unqualified.  Both rebind and
-    // project share column storage — only the gathers below copy.
-    const Table lcols =
-        left->with_schema(lhs.schema).project(lnames, /*distinct=*/false);
-    const Table rcols =
-        right->with_schema(rhs.schema).project(rnames, /*distinct=*/false);
-    Table out =
-        Table::hcat(node.schema, lcols.gather(lsel), rcols.gather(rsel));
-    if (ctx.record) {
-      node.stats.rows_in += visited;
-      node.stats.bytes_touched +=
-          scan_bytes(visited, lk.size()) +
-          scan_bytes(lsel.size(), lcols.column_count()) +
-          scan_bytes(rsel.size(), rcols.column_count()) +
-          scan_bytes(out.row_count(), out.column_count());
-      if (lhs.is_scan()) lhs.actual_rows = visited;
-    }
-    if (lhs.is_scan()) CCSQL_COUNT("query.rows_scanned", visited);
-    return out;
   }
 };
 

@@ -6,13 +6,15 @@
 //  - Select over Scan evaluates the compiled predicate directly against the
 //    base table's rows (no intermediate copy of the whole table);
 //  - Select over IndexLookup filters the index bucket's row ids in place;
-//  - Select over Cross routes on its guards (route.hpp): each left row
-//    meets only its candidate right rows, the residual filters a narrow
-//    table of those pairs, and the surviving rows are gathered from each
-//    side by index — the wide product is never materialised; and
-//  - IndexLookup and HashJoin over a Scan build side probe the base table's
-//    one cached hash index per column set (Table::index_on), so repeated
-//    queries against catalog tables reuse the index across calls.
+//  - Select over Cross — every join — routes on its equalities and guards
+//    (route.hpp): each left row meets only its candidate right rows, the
+//    residual filters a narrow table of those pairs, and the surviving
+//    rows are gathered from each side by index — the wide product is never
+//    materialised; and
+//  - IndexLookup and the route's keyed probes of a Scan right side use the
+//    base table's one cached hash index per column set (Table::index_on),
+//    so repeated queries against catalog tables reuse the index across
+//    calls.
 //
 // The optimizer merges every Select chain into one conjunction, so each of
 // these fused paths runs exactly one compiled filter: the executor never
@@ -37,8 +39,8 @@ struct ExecContext {
   /// Identifier-hood schema override for predicate compilation; defaults to
   /// each node's own schema.  See PlannerOptions::ident_schema.
   const Schema* ident_schema = nullptr;
-  /// Parallel lanes for the morsel-driven operators (filter, hash-join
-  /// build/probe, union branches, count); <= 1 executes serially.  Results
+  /// Parallel lanes for the morsel-driven operators (filter, routed
+  /// probe and index build, union branches, count); <= 1 executes serially.  Results
   /// are bit-identical at any value: morsel boundaries depend only on input
   /// size, and per-morsel output is concatenated in morsel order.  Paths
   /// with a row budget (exists mode / LIMIT) always run serially.

@@ -71,18 +71,20 @@ void render_analyze_node(const PlanNode& node, int depth, std::string& out) {
       out += " sel=";
       out += sel;
     }
-    if (s.build_rows > 0) {
-      out += " build=" + std::to_string(s.build_rows) + " rows/" +
-             std::to_string(s.build_keys) + " keys/" +
-             obs::format_bytes(s.build_bytes);
-    }
     if (s.bytes_touched > 0) {
       out += " bytes=" + obs::format_bytes(s.bytes_touched);
     }
     out += "]";
   } else if (node.actual_rows != kNotExecuted) {
-    // Executed, but only through a parent's fused path.
-    out += " [fused]";
+    // Executed, but only through a parent's fused path; a routed Cross
+    // reports the right-side index its Select probed.
+    out += " [fused";
+    if (s.build_rows > 0) {
+      out += " build=" + std::to_string(s.build_rows) + " rows/" +
+             std::to_string(s.build_keys) + " keys/" +
+             obs::format_bytes(s.build_bytes);
+    }
+    out += "]";
   }
   out += "\n";
   for (const auto& c : node.children) {

@@ -5,9 +5,10 @@
 // been executed — the observed output row count:
 //
 //   Project [a.memmsg, b.outmsg] distinct (est=3.2, actual=1)
-//     HashJoin (a.memmsg = b.inmsg) (est=14.4, actual=6)
-//       Scan D as a (est=12, actual=12)
-//       IndexLookup M as b (b.inmsg = "wb") (est=2, actual=3)
+//     Select (a.memmsg = b.inmsg) (est=2.4, actual=6)
+//       Cross [routed] (est=24, actual=6)
+//         Scan D as a (est=12, actual=12)
+//         IndexLookup M as b (b.inmsg = "wb") (est=2, actual=3)
 
 #include <string>
 
@@ -21,15 +22,16 @@ namespace ccsql::plan {
 
 /// EXPLAIN ANALYZE rendering: render() plus a profile bracket per executed
 /// operator — inclusive and self wall time, rows in/out, vectorized batches,
-/// parallel morsels, selection density, and hash-join build size:
+/// parallel morsels, selection density — and the right-side index a routed
+/// Cross probed (`[fused build=rows/keys/bytes]`):
 ///
 ///   Select (a.st = "bad") (est=3.2, actual=1) [time=1.2ms self=1.2ms
 ///       rows_in=4096 batches=4 sel=0.0%]
 ///
 /// Self time is inclusive minus the children's inclusive sums.  Operators
-/// the executor fused into their parent (scan under select, scan build
-/// sides) never run their own exec() and are tagged `[fused]`; their work
-/// is attributed to the fusing operator.  Requires a plan executed with
+/// the executor fused into their parent (a scan, index lookup or cross
+/// under a select) never run their own exec() and are tagged `[fused]`;
+/// their work is attributed to the fusing operator.  Requires a plan executed with
 /// ExecContext::analyze set; nodes without stats render as plain render().
 [[nodiscard]] std::string render_analyze(const PlanNode& root);
 

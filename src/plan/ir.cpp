@@ -35,8 +35,6 @@ std::string_view to_string(PlanNode::Kind kind) noexcept {
       return "Distinct";
     case PlanNode::Kind::kCross:
       return "Cross";
-    case PlanNode::Kind::kHashJoin:
-      return "HashJoin";
     case PlanNode::Kind::kUnion:
       return "Union";
     case PlanNode::Kind::kSort:
@@ -80,15 +78,6 @@ std::string PlanNode::label() const {
       out += " [" + join(columns) + "]";
       if (distinct) out += " distinct";
       break;
-    case Kind::kHashJoin: {
-      out += " (";
-      for (std::size_t i = 0; i < left_keys.size(); ++i) {
-        if (i > 0) out += " and ";
-        out += left_keys[i] + " = " + right_keys[i];
-      }
-      out += ')';
-      break;
-    }
     case Kind::kSort:
       out += " [" + join(order_by) + "]";
       break;
@@ -122,8 +111,6 @@ PlanPtr clone_plan(const PlanNode& root) {
   out->columns = root.columns;
   out->distinct = root.distinct;
   out->key_values = root.key_values;
-  out->left_keys = root.left_keys;
-  out->right_keys = root.right_keys;
   out->order_by = root.order_by;
   out->limit = root.limit;
   out->est_rows = root.est_rows;

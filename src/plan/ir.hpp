@@ -3,12 +3,13 @@
 // Logical-plan IR of the ccsql query planner (ccsql::plan).
 //
 // A SELECT is compiled into a tree of PlanNodes (scan / select / project /
-// cross / hash-join / union / distinct / sort / limit / count), rewritten by
-// the rule-based optimizer (optimizer.hpp) and run by the executor
+// cross / union / distinct / sort / limit / count), rewritten by the
+// rule-based optimizer (optimizer.hpp) and run by the executor
 // (executor.hpp).  The paper offloads this to Oracle8's planner; here it is
 // the layer that turns the naive "materialise the cross product, then
 // filter" reading of an invariant query into pushed-down filters, indexed
-// point lookups and hash joins.
+// point lookups and joins: a Select over a Cross, routed on its
+// equalities (route.hpp).
 
 #include <memory>
 #include <optional>
@@ -39,8 +40,8 @@ using PlanPtr = std::unique_ptr<PlanNode>;
 /// ExecContext::analyze is set (EXPLAIN ANALYZE).  wall_micros is inclusive
 /// of children executed through exec(); exclusive (self) time is derived at
 /// render time as inclusive minus the children's inclusive sums.  Fused
-/// paths (select-over-scan, select-over-cross, hash-join scan sides) never
-/// run the child's exec(), so the fused work stays attributed to the
+/// paths (select-over-scan, select-over-index-lookup, select-over-cross)
+/// never run the child's exec(), so the fused work stays attributed to the
 /// fusing operator and the child's wall time reads 0.
 struct OpStats {
   std::uint64_t invocations = 0;   // exec() calls on this node
@@ -49,9 +50,9 @@ struct OpStats {
   std::uint64_t rows_out = 0;      // rows produced
   std::uint64_t batches = 0;       // vectorized batches evaluated
   std::uint64_t morsels = 0;       // parallel morsels dispatched
-  std::uint64_t build_rows = 0;    // hash join: build-side rows indexed
-  std::uint64_t build_keys = 0;    // hash join: distinct keys in the index
-  std::uint64_t build_bytes = 0;   // hash join: estimated build memory
+  std::uint64_t build_rows = 0;    // routed cross: right rows indexed
+  std::uint64_t build_keys = 0;    // routed cross: distinct keys indexed
+  std::uint64_t build_bytes = 0;   // routed cross: estimated build memory
   std::uint64_t bytes_touched = 0;  // column bytes read + written (columnar)
 
   [[nodiscard]] bool executed() const noexcept { return invocations > 0; }
@@ -68,7 +69,6 @@ struct PlanNode {
     kProject,      // named columns, optionally distinct
     kDistinct,     // remove duplicate rows
     kCross,        // cartesian product of the two children
-    kHashJoin,     // equality join of the two children (build = right)
     kUnion,        // set union of children, aligned by column position
     kSort,         // ORDER BY
     kLimit,        // first `limit` rows
@@ -99,8 +99,8 @@ struct PlanNode {
   std::shared_ptr<const CrossRoute> route;
 
   // -- kCross -----------------------------------------------------------------
-  /// The Select above routed this Cross's candidates through a keyed leaf;
-  /// set by the executor, rendered `Cross [routed]`.
+  /// The Select above routed this Cross's candidates through a keyed
+  /// node; set by the executor, rendered `Cross [routed]`.
   bool routed = false;
 
   // -- kProject (projection list) / kIndexLookup (key columns) ---------------
@@ -109,10 +109,6 @@ struct PlanNode {
 
   // -- kIndexLookup -----------------------------------------------------------
   std::vector<Value> key_values;  // parallel to `columns`
-
-  // -- kHashJoin --------------------------------------------------------------
-  std::vector<std::string> left_keys;   // names in children[0]'s schema
-  std::vector<std::string> right_keys;  // names in children[1]'s schema
 
   // -- kSort ------------------------------------------------------------------
   std::vector<std::string> order_by;
@@ -138,7 +134,7 @@ struct PlanNode {
   [[nodiscard]] bool is_scan() const noexcept { return kind == Kind::kScan; }
 
   /// One-line operator description (no row counts), e.g.
-  /// `HashJoin (a.memmsg = b.inmsg)` or `IndexLookup D (dirst = "MESI")`.
+  /// `Cross [routed]` or `IndexLookup D (dirst = "MESI")`.
   [[nodiscard]] std::string label() const;
 };
 
@@ -151,7 +147,7 @@ struct PlanNode {
 /// original stays immutable.
 [[nodiscard]] PlanPtr clone_plan(const PlanNode& root);
 
-/// Returns "Scan", "HashJoin", ... for tests and diagnostics.
+/// Returns "Scan", "Cross", ... for tests and diagnostics.
 [[nodiscard]] std::string_view to_string(PlanNode::Kind kind) noexcept;
 
 /// The schema of a base table viewed through a FROM alias: every column

@@ -104,11 +104,11 @@ const std::vector<Atom>* equality_operands(const Expr& p) {
 /// one walk down the tree and returns the number of rewrites:
 ///  * a Select's own conjuncts join the stack and the Select dissolves;
 ///  * at a Cross, a conjunct whose columns all lie in one side goes down
-///    that side, and column=column equalities across the two sides become
-///    HashJoin keys;
+///    that side;
 ///  * at a Scan, column=literal equalities become IndexLookup keys;
 ///  * whatever is left becomes one Select over the node, so each fused
-///    executor path runs one compiled filter.
+///    executor path runs one compiled filter — over a Cross, one route,
+///    whose keyed probe takes the cross-side equalities (route.hpp).
 /// Keys keep stack order, a side receives its conjuncts reversed, and the
 /// Select left at a node lists them innermost first; the EXPLAIN goldens
 /// pin these orders.
@@ -132,33 +132,11 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
       const std::vector<std::string> cols = p.referenced_columns(ident);
       if (!cols.empty() && all_in(cols, left)) {
         sides[0].push_back(std::move(p));
-        continue;
-      }
-      if (!cols.empty() && all_in(cols, right)) {
+      } else if (!cols.empty() && all_in(cols, right)) {
         sides[1].push_back(std::move(p));
-        continue;
+      } else {
+        rest.push_back(std::move(p));
       }
-      const std::vector<Atom>* eq = equality_operands(p);
-      if (eq != nullptr && is_column((*eq)[0], ident) &&
-          is_column((*eq)[1], ident)) {
-        const std::string& a = (*eq)[0].text;
-        const std::string& b = (*eq)[1].text;
-        if (left.has(a) && right.has(b)) {
-          n.left_keys.push_back(a);
-          n.right_keys.push_back(b);
-          continue;
-        }
-        if (left.has(b) && right.has(a)) {
-          n.left_keys.push_back(b);
-          n.right_keys.push_back(a);
-          continue;
-        }
-      }
-      rest.push_back(std::move(p));
-    }
-    if (!n.left_keys.empty()) {
-      n.kind = PlanNode::Kind::kHashJoin;
-      ++rewrites;
     }
     for (std::size_t side = 0; side < 2; ++side) {
       rewrites += sides[side].size();
@@ -207,17 +185,16 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
 
 // ---- 3. join column pruning -------------------------------------------------
 
-/// Narrows HashJoin outputs to the columns read above them, down a whole
-/// left-deep chain.  `needed` names the columns the parent reads from
-/// `node` (nullptr = all of them): a Project reads its columns; a HashJoin
-/// keeps the needed columns of its output and asks each side for its share
-/// plus its own keys; a Select over a HashJoin adds its predicate's columns
-/// and takes the narrowed schema; a Cross asks each side for its share and
-/// re-derives its schema.  Every other node reads all its children's
-/// columns.  The executor gathers only a join's surviving columns when
-/// materialising match pairs (keys are read from the children), so on wide
-/// joins feeding narrow projections this removes most of the output copy —
-/// the dominant cost of a high-fanout join under columnar storage.
+/// Narrows joins to the columns read above them, down a whole left-deep
+/// chain.  `needed` names the columns the parent reads from `node`
+/// (nullptr = all of them): a Project reads its columns; a Select over a
+/// Cross — a join — keeps the needed columns of its output and asks the
+/// Cross for them plus its predicate's columns; a Cross asks each side for
+/// its share and re-derives its schema.  Every other node reads all its
+/// children's columns.  The executor gathers only a join's surviving
+/// columns when materialising match pairs, so on wide joins feeding narrow
+/// projections this removes most of the output copy — the dominant cost
+/// of a high-fanout join under columnar storage.
 std::size_t prune_join_columns(PlanNode& node,
                                const std::vector<std::string>* needed,
                                const PlannerOptions& opts) {
@@ -225,48 +202,31 @@ std::size_t prune_join_columns(PlanNode& node,
                         const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
-  // The names of `side`'s columns that `out` lists, plus `extra`.
-  const auto share = [&](const PlanNode& side, const Schema& out,
-                         const std::vector<std::string>& extra) {
-    std::vector<std::string> names = extra;
-    for (const Column& c : out.columns()) {
-      if (side.schema->has(c.name) && !needs(names, c.name)) {
-        names.push_back(c.name);
-      }
-    }
-    return names;
-  };
   std::size_t n = 0;
   if (node.kind == PlanNode::Kind::kProject) {
     return prune_join_columns(node.child(), &node.columns, opts);
   }
-  if (needed != nullptr && node.kind == PlanNode::Kind::kHashJoin) {
-    std::vector<Column> kept;
-    for (const Column& c : node.schema->columns()) {
-      if (needs(*needed, c.name)) kept.push_back(c);
-    }
-    // A join never narrows to no columns: its rows must stay countable.
-    if (!kept.empty() && kept.size() < node.schema->size()) {
-      node.schema = make_schema(std::move(kept));
-      ++n;
-    }
-    const std::vector<std::string> left =
-        share(node.child(0), *node.schema, node.left_keys);
-    const std::vector<std::string> right =
-        share(node.child(1), *node.schema, node.right_keys);
-    n += prune_join_columns(node.child(0), &left, opts);
-    n += prune_join_columns(node.child(1), &right, opts);
-    return n;
-  }
   if (needed != nullptr && node.kind == PlanNode::Kind::kSelect &&
-      node.child().kind == PlanNode::Kind::kHashJoin) {
+      node.child().kind == PlanNode::Kind::kCross) {
     std::vector<std::string> below = *needed;
     for (std::string& c :
          node.predicate->referenced_columns(ident_schema_of(node, opts))) {
       if (!needs(below, c)) below.push_back(std::move(c));
     }
     n += prune_join_columns(node.child(), &below, opts);
-    node.schema = node.child().schema;
+    std::vector<Column> kept;
+    for (const Column& c : node.child().schema->columns()) {
+      if (needs(*needed, c.name)) kept.push_back(c);
+    }
+    // A join never narrows to no columns: its rows must stay countable, so
+    // one asked for none keeps its Cross's (possibly narrowed) columns.
+    // Its predicate still compiles against the Cross's schema.
+    SchemaPtr narrowed =
+        kept.empty() ? node.child().schema : make_schema(std::move(kept));
+    if (narrowed->size() < node.schema->size()) {
+      node.schema = std::move(narrowed);
+      ++n;
+    }
     return n;
   }
   if (needed != nullptr && node.kind == PlanNode::Kind::kCross) {
@@ -303,6 +263,25 @@ std::size_t drop_sorts(PlanPtr& node) {
 
 // ---- 5. estimation ----------------------------------------------------------
 
+/// The cross-side equalities among the conjuncts of `e`: `a = b` with `a`
+/// a column of one side and `b` of the other.
+// NOLINTNEXTLINE(misc-no-recursion)
+std::size_t join_keys(const Expr& e, const Schema& left, const Schema& right) {
+  if (e.op() == Expr::Op::kAnd) {
+    std::size_t keys = 0;
+    for (const Expr& c : e.children()) keys += join_keys(c, left, right);
+    return keys;
+  }
+  const std::vector<Atom>* eq = equality_operands(e);
+  const auto in = [](const Atom& a, const Schema& side) {
+    return a.kind == Atom::Kind::kIdent && side.has(a.text);
+  };
+  return eq != nullptr && ((in((*eq)[0], left) && in((*eq)[1], right)) ||
+                           (in((*eq)[0], right) && in((*eq)[1], left)))
+             ? 1
+             : 0;
+}
+
 void estimate(PlanNode& node) {
   for (auto& c : node.children) estimate(*c);
   switch (node.kind) {
@@ -316,6 +295,20 @@ void estimate(PlanNode& node) {
                    std::pow(0.1, static_cast<double>(node.columns.size())));
       break;
     case PlanNode::Kind::kSelect: {
+      const std::size_t keys =
+          node.child().kind == PlanNode::Kind::kCross
+              ? join_keys(*node.predicate, *node.child().child(0).schema,
+                          *node.child().child(1).schema)
+              : 0;
+      if (keys > 0) {
+        // A join: each key selects ~10%; floored at one row like
+        // IndexLookup, so a chain of many-key joins cannot compound
+        // towards zero.
+        node.est_rows = std::max(
+            1.0, node.child().est_rows *
+                     std::pow(0.1, static_cast<double>(keys)));
+        break;
+      }
       const bool equality = node.predicate &&
                             node.predicate->op() == Expr::Op::kCompare &&
                             !node.predicate->negated();
@@ -324,13 +317,6 @@ void estimate(PlanNode& node) {
     }
     case PlanNode::Kind::kCross:
       node.est_rows = node.child(0).est_rows * node.child(1).est_rows;
-      break;
-    case PlanNode::Kind::kHashJoin:
-      // Each key selects ~10%; floored at one row like IndexLookup, so a
-      // chain of many-key joins cannot compound towards zero.
-      node.est_rows = std::max(
-          1.0, node.child(0).est_rows * node.child(1).est_rows *
-                   std::pow(0.1, static_cast<double>(node.left_keys.size())));
       break;
     case PlanNode::Kind::kProject:
       node.est_rows = node.distinct && node.child().est_rows > 0

@@ -7,16 +7,16 @@
 //                              parts collapse; always-true filters vanish
 //   2. conjunct placement    — one walk down the tree carries each WHERE
 //                              conjunct to where it applies: into the side
-//                              of a Cross holding all its columns; as a
-//                              HashJoin key when it equates columns of a
-//                              Cross's two sides; as an IndexLookup key when
-//                              it equates a Scan column with a literal.
-//                              What stays at a node becomes one Select over
-//                              the conjunction, so each fused executor path
-//                              runs one filter
+//                              of a Cross holding all its columns; as an
+//                              IndexLookup key when it equates a Scan
+//                              column with a literal.  What stays at a node
+//                              becomes one Select over the conjunction, so
+//                              each fused executor path runs one filter; a
+//                              join is the Select left over a Cross, its
+//                              cross-side equalities the route's keys
 //   3. join column pruning   — the columns a Project reads are carried
-//                              down its join chain: every HashJoin keeps
-//                              only what is read above it
+//                              down its join chain: every Select over a
+//                              Cross keeps only what is read above it
 //   4. exists mode           — for emptiness checks: sorts are dropped and
 //                              the plan is capped with Limit 1
 //   5. estimation            — bottom-up est_rows for EXPLAIN

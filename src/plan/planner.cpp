@@ -122,8 +122,8 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
   ExecContext ctx{nullptr, functions, &ident_schema, jobs};
   Table out = execute(*root, ctx);
   if (candidates != nullptr) {
-    // The Cross or HashJoin under the Selects pairs the two sides; its
-    // actual rows are the pairs the remaining predicate was evaluated on.
+    // The Cross under the Select pairs the two sides; its actual rows are
+    // the pairs the route built.
     const PlanNode* pairing = root.get();
     while (pairing->kind == PlanNode::Kind::kSelect) {
       pairing = &pairing->child();

@@ -35,8 +35,8 @@ namespace ccsql::plan {
 /// decides which bare identifiers in `pred` are columns (the solver passes
 /// the full target schema so constraints resolve identically at every
 /// prefix width).  When `candidates` is set it receives the number of
-/// pairs the step built: the route's candidate pairs, a hash join's
-/// matches, or the whole product when nothing constrains it.
+/// pairs the step built: the route's candidate pairs, or the whole product
+/// when nothing constrains it.
 [[nodiscard]] Table cross_select(const Table& left, const Table& right,
                                  const Expr& pred, const Schema& ident_schema,
                                  const FunctionRegistry* functions = nullptr,

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "plan/optimizer.hpp"
 
 namespace ccsql::plan {
@@ -63,39 +64,76 @@ struct CrossRoute::Builder {
     return true;
   }
 
-  /// True when `e` is a keyed leaf; fills `leaf` when it is.
-  bool keyed(const Expr& e, Node& leaf) const {
-    bc::Operand key;
-    if (e.op() == Expr::Op::kCompare && !e.negated()) {
-      for (std::size_t side = 0; side < 2; ++side) {
-        if (right_column(e.atoms()[side], leaf.right_column) &&
-            key_operand(e.atoms()[1 - side], key)) {
-          leaf.kind = Node::Kind::kKeyed;
-          leaf.keys = {key};
-          return true;
-        }
+  /// True when `e` is `r = a` or `a = r`, not negated; fills the pair.
+  bool equality(const Expr& e, std::pair<std::size_t, bc::Operand>& eq) const {
+    if (e.op() != Expr::Op::kCompare || e.negated()) return false;
+    for (std::size_t side = 0; side < 2; ++side) {
+      if (right_column(e.atoms()[side], eq.first) &&
+          key_operand(e.atoms()[1 - side], eq.second)) {
+        return true;
       }
+    }
+    return false;
+  }
+
+  /// The id of the right-column set `columns`, added when new.
+  std::uint32_t column_set(std::span<const std::size_t> columns) {
+    auto& sets = route.column_sets_;
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      if (std::equal(sets[k].begin(), sets[k].end(), columns.begin(),
+                     columns.end())) {
+        return static_cast<std::uint32_t>(k);
+      }
+    }
+    sets.emplace_back(columns.begin(), columns.end());
+    return static_cast<std::uint32_t>(sets.size() - 1);
+  }
+
+  /// The keyed node of equalities (right column, key) that must all hold:
+  /// one tuple, the left-column keys at its first positions.
+  Node keyed_node(const std::vector<std::pair<std::size_t, bc::Operand>>& eqs) {
+    Node node;
+    node.kind = Node::Kind::kKeyed;
+    std::vector<std::size_t> columns;
+    for (const bool left_column : {true, false}) {
+      for (const auto& [column, key] : eqs) {
+        if (key.is_column != left_column) continue;
+        columns.push_back(column);
+        node.keys.push_back(key);
+      }
+    }
+    node.columns = column_set(columns);
+    node.tuples = 1;
+    return node;
+  }
+
+  /// True when `e` is a keyed leaf; fills `leaf`, when given, if it is.
+  bool keyed(const Expr& e, Node* leaf) {
+    std::pair<std::size_t, bc::Operand> eq;
+    const bool is_equality = equality(e, eq);
+    if (!is_equality && (e.op() != Expr::Op::kIn || e.negated() ||
+                         !right_column(e.atoms()[0], eq.first))) {
       return false;
     }
-    if (e.op() != Expr::Op::kIn || e.negated() ||
-        !right_column(e.atoms()[0], leaf.right_column)) {
-      return false;
+    if (leaf != nullptr) leaf->keys.clear();
+    for (std::size_t i = 1; !is_equality && i < e.atoms().size(); ++i) {
+      if (!key_operand(e.atoms()[i], eq.second)) return false;
+      if (leaf != nullptr) leaf->keys.push_back(eq.second);
     }
-    leaf.keys.clear();
-    for (std::size_t i = 1; i < e.atoms().size(); ++i) {
-      if (!key_operand(e.atoms()[i], key)) return false;
-      leaf.keys.push_back(key);
+    if (leaf != nullptr) {
+      if (is_equality) leaf->keys = {eq.second};
+      leaf->kind = Node::Kind::kKeyed;
+      leaf->columns = column_set({&eq.first, 1});
+      leaf->tuples = static_cast<std::uint32_t>(leaf->keys.size());
     }
-    leaf.kind = Node::Kind::kKeyed;
     return true;
   }
 
   /// True when `e` is a guard tree with at least one keyed leaf.
   // NOLINTNEXTLINE(misc-no-recursion)
-  [[nodiscard]] bool routes(const Expr& e) const {
+  [[nodiscard]] bool routes(const Expr& e) {
     if (splits(e)) return routes(e.children()[1]) || routes(e.children()[2]);
-    Node leaf;
-    return keyed(e, leaf);
+    return keyed(e, nullptr);
   }
 
   std::uint32_t add(Node node) {
@@ -134,7 +172,7 @@ struct CrossRoute::Builder {
       return Expr::ternary(e.children()[0], std::move(then_rest),
                            std::move(else_rest));
     }
-    if (Node leaf; keyed(e, leaf)) {
+    if (Node leaf; keyed(e, &leaf)) {
       add(std::move(leaf));
       return Expr::boolean(true);
     }
@@ -156,15 +194,23 @@ CrossRoute::CrossRoute(const Expr& pred, const Schema& left,
   Builder b{*this, left, right, ident, functions};
   std::vector<Expr> conjuncts;
   collect_conjuncts(pred, conjuncts);
+  // The plain equalities merge into one keyed node: every left row probes
+  // one index on all their right columns at once.
+  std::vector<std::pair<std::size_t, bc::Operand>> equalities;
   std::vector<Expr> rest;
   for (Expr& c : conjuncts) {
-    if (b.routes(c)) {
+    if (std::pair<std::size_t, bc::Operand> eq; b.equality(c, eq)) {
+      equalities.push_back(eq);
+    } else if (b.routes(c)) {
       roots_.push_back(static_cast<std::uint32_t>(nodes_.size()));
       Expr left_over = b.build(c);
       if (!is_true(left_over)) rest.push_back(std::move(left_over));
-      continue;
+    } else {
+      rest.push_back(std::move(c));
     }
-    rest.push_back(std::move(c));
+  }
+  if (!equalities.empty()) {
+    roots_.push_back(b.add(b.keyed_node(equalities)));
   }
   if (rest.empty()) return;
   const Expr residual = Expr::conjunction(std::move(rest));
@@ -184,152 +230,201 @@ CrossRoute::CrossRoute(const Expr& pred, const Schema& left,
 // NOLINTNEXTLINE(misc-no-recursion)
 void CrossRoute::split(std::uint32_t node, vec::Columns cols,
                        std::span<const std::uint32_t> rows,
-                       std::uint32_t* leaf_of, bc::Scratch& scratch) const {
+                       std::uint32_t* leaf_of, std::size_t base,
+                       bc::Scratch& scratch) const {
   if (rows.empty()) return;
   const Node& n = nodes_[node];
   if (n.kind != Node::Kind::kSplit) {
-    for (std::uint32_t i : rows) leaf_of[i] = node;
+    for (std::uint32_t i : rows) leaf_of[i - base] = node;
     return;
   }
   bc::Sel& pass = scratch.acquire();
   n.cond.refine(cols, rows, pass);
   if (pass.empty() || pass.size() == rows.size()) {
     // Every row takes one branch: no complement to build.
-    split(pass.empty() ? n.else_node : n.then_node, cols, rows, leaf_of,
+    split(pass.empty() ? n.else_node : n.then_node, cols, rows, leaf_of, base,
           scratch);
   } else {
     bc::Sel& fail = scratch.acquire();
     std::set_difference(rows.begin(), rows.end(), pass.begin(), pass.end(),
                         std::back_inserter(fail));
-    split(n.then_node, cols, pass, leaf_of, scratch);
-    split(n.else_node, cols, fail, leaf_of, scratch);
+    split(n.then_node, cols, pass, leaf_of, base, scratch);
+    split(n.else_node, cols, fail, leaf_of, base, scratch);
     scratch.release();
   }
   scratch.release();
 }
 
-void CrossRoute::candidates(const Table& l, const Table& r, std::size_t limit,
-                            bc::Sel& lsel, bc::Sel& rsel) const {
-  const std::size_t ln = l.row_count();
-  const auto rn = static_cast<std::uint32_t>(r.row_count());
-  if (ln == 0 || rn == 0 || limit == 0) return;
-  // Pairs left row i with `rows` (nullptr: every right row); false once
-  // the limit is reached.
-  const auto emit = [&](std::uint32_t i, const bc::Sel* rows) {
-    const std::size_t n = rows != nullptr ? rows->size() : rn;
-    for (std::size_t k = 0; k < n; ++k) {
-      lsel.push_back(i);
-      rsel.push_back(rows != nullptr ? (*rows)[k]
-                                     : static_cast<std::uint32_t>(k));
-      if (lsel.size() >= limit) return false;
-    }
-    return true;
-  };
-  if (roots_.empty()) {
-    const std::size_t product = ln * rn;
-    lsel.reserve(std::min(limit, product));
-    rsel.reserve(std::min(limit, product));
-    for (std::uint32_t i = 0; i < ln; ++i) {
-      if (!emit(i, nullptr)) return;
-    }
-    return;
+// Distinct tuples hold disjoint ascending buckets: append each one's once,
+// sort when several contributed.
+std::span<const std::size_t> CrossRoute::pick(
+    const Node& leaf, const HashIndex& index, const TupleKey* keys,
+    std::size_t stride, std::vector<std::size_t>& scratch) const {
+  if (leaf.tuples == 1) {
+    const std::vector<std::size_t>* rows = index.find(keys[0]);
+    return rows != nullptr ? std::span<const std::size_t>(*rows)
+                           : std::span<const std::size_t>();
   }
-
-  // Each left row's leaf in each routed tree: leaf_of[t * ln + i].
-  const std::vector<const Value*> lcols = l.column_ptrs();
-  std::vector<std::uint32_t> leaf_of(roots_.size() * ln, 0);
-  {
-    bc::Scratch scratch;
-    bc::Sel all(ln);
-    std::iota(all.begin(), all.end(), 0U);
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      split(roots_[t], lcols, all, leaf_of.data() + t * ln, scratch);
+  scratch.clear();
+  std::size_t buckets = 0;
+  for (std::size_t k = 0; k < leaf.tuples; ++k) {
+    const TupleKey& key = keys[k * stride];
+    bool repeated = false;
+    for (std::size_t m = 0; m < k && !repeated; ++m) {
+      repeated = keys[m * stride] == key;
+    }
+    if (repeated) continue;
+    if (const auto* rows = index.find(key)) {
+      scratch.insert(scratch.end(), rows->begin(), rows->end());
+      ++buckets;
     }
   }
+  if (buckets > 1) std::sort(scratch.begin(), scratch.end());
+  return scratch;
+}
 
-  // The right rows whose key column holds one of `leaf`'s values at left
-  // row i, ascending, each once.  Distinct values hold disjoint ascending
-  // buckets: append each value's once, sort when several contributed.
-  const auto lookup = [&](const Node& leaf, const HashIndex& idx,
-                          std::uint32_t i, bc::Sel& out) {
-    out.clear();
-    std::size_t buckets = 0;
-    for (std::size_t k = 0; k < leaf.keys.size(); ++k) {
-      const Value v = leaf.keys[k].get_at(lcols.data(), i);
-      bool repeated = false;
-      for (std::size_t m = 0; m < k && !repeated; ++m) {
-        repeated = leaf.keys[m].get_at(lcols.data(), i) == v;
-      }
-      if (repeated) continue;
-      const Value key[1] = {v};
-      if (const auto* rows = idx.find(Table::index_key(key))) {
-        for (std::size_t j : *rows) {
-          out.push_back(static_cast<std::uint32_t>(j));
-        }
-        ++buckets;
-      }
+void CrossRoute::keys_at(const Node& leaf, const Value* const* cols,
+                         std::uint32_t i, std::vector<Value>& values,
+                         std::vector<TupleKey>& out) const {
+  const std::size_t width = column_sets_[leaf.columns].size();
+  values.resize(width);
+  out.resize(leaf.tuples);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    for (std::size_t p = 0; p < width; ++p) {
+      values[p] = leaf.keys[k * width + p].get_at(cols, i);
     }
-    if (buckets > 1) std::sort(out.begin(), out.end());
-  };
+    out[k] = TupleKey::of_values(values);
+  }
+}
 
-  // Each keyed leaf probes the right table's cached index on its column;
-  // a leaf whose keys are all literals resolves its rows once.
-  std::vector<const HashIndex*> index(nodes_.size(), nullptr);
-  std::vector<bc::Sel> fixed(nodes_.size());
-  std::vector<char> is_fixed(nodes_.size(), 0);
+CrossRoute::Right CrossRoute::right_side(const Table& r,
+                                         std::size_t jobs) const {
+  Right out;
+  out.rows = r.row_count();
+  for (const std::vector<std::size_t>& columns : column_sets_) {
+    CCSQL_COUNT(r.has_cached_index(columns) ? "plan.index_hits"
+                                            : "plan.index_builds",
+                1);
+    out.index.push_back(&r.index_on(columns, jobs));
+  }
+  // A node whose keys are all literals picks the same rows for every left
+  // row: resolve it once.
+  out.fixed.resize(nodes_.size());
+  std::vector<Value> values;
+  std::vector<TupleKey> keys;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const Node& leaf = nodes_[n];
-    if (leaf.kind != Node::Kind::kKeyed) continue;
-    // Leaves keyed on the same column share one index (one cache lookup).
-    for (std::size_t m = 0; m < n && index[n] == nullptr; ++m) {
-      if (index[m] != nullptr &&
-          nodes_[m].right_column == leaf.right_column) {
-        index[n] = index[m];
-      }
+    if (leaf.kind != Node::Kind::kKeyed ||
+        std::any_of(leaf.keys.begin(), leaf.keys.end(),
+                    [](const bc::Operand& k) { return k.is_column; })) {
+      continue;
     }
-    if (index[n] == nullptr) index[n] = &r.index_on({leaf.right_column});
-    is_fixed[n] = static_cast<char>(std::none_of(
-        leaf.keys.begin(), leaf.keys.end(),
-        [](const bc::Operand& k) { return k.is_column; }));
-    if (is_fixed[n]) lookup(leaf, *index[n], 0, fixed[n]);
+    keys_at(leaf, nullptr, 0, values, keys);
+    std::vector<std::size_t> scratch;
+    const std::span<const std::size_t> rows =
+        pick(leaf, *out.index[leaf.columns], keys.data(), 1, scratch);
+    out.fixed[n].emplace(rows.begin(), rows.end());
   }
+  return out;
+}
 
-  // A row's candidates are the intersection of its leaves' picks.
-  lsel.reserve(ln);
-  rsel.reserve(ln);
-  bc::Sel probe, acc, tmp;
-  for (std::uint32_t i = 0; i < ln; ++i) {
-    const bc::Sel* rows = nullptr;  // nullptr: every right row
-    bool none = false;
-    for (std::size_t t = 0; t < roots_.size() && !none; ++t) {
-      const std::uint32_t at = leaf_of[t * ln + i];
-      const Node& leaf = nodes_[at];
-      if (leaf.kind == Node::Kind::kAll) continue;
-      if (leaf.kind == Node::Kind::kNone) {
-        none = true;
-        continue;
-      }
-      const bc::Sel* mine = &fixed[at];
-      if (!is_fixed[at]) {
-        lookup(leaf, *index[at], i, probe);
-        mine = &probe;
-      }
-      if (rows == nullptr) {
-        rows = mine;
-      } else {
-        tmp.clear();
-        std::set_intersection(rows->begin(), rows->end(), mine->begin(),
-                              mine->end(), std::back_inserter(tmp));
-        acc.swap(tmp);
-        rows = &acc;
-      }
-      if (rows == &probe) {
-        acc.swap(probe);  // keep the pick while the next leaf probes
-        rows = &acc;
-      }
-      none = rows->empty();
+void CrossRoute::candidates(const Table& l, const Right& right,
+                            std::size_t begin, std::size_t end,
+                            std::size_t limit, bc::Sel& lsel,
+                            bc::Sel& rsel) const {
+  if (begin >= end || right.rows == 0 || limit == 0) return;
+  // Pairs left row i with `rows` (every right row when `every`); false
+  // once the limit is reached.
+  const auto emit = [&](std::size_t i, std::span<const std::size_t> rows,
+                        bool every) {
+    const std::size_t take =
+        std::min(every ? right.rows : rows.size(), limit - lsel.size());
+    for (std::size_t k = 0; k < take; ++k) {
+      lsel.push_back(static_cast<std::uint32_t>(i));
+      rsel.push_back(static_cast<std::uint32_t>(every ? k : rows[k]));
     }
-    if (!none && !emit(i, rows)) return;
+    return lsel.size() < limit;
+  };
+  const std::size_t n = end - begin;
+  const std::size_t expect = roots_.empty() ? n * right.rows : n;
+  lsel.reserve(std::min(limit, expect));
+  rsel.reserve(std::min(limit, expect));
+
+  // Each left row's leaf in each tree: leaf_of[t * n + i - begin].
+  const std::vector<const Value*> lcols = l.column_ptrs();
+  std::vector<std::uint32_t> leaf_of(roots_.size() * n);
+  {
+    bc::Scratch scratch;
+    bc::Sel rows(n);
+    std::iota(rows.begin(), rows.end(), static_cast<std::uint32_t>(begin));
+    for (std::size_t t = 0; t < roots_.size(); ++t) {
+      split(roots_[t], lcols, rows, leaf_of.data() + t * n, begin, scratch);
+    }
+  }
+  // A tree that is one keyed node is probed by every left row: its keys
+  // pack a batch of rows at a time.  A leaf below a split packs the keys
+  // of each row that reaches it.
+  std::vector<std::vector<TupleKey>> batch(roots_.size());
+  std::vector<std::size_t> key_columns, probe, held, tmp;
+  std::vector<Value> values;
+  std::vector<TupleKey> row_keys;
+  for (std::size_t lo = begin; lo < end; lo += vec::kBatchRows) {
+    const std::size_t hi = std::min(end, lo + vec::kBatchRows);
+    for (std::size_t t = 0; t < roots_.size(); ++t) {
+      const Node& root = nodes_[roots_[t]];
+      if (root.kind != Node::Kind::kKeyed || right.fixed[roots_[t]]) continue;
+      const std::size_t width = root.keys.size() / root.tuples;
+      batch[t].assign(root.tuples * (hi - lo), TupleKey{});
+      for (std::size_t k = 0; k < root.keys.size(); k += width) {
+        key_columns.clear();
+        values.clear();
+        for (std::size_t p = k; p < k + width; ++p) {
+          if (root.keys[p].is_column) {
+            key_columns.push_back(root.keys[p].column);
+          } else {
+            values.push_back(root.keys[p].value);
+          }
+        }
+        l.build_keys(key_columns, lo, hi, batch[t].data() + k / width * (hi - lo),
+                     values);
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      // The row's candidates: the intersection of its leaves' picks.
+      std::span<const std::size_t> rows;
+      bool every = true;
+      for (std::size_t t = 0; t < roots_.size(); ++t) {
+        const std::uint32_t at = leaf_of[t * n + i - begin];
+        const Node& leaf = nodes_[at];
+        if (leaf.kind == Node::Kind::kAll) continue;
+        std::span<const std::size_t> mine;
+        if (right.fixed[at]) {
+          mine = *right.fixed[at];
+        } else if (at == roots_[t]) {
+          mine = pick(leaf, *right.index[leaf.columns],
+                      batch[t].data() + (i - lo), hi - lo, probe);
+        } else if (leaf.kind == Node::Kind::kKeyed) {
+          keys_at(leaf, lcols.data(), static_cast<std::uint32_t>(i), values,
+                  row_keys);
+          mine = pick(leaf, *right.index[leaf.columns], row_keys.data(), 1,
+                      probe);
+        }
+        if (every) {
+          rows = mine;
+          // Keep a pick merged into `probe` while the next leaf probes.
+          if (mine.data() == probe.data()) probe.swap(held);
+        } else {
+          tmp.clear();
+          std::set_intersection(rows.begin(), rows.end(), mine.begin(),
+                                mine.end(), std::back_inserter(tmp));
+          held.swap(tmp);
+          rows = held;
+        }
+        every = false;
+        if (rows.empty()) break;
+      }
+      if ((every || !rows.empty()) && !emit(i, rows, every)) return;
+    }
   }
 }
 

@@ -1,23 +1,28 @@
 #pragma once
 
-// Guard routing for a Select over a Cross (DESIGN.md section 16).
+// Routing for a Select over a Cross (DESIGN.md section 16): the one
+// executor path for every join.
 //
 // Almost every column constraint is a guarded assignment,
-// `c1 ? x = v1 : (c2 ? x = v2 : ...)`.  Filtering the product evaluates
-// that guard tree once per product row: once per left row for every right
-// row.  A CrossRoute routes before it crosses:
+// `c1 ? x = v1 : (c2 ? x = v2 : ...)`, and almost every join condition a
+// set of equalities `r = a`.  Filtering the product evaluates either once
+// per product row: once per left row for every right row.  A CrossRoute
+// routes before it crosses:
 //
-//   1. the routed conjuncts are those that are guard trees with a keyed
-//      leaf — ternaries whose conditions read only left columns, over
-//      leaves;
-//   2. their conditions are evaluated once per left row, refining the
+//   1. the predicate's top-level plain equalities `r = a` (each `a` a
+//      literal or a left column) merge into one keyed node, probed with
+//      one key tuple per left row; the other routed conjuncts are guard
+//      trees with a keyed leaf — ternaries whose conditions read only left
+//      columns, over leaves;
+//   2. the trees' conditions are evaluated once per left row, refining the
 //      selection over the left table, so each left row lands in one leaf
 //      of each tree;
 //   3. each such leaf picks right-side rows, and the row's candidates are
 //      what all its leaves pick:
-//        keyed      `r = a` or `r in (a, ...)`, each `a` a literal or a left
-//                   column: the rows of the right table's cached HashIndex
-//                   on `r` that hold one of the values, each once;
+//        keyed      `r = a`, `r in (a, ...)` or the merged equalities: the
+//                   rows of the right table's cached HashIndex on the
+//                   right columns that hold one of the key tuples, each
+//                   once;
 //        left-only  every right row or none;
 //        any other  every right row, and the leaf stays in the residual;
 //   4. the residual — the other conjuncts, plus each routed conjunct with
@@ -26,11 +31,14 @@
 //
 // Candidates come in product order (left row ascending, then right row
 // ascending), so the output is row for row what filtering the full product
-// gives.  A predicate with no keyed leaf pairs every left row with every
-// right row: the full product is the degenerate route, not a second path.
+// gives, and a range of left rows can be routed on its own: ranges
+// concatenate in order.  A predicate with no keyed leaf pairs every left
+// row with every right row: the full product is the degenerate route, not
+// a second path.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,15 +60,29 @@ class CrossRoute {
   CrossRoute(const Expr& pred, const Schema& left, const Schema& right,
              const Schema& ident, const FunctionRegistry* functions);
 
-  /// True when a conjunct routes through a keyed leaf (EXPLAIN marks the
+  /// True when a conjunct routes through a keyed node (EXPLAIN marks the
   /// Cross `[routed]`); false for the degenerate route.
   [[nodiscard]] bool keyed() const noexcept { return !roots_.empty(); }
 
-  /// Appends the candidate pairs of `l` x `r` — tables over the left and
-  /// right schemas the route was built for — to `lsel`/`rsel` in product
-  /// order, stopping once `limit` pairs are out.
-  void candidates(const Table& l, const Table& r, std::size_t limit,
-                  bc::Sel& lsel, bc::Sel& rsel) const;
+  /// One execution's right table, as the keyed nodes probe it: the index
+  /// on each column set they key on (built on first use and cached on the
+  /// table, counted as plan.index_builds or plan.index_hits) and the rows
+  /// of each node whose keys are all literals, resolved once.  Read-only
+  /// once built, so parallel candidates() calls share one.
+  struct Right {
+    std::size_t rows = 0;
+    std::vector<const HashIndex*> index;        // per column set
+    std::vector<std::optional<std::vector<std::size_t>>> fixed;  // per node
+  };
+  [[nodiscard]] Right right_side(const Table& r, std::size_t jobs) const;
+
+  /// Appends the candidate pairs of left rows [begin, end) of `l` — a
+  /// table over the left schema the route was built for — with the rows of
+  /// `right` to `lsel`/`rsel` in product order, stopping once `limit`
+  /// pairs are out.
+  void candidates(const Table& l, const Right& right, std::size_t begin,
+                  std::size_t end, std::size_t limit, bc::Sel& lsel,
+                  bc::Sel& rsel) const;
 
   /// The filter candidate pairs must still pass, over rows of
   /// pair_schema(); nullptr when every candidate passes.
@@ -86,25 +108,43 @@ class CrossRoute {
       kSplit,  // cond over the left row picks then_node or else_node
       kAll,    // every right row
       kNone,   // no right row
-      kKeyed,  // right rows whose right_column holds one of keys
+      kKeyed,  // right rows whose key columns hold one of the key tuples
     };
     Kind kind = Kind::kAll;
     vec::RowFilter cond;
     std::uint32_t then_node = 0;
     std::uint32_t else_node = 0;
-    std::size_t right_column = 0;
-    std::vector<bc::Operand> keys;  // literals or left columns
+    /// The right columns probed: an index into column_sets_.
+    std::uint32_t columns = 0;
+    std::uint32_t tuples = 0;  // key tuples in `keys`
+    /// Key tuples of one operand (a literal or a left column) per probed
+    /// column, end to end: an `in` list holds one per atom.  Within a
+    /// tuple the left columns come first, as Table::build_keys lays out.
+    std::vector<bc::Operand> keys;
   };
   struct Builder;
 
   /// Sends each of `rows` (ascending left row ids) down the tree from
-  /// `node`, recording the leaf it reaches in leaf_of[row].
+  /// `node`, recording the leaf it reaches in leaf_of[row - base].
   void split(std::uint32_t node, vec::Columns cols,
              std::span<const std::uint32_t> rows, std::uint32_t* leaf_of,
-             bc::Scratch& scratch) const;
+             std::size_t base, bc::Scratch& scratch) const;
+
+  /// The right rows holding one of `leaf`'s key tuples, ascending, each
+  /// once: the index's own bucket for a single tuple, else merged into
+  /// `scratch`.  Tuple k's key is keys[k * stride].
+  [[nodiscard]] std::span<const std::size_t> pick(
+      const Node& leaf, const HashIndex& index, const TupleKey* keys,
+      std::size_t stride, std::vector<std::size_t>& scratch) const;
+  /// `leaf`'s key tuples at left row i of `cols` (nullptr when every key
+  /// is a literal) into `out`; `values` is scratch.
+  void keys_at(const Node& leaf, const Value* const* cols, std::uint32_t i,
+               std::vector<Value>& values, std::vector<TupleKey>& out) const;
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> roots_;  // one tree per routed conjunct
+  /// The distinct right-column sets keyed nodes probe: one index each.
+  std::vector<std::vector<std::size_t>> column_sets_;
   std::optional<vec::RowFilter> residual_;
   SchemaPtr pair_schema_;
   std::vector<std::string> left_columns_;

@@ -27,7 +27,7 @@ struct TableRef {
 ///     [UNION select ...]
 ///
 /// A multi-table FROM denotes the cross product of its entries in order
-/// (the planner lowers cross + equality predicates to hash joins).  UNION
+/// (the planner routes cross + equality predicates as joins).  UNION
 /// branches are chained through `union_with` (set semantics, as in the
 /// paper's "union of all the pairwise dependency tables").
 struct SelectStmt {

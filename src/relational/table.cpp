@@ -349,14 +349,14 @@ Table Table::sorted_by(const std::vector<std::string>& columns) const {
 // ---- Key building -----------------------------------------------------------
 
 void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
-                       std::size_t end, TupleKey* out) const {
+                       std::size_t end, TupleKey* out,
+                       std::span<const Value> tail) const {
   const std::size_t n = end - begin;
+  const std::size_t width = cols.size() + tail.size();
   // A wide key's overflow ids get their storage in one exact-size
   // allocation up front, not one growth step per pushed id.
-  if (cols.size() > 4) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i].overflow_.reserve(cols.size() - 4);
-    }
+  if (width > 4) {
+    for (std::size_t i = 0; i < n; ++i) out[i].overflow_.reserve(width - 4);
   }
   // Position-major: one sequential pass per key column.  Positions ascend,
   // so overflow ids (arity > 4) push in the same order of_row encodes them.
@@ -378,6 +378,9 @@ void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
         out[i].overflow_.push_back(col[i].id());
       }
     }
+  }
+  for (std::size_t k = 0; k < tail.size(); ++k) {
+    for (std::size_t i = 0; i < n; ++i) out[i].set(cols.size() + k, tail[k].id());
   }
 }
 

@@ -399,7 +399,7 @@ class Table {
 
   /// Horizontal concatenation: a's columns followed by b's, under `schema`
   /// (arity must equal a.width + b.width; row counts must match).  Shares
-  /// column storage with both inputs — the hash join's output assembler.
+  /// column storage with both inputs — the join's output assembler.
   [[nodiscard]] static Table hcat(SchemaPtr schema, const Table& a,
                                   const Table& b);
 
@@ -437,11 +437,13 @@ class Table {
   }
 
   /// Packs rows [begin, end) restricted to `cols` into out[0 .. end-begin),
-  /// column at a time (one sequential pass per key column, no row gather).
-  /// `out` must hold default-constructed keys.  This is the batch form of
-  /// index_key that index builds, joins, and distinct all use.
+  /// column at a time (one sequential pass per key column, no row gather),
+  /// with the constants `tail` at the positions after the columns.  `out`
+  /// must hold default-constructed keys.  This is the batch form of
+  /// index_key that index builds, routed join probes and distinct all use.
   void build_keys(std::span<const std::size_t> cols, std::size_t begin,
-                  std::size_t end, TupleKey* out) const;
+                  std::size_t end, TupleKey* out,
+                  std::span<const Value> tail = {}) const;
 
   /// Lazily-built hash index keyed by the given columns — what point
   /// lookups, FastEmpty probes and hash-join build sides all probe.  Built

@@ -20,8 +20,6 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
   std::size_t bytes = sizeof(plan::PlanNode);
   bytes += n.table_name.size() + n.alias.size();
   for (const auto& c : n.columns) bytes += c.size();
-  for (const auto& k : n.left_keys) bytes += k.size();
-  for (const auto& k : n.right_keys) bytes += k.size();
   for (const auto& o : n.order_by) bytes += o.size();
   if (n.predicate) bytes += 4 * n.predicate->to_string().size();
   for (const auto& c : n.children) bytes += estimate_plan_bytes(*c);
@@ -30,14 +28,17 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
 
 /// Attaches a shared pre-compiled route to every kSelect over a kCross and
 /// a shared pre-compiled RowFilter to every other kSelect.  The executor
-/// runs this tree with ident_schema unset, so both compile with the node's
-/// own schema deciding identifier-hood — as the executor would.
+/// runs this tree with ident_schema unset, so both compile with the schema
+/// the executor would use deciding identifier-hood: the Cross's for a
+/// route (column pruning may narrow the Select below what its predicate
+/// reads), the node's own otherwise.
 void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
   if (n.kind == plan::PlanNode::Kind::kSelect && n.predicate) {
     if (n.child().kind == plan::PlanNode::Kind::kCross) {
       n.route = std::make_shared<const plan::CrossRoute>(
           *n.predicate, *n.child().child(0).schema,
-          *n.child().child(1).schema, *n.schema, &catalog.functions());
+          *n.child().child(1).schema, *n.child().schema,
+          &catalog.functions());
     } else {
       n.compiled = std::make_shared<const plan::vec::RowFilter>(
           *n.predicate, *n.schema, *n.schema, &catalog.functions());

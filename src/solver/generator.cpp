@@ -109,10 +109,10 @@ Table generate_incremental(const GenerationInput& input,
     if (ready.empty()) {
       cur = Table::cross(cur, dom);
     } else {
-      // The planner pushes single-side conjuncts below the cross and turns
-      // prefix-column = new-column equalities into a hash join; the rest
-      // routes on its guards, so each prefix row meets only its candidate
-      // domain values and the product is never materialised.
+      // The planner pushes single-side conjuncts below the cross; the rest
+      // routes on its prefix-column = new-column equalities and its guards,
+      // so each prefix row meets only its candidate domain values and the
+      // product is never materialised.
       std::size_t candidates = 0;
       cur = plan::cross_select(cur, dom, Expr::conjunction(std::move(ready)),
                                full, input.functions, jobs, &candidates);

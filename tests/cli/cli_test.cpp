@@ -139,7 +139,7 @@ TEST(Cli, UnknownFlagsAreUsageErrors) {
 /// rather than a verdict.
 TEST(Cli, VacuousRunsAreUsageErrors) {
   const std::pair<const char*, const char*> cases[] = {
-      {"sweep --seeds 0", "--seeds needs at least 1 seed"},
+      {"sweep --seeds 0", "--seeds needs at least 1"},
       {"reach --quads 2 --node-ops 1,1,7",
        "--node-ops gives 3 budgets for 2 quads"},
       // A misspelt operation would leave the Figure 4 search over prd alone
@@ -147,6 +147,15 @@ TEST(Cli, VacuousRunsAreUsageErrors) {
       {"reach V5 --quads 2 --addrs 3 --ops 2 --only-ops prd,patomc "
        "--node-ops 2,1 --classify",
        "--only-ops: unknown operation 'patomc'"},
+      // A search that injects nothing explores the initial state alone and
+      // would certify the Figure 4 cycle unreachable.
+      {"reach V5 --ops 0 --classify", "operation budget"},
+      {"reach V5 --node-ops 0,0 --classify", "operation budget"},
+      {"reach V5 --max-states 0 --classify", "--max-states needs at least 1"},
+      {"sim V5 --txns 0", "--txns needs at least 1"},
+      {"serve --iterations 0", "--iterations needs at least 1"},
+      {"serve --sessions 0", "--sessions needs at least 1"},
+      {"map --jobs 0", "--jobs needs at least 1"},
   };
   for (const auto& [cmd, message] : cases) {
     RunResult r = run(cmd);
@@ -155,6 +164,11 @@ TEST(Cli, VacuousRunsAreUsageErrors) {
         << cmd << "\n" << r.output;
     EXPECT_EQ(r.output.find("unreachable"), std::string::npos) << r.output;
   }
+  // A partly-zero budget still injects: the search runs.
+  const RunResult partial = run("reach V5 --node-ops 2,0");
+  EXPECT_EQ(partial.exit_code, 0) << partial.output;
+  EXPECT_NE(partial.output.find("complete=1"), std::string::npos)
+      << partial.output;
 }
 
 /// An integer flag takes the next argument, which must be a whole int: a

@@ -7,7 +7,8 @@
 // tables (same rows, same order) at every jobs level, under a row budget
 // of 1, with a width-0 side, with predicates reading one side or no
 // column, and through a serve cached plan whose routes are precompiled.
-// Seeded guard trees cover every leaf class the route tells apart.  The
+// Seeded guard trees cover every leaf class the route tells apart, and
+// seeded top-level equalities the multi-column probe every join runs.  The
 // ASURA controller tables and ED are pinned row for row by digest.
 #include <gtest/gtest.h>
 
@@ -188,12 +189,38 @@ class GuardTreeGen {
   }
 
   /// A conjunction of trees and plain conjuncts, as a solver step's
-  /// predicate: several routed conjuncts intersect their picks.
+  /// predicate: several routed conjuncts intersect their picks.  Half carry
+  /// 1-12 top-level equalities, as a join does, which the route merges
+  /// into one multi-column probe.
   std::string predicate() {
     std::string out = tree(3);
     for (int n = pick(3); n > 0; --n) {
       out += " and ";
       out += pick(2) ? tree(2) : leaf();
+    }
+    if (pick(2) != 0) {
+      for (const std::string& eq : equalities(1 + pick(12))) {
+        out += " and ";
+        out += eq;
+      }
+    }
+    return out;
+  }
+
+  /// `count` equalities `r = a` (either way round, `a` a left column or a
+  /// literal) drawn from a pool of at most three, so that wide keys repeat
+  /// columns and still match rows.
+  std::vector<std::string> equalities(int count) {
+    std::vector<std::string> pool;
+    for (int n = 1 + pick(3); n > 0; --n) {
+      const std::string r = rcol();
+      const std::string a = pick(3) == 0 ? literal() : lcol();
+      pool.push_back(pick(2) ? r + " = " + a : a + " = " + r);
+    }
+    std::vector<std::string> out;
+    for (int n = count; n > 0; --n) {
+      out.push_back(pool[static_cast<std::size_t>(
+          pick(static_cast<int>(pool.size())))]);
     }
     return out;
   }
@@ -399,6 +426,51 @@ TEST(FusedCrossSelect, GuardTreesAcrossParallelMorsels) {
   for (std::uint32_t seed = 900; seed < 920; ++seed) {
     check_guard_case(seed, 3, 2, 300, 12);
   }
+  // 2,500 left rows: past the parallel threshold, so jobs 4 and 8 route
+  // each morsel of left rows on its own.
+  for (std::uint32_t seed = 920; seed < 926; ++seed) {
+    check_guard_case(seed, 2, 3, 2500, 9);
+  }
+}
+
+/// Only top-level equalities, optionally beside one guard tree and one
+/// residual leaf: every case is a join, its 1-12 keys one probe.
+TEST(FusedCrossSelect, MultiKeyEqualitiesMatchOracle) {
+  const FunctionRegistry fns = test_functions();
+  const auto check = [&](std::uint32_t seed, std::size_t ln) {
+    std::mt19937 rng(seed);
+    const Table l = random_table(rng, "l", 1 + seed % 4, ln);
+    const Table r = random_table(rng, "r", 1 + seed % 5, 6 + seed % 9);
+    GuardTreeGen gen(rng, names_of(l), names_of(r));
+    std::string text;
+    for (const std::string& eq : gen.equalities(1 + static_cast<int>(seed % 12))) {
+      text += text.empty() ? eq : " and " + eq;
+    }
+    if (seed % 3 == 1) text += " and " + gen.tree(2);
+    if (seed % 4 == 2) text += " and r0 != l0";
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + text);
+    const Expr pred = parse_expr(text);
+    const SchemaPtr wide = Table::cross(l, r).schema_ptr();
+    const std::string want = dump(oracle(l, r, pred, *wide, &fns));
+    for (std::size_t jobs : {1, 4, 8}) {
+      bool routed = false;
+      EXPECT_EQ(dump(fused(l, r, pred, *wide, &fns, jobs, plan::kNoLimit,
+                           &routed)),
+                want)
+          << "jobs " << jobs;
+      EXPECT_TRUE(routed);
+    }
+    EXPECT_EQ(dump(fused(l, r, pred, *wide, &fns, 1, 1)),
+              dump(oracle(l, r, pred, *wide, &fns, 1)));
+    return want != dump(Table(wide));
+  };
+  // Most cases find matches, so the probe's picks are what is compared.
+  std::size_t matched = 0;
+  for (std::uint32_t seed = 1000; seed < 1120; ++seed) {
+    matched += check(seed, seed % 40);
+  }
+  EXPECT_GT(matched, 60u);
+  for (std::uint32_t seed = 1200; seed < 1204; ++seed) check(seed, 2200);
 }
 
 TEST(FusedCrossSelect, ServeCachedPlanMatchesOracle) {

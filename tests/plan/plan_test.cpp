@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "plan/explain.hpp"
 #include "plan/ir.hpp"
 #include "plan/optimizer.hpp"
@@ -138,18 +139,66 @@ TEST(Plan, SelectChainsFoldIntoOneConjunction) {
   }
 }
 
-TEST(Planner, CrossWithEqualityLowersToHashJoin) {
+std::vector<std::string> column_names(const PlanNode& n) {
+  std::vector<std::string> names;
+  for (const Column& c : n.schema->columns()) names.push_back(c.name);
+  return names;
+}
+
+// A join is one Select over a Cross: the cross-side equality stays in the
+// Select, and the route probes the right scan's index on it.
+TEST(Planner, CrossWithEqualityRoutesAsOneSelectOverTheCross) {
   Catalog db = make_catalog();
-  PlanPtr p = plan::plan_select(
-      db, parse_select("select a.memmsg, b.outmsg from D a, M b "
-                       "where a.memmsg = b.inmsg"));
+  const SelectStmt stmt = parse_select(
+      "select a.memmsg, b.outmsg from D a, M b where a.memmsg = b.inmsg");
+  PlanPtr p = plan::plan_select(db, stmt);
   ASSERT_EQ(p->kind, PlanNode::Kind::kProject);
   const PlanNode& join = p->child();
-  ASSERT_EQ(join.kind, PlanNode::Kind::kHashJoin);
-  EXPECT_EQ(join.left_keys, std::vector<std::string>{"a.memmsg"});
-  EXPECT_EQ(join.right_keys, std::vector<std::string>{"b.inmsg"});
-  EXPECT_EQ(join.child(0).kind, PlanNode::Kind::kScan);
-  EXPECT_EQ(join.child(1).kind, PlanNode::Kind::kScan);
+  ASSERT_EQ(join.kind, PlanNode::Kind::kSelect);
+  EXPECT_EQ(join.predicate->to_string(), "a.memmsg = b.inmsg");
+  // The Select outputs only the projected columns; its Cross keeps every
+  // column its predicate reads.
+  EXPECT_EQ(column_names(join),
+            (std::vector<std::string>{"a.memmsg", "b.outmsg"}));
+  const PlanNode& cross = join.child();
+  ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
+  EXPECT_EQ(column_names(cross).size(), 5u);
+  EXPECT_EQ(cross.child(0).kind, PlanNode::Kind::kScan);
+  EXPECT_EQ(cross.child(1).kind, PlanNode::Kind::kScan);
+  plan::ExecContext ctx{&db, &db.functions()};
+  const Table planned = plan::execute(*p, ctx);
+  // mread meets mread, each wb meets wb: three candidate pairs, not 15.
+  EXPECT_TRUE(cross.routed);
+  EXPECT_EQ(cross.actual_rows, 3u);
+  EXPECT_EQ(to_csv(planned), to_csv(naive::run(db, stmt)));
+}
+
+// Every routed probe counts as an index build the first time a table is
+// probed on a column set and as a hit after, as a point lookup does: a
+// guard tree keyed on two columns builds two indexes, and a join on one of
+// them hits it.
+TEST(Planner, RoutedProbesCountIndexBuildsAndHits) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  const bool was_on = tracer.metrics_enabled();
+  tracer.enable_metrics();
+  const auto count = [&](const char* name) {
+    return tracer.metrics().counter(name);
+  };
+  Catalog db = make_catalog();
+  const std::uint64_t builds = count("plan.index_builds");
+  const std::uint64_t hits = count("plan.index_hits");
+  (void)plan::run_select(
+      db, parse_select("select * from D a, M b where (a.dirst = I ? "
+                       "b.inmsg = a.memmsg : b.outmsg in (data, mdone))"));
+  EXPECT_EQ(count("plan.index_builds") - builds, 2u);
+  EXPECT_EQ(count("plan.index_hits") - hits, 0u);
+  const SelectStmt join = parse_select(
+      "select a.memmsg, b.outmsg from D a, M b where a.memmsg = b.inmsg");
+  (void)plan::run_select(db, join);
+  (void)plan::run_select(db, join);
+  EXPECT_EQ(count("plan.index_builds") - builds, 2u);
+  EXPECT_EQ(count("plan.index_hits") - hits, 2u);
+  tracer.enable_metrics(was_on);
 }
 
 TEST(Planner, SingleSidePredicatesPushBelowTheJoin) {
@@ -159,18 +208,15 @@ TEST(Planner, SingleSidePredicatesPushBelowTheJoin) {
                        "where a.memmsg = b.inmsg and not b.outmsg = \"compl\" "
                        "and a.dirst = \"I\""));
   const PlanNode& join = p->child();
-  ASSERT_EQ(join.kind, PlanNode::Kind::kHashJoin);
+  ASSERT_EQ(join.kind, PlanNode::Kind::kSelect);
+  EXPECT_EQ(join.predicate->to_string(), "a.memmsg = b.inmsg");
+  const PlanNode& cross = join.child();
+  ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
   // a.dirst = "I" became an index lookup on the left scan; the negated
   // b-side filter sank below the join on the right.
-  EXPECT_EQ(join.child(0).kind, PlanNode::Kind::kIndexLookup);
-  EXPECT_EQ(join.child(1).kind, PlanNode::Kind::kSelect);
-  EXPECT_EQ(join.child(1).child().kind, PlanNode::Kind::kScan);
-}
-
-std::vector<std::string> column_names(const PlanNode& n) {
-  std::vector<std::string> names;
-  for (const Column& c : n.schema->columns()) names.push_back(c.name);
-  return names;
+  EXPECT_EQ(cross.child(0).kind, PlanNode::Kind::kIndexLookup);
+  EXPECT_EQ(cross.child(1).kind, PlanNode::Kind::kSelect);
+  EXPECT_EQ(cross.child(1).child().kind, PlanNode::Kind::kScan);
 }
 
 TEST(Planner, JoinChainNarrowsEveryJoinToTheColumnsReadAbove) {
@@ -180,21 +226,27 @@ TEST(Planner, JoinChainNarrowsEveryJoinToTheColumnsReadAbove) {
       "and b.outmsg = c.memmsg and not c.dirst = a.dirst");
   PlanPtr p = plan::plan_select(db, stmt);
   ASSERT_EQ(p->kind, PlanNode::Kind::kProject);
-  const PlanNode& sel = p->child();
-  ASSERT_EQ(sel.kind, PlanNode::Kind::kSelect);
-  const PlanNode& top = sel.child();
-  ASSERT_EQ(top.kind, PlanNode::Kind::kHashJoin);
-  // The residual's columns ride with the projected ones; the Select takes
-  // the join's narrowed schema.
+  // The top join holds the equality and the residual in one Select, which
+  // outputs only the projected columns.
+  const PlanNode& top = p->child();
+  ASSERT_EQ(top.kind, PlanNode::Kind::kSelect);
   EXPECT_EQ(column_names(top),
-            (std::vector<std::string>{"a.dirst", "c.dirst", "c.dirpv"}));
-  EXPECT_EQ(column_names(sel), column_names(top));
+            (std::vector<std::string>{"a.dirst", "c.dirpv"}));
+  const PlanNode& cross = top.child();
+  ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
   // The inner join keeps what the top join reads of it: a projected
-  // column and the top join's left key — none of b's input columns.
-  const PlanNode& inner = top.child(0);
-  ASSERT_EQ(inner.kind, PlanNode::Kind::kHashJoin);
+  // column and a column of the top join's predicate — none of b's input
+  // columns.  Its predicate still reads a.memmsg and b.inmsg, from its
+  // Cross, which keeps them.
+  const PlanNode& inner = cross.child(0);
+  ASSERT_EQ(inner.kind, PlanNode::Kind::kSelect);
   EXPECT_EQ(column_names(inner),
             (std::vector<std::string>{"a.dirst", "b.outmsg"}));
+  ASSERT_EQ(inner.child().kind, PlanNode::Kind::kCross);
+  EXPECT_EQ(column_names(inner.child()).size(), 5u);
+  EXPECT_EQ(column_names(cross),
+            (std::vector<std::string>{"a.dirst", "b.outmsg", "c.dirst",
+                                      "c.dirpv", "c.memmsg"}));
   const Table planned = plan::run_select(db, stmt);
   const Table naive = naive::run(db, stmt);
   EXPECT_EQ(planned.row_count(), naive.row_count());
@@ -208,13 +260,38 @@ TEST(Planner, CrossOverAJoinNarrowsTheJoinBelowIt) {
   PlanPtr p = plan::plan_select(db, stmt);
   const PlanNode& cross = p->child();
   ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
-  ASSERT_EQ(cross.child(0).kind, PlanNode::Kind::kHashJoin);
+  ASSERT_EQ(cross.child(0).kind, PlanNode::Kind::kSelect);
+  ASSERT_EQ(cross.child(0).child().kind, PlanNode::Kind::kCross);
   EXPECT_EQ(column_names(cross.child(0)),
             std::vector<std::string>{"a.dirst"});
   EXPECT_EQ(column_names(cross),
             (std::vector<std::string>{"a.dirst", "m.inmsg", "m.outmsg"}));
   const Table planned = plan::run_select(db, stmt);
   const Table naive = naive::run(db, stmt);
+  EXPECT_EQ(planned.row_count(), naive.row_count());
+  EXPECT_TRUE(planned.set_equal(naive));
+}
+
+TEST(Planner, JoinAskedForNoColumnsKeepsItsNarrowedCrossColumns) {
+  Catalog db = make_catalog();
+  // The top Cross reads nothing of its left side, the outer join: that
+  // join keeps its Cross's columns, which pruning already narrowed to
+  // b.inmsg (all the outer join reads of the inner one) and c's columns.
+  const SelectStmt stmt = parse_select(
+      "select d.outmsg from D a, M b, D c, M d "
+      "where a.memmsg = b.inmsg and b.inmsg = c.memmsg");
+  PlanPtr p = plan::plan_select(db, stmt);
+  const PlanNode& cross = p->child();
+  ASSERT_EQ(cross.kind, PlanNode::Kind::kCross);
+  const PlanNode& outer = cross.child(0);
+  ASSERT_EQ(outer.kind, PlanNode::Kind::kSelect);
+  ASSERT_EQ(outer.child().kind, PlanNode::Kind::kCross);
+  EXPECT_EQ(column_names(outer.child().child(0)),
+            std::vector<std::string>{"b.inmsg"});
+  EXPECT_EQ(column_names(outer), column_names(outer.child()));
+  const Table planned = plan::run_select(db, stmt);
+  const Table naive = naive::run(db, stmt);
+  EXPECT_EQ(planned.row_count(), 15u);
   EXPECT_EQ(planned.row_count(), naive.row_count());
   EXPECT_TRUE(planned.set_equal(naive));
 }
@@ -308,10 +385,13 @@ TEST(Explain, GoldenSingleTablePointLookup) {
             "    IndexLookup D (dirst = \"MESI\") (est=33.1, actual=11)\n");
 }
 
-TEST(Explain, GoldenCrossTableHashJoin) {
+TEST(Explain, GoldenCrossTableJoin) {
   auto spec = asura::make_asura();
   // The SELECT of mem-wb-reaches-completion: directory-to-memory writeback
-  // handshake, planned as a hash join instead of a cross product.
+  // handshake, planned as a join instead of a filtered cross product: the
+  // equality stays in the Select over the Cross, whose route probes the
+  // right side's index on b.inmsg once per left row.  A join estimates
+  // 10% of the product per cross-side equality.
   const std::string out = plan::explain_sql(
       spec->database().catalog(),
       "Select a.memmsg, b.inmsg, b.outmsg from D a, M b "
@@ -320,24 +400,24 @@ TEST(Explain, GoldenCrossTableHashJoin) {
   EXPECT_EQ(
       out,
       "Project [a.memmsg, b.inmsg, b.outmsg] (est=5.5, actual=0)\n"
-      "  HashJoin (a.memmsg = b.inmsg) (est=5.5, actual=0)\n"
-      "    IndexLookup D as a (a.memmsg = \"wb\") (est=33.1, actual=1)\n"
-      "    Select (b.outmsg != \"compl\") (est=1.7, actual=4)\n"
-      "      Scan M as b (est=5, actual=5)\n");
-  EXPECT_NE(out.find("HashJoin"), std::string::npos);
-  EXPECT_EQ(out.find("Cross"), std::string::npos);
+      "  Select (a.memmsg = b.inmsg) (est=5.5, actual=0)\n"
+      "    Cross [routed] (est=54.6, actual=0)\n"
+      "      IndexLookup D as a (a.memmsg = \"wb\") (est=33.1, actual=1)\n"
+      "      Select (b.outmsg != \"compl\") (est=1.7, actual=4)\n"
+      "        Scan M as b (est=5, actual=5)\n");
 }
 
 TEST(Explain, GoldenThreeWayMultiKeyJoin) {
   auto spec = asura::make_asura();
   // A directory row's memory request, the memory's reply, and the
   // directory row consuming that reply.  Each conjunct lands where it
-  // applies: cross-side equalities become join keys (stack order at the
-  // top join, reversed one level down), the literal an index lookup, the
-  // one-table filter a Select on its scan, and the residual spanning a and
-  // c one Select above the join that first sees both.  A join's estimate
-  // is floored at one row, so the 3-key inner join reads est=1 and the
-  // outer one builds on it.
+  // applies: the literal an index lookup, the one-table filter a Select on
+  // its scan, and everything spanning both sides of a Cross — the
+  // cross-side equalities, which the route merges into one multi-column
+  // probe, and the residual spanning a and c — one Select over the Cross
+  // that first sees both, innermost first.  A join's estimate is floored
+  // at one row, so the 3-key inner join reads est=1 and the outer one
+  // builds on it.
   const std::string out = plan::explain_sql(
       spec->database().catalog(),
       "select a.inmsg, b.outmsg, c.nxtdirst from D a, M b, D c "
@@ -347,15 +427,16 @@ TEST(Explain, GoldenThreeWayMultiKeyJoin) {
       "not b.outmsg = mdone and not c.nxtdirst = a.nxtdirst");
   EXPECT_EQ(
       out,
-      "Project [a.inmsg, b.outmsg, c.nxtdirst] (est=1.1, actual=48)\n"
-      "  Select (c.nxtdirst != a.nxtdirst) (est=1.1, actual=48)\n"
-      "    HashJoin (b.outmsg = c.inmsg and b.outmsgdest = c.inmsgdest) "
-      "(est=3.3, actual=48)\n"
-      "      HashJoin (a.memmsgdest = b.inmsgdest and a.memmsgsrc = "
-      "b.inmsgsrc and a.memmsg = b.inmsg) (est=1, actual=8)\n"
-      "        IndexLookup D as a (a.dirst = \"SI\") (est=33.1, actual=22)\n"
-      "        Select (b.outmsg != mdone) (est=1.7, actual=3)\n"
-      "          Scan M as b (est=5, actual=5)\n"
+      "Project [a.inmsg, b.outmsg, c.nxtdirst] (est=3.3, actual=48)\n"
+      "  Select ((c.nxtdirst != a.nxtdirst and b.outmsgdest = c.inmsgdest "
+      "and b.outmsg = c.inmsg)) (est=3.3, actual=48)\n"
+      "    Cross [routed] (est=331, actual=48)\n"
+      "      Select ((a.memmsg = b.inmsg and a.memmsgsrc = b.inmsgsrc and "
+      "a.memmsgdest = b.inmsgdest)) (est=1, actual=8)\n"
+      "        Cross [routed] (est=54.6, actual=8)\n"
+      "          IndexLookup D as a (a.dirst = \"SI\") (est=33.1, actual=22)\n"
+      "          Select (b.outmsg != mdone) (est=1.7, actual=3)\n"
+      "            Scan M as b (est=5, actual=5)\n"
       "      Scan D as c (est=331, actual=331)\n");
 }
 
@@ -378,9 +459,9 @@ TEST(ExplainAnalyze, ReportsPerOperatorProfile) {
   opts.analyze = true;
   const std::string out =
       plan::explain_sql(spec->database().catalog(), sql, opts);
-  // Every executed operator carries a profile bracket; the hash join also
-  // reports its build side; fused scan children are marked instead of
-  // profiled (their work is attributed to the fusing operator).
+  // Every executed operator carries a profile bracket; the routed Cross
+  // reports the index its Select probed; fused children are marked instead
+  // of profiled (their work is attributed to the fusing operator).
   EXPECT_NE(out.find("time="), std::string::npos) << out;
   EXPECT_NE(out.find("self="), std::string::npos) << out;
   EXPECT_NE(out.find("rows_out="), std::string::npos) << out;
@@ -435,6 +516,8 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
   // Select's rows_in is the 8 pairs its residual (the inequality) visited,
   // and bytes= is that residual's read (8 pairs x 2 columns) plus one
   // gather per side (8 rows x 3 and x 2 columns, each read and written).
+  // build= is the two indexes on M the keyed leaves probed: 3 rows, 3
+  // inmsg and 3 outmsg keys.
   Catalog db = make_catalog();
   plan::PlannerOptions opts;
   opts.analyze = true;
@@ -452,7 +535,8 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
             "Select ((a.dirpv != b.outmsg and (a.dirst = I ? b.inmsg = "
             "a.memmsg : b.outmsg in (data, mdone)))) (est=5.0, actual=8) "
             "[time rows_in=8 rows_out=8 batches=1 sel=100.0% bytes=384 B]\n"
-            "  Cross [routed] (est=15, actual=8) [fused]\n"
+            "  Cross [routed] (est=15, actual=8) [fused build=3 rows/6 "
+            "keys/592 B]\n"
             "    Scan D as a (est=5, actual=5) [time rows_out=5]\n"
             "    Scan M as b (est=3, actual=3) [time rows_out=3]\n");
   // Plain EXPLAIN marks the route too.

@@ -51,9 +51,9 @@ TEST(Table, CopyWhileAnotherThreadInstallsIndexes) {
   EXPECT_EQ(&copy.index_on({1}), &shared.index_on({1}));
 }
 
-/// A point lookup and a hash join whose build side is the same table and
-/// column set probe one cached index: the table holds a single HashIndex,
-/// and it is all the index memory the tracker sees.
+/// A point lookup and a join whose right side is the same table and column
+/// set probe one cached index: the table holds a single HashIndex, and it
+/// is all the index memory the tracker sees.
 TEST(Table, LookupAndJoinShareOneIndex) {
   using Cat = obs::MemTracker::Category;
   const obs::MemTracker& tracker = obs::MemTracker::global();
@@ -80,8 +80,10 @@ TEST(Table, LookupAndJoinShareOneIndex) {
               5u);
     const plan::PlanPtr join = plan::plan_select(
         db, parse_select("select a.x, b.v from P a, D b where a.x = b.k"));
-    ASSERT_EQ(join->child().kind, plan::PlanNode::Kind::kHashJoin);
-    ASSERT_EQ(join->child().child(1).kind, plan::PlanNode::Kind::kScan);
+    ASSERT_EQ(join->child().kind, plan::PlanNode::Kind::kSelect);
+    ASSERT_EQ(join->child().child().kind, plan::PlanNode::Kind::kCross);
+    ASSERT_EQ(join->child().child().child(1).kind,
+              plan::PlanNode::Kind::kScan);
     EXPECT_EQ(plan::run_select(
                   db, parse_select(
                           "select a.x, b.v from P a, D b where a.x = b.k"))
