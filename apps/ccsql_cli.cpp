@@ -496,7 +496,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
     drive_opts.writer_table = spec.controllers().front()->name();
   }
 
-  // Workload: the paper's invariant suite (exists mode), or a SQL script
+  // Workload: the paper's invariant suite (emptiness checks), or a SQL script
   // of SELECTs, one per line ('#' comments and blank lines skipped).
   std::vector<std::string> statements;
   if (const std::string path = args.str_value_of("--script"); !path.empty()) {
@@ -510,7 +510,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
       if (first == std::string::npos || line[first] == '#') continue;
       statements.push_back(line);
     }
-    drive_opts.exists_mode = false;
+    drive_opts.check_empty = false;
   } else {
     for (const auto& inv : spec.invariants()) statements.push_back(inv.sql);
   }
@@ -527,7 +527,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
   std::cout << "serve: " << drive_opts.sessions << " sessions x "
             << drive_opts.iterations << " iterations over "
             << statements.size()
-            << (drive_opts.exists_mode ? " invariants" : " queries");
+            << (drive_opts.check_empty ? " invariants" : " queries");
   std::cout << "\n  queries=" << report.queries
             << " violations=" << report.violations
             << " wall=" << report.wall_us / 1000

@@ -61,7 +61,7 @@ SimResult run_random(const char* assignment, unsigned seed, int txns,
   cfg.seed = seed;
   Machine m(asura_spec(), asura_spec().assignment(assignment), cfg);
   m.set_memory_latency(3);
-  m.enable_random_workload();
+  m.enable_workload();
   return m.run();
 }
 

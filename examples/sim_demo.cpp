@@ -60,7 +60,7 @@ int main() {
   cfg.seed = 2026;
   Machine m(*spec, spec->assignment(asura::kAssignV5Fix), cfg);
   m.set_memory_latency(2);
-  m.enable_random_workload();
+  m.enable_workload();
   r = m.run();
   std::cout << "completed=" << r.completed << " steps=" << r.steps
             << " transactions=" << r.transactions_done

@@ -18,8 +18,8 @@ InvariantResult InvariantChecker::check(const NamedInvariant& inv) const {
   result.name = inv.name;
   result.holds = true;
   for (const SelectStmt& stmt : parse_invariant(inv.sql)) {
-    // Fast path: probe emptiness in exists mode (Limit 1) — the common
-    // all-invariants-hold run never materialises a full result.  Only a
+    // Fast path: probe emptiness (plan::is_empty, which gathers no rows) —
+    // the common all-invariants-hold run never materialises a result.  Only a
     // violated check is re-run in full, for complete witness reporting.
     if (db_->check_empty(stmt)) continue;
     Table rows = db_->query(stmt).rows;

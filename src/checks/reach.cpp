@@ -24,7 +24,7 @@ ReachResult explore(const ProtocolSpec& spec, const ChannelAssignment& v,
   sim_cfg.workload_ops = config.inject_ops;
 
   sim::Machine machine(spec, v, sim_cfg);
-  machine.enable_random_workload();  // sets the per-node injection budget
+  machine.enable_workload();  // sets the per-node injection budget
 
   ReachResult result;
   std::unordered_set<std::string> visited;

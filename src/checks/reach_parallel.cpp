@@ -279,7 +279,7 @@ ReachParallelResult explore_parallel(const ProtocolSpec& spec,
     const auto lane = static_cast<std::size_t>(core::Pool::worker_id() + 1);
     std::call_once(machine_once[lane], [&, lane] {
       auto m = std::make_unique<Machine>(spec, v, sim_cfg);
-      m->enable_random_workload();
+      m->enable_workload();
       machines[lane] = std::move(m);
     });
     return *machines[lane];

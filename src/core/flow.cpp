@@ -153,7 +153,7 @@ FlowReport Flow::run(const FlowOptions& options) const {
         cfg.transactions_per_node = options.sim_transactions;
         sim::Machine m(*spec_, spec_->assignment(chosen->name), cfg);
         m.set_memory_latency(2);
-        m.enable_random_workload();
+        m.enable_workload();
         sim::SimResult r = m.run();
         report.sim.ran = true;
         report.sim.healthy = r.healthy();

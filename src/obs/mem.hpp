@@ -1,8 +1,9 @@
 #pragma once
 
 // Memory accounting for the long-lived allocations the query engine makes
-// (catalog-resident tables, hash indexes, hash-join build sides, cached
-// plans) and for the reachability explorer's search state.
+// (catalog-resident tables, hash indexes, the materialised right sides
+// joins index, cached plans) and for the reachability explorer's search
+// state.
 //
 // MemTracker keeps a live/peak byte pair per category behind relaxed
 // atomics, so the hooks (Catalog::put, Table::index_on, the executor's
@@ -30,8 +31,8 @@ class MemTracker {
   enum class Category : unsigned {
     kTables = 0,      // catalog-resident table buffers
     kIndexes = 1,     // hash indexes (Table::index_on cache: point lookups
-                      // and hash-join build sides share one per column set)
-    kHashBuilds = 2,  // materialised hash-join build sides
+                      // and joins' right sides share one per column set)
+    kHashBuilds = 2,  // materialised right sides a join's route indexes
     kPlans = 3,       // prepared-statement cache (serve::PlanCache)
     kExplorer = 4,    // explore_parallel: visited set, frontiers, parents
   };

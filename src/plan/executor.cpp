@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "core/pool.hpp"
 #include "obs/mem.hpp"
@@ -35,6 +36,31 @@ std::uint64_t scan_bytes(std::size_t rows_visited, std::size_t columns) {
   return static_cast<std::uint64_t>(rows_visited) * columns * sizeof(Value);
 }
 
+[[nodiscard]] bool picks_rows(const PlanNode& node) {
+  return node.kind == PlanNode::Kind::kScan ||
+         node.kind == PlanNode::Kind::kIndexLookup ||
+         node.kind == PlanNode::Kind::kSelect;
+}
+
+/// Which rows an operator yields, before any gather: ids into its source —
+/// the base table of a Scan or IndexLookup, else a table the executor
+/// materialised — and, for a Select over a Cross, the paired ids into the
+/// Cross's right side.  A Scan's rows, and those of an operator that only
+/// materialises, are a prefix of the source, held as a count.
+struct Rows {
+  const Table* base = nullptr;
+  std::optional<Table> held;   // the source, when not a base table
+  std::optional<Table> right;  // a Select over a Cross: its right side
+  bc::Sel ids;
+  bc::Sel right_ids;
+  std::optional<std::size_t> prefix;
+
+  [[nodiscard]] const Table& source() const { return held ? *held : *base; }
+  [[nodiscard]] std::size_t row_count() const {
+    return prefix ? *prefix : ids.size();
+  }
+};
+
 struct Executor {
   const ExecContext& ctx;
 
@@ -59,50 +85,72 @@ struct Executor {
   }
 
   /// True when work over `rows` input rows should fan out across the pool.
-  /// Row-budgeted paths (exists mode / LIMIT) stay serial: their early exit
+  /// Row-budgeted paths (emptiness checks) stay serial: their early exit
   /// depends on production order, which parallel lanes cannot honour.
   [[nodiscard]] bool go_parallel(std::size_t limit, std::size_t rows) const {
     return ctx.jobs > 1 && limit == kNoLimit && rows >= kParallelRowThreshold;
   }
 
+  /// Runs one operator's `body`, recording the rows it yields in
+  /// actual_rows and, under EXPLAIN ANALYZE, its time and output rows.
+  template <class Body>
+  auto run(PlanNode& node, Body body) {  // NOLINT(misc-no-recursion)
+    const auto t0 = ctx.analyze ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+    auto out = body();  // a Table or Rows
+    const std::size_t n = out.row_count();
+    if (ctx.analyze) {
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      ++node.stats.invocations;
+      node.stats.wall_micros += static_cast<std::uint64_t>(us > 0 ? us : 0);
+      node.stats.rows_out += n;
+    }
+    if (ctx.record) node.actual_rows = n;
+    return out;
+  }
+
   Table exec(PlanNode& node, std::size_t limit) {  // NOLINT(misc-no-recursion)
-    if (!ctx.analyze) return exec_impl(node, limit);
-    const auto t0 = std::chrono::steady_clock::now();
-    Table out = exec_impl(node, limit);
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count();
-    ++node.stats.invocations;
-    node.stats.wall_micros += static_cast<std::uint64_t>(us > 0 ? us : 0);
-    node.stats.rows_out += out.row_count();
+    return run(node, [&] { return exec_impl(node, limit); });
+  }
+
+  /// The rows `node` yields, at most `limit` of them, not gathered: picked
+  /// by id for a Scan, IndexLookup or Select, else all its materialised
+  /// rows.
+  Rows rows(PlanNode& node, std::size_t limit) {  // NOLINT(misc-no-recursion)
+    if (picks_rows(node)) return run(node, [&] { return pick(node, limit); });
+    Rows out;
+    out.held = exec(node, limit);
+    out.prefix = out.held->row_count();
     return out;
   }
 
   // NOLINTNEXTLINE(misc-no-recursion)
   Table exec_impl(PlanNode& node, std::size_t limit) {
-    Table out;
     switch (node.kind) {
       case PlanNode::Kind::kScan:
-        out = scan(node, limit);
-        break;
       case PlanNode::Kind::kIndexLookup:
-        out = index_lookup(node, limit);
-        break;
-      case PlanNode::Kind::kSelect:
-        out = select(node, limit);
-        break;
+        return gather(pick(node, limit), node.schema);
+      case PlanNode::Kind::kSelect: {
+        const Rows picked = pick(node, limit);
+        Table out = gather(picked, node.schema);
+        // The gather reads and writes every cell of the passing rows.
+        if (ctx.record) {
+          node.stats.bytes_touched +=
+              2 * scan_bytes(picked.row_count(), out.column_count());
+        }
+        return out;
+      }
       case PlanNode::Kind::kProject: {
         const std::size_t child_limit =
             node.distinct ? (limit == 1 ? 1 : kNoLimit) : limit;
         Table in = exec(node.child(), child_limit);
-        out = take(in.project(node.columns, node.distinct), limit);
-        break;
+        return take(in.project(node.columns, node.distinct), limit);
       }
       case PlanNode::Kind::kDistinct: {
         Table in = exec(node.child(), limit == 1 ? 1 : kNoLimit);
-        out = take(in.distinct(), limit);
-        break;
+        return take(in.distinct(), limit);
       }
       case PlanNode::Kind::kCross: {
         // A budget of 1 flows into both sides: the product is empty iff
@@ -111,9 +159,8 @@ struct Executor {
         Table l = exec(node.child(0), child_limit);
         Table r = exec(node.child(1), child_limit);
         const std::size_t n = l.row_count() * r.row_count();
-        out = take(Table::cross(l, r, go_parallel(limit, n) ? ctx.jobs : 1),
-                   limit);
-        break;
+        return take(Table::cross(l, r, go_parallel(limit, n) ? ctx.jobs : 1),
+                    limit);
       }
       case PlanNode::Kind::kUnion: {
         if (ctx.jobs > 1 && limit == kNoLimit && node.children.size() > 1) {
@@ -129,8 +176,7 @@ struct Executor {
             result = Table::union_distinct(
                 result, branches[i].with_schema(result.schema_ptr()));
           }
-          out = std::move(result);
-          break;
+          return result;
         }
         const std::size_t child_limit = limit == 1 ? 1 : kNoLimit;
         Table result = exec(node.child(0), child_limit);
@@ -140,77 +186,83 @@ struct Executor {
           result =
               Table::union_distinct(result, b.with_schema(result.schema_ptr()));
         }
-        out = take(std::move(result), limit);
-        break;
+        return take(std::move(result), limit);
       }
       case PlanNode::Kind::kSort: {
         Table in = exec(node.child(), kNoLimit);
-        out = take(in.sorted_by(node.order_by), limit);
-        break;
-      }
-      case PlanNode::Kind::kLimit: {
-        Table in = exec(node.child(), std::min(limit, node.limit));
-        out = take(std::move(in), node.limit);
-        break;
+        return take(in.sorted_by(node.order_by), limit);
       }
       case PlanNode::Kind::kCount: {
-        if (std::size_t total = 0; fused_count(node, total)) {
-          Table counted(node.schema);
-          counted.append({Symbol::intern(std::to_string(total))});
-          out = std::move(counted);
-          break;
-        }
-        Table in = exec(node.child(), kNoLimit);
+        // The child's rows are counted, never gathered.
         Table counted(node.schema);
-        counted.append({Symbol::intern(std::to_string(in.row_count()))});
-        out = std::move(counted);
-        break;
+        counted.append({Symbol::intern(
+            std::to_string(rows(node.child(), kNoLimit).row_count()))});
+        return counted;
       }
     }
-    if (ctx.record) node.actual_rows = out.row_count();
-    return out;
+    return Table(node.schema);
   }
 
-  Table scan(PlanNode& node, std::size_t limit) {
-    const Table& base = base_of(node);
-    if (limit >= base.row_count()) {
-      CCSQL_COUNT("query.rows_scanned", base.row_count());
-      return base.with_schema(node.schema);
+  /// `rows` as a table over `schema`.  A prefix shares the source's column
+  /// vectors; a Select over a Cross gathers from each side only the
+  /// columns `schema` keeps, which column pruning may have narrowed.
+  static Table gather(const Rows& rows, const SchemaPtr& schema) {
+    const Table& src = rows.source();
+    if (rows.right) {
+      std::vector<std::string> lnames, rnames;
+      for (const Column& c : schema->columns()) {
+        (src.schema().has(c.name) ? lnames : rnames).push_back(c.name);
+      }
+      return Table::hcat(
+          schema, src.project(lnames, /*distinct=*/false).gather(rows.ids),
+          rows.right->project(rnames, /*distinct=*/false)
+              .gather(rows.right_ids));
     }
-    // O(columns): the head shares the base table's column vectors.
-    CCSQL_COUNT("query.rows_scanned", limit);
-    return base.head(limit).with_schema(node.schema);
+    if (!rows.prefix) return src.gather(rows.ids).with_schema(schema);
+    if (*rows.prefix < src.row_count()) {
+      return src.head(*rows.prefix).with_schema(schema);
+    }
+    return src.with_schema(schema);
   }
 
   /// The base rows an IndexLookup selects (ascending), probed through the
   /// base table's cached hash index; nullptr when the key is absent.
-  const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup) const {
-    const Table& base = base_of(lookup);
-    std::vector<std::size_t> cols;
-    cols.reserve(lookup.columns.size());
-    for (const auto& name : lookup.columns) {
-      // lookup.schema is positionally identical to the base schema (only
-      // alias-renamed), so its indices address base rows directly.
-      cols.push_back(lookup.schema->index_of(name));
-    }
-    CCSQL_COUNT(base.has_cached_index(cols) ? "plan.index_hits"
-                                            : "plan.index_builds",
+  const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup,
+                                              const Table& base) const {
+    CCSQL_COUNT(lookup.index != nullptr ||
+                        base.has_cached_index(lookup.key_columns)
+                    ? "plan.index_hits"
+                    : "plan.index_builds",
                 1);
-    return base.index_on(cols).find(Table::index_key(lookup.key_values));
+    const HashIndex& index = lookup.index != nullptr
+                                 ? *lookup.index
+                                 : base.index_on(lookup.key_columns);
+    return index.find(Table::index_key(lookup.key_values));
   }
 
-  Table index_lookup(PlanNode& node, std::size_t limit) {
-    const Table& base = base_of(node);
-    const std::vector<std::size_t>* rows = lookup_rows(node);
-    bc::Sel sel;
-    if (rows != nullptr) {
-      for (std::size_t i : *rows) {
-        if (sel.size() >= limit) break;
-        sel.push_back(static_cast<std::uint32_t>(i));
-      }
+  /// Which rows `node` — a Scan, IndexLookup or Select — yields, at most
+  /// `limit` of them.
+  Rows pick(PlanNode& node, std::size_t limit) {  // NOLINT(misc-no-recursion)
+    Rows out;
+    switch (node.kind) {
+      case PlanNode::Kind::kScan:
+        out.base = &base_of(node);
+        out.prefix = std::min(limit, out.base->row_count());
+        CCSQL_COUNT("query.rows_scanned", *out.prefix);
+        return out;
+      case PlanNode::Kind::kIndexLookup:
+        out.base = &base_of(node);
+        if (const auto* bucket = lookup_rows(node, *out.base)) {
+          for (std::size_t i : *bucket) {
+            if (out.ids.size() >= limit) break;
+            out.ids.push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+        CCSQL_COUNT("query.rows_scanned", out.ids.size());
+        return out;
+      default:
+        return select(node, limit);
     }
-    CCSQL_COUNT("query.rows_scanned", sel.size());
-    return base.gather(sel).with_schema(node.schema);
   }
 
   /// Row ids of `src` passing `pred`, in table order, stopping at `limit`
@@ -246,30 +298,20 @@ struct Executor {
     return sel;
   }
 
-  /// Rows of `src` passing `pred`, in table order, as a table over `schema`.
-  Table filter(const Table& src, const SchemaPtr& schema,
-               const vec::RowFilter& pred, std::size_t limit,
-               std::size_t& visited, OpStats& stats) {
-    const bc::Sel sel = matches(src, pred, limit, visited, stats);
-    // The output gather reads and writes every cell of the passing rows.
-    stats.bytes_touched += 2 * scan_bytes(sel.size(), src.column_count());
-    return src.gather(sel).with_schema(schema);
-  }
-
   /// Select over Cross through its route (route.hpp) — every join: the
   /// route picks each left row's candidate right rows, in product order,
   /// on pool morsels of left rows when the left side is large; the
   /// residual filters only those pairs, reading a narrow pair table of
-  /// just its columns through the morsel path; the surviving pairs are
-  /// then gathered from the two sides by index, only the columns the
-  /// Select outputs.  The degenerate route makes every pair a candidate:
-  /// the full product, still never materialised wider than the residual's
-  /// columns.
-  Table select_cross(PlanNode& node, const CrossRoute& route,
-                     std::size_t limit, OpStats& stats) {
+  /// just its columns through the morsel path.  The surviving pairs are
+  /// the rows; the full product is never materialised.  The degenerate
+  /// route makes every pair a candidate: the full product, still never
+  /// materialised wider than the residual's columns.
+  Rows select_cross(PlanNode& node, const CrossRoute& route,
+                    std::size_t limit, OpStats& stats) {
     PlanNode& cross = node.child();
-    const Table l = exec(cross.child(0), kNoLimit);
-    const Table r = exec(cross.child(1), kNoLimit);
+    Rows out;
+    const Table& l = out.held.emplace(exec(cross.child(0), kNoLimit));
+    const Table& r = out.right.emplace(exec(cross.child(1), kNoLimit));
     // A scan's base table holds the index cache the keyed nodes probe, so
     // repeated queries reuse it; a materialised right side is held for the
     // index built over it: join-local memory.
@@ -283,7 +325,8 @@ struct Executor {
     const CrossRoute::Right right = route.right_side(rbase, ctx.jobs);
     const vec::RowFilter* residual = route.residual();
     const std::size_t ln = l.row_count();
-    bc::Sel lsel, rsel;
+    bc::Sel& lsel = out.ids;
+    bc::Sel& rsel = out.right_ids;
     if (go_parallel(limit, ln)) {
       // Each morsel of left rows routes on its own; morsels concatenate
       // in order, so the pairs are those of one serial pass.  A morsel
@@ -326,9 +369,6 @@ struct Executor {
       lsel.resize(sel.size());
       rsel.resize(sel.size());
     }
-    Table out = narrow_gather(node.schema, l, lsel, r, rsel);
-    // Each gather reads and writes every cell of the passing rows.
-    stats.bytes_touched += 2 * scan_bytes(lsel.size(), out.column_count());
     if (ctx.record) {
       cross.actual_rows = pairs;
       cross.routed = route.keyed();
@@ -345,34 +385,23 @@ struct Executor {
     return out;
   }
 
-  /// The pairs' columns of `schema` — all of the two sides', or the fewer
-  /// column pruning left: only those are gathered.
-  static Table narrow_gather(const SchemaPtr& schema, const Table& l,
-                             const bc::Sel& lsel, const Table& r,
-                             const bc::Sel& rsel) {
-    std::vector<std::string> lnames, rnames;
-    for (const Column& c : schema->columns()) {
-      (l.schema().has(c.name) ? lnames : rnames).push_back(c.name);
-    }
-    return Table::hcat(schema,
-                       l.project(lnames, /*distinct=*/false).gather(lsel),
-                       r.project(rnames, /*distinct=*/false).gather(rsel));
-  }
-
-  Table select(PlanNode& node, std::size_t limit) {
+  /// The rows of Select `node`: its predicate over its child's rows —
+  /// routed over a Cross, filtered in place over a Scan's base rows or an
+  /// IndexLookup's bucket, over the materialised rows of anything else.
+  Rows select(PlanNode& node, std::size_t limit) {  // NOLINT(misc-no-recursion)
     OpStats scratch;  // discarded stats sink for record-off executions
     OpStats& stats = ctx.record ? node.stats : scratch;
+    PlanNode& child = node.child();
     // A cached plan carries its predicate pre-compiled (shared across
     // concurrent executions) — as a route over a Cross, as a filter
     // elsewhere; otherwise compile here, per execution.
-    if (node.child().kind == PlanNode::Kind::kCross) {
+    if (child.kind == PlanNode::Kind::kCross) {
       std::optional<CrossRoute> local;
       const CrossRoute& route =
           node.route ? *node.route
-                     : local.emplace(*node.predicate,
-                                     *node.child().child(0).schema,
-                                     *node.child().child(1).schema,
-                                     full_of(node), ctx.functions);
+                     : local.emplace(*node.predicate, *child.child(0).schema,
+                                     *child.child(1).schema, full_of(node),
+                                     ctx.functions);
       return select_cross(node, route, limit, stats);
     }
     std::optional<vec::RowFilter> local;
@@ -380,88 +409,34 @@ struct Executor {
         node.compiled ? *node.compiled
                       : local.emplace(*node.predicate, *node.schema,
                                       full_of(node), ctx.functions);
+    Rows out;
     std::size_t visited = 0;
-    if (node.child().kind == PlanNode::Kind::kIndexLookup) {
-      // Fused path: filter the index bucket's row ids in place, batch by
-      // batch.  Skips materialising the (possibly large) lookup result —
-      // with a row budget of 1 (exists mode) this stops at the first batch
-      // holding a passing row.  Sound because an IndexLookup's schema is
-      // positionally identical to its base table's.
-      PlanNode& lookup = node.child();
-      const Table& base = base_of(lookup);
-      bc::Sel hits;
-      if (const auto* rows = lookup_rows(lookup)) {
-        visited = pred.filter_rows(base.column_ptrs(), *rows, limit, hits);
+    if (child.kind == PlanNode::Kind::kIndexLookup) {
+      // Filter the index bucket's row ids in place, batch by batch: with a
+      // row budget of 1 this stops at the first batch holding a passing
+      // row.  Sound because an IndexLookup's schema is positionally
+      // identical to its base table's.
+      out.base = &base_of(child);
+      if (const auto* bucket = lookup_rows(child, *out.base)) {
+        visited = pred.filter_rows(out.base->column_ptrs(), *bucket, limit,
+                                   out.ids);
       }
-      if (ctx.record) {
-        lookup.actual_rows = visited;
-        node.stats.rows_in += visited;
-        node.stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
-        node.stats.bytes_touched +=
-            scan_bytes(visited, pred.columns_read()) +
-            2 * scan_bytes(hits.size(), base.column_count());
-      }
-      CCSQL_COUNT("query.rows_scanned", visited);
-      return base.gather(hits).with_schema(node.schema);
+      stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
+      stats.bytes_touched += scan_bytes(visited, pred.columns_read());
+    } else if (child.is_scan()) {
+      // Filter base rows in place, no intermediate copy.
+      out.base = &base_of(child);
+      out.ids = matches(*out.base, pred, limit, visited, stats);
+    } else {
+      out.ids = matches(out.held.emplace(exec(child, kNoLimit)), pred, limit,
+                        visited, stats);
     }
-    if (node.child().is_scan()) {
-      // Fused path: filter base rows in place, no intermediate copy.
-      const Table& base = base_of(node.child());
-      Table out = filter(base, node.schema, pred, limit, visited, stats);
-      if (ctx.record) {
-        node.child().actual_rows = visited;
-        node.stats.rows_in += visited;
-      }
-      CCSQL_COUNT("query.rows_scanned", visited);
-      return out;
+    if (ctx.record) {
+      if (out.base != nullptr) child.actual_rows = visited;
+      node.stats.rows_in += visited;
     }
-    Table in = exec(node.child(), kNoLimit);
-    Table out = filter(in, node.schema, pred, limit, visited, stats);
-    if (ctx.record) node.stats.rows_in += visited;
+    if (out.base != nullptr) CCSQL_COUNT("query.rows_scanned", visited);
     return out;
-  }
-
-  /// Count over Select over Scan, evaluated without materialising the
-  /// filtered rows: per-morsel counters summed in morsel order.  Returns
-  /// false (leaving `total` alone) when the shape or size does not apply;
-  /// the caller then takes the generic path.
-  bool fused_count(PlanNode& node, std::size_t& total) {
-    PlanNode& sel = node.child();
-    if (sel.kind != PlanNode::Kind::kSelect || !sel.child().is_scan()) {
-      return false;
-    }
-    const Table& base = base_of(sel.child());
-    const std::size_t n = base.row_count();
-    if (!go_parallel(kNoLimit, n)) return false;
-    std::optional<vec::RowFilter> local;
-    const vec::RowFilter& pred =
-        sel.compiled ? *sel.compiled
-                     : local.emplace(*sel.predicate, *sel.schema, full_of(sel),
-                                     ctx.functions);
-    const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
-    if (ctx.record) {
-      node.stats.morsels += morsels;
-      node.stats.rows_in += n;
-      node.stats.batches += morsels;
-      node.stats.bytes_touched += scan_bytes(n, pred.columns_read());
-    }
-    const std::vector<const Value*> cols = base.column_ptrs();
-    std::vector<std::size_t> counts(morsels, 0);
-    core::Pool::global().parallel_for(
-        n, kMorselGrain, ctx.jobs,
-        [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-          bc::Sel hits;
-          pred.filter_range(cols, begin, end, kNoLimit, hits);
-          counts[morsel] = hits.size();
-        });
-    total = 0;
-    for (std::size_t c : counts) total += c;
-    if (ctx.record) {
-      sel.actual_rows = total;
-      sel.child().actual_rows = n;
-    }
-    CCSQL_COUNT("query.rows_scanned", n);
-    return true;
   }
 };
 
@@ -484,6 +459,23 @@ Table execute(const PlanNode& root, const ExecContext& ctx,
   read_only.record = false;
   read_only.analyze = false;
   return execute(const_cast<PlanNode&>(root), read_only, limit);
+}
+
+bool is_empty(const PlanNode& root, const ExecContext& ctx) {
+  // Emptiness is invariant under projection, duplicate removal and
+  // ordering: the rows below decide it.
+  const PlanNode* node = &root;
+  while (node->kind == PlanNode::Kind::kProject ||
+         node->kind == PlanNode::Kind::kDistinct ||
+         node->kind == PlanNode::Kind::kSort) {
+    node = &node->child();
+  }
+  // Read-only, as the const execute(): the const_cast is sound.
+  ExecContext read_only = ctx;
+  read_only.record = false;
+  read_only.analyze = false;
+  Executor ex{read_only};
+  return ex.rows(const_cast<PlanNode&>(*node), 1).row_count() == 0;
 }
 
 }  // namespace ccsql::plan

@@ -1,7 +1,10 @@
 #pragma once
 
 // Plan execution.  Walks a PlanNode tree bottom-up, materialising Tables,
-// with fusions the naive interpreter cannot do:
+// with fusions the naive interpreter cannot do.  A Scan, IndexLookup or
+// Select first decides which rows it yields — ids into its source table,
+// id pairs for a join — and only then gathers them, so a count or an
+// emptiness check reads the ids and never builds the rows:
 //
 //  - Select over Scan evaluates the compiled predicate directly against the
 //    base table's rows (no intermediate copy of the whole table);
@@ -21,8 +24,8 @@
 // sees a Select over a Select.
 //
 // A row budget (`limit`) flows down where sound — most importantly the
-// budget of 1 used by emptiness checks, which stops every operator at its
-// first produced row.  Each executed node records its output size in
+// budget of 1 is_empty() asks for, which stops every operator at its first
+// produced row.  Each executed node records its output size in
 // `actual_rows` for EXPLAIN.
 
 #include "plan/ir.hpp"
@@ -39,11 +42,11 @@ struct ExecContext {
   /// Identifier-hood schema override for predicate compilation; defaults to
   /// each node's own schema.  See PlannerOptions::ident_schema.
   const Schema* ident_schema = nullptr;
-  /// Parallel lanes for the morsel-driven operators (filter, routed
-  /// probe and index build, union branches, count); <= 1 executes serially.  Results
+  /// Parallel lanes for the morsel-driven operators (filter, routed probe
+  /// and index build, union branches); <= 1 executes serially.  Results
   /// are bit-identical at any value: morsel boundaries depend only on input
   /// size, and per-morsel output is concatenated in morsel order.  Paths
-  /// with a row budget (exists mode / LIMIT) always run serially.
+  /// with a row budget (emptiness checks) always run serially.
   std::size_t jobs = 1;
   /// EXPLAIN ANALYZE: time every operator and fill PlanNode::stats.  Costs
   /// two steady_clock reads per operator invocation, so it defaults off.
@@ -64,5 +67,11 @@ Table execute(PlanNode& root, const ExecContext& ctx,
 /// executions of the same PlanNode tree are race-free.
 Table execute(const PlanNode& root, const ExecContext& ctx,
               std::size_t limit = kNoLimit);
+
+/// True when `root` yields no rows: the paper's invariant check.  Read-only
+/// like the const execute().  Project, Distinct and Sort cannot change
+/// emptiness and are skipped; the rows below are picked at a budget of 1
+/// and never gathered — a Select stops at its first passing row.
+[[nodiscard]] bool is_empty(const PlanNode& root, const ExecContext& ctx);
 
 }  // namespace ccsql::plan

@@ -39,8 +39,6 @@ std::string_view to_string(PlanNode::Kind kind) noexcept {
       return "Union";
     case PlanNode::Kind::kSort:
       return "Sort";
-    case PlanNode::Kind::kLimit:
-      return "Limit";
     case PlanNode::Kind::kCount:
       return "Count";
   }
@@ -81,10 +79,6 @@ std::string PlanNode::label() const {
     case Kind::kSort:
       out += " [" + join(order_by) + "]";
       break;
-    case Kind::kLimit:
-      out += ' ';
-      out += limit == kNoLimit ? "none" : std::to_string(limit);
-      break;
     case Kind::kCount:
       out += "(*)";
       break;
@@ -111,8 +105,9 @@ PlanPtr clone_plan(const PlanNode& root) {
   out->columns = root.columns;
   out->distinct = root.distinct;
   out->key_values = root.key_values;
+  out->key_columns = root.key_columns;
+  out->index = root.index;
   out->order_by = root.order_by;
-  out->limit = root.limit;
   out->est_rows = root.est_rows;
   // Runtime state (actual_rows, stats, routed) deliberately left at the
   // fresh defaults: the clone has not been executed.

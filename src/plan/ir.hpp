@@ -3,7 +3,7 @@
 // Logical-plan IR of the ccsql query planner (ccsql::plan).
 //
 // A SELECT is compiled into a tree of PlanNodes (scan / select / project /
-// cross / union / distinct / sort / limit / count), rewritten by the
+// cross / union / distinct / sort / count), rewritten by the
 // rule-based optimizer (optimizer.hpp) and run by the executor
 // (executor.hpp).  The paper offloads this to Oracle8's planner; here it is
 // the layer that turns the naive "materialise the cross product, then
@@ -71,7 +71,6 @@ struct PlanNode {
     kCross,        // cartesian product of the two children
     kUnion,        // set union of children, aligned by column position
     kSort,         // ORDER BY
-    kLimit,        // first `limit` rows
     kCount,        // COUNT(*) over the child
   };
 
@@ -109,12 +108,15 @@ struct PlanNode {
 
   // -- kIndexLookup -----------------------------------------------------------
   std::vector<Value> key_values;  // parallel to `columns`
+  /// Positions of `columns` in the base table, resolved at plan time: the
+  /// index every execution probes (Table::index_on) is keyed on them.
+  std::vector<std::size_t> key_columns;
+  /// That index, resolved once by the prepared-statement cache on the
+  /// table its plan is bound to; else looked up per execution.
+  const HashIndex* index = nullptr;
 
   // -- kSort ------------------------------------------------------------------
   std::vector<std::string> order_by;
-
-  // -- kLimit -----------------------------------------------------------------
-  std::size_t limit = kNoLimit;
 
   std::vector<PlanPtr> children;
 

@@ -159,6 +159,9 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
         if (lit.kind != Atom::Kind::kParam && n.schema->has(col.text)) {
           n.columns.push_back(col.text);
           n.key_values.push_back(Symbol::intern(lit.text));
+          // The scan's schema is its base table's, alias-renamed: one
+          // position addresses both.
+          n.key_columns.push_back(n.schema->index_of(col.text));
           continue;
         }
       }
@@ -248,20 +251,7 @@ std::size_t prune_join_columns(PlanNode& node,
   return n;
 }
 
-// ---- 4. exists mode ---------------------------------------------------------
-
-std::size_t drop_sorts(PlanPtr& node) {
-  std::size_t n = 0;
-  while (node->kind == PlanNode::Kind::kSort) {
-    PlanPtr child = std::move(node->children[0]);
-    node = std::move(child);
-    ++n;
-  }
-  for (auto& c : node->children) n += drop_sorts(c);
-  return n;
-}
-
-// ---- 5. estimation ----------------------------------------------------------
+// ---- 4. estimation ----------------------------------------------------------
 
 /// The cross-side equalities among the conjuncts of `e`: `a = b` with `a`
 /// a column of one side and `b` of the other.
@@ -337,12 +327,6 @@ void estimate(PlanNode& node) {
     case PlanNode::Kind::kSort:
       node.est_rows = node.child().est_rows;
       break;
-    case PlanNode::Kind::kLimit:
-      node.est_rows = node.limit == kNoLimit
-                          ? node.child().est_rows
-                          : std::min(node.child().est_rows,
-                                     static_cast<double>(node.limit));
-      break;
     case PlanNode::Kind::kCount:
       node.est_rows = 1.0;
       break;
@@ -417,15 +401,6 @@ void optimize(PlanPtr& root, const PlannerOptions& opts) {
   std::size_t rewrites = fold_predicates(root);
   rewrites += place(root, {}, opts);
   rewrites += prune_join_columns(*root, nullptr, opts);
-  if (opts.exists_only) {
-    rewrites += drop_sorts(root);
-    PlanPtr lim = make_node(PlanNode::Kind::kLimit);
-    lim->limit = 1;
-    lim->schema = root->schema;
-    lim->children.push_back(std::move(root));
-    root = std::move(lim);
-    ++rewrites;
-  }
   estimate(*root);
   if (rewrites > 0) CCSQL_COUNT("plan.rewrites", rewrites);
 }

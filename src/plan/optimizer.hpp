@@ -17,9 +17,7 @@
 //   3. join column pruning   — the columns a Project reads are carried
 //                              down its join chain: every Select over a
 //                              Cross keeps only what is read above it
-//   4. exists mode           — for emptiness checks: sorts are dropped and
-//                              the plan is capped with Limit 1
-//   5. estimation            — bottom-up est_rows for EXPLAIN
+//   4. estimation            — bottom-up est_rows for EXPLAIN
 //
 // Each applied rewrite bumps the `plan.rewrites` counter.
 
@@ -28,9 +26,6 @@
 namespace ccsql::plan {
 
 struct PlannerOptions {
-  /// The caller only needs to know whether the result is empty (invariant
-  /// checks): drop ORDER BY and stop after the first row.
-  bool exists_only = false;
   /// Schema deciding identifier-hood of bare atoms (see Atom in
   /// relational/expr.hpp).  Defaults to each node's own schema; the solver
   /// passes the full target schema so partially-built rows resolve the same

@@ -99,7 +99,7 @@ Table run_select(const Catalog& db, const SelectStmt& stmt,
   PlanPtr root = plan_select(db, stmt, opts);
   ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
                   opts.analyze};
-  return execute(*root, ctx, opts.exists_only ? 1 : kNoLimit);
+  return execute(*root, ctx);
 }
 
 Table cross_select(const Table& left, const Table& right, const Expr& pred,
@@ -138,7 +138,7 @@ std::string explain(const Catalog& db, const SelectStmt& stmt,
   PlanPtr root = plan_select(db, stmt, opts);
   ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
                   opts.analyze};
-  (void)execute(*root, ctx, opts.exists_only ? 1 : kNoLimit);
+  (void)execute(*root, ctx);
   return opts.analyze ? render_analyze(*root) : render(*root);
 }
 

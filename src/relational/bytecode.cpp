@@ -260,17 +260,6 @@ void Program::eval_range(std::span<const Value* const> cols,
   scratch.release();
 }
 
-std::size_t Program::columns_read() const {
-  std::vector<std::uint32_t> seen;
-  for (const Operand& op : operands_) {
-    if (!op.is_column) continue;
-    if (std::find(seen.begin(), seen.end(), op.column) == seen.end()) {
-      seen.push_back(op.column);
-    }
-  }
-  return seen.size();
-}
-
 }  // namespace bc
 
 // ---- compilation ------------------------------------------------------------
@@ -386,6 +375,14 @@ bc::Program compile_bytecode(const Expr& expr, const Schema& row_schema,
   BcCompiler c{row_schema, full_schema, functions, out,
                out.insns_,  out.operands_, out.roots_};
   (void)c.build(expr);
+  std::vector<std::uint32_t> seen;
+  for (const bc::Operand& op : out.operands_) {
+    if (op.is_column &&
+        std::find(seen.begin(), seen.end(), op.column) == seen.end()) {
+      seen.push_back(op.column);
+    }
+  }
+  out.columns_read_ = seen.size();
   CCSQL_COUNT("bytecode.programs_compiled", 1);
   return out;
 }

@@ -1,8 +1,8 @@
 #pragma once
 
 // Compiled predicate bytecode: the only predicate engine in src/, behind
-// every planned filter (planner selects, hash-join residuals via selects,
-// fused counts, index-bucket filters, serve emptiness probes, solver steps).
+// every planned filter (planner selects, join residuals and guards, counts,
+// index-bucket filters, emptiness checks, solver steps).
 //
 // A resolved Expr is flattened into a postfix program over interned symbol
 // ids and evaluated over a *selection vector* of ~1024 row indices at a
@@ -138,8 +138,11 @@ class Program {
 
   /// Number of distinct table columns the program reads — the basis of
   /// EXPLAIN ANALYZE's bytes-touched estimate (columns_read * 4 bytes per
-  /// row visited, since cells are interned u32 symbol ids).
-  [[nodiscard]] std::size_t columns_read() const;
+  /// row visited, since cells are interned u32 symbol ids).  Counted once,
+  /// at compile time: every filter call asks.
+  [[nodiscard]] std::size_t columns_read() const noexcept {
+    return columns_read_;
+  }
 
  private:
   friend Program (::ccsql::compile_bytecode)(const Expr&, const Schema&,
@@ -151,6 +154,7 @@ class Program {
   std::vector<Operand> operands_;
   // Child root instruction indices of composite ops, in source order.
   std::vector<std::uint32_t> roots_;
+  std::size_t columns_read_ = 0;
 };
 
 }  // namespace bc

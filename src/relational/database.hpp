@@ -185,7 +185,7 @@ class Database {
   }
 
   /// True iff every SELECT of the invariant yields no rows
-  /// (Catalog::check_empty: exists mode, serial per statement).
+  /// (Catalog::check_empty: plan::is_empty, serial per statement).
   [[nodiscard]] bool check_empty(std::string_view invariant_text) const {
     return catalog_.check_empty(invariant_text);
   }

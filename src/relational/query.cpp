@@ -42,10 +42,10 @@ Table Catalog::query(std::string_view select_text) const {
 }
 
 bool Catalog::check_empty(const SelectStmt& stmt) const {
+  CCSQL_SPAN(span, "query.check_empty", "relational");
   CCSQL_COUNT("query.emptiness_probes", 1);
-  plan::PlannerOptions opts;
-  opts.exists_only = true;  // the planner stops at the first row (Limit 1)
-  return plan::run_select(*this, stmt, opts).row_count() == 0;
+  const plan::PlanPtr root = plan::plan_select(*this, stmt);
+  return plan::is_empty(*root, plan::ExecContext{this, &functions()});
 }
 
 bool Catalog::check_empty(std::string_view invariant_text) const {

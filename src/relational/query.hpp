@@ -68,10 +68,10 @@ class Catalog {
   /// Parses and executes SELECT text serially.
   [[nodiscard]] Table query(std::string_view select_text) const;
 
-  /// The one emptiness probe: true iff `stmt` yields no rows.  Runs in
-  /// exists mode (stops at the first row) and serially — parallelism for
-  /// invariants fans out across the suite, not within one probe.  Counts
-  /// query.emptiness_probes.
+  /// The one emptiness probe: true iff `stmt` yields no rows.  Plans it and
+  /// asks plan::is_empty, which stops at the first row and gathers none,
+  /// serially — parallelism for invariants fans out across the suite, not
+  /// within one probe.  Counts query.emptiness_probes.
   [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
   /// Parses invariant text (see parse_invariant) and evaluates it: returns
   /// true iff every constituent SELECT yields an empty result.

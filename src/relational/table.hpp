@@ -192,10 +192,10 @@ struct TupleKeyHash {
 
 /// A hash index over a column set: key tuple to the row indices holding it,
 /// ascending.  The one index structure of the engine: point lookups
-/// (IndexLookup, the serve layer's FastEmpty probe) and hash-join build
-/// sides share it through Table::index_on.  Keys are packed symbol-id
-/// tuples, not strings: probing never formats or allocates for keys of up
-/// to four columns.
+/// (IndexLookup) and the right sides of joins — a Select over a Cross,
+/// routed on its equalities — share it through Table::index_on.  Keys are
+/// packed symbol-id tuples, not strings: probing never formats or allocates
+/// for keys of up to four columns.
 ///
 /// Radix-partitioned: above 8192 rows, rows are scattered into 2^bits
 /// partitions by the low bits of their key hash, and each partition is an
@@ -446,7 +446,7 @@ class Table {
                   std::span<const Value> tail = {}) const;
 
   /// Lazily-built hash index keyed by the given columns — what point
-  /// lookups, FastEmpty probes and hash-join build sides all probe.  Built
+  /// lookups and joins' routed probes of their right sides all probe.  Built
   /// on first use and cached on the table (appending invalidates the
   /// cache); copies of a table share the already-built indexes.
   ///

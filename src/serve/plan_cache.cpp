@@ -31,8 +31,14 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
 /// runs this tree with ident_schema unset, so both compile with the schema
 /// the executor would use deciding identifier-hood: the Cross's for a
 /// route (column pruning may narrow the Select below what its predicate
-/// reads), the node's own otherwise.
-void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
+/// reads), the node's own otherwise.  Named scans and lookups are bound to
+/// `catalog`'s tables, which the entry pins, and each lookup to its index,
+/// built here: no execution looks a table or an index up.
+void precompile(plan::PlanNode& n, const Catalog& catalog) {
+  if (!n.table_name.empty()) n.bound = &catalog.get(n.table_name);
+  if (n.kind == plan::PlanNode::Kind::kIndexLookup) {
+    n.index = &n.bound->index_on(n.key_columns);
+  }
   if (n.kind == plan::PlanNode::Kind::kSelect && n.predicate) {
     if (n.child().kind == plan::PlanNode::Kind::kCross) {
       n.route = std::make_shared<const plan::CrossRoute>(
@@ -44,56 +50,8 @@ void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
           *n.predicate, *n.schema, *n.schema, &catalog.functions());
     }
   }
-  for (auto& c : n.children) precompile_filters(*c, catalog);
+  for (auto& c : n.children) precompile(*c, catalog);
 }
-
-/// Precomputes the FastEmpty probe when the plan matches the supported
-/// shapes: emptiness-preserving wrappers (Limit >= 1, Project, Distinct,
-/// Sort) over at most one compiled kSelect over one kScan or kIndexLookup.
-/// The hash index is resolved (and thereby built and cached on the
-/// snapshot's table) here, at build time.
-std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
-    const plan::PlanNode& root, const Catalog& catalog) {
-  using Kind = plan::PlanNode::Kind;
-  const plan::PlanNode* n = &root;
-  while (n->kind == Kind::kProject || n->kind == Kind::kDistinct ||
-         n->kind == Kind::kSort ||
-         (n->kind == Kind::kLimit && n->limit >= 1)) {
-    if (n->children.size() != 1) return std::nullopt;
-    n = &n->child();
-  }
-  CachedStatement::Unit::FastEmpty out;
-  if (n->kind == Kind::kSelect) {
-    if (!n->compiled || n->children.size() != 1) return std::nullopt;
-    out.filter = n->compiled.get();
-    n = &n->child();
-  }
-  if (n->kind != Kind::kScan && n->kind != Kind::kIndexLookup) {
-    return std::nullopt;
-  }
-  if (n->bound != nullptr) {
-    out.base = n->bound;
-  } else if (!n->table_name.empty()) {
-    out.base = &catalog.get(n->table_name);
-  } else {
-    return std::nullopt;
-  }
-  out.cols = out.base->column_ptrs();
-  if (n->kind == Kind::kIndexLookup) {
-    std::vector<std::size_t> cols;
-    cols.reserve(n->columns.size());
-    for (const auto& name : n->columns) {
-      cols.push_back(n->schema->index_of(name));
-    }
-    out.index = &out.base->index_on(cols);
-    out.probe = Table::index_key(n->key_values);
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace {
 
 /// Appends normalize_sql(sql) to `out` (which may hold a key prefix).
 void normalize_append(std::string_view sql, std::string& out) {
@@ -219,21 +177,16 @@ PlanCacheStats PlanCache::stats() const {
 }
 
 CachedStatementPtr build_statement(const Snapshot& snap,
-                                   std::vector<SelectStmt> stmts,
-                                   bool exists_mode) {
+                                   std::vector<SelectStmt> stmts) {
   if (!snap.valid()) throw BindError("build_statement: empty snapshot");
   auto out = std::make_shared<CachedStatement>();
-  out->exists_mode = exists_mode;
   out->generation = snap.generation();
   out->catalog = snap.shared_catalog();
-  plan::PlannerOptions opts;
-  opts.exists_only = exists_mode;
   out->units.reserve(stmts.size());
   for (auto& stmt : stmts) {
     CachedStatement::Unit unit;
-    unit.plan = plan::plan_select(*out->catalog, stmt, opts);
-    precompile_filters(*unit.plan, *out->catalog);
-    if (exists_mode) unit.fast = make_fast_empty(*unit.plan, *out->catalog);
+    unit.plan = plan::plan_select(*out->catalog, stmt);
+    precompile(*unit.plan, *out->catalog);
     unit.stmt = std::move(stmt);
     out->bytes += estimate_plan_bytes(*unit.plan);
     out->units.push_back(std::move(unit));
@@ -244,46 +197,21 @@ CachedStatementPtr build_statement(const Snapshot& snap,
   return out;
 }
 
-Table run_unit(const CachedStatement& cs, std::size_t index,
-               std::size_t jobs) {
-  const CachedStatement::Unit& unit = cs.units.at(index);
+plan::ExecContext exec_context(const CachedStatement& cs, std::size_t jobs) {
   plan::ExecContext ctx;
   ctx.catalog = cs.catalog.get();
   ctx.functions = &cs.catalog->functions();
-  // Mirrors plan::run_select: the executor itself keeps row-budgeted
-  // (exists-mode) paths serial regardless of jobs.
   ctx.jobs = jobs;
+  return ctx;
+}
+
+Table run_unit(const CachedStatement& cs, std::size_t index,
+               std::size_t jobs) {
   // Const overload: record/analyze forced off, so the shared plan tree is
   // executed in place — no per-query clone, safe from any number of
   // sessions at once.
-  const plan::PlanNode& root = *unit.plan;
-  return plan::execute(root, ctx, cs.exists_mode ? 1 : plan::kNoLimit);
-}
-
-bool unit_is_empty(const CachedStatement& cs, std::size_t index) {
-  const CachedStatement::Unit& unit = cs.units.at(index);
-  if (!unit.fast) return run_unit(cs, index, 1).row_count() == 0;
-  const CachedStatement::Unit::FastEmpty& f = *unit.fast;
-  // Candidates: the index bucket's row ids, or every base row.
-  const std::vector<std::size_t>* bucket = nullptr;
-  if (f.index != nullptr) {
-    bucket = f.index->find(f.probe);
-    if (bucket == nullptr) return true;
-  }
-  if (f.filter == nullptr) {
-    return (bucket != nullptr ? bucket->size() : f.base->row_count()) == 0;
-  }
-  // One filter with a row budget of 1: it stops at the first passing row
-  // and reports the candidates visited up to and including it, as a
-  // row-by-row probe would.
-  thread_local bc::Sel hits;
-  hits.clear();
-  const std::size_t visited =
-      bucket != nullptr
-          ? f.filter->filter_rows(f.cols, *bucket, 1, hits)
-          : f.filter->filter_range(f.cols, 0, f.base->row_count(), 1, hits);
-  CCSQL_COUNT("query.rows_scanned", visited);
-  return hits.empty();
+  const plan::PlanNode& root = *cs.units.at(index).plan;
+  return plan::execute(root, exec_context(cs, jobs));
 }
 
 }  // namespace ccsql::serve

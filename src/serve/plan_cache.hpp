@@ -3,18 +3,20 @@
 // Prepared-statement cache of the serving layer (DESIGN.md section 12).
 //
 // Key: a mode marker ("Q"/"E") plus the whitespace-normalized statement
-// text, plus — for parameterized executions — the bound parameter values.
-// Value: the parsed statements with their optimized plans, predicates
-// pre-compiled to bytecode, pinned to the exact catalog snapshot they were
-// planned against.  An entry is valid only while the live catalog is still
-// at the generation the entry captured; a lookup at any other generation
-// misses (counted as an invalidation) and the caller re-plans.
+// text, plus — for parameterized executions — the bound parameter values,
+// each prefixed with its length.  Value: the parsed statements with their
+// optimized plans — predicates pre-compiled to bytecode, scans bound to the
+// tables of the exact catalog snapshot they were planned against (which
+// the entry pins), lookups to those tables' hash indexes.  An entry is
+// valid only while the live catalog is still at the generation the entry
+// captured; a lookup at any other generation misses (counted as an
+// invalidation) and the caller re-plans.
 //
 // A cached plan tree is executed in place, concurrently, with no per-query
-// clone: the executor's const overload runs with ExecContext::record off,
-// under which no PlanNode field is ever written.  Pre-compiled RowFilters
-// and CrossRoutes are likewise shared — their evaluation is const and
-// thread-safe.
+// clone: the executor's read-only entry points (the const execute() and
+// is_empty()) run with ExecContext::record off, under which no PlanNode
+// field is ever written.  Pre-compiled RowFilters and CrossRoutes are
+// likewise shared — their evaluation is const and thread-safe.
 
 #include <cstdint>
 #include <list>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "obs/mem.hpp"
+#include "plan/executor.hpp"
 #include "plan/ir.hpp"
 #include "relational/database.hpp"
 
@@ -59,31 +62,9 @@ struct CachedStatement {
   struct Unit {
     SelectStmt stmt;    // parameter-free parse tree
     plan::PlanPtr plan; // optimized; kSelect nodes carry compiled filters
-
-    /// Zero-allocation emptiness probe, precomputed at build time for the
-    /// common exists-mode shapes (Limit/Project/Distinct wrappers over a
-    /// filtered scan or index lookup).  Emptiness is invariant under those
-    /// wrappers, so the probe inspects base rows directly: find the index
-    /// bucket (or scan), run the pre-compiled filter over its rows with a
-    /// row budget of 1.  All pointers target the pinned snapshot catalog
-    /// (tables, their index caches, compiled filters), so they live as long
-    /// as the entry.  Unset: probe shapes the walk doesn't cover (unions,
-    /// joins) fall back to the generic executor.
-    struct FastEmpty {
-      const Table* base = nullptr;
-      const HashIndex* index = nullptr;  // null: scan all base rows
-      TupleKey probe;                    // index bucket key
-      /// The plan's one Select (the optimizer merges every chain); null:
-      /// bucket/table non-emptiness is the answer.
-      const plan::vec::RowFilter* filter = nullptr;
-      /// The base table's column pointers, resolved once at build time.
-      std::vector<const Value*> cols;
-    };
-    std::optional<FastEmpty> fast;
   };
 
   std::vector<Unit> units;
-  bool exists_mode = false;  // invariant probe: stop at the first row
   std::uint64_t generation = 0;
   std::shared_ptr<const Catalog> catalog;
   std::size_t bytes = 0;      // estimated footprint (MemTracker kPlans)
@@ -147,22 +128,22 @@ class PlanCache {
   std::size_t bytes_ = 0;
 };
 
-/// Plans, optimizes and pre-compiles `stmts` against `snap`'s catalog.
-/// `exists_mode` plans invariant probes (LIMIT 1 short-circuit shape).
+/// Plans, optimizes and pre-compiles `stmts` against `snap`'s catalog:
+/// predicates compiled, scans bound to the snapshot's tables, lookups to
+/// their indexes (built here if need be).
 [[nodiscard]] CachedStatementPtr build_statement(const Snapshot& snap,
-                                                 std::vector<SelectStmt> stmts,
-                                                 bool exists_mode);
+                                                 std::vector<SelectStmt> stmts);
 
-/// Executes unit `index` of a cached statement in place (no clone — the
-/// executor's read-only mode) against the pinned snapshot catalog with
-/// `jobs` parallel lanes.  Exists mode stops at the first row.
+/// The context every execution of `cs` runs in: its pinned snapshot
+/// catalog and `jobs` parallel lanes.  The executor's read-only entry
+/// points (the const execute(), is_empty()) run a unit's plan in place
+/// with it — no clone.
+[[nodiscard]] plan::ExecContext exec_context(const CachedStatement& cs,
+                                             std::size_t jobs = 1);
+
+/// Executes unit `index` of a cached statement in place, with `jobs`
+/// parallel lanes.
 [[nodiscard]] Table run_unit(const CachedStatement& cs, std::size_t index,
                              std::size_t jobs);
-
-/// True when unit `index` produces no rows.  Takes the unit's precomputed
-/// FastEmpty probe when available (no plan walk, no row materialisation),
-/// else falls back to run_unit.
-[[nodiscard]] bool unit_is_empty(const CachedStatement& cs,
-                                 std::size_t index);
 
 }  // namespace ccsql::serve

@@ -5,9 +5,9 @@
 namespace ccsql::serve {
 namespace {
 
-/// Separates bound parameter values in an execute() cache key; below any
-/// character that can appear in SQL text.  (The mode/text separator is
-/// cache_key's 0x1f.)
+/// Precedes each bound parameter value's length in an execute() cache key,
+/// and ends it; below any character that can appear in SQL text outside
+/// quotes.  (The mode/text separator is cache_key's 0x1f.)
 constexpr char kValueSep = '\x1e';
 
 }  // namespace
@@ -23,7 +23,7 @@ Snapshot Server::snapshot() const {
 }
 
 CachedStatementPtr Server::get_or_build(
-    const std::string& key, const Snapshot& snap, bool exists_mode,
+    const std::string& key, const Snapshot& snap,
     const std::function<std::vector<SelectStmt>()>& parse) {
   if (CachedStatementPtr hit = cache_.lookup(key, snap.generation())) {
     return hit;
@@ -31,7 +31,7 @@ CachedStatementPtr Server::get_or_build(
   // Concurrent misses on one key each build; the last insert wins.  Builds
   // are pure (they touch only the immutable snapshot), so that is merely
   // duplicated work on a cold key, never an inconsistency.
-  CachedStatementPtr built = build_statement(snap, parse(), exists_mode);
+  CachedStatementPtr built = build_statement(snap, parse());
   cache_.insert(key, built);
   return built;
 }
@@ -44,7 +44,7 @@ QueryResult Server::select(const std::string& key,
     uncached_.fetch_add(1, std::memory_order_relaxed);
     return snap.query(parse());
   }
-  CachedStatementPtr cs = get_or_build(key, snap, /*exists_mode=*/false, [&] {
+  CachedStatementPtr cs = get_or_build(key, snap, [&] {
     std::vector<SelectStmt> stmts;
     stmts.push_back(parse());
     return stmts;
@@ -65,11 +65,12 @@ bool Server::check_empty(std::string_view invariant_text) {
     return snap.check_empty(invariant_text);
   }
   const std::string key = cache_key('E', invariant_text);
-  CachedStatementPtr cs = get_or_build(key, snap, /*exists_mode=*/true, [&] {
+  CachedStatementPtr cs = get_or_build(key, snap, [&] {
     return parse_invariant(std::string_view(key).substr(2));
   });
-  for (std::size_t i = 0; i < cs->units.size(); ++i) {
-    if (!unit_is_empty(*cs, i)) return false;
+  const plan::ExecContext ctx = exec_context(*cs);
+  for (const CachedStatement::Unit& unit : cs->units) {
+    if (!plan::is_empty(*unit.plan, ctx)) return false;
   }
   return true;
 }
@@ -83,8 +84,12 @@ Server::Prepared Server::prepare(std::string_view select_text) const {
 
 QueryResult Server::execute(const Prepared& prepared,
                             const std::vector<std::string>& values) {
+  // Each value is length-prefixed: a value holding the separator cannot
+  // shift the boundary between it and the next.
   std::string key = cache_key('Q', prepared.sql);
   for (const std::string& v : values) {
+    key += kValueSep;
+    key += std::to_string(v.size());
     key += kValueSep;
     key += v;
   }

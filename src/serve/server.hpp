@@ -62,7 +62,8 @@ class Server {
   [[nodiscard]] QueryResult query(std::string_view select_text);
 
   /// True iff every SELECT of the invariant yields no rows.  Thread-safe;
-  /// the compiled probe suite is cached per invariant text.
+  /// the planned SELECTs are cached per invariant text, and plan::is_empty
+  /// runs each in place over the entry's pinned snapshot.
   [[nodiscard]] bool check_empty(std::string_view invariant_text);
 
   /// A prepared SELECT handle: normalized text plus its parameter arity.
@@ -103,7 +104,7 @@ class Server {
                                    const std::function<SelectStmt()>& parse);
 
   [[nodiscard]] CachedStatementPtr get_or_build(
-      const std::string& key, const Snapshot& snap, bool exists_mode,
+      const std::string& key, const Snapshot& snap,
       const std::function<std::vector<SelectStmt>()>& parse);
 
   const ServerOptions options_;

@@ -27,7 +27,7 @@ void run_session(Server& server, const std::vector<std::string>& statements,
   for (std::size_t iter = 0; iter < opts.iterations; ++iter) {
     for (const std::string& sql : statements) {
       const auto t0 = std::chrono::steady_clock::now();
-      if (opts.exists_mode) {
+      if (opts.check_empty) {
         if (!server.check_empty(sql)) ++report.violations;
       } else {
         report.violations += server.query(sql).row_count();

@@ -21,7 +21,7 @@ struct DriveOptions {
   /// Times each session loops over the statement list.
   std::size_t iterations = 1;
   /// Run statements as invariants (check_empty) rather than SELECTs.
-  bool exists_mode = true;
+  bool check_empty = true;
   /// Pool lanes for the session fan-out; 0 = the process default.
   std::size_t jobs = 0;
   /// Concurrent writer: perform this many identical-content regenerations

@@ -76,8 +76,9 @@ class Machine {
   /// issues `transactions_per_node` legal operations.
   void enable_workload();
 
-  /// Back-compat alias: enables the workload budget (the legacy name; the
-  /// shape actually generated is SimConfig::workload).
+  /// The same call under its older name.  Only the benchmark's sources
+  /// (perfbench/src/flow.cpp and reach.cpp) still use it; the rest of the
+  /// repository calls enable_workload().
   void enable_random_workload() { enable_workload(); }
 
   /// Extra scheduler steps the memory controller waits between messages

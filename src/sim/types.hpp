@@ -100,7 +100,7 @@ struct SimCounters {
 /// deterministic per (shape, node, tick) — only kRandom draws from the
 /// seeded RNG — so sweep results replay bit-identically.
 enum class Workload {
-  kRandom,            // the legacy seeded mixed workload
+  kRandom,            // seeded random operations (random_op)
   kLock,              // all nodes contend on a test-and-set lock line
   kProducerConsumer,  // even nodes write a buffer ring, odd nodes read it
   kFalseSharing,      // node pairs ping-pong writes on one shared line
@@ -139,8 +139,7 @@ struct SimConfig {
   /// name outside is_workload_op makes Machine throw invalid_argument:
   /// silently dropping it would shrink the search to a false proof.
   std::vector<std::string> workload_ops;
-  /// Workload shape driven by enable_workload() (kRandom reproduces the
-  /// legacy enable_random_workload behavior exactly).
+  /// Workload shape driven by enable_workload().
   Workload workload = Workload::kRandom;
   unsigned seed = 1;
 };

@@ -51,7 +51,7 @@ TEST(ReachStateIdentity, FingerprintsKeysAndExplorerAgreeOnTheTwoOpSpace) {
   const std::unique_ptr<ProtocolSpec> spec = asura::make_asura();
   const ChannelAssignment& v = spec->assignment(asura::kAssignV5Fix);
   sim::Machine m(*spec, v, config(2, 1, 2));
-  m.enable_random_workload();
+  m.enable_workload();
 
   // Breadth-first over fingerprint strings, collecting each state's key.
   std::unordered_set<std::string> fingerprints{m.fingerprint()};
@@ -99,7 +99,7 @@ TEST(ReachStateIdentity, StatesSharingAKeyStepAlike) {
                         Case{asura::kAssignV5, config(2, 2, 1)},
                         Case{asura::kAssignV4, config(3, 1, 1)}}) {
     sim::Machine m(*spec, spec->assignment(c.assignment), c.cfg);
-    m.enable_random_workload();
+    m.enable_workload();
     std::map<std::string, std::vector<std::string>> seen;
     std::deque<sim::Machine::Snapshot> frontier{m.snapshot()};
     seen.emplace(m.fingerprint(), one_step(m, frontier.front()));

@@ -36,7 +36,7 @@ sim::Machine fresh_machine(const ReachParallelConfig& cfg, const char* a) {
   sim_cfg.transactions_by_node = cfg.ops_by_node;
   sim_cfg.workload_ops = cfg.inject_ops;
   sim::Machine m(spec(), spec().assignment(a), sim_cfg);
-  m.enable_random_workload();
+  m.enable_workload();
   return m;
 }
 

@@ -1,9 +1,10 @@
 // Index buckets wider than one batch.  The executor's fused
-// Select-over-IndexLookup and the serve layer's FastEmpty probe both filter
-// an index bucket's row ids in 1024-row batches.  Here the bucket holds
-// 1,500 rows and the first row passing the filter sits at bucket position
-// 1,100 — in the second batch — so a probe that stopped after the first
-// batch, or miscounted rows visited across the batch boundary, shows.
+// Select-over-IndexLookup — whether it gathers its rows or plan::is_empty
+// only asks whether there are any — filters an index bucket's row ids in
+// 1024-row batches.  Here the bucket holds 1,500 rows and the first row
+// passing the filter sits at bucket position 1,100 — in the second batch —
+// so a probe that stopped after the first batch, or miscounted rows
+// visited across the batch boundary, shows.
 // Results must equal the naive executor, and EXPLAIN ANALYZE's
 // actual/rows_in must read the passing row's bucket position plus one under
 // a row budget of 1 (the whole bucket without one), as a row-by-row loop
@@ -79,7 +80,6 @@ void expect_fused(const Database& db, const std::string& sql,
   const SelectStmt stmt = parse_select(sql);
   plan::PlannerOptions opts;
   opts.analyze = true;
-  opts.exists_only = limit == 1;
   plan::PlanPtr root = plan::plan_select(cat, stmt, opts);
   plan::ExecContext ctx;
   ctx.catalog = &cat;
@@ -106,31 +106,39 @@ void expect_fused(const Database& db, const std::string& sql,
       << text;
 }
 
-/// unit_is_empty over the exists-mode cached plan of `sql`, whose
-/// FastEmpty probe runs its one filter over an index bucket (or a scan when
-/// `indexed` is false): the verdict must match the naive executor and
-/// query.rows_scanned must count the candidates up to and including the
-/// first passing one.
+/// plan::is_empty over `sql`, through a cached plan as serve::Server runs
+/// it and through Catalog::check_empty's fresh plan.  The plan is one
+/// Select over an index lookup (or a scan when `indexed` is false): the
+/// verdict must match the naive executor and query.rows_scanned must count
+/// the candidates up to and including the first passing one.
 void expect_probe(const Database& db, const std::string& sql, bool indexed,
                   std::size_t visited) {
   SCOPED_TRACE(sql);
   const Snapshot snap = db.snapshot();
   const serve::CachedStatementPtr cs =
-      serve::build_statement(snap, {parse_select(sql)}, true);
-  const auto& unit = cs->units.at(0);
-  ASSERT_TRUE(unit.fast.has_value()) << plan::render(*unit.plan);
-  EXPECT_EQ(unit.fast->index != nullptr, indexed) << plan::render(*unit.plan);
-  EXPECT_NE(unit.fast->filter, nullptr) << plan::render(*unit.plan);
+      serve::build_statement(snap, {parse_select(sql)});
+  const PlanNode& root = *cs->units.at(0).plan;
+  ASSERT_EQ(root.kind, PlanNode::Kind::kSelect) << plan::render(root);
+  EXPECT_EQ(root.child().kind, indexed ? PlanNode::Kind::kIndexLookup
+                                       : PlanNode::Kind::kScan)
+      << plan::render(root);
+  EXPECT_NE(root.compiled, nullptr) << plan::render(root);
 
+  const bool want = naive::check_empty(db.catalog(), sql);
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.enable_metrics();
-  const std::uint64_t before = tracer.metrics().counter("query.rows_scanned");
-  const bool empty = serve::unit_is_empty(*cs, 0);
-  const std::uint64_t after = tracer.metrics().counter("query.rows_scanned");
+  const auto expect_visits = [&](const char* path, auto probe) {
+    SCOPED_TRACE(path);
+    const std::uint64_t before =
+        tracer.metrics().counter("query.rows_scanned");
+    EXPECT_EQ(probe(), want);
+    EXPECT_EQ(tracer.metrics().counter("query.rows_scanned") - before,
+              visited);
+  };
+  expect_visits("cached",
+                [&] { return plan::is_empty(root, serve::exec_context(*cs)); });
+  expect_visits("fresh", [&] { return db.catalog().check_empty(sql); });
   tracer.enable_metrics(false);
-
-  EXPECT_EQ(empty, naive::check_empty(db.catalog(), sql));
-  EXPECT_EQ(after - before, visited);
 }
 
 TEST(IndexBucketBatch, FusedSelectFindsRowInSecondBatch) {
@@ -148,7 +156,7 @@ TEST(IndexBucketBatch, FusedSelectWithNoPassingRowVisitsWholeBucket) {
   expect_fused(db, sql, plan::kNoLimit, kBucket);
 }
 
-TEST(IndexBucketBatch, FastEmptyFindsRowInSecondBatch) {
+TEST(IndexBucketBatch, IsEmptyFindsRowInSecondBatch) {
   const Database db = make_db();
   expect_probe(db, "select * from T where k = \"x\" and a != \"miss\"",
                true, kHitPos + 1);
@@ -158,7 +166,7 @@ TEST(IndexBucketBatch, FastEmptyFindsRowInSecondBatch) {
                true, kBucket);
 }
 
-TEST(IndexBucketBatch, FastEmptyFilterChainRefinesAcrossBatches) {
+TEST(IndexBucketBatch, IsEmptyFilterChainRefinesAcrossBatches) {
   const Database db = make_db();
   // Two residual conjuncts over the bucket, merged into one filter: the
   // first batch holds a survivor of one conjunct (a decoy) that the other

@@ -296,22 +296,6 @@ TEST(Planner, JoinAskedForNoColumnsKeepsItsNarrowedCrossColumns) {
   EXPECT_TRUE(planned.set_equal(naive));
 }
 
-TEST(Planner, ExistsModeCapsThePlanWithLimitOne) {
-  Catalog db = make_catalog();
-  plan::PlannerOptions opts;
-  opts.exists_only = true;
-  PlanPtr p = plan::plan_select(
-      db, parse_select("select dirst from D where dirst = I order by dirst"),
-      opts);
-  ASSERT_EQ(p->kind, PlanNode::Kind::kLimit);
-  EXPECT_EQ(p->limit, 1u);
-  // The ORDER BY is irrelevant to emptiness and was dropped.
-  for (const PlanNode* n = p.get(); n != nullptr;
-       n = n->children.empty() ? nullptr : &n->child()) {
-    EXPECT_NE(n->kind, PlanNode::Kind::kSort);
-  }
-}
-
 TEST(Planner, PlannedMatchesNaiveOnRepresentativeQueries) {
   Catalog db = make_catalog();
   const char* queries[] = {

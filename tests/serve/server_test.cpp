@@ -129,6 +129,30 @@ TEST(Server, PreparedExecuteEqualsLiteralQuery) {
   EXPECT_GT(server.stats().cache.hits, 0u);
 }
 
+// Bound values holding the key's value separator: at the parent, the
+// bindings {"x\x1e", "y"} and {"x", "\x1ey"} joined to one cache key, so
+// the second execute() ran the first binding's plan and answered with its
+// row.  Length-prefixed values keep the two keys apart.
+TEST(Server, BindingsHoldingTheSeparatorDoNotShareAPlan) {
+  Catalog cat;
+  Table t(Schema::of({"a", "b"}));
+  t.append({V("x\x1e"), V("y")});
+  t.append({V("x"), V("\x1ey")});
+  cat.put("T", std::move(t));
+  Server server{Database(std::move(cat))};
+  const Server::Prepared p =
+      server.prepare("select a, b from T where a = $1 and b = $2");
+  for (const std::vector<std::string>& values :
+       {std::vector<std::string>{"x\x1e", "y"},
+        std::vector<std::string>{"x", "\x1ey"}}) {
+    const QueryResult r = server.execute(p, values);
+    ASSERT_EQ(r.rows.row_count(), 1u);
+    EXPECT_EQ(r.rows.at(0, "a"), V(values[0]));
+    EXPECT_EQ(r.rows.at(0, "b"), V(values[1]));
+  }
+  EXPECT_EQ(server.stats().cache.misses, 2u);
+}
+
 TEST(Server, PublishStatsExposesServeGauges) {
   Server server(spec().database());
   (void)server.check_empty(invariant_sqls().front());

@@ -56,7 +56,7 @@ TEST(FlatState, SnapshotRestoreSnapshotIsWordIdentical) {
     int states = 0;
     for (unsigned seed = 1; seed <= 4; ++seed) {
       Machine walker(spec(), v, cfg);
-      walker.enable_random_workload();
+      walker.enable_workload();
       random_walk(walker, seed, 60, [&](Machine& w) {
         const Machine::Snapshot s1 = w.snapshot();
         // The packed length varies with the messages in flight.
@@ -96,13 +96,13 @@ TEST(FlatState, GrownRingsRestoreSmallerSnapshots) {
   const ChannelAssignment& v = spec().assignment(asura::kAssignV5Fix);
   const SimConfig cfg = config(2, 2, 3);
   Machine m(spec(), v, cfg);
-  m.enable_random_workload();
+  m.enable_workload();
   const Machine::Snapshot initial = m.snapshot();
   std::vector<std::string> fingerprints;
   ASSERT_TRUE(grow_rings(m, initial)) << "no walk grew a ring";
 
   Machine fresh(spec(), v, cfg);
-  fresh.enable_random_workload();
+  fresh.enable_workload();
   m.restore(initial);
   EXPECT_EQ(m.fingerprint(), fresh.fingerprint());
   std::vector<std::uint64_t> a, b;
@@ -130,7 +130,7 @@ TEST(FlatState, RingLongerThanStorageRestoresOnAFreshMachine) {
   int longer = 0;
   for (unsigned seed = 1; seed <= 8; ++seed) {
     Machine walker(spec(), dedicated, cfg);
-    walker.enable_random_workload();
+    walker.enable_workload();
     random_walk(walker, seed, 80, [&](Machine& w) {
       const Machine::Snapshot s = w.snapshot();
       Machine fresh(spec(), dedicated, cfg);
@@ -152,12 +152,12 @@ TEST(FlatState, SavedWordsDoNotDependOnRingLayout) {
   const ChannelAssignment& v = spec().assignment(asura::kAssignV5Fix);
   const SimConfig cfg = config(2, 2, 3);
   Machine grown(spec(), v, cfg);
-  grown.enable_random_workload();
+  grown.enable_workload();
   const Machine::Snapshot initial = grown.snapshot();
   ASSERT_TRUE(grow_rings(grown, initial)) << "no walk grew a ring";
   for (unsigned seed = 1; seed <= 4; ++seed) {
     Machine small(spec(), v, cfg);
-    small.enable_random_workload();
+    small.enable_workload();
     grown.restore(initial);
     std::vector<std::vector<std::uint64_t>> path;
     int differing_layouts = 0;

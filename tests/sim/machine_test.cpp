@@ -228,7 +228,7 @@ TEST_P(MachineRandom, RandomWorkloadHealthyUnderV5Fix) {
   cfg.seed = GetParam();
   Machine m(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
   m.set_memory_latency(static_cast<int>(GetParam() % 4));
-  m.enable_random_workload();
+  m.enable_workload();
   SimResult r = m.run();
   EXPECT_TRUE(r.completed) << "steps=" << r.steps;
   EXPECT_FALSE(r.deadlocked) << r.deadlock_report;
