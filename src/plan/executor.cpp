@@ -9,8 +9,6 @@
 #include "obs/obs.hpp"
 #include "plan/route.hpp"
 #include "plan/vectorized.hpp"
-#include "relational/error.hpp"
-#include "relational/expr.hpp"
 
 namespace ccsql::plan {
 namespace {
@@ -63,26 +61,6 @@ struct Rows {
 
 struct Executor {
   const ExecContext& ctx;
-
-  [[nodiscard]] const Table& base_of(const PlanNode& scan) const {
-    if (scan.bound != nullptr) return *scan.bound;
-    if (ctx.catalog == nullptr) {
-      throw BindError("plan: scan of '" + scan.table_name +
-                      "' without a catalog");
-    }
-    return ctx.catalog->get(scan.table_name);
-  }
-
-  /// Identifier-hood schema for compiling `node`'s predicate.  A Select
-  /// over a Cross reads its Cross's schema: column pruning may narrow the
-  /// Select to fewer columns than its predicate reads.
-  [[nodiscard]] const Schema& full_of(const PlanNode& node) const {
-    if (ctx.ident_schema != nullptr) return *ctx.ident_schema;
-    return node.kind == PlanNode::Kind::kSelect &&
-                   node.child().kind == PlanNode::Kind::kCross
-               ? *node.child().schema
-               : *node.schema;
-  }
 
   /// True when work over `rows` input rows should fan out across the pool.
   /// Row-budgeted paths (emptiness checks) stay serial: their early exit
@@ -225,19 +203,10 @@ struct Executor {
     return src.with_schema(schema);
   }
 
-  /// The base rows an IndexLookup selects (ascending), probed through the
-  /// base table's cached hash index; nullptr when the key is absent.
-  const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup,
-                                              const Table& base) const {
-    CCSQL_COUNT(lookup.index != nullptr ||
-                        base.has_cached_index(lookup.key_columns)
-                    ? "plan.index_hits"
-                    : "plan.index_builds",
-                1);
-    const HashIndex& index = lookup.index != nullptr
-                                 ? *lookup.index
-                                 : base.index_on(lookup.key_columns);
-    return index.find(Table::index_key(lookup.key_values));
+  /// The base rows an IndexLookup selects (ascending), probed through its
+  /// prepared hash index; nullptr when the key is absent.
+  static const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup) {
+    return lookup.index->find(Table::index_key(lookup.key_values));
   }
 
   /// Which rows `node` — a Scan, IndexLookup or Select — yields, at most
@@ -246,13 +215,13 @@ struct Executor {
     Rows out;
     switch (node.kind) {
       case PlanNode::Kind::kScan:
-        out.base = &base_of(node);
+        out.base = node.bound;
         out.prefix = std::min(limit, out.base->row_count());
         CCSQL_COUNT("query.rows_scanned", *out.prefix);
         return out;
       case PlanNode::Kind::kIndexLookup:
-        out.base = &base_of(node);
-        if (const auto* bucket = lookup_rows(node, *out.base)) {
+        out.base = node.bound;
+        if (const auto* bucket = lookup_rows(node)) {
           for (std::size_t i : *bucket) {
             if (out.ids.size() >= limit) break;
             out.ids.push_back(static_cast<std::uint32_t>(i));
@@ -306,8 +275,8 @@ struct Executor {
   /// the rows; the full product is never materialised.  The degenerate
   /// route makes every pair a candidate: the full product, still never
   /// materialised wider than the residual's columns.
-  Rows select_cross(PlanNode& node, const CrossRoute& route,
-                    std::size_t limit, OpStats& stats) {
+  Rows select_cross(PlanNode& node, std::size_t limit, OpStats& stats) {
+    const CrossRoute& route = *node.route;
     PlanNode& cross = node.child();
     Rows out;
     const Table& l = out.held.emplace(exec(cross.child(0), kNoLimit));
@@ -316,7 +285,7 @@ struct Executor {
     // repeated queries reuse it; a materialised right side is held for the
     // index built over it: join-local memory.
     const bool scan = cross.child(1).is_scan();
-    const Table& rbase = scan ? base_of(cross.child(1)) : r;
+    const Table& rbase = scan ? *cross.child(1).bound : r;
     obs::MemReservation build_mem;
     if (route.keyed() && !scan) {
       build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
@@ -392,23 +361,10 @@ struct Executor {
     OpStats scratch;  // discarded stats sink for record-off executions
     OpStats& stats = ctx.record ? node.stats : scratch;
     PlanNode& child = node.child();
-    // A cached plan carries its predicate pre-compiled (shared across
-    // concurrent executions) — as a route over a Cross, as a filter
-    // elsewhere; otherwise compile here, per execution.
     if (child.kind == PlanNode::Kind::kCross) {
-      std::optional<CrossRoute> local;
-      const CrossRoute& route =
-          node.route ? *node.route
-                     : local.emplace(*node.predicate, *child.child(0).schema,
-                                     *child.child(1).schema, full_of(node),
-                                     ctx.functions);
-      return select_cross(node, route, limit, stats);
+      return select_cross(node, limit, stats);
     }
-    std::optional<vec::RowFilter> local;
-    const vec::RowFilter& pred =
-        node.compiled ? *node.compiled
-                      : local.emplace(*node.predicate, *node.schema,
-                                      full_of(node), ctx.functions);
+    const vec::RowFilter& pred = *node.compiled;
     Rows out;
     std::size_t visited = 0;
     if (child.kind == PlanNode::Kind::kIndexLookup) {
@@ -416,8 +372,8 @@ struct Executor {
       // row budget of 1 this stops at the first batch holding a passing
       // row.  Sound because an IndexLookup's schema is positionally
       // identical to its base table's.
-      out.base = &base_of(child);
-      if (const auto* bucket = lookup_rows(child, *out.base)) {
+      out.base = child.bound;
+      if (const auto* bucket = lookup_rows(child)) {
         visited = pred.filter_rows(out.base->column_ptrs(), *bucket, limit,
                                    out.ids);
       }
@@ -425,7 +381,7 @@ struct Executor {
       stats.bytes_touched += scan_bytes(visited, pred.columns_read());
     } else if (child.is_scan()) {
       // Filter base rows in place, no intermediate copy.
-      out.base = &base_of(child);
+      out.base = child.bound;
       out.ids = matches(*out.base, pred, limit, visited, stats);
     } else {
       out.ids = matches(out.held.emplace(exec(child, kNoLimit)), pred, limit,

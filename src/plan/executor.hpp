@@ -1,10 +1,14 @@
 #pragma once
 
-// Plan execution.  Walks a PlanNode tree bottom-up, materialising Tables,
-// with fusions the naive interpreter cannot do.  A Scan, IndexLookup or
-// Select first decides which rows it yields — ids into its source table,
-// id pairs for a join — and only then gathers them, so a count or an
-// emptiness check reads the ids and never builds the rows:
+// Plan execution.  Walks a prepared PlanNode tree (planner.hpp: every scan
+// bound to its table, every lookup to its hash index, every Select's
+// predicate compiled) bottom-up, materialising Tables, with fusions the
+// naive interpreter cannot do.  It only reads what preparation resolved:
+// it looks up no table, builds no lookup index and compiles nothing.  A
+// Scan, IndexLookup or Select first decides which rows it yields — ids
+// into its source table, id pairs for a join — and only then gathers
+// them, so a count or an emptiness check reads the ids and never builds
+// the rows:
 //
 //  - Select over Scan evaluates the compiled predicate directly against the
 //    base table's rows (no intermediate copy of the whole table);
@@ -17,7 +21,8 @@
 //  - IndexLookup and the route's keyed probes of a Scan right side use the
 //    base table's one cached hash index per column set (Table::index_on),
 //    so repeated queries against catalog tables reuse the index across
-//    calls.
+//    calls: a lookup's is resolved by prepare(), the route's per execution
+//    (CrossRoute::right_side).
 //
 // The optimizer merges every Select chain into one conjunction, so each of
 // these fused paths runs exactly one compiled filter: the executor never
@@ -29,19 +34,11 @@
 // `actual_rows` for EXPLAIN.
 
 #include "plan/ir.hpp"
-#include "relational/query.hpp"
 
 namespace ccsql::plan {
 
-/// Everything a plan needs at run time.
+/// How a prepared plan runs.
 struct ExecContext {
-  /// Resolves named scans; may be null when every scan is bound to a table.
-  const Catalog* catalog = nullptr;
-  /// WHERE-clause predicate functions (usually &catalog->functions()).
-  const FunctionRegistry* functions = nullptr;
-  /// Identifier-hood schema override for predicate compilation; defaults to
-  /// each node's own schema.  See PlannerOptions::ident_schema.
-  const Schema* ident_schema = nullptr;
   /// Parallel lanes for the morsel-driven operators (filter, routed probe
   /// and index build, union branches); <= 1 executes serially.  Results
   /// are bit-identical at any value: morsel boundaries depend only on input
@@ -58,7 +55,8 @@ struct ExecContext {
   bool record = true;
 };
 
-/// Executes `root`, producing at most `limit` rows (kNoLimit = all).
+/// Executes the prepared plan `root`, producing at most `limit` rows
+/// (kNoLimit = all).
 Table execute(PlanNode& root, const ExecContext& ctx,
               std::size_t limit = kNoLimit);
 

@@ -92,32 +92,6 @@ std::string PlanNode::label() const {
   return out;
 }
 
-PlanPtr clone_plan(const PlanNode& root) {
-  auto out = std::make_unique<PlanNode>();
-  out->kind = root.kind;
-  out->schema = root.schema;
-  out->table_name = root.table_name;
-  out->bound = root.bound;
-  out->alias = root.alias;
-  out->predicate = root.predicate;
-  out->compiled = root.compiled;
-  out->route = root.route;
-  out->columns = root.columns;
-  out->distinct = root.distinct;
-  out->key_values = root.key_values;
-  out->key_columns = root.key_columns;
-  out->index = root.index;
-  out->order_by = root.order_by;
-  out->est_rows = root.est_rows;
-  // Runtime state (actual_rows, stats, routed) deliberately left at the
-  // fresh defaults: the clone has not been executed.
-  out->children.reserve(root.children.size());
-  for (const PlanPtr& c : root.children) {
-    out->children.push_back(clone_plan(*c));
-  }
-  return out;
-}
-
 SchemaPtr scan_schema(const Schema& base, const std::string& alias) {
   if (alias.empty()) {
     return std::make_shared<const Schema>(base);

@@ -3,13 +3,13 @@
 // Logical-plan IR of the ccsql query planner (ccsql::plan).
 //
 // A SELECT is compiled into a tree of PlanNodes (scan / select / project /
-// cross / union / distinct / sort / count), rewritten by the
-// rule-based optimizer (optimizer.hpp) and run by the executor
-// (executor.hpp).  The paper offloads this to Oracle8's planner; here it is
-// the layer that turns the naive "materialise the cross product, then
-// filter" reading of an invariant query into pushed-down filters, indexed
-// point lookups and joins: a Select over a Cross, routed on its
-// equalities (route.hpp).
+// cross / union / distinct / sort / count), rewritten by the rule-based
+// optimizer (optimizer.hpp), prepared (planner.hpp) and run by the
+// executor (executor.hpp).  The paper offloads this to Oracle8's planner;
+// here it is the layer that turns the naive "materialise the cross
+// product, then filter" reading of an invariant query into pushed-down
+// filters, indexed point lookups and joins: a Select over a Cross, routed
+// on its equalities (route.hpp).
 
 #include <memory>
 #include <optional>
@@ -63,7 +63,7 @@ struct OpStats {
 /// constantly — simple.
 struct PlanNode {
   enum class Kind {
-    kScan,         // whole catalog table (table_name) or bound table
+    kScan,         // every row of the `bound` table
     kIndexLookup,  // point lookup on a base table via its hash index
     kSelect,       // filter rows by predicate
     kProject,      // named columns, optionally distinct
@@ -80,21 +80,20 @@ struct PlanNode {
   SchemaPtr schema;
 
   // -- kScan / kIndexLookup ---------------------------------------------------
-  std::string table_name;        // catalog scans; empty when `bound` is set
-  const Table* bound = nullptr;  // externally-owned base table (solver, vcg)
-  std::string alias;             // non-empty: columns read as "alias.name"
+  /// The table read: a catalog's, bound when the plan is built, or a
+  /// free-standing one (the solver's steps).  table_name names a catalog's
+  /// for EXPLAIN and is empty otherwise.
+  std::string table_name;
+  const Table* bound = nullptr;
+  std::string alias;  // non-empty: columns read as "alias.name"
 
   // -- kSelect ----------------------------------------------------------------
   std::optional<Expr> predicate;
-  /// Pre-compiled predicate (prepared-statement cache).  When set, the
-  /// executor evaluates it instead of compiling `predicate` per execution.
-  /// Shared — clone_plan copies the pointer — and immutable: RowFilter
-  /// evaluation is const and thread-safe, so concurrent sessions executing
-  /// clones of one cached plan reuse a single compiled artifact.
+  /// `predicate` compiled by prepare() (planner.hpp): a Select over a
+  /// Cross runs through `route` (route.hpp), any other through `compiled`.
+  /// Immutable, and their evaluation is const and thread-safe, so sessions
+  /// running one cached plan at once share them.
   std::shared_ptr<const vec::RowFilter> compiled;
-  /// A Select over a Cross runs through a CrossRoute (route.hpp) instead
-  /// of `compiled`: pre-built by the prepared-statement cache and shared
-  /// like `compiled`, else built per execution.
   std::shared_ptr<const CrossRoute> route;
 
   // -- kCross -----------------------------------------------------------------
@@ -108,11 +107,9 @@ struct PlanNode {
 
   // -- kIndexLookup -----------------------------------------------------------
   std::vector<Value> key_values;  // parallel to `columns`
-  /// Positions of `columns` in the base table, resolved at plan time: the
-  /// index every execution probes (Table::index_on) is keyed on them.
+  /// Positions of `columns` in the base table, set by the optimizer, and
+  /// the `bound` table's hash index on them, resolved by prepare().
   std::vector<std::size_t> key_columns;
-  /// That index, resolved once by the prepared-statement cache on the
-  /// table its plan is bound to; else looked up per execution.
   const HashIndex* index = nullptr;
 
   // -- kSort ------------------------------------------------------------------
@@ -141,13 +138,6 @@ struct PlanNode {
 };
 
 [[nodiscard]] PlanPtr make_node(PlanNode::Kind kind);
-
-/// Deep copy of a plan tree with fresh (unexecuted) runtime state:
-/// actual_rows / stats reset, everything else — including the shared
-/// pre-compiled predicates — carried over.  The executor mutates the nodes
-/// it runs, so a cached plan is cloned once per execution and the cached
-/// original stays immutable.
-[[nodiscard]] PlanPtr clone_plan(const PlanNode& root);
 
 /// Returns "Scan", "Cross", ... for tests and diagnostics.
 [[nodiscard]] std::string_view to_string(PlanNode::Kind kind) noexcept;

@@ -34,8 +34,8 @@ Expr fold_not(const Expr& e, bool& changed) {
   }
 }
 
-const Schema& ident_schema_of(const PlanNode& node, const PlannerOptions& opts) {
-  return opts.ident_schema != nullptr ? *opts.ident_schema : *node.schema;
+const Schema& ident_schema_of(const PlanNode& node, const Schema* ident) {
+  return ident != nullptr ? *ident : *node.schema;
 }
 
 /// The identifier-hood rule of Atom in relational/expr.hpp.
@@ -113,15 +113,15 @@ const std::vector<Atom>* equality_operands(const Expr& p) {
 /// Select left at a node lists them innermost first; the EXPLAIN goldens
 /// pin these orders.
 std::size_t place(PlanPtr& node, std::vector<Expr> above,
-                  const PlannerOptions& opts) {
+                  const Schema* ident_schema) {
   if (node->kind == PlanNode::Kind::kSelect) {
     collect_conjuncts(*node->predicate, above);
     PlanPtr child = std::move(node->children[0]);
     node = std::move(child);
-    return place(node, std::move(above), opts);
+    return place(node, std::move(above), ident_schema);
   }
   PlanNode& n = *node;
-  const Schema& ident = ident_schema_of(n, opts);
+  const Schema& ident = ident_schema_of(n, ident_schema);
   std::size_t rewrites = 0;
   std::vector<Expr> rest;
   if (n.kind == PlanNode::Kind::kCross) {
@@ -141,7 +141,8 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
     for (std::size_t side = 0; side < 2; ++side) {
       rewrites += sides[side].size();
       std::reverse(sides[side].begin(), sides[side].end());
-      rewrites += place(n.children[side], std::move(sides[side]), opts);
+      rewrites +=
+          place(n.children[side], std::move(sides[side]), ident_schema);
     }
   } else if (n.kind == PlanNode::Kind::kScan) {
     for (Expr& p : above) {
@@ -173,7 +174,7 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
     }
   } else {
     rest = std::move(above);
-    for (auto& c : n.children) rewrites += place(c, {}, opts);
+    for (auto& c : n.children) rewrites += place(c, {}, ident_schema);
   }
   if (!rest.empty()) {
     std::reverse(rest.begin(), rest.end());
@@ -200,23 +201,23 @@ std::size_t place(PlanPtr& node, std::vector<Expr> above,
 /// of a high-fanout join under columnar storage.
 std::size_t prune_join_columns(PlanNode& node,
                                const std::vector<std::string>* needed,
-                               const PlannerOptions& opts) {
+                               const Schema* ident_schema) {
   const auto needs = [](const std::vector<std::string>& names,
                         const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
   std::size_t n = 0;
   if (node.kind == PlanNode::Kind::kProject) {
-    return prune_join_columns(node.child(), &node.columns, opts);
+    return prune_join_columns(node.child(), &node.columns, ident_schema);
   }
   if (needed != nullptr && node.kind == PlanNode::Kind::kSelect &&
       node.child().kind == PlanNode::Kind::kCross) {
     std::vector<std::string> below = *needed;
-    for (std::string& c :
-         node.predicate->referenced_columns(ident_schema_of(node, opts))) {
+    for (std::string& c : node.predicate->referenced_columns(
+             ident_schema_of(node, ident_schema))) {
       if (!needs(below, c)) below.push_back(std::move(c));
     }
-    n += prune_join_columns(node.child(), &below, opts);
+    n += prune_join_columns(node.child(), &below, ident_schema);
     std::vector<Column> kept;
     for (const Column& c : node.child().schema->columns()) {
       if (needs(*needed, c.name)) kept.push_back(c);
@@ -238,7 +239,7 @@ std::size_t prune_join_columns(PlanNode& node,
       for (const Column& c : side->schema->columns()) {
         if (needs(*needed, c.name)) wanted.push_back(c.name);
       }
-      n += prune_join_columns(*side, &wanted, opts);
+      n += prune_join_columns(*side, &wanted, ident_schema);
     }
     std::vector<Column> cols = node.child(0).schema->columns();
     for (const Column& c : node.child(1).schema->columns()) cols.push_back(c);
@@ -247,7 +248,9 @@ std::size_t prune_join_columns(PlanNode& node,
     }
     return n;
   }
-  for (auto& c : node.children) n += prune_join_columns(*c, nullptr, opts);
+  for (auto& c : node.children) {
+    n += prune_join_columns(*c, nullptr, ident_schema);
+  }
   return n;
 }
 
@@ -397,10 +400,10 @@ Expr fold_expr(const Expr& e, bool& changed) {
   }
 }
 
-void optimize(PlanPtr& root, const PlannerOptions& opts) {
+void optimize(PlanPtr& root, const Schema* ident_schema) {
   std::size_t rewrites = fold_predicates(root);
-  rewrites += place(root, {}, opts);
-  rewrites += prune_join_columns(*root, nullptr, opts);
+  rewrites += place(root, {}, ident_schema);
+  rewrites += prune_join_columns(*root, nullptr, ident_schema);
   estimate(*root);
   if (rewrites > 0) CCSQL_COUNT("plan.rewrites", rewrites);
 }

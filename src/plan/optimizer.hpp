@@ -25,22 +25,11 @@
 
 namespace ccsql::plan {
 
-struct PlannerOptions {
-  /// Schema deciding identifier-hood of bare atoms (see Atom in
-  /// relational/expr.hpp).  Defaults to each node's own schema; the solver
-  /// passes the full target schema so partially-built rows resolve the same
-  /// way as complete ones.
-  const Schema* ident_schema = nullptr;
-  /// Parallel lanes for execution (copied into ExecContext::jobs by the
-  /// planner entry points); <= 1 runs serially.  Does not affect plan shape.
-  std::size_t jobs = 1;
-  /// EXPLAIN ANALYZE: profile every operator (PlanNode::stats) and render
-  /// the profile next to est/actual.  Does not affect plan shape or rows.
-  bool analyze = false;
-};
-
-/// Rewrites `root` in place according to `opts`.
-void optimize(PlanPtr& root, const PlannerOptions& opts = {});
+/// Rewrites `root` in place.  `ident_schema` decides identifier-hood of
+/// bare atoms (see Atom in relational/expr.hpp); by default each node's own
+/// schema.  The solver passes the full target schema so partially-built
+/// rows resolve the same way as complete ones.
+void optimize(PlanPtr& root, const Schema* ident_schema = nullptr);
 
 /// Appends the conjuncts of `e` to `out`, nested `and`s flattened, in
 /// order: the units conjunct placement and guard routing work on.

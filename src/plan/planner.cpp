@@ -4,6 +4,8 @@
 
 #include "obs/obs.hpp"
 #include "plan/explain.hpp"
+#include "plan/route.hpp"
+#include "plan/vectorized.hpp"
 
 namespace ccsql::plan {
 namespace {
@@ -36,6 +38,7 @@ PlanPtr build_core(const Catalog& db, const SelectStmt& stmt) {
     const Table& base = db.get(ref.table);
     PlanPtr scan = make_node(PlanNode::Kind::kScan);
     scan->table_name = ref.table;
+    scan->bound = &base;
     scan->alias = ref.alias;
     scan->schema = scan_schema(base.schema(), ref.alias);
     scan->est_rows = static_cast<double>(base.row_count());
@@ -86,19 +89,47 @@ PlanPtr build_plan(const Catalog& db, const SelectStmt& stmt) {
   return root;
 }
 
-PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt,
-                    const PlannerOptions& opts) {
+// NOLINTNEXTLINE(misc-no-recursion)
+void prepare(PlanNode& root, const FunctionRegistry* functions,
+             const Schema* ident_schema) {
+  if (root.kind == PlanNode::Kind::kIndexLookup) {
+    CCSQL_COUNT(root.bound->has_cached_index(root.key_columns)
+                    ? "plan.index_hits"
+                    : "plan.index_builds",
+                1);
+    root.index = &root.bound->index_on(root.key_columns);
+  }
+  if (root.kind == PlanNode::Kind::kSelect) {
+    // Column pruning may narrow a Select over a Cross below what its
+    // predicate reads: its Cross's schema decides identifier-hood.
+    const PlanNode& child = root.child();
+    const bool over_cross = child.kind == PlanNode::Kind::kCross;
+    const Schema& ident = ident_schema != nullptr ? *ident_schema
+                          : over_cross            ? *child.schema
+                                                  : *root.schema;
+    if (over_cross) {
+      root.route = std::make_shared<const CrossRoute>(
+          *root.predicate, *child.child(0).schema, *child.child(1).schema,
+          ident, functions);
+    } else {
+      root.compiled = std::make_shared<const vec::RowFilter>(
+          *root.predicate, *root.schema, ident, functions);
+    }
+  }
+  for (PlanPtr& c : root.children) prepare(*c, functions, ident_schema);
+}
+
+PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt) {
   PlanPtr root = build_plan(db, stmt);
-  optimize(root, opts);
+  optimize(root);
+  prepare(*root, &db.functions());
   return root;
 }
 
 Table run_select(const Catalog& db, const SelectStmt& stmt,
-                 const PlannerOptions& opts) {
+                 const ExecContext& ctx) {
   CCSQL_SPAN(span, "plan.query", "plan");
-  PlanPtr root = plan_select(db, stmt, opts);
-  ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
-                  opts.analyze};
+  PlanPtr root = plan_select(db, stmt);
   return execute(*root, ctx);
 }
 
@@ -116,11 +147,9 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
   };
   PlanPtr root =
       make_select(make_cross(scan_of(left), scan_of(right)), pred);
-  PlannerOptions opts;
-  opts.ident_schema = &ident_schema;
-  optimize(root, opts);
-  ExecContext ctx{nullptr, functions, &ident_schema, jobs};
-  Table out = execute(*root, ctx);
+  optimize(root, &ident_schema);
+  prepare(*root, functions, &ident_schema);
+  Table out = execute(*root, ExecContext{jobs});
   if (candidates != nullptr) {
     // The Cross under the Select pairs the two sides; its actual rows are
     // the pairs the route built.
@@ -134,17 +163,15 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
 }
 
 std::string explain(const Catalog& db, const SelectStmt& stmt,
-                    const PlannerOptions& opts) {
-  PlanPtr root = plan_select(db, stmt, opts);
-  ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
-                  opts.analyze};
+                    const ExecContext& ctx) {
+  PlanPtr root = plan_select(db, stmt);
   (void)execute(*root, ctx);
-  return opts.analyze ? render_analyze(*root) : render(*root);
+  return ctx.analyze ? render_analyze(*root) : render(*root);
 }
 
 std::string explain_sql(const Catalog& db, std::string_view select_text,
-                        const PlannerOptions& opts) {
-  return explain(db, parse_select(select_text), opts);
+                        const ExecContext& ctx) {
+  return explain(db, parse_select(select_text), ctx);
 }
 
 }  // namespace ccsql::plan

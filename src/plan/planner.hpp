@@ -1,12 +1,13 @@
 #pragma once
 
-// Planner facade: parse tree -> plan -> optimized plan -> result.  Its SQL
-// callers are Catalog::query / Catalog::check_empty (the one SELECT and
-// emptiness path, which Database and Snapshot delegate to), EXPLAIN, the
-// serving layer's prepared-statement cache (build_statement plans once and
-// runs the plan in place) and the solver's per-column steps
-// (plan::cross_select, called directly).  The naive reference executor
-// lives in tests/support as the differential oracle.
+// Planner facade: parse tree -> plan -> optimized plan -> prepared plan ->
+// result.  Every caller prepares the same way, once, before execution:
+// Catalog::query / Catalog::check_empty (the one SELECT and emptiness
+// path, which Database and Snapshot delegate to), EXPLAIN, the serving
+// layer's prepared-statement cache (build_statement plans once and runs
+// the plan in place) and the solver's per-column steps (plan::cross_select,
+// called directly).  The naive reference executor lives in tests/support
+// as the differential oracle.
 
 #include <string>
 #include <string_view>
@@ -18,17 +19,29 @@
 
 namespace ccsql::plan {
 
-/// Builds the naive plan for `stmt`: scans crossed left-to-right, then the
-/// WHERE filter, then count/distinct/projection, union branches, ORDER BY.
+/// Builds the naive plan for `stmt`: scans of `db`'s tables, bound to
+/// them and crossed left-to-right, then the WHERE filter, then
+/// count/distinct/projection, union branches, ORDER BY.
 [[nodiscard]] PlanPtr build_plan(const Catalog& db, const SelectStmt& stmt);
 
-/// build_plan + optimize.
-[[nodiscard]] PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt,
-                                  const PlannerOptions& opts = {});
+/// Prepares an optimized plan for execution: binds each IndexLookup to its
+/// table's hash index (built here if need be, counted as plan.index_builds
+/// or plan.index_hits) and compiles each Select's predicate with
+/// `functions` — into a CrossRoute over a Cross, a RowFilter elsewhere —
+/// in every union branch, executed or not.  `ident_schema` decides which
+/// bare identifiers are columns; by default a Select over a Cross reads
+/// its Cross's schema (column pruning may narrow the Select below what its
+/// predicate reads) and any other Select its own.  Compilation errors
+/// (an unknown function, an unbound $N) surface here.
+void prepare(PlanNode& root, const FunctionRegistry* functions,
+             const Schema* ident_schema = nullptr);
+
+/// build_plan + optimize + prepare: a plan ready to execute.
+[[nodiscard]] PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt);
 
 /// Plans and executes `stmt` against `db`.
 [[nodiscard]] Table run_select(const Catalog& db, const SelectStmt& stmt,
-                               const PlannerOptions& opts = {});
+                               const ExecContext& ctx = {});
 
 /// Plans and runs `select(pred, cross(left, right))` over two free-standing
 /// tables — the solver's incremental-generation step.  `ident_schema`
@@ -44,11 +57,12 @@ namespace ccsql::plan {
                                  std::size_t* candidates = nullptr);
 
 /// Plans, executes, and renders `stmt` with estimated vs actual row counts
-/// (see explain.hpp for the format).
+/// (see explain.hpp for the format), with the per-operator profile when
+/// ctx.analyze is set.
 [[nodiscard]] std::string explain(const Catalog& db, const SelectStmt& stmt,
-                                  const PlannerOptions& opts = {});
+                                  const ExecContext& ctx = {});
 [[nodiscard]] std::string explain_sql(const Catalog& db,
                                       std::string_view select_text,
-                                      const PlannerOptions& opts = {});
+                                      const ExecContext& ctx = {});
 
 }  // namespace ccsql::plan

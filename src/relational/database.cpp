@@ -118,16 +118,13 @@ std::size_t Database::jobs() const {
 }
 
 QueryResult Database::explain(std::string_view select_text) const {
-  plan::PlannerOptions opts;
-  opts.jobs = jobs();
-  return {Table(), plan::explain_sql(catalog_, select_text, opts)};
+  return {Table(),
+          plan::explain_sql(catalog_, select_text, plan::ExecContext{jobs()})};
 }
 
 QueryResult Database::explain_analyze(std::string_view select_text) const {
-  plan::PlannerOptions opts;
-  opts.jobs = jobs();
-  opts.analyze = true;
-  QueryResult r{Table(), plan::explain_sql(catalog_, select_text, opts)};
+  const plan::ExecContext ctx{jobs(), /*analyze=*/true};
+  QueryResult r{Table(), plan::explain_sql(catalog_, select_text, ctx)};
   r.plan += obs::MemTracker::global().summary();
   r.plan += "\n";
   return r;

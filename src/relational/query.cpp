@@ -28,9 +28,7 @@ Table Catalog::query(const SelectStmt& stmt, std::size_t jobs) const {
   CCSQL_SPAN(span, "query.select", "relational");
   span.arg("table", stmt.from.empty() ? "" : stmt.from[0].table);
   span.arg("jobs", static_cast<std::uint64_t>(jobs));
-  plan::PlannerOptions opts;
-  opts.jobs = jobs;
-  Table result = plan::run_select(*this, stmt, opts);
+  Table result = plan::run_select(*this, stmt, plan::ExecContext{jobs});
   span.arg("rows_emitted", result.row_count());
   CCSQL_COUNT("query.selects", 1);
   CCSQL_COUNT("query.rows_emitted", result.row_count());
@@ -44,8 +42,7 @@ Table Catalog::query(std::string_view select_text) const {
 bool Catalog::check_empty(const SelectStmt& stmt) const {
   CCSQL_SPAN(span, "query.check_empty", "relational");
   CCSQL_COUNT("query.emptiness_probes", 1);
-  const plan::PlanPtr root = plan::plan_select(*this, stmt);
-  return plan::is_empty(*root, plan::ExecContext{this, &functions()});
+  return plan::is_empty(*plan::plan_select(*this, stmt), {});
 }
 
 bool Catalog::check_empty(std::string_view invariant_text) const {

@@ -6,8 +6,6 @@
 #include "obs/obs.hpp"
 #include "plan/executor.hpp"
 #include "plan/planner.hpp"
-#include "plan/route.hpp"
-#include "plan/vectorized.hpp"
 #include "relational/error.hpp"
 
 namespace ccsql::serve {
@@ -24,33 +22,6 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
   if (n.predicate) bytes += 4 * n.predicate->to_string().size();
   for (const auto& c : n.children) bytes += estimate_plan_bytes(*c);
   return bytes;
-}
-
-/// Attaches a shared pre-compiled route to every kSelect over a kCross and
-/// a shared pre-compiled RowFilter to every other kSelect.  The executor
-/// runs this tree with ident_schema unset, so both compile with the schema
-/// the executor would use deciding identifier-hood: the Cross's for a
-/// route (column pruning may narrow the Select below what its predicate
-/// reads), the node's own otherwise.  Named scans and lookups are bound to
-/// `catalog`'s tables, which the entry pins, and each lookup to its index,
-/// built here: no execution looks a table or an index up.
-void precompile(plan::PlanNode& n, const Catalog& catalog) {
-  if (!n.table_name.empty()) n.bound = &catalog.get(n.table_name);
-  if (n.kind == plan::PlanNode::Kind::kIndexLookup) {
-    n.index = &n.bound->index_on(n.key_columns);
-  }
-  if (n.kind == plan::PlanNode::Kind::kSelect && n.predicate) {
-    if (n.child().kind == plan::PlanNode::Kind::kCross) {
-      n.route = std::make_shared<const plan::CrossRoute>(
-          *n.predicate, *n.child().child(0).schema,
-          *n.child().child(1).schema, *n.child().schema,
-          &catalog.functions());
-    } else {
-      n.compiled = std::make_shared<const plan::vec::RowFilter>(
-          *n.predicate, *n.schema, *n.schema, &catalog.functions());
-    }
-  }
-  for (auto& c : n.children) precompile(*c, catalog);
 }
 
 /// Appends normalize_sql(sql) to `out` (which may hold a key prefix).
@@ -177,19 +148,15 @@ PlanCacheStats PlanCache::stats() const {
 }
 
 CachedStatementPtr build_statement(const Snapshot& snap,
-                                   std::vector<SelectStmt> stmts) {
+                                   const std::vector<SelectStmt>& stmts) {
   if (!snap.valid()) throw BindError("build_statement: empty snapshot");
   auto out = std::make_shared<CachedStatement>();
   out->generation = snap.generation();
   out->catalog = snap.shared_catalog();
   out->units.reserve(stmts.size());
-  for (auto& stmt : stmts) {
-    CachedStatement::Unit unit;
-    unit.plan = plan::plan_select(*out->catalog, stmt);
-    precompile(*unit.plan, *out->catalog);
-    unit.stmt = std::move(stmt);
-    out->bytes += estimate_plan_bytes(*unit.plan);
-    out->units.push_back(std::move(unit));
+  for (const SelectStmt& stmt : stmts) {
+    out->units.push_back(plan::plan_select(*out->catalog, stmt));
+    out->bytes += estimate_plan_bytes(*out->units.back());
   }
   out->mem = obs::MemReservation(obs::MemTracker::Category::kPlans,
                                  out->bytes);
@@ -197,21 +164,13 @@ CachedStatementPtr build_statement(const Snapshot& snap,
   return out;
 }
 
-plan::ExecContext exec_context(const CachedStatement& cs, std::size_t jobs) {
-  plan::ExecContext ctx;
-  ctx.catalog = cs.catalog.get();
-  ctx.functions = &cs.catalog->functions();
-  ctx.jobs = jobs;
-  return ctx;
-}
-
 Table run_unit(const CachedStatement& cs, std::size_t index,
                std::size_t jobs) {
   // Const overload: record/analyze forced off, so the shared plan tree is
   // executed in place — no per-query clone, safe from any number of
   // sessions at once.
-  const plan::PlanNode& root = *cs.units.at(index).plan;
-  return plan::execute(root, exec_context(cs, jobs));
+  const plan::PlanNode& root = *cs.units.at(index);
+  return plan::execute(root, plan::ExecContext{jobs});
 }
 
 }  // namespace ccsql::serve

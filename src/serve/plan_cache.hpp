@@ -4,10 +4,10 @@
 //
 // Key: a mode marker ("Q"/"E") plus the whitespace-normalized statement
 // text, plus — for parameterized executions — the bound parameter values,
-// each prefixed with its length.  Value: the parsed statements with their
-// optimized plans — predicates pre-compiled to bytecode, scans bound to the
-// tables of the exact catalog snapshot they were planned against (which
-// the entry pins), lookups to those tables' hash indexes.  An entry is
+// each prefixed with its length.  Value: the statements' prepared plans
+// (plan::plan_select) — scans bound to the tables of the exact catalog
+// snapshot they were planned against (which the entry pins), lookups to
+// those tables' hash indexes, predicates compiled.  An entry is
 // valid only while the live catalog is still at the generation the entry
 // captured; a lookup at any other generation misses (counted as an
 // invalidation) and the caller re-plans.
@@ -15,8 +15,8 @@
 // A cached plan tree is executed in place, concurrently, with no per-query
 // clone: the executor's read-only entry points (the const execute() and
 // is_empty()) run with ExecContext::record off, under which no PlanNode
-// field is ever written.  Pre-compiled RowFilters and CrossRoutes are
-// likewise shared — their evaluation is const and thread-safe.
+// field is ever written.  Compiled RowFilters and CrossRoutes are likewise
+// shared — their evaluation is const and thread-safe.
 
 #include <cstdint>
 #include <list>
@@ -58,13 +58,9 @@ namespace ccsql::serve {
 /// and function-registry references stay valid for as long as the entry
 /// lives, regardless of what the live catalog does.
 struct CachedStatement {
-  /// One SELECT of the statement (invariants may union several probes).
-  struct Unit {
-    SelectStmt stmt;    // parameter-free parse tree
-    plan::PlanPtr plan; // optimized; kSelect nodes carry compiled filters
-  };
-
-  std::vector<Unit> units;
+  /// One prepared plan per SELECT of the statement (invariants may union
+  /// several probes).
+  std::vector<plan::PlanPtr> units;
   std::uint64_t generation = 0;
   std::shared_ptr<const Catalog> catalog;
   std::size_t bytes = 0;      // estimated footprint (MemTracker kPlans)
@@ -128,21 +124,13 @@ class PlanCache {
   std::size_t bytes_ = 0;
 };
 
-/// Plans, optimizes and pre-compiles `stmts` against `snap`'s catalog:
-/// predicates compiled, scans bound to the snapshot's tables, lookups to
-/// their indexes (built here if need be).
-[[nodiscard]] CachedStatementPtr build_statement(const Snapshot& snap,
-                                                 std::vector<SelectStmt> stmts);
+/// Plans and prepares `stmts` against `snap`'s catalog, as every query is
+/// (plan::plan_select).
+[[nodiscard]] CachedStatementPtr build_statement(
+    const Snapshot& snap, const std::vector<SelectStmt>& stmts);
 
-/// The context every execution of `cs` runs in: its pinned snapshot
-/// catalog and `jobs` parallel lanes.  The executor's read-only entry
-/// points (the const execute(), is_empty()) run a unit's plan in place
-/// with it — no clone.
-[[nodiscard]] plan::ExecContext exec_context(const CachedStatement& cs,
-                                             std::size_t jobs = 1);
-
-/// Executes unit `index` of a cached statement in place, with `jobs`
-/// parallel lanes.
+/// Executes unit `index` of a cached statement in place — no clone — with
+/// `jobs` parallel lanes.
 [[nodiscard]] Table run_unit(const CachedStatement& cs, std::size_t index,
                              std::size_t jobs);
 

@@ -68,9 +68,8 @@ bool Server::check_empty(std::string_view invariant_text) {
   CachedStatementPtr cs = get_or_build(key, snap, [&] {
     return parse_invariant(std::string_view(key).substr(2));
   });
-  const plan::ExecContext ctx = exec_context(*cs);
-  for (const CachedStatement::Unit& unit : cs->units) {
-    if (!plan::is_empty(*unit.plan, ctx)) return false;
+  for (const plan::PlanPtr& unit : cs->units) {
+    if (!plan::is_empty(*unit, {})) return false;
   }
   return true;
 }

@@ -37,7 +37,7 @@ struct DriveOptions {
 struct SessionReport {
   std::size_t id = 0;
   std::uint64_t queries = 0;
-  /// Non-empty invariants (exists mode) / total rows returned (query mode).
+  /// Non-empty invariants (check_empty) / total rows returned (SELECTs).
   std::uint64_t violations = 0;
   std::uint64_t run_us = 0;
   /// Per-query latencies, microseconds, in issue order.

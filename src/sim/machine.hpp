@@ -57,7 +57,7 @@ class Machine {
   Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
           SimConfig config);
 
-  /// Shares a precompiled dispatch across machines — the sweep engine's
+  /// Shares one compiled dispatch across machines — the sweep engine's
   /// constructor: compilation is paid once, every run reuses it read-only.
   /// `tables` must outlive the machine, as must the spec it came from.
   Machine(const ProtocolSpec& spec, const ChannelAssignment& v,

@@ -6,7 +6,7 @@
 // Seeded random predicates over random tables must give byte-identical
 // tables (same rows, same order) at every jobs level, under a row budget
 // of 1, with a width-0 side, with predicates reading one side or no
-// column, and through a serve cached plan whose routes are precompiled.
+// column, and through a serve cached plan run in place from many lanes.
 // Seeded guard trees cover every leaf class the route tells apart, and
 // seeded top-level equalities the multi-column probe every join runs.  The
 // ASURA controller tables and ED are pinned row for row by digest.
@@ -21,6 +21,7 @@
 #include "mapping/asura_map.hpp"
 #include "plan/executor.hpp"
 #include "plan/ir.hpp"
+#include "plan/planner.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
 #include "relational/expr.hpp"
@@ -96,8 +97,8 @@ Table fused(const Table& l, const Table& r, const Expr& pred,
             std::size_t jobs, std::size_t limit = plan::kNoLimit,
             bool* routed = nullptr) {
   PlanPtr root = select_over_cross(l, r, pred);
-  plan::ExecContext ctx{nullptr, fns, &ident, jobs};
-  Table out = plan::execute(*root, ctx, limit);
+  plan::prepare(*root, fns, &ident);
+  Table out = plan::execute(*root, plan::ExecContext{jobs}, limit);
   if (routed != nullptr) *routed = root->child().routed;
   return out;
 }
@@ -475,8 +476,8 @@ TEST(FusedCrossSelect, MultiKeyEqualitiesMatchOracle) {
 
 TEST(FusedCrossSelect, ServeCachedPlanMatchesOracle) {
   // Predicates spanning both sides with no equality conjunct stay a
-  // Select over a Cross after optimisation; the cached plan carries its
-  // route precompiled.
+  // Select over a Cross after optimisation; the cached plan's one route
+  // runs at every jobs level.
   for (std::uint32_t seed = 400; seed < 440; ++seed) {
     std::mt19937 rng(seed);
     Database db;
@@ -506,7 +507,7 @@ TEST(FusedCrossSelect, ServeCachedPlanMatchesOracle) {
       EXPECT_EQ(dump(serve::run_unit(*cs, 0, jobs)), dump(want))
           << "jobs " << jobs;
     }
-    EXPECT_EQ(plan::is_empty(*cs->units[0].plan, serve::exec_context(*cs)),
+    EXPECT_EQ(plan::is_empty(*cs->units[0], {}),
               want.row_count() == 0);
   }
 }

@@ -78,12 +78,8 @@ void expect_fused(const Database& db, const std::string& sql,
   SCOPED_TRACE(sql + " limit " + std::to_string(limit));
   const Catalog& cat = db.catalog();
   const SelectStmt stmt = parse_select(sql);
-  plan::PlannerOptions opts;
-  opts.analyze = true;
-  plan::PlanPtr root = plan::plan_select(cat, stmt, opts);
+  plan::PlanPtr root = plan::plan_select(cat, stmt);
   plan::ExecContext ctx;
-  ctx.catalog = &cat;
-  ctx.functions = &cat.functions();
   ctx.analyze = true;
   const Table got = plan::execute(*root, ctx, limit);
 
@@ -117,7 +113,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
   const Snapshot snap = db.snapshot();
   const serve::CachedStatementPtr cs =
       serve::build_statement(snap, {parse_select(sql)});
-  const PlanNode& root = *cs->units.at(0).plan;
+  const PlanNode& root = *cs->units.at(0);
   ASSERT_EQ(root.kind, PlanNode::Kind::kSelect) << plan::render(root);
   EXPECT_EQ(root.child().kind, indexed ? PlanNode::Kind::kIndexLookup
                                        : PlanNode::Kind::kScan)
@@ -136,7 +132,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
               visited);
   };
   expect_visits("cached",
-                [&] { return plan::is_empty(root, serve::exec_context(*cs)); });
+                [&] { return plan::is_empty(root, {}); });
   expect_visits("fresh", [&] { return db.catalog().check_empty(sql); });
   tracer.enable_metrics(false);
 }

@@ -165,8 +165,7 @@ TEST(Planner, CrossWithEqualityRoutesAsOneSelectOverTheCross) {
   EXPECT_EQ(column_names(cross).size(), 5u);
   EXPECT_EQ(cross.child(0).kind, PlanNode::Kind::kScan);
   EXPECT_EQ(cross.child(1).kind, PlanNode::Kind::kScan);
-  plan::ExecContext ctx{&db, &db.functions()};
-  const Table planned = plan::execute(*p, ctx);
+  const Table planned = plan::execute(*p, {});
   // mread meets mread, each wb meets wb: three candidate pairs, not 15.
   EXPECT_TRUE(cross.routed);
   EXPECT_EQ(cross.actual_rows, 3u);
@@ -439,10 +438,10 @@ TEST(ExplainAnalyze, ReportsPerOperatorProfile) {
       "Select a.memmsg, b.inmsg, b.outmsg from D a, M b "
       "where a.memmsg = b.inmsg and a.memmsg = \"wb\" and "
       "not b.outmsg = \"compl\"";
-  plan::PlannerOptions opts;
-  opts.analyze = true;
+  plan::ExecContext ctx;
+  ctx.analyze = true;
   const std::string out =
-      plan::explain_sql(spec->database().catalog(), sql, opts);
+      plan::explain_sql(spec->database().catalog(), sql, ctx);
   // Every executed operator carries a profile bracket; the routed Cross
   // reports the index its Select probed; fused children are marked instead
   // of profiled (their work is attributed to the fusing operator).
@@ -473,10 +472,10 @@ TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
   // (15 rows x 2 columns) plus one gather per side (12 rows x 3 and x 2
   // columns, each read and written), 4 bytes a cell.
   Catalog db = make_catalog();
-  plan::PlannerOptions opts;
-  opts.analyze = true;
+  plan::ExecContext ctx;
+  ctx.analyze = true;
   std::string out = plan::explain_sql(
-      db, "select * from D a, M b where not a.memmsg = b.inmsg", opts);
+      db, "select * from D a, M b where not a.memmsg = b.inmsg", ctx);
   // Wall times vary run to run: mask each "time=... self=..." pair and
   // pin everything else.
   for (std::size_t at = out.find("time="); at != std::string::npos;
@@ -503,13 +502,13 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
   // build= is the two indexes on M the keyed leaves probed: 3 rows, 3
   // inmsg and 3 outmsg keys.
   Catalog db = make_catalog();
-  plan::PlannerOptions opts;
-  opts.analyze = true;
+  plan::ExecContext ctx;
+  ctx.analyze = true;
   const char* sql =
       "select * from D a, M b where "
       "(a.dirst = I ? b.inmsg = a.memmsg : b.outmsg in (data, mdone)) and "
       "not a.dirpv = b.outmsg";
-  std::string out = plan::explain_sql(db, sql, opts);
+  std::string out = plan::explain_sql(db, sql, ctx);
   for (std::size_t at = out.find("time="); at != std::string::npos;
        at = out.find("time=", at + 4)) {
     const std::size_t end = out.find_first_of(" ]", out.find("self=", at));
@@ -546,13 +545,8 @@ TEST(ExplainAnalyze, CountsAreIdenticalAcrossJobs) {
     for (const auto& c : n.children) self(*c, out, self);
   };
   auto run = [&](std::size_t jobs) {
-    plan::PlannerOptions opts;
-    opts.analyze = true;
-    opts.jobs = jobs;
-    PlanPtr p = plan::plan_select(db, stmt, opts);
+    PlanPtr p = plan::plan_select(db, stmt);
     plan::ExecContext ctx;
-    ctx.catalog = &db;
-    ctx.functions = &db.functions();
     ctx.jobs = jobs;
     ctx.analyze = true;
     Table out = plan::execute(*p, ctx);

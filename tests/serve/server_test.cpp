@@ -12,6 +12,7 @@
 #include "core/pool.hpp"
 #include "obs/mem.hpp"
 #include "protocol/asura/asura.hpp"
+#include "relational/error.hpp"
 #include "relational/format.hpp"
 #include "support/naive_exec.hpp"
 
@@ -81,6 +82,34 @@ TEST(Server, CacheOffLegStillCorrectAndCountsUncached) {
   EXPECT_EQ(s.uncached_queries, s.queries);
   EXPECT_GT(s.uncached_queries, 0u);
   EXPECT_EQ(s.cache.entries, 0u);
+}
+
+// Every path prepares its plans the same way, before executing them, so
+// a union branch no execution reaches is compiled all the same: the first
+// branch holds rows, so a short-circuiting check never runs the second,
+// and its unknown function must fail the check on every path alike.
+TEST(Server, EveryCheckPathPreparesEveryUnionBranch) {
+  const Database& db = spec().database();
+  const std::string first = "select dirst from D where dirst = MESI";
+  ASSERT_FALSE(db.check_empty(first));
+  const std::string inv = first + " union select dirst from D where foo(dirst)";
+  ServerOptions off;
+  off.use_plan_cache = false;
+  Server cached(db);
+  Server uncached(db, off);
+  const auto expect_unknown_function = [](const char* path, auto check) {
+    try {
+      (void)check();
+      ADD_FAILURE() << path << " answered instead of throwing";
+    } catch (const BindError& e) {
+      EXPECT_STREQ(e.what(), "unknown function: foo") << path;
+    }
+  };
+  expect_unknown_function("Database", [&] { return db.check_empty(inv); });
+  expect_unknown_function("cached Server",
+                          [&] { return cached.check_empty(inv); });
+  expect_unknown_function("uncached Server",
+                          [&] { return uncached.check_empty(inv); });
 }
 
 TEST(Server, WriterSwapInvalidatesCachedPlansAndStaysCorrect) {
