@@ -199,10 +199,8 @@ int cmd_sql(const ProtocolSpec& spec, const Args& args) {
 int cmd_explain(const ProtocolSpec& spec, const Args& args) {
   if (args.positional.empty()) return usage();
   const Database& db = spec.database();
-  std::cout << (args.has("--analyze")
-                    ? db.explain_analyze(args.positional[0])
-                    : db.explain(args.positional[0]))
-                   .plan;
+  std::cout << (args.has("--analyze") ? db.explain_analyze(args.positional[0])
+                                      : db.explain(args.positional[0]));
   return 0;
 }
 

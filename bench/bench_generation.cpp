@@ -102,8 +102,8 @@ BENCHMARK(BM_IncrementalReversedOrder)->DenseRange(4, 10, 2)
 void BM_FullProtocolGeneration(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = asura::make_asura();
-    const Catalog& db = spec->database().catalog();
-    benchmark::DoNotOptimize(db.size());
+    const Database& db = spec->database();
+    benchmark::DoNotOptimize(db.tables().size());
   }
 }
 BENCHMARK(BM_FullProtocolGeneration)->Unit(benchmark::kMillisecond);

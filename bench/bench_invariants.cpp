@@ -40,11 +40,11 @@ void BM_SingleInvariant(benchmark::State& state) {
 BENCHMARK(BM_SingleInvariant)->Unit(benchmark::kMicrosecond);
 
 void BM_SqlSelectOverD(benchmark::State& state) {
-  const Catalog& db = asura_spec().database().catalog();
+  const Database& db = asura_spec().database();
   for (auto _ : state) {
     Table t = db.query(
         "select inmsg, bdirst, locmsg from D where isrequest(inmsg) and "
-        "not bdirst = \"I\" and not locmsg = \"retry\"");
+        "not bdirst = \"I\" and not locmsg = \"retry\"").rows;
     benchmark::DoNotOptimize(t);
   }
 }

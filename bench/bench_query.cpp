@@ -18,7 +18,6 @@
 #include "bench/bench_util.hpp"
 #include "plan/planner.hpp"
 #include "relational/database.hpp"
-#include "relational/query.hpp"
 #include "support/naive_exec.hpp"
 
 namespace {
@@ -53,7 +52,7 @@ constexpr const char* kPointSql =
     "not dirpv = \"one\"";
 
 void run_shape(benchmark::State& state, const char* sql, bool planned) {
-  const Catalog& db = asura_spec().database().catalog();
+  const Database& db = asura_spec().database();
   SelectStmt stmt = parse_select(sql);
   std::size_t rows = 0;
   for (auto _ : state) {
@@ -92,7 +91,7 @@ BENCHMARK(BM_PointLookupPlanned)->Unit(benchmark::kMicrosecond);
 // Emptiness is the invariant checker's fast path: the planner stops at the
 // first row (Limit 1); the naive check materialises the whole result.
 void BM_ExistsNaive(benchmark::State& state) {
-  const Catalog& db = asura_spec().database().catalog();
+  const Database& db = asura_spec().database();
   SelectStmt stmt = parse_select(kSelfJoinSql);
   for (auto _ : state) {
     bool empty = naive::run(db, stmt).row_count() == 0;
@@ -100,7 +99,7 @@ void BM_ExistsNaive(benchmark::State& state) {
   }
 }
 void BM_ExistsPlanned(benchmark::State& state) {
-  const Catalog& db = asura_spec().database().catalog();
+  const Database& db = asura_spec().database();
   SelectStmt stmt = parse_select(kSelfJoinSql);
   for (auto _ : state) {
     bool empty = db.check_empty(stmt);
@@ -123,7 +122,7 @@ Database synthetic_db(std::size_t left_rows, std::size_t right_rows) {
   auto randcol = [&](std::size_t n) {
     return std::string("v").append(std::to_string(rng() % n));
   };
-  Catalog cat;
+  Database cat;
   Table l(Schema::of({"k", "p", "q"}));
   l.reserve_rows(left_rows);
   for (std::size_t i = 0; i < left_rows; ++i) {
@@ -136,7 +135,7 @@ Database synthetic_db(std::size_t left_rows, std::size_t right_rows) {
     r.append_texts({randcol(4096), randcol(8)});
   }
   cat.put("R", std::move(r));
-  return Database(std::move(cat));
+  return cat;
 }
 
 Database big_db() {

@@ -14,7 +14,7 @@ using namespace ccsql;
 
 int main() {
   auto spec = asura::make_asura();
-  const Catalog& db = spec->database().catalog();
+  const Database& db = spec->database();
 
   std::cout << "=== Figure 1: protocol messages (" << spec->messages().size()
             << " types) ===\n"
@@ -28,10 +28,6 @@ int main() {
                "  D enters Busy-rx-sd (snoop + data responses pending)\n"
                "remote --idone--> D, memory --data--> D (either order)\n"
                "  D --compl,data--> local; ownership transfers (MESI)\n\n";
-
-  Database cat;
-  cat.put("D", db.get(asura::kDirectory));
-  cat.functions() = db.functions();
 
   std::cout << "=== Figure 3: D's rows for the readex transaction ===\n";
   const char* queries[] = {
@@ -48,7 +44,7 @@ int main() {
   };
   for (const char* q : queries) {
     std::cout << "SQL: " << q << "\n"
-              << to_ascii(cat.query(q).rows) << "\n";
+              << to_ascii(db.query(q).rows) << "\n";
   }
 
   const Table& d = db.get(asura::kDirectory);

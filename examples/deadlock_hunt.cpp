@@ -18,7 +18,7 @@ using namespace ccsql;
 
 int main() {
   auto spec = asura::make_asura();
-  const Catalog& db = spec->database().catalog();
+  const Database& db = spec->database();
 
   std::vector<ControllerTableRef> tables;
   for (const auto& c : spec->controllers()) {

@@ -5,19 +5,34 @@
 //
 //   #include "ccsql.hpp"
 //
-//   ccsql::ProtocolSpec spec = ccsql::asura_spec();
-//   const ccsql::Database& db = spec.database();
-//   ccsql::QueryResult r = db.query("select * from PCC where s2 = 'IV'");
+//   ccsql::ProtocolSpec p("lock");
+//   p.messages().add("acquire", ccsql::MessageClass::kRequest, "take it");
+//   p.messages().add("grant", ccsql::MessageClass::kResponse, "granted");
+//   p.install_functions();
+//   ccsql::ControllerSpec& c = p.add_controller("LOCK");
+//   c.add_input("inmsg", {"acquire"});
+//   c.add_input("src", {"local"});
+//   c.add_input("dest", {"home"});
+//   c.add_message_triple({"inmsg", "src", "dest", /*input=*/true});
+//   c.add_output("outmsg", {"NULL", "grant"});
+//   c.constrain("outmsg", "inmsg = acquire ? outmsg = grant : outmsg = NULL");
+//   const ccsql::Database& db = p.database();   // the solver fills LOCK
+//   ccsql::QueryResult r = db.query("select * from LOCK where outmsg = grant");
 //   ccsql::InvariantChecker checker(db);
-//   ccsql::DeadlockAnalysis vcg(spec);
+//   auto results = checker.check_all(p.invariants());
+//   ccsql::ChannelAssignment v("one-channel");    // then v.assign(...)
+//   ccsql::DeadlockAnalysis vcg(
+//       {ccsql::ControllerTableRef::from_spec(c, db.get("LOCK"))}, v);
 //
-// Exposed here:
-//  - Database / QueryResult — the query-session facade: each statement
-//    runs through the Catalog's one SELECT / emptiness path
-//    (Catalog::query / check_empty, planned through src/plan) at the
-//    session's --jobs setting, morsel-parallel
-//  - Table / Catalog / format helpers — the relational substrate
-//  - ProtocolSpec + the bundled protocols (asura_spec, snoopbus_spec)
+// examples/quickstart.cpp runs this flow end to end.  Exposed here:
+//  - Database / QueryResult — the central database: its tables, and the
+//    one SELECT / emptiness path (Database::query / check_empty, planned
+//    through src/plan) at the session's --jobs setting, morsel-parallel
+//  - Table / format helpers — the relational substrate
+//  - ProtocolSpec, ControllerSpec, ChannelAssignment — a protocol's
+//    database input; the bundled protocols are built by
+//    asura::make_asura() and snoopbus::make_snoopbus() (their own headers
+//    under protocol/)
 //  - InvariantChecker — the paper's error-detection suite runner
 //  - DeadlockAnalysis — VCG construction / cycle detection
 //

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "protocol/protocol_spec.hpp"
-#include "relational/query.hpp"
+#include "relational/database.hpp"
 
 namespace ccsql {
 

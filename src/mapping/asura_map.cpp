@@ -110,7 +110,7 @@ ControllerSpec make_extended_directory(const ProtocolSpec& asura) {
 
 std::vector<ImplementationTable> partition_directory(
     const Table& ed, const FunctionRegistry& functions) {
-  Catalog cat;
+  Database cat;
   cat.put("ED", ed);
   cat.functions() = functions;
 
@@ -131,7 +131,7 @@ std::vector<ImplementationTable> partition_directory(
       t.name = (request ? "Request_" : "Response_") + group.name;
       t.request = request;
       t.group = group.name;
-      t.table = cat.query(sql);
+      t.table = cat.query(sql).rows;
       out.push_back(std::move(t));
     }
   }
@@ -144,7 +144,7 @@ Table reconstruct_extended(const std::vector<ImplementationTable>& parts,
   // columns; the two controllers unioned.  A group a controller has no
   // table for (responses never snoop, so there is no Response_remmsg)
   // reads from a one-row table of NULLs.
-  Catalog cat;
+  Database cat;
   const std::vector<std::string> inputs = ed_input_columns(ed_reference);
   std::string sql;
   for (bool request : {true, false}) {
@@ -191,11 +191,11 @@ Table reconstruct_extended(const std::vector<ImplementationTable>& parts,
     sql += "select " + joined(source) + " from " + joined(from);
     if (!equalities.empty()) sql += " where " + joined(equalities, " and ");
   }
-  return cat.query(sql).with_schema(ed_reference.schema_ptr());
+  return cat.query(sql).rows.with_schema(ed_reference.schema_ptr());
 }
 
 Table reconstruct_base(const Table& ed, const Table& d_reference) {
-  Catalog cat;
+  Database cat;
   cat.put("ED", ed);
   std::vector<std::string> d_cols;
   for (const auto& c : d_reference.schema().columns()) {
@@ -205,7 +205,7 @@ Table reconstruct_base(const Table& ed, const Table& d_reference) {
       .query("select distinct " + joined(d_cols) +
              " from ED where not inmsg = Dfdback and not Qstatus = Full "
              "and not Dqstatus = Full")
-      .with_schema(d_reference.schema_ptr());
+      .rows.with_schema(d_reference.schema_ptr());
 }
 
 MappingReport verify_directory_mapping(const ProtocolSpec& asura) {

@@ -1,12 +1,12 @@
 #pragma once
 
 // Memory accounting for the long-lived allocations the query engine makes
-// (catalog-resident tables, hash indexes, the materialised right sides
+// (database-resident tables, hash indexes, the materialised right sides
 // joins index, cached plans) and for the reachability explorer's search
 // state.
 //
 // MemTracker keeps a live/peak byte pair per category behind relaxed
-// atomics, so the hooks (Catalog::put, Table::index_on, the executor's
+// atomics, so the hooks (Database::put, Table::index_on, the executor's
 // local build sides, the explorer's per-wave sample) cost two atomic RMWs
 // each — cheap enough to stay on unconditionally, with or without tracing.
 // EXPLAIN ANALYZE, the CLI's --stats page, and the bench metrics JSON all

@@ -32,7 +32,7 @@ PlanPtr make_select(PlanPtr child, Expr pred) {
 
 /// The plan of one SELECT without its union branches / ORDER BY:
 /// scans crossed left-to-right, WHERE, then count/distinct/projection.
-PlanPtr build_core(const Catalog& db, const SelectStmt& stmt) {
+PlanPtr build_core(const Database& db, const SelectStmt& stmt) {
   PlanPtr cur;
   for (const TableRef& ref : stmt.from) {
     const Table& base = db.get(ref.table);
@@ -68,7 +68,7 @@ PlanPtr build_core(const Catalog& db, const SelectStmt& stmt) {
 
 }  // namespace
 
-PlanPtr build_plan(const Catalog& db, const SelectStmt& stmt) {
+PlanPtr build_plan(const Database& db, const SelectStmt& stmt) {
   PlanPtr root = build_core(db, stmt);
   if (!stmt.union_with.empty()) {
     PlanPtr u = make_node(PlanNode::Kind::kUnion);
@@ -119,14 +119,14 @@ void prepare(PlanNode& root, const FunctionRegistry* functions,
   for (PlanPtr& c : root.children) prepare(*c, functions, ident_schema);
 }
 
-PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt) {
+PlanPtr plan_select(const Database& db, const SelectStmt& stmt) {
   PlanPtr root = build_plan(db, stmt);
   optimize(root);
   prepare(*root, &db.functions());
   return root;
 }
 
-Table run_select(const Catalog& db, const SelectStmt& stmt,
+Table run_select(const Database& db, const SelectStmt& stmt,
                  const ExecContext& ctx) {
   CCSQL_SPAN(span, "plan.query", "plan");
   PlanPtr root = plan_select(db, stmt);
@@ -162,14 +162,14 @@ Table cross_select(const Table& left, const Table& right, const Expr& pred,
   return out;
 }
 
-std::string explain(const Catalog& db, const SelectStmt& stmt,
+std::string explain(const Database& db, const SelectStmt& stmt,
                     const ExecContext& ctx) {
   PlanPtr root = plan_select(db, stmt);
   (void)execute(*root, ctx);
   return ctx.analyze ? render_analyze(*root) : render(*root);
 }
 
-std::string explain_sql(const Catalog& db, std::string_view select_text,
+std::string explain_sql(const Database& db, std::string_view select_text,
                         const ExecContext& ctx) {
   return explain(db, parse_select(select_text), ctx);
 }

@@ -2,11 +2,11 @@
 
 // Planner facade: parse tree -> plan -> optimized plan -> prepared plan ->
 // result.  Every caller prepares the same way, once, before execution:
-// Catalog::query / Catalog::check_empty (the one SELECT and emptiness
-// path, which Database and Snapshot delegate to), EXPLAIN, the serving
-// layer's prepared-statement cache (build_statement plans once and runs
-// the plan in place) and the solver's per-column steps (plan::cross_select,
-// called directly).  The naive reference executor lives in tests/support
+// Database::query / Database::check_empty (the one SELECT and emptiness
+// path, a Snapshot's included), EXPLAIN, the serving layer's
+// prepared-statement cache (build_statement plans once and runs the plan
+// in place) and the solver's per-column steps (plan::cross_select, called
+// directly).  The naive reference executor lives in tests/support
 // as the differential oracle.
 
 #include <string>
@@ -15,14 +15,14 @@
 #include "plan/executor.hpp"
 #include "plan/ir.hpp"
 #include "plan/optimizer.hpp"
-#include "relational/query.hpp"
+#include "relational/database.hpp"
 
 namespace ccsql::plan {
 
 /// Builds the naive plan for `stmt`: scans of `db`'s tables, bound to
 /// them and crossed left-to-right, then the WHERE filter, then
 /// count/distinct/projection, union branches, ORDER BY.
-[[nodiscard]] PlanPtr build_plan(const Catalog& db, const SelectStmt& stmt);
+[[nodiscard]] PlanPtr build_plan(const Database& db, const SelectStmt& stmt);
 
 /// Prepares an optimized plan for execution: binds each IndexLookup to its
 /// table's hash index (built here if need be, counted as plan.index_builds
@@ -37,10 +37,10 @@ void prepare(PlanNode& root, const FunctionRegistry* functions,
              const Schema* ident_schema = nullptr);
 
 /// build_plan + optimize + prepare: a plan ready to execute.
-[[nodiscard]] PlanPtr plan_select(const Catalog& db, const SelectStmt& stmt);
+[[nodiscard]] PlanPtr plan_select(const Database& db, const SelectStmt& stmt);
 
 /// Plans and executes `stmt` against `db`.
-[[nodiscard]] Table run_select(const Catalog& db, const SelectStmt& stmt,
+[[nodiscard]] Table run_select(const Database& db, const SelectStmt& stmt,
                                const ExecContext& ctx = {});
 
 /// Plans and runs `select(pred, cross(left, right))` over two free-standing
@@ -59,9 +59,9 @@ void prepare(PlanNode& root, const FunctionRegistry* functions,
 /// Plans, executes, and renders `stmt` with estimated vs actual row counts
 /// (see explain.hpp for the format), with the per-operator profile when
 /// ctx.analyze is set.
-[[nodiscard]] std::string explain(const Catalog& db, const SelectStmt& stmt,
+[[nodiscard]] std::string explain(const Database& db, const SelectStmt& stmt,
                                   const ExecContext& ctx = {});
-[[nodiscard]] std::string explain_sql(const Catalog& db,
+[[nodiscard]] std::string explain_sql(const Database& db,
                                       std::string_view select_text,
                                       const ExecContext& ctx = {});
 

@@ -3,7 +3,7 @@
 #include <atomic>
 
 #include "core/pool.hpp"
-#include "obs/mem.hpp"
+#include "obs/obs.hpp"
 #include "plan/planner.hpp"
 #include "relational/error.hpp"
 
@@ -13,20 +13,20 @@ namespace {
 /// Live Snapshot handles, process-wide (the serve.snapshot.active gauge).
 std::atomic<std::size_t> g_active_snapshots{0};
 
-/// A snapshot's frozen catalog copy plus the MemTracker reservation
+/// A snapshot's frozen database copy plus the MemTracker reservation
 /// covering the copy's own footprint.  Column storage and indexes are
-/// shared with the live catalog (COW per column) and stay accounted by
+/// shared with the live database (COW per column) and stay accounted by
 /// their original StoredTable reservations; what a snapshot newly
-/// allocates is the catalog map copy itself (nodes, names, shared_ptr
+/// allocates is the table map copy itself (nodes, names, shared_ptr
 /// control blocks).
-struct FrozenCatalog {
-  Catalog catalog;
+struct FrozenDatabase {
+  Database db;
   obs::MemReservation mem;
 };
 
-std::size_t catalog_copy_bytes(const Catalog& c) {
-  std::size_t bytes = sizeof(Catalog);
-  for (const auto& [name, ptr] : c.tables()) {
+std::size_t copy_bytes(const Database& db) {
+  std::size_t bytes = sizeof(Database);
+  for (const auto& [name, ptr] : db.tables()) {
     // One map node: key string, shared_ptr, and node/control overhead.
     bytes += name.capacity() + sizeof(void*) * 6;
   }
@@ -37,23 +37,17 @@ std::size_t catalog_copy_bytes(const Catalog& c) {
 
 // ---- Snapshot ---------------------------------------------------------------
 
-Snapshot::Snapshot(std::shared_ptr<const Catalog> state,
-                   std::uint64_t generation, std::size_t jobs)
-    : state_(std::move(state)), generation_(generation), jobs_(jobs) {
+Snapshot::Snapshot(std::shared_ptr<const Database> state)
+    : state_(std::move(state)) {
   if (state_) g_active_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
-Snapshot::Snapshot(const Snapshot& other)
-    : state_(other.state_),
-      generation_(other.generation_),
-      jobs_(other.jobs_) {
+Snapshot::Snapshot(const Snapshot& other) : state_(other.state_) {
   if (state_) g_active_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
 Snapshot::Snapshot(Snapshot&& other) noexcept
-    : state_(std::move(other.state_)),
-      generation_(other.generation_),
-      jobs_(other.jobs_) {
+    : state_(std::move(other.state_)) {
   other.state_.reset();
 }
 
@@ -65,8 +59,6 @@ Snapshot& Snapshot::operator=(const Snapshot& other) {
       g_active_snapshots.fetch_sub(1, std::memory_order_relaxed);
     }
     state_ = other.state_;
-    generation_ = other.generation_;
-    jobs_ = other.jobs_;
   }
   return *this;
 }
@@ -76,8 +68,6 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
     if (state_) g_active_snapshots.fetch_sub(1, std::memory_order_relaxed);
     state_ = std::move(other.state_);
     other.state_.reset();
-    generation_ = other.generation_;
-    jobs_ = other.jobs_;
   }
   return *this;
 }
@@ -90,44 +80,120 @@ std::size_t Snapshot::active() noexcept {
   return g_active_snapshots.load(std::memory_order_relaxed);
 }
 
-std::size_t Snapshot::jobs() const {
-  return jobs_ != 0 ? jobs_ : core::Pool::default_jobs();
-}
-
-const Catalog& Snapshot::catalog() const {
+const Database& Snapshot::catalog() const {
   if (!state_) throw BindError("empty snapshot");
   return *state_;
 }
 
 // ---- Database ---------------------------------------------------------------
 
-Snapshot Database::snapshot() const {
-  auto frozen = std::make_shared<FrozenCatalog>();
-  frozen->catalog = catalog_;
-  frozen->mem = obs::MemReservation(obs::MemTracker::Category::kTables,
-                                    catalog_copy_bytes(frozen->catalog));
-  // Aliased: snapshots see a plain `const Catalog`, the reservation rides
-  // along and releases when the last copy of this snapshot drops.
-  const Catalog* view = &frozen->catalog;
-  return Snapshot(std::shared_ptr<const Catalog>(std::move(frozen), view),
-                  catalog_.generation(), jobs_);
-}
-
 std::size_t Database::jobs() const {
   return jobs_ != 0 ? jobs_ : core::Pool::default_jobs();
 }
 
-QueryResult Database::explain(std::string_view select_text) const {
-  return {Table(),
-          plan::explain_sql(catalog_, select_text, plan::ExecContext{jobs()})};
+void Database::put(std::string name, Table table) {
+  tables_.insert_or_assign(std::move(name),
+                           std::make_shared<const StoredTable>(std::move(table)));
+  ++generation_;
 }
 
-QueryResult Database::explain_analyze(std::string_view select_text) const {
+bool Database::has(std::string_view name) const {
+  return tables_.find(name) != tables_.end();
+}
+
+const Table& Database::get(std::string_view name) const {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    throw BindError("unknown table: " + std::string(name));
+  }
+  return it->second->table;
+}
+
+Snapshot Database::snapshot() const {
+  auto frozen = std::make_shared<FrozenDatabase>();
+  frozen->db = *this;
+  frozen->mem = obs::MemReservation(obs::MemTracker::Category::kTables,
+                                    copy_bytes(frozen->db));
+  // Aliased: snapshots see a plain `const Database`, the reservation rides
+  // along and releases when the last copy of this snapshot drops.
+  const Database* view = &frozen->db;
+  return Snapshot(std::shared_ptr<const Database>(std::move(frozen), view));
+}
+
+QueryResult Database::query(const SelectStmt& stmt) const {
+  CCSQL_SPAN(span, "query.select", "relational");
+  span.arg("table", stmt.from.empty() ? "" : stmt.from[0].table);
+  span.arg("jobs", static_cast<std::uint64_t>(jobs()));
+  Table result = plan::run_select(*this, stmt, plan::ExecContext{jobs()});
+  span.arg("rows_emitted", result.row_count());
+  CCSQL_COUNT("query.selects", 1);
+  CCSQL_COUNT("query.rows_emitted", result.row_count());
+  return {std::move(result)};
+}
+
+bool Database::check_empty(const SelectStmt& stmt) const {
+  CCSQL_SPAN(span, "query.check_empty", "relational");
+  CCSQL_COUNT("query.emptiness_probes", 1);
+  return plan::is_empty(*plan::plan_select(*this, stmt), {});
+}
+
+bool Database::check_empty(std::string_view invariant_text) const {
+  for (const SelectStmt& s : parse_invariant(invariant_text)) {
+    if (!check_empty(s)) return false;
+  }
+  return true;
+}
+
+std::string Database::explain(std::string_view select_text) const {
+  return plan::explain_sql(*this, select_text, plan::ExecContext{jobs()});
+}
+
+std::string Database::explain_analyze(std::string_view select_text) const {
   const plan::ExecContext ctx{jobs(), /*analyze=*/true};
-  QueryResult r{Table(), plan::explain_sql(catalog_, select_text, ctx)};
-  r.plan += obs::MemTracker::global().summary();
-  r.plan += "\n";
-  return r;
+  std::string text = plan::explain_sql(*this, select_text, ctx);
+  text += obs::MemTracker::global().summary();
+  text += "\n";
+  return text;
+}
+
+Table Database::execute(std::string_view statement_text) {
+  return execute(parse_statement(statement_text));
+}
+
+Table Database::execute(const Statement& stmt) {
+  switch (stmt.kind) {
+    case Statement::Kind::kSelect:
+      return query(stmt.select).rows;
+    case Statement::Kind::kCreateTableAs: {
+      Table result = query(stmt.select).rows;
+      put(stmt.table, result);
+      return result;
+    }
+    case Statement::Kind::kDropTable: {
+      if (!has(stmt.table)) {
+        throw BindError("drop table: unknown table " + stmt.table);
+      }
+      tables_.erase(tables_.find(stmt.table));
+      ++generation_;
+      return Table();
+    }
+    case Statement::Kind::kInsert: {
+      auto it = tables_.find(stmt.table);
+      if (it == tables_.end()) {
+        throw BindError("insert into: unknown table " + stmt.table);
+      }
+      // Copy-on-write: snapshots holding the old version keep its rows and
+      // index cache; only this database sees the appended rows.
+      Table copy = it->second->table;
+      for (const auto& row : stmt.rows) {
+        copy.append_texts(row);
+      }
+      it->second = std::make_shared<const StoredTable>(std::move(copy));
+      ++generation_;
+      return Table();
+    }
+  }
+  return Table();
 }
 
 }  // namespace ccsql

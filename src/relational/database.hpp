@@ -1,32 +1,38 @@
 #pragma once
 
-// The query-session facade.  Every subsystem (invariant checker, VCG
-// composition, simulator setup, CLI) issues SQL through a Database:
+// The central database of the paper, in which all controller tables live.
+// Every subsystem (invariant checker, VCG composition, mapping, simulator
+// setup, serving layer, CLI) issues SQL through one:
 //
-//   Database db(spec.database());      // or build a Catalog and wrap it
+//   Database db = spec.database();     // a cheap copy: tables are shared
 //   QueryResult r = db.query("select * from t where s = 'I'");
 //   bool holds   = db.check_empty(invariant_sql);
-//   std::string p = db.explain(sql).plan;
+//   std::string p = db.explain(sql);
 //
-// A Database owns its Catalog plus the session's execution setting: the
-// parallel lane count `jobs` (0 = the --jobs / CCSQL_JOBS / hardware
-// default) that the morsel-driven operators in src/plan fan out across the
-// shared core::Pool.  Results are bit-identical at any jobs value.
-// Catalog::query / Catalog::check_empty are the one SELECT and emptiness
-// implementation: a Database, a Snapshot and serve::Server's uncached leg
-// only choose the catalog and the jobs.  The naive reference executor the
-// planner is property-tested against lives in tests/support/naive_exec.
+// A Database owns its tables, the function registry WHERE clauses call,
+// and the session's execution setting: the parallel lane count `jobs`
+// (0 = the --jobs / CCSQL_JOBS / hardware default) that the morsel-driven
+// operators in src/plan fan out across the shared core::Pool.  Results are
+// bit-identical at any jobs value.  query / check_empty are the one SELECT
+// and emptiness implementation: a Snapshot is a frozen Database, and
+// serve::Server's uncached leg runs them on it.  The naive reference
+// executor the planner is property-tested against lives in
+// tests/support/naive_exec.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 
-#include "relational/query.hpp"
+#include "obs/mem.hpp"
+#include "relational/function_registry.hpp"
+#include "relational/parser.hpp"
+#include "relational/table.hpp"
 
 namespace ccsql {
 
-/// A statement's rows, plus the rendered plan for explain().
+/// A statement's rows.
 ///
 /// Results are columnar like the tables they come from: column() hands out
 /// contiguous spans with no copying, and is the primary way to consume a
@@ -34,8 +40,6 @@ namespace ccsql {
 /// cold consumers.
 struct QueryResult {
   Table rows;
-  /// Rendered plan with est/actual row counts; filled by explain() only.
-  std::string plan;
 
   [[nodiscard]] std::size_t row_count() const noexcept {
     return rows.row_count();
@@ -59,68 +63,28 @@ struct QueryResult {
   }
 };
 
-/// An immutable point-in-time view of a Database's catalog, plus the
-/// session jobs setting it was taken with.  Cheap to copy (a shared_ptr and a
-/// few scalars); safe to query from any thread.  The tables — rows and
-/// their lazily-built TupleKey indexes — are shared with whatever versions
-/// the live catalog still holds, and stay valid after the live side
-/// regenerates them: a writer swap never blocks or invalidates a reader.
-class Snapshot {
- public:
-  /// An empty snapshot; queries throw until one is assigned.
-  Snapshot() = default;
-  Snapshot(const Snapshot& other);
-  Snapshot(Snapshot&& other) noexcept;
-  Snapshot& operator=(const Snapshot& other);
-  Snapshot& operator=(Snapshot&& other) noexcept;
-  ~Snapshot();
+class Snapshot;
 
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-  /// The catalog generation this snapshot captured.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
-  /// The frozen catalog, shared by every copy of this snapshot.  Throws
-  /// BindError on an empty snapshot.
-  [[nodiscard]] const Catalog& catalog() const;
-  [[nodiscard]] const std::shared_ptr<const Catalog>& shared_catalog()
-      const noexcept {
-    return state_;
-  }
-  [[nodiscard]] std::size_t jobs() const;
-
-  /// SELECT / invariant evaluation against the frozen catalog, with the
-  /// originating session's jobs setting: Catalog::query / check_empty.
-  [[nodiscard]] QueryResult query(std::string_view select_text) const {
-    return query(parse_select(select_text));
-  }
-  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const {
-    return {catalog().query(stmt, jobs()), {}};
-  }
-  [[nodiscard]] bool check_empty(std::string_view invariant_text) const {
-    return catalog().check_empty(invariant_text);
-  }
-  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const {
-    return catalog().check_empty(stmt);
-  }
-
-  /// Live snapshot handles process-wide — the serve.snapshot.active gauge.
-  [[nodiscard]] static std::size_t active() noexcept;
-
- private:
-  friend class Database;
-  Snapshot(std::shared_ptr<const Catalog> state, std::uint64_t generation,
-           std::size_t jobs);
-
-  std::shared_ptr<const Catalog> state_;
-  std::uint64_t generation_ = 0;
-  std::size_t jobs_ = 0;
-};
-
+/// Tables are held by shared_ptr: copying a Database (a session copy, or
+/// the serving layer's snapshot) shares row storage and lazily-built
+/// TupleKey indexes with the original, so a copy is O(#tables) pointer
+/// copies.  Every mutation is copy-on-write — it replaces the affected
+/// pointer and bumps generation(), never touching rows a concurrent reader
+/// may hold.
 class Database {
  public:
-  Database() = default;
-  explicit Database(Catalog catalog) : catalog_(std::move(catalog)) {}
+  /// One resident table plus its MemTracker reservation.  shared_ptr-held
+  /// so copies share storage (and the bytes are counted once, for as long
+  /// as any holder keeps the version alive).
+  struct StoredTable {
+    explicit StoredTable(Table t)
+        : table(std::move(t)),
+          mem(obs::MemTracker::Category::kTables, table.memory_bytes()) {}
+    Table table;
+    obs::MemReservation mem;
+  };
+  using TablePtr = std::shared_ptr<const StoredTable>;
+  using TableMap = std::map<std::string, TablePtr, std::less<>>;
 
   // ---- session settings ----------------------------------------------------
 
@@ -133,85 +97,120 @@ class Database {
   /// The resolved lane count (never 0).
   [[nodiscard]] std::size_t jobs() const;
 
-  // ---- catalog -------------------------------------------------------------
+  // ---- tables --------------------------------------------------------------
 
-  [[nodiscard]] Catalog& catalog() noexcept { return catalog_; }
-  [[nodiscard]] const Catalog& catalog() const noexcept { return catalog_; }
+  /// Inserts or replaces a table.
+  void put(std::string name, Table table);
 
-  void put(std::string name, Table table) {
-    catalog_.put(std::move(name), std::move(table));
-  }
-  [[nodiscard]] bool has(std::string_view name) const {
-    return catalog_.has(name);
-  }
-  [[nodiscard]] const Table& get(std::string_view name) const {
-    return catalog_.get(name);
-  }
-  [[nodiscard]] FunctionRegistry& functions() noexcept {
-    return catalog_.functions();
-  }
+  [[nodiscard]] bool has(std::string_view name) const;
+
+  /// Throws BindError if absent.
+  [[nodiscard]] const Table& get(std::string_view name) const;
+
+  [[nodiscard]] FunctionRegistry& functions() noexcept { return functions_; }
   [[nodiscard]] const FunctionRegistry& functions() const noexcept {
-    return catalog_.functions();
-  }
-  [[nodiscard]] const Catalog::TableMap& tables() const noexcept {
-    return catalog_.tables();
+    return functions_;
   }
 
-  /// Catalog mutation counter (see Catalog::generation).
+  [[nodiscard]] const TableMap& tables() const noexcept { return tables_; }
+
+  /// Monotonic mutation counter: put / drop / insert each bump it.  Cached
+  /// plans and snapshots are valid exactly while the generation they were
+  /// built against still matches.
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return catalog_.generation();
+    return generation_;
   }
 
   // ---- snapshots -----------------------------------------------------------
 
-  /// An immutable view of the catalog as of now: a frozen copy of the
-  /// catalog map (O(#tables) pointer copies; the tables themselves are
-  /// shared).  Copies of the returned Snapshot share that frozen Catalog,
-  /// so a reader that needs the current view repeatedly keeps a Snapshot
-  /// rather than calling this again (serve::Server publishes one per
-  /// writer swap).  The caller must serialize snapshot() against catalog
-  /// mutations.
+  /// An immutable copy of this database as of now (O(#tables) pointer
+  /// copies; the tables themselves are shared).  Copies of the returned
+  /// Snapshot share that frozen Database, so a reader that needs the
+  /// current view repeatedly keeps a Snapshot rather than calling this
+  /// again (serve::Server publishes one per writer swap).  The caller must
+  /// serialize snapshot() against mutations.
   [[nodiscard]] Snapshot snapshot() const;
 
   // ---- queries -------------------------------------------------------------
 
-  /// Plans and executes a SELECT with this session's jobs setting
-  /// (Catalog::query).
+  /// The one SELECT path: plans `stmt` through src/plan and executes it on
+  /// jobs() pool lanes.  Every SELECT — a Snapshot's, CREATE TABLE AS's —
+  /// runs here, so each opens one query.select span and counts
+  /// query.selects / query.rows_emitted.
+  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const;
   [[nodiscard]] QueryResult query(std::string_view select_text) const {
     return query(parse_select(select_text));
   }
-  [[nodiscard]] QueryResult query(const SelectStmt& stmt) const {
-    return {catalog_.query(stmt, jobs()), {}};
-  }
 
-  /// True iff every SELECT of the invariant yields no rows
-  /// (Catalog::check_empty: plan::is_empty, serial per statement).
-  [[nodiscard]] bool check_empty(std::string_view invariant_text) const {
-    return catalog_.check_empty(invariant_text);
-  }
-  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const {
-    return catalog_.check_empty(stmt);
-  }
+  /// The one emptiness probe: true iff `stmt` yields no rows.  Plans it and
+  /// asks plan::is_empty, which stops at the first row and gathers none,
+  /// serially — parallelism for invariants fans out across the suite, not
+  /// within one probe.  Counts query.emptiness_probes.
+  [[nodiscard]] bool check_empty(const SelectStmt& stmt) const;
+  /// Parses invariant text (see parse_invariant) and evaluates it: true iff
+  /// every constituent SELECT yields an empty result.
+  [[nodiscard]] bool check_empty(std::string_view invariant_text) const;
 
-  /// Plans, executes, and renders the plan (est vs actual rows) into
-  /// QueryResult::plan.
-  [[nodiscard]] QueryResult explain(std::string_view select_text) const;
+  /// Plans, executes, and renders the plan with est vs actual rows.
+  [[nodiscard]] std::string explain(std::string_view select_text) const;
 
   /// EXPLAIN ANALYZE: like explain(), but every operator is profiled (wall
   /// time incl/self, rows in/out, batches, morsels, selection density,
   /// hash-build sizes) and a process-memory summary line (tables / indexes /
   /// hash builds, live and peak) is appended to the plan text.
-  [[nodiscard]] QueryResult explain_analyze(std::string_view select_text) const;
+  [[nodiscard]] std::string explain_analyze(std::string_view select_text) const;
 
-  /// Full-statement execution (CREATE TABLE AS / DROP / INSERT / SELECT),
-  /// mutating the owned catalog; SELECTs run with this session's jobs.
-  Table execute(std::string_view statement_text) {
-    return catalog_.execute(statement_text, jobs());
-  }
+  /// Parses and executes a full statement.  SELECT returns its result;
+  /// CREATE TABLE ... AS SELECT materialises the result under the new name
+  /// and returns it (the paper's flow for the implementation tables);
+  /// DROP TABLE / INSERT INTO return an empty unit table.
+  Table execute(std::string_view statement_text);
+  Table execute(const Statement& stmt);
 
  private:
-  Catalog catalog_;
+  TableMap tables_;
+  std::uint64_t generation_ = 0;
+  FunctionRegistry functions_;
   std::size_t jobs_ = 0;  // 0 = follow the process-wide default
+};
+
+/// An immutable point-in-time Database — its tables, functions and session
+/// jobs setting.  Cheap to copy (a shared_ptr); safe to query from any
+/// thread through catalog().  The tables — rows and their lazily-built
+/// TupleKey indexes — are shared with whatever versions the live database
+/// still holds, and stay valid after the live side regenerates them: a
+/// writer swap never blocks or invalidates a reader.
+class Snapshot {
+ public:
+  /// An empty snapshot; catalog() throws until one is assigned.
+  Snapshot() = default;
+  Snapshot(const Snapshot& other);
+  Snapshot(Snapshot&& other) noexcept;
+  Snapshot& operator=(const Snapshot& other);
+  Snapshot& operator=(Snapshot&& other) noexcept;
+  ~Snapshot();
+
+  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
+  /// The generation this snapshot captured (0 for an empty snapshot).
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return state_ ? state_->generation() : 0;
+  }
+  /// The frozen database, shared by every copy of this snapshot.  Throws
+  /// BindError on an empty snapshot.
+  [[nodiscard]] const Database& catalog() const;
+  [[nodiscard]] const std::shared_ptr<const Database>& shared_catalog()
+      const noexcept {
+    return state_;
+  }
+
+  /// Live snapshot handles process-wide — the serve.snapshot.active gauge.
+  [[nodiscard]] static std::size_t active() noexcept;
+
+ private:
+  friend class Database;
+  explicit Snapshot(std::shared_ptr<const Database> state);
+
+  std::shared_ptr<const Database> state_;
 };
 
 }  // namespace ccsql

@@ -88,7 +88,7 @@ CachedStatementPtr PlanCache::lookup(const std::string& key,
     ++misses_;
     return nullptr;
   }
-  if (it->second->entry->generation != generation) {
+  if (it->second->entry->catalog->generation() != generation) {
     // A writer moved the catalog on: the plan (and the snapshot it pins)
     // is stale.  Drop it; the caller re-plans at the new generation.
     ++invalidations_;
@@ -151,7 +151,6 @@ CachedStatementPtr build_statement(const Snapshot& snap,
                                    const std::vector<SelectStmt>& stmts) {
   if (!snap.valid()) throw BindError("build_statement: empty snapshot");
   auto out = std::make_shared<CachedStatement>();
-  out->generation = snap.generation();
   out->catalog = snap.shared_catalog();
   out->units.reserve(stmts.size());
   for (const SelectStmt& stmt : stmts) {

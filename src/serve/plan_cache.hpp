@@ -5,10 +5,10 @@
 // Key: a mode marker ("Q"/"E") plus the whitespace-normalized statement
 // text, plus — for parameterized executions — the bound parameter values,
 // each prefixed with its length.  Value: the statements' prepared plans
-// (plan::plan_select) — scans bound to the tables of the exact catalog
-// snapshot they were planned against (which the entry pins), lookups to
-// those tables' hash indexes, predicates compiled.  An entry is
-// valid only while the live catalog is still at the generation the entry
+// (plan::plan_select) — scans bound to the tables of the exact frozen
+// Database (snapshot) they were planned against, which the entry pins,
+// lookups to those tables' hash indexes, predicates compiled.  An entry is
+// valid only while the live database is still at the generation the entry
 // captured; a lookup at any other generation misses (counted as an
 // invalidation) and the caller re-plans.
 //
@@ -53,16 +53,16 @@ namespace ccsql::serve {
 /// Highest parameter slot referenced anywhere in `stmt` (0 = none).
 [[nodiscard]] std::size_t param_count(const SelectStmt& stmt);
 
-/// One cached, immutable compilation product.  Holds the snapshot catalog
-/// it was planned against: the plans' bound-table pointers, index caches
-/// and function-registry references stay valid for as long as the entry
-/// lives, regardless of what the live catalog does.
+/// One cached, immutable compilation product.  Holds the snapshot's frozen
+/// Database it was planned against: the plans' bound-table pointers, index
+/// caches and function-registry references stay valid for as long as the
+/// entry lives, regardless of what the live database does.
 struct CachedStatement {
   /// One prepared plan per SELECT of the statement (invariants may union
   /// several probes).
   std::vector<plan::PlanPtr> units;
-  std::uint64_t generation = 0;
-  std::shared_ptr<const Catalog> catalog;
+  /// The frozen database planned against; its generation is the entry's.
+  std::shared_ptr<const Database> catalog;
   std::size_t bytes = 0;      // estimated footprint (MemTracker kPlans)
   obs::MemReservation mem;
 };
@@ -124,7 +124,7 @@ class PlanCache {
   std::size_t bytes_ = 0;
 };
 
-/// Plans and prepares `stmts` against `snap`'s catalog, as every query is
+/// Plans and prepares `stmts` against `snap`'s database, as every query is
 /// (plan::plan_select).
 [[nodiscard]] CachedStatementPtr build_statement(
     const Snapshot& snap, const std::vector<SelectStmt>& stmts);

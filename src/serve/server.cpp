@@ -42,14 +42,14 @@ QueryResult Server::select(const std::string& key,
   Snapshot snap = snapshot();
   if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
-    return snap.query(parse());
+    return snap.catalog().query(parse());
   }
   CachedStatementPtr cs = get_or_build(key, snap, [&] {
     std::vector<SelectStmt> stmts;
     stmts.push_back(parse());
     return stmts;
   });
-  return {run_unit(*cs, 0, /*jobs=*/1), {}};
+  return {run_unit(*cs, 0, /*jobs=*/1)};
 }
 
 QueryResult Server::query(std::string_view select_text) {
@@ -62,7 +62,7 @@ bool Server::check_empty(std::string_view invariant_text) {
   Snapshot snap = snapshot();
   if (!options_.use_plan_cache) {
     uncached_.fetch_add(1, std::memory_order_relaxed);
-    return snap.check_empty(invariant_text);
+    return snap.catalog().check_empty(invariant_text);
   }
   const std::string key = cache_key('E', invariant_text);
   CachedStatementPtr cs = get_or_build(key, snap, [&] {

@@ -1,7 +1,6 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -63,12 +62,10 @@ DriveReport drive(Server& server, const std::vector<std::string>& statements,
   // Each swap deep-copies the current rows into fresh storage and re-puts
   // the table — a real regeneration (new buffers, new generation), with
   // reader-visible contents unchanged so results stay byte-identical.
-  std::atomic<bool> stop{false};
   std::thread writer;
   if (opts.writer_swaps > 0 && !opts.writer_table.empty()) {
-    writer = std::thread([&server, &opts, &stop, &out] {
+    writer = std::thread([&server, &opts, &out] {
       for (std::size_t i = 0; i < opts.writer_swaps; ++i) {
-        if (stop.load(std::memory_order_relaxed)) break;
         std::this_thread::sleep_for(
             std::chrono::microseconds(opts.writer_period_us));
         Table copy = server.snapshot().catalog().get(opts.writer_table);
@@ -83,16 +80,21 @@ DriveReport drive(Server& server, const std::vector<std::string>& statements,
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t lanes =
       opts.jobs != 0 ? opts.jobs : core::Pool::default_jobs();
-  core::Pool::global().parallel_tasks(
-      opts.sessions, lanes, [&server, &statements, &opts, &out](std::size_t i) {
-        run_session(server, statements, opts, out.sessions[i]);
-      });
-  out.wall_us = micros_since(t0);
-
-  if (writer.joinable()) {
-    stop.store(true, std::memory_order_relaxed);
-    writer.join();
+  try {
+    core::Pool::global().parallel_tasks(
+        opts.sessions, lanes,
+        [&server, &statements, &opts, &out](std::size_t i) {
+          run_session(server, statements, opts, out.sessions[i]);
+        });
+  } catch (...) {
+    // A failed statement ends the drive; an unjoined writer would abort.
+    if (writer.joinable()) writer.join();
+    throw;
   }
+  out.wall_us = micros_since(t0);
+  // The writer always completes its swaps, even when the sessions finish
+  // first.
+  if (writer.joinable()) writer.join();
 
   for (const SessionReport& s : out.sessions) {
     out.queries += s.queries;

@@ -24,10 +24,11 @@ struct DriveOptions {
   bool check_empty = true;
   /// Pool lanes for the session fan-out; 0 = the process default.
   std::size_t jobs = 0;
-  /// Concurrent writer: perform this many identical-content regenerations
-  /// of `writer_table` while the sessions run (0 = no writer).  Each swap
-  /// rebuilds the table's storage and bumps the catalog generation, so
-  /// reader results must be unaffected byte-for-byte.
+  /// Concurrent writer: perform exactly this many identical-content
+  /// regenerations of `writer_table`, alongside the sessions (0 = no
+  /// writer); drive() returns after the last one.  Each swap rebuilds the
+  /// table's storage and bumps the database generation, so reader results
+  /// must be unaffected byte-for-byte.
   std::size_t writer_swaps = 0;
   std::string writer_table;
   /// Pause between writer swaps.
@@ -65,7 +66,8 @@ struct DriveReport {
 /// Runs `statements` through `server` from opts.sessions concurrent
 /// sessions and aggregates the result.  Statement order within a session
 /// is fixed (suite order), so verdict sequences are comparable across
-/// runs regardless of interleaving.
+/// runs regardless of interleaving.  A statement's error is rethrown once
+/// the writer has finished.
 [[nodiscard]] DriveReport drive(Server& server,
                                 const std::vector<std::string>& statements,
                                 const DriveOptions& opts);

@@ -107,7 +107,7 @@ CompiledTables::CompiledTables(const ProtocolSpec& spec) {
     if (c->sim().key.size() > Step::kMaxKey) {
       throw Error(c->name() + ": more guard columns than a step holds");
     }
-    const Table& table = spec.database().catalog().get(c->name());
+    const Table& table = spec.database().get(c->name());
     try {
       ctl.emplace_back(*c, table);
     } catch (const Error& e) {

@@ -9,13 +9,13 @@ namespace ccsql {
 namespace {
 
 Database small_db() {
-  Catalog cat;
+  Database cat;
   Table d(Schema::of({"dirst", "dirpv"}));
   d.append({V("MESI"), V("one")});
   d.append({V("SI"), V("gone")});
   d.append({V("I"), V("zero")});
   cat.put("D", std::move(d));
-  return Database(std::move(cat));
+  return cat;
 }
 
 TEST(InvariantChecker, PassingInvariant) {

@@ -30,12 +30,12 @@ TEST(AsuraMapping, EdShape) {
 }
 
 TEST(AsuraMapping, FullQueueRetriesRequests) {
-  Catalog cat;
+  Database cat;
   cat.put("ED", ed_table());
   cat.functions() = spec().database().functions();
   Table t = cat.query(
       "select locmsg, remmsg, memmsg, cmpl from ED where "
-      "isrequest(inmsg) and Qstatus = Full and not inmsg = \"Dfdback\"");
+      "isrequest(inmsg) and Qstatus = Full and not inmsg = \"Dfdback\"").rows;
   ASSERT_GT(t.row_count(), 0u);
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_EQ(t.at(r, "locmsg"), V("retry"));
@@ -46,13 +46,13 @@ TEST(AsuraMapping, FullQueueRetriesRequests) {
 }
 
 TEST(AsuraMapping, FullUpdateQueueGeneratesFeedback) {
-  Catalog cat;
+  Database cat;
   cat.put("ED", ed_table());
   cat.functions() = spec().database().functions();
   // Responses that would write the directory ship the update as Dfdback.
   Table t = cat.query(
       "select Fdback from ED where isresponse(inmsg) and "
-      "Dqstatus = Full and dirupd = upd");
+      "Dqstatus = Full and dirupd = upd").rows;
   ASSERT_GT(t.row_count(), 0u);
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_EQ(t.at(r, 0), V("Dfdback"));
@@ -60,16 +60,16 @@ TEST(AsuraMapping, FullUpdateQueueGeneratesFeedback) {
   // Responses without a directory write never generate feedback.
   Table none = cat.query(
       "select Fdback from ED where isresponse(inmsg) and "
-      "not dirupd = upd and not Fdback = NULL");
+      "not dirupd = upd and not Fdback = NULL").rows;
   EXPECT_EQ(none.row_count(), 0u);
 }
 
 TEST(AsuraMapping, DfdbackAppliesDeferredUpdate) {
-  Catalog cat;
+  Database cat;
   cat.put("ED", ed_table());
   Table t = cat.query(
       "select dirupd, cmpl, locmsg, remmsg, memmsg from ED where "
-      "inmsg = \"Dfdback\" and Qstatus = NotFull");
+      "inmsg = \"Dfdback\" and Qstatus = NotFull").rows;
   ASSERT_GT(t.row_count(), 0u);
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_EQ(t.at(r, "dirupd"), V("upd"));
@@ -81,7 +81,7 @@ TEST(AsuraMapping, DfdbackAppliesDeferredUpdate) {
   // A re-queued feedback performs nothing.
   Table requeued = cat.query(
       "select dirupd, cmpl from ED where inmsg = \"Dfdback\" and "
-      "Qstatus = Full");
+      "Qstatus = Full").rows;
   for (std::size_t r = 0; r < requeued.row_count(); ++r) {
     EXPECT_TRUE(requeued.at(r, "dirupd").is_null());
     EXPECT_TRUE(requeued.at(r, "cmpl").is_null());

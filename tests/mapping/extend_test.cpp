@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/database.hpp"
 #include "relational/error.hpp"
-#include "relational/query.hpp"
 
 namespace ccsql {
 namespace {
@@ -49,10 +49,10 @@ TEST(ExtendedTableBuilder, WrapOverridesConditionally) {
                            .add_input("qfull", {"yes", "no"})
                            .wrap("out", "qfull = yes", "out = retry")
                            .build();
-  Catalog cat;
+  Database cat;
   cat.put("E", ext.generate(nullptr));
   // Wrapped branch.
-  Table full = cat.query("select out from E where qfull = yes");
+  Table full = cat.query("select out from E where qfull = yes").rows;
   for (std::size_t r = 0; r < full.row_count(); ++r) {
     EXPECT_EQ(full.at(r, 0), V("retry"));
   }
@@ -73,7 +73,7 @@ TEST(ExtendedTableBuilder, ExtendDomainAddsValues) {
                            .extend_domain("inmsg", {"fdback"})
                            .wrap("out", "inmsg = fdback", "out = NULL")
                            .build();
-  Catalog cat;
+  Database cat;
   cat.put("E", ext.generate(nullptr));
   EXPECT_EQ(cat.query("select * from E where inmsg = fdback").row_count(),
             2u);  // st idle / busy
@@ -93,14 +93,14 @@ TEST(ExtendedTableBuilder, DoubleWrapNestsInOrder) {
                            .wrap("out", "a = 1", "out = retry")
                            .wrap("out", "b = 1", "out = NULL")
                            .build();
-  Catalog cat;
+  Database cat;
   cat.put("E", ext.generate(nullptr));
   // Outer wrap (b) wins over inner wrap (a).
-  Table t = cat.query("select out from E where a = 1 and b = 1");
+  Table t = cat.query("select out from E where a = 1 and b = 1").rows;
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_TRUE(t.at(r, 0).is_null());
   }
-  Table t2 = cat.query("select out from E where a = 1 and b = 0");
+  Table t2 = cat.query("select out from E where a = 1 and b = 0").rows;
   for (std::size_t r = 0; r < t2.row_count(); ++r) {
     EXPECT_EQ(t2.at(r, 0), V("retry"));
   }

@@ -154,14 +154,14 @@ TEST(BytecodeProperty, EnginesSelectIdenticalRows) {
 TEST(BytecodeProperty, QueriesByteIdenticalAcrossEnginesAndJobs) {
   for (unsigned seed : {11u, 29u}) {
     Rng rng(seed);
-    Catalog cat;
+    Database cat;
     cat.put("T", random_table(rng, 3000));
     for (int round = 0; round < 12; ++round) {
       const std::string sql =
           "select * from T where " + random_expr(rng, 2).to_string();
       const std::string naive = to_csv(naive::run(cat, parse_select(sql)));
       for (int jobs : {1, 4}) {
-        Database db{Catalog(cat)};
+        Database db = cat;
         db.set_jobs(jobs);
         EXPECT_EQ(to_csv(db.query(sql).rows), naive)
             << "seed " << seed << " jobs " << jobs << ": " << sql;

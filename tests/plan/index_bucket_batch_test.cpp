@@ -76,14 +76,13 @@ PlanNode* fused_select(PlanNode& n) {  // NOLINT(misc-no-recursion)
 void expect_fused(const Database& db, const std::string& sql,
                   std::size_t limit, std::size_t visited) {
   SCOPED_TRACE(sql + " limit " + std::to_string(limit));
-  const Catalog& cat = db.catalog();
   const SelectStmt stmt = parse_select(sql);
-  plan::PlanPtr root = plan::plan_select(cat, stmt);
+  plan::PlanPtr root = plan::plan_select(db, stmt);
   plan::ExecContext ctx;
   ctx.analyze = true;
   const Table got = plan::execute(*root, ctx, limit);
 
-  const Table naive = naive::run(cat, stmt);
+  const Table naive = naive::run(db, stmt);
   EXPECT_EQ(to_csv(got),
             to_csv(naive.row_count() > limit ? naive.head(limit) : naive));
 
@@ -103,7 +102,7 @@ void expect_fused(const Database& db, const std::string& sql,
 }
 
 /// plan::is_empty over `sql`, through a cached plan as serve::Server runs
-/// it and through Catalog::check_empty's fresh plan.  The plan is one
+/// it and through Database::check_empty's fresh plan.  The plan is one
 /// Select over an index lookup (or a scan when `indexed` is false): the
 /// verdict must match the naive executor and query.rows_scanned must count
 /// the candidates up to and including the first passing one.
@@ -120,7 +119,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
       << plan::render(root);
   EXPECT_NE(root.compiled, nullptr) << plan::render(root);
 
-  const bool want = naive::check_empty(db.catalog(), sql);
+  const bool want = naive::check_empty(db, sql);
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.enable_metrics();
   const auto expect_visits = [&](const char* path, auto probe) {
@@ -133,7 +132,7 @@ void expect_probe(const Database& db, const std::string& sql, bool indexed,
   };
   expect_visits("cached",
                 [&] { return plan::is_empty(root, {}); });
-  expect_visits("fresh", [&] { return db.catalog().check_empty(sql); });
+  expect_visits("fresh", [&] { return db.check_empty(sql); });
   tracer.enable_metrics(false);
 }
 

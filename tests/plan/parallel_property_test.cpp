@@ -44,11 +44,11 @@ Table big_table(Rng& rng, const std::vector<std::string>& cols,
 
 Database seeded_db(unsigned seed) {
   Rng rng(seed);
-  Catalog cat;
+  Database cat;
   cat.put("L", big_table(rng, {"k", "p", "q"}, 4096));
   cat.put("R", big_table(rng, {"k", "r"}, 3000));
   cat.put("S", big_table(rng, {"p", "s"}, 2500));
-  return Database(std::move(cat));
+  return cat;
 }
 
 const std::vector<std::string> kQueries = {
@@ -87,7 +87,7 @@ TEST(ParallelProperty, ParallelAgreesWithNaiveOracleOnScans) {
   wide.set_jobs(4);
   for (const auto& sql : kQueries) {
     if (sql.find(" y") != std::string::npos) continue;  // skip the joins
-    Table oracle = naive::run(wide.catalog(), parse_select(sql));
+    Table oracle = naive::run(wide, parse_select(sql));
     Table parallel = wide.query(sql).rows;
     EXPECT_EQ(to_csv(parallel), to_csv(oracle)) << sql;
   }
@@ -95,15 +95,15 @@ TEST(ParallelProperty, ParallelAgreesWithNaiveOracleOnScans) {
 
 TEST(ParallelProperty, JoinsAgreeWithNaiveOracleAtOracleScale) {
   Rng rng(23);
-  Catalog cat;
+  Database cat;
   cat.put("L", big_table(rng, {"k", "p", "q"}, 120));
   cat.put("R", big_table(rng, {"k", "r"}, 90));
   cat.put("S", big_table(rng, {"p", "s"}, 80));
-  Database wide = Database(std::move(cat));
+  Database wide = cat;
   wide.set_jobs(4);
   for (const auto& sql : kQueries) {
     EXPECT_EQ(to_csv(wide.query(sql).rows),
-              to_csv(naive::run(wide.catalog(), parse_select(sql))))
+              to_csv(naive::run(wide, parse_select(sql))))
         << sql;
   }
 }
@@ -144,10 +144,10 @@ TEST(ParallelProperty, UnionIsByteIdenticalAcrossJobs) {
 /// small enough for the naive oracle to cross the two.
 Database join_db(unsigned seed) {
   Rng rng(seed);
-  Catalog cat;
+  Database cat;
   cat.put("L", big_table(rng, {"k", "p", "q"}, 2500));
   cat.put("R", big_table(rng, {"k", "r"}, 40));
-  return Database(std::move(cat));
+  return cat;
 }
 
 TEST(ParallelProperty, JoinCountsAgreeWithNaiveOracleAcrossJobs) {
@@ -164,7 +164,7 @@ TEST(ParallelProperty, JoinCountsAgreeWithNaiveOracleAcrossJobs) {
     Database db = join_db(seed);
     for (const auto& sql : counts) {
       const std::string want =
-          to_csv(naive::run(db.catalog(), parse_select(sql)));
+          to_csv(naive::run(db, parse_select(sql)));
       for (std::size_t jobs : {1, 4}) {
         db.set_jobs(jobs);
         EXPECT_EQ(to_csv(db.query(sql).rows), want)
@@ -192,7 +192,7 @@ TEST(ParallelProperty, JoinAndUnionVerdictsAgreeWithNaiveOracle) {
   for (unsigned seed : {4u, 17u}) {
     Database db = join_db(seed);
     for (const auto& inv : invariants) {
-      const bool want = naive::check_empty(db.catalog(), inv);
+      const bool want = naive::check_empty(db, inv);
       for (std::size_t jobs : {1, 4}) {
         db.set_jobs(jobs);
         EXPECT_EQ(db.check_empty(inv), want)

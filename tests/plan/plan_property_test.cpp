@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "plan/planner.hpp"
-#include "relational/query.hpp"
+#include "relational/database.hpp"
 #include "support/naive_exec.hpp"
 
 namespace ccsql {
@@ -143,7 +143,7 @@ std::string random_select(Rng& rng, const std::string& from,
   return q;
 }
 
-void expect_planned_matches_naive(const Catalog& db, const std::string& sql) {
+void expect_planned_matches_naive(const Database& db, const std::string& sql) {
   SelectStmt stmt = parse_select(sql);
   Table planned = plan::run_select(db, stmt);
   Table naive = naive::run(db, stmt);
@@ -158,7 +158,7 @@ TEST_P(PlanPropertyTest, SingleTableQueries) {
   Rng rng(GetParam());
   const std::vector<std::string> cols = {"a0", "a1", "a2"};
   for (int iter = 0; iter < 60; ++iter) {
-    Catalog db;
+    Database db;
     db.put("A", random_table(rng, cols));
     expect_planned_matches_naive(db, random_select(rng, "A", cols));
   }
@@ -170,7 +170,7 @@ TEST_P(PlanPropertyTest, AliasedTwoTableQueries) {
   const std::vector<std::string> b_cols = {"b0", "b1"};
   const std::vector<std::string> visible = {"x.a0", "x.a1", "y.b0", "y.b1"};
   for (int iter = 0; iter < 60; ++iter) {
-    Catalog db;
+    Database db;
     db.put("A", random_table(rng, a_cols));
     db.put("B", random_table(rng, b_cols));
     expect_planned_matches_naive(db,
@@ -219,7 +219,7 @@ TEST_P(PlanPropertyTest, AliasedThreeTableQueries) {
   const std::vector<std::string> visible = {"x.a0", "x.a1", "y.b0",
                                             "y.b1", "z.c0", "z.c1"};
   for (int iter = 0; iter < 60; ++iter) {
-    Catalog db;
+    Database db;
     db.put("A", random_table(rng, a_cols));
     db.put("B", random_table(rng, b_cols));
     db.put("C", random_table(rng, c_cols));
@@ -235,7 +235,7 @@ TEST_P(PlanPropertyTest, UnionQueries) {
   Rng rng(GetParam() + 2000);
   const std::vector<std::string> cols = {"a0", "a1", "a2"};
   for (int iter = 0; iter < 40; ++iter) {
-    Catalog db;
+    Database db;
     db.put("A", random_table(rng, cols));
     // Same arity on both branches; positions align the union.
     std::string q = "select a0, a1 from A where " +

@@ -15,7 +15,6 @@
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
 #include "relational/format.hpp"
-#include "relational/query.hpp"
 #include "support/naive_exec.hpp"
 
 namespace ccsql {
@@ -24,8 +23,8 @@ namespace {
 using plan::PlanNode;
 using plan::PlanPtr;
 
-Catalog make_catalog() {
-  Catalog db;
+Database make_catalog() {
+  Database db;
   Table d(Schema::of({"dirst", "dirpv", "memmsg"}));
   d.append_texts({"I", "zero", "mread"});
   d.append_texts({"MESI", "one", "NULL"});
@@ -89,7 +88,7 @@ TEST(FoldExpr, ReportsNoChangeWhenNothingFolds) {
 }
 
 TEST(Planner, EqualityLiteralLowersToIndexLookup) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   PlanPtr p = plan::plan_select(
       db, parse_select("select dirpv from D where dirst = \"MESI\""));
   ASSERT_EQ(p->kind, PlanNode::Kind::kProject);
@@ -102,7 +101,7 @@ TEST(Planner, EqualityLiteralLowersToIndexLookup) {
 // left over an IndexLookup or a Scan executes as one filter, never as a
 // Select over a Select.
 TEST(Plan, SelectChainsFoldIntoOneConjunction) {
-  Catalog db;
+  Database db;
   Table t(Schema::of({"k", "a", "b"}));
   t.append_texts({"x", "y", "z"});
   t.append_texts({"x", "w", "w"});
@@ -148,7 +147,7 @@ std::vector<std::string> column_names(const PlanNode& n) {
 // A join is one Select over a Cross: the cross-side equality stays in the
 // Select, and the route probes the right scan's index on it.
 TEST(Planner, CrossWithEqualityRoutesAsOneSelectOverTheCross) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const SelectStmt stmt = parse_select(
       "select a.memmsg, b.outmsg from D a, M b where a.memmsg = b.inmsg");
   PlanPtr p = plan::plan_select(db, stmt);
@@ -183,7 +182,7 @@ TEST(Planner, RoutedProbesCountIndexBuildsAndHits) {
   const auto count = [&](const char* name) {
     return tracer.metrics().counter(name);
   };
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const std::uint64_t builds = count("plan.index_builds");
   const std::uint64_t hits = count("plan.index_hits");
   (void)plan::run_select(
@@ -201,7 +200,7 @@ TEST(Planner, RoutedProbesCountIndexBuildsAndHits) {
 }
 
 TEST(Planner, SingleSidePredicatesPushBelowTheJoin) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   PlanPtr p = plan::plan_select(
       db, parse_select("select a.memmsg from D a, M b "
                        "where a.memmsg = b.inmsg and not b.outmsg = \"compl\" "
@@ -219,7 +218,7 @@ TEST(Planner, SingleSidePredicatesPushBelowTheJoin) {
 }
 
 TEST(Planner, JoinChainNarrowsEveryJoinToTheColumnsReadAbove) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const SelectStmt stmt = parse_select(
       "select a.dirst, c.dirpv from D a, M b, D c where a.memmsg = b.inmsg "
       "and b.outmsg = c.memmsg and not c.dirst = a.dirst");
@@ -253,7 +252,7 @@ TEST(Planner, JoinChainNarrowsEveryJoinToTheColumnsReadAbove) {
 }
 
 TEST(Planner, CrossOverAJoinNarrowsTheJoinBelowIt) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const SelectStmt stmt = parse_select(
       "select a.dirst, m.outmsg from D a, M b, M m where a.memmsg = b.inmsg");
   PlanPtr p = plan::plan_select(db, stmt);
@@ -272,7 +271,7 @@ TEST(Planner, CrossOverAJoinNarrowsTheJoinBelowIt) {
 }
 
 TEST(Planner, JoinAskedForNoColumnsKeepsItsNarrowedCrossColumns) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   // The top Cross reads nothing of its left side, the outer join: that
   // join keeps its Cross's columns, which pruning already narrowed to
   // b.inmsg (all the outer join reads of the inner one) and c's columns.
@@ -296,7 +295,7 @@ TEST(Planner, JoinAskedForNoColumnsKeepsItsNarrowedCrossColumns) {
 }
 
 TEST(Planner, PlannedMatchesNaiveOnRepresentativeQueries) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const char* queries[] = {
       "select dirst, dirpv from D where dirst = \"MESI\" and "
       "not dirpv = \"one\"",
@@ -320,7 +319,7 @@ TEST(Planner, PlannedMatchesNaiveOnRepresentativeQueries) {
 }
 
 TEST(Planner, CheckEmptyAgreesWithNaive) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   const char* invariants[] = {
       "[select dirst from D where dirst = \"MESI\" and dirpv = zero] = empty",
       "[select a.memmsg from D a, M b where a.memmsg = b.inmsg and "
@@ -359,7 +358,7 @@ TEST(Explain, GoldenSingleTablePointLookup) {
   // (dir-state-pv-consistency): an equality on dirst plus a residual
   // filter.
   const std::string out = plan::explain_sql(
-      spec->database().catalog(),
+      spec->database(),
       "Select dirst, dirpv from D where dirst = \"MESI\" and "
       "not dirpv = \"one\"");
   EXPECT_EQ(out,
@@ -376,7 +375,7 @@ TEST(Explain, GoldenCrossTableJoin) {
   // right side's index on b.inmsg once per left row.  A join estimates
   // 10% of the product per cross-side equality.
   const std::string out = plan::explain_sql(
-      spec->database().catalog(),
+      spec->database(),
       "Select a.memmsg, b.inmsg, b.outmsg from D a, M b "
       "where a.memmsg = b.inmsg and a.memmsg = \"wb\" and "
       "not b.outmsg = \"compl\"");
@@ -402,7 +401,7 @@ TEST(Explain, GoldenThreeWayMultiKeyJoin) {
   // at one row, so the 3-key inner join reads est=1 and the outer one
   // builds on it.
   const std::string out = plan::explain_sql(
-      spec->database().catalog(),
+      spec->database(),
       "select a.inmsg, b.outmsg, c.nxtdirst from D a, M b, D c "
       "where a.memmsg = b.inmsg and a.memmsgsrc = b.inmsgsrc and "
       "a.memmsgdest = b.inmsgdest and b.outmsg = c.inmsg and "
@@ -424,7 +423,7 @@ TEST(Explain, GoldenThreeWayMultiKeyJoin) {
 }
 
 TEST(Explain, UnexecutedPlanShowsDashForActual) {
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   PlanPtr p =
       plan::plan_select(db, parse_select("select dirst from D"));
   EXPECT_NE(plan::render(*p).find("actual=-"), std::string::npos);
@@ -441,7 +440,7 @@ TEST(ExplainAnalyze, ReportsPerOperatorProfile) {
   plan::ExecContext ctx;
   ctx.analyze = true;
   const std::string out =
-      plan::explain_sql(spec->database().catalog(), sql, ctx);
+      plan::explain_sql(spec->database(), sql, ctx);
   // Every executed operator carries a profile bracket; the routed Cross
   // reports the index its Select probed; fused children are marked instead
   // of profiled (their work is attributed to the fusing operator).
@@ -451,18 +450,18 @@ TEST(ExplainAnalyze, ReportsPerOperatorProfile) {
   EXPECT_NE(out.find("build="), std::string::npos) << out;
   EXPECT_NE(out.find("[fused]"), std::string::npos) << out;
   // The plain EXPLAIN rendering is unchanged by the profiler's existence.
-  EXPECT_EQ(plan::explain_sql(spec->database().catalog(), sql)
+  EXPECT_EQ(plan::explain_sql(spec->database(), sql)
                 .find("time="),
             std::string::npos);
 }
 
 TEST(ExplainAnalyze, DatabaseFacadeAppendsMemorySummary) {
   auto spec = asura::make_asura();
-  const QueryResult r = spec->database().explain_analyze(
+  const std::string plan = spec->database().explain_analyze(
       "Select dirst, dirpv from D where dirst = \"MESI\"");
-  EXPECT_NE(r.plan.find("time="), std::string::npos) << r.plan;
-  EXPECT_NE(r.plan.find("memory:"), std::string::npos) << r.plan;
-  EXPECT_NE(r.plan.find("peak"), std::string::npos) << r.plan;
+  EXPECT_NE(plan.find("time="), std::string::npos) << plan;
+  EXPECT_NE(plan.find("memory:"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("peak"), std::string::npos) << plan;
 }
 
 TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
@@ -471,7 +470,7 @@ TEST(ExplainAnalyze, GoldenFusedSelectOverCross) {
   // size it never materialised, and bytes= is the narrow predicate read
   // (15 rows x 2 columns) plus one gather per side (12 rows x 3 and x 2
   // columns, each read and written), 4 bytes a cell.
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   plan::ExecContext ctx;
   ctx.analyze = true;
   std::string out = plan::explain_sql(
@@ -501,7 +500,7 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
   // gather per side (8 rows x 3 and x 2 columns, each read and written).
   // build= is the two indexes on M the keyed leaves probed: 3 rows, 3
   // inmsg and 3 outmsg keys.
-  Catalog db = make_catalog();
+  Database db = make_catalog();
   plan::ExecContext ctx;
   ctx.analyze = true;
   const char* sql =
@@ -526,13 +525,13 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
   EXPECT_NE(plan::explain_sql(db, sql).find("Cross [routed] (est=15, "
                                             "actual=8)"),
             std::string::npos);
-  EXPECT_EQ(to_csv(db.query(sql)),
+  EXPECT_EQ(to_csv(db.query(sql).rows),
             to_csv(naive::run(db, parse_select(sql))));
 }
 
 TEST(ExplainAnalyze, CountsAreIdenticalAcrossJobs) {
   auto spec = asura::make_asura();
-  const Catalog& db = spec->database().catalog();
+  const Database& db = spec->database();
   const SelectStmt stmt = parse_select(
       "Select a.memmsg, b.inmsg from D a, M b "
       "where a.memmsg = b.inmsg and not b.outmsg = \"compl\"");

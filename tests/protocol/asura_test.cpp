@@ -14,7 +14,7 @@ const ProtocolSpec& spec() {
   return *s;
 }
 
-const Catalog& db() { return spec().database().catalog(); }
+const Database& db() { return spec().database(); }
 
 TEST(Asura, HasEightControllerTables) {
   EXPECT_EQ(spec().controllers().size(), 8u);
@@ -54,7 +54,7 @@ TEST(Asura, DirectoryTableShape) {
 TEST(Asura, BusyStatesAllReachable) {
   // Every busy state appears as some row's next state, and every busy
   // state has at least one exit (a row consuming it).
-  Catalog cat;
+  Database cat;
   cat.put("D", db().get(asura::kDirectory));
   cat.functions() = db().functions();
   for (const auto& b : asura::busy_states()) {
@@ -83,11 +83,11 @@ TEST(Asura, Figure2ReadexAtSiRow) {
   // Figure 2: readex finds the line SI at a remote node; D sends sinv to
   // remote and mread to memory simultaneously and enters the busy state
   // awaiting snoop + data responses.
-  Catalog cat;
+  Database cat;
   cat.put("D", db().get(asura::kDirectory));
   Table row = cat.query(
       "select * from D where inmsg = readex and dirst = SI and "
-      "bdirst = \"I\"");
+      "bdirst = \"I\"").rows;
   ASSERT_EQ(row.row_count(), 2u);  // dirpv one / gone
   for (std::size_t r = 0; r < row.row_count(); ++r) {
     EXPECT_EQ(row.at(r, "remmsg"), V("sinv"));
@@ -100,17 +100,17 @@ TEST(Asura, Figure2ReadexAtSiRow) {
 TEST(Asura, Figure3BusyProgression) {
   // Figure 3: Busy-sd -data-> Busy-s; Busy-sd -idone(last)-> Busy-d;
   // completion updates state to MESI and transfers ownership.
-  Catalog cat;
+  Database cat;
   cat.put("D", db().get(asura::kDirectory));
   Table t1 = cat.query(
       "select nxtbdirst from D where inmsg = \"data\" and "
-      "bdirst = \"Busy-rx-sd\"");
+      "bdirst = \"Busy-rx-sd\"").rows;
   ASSERT_GE(t1.row_count(), 1u);
   EXPECT_EQ(t1.at(0, 0), V("Busy-rx-s"));
 
   Table t2 = cat.query(
       "select nxtbdirst from D where inmsg = idone and "
-      "bdirst = \"Busy-rx-sd\" and bdirpv = one");
+      "bdirst = \"Busy-rx-sd\" and bdirpv = one").rows;
   ASSERT_EQ(t2.row_count(), 1u);
   EXPECT_EQ(t2.at(0, 0), V("Busy-rx-d"));
 
@@ -119,7 +119,7 @@ TEST(Asura, Figure3BusyProgression) {
   // ownership (our grant-acknowledged extension of the Figure 3 flow).
   Table grant = cat.query(
       "select locmsg, nxtbdirst, cmpl from D where "
-      "inmsg = \"data\" and bdirst = \"Busy-rx-d\"");
+      "inmsg = \"data\" and bdirst = \"Busy-rx-d\"").rows;
   ASSERT_EQ(grant.row_count(), 1u);
   EXPECT_EQ(grant.at(0, "locmsg"), V("compl"));
   EXPECT_EQ(grant.at(0, "nxtbdirst"), V("Busy-rx-g"));
@@ -127,7 +127,7 @@ TEST(Asura, Figure3BusyProgression) {
 
   Table done = cat.query(
       "select nxtdirst, nxtdirpv, bdirop, cmpl from D where "
-      "inmsg = gdone and bdirst = \"Busy-rx-g\"");
+      "inmsg = gdone and bdirst = \"Busy-rx-g\"").rows;
   ASSERT_EQ(done.row_count(), 1u);
   EXPECT_EQ(done.at(0, "nxtdirst"), V("MESI"));
   EXPECT_EQ(done.at(0, "nxtdirpv"), V("repl"));
@@ -140,11 +140,11 @@ TEST(Asura, Figure4WitnessRows) {
   //  R1 (memory): processing wb produces compl home->home.
   //  R2 (directory): processing idone at the owner-invalidation state
   //      produces mread home->home.
-  Catalog cat;
+  Database cat;
   cat.put("M", db().get(asura::kMemory));
   cat.put("D", db().get(asura::kDirectory));
   Table r1 = cat.query(
-      "select outmsg, outmsgsrc, outmsgdest from M where inmsg = wb");
+      "select outmsg, outmsgsrc, outmsgdest from M where inmsg = wb").rows;
   ASSERT_EQ(r1.row_count(), 1u);
   EXPECT_EQ(r1.at(0, "outmsg"), V("compl"));
   EXPECT_EQ(r1.at(0, "outmsgsrc"), V("home"));
@@ -152,7 +152,7 @@ TEST(Asura, Figure4WitnessRows) {
 
   Table r2 = cat.query(
       "select memmsg, memmsgsrc, memmsgdest, inmsgsrc from D where "
-      "inmsg = idone and bdirst = \"Busy-rx-si\"");
+      "inmsg = idone and bdirst = \"Busy-rx-si\"").rows;
   ASSERT_EQ(r2.row_count(), 1u);
   EXPECT_EQ(r2.at(0, "memmsg"), V("mread"));
   EXPECT_EQ(r2.at(0, "memmsgsrc"), V("home"));
@@ -161,11 +161,11 @@ TEST(Asura, Figure4WitnessRows) {
 }
 
 TEST(Asura, RetryWheneverBusy) {
-  Catalog cat;
+  Database cat;
   cat.put("D", db().get(asura::kDirectory));
   cat.functions() = db().functions();
   Table t = cat.query(
-      "select * from D where isrequest(inmsg) and not bdirst = \"I\"");
+      "select * from D where isrequest(inmsg) and not bdirst = \"I\"").rows;
   EXPECT_GT(t.row_count(), 50u);
   for (std::size_t r = 0; r < t.row_count(); ++r) {
     EXPECT_EQ(t.at(r, "locmsg"), V("retry"));
@@ -268,7 +268,7 @@ TEST(Asura, FaultInjectionInvariantCatchesCorruption) {
   row[d.schema().index_of("dirst")] = V("MESI");
   row[d.schema().index_of("dirpv")] = V("zero")  ;
   d.append(RowView(row));
-  Catalog cat;
+  Database cat;
   cat.put("D", std::move(d));
   const auto& inv = spec().invariants().front();
   ASSERT_EQ(inv.name, "dir-state-pv-consistency");
@@ -284,7 +284,7 @@ TEST(Asura, FaultInjectionSerializationCatchesMissingRetry) {
   row[d.schema().index_of("bdirst")] = V("Busy-wb-m");
   row[d.schema().index_of("locmsg")] = null_value();
   d.append(RowView(row));
-  Catalog cat;
+  Database cat;
   cat.put("D", std::move(d));
   cat.functions() = db().functions();
   bool found = false;

@@ -18,7 +18,7 @@ const char* kGoldenPath = CCSQL_GOLDEN_DIR "/readex_transaction.csv";
 
 Table current_slice() {
   static const std::unique_ptr<ProtocolSpec> spec = asura::make_asura();
-  Catalog cat;
+  Database cat;
   cat.put("D", spec->database().get(asura::kDirectory));
   cat.functions() = spec->database().functions();
   return cat.query(
@@ -27,7 +27,7 @@ Table current_slice() {
       "datapath, cmpl from D where inmsg in (readex, gdone, data, idone) "
       "and bdirst in (I, Busy-rx-sd, Busy-rx-s, Busy-rx-d, Busy-rx-si, "
       "Busy-rx-g) "
-      "order by inmsg, dirst, dirpv, bdirst, bdirpv");
+      "order by inmsg, dirst, dirpv, bdirst, bdirpv").rows;
 }
 
 TEST(Golden, ReadexTransactionSliceMatchesPinnedCsv) {
@@ -45,7 +45,7 @@ TEST(Golden, ReadexTransactionSliceMatchesPinnedCsv) {
 }
 
 TEST(Golden, SliceCoversTheFigure3Chain) {
-  Catalog cat;
+  Database cat;
   cat.put("S", current_slice());
   // The three Figure 3 hops are all present in the pinned slice.
   EXPECT_EQ(cat.query("select * from S where inmsg = \"data\" and "

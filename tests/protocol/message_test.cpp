@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/database.hpp"
 #include "relational/error.hpp"
-#include "relational/query.hpp"
 
 namespace ccsql {
 namespace {
@@ -57,11 +57,11 @@ TEST(MessageCatalog, InstallRegistersPredicates) {
 
 TEST(MessageCatalog, ToTableIsQueryable) {
   MessageCatalog m = small_catalog();
-  Catalog cat;
+  Database cat;
   cat.put("Messages", m.to_table());
   EXPECT_EQ(cat.get("Messages").row_count(), 3u);
   Table reqs =
-      cat.query("select message from Messages where class = request");
+      cat.query("select message from Messages where class = request").rows;
   EXPECT_EQ(reqs.row_count(), 2u);
 }
 

@@ -19,7 +19,7 @@ const ProtocolSpec& spec() {
 }
 
 TEST(Snoopbus, TablesGenerate) {
-  const Catalog& db = spec().database().catalog();
+  const Database& db = spec().database();
   EXPECT_EQ(spec().controllers().size(), 3u);
   EXPECT_GT(db.get(snoopbus::kCache).row_count(), 20u);
   EXPECT_EQ(db.get(snoopbus::kMemory).row_count(), 6u);
@@ -35,11 +35,11 @@ TEST(Snoopbus, AllInvariantsHold) {
 }
 
 TEST(Snoopbus, MsiTransitionsAreTheTextbookOnes) {
-  Catalog cat;
+  Database cat;
   cat.put("SC", spec().database().get(snoopbus::kCache));
   // Load miss: GetS on the bus, transient ISd.
   Table miss = cat.query(
-      "select busmsg, nxtcst from SC where inmsg = ld and cst = \"I\"");
+      "select busmsg, nxtcst from SC where inmsg = ld and cst = \"I\"").rows;
   ASSERT_EQ(miss.row_count(), 1u);
   EXPECT_EQ(miss.at(0, "busmsg"), V("GetS"));
   EXPECT_EQ(miss.at(0, "nxtcst"), V("ISd"));
@@ -47,7 +47,7 @@ TEST(Snoopbus, MsiTransitionsAreTheTextbookOnes) {
   // sources the data.
   Table inv = cat.query(
       "select datamsg, nxtcst from SC where inmsg = GetM and own = no and "
-      "cst = \"M\"");
+      "cst = \"M\"").rows;
   ASSERT_EQ(inv.row_count(), 1u);
   EXPECT_EQ(inv.at(0, "datamsg"), V("DataOwner"));
   EXPECT_EQ(inv.at(0, "nxtcst"), V("I"));
@@ -98,7 +98,7 @@ TEST(Snoopbus, FaultInjectionCaught) {
     }
     corrupted.append(RowView(row));
   }
-  Catalog cat;
+  Database cat;
   cat.put("SC", std::move(corrupted));
   bool caught = false;
   for (const auto& inv : spec().invariants()) {

@@ -16,13 +16,13 @@ namespace ccsql {
 namespace {
 
 Database small_db() {
-  Catalog cat;
+  Database db;
   Table d(Schema::of({"dirst", "dirpv"}));
   d.append({V("MESI"), V("one")});
   d.append({V("SI"), V("gone")});
   d.append({V("I"), V("zero")});
-  cat.put("D", std::move(d));
-  return Database(std::move(cat));
+  db.put("D", std::move(d));
+  return db;
 }
 
 TEST(Database, QueryMatchesNaiveOracle) {
@@ -30,7 +30,7 @@ TEST(Database, QueryMatchesNaiveOracle) {
   const std::string sql = "select dirst, dirpv from D where not dirst = I";
   QueryResult r = db.query(sql);
   EXPECT_EQ(to_csv(r.rows),
-            to_csv(naive::run(db.catalog(), parse_select(sql))));
+            to_csv(naive::run(db, parse_select(sql))));
   EXPECT_EQ(r.row_count(), 2u);
   EXPECT_FALSE(r.empty());
 }
@@ -96,8 +96,8 @@ TEST(Database, BareCrossFansOutAtSessionJobs) {
   core::Pool::set_default_jobs(saved_jobs);
 }
 
-// One counter set: a SELECT counts once in query.selects whichever facade
-// issues it.
+// One counter set: a SELECT counts once in query.selects, on the live
+// database as on a snapshot's frozen one.
 TEST(Database, QueryAndSnapshotQueryEachCountOneSelect) {
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.enable_metrics();
@@ -110,7 +110,7 @@ TEST(Database, QueryAndSnapshotQueryEachCountOneSelect) {
   (void)db.query("select dirst from D");
   EXPECT_EQ(selects(), before + 1);
   before = selects();
-  (void)snap.query("select dirst from D");
+  (void)snap.catalog().query("select dirst from D");
   EXPECT_EQ(selects(), before + 1);
   tracer.enable_metrics(false);
 }
@@ -141,19 +141,19 @@ TEST(Database, CheckEmptyAgreesAcrossPlannerModes) {
        {"[select dirst from D where dirst = X] = empty",
         "[select dirst from D where dirst = SI] = empty",
         "[select dirpv from D where dirst = MESI and dirpv = one] = empty"}) {
-    EXPECT_EQ(db.check_empty(sql), naive::check_empty(db.catalog(), sql))
+    EXPECT_EQ(db.check_empty(sql), naive::check_empty(db, sql))
         << sql;
   }
 }
 
 TEST(Database, ExplainRendersThePlan) {
   Database db = small_db();
-  QueryResult r = db.explain("select dirst from D where dirst = MESI");
+  const std::string plan = db.explain("select dirst from D where dirst = MESI");
   // Executed plan with estimated and actual cardinalities (the operator
   // choice — Scan vs IndexLookup — is the planner's business).
-  EXPECT_NE(r.plan.find("Project"), std::string::npos);
-  EXPECT_NE(r.plan.find("est="), std::string::npos);
-  EXPECT_NE(r.plan.find("actual=1"), std::string::npos);
+  EXPECT_NE(plan.find("Project"), std::string::npos);
+  EXPECT_NE(plan.find("est="), std::string::npos);
+  EXPECT_NE(plan.find("actual=1"), std::string::npos);
 }
 
 TEST(Database, ExecuteMutatesTheOwnedCatalog) {

@@ -1,4 +1,6 @@
-#include "relational/query.hpp"
+// Database: table storage (put / get / has), SELECT and emptiness on a
+// hand-built directory table.
+#include "relational/database.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,8 +9,8 @@
 namespace ccsql {
 namespace {
 
-Catalog make_catalog() {
-  Catalog cat;
+Database make_db() {
+  Database db;
   Table d(make_schema({{"inmsg", ColumnKind::kInput},
                        {"dirst", ColumnKind::kInput},
                        {"dirpv", ColumnKind::kInput},
@@ -17,91 +19,91 @@ Catalog make_catalog() {
   d.append({V("readex"), V("SI"), V("gone"), null_value()});
   d.append({V("wb"), V("MESI"), V("one"), V("compl")});
   d.append({V("data"), V("Busy-d"), V("zero"), V("compl")});
-  cat.put("D", std::move(d));
-  cat.functions().add_unary("isrequest", [](Value v) {
+  db.put("D", std::move(d));
+  db.functions().add_unary("isrequest", [](Value v) {
     return v == V("readex") || v == V("wb");
   });
-  return cat;
+  return db;
 }
 
-TEST(Catalog, PutGetHas) {
-  Catalog cat = make_catalog();
-  EXPECT_TRUE(cat.has("D"));
-  EXPECT_FALSE(cat.has("E"));
-  EXPECT_EQ(cat.get("D").row_count(), 4u);
-  EXPECT_THROW((void)cat.get("E"), BindError);
-  EXPECT_EQ(cat.size(), 1u);
+TEST(Database, PutGetHas) {
+  Database db = make_db();
+  EXPECT_TRUE(db.has("D"));
+  EXPECT_FALSE(db.has("E"));
+  EXPECT_EQ(db.get("D").row_count(), 4u);
+  EXPECT_THROW((void)db.get("E"), BindError);
+  EXPECT_EQ(db.tables().size(), 1u);
 }
 
-TEST(Catalog, PutReplaces) {
-  Catalog cat = make_catalog();
+TEST(Database, PutReplaces) {
+  Database db = make_db();
   Table t(Schema::of({"x"}));
   t.append({V("1")});
-  cat.put("D", t);
-  EXPECT_EQ(cat.get("D").row_count(), 1u);
+  db.put("D", t);
+  EXPECT_EQ(db.get("D").row_count(), 1u);
 }
 
-TEST(Catalog, SelectWithWhere) {
-  Catalog cat = make_catalog();
-  Table r = cat.query("select inmsg, dirst from D where inmsg = readex");
+TEST(Database, SelectWithWhere) {
+  Database db = make_db();
+  Table r = db.query("select inmsg, dirst from D where inmsg = readex").rows;
   EXPECT_EQ(r.row_count(), 2u);
   EXPECT_EQ(r.column_count(), 2u);
 }
 
-TEST(Catalog, SelectStarKeepsAllColumns) {
-  Catalog cat = make_catalog();
-  Table r = cat.query("select * from D where dirst = \"Busy-d\"");
+TEST(Database, SelectStarKeepsAllColumns) {
+  Database db = make_db();
+  Table r = db.query("select * from D where dirst = \"Busy-d\"").rows;
   EXPECT_EQ(r.row_count(), 1u);
   EXPECT_EQ(r.column_count(), 4u);
   EXPECT_EQ(r.at(0, "locmsg"), V("compl"));
 }
 
-TEST(Catalog, SelectDistinctProjection) {
-  Catalog cat = make_catalog();
-  Table all = cat.query("select locmsg from D");
+TEST(Database, SelectDistinctProjection) {
+  Database db = make_db();
+  Table all = db.query("select locmsg from D").rows;
   EXPECT_EQ(all.row_count(), 4u);  // plain select keeps duplicates
-  Table dist = cat.query("select distinct locmsg from D");
+  Table dist = db.query("select distinct locmsg from D").rows;
   EXPECT_EQ(dist.row_count(), 2u);  // compl, NULL
 }
 
-TEST(Catalog, WhereUsesRegisteredFunctions) {
-  Catalog cat = make_catalog();
-  Table r = cat.query("select inmsg from D where isrequest(inmsg)");
+TEST(Database, WhereUsesRegisteredFunctions) {
+  Database db = make_db();
+  Table r = db.query("select inmsg from D where isrequest(inmsg)").rows;
   EXPECT_EQ(r.row_count(), 3u);
 }
 
-TEST(Catalog, CheckEmptyPaperInvariantShape) {
-  Catalog cat = make_catalog();
+TEST(Database, CheckEmptyPaperInvariantShape) {
+  Database db = make_db();
   // dirst/dirpv consistency, in the paper's style: rows violating the
   // expected pairing must not exist.
-  EXPECT_TRUE(cat.check_empty(
+  EXPECT_TRUE(db.check_empty(
       "[Select dirst, dirpv from D where dirst = \"MESI\" and "
       "not dirpv = \"one\"] = empty"));
-  EXPECT_FALSE(cat.check_empty(
+  EXPECT_FALSE(db.check_empty(
       "[Select dirst from D where dirst = \"SI\"] = empty"));
 }
 
-TEST(Catalog, CheckEmptyConjunction) {
-  Catalog cat = make_catalog();
-  EXPECT_TRUE(cat.check_empty(
+TEST(Database, CheckEmptyConjunction) {
+  Database db = make_db();
+  EXPECT_TRUE(db.check_empty(
       "[select inmsg from D where inmsg = nosuch] = empty and "
       "[select inmsg from D where dirst = nosuch] = empty"));
   // One failing conjunct fails the invariant.
-  EXPECT_FALSE(cat.check_empty(
+  EXPECT_FALSE(db.check_empty(
       "[select inmsg from D where inmsg = nosuch] = empty and "
       "[select inmsg from D where inmsg = wb] = empty"));
 }
 
-TEST(Catalog, QueryAgainstMissingTableThrows) {
-  Catalog cat = make_catalog();
-  EXPECT_THROW(cat.query("select a from Missing"), BindError);
+TEST(Database, QueryAgainstMissingTableThrows) {
+  Database db = make_db();
+  EXPECT_THROW(db.query("select a from Missing"), BindError);
 }
 
-TEST(Catalog, WhereOnUnknownColumnThrows) {
-  Catalog cat = make_catalog();
+TEST(Database, WhereOnUnknownColumnThrows) {
+  Database db = make_db();
   // "nope" is not a column, so it is a literal; comparing a literal to a
   // literal is legal. But projecting an unknown column must throw.
-  EXPECT_THROW(cat.query("select nope from D"), BindError);
+  EXPECT_THROW(db.query("select nope from D"), BindError);
 }
 
 }  // namespace

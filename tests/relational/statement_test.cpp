@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "relational/database.hpp"
 #include "relational/error.hpp"
 #include "relational/format.hpp"
-#include "relational/query.hpp"
 
 namespace ccsql {
 namespace {
 
-Catalog db() {
-  Catalog cat;
+Database db() {
+  Database cat;
   Table d(Schema::of({"inmsg", "dirst"}));
   d.append({V("readex"), V("SI")});
   d.append({V("readex"), V("MESI")});
@@ -19,19 +19,19 @@ Catalog db() {
 }
 
 TEST(Statement, CountStar) {
-  Catalog cat = db();
-  Table r = cat.query("select count(*) from D");
+  Database cat = db();
+  Table r = cat.query("select count(*) from D").rows;
   ASSERT_EQ(r.row_count(), 1u);
   EXPECT_EQ(r.at(0, "count"), V("4"));
-  Table f = cat.query("select count(*) from D where dirst = MESI");
+  Table f = cat.query("select count(*) from D where dirst = MESI").rows;
   EXPECT_EQ(f.at(0, 0), V("2"));
-  Table z = cat.query("select count(*) from D where dirst = nosuch");
+  Table z = cat.query("select count(*) from D where dirst = nosuch").rows;
   EXPECT_EQ(z.at(0, 0), V("0"));
 }
 
 TEST(Statement, OrderByGivesDeterministicTextOrder) {
-  Catalog cat = db();
-  Table r = cat.query("select inmsg, dirst from D order by inmsg, dirst");
+  Database cat = db();
+  Table r = cat.query("select inmsg, dirst from D order by inmsg, dirst").rows;
   ASSERT_EQ(r.row_count(), 4u);
   EXPECT_EQ(r.at(0, "inmsg"), V("read"));
   EXPECT_EQ(r.at(1, "inmsg"), V("readex"));
@@ -41,26 +41,26 @@ TEST(Statement, OrderByGivesDeterministicTextOrder) {
 }
 
 TEST(Statement, UnionIsSetSemantics) {
-  Catalog cat = db();
+  Database cat = db();
   Table r = cat.query(
       "select inmsg from D where dirst = MESI union "
-      "select inmsg from D where inmsg = readex");
+      "select inmsg from D where inmsg = readex").rows;
   // {readex, wb} ∪ {readex} = {readex, wb}
   EXPECT_EQ(r.row_count(), 2u);
 }
 
 TEST(Statement, UnionAcrossTables) {
-  Catalog cat = db();
+  Database cat = db();
   Table e(Schema::of({"m"}));
   e.append({V("sinv")});
   cat.put("E", std::move(e));
-  Table r = cat.query("select inmsg from D union select m from E");
+  Table r = cat.query("select inmsg from D union select m from E").rows;
   EXPECT_EQ(r.row_count(), 4u);  // read, readex, wb, sinv
   EXPECT_EQ(r.schema().column(0).name, "inmsg");
 }
 
 TEST(Statement, CreateTableAsSelectMaterialises) {
-  Catalog cat = db();
+  Database cat = db();
   // The paper's section 5 DDL shape.
   Table created = cat.execute(
       "Create Table Owned as Select distinct inmsg, dirst from D "
@@ -69,11 +69,11 @@ TEST(Statement, CreateTableAsSelectMaterialises) {
   ASSERT_TRUE(cat.has("Owned"));
   EXPECT_EQ(cat.get("Owned").row_count(), 2u);
   // The created table is queryable like any other.
-  EXPECT_EQ(cat.query("select count(*) from Owned").at(0, 0), V("2"));
+  EXPECT_EQ(cat.query("select count(*) from Owned").rows.at(0, 0), V("2"));
 }
 
 TEST(Statement, DropTable) {
-  Catalog cat = db();
+  Database cat = db();
   cat.execute("create table T as select * from D");
   ASSERT_TRUE(cat.has("T"));
   cat.execute("drop table T");
@@ -82,7 +82,7 @@ TEST(Statement, DropTable) {
 }
 
 TEST(Statement, InsertValues) {
-  Catalog cat = db();
+  Database cat = db();
   cat.execute("insert into D values (flush, SI), (intr, I)");
   EXPECT_EQ(cat.get("D").row_count(), 6u);
   EXPECT_EQ(cat.query("select * from D where inmsg = intr").row_count(), 1u);
@@ -92,7 +92,7 @@ TEST(Statement, InsertValues) {
 }
 
 TEST(Statement, KeywordsAreLegalValueLiterals) {
-  Catalog cat = db();
+  Database cat = db();
   cat.execute("insert into D values (drop, count)");
   EXPECT_EQ(
       cat.query("select * from D where inmsg = drop and dirst = count")
@@ -101,7 +101,7 @@ TEST(Statement, KeywordsAreLegalValueLiterals) {
 }
 
 TEST(Statement, SelectStatementViaExecute) {
-  Catalog cat = db();
+  Database cat = db();
   Table r = cat.execute("select inmsg from D where dirst = I");
   EXPECT_EQ(r.row_count(), 1u);
 }
@@ -132,7 +132,7 @@ TEST(Statement, MalformedStatementsRejected) {
 TEST(Statement, PaperImplementationTableFlow) {
   // End-to-end mini version of the paper's section 5 flow in pure SQL:
   // partition by request class, then rebuild by union and compare.
-  Catalog cat = db();
+  Database cat = db();
   cat.functions().add_unary("isrequest", [](Value v) {
     return v == V("readex") || v == V("read") || v == V("wb");
   });
@@ -142,7 +142,7 @@ TEST(Statement, PaperImplementationTableFlow) {
   cat.execute(
       "create table Resp as select distinct inmsg, dirst from D "
       "where not isrequest(inmsg)");
-  Table rebuilt = cat.query("select * from Req union select * from Resp");
+  Table rebuilt = cat.query("select * from Req union select * from Resp").rows;
   EXPECT_TRUE(rebuilt.set_equal(cat.get("D")));
 }
 

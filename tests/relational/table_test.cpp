@@ -59,7 +59,7 @@ TEST(Table, LookupAndJoinShareOneIndex) {
   const obs::MemTracker& tracker = obs::MemTracker::global();
   const std::uint64_t before = tracker.usage(Cat::kIndexes).live;
   {
-    Catalog db;
+    Database db;
     Table d(Schema::of({"k", "v"}));
     for (int i = 0; i < 40; ++i) {
       d.append({V("share_k" + std::to_string(i % 8)),

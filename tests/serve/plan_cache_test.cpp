@@ -14,13 +14,13 @@ namespace ccsql::serve {
 namespace {
 
 Database small_db() {
-  Catalog cat;
+  Database cat;
   Table d(Schema::of({"dirst", "dirpv"}));
   d.append({V("MESI"), V("one")});
   d.append({V("SI"), V("gone")});
   d.append({V("I"), V("zero")});
   cat.put("D", std::move(d));
-  return Database(std::move(cat));
+  return cat;
 }
 
 TEST(NormalizeSql, CollapsesWhitespaceOutsideQuotes) {
@@ -133,7 +133,7 @@ TEST(IsEmpty, AgreesWithGenericExecutorOnAsuraSuite) {
     for (std::size_t u = 0; u < cs->units.size(); ++u, ++units) {
       EXPECT_EQ(cached_is_empty(*cs, u), run_unit(*cs, u, 1).row_count() == 0)
           << inv.name << " unit " << u;
-      EXPECT_EQ(cached_is_empty(*cs, u), snap.check_empty(stmts[u]))
+      EXPECT_EQ(cached_is_empty(*cs, u), snap.catalog().check_empty(stmts[u]))
           << inv.name << " unit " << u;
     }
   }
@@ -157,7 +157,7 @@ TEST(IsEmpty, FindsInjectedViolation) {
       "select dirst, dirpv from D where dirst = \"MESI\" and dirpv = \"zero\"";
   CachedStatementPtr cs = build_statement(snap, {parse_select(sql)});
   EXPECT_FALSE(cached_is_empty(*cs, 0));
-  EXPECT_EQ(cached_is_empty(*cs, 0), snap.check_empty(sql));
+  EXPECT_EQ(cached_is_empty(*cs, 0), snap.catalog().check_empty(sql));
 }
 
 TEST(RunUnit, MatchesDatabaseQueryResults) {

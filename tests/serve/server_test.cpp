@@ -1,8 +1,10 @@
 // serve::Server: the cached-vs-fresh differential over the full ASURA
 // invariant suite (against the naive executor), writer invalidation
-// through the public API, prepared-statement execution, and the published
-// stats.  LRU eviction is covered in plan_cache_test.
+// through the public API, prepared-statement execution, the published
+// stats, and drive()'s writer swap count.  LRU eviction is covered in
+// plan_cache_test.
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 
 #include <string>
 #include <vector>
@@ -40,7 +42,7 @@ std::vector<std::string> invariant_sqls() {
 // first compilation.
 TEST(Server, CachedMatchesFresh) {
   const std::vector<std::string> sqls = invariant_sqls();
-  const Catalog& fresh = spec().database().catalog();
+  const Database& fresh = spec().database();
   Server server(spec().database());
   for (int pass = 0; pass < 2; ++pass) {
     for (const std::string& sql : sqls) {
@@ -163,12 +165,12 @@ TEST(Server, PreparedExecuteEqualsLiteralQuery) {
 // the second execute() ran the first binding's plan and answered with its
 // row.  Length-prefixed values keep the two keys apart.
 TEST(Server, BindingsHoldingTheSeparatorDoNotShareAPlan) {
-  Catalog cat;
+  Database cat;
   Table t(Schema::of({"a", "b"}));
   t.append({V("x\x1e"), V("y")});
   t.append({V("x"), V("\x1ey")});
   cat.put("T", std::move(t));
-  Server server{Database(std::move(cat))};
+  Server server{cat};
   const Server::Prepared p =
       server.prepare("select a, b from T where a = $1 and b = $2");
   for (const std::vector<std::string>& values :
@@ -210,6 +212,31 @@ TEST(Server, PlanCacheMemoryReturnsToBaselineOnDestruction) {
   EXPECT_EQ(
       obs::MemTracker::global().usage(obs::MemTracker::Category::kPlans).live,
       base);
+}
+
+// The writer makes every swap it is asked for, even when the sessions
+// finish first: with no statements to run, they finish at once.
+TEST(Drive, WriterPerformsEveryRequestedSwap) {
+  Server server(spec().database());
+  DriveOptions opts;
+  opts.sessions = 1;
+  opts.writer_swaps = 4;
+  opts.writer_table = asura::kDirectory;
+  const DriveReport report = drive(server, {}, opts);
+  EXPECT_EQ(report.writer_swaps, 4u);
+  EXPECT_EQ(server.stats().writer_swaps, 4u);
+}
+
+// A session's error reaches the caller, after the writer is joined.
+TEST(Drive, FailingStatementThrowsAfterJoiningTheWriter) {
+  Server server(spec().database());
+  DriveOptions opts;
+  opts.sessions = 1;
+  opts.check_empty = false;
+  opts.writer_swaps = 2;
+  opts.writer_table = asura::kDirectory;
+  EXPECT_THROW((void)drive(server, {"select x from NOPE"}, opts), BindError);
+  EXPECT_EQ(server.stats().writer_swaps, 2u);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(SnapshotIsolation, OldHandlesSurviveSwapsUnchanged) {
   const std::string probe = "select dirst, dirpv from D";
 
   Snapshot before = server.snapshot();
-  const std::string before_csv = to_csv(before.query(probe).rows);
+  const std::string before_csv = to_csv(before.catalog().query(probe).rows);
 
   server.update([](Database& db) {
     Table d = db.get(asura::kDirectory);
@@ -130,8 +130,8 @@ TEST(SnapshotIsolation, OldHandlesSurviveSwapsUnchanged) {
   });
 
   Snapshot after = server.snapshot();
-  EXPECT_EQ(to_csv(before.query(probe).rows), before_csv);
-  EXPECT_NE(to_csv(after.query(probe).rows), before_csv);
+  EXPECT_EQ(to_csv(before.catalog().query(probe).rows), before_csv);
+  EXPECT_NE(to_csv(after.catalog().query(probe).rows), before_csv);
   EXPECT_LT(before.generation(), after.generation());
 }
 

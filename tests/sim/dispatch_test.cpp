@@ -233,7 +233,7 @@ TEST(ControllerDispatch, AllSixMatchLinearScanOnEveryRow) {
     const DispatchCase& c = simulated()[i];
     const ControllerDispatch& d = *compiled[i];
     SCOPED_TRACE(c.table);
-    const Table& t = spec().database().catalog().get(c.table);
+    const Table& t = spec().database().get(c.table);
     ASSERT_EQ(&d.table(), &t);
     EXPECT_EQ(d.key_columns(), c.keys);
     ASSERT_GT(t.row_count(), 0u);
@@ -278,7 +278,7 @@ TEST(ControllerDispatch, AllSixMatchLinearScanOnEveryRow) {
 }
 
 TEST(ControllerDispatch, MissesAgree) {
-  const Table& cc = spec().database().catalog().get(asura::kCache);
+  const Table& cc = spec().database().get(asura::kCache);
   ControllerDispatch dense(cc, {"inmsg", "cst"});
   // A symbol that never appears in the key columns, and a legal symbol in
   // the wrong column.
@@ -298,7 +298,7 @@ TEST(ControllerDispatch, MissesAgree) {
   for (std::size_t i = 0; i < compiled.size(); ++i) {
     const DispatchCase& c = simulated()[i];
     SCOPED_TRACE(c.table);
-    const Table& t = spec().database().catalog().get(c.table);
+    const Table& t = spec().database().get(c.table);
     const std::vector<Value> key = key_of(t, c.keys, 0);
     for (std::size_t k = 0; k < key.size(); ++k) {
       std::vector<Value> probe = key;

@@ -4,9 +4,9 @@
 
 #include <limits>
 
+#include "relational/database.hpp"
 #include "relational/error.hpp"
 #include "relational/format.hpp"
-#include "relational/query.hpp"
 #include "support/naive_solver.hpp"
 
 namespace ccsql {
@@ -49,7 +49,7 @@ TEST(Generator, IncrementalProducesExpectedRows) {
   // Inputs surviving the dirst constraint: readex×{I,SI}, wb×{MESI} = 3.
   // Outputs are functionally determined, so 3 rows total.
   ASSERT_EQ(t.row_count(), 3u);
-  Catalog cat;
+  Database cat;
   cat.put("T", t);
   EXPECT_EQ(cat.query("select * from T where inmsg = readex and dirst = SI "
                       "and remmsg = sinv and nxtdirst = \"Busy-sd\"")
@@ -159,7 +159,7 @@ TEST(Generator, FunctionsAvailableInConstraints) {
   in.functions = &fns;
   Table t = generate_incremental(in);
   ASSERT_EQ(t.row_count(), 2u);
-  Catalog cat;
+  Database cat;
   cat.put("T", t);
   EXPECT_EQ(
       cat.query("select * from T where m = readex and act = queue")
@@ -218,7 +218,7 @@ TEST(Generator, PaperDirpvConstraintShape) {
   Table t = generate_incremental(in);
   // 4 input combos, dirpv functionally determined -> 4 rows.
   ASSERT_EQ(t.row_count(), 4u);
-  Catalog cat;
+  Database cat;
   cat.put("T", t);
   EXPECT_EQ(cat.query("select * from T where dirpv = gone").row_count(), 0u);
   EXPECT_EQ(cat.query("select * from T where inmsg = \"data\" and "

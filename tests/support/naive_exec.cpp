@@ -17,7 +17,7 @@ Table select(const Table& t, const std::function<bool(RowView)>& pred) {
   return t.gather(sel);
 }
 
-Table run(const Catalog& db, const SelectStmt& stmt) {
+Table run(const Database& db, const SelectStmt& stmt) {
   // The FROM list as one cross product, columns renamed through aliases.
   Table source;
   bool first = true;
@@ -55,7 +55,7 @@ Table run(const Catalog& db, const SelectStmt& stmt) {
   return result;
 }
 
-bool check_empty(const Catalog& db, std::string_view invariant_text) {
+bool check_empty(const Database& db, std::string_view invariant_text) {
   for (const SelectStmt& s : parse_invariant(invariant_text)) {
     if (run(db, s).row_count() != 0) return false;
   }

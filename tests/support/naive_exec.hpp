@@ -10,8 +10,8 @@
 #include <functional>
 #include <string_view>
 
+#include "relational/database.hpp"
 #include "relational/expr.hpp"
-#include "relational/query.hpp"
 
 namespace ccsql::naive {
 
@@ -20,13 +20,13 @@ namespace ccsql::naive {
 [[nodiscard]] Table select(const Table& t,
                            const std::function<bool(RowView)>& pred);
 
-/// Executes `stmt` against `db` the naive way: the rows Catalog::run must
+/// Executes `stmt` against `db` the naive way: the rows Database::query must
 /// produce.
-[[nodiscard]] Table run(const Catalog& db, const SelectStmt& stmt);
+[[nodiscard]] Table run(const Database& db, const SelectStmt& stmt);
 
 /// Parses invariant text (see parse_invariant) and returns true iff every
 /// constituent SELECT yields no rows under run().
-[[nodiscard]] bool check_empty(const Catalog& db,
+[[nodiscard]] bool check_empty(const Database& db,
                                std::string_view invariant_text);
 
 /// select(pred, cross(left, right)) by materialising the whole cross
