@@ -204,9 +204,9 @@ struct Executor {
   }
 
   /// The base rows an IndexLookup selects (ascending), probed through its
-  /// prepared hash index; nullptr when the key is absent.
-  static const std::vector<std::size_t>* lookup_rows(const PlanNode& lookup) {
-    return lookup.index->find(Table::index_key(lookup.key_values));
+  /// prepared hash index; empty when the key is absent.
+  static std::span<const std::size_t> lookup_rows(const PlanNode& lookup) {
+    return lookup.index->find(lookup.key_values);
   }
 
   /// Which rows `node` — a Scan, IndexLookup or Select — yields, at most
@@ -221,11 +221,9 @@ struct Executor {
         return out;
       case PlanNode::Kind::kIndexLookup:
         out.base = node.bound;
-        if (const auto* bucket = lookup_rows(node)) {
-          for (std::size_t i : *bucket) {
-            if (out.ids.size() >= limit) break;
-            out.ids.push_back(static_cast<std::uint32_t>(i));
-          }
+        for (const std::size_t i : lookup_rows(node)) {
+          if (out.ids.size() >= limit) break;
+          out.ids.push_back(static_cast<std::uint32_t>(i));
         }
         CCSQL_COUNT("query.rows_scanned", out.ids.size());
         return out;
@@ -291,7 +289,7 @@ struct Executor {
       build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
                                       r.memory_bytes());
     }
-    const CrossRoute::Right right = route.right_side(rbase, ctx.jobs);
+    const CrossRoute::Right right = route.right_side(rbase);
     const vec::RowFilter* residual = route.residual();
     const std::size_t ln = l.row_count();
     bc::Sel& lsel = out.ids;
@@ -347,7 +345,7 @@ struct Executor {
       cross.stats.build_rows += right.rows;
       cross.stats.build_bytes += build_mem.bytes();
       for (const HashIndex* index : right.index) {
-        cross.stats.build_keys += index->key_count();
+        cross.stats.keys_indexed += index->key_count();
         cross.stats.build_bytes += index->memory_bytes();
       }
     }
@@ -373,10 +371,8 @@ struct Executor {
       // row.  Sound because an IndexLookup's schema is positionally
       // identical to its base table's.
       out.base = child.bound;
-      if (const auto* bucket = lookup_rows(child)) {
-        visited = pred.filter_rows(out.base->column_ptrs(), *bucket, limit,
-                                   out.ids);
-      }
+      visited = pred.filter_rows(out.base->column_ptrs(), lookup_rows(child),
+                                 limit, out.ids);
       stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
       stats.bytes_touched += scan_bytes(visited, pred.columns_read());
     } else if (child.is_scan()) {

@@ -81,7 +81,7 @@ void render_analyze_node(const PlanNode& node, int depth, std::string& out) {
     out += " [fused";
     if (s.build_rows > 0) {
       out += " build=" + std::to_string(s.build_rows) + " rows/" +
-             std::to_string(s.build_keys) + " keys/" +
+             std::to_string(s.keys_indexed) + " keys/" +
              obs::format_bytes(s.build_bytes);
     }
     out += "]";

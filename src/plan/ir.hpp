@@ -51,7 +51,7 @@ struct OpStats {
   std::uint64_t batches = 0;       // vectorized batches evaluated
   std::uint64_t morsels = 0;       // parallel morsels dispatched
   std::uint64_t build_rows = 0;    // routed cross: right rows indexed
-  std::uint64_t build_keys = 0;    // routed cross: distinct keys indexed
+  std::uint64_t keys_indexed = 0;  // routed cross: distinct keys indexed
   std::uint64_t build_bytes = 0;   // routed cross: estimated build memory
   std::uint64_t bytes_touched = 0;  // column bytes read + written (columnar)
 

@@ -255,63 +255,61 @@ void CrossRoute::split(std::uint32_t node, vec::Columns cols,
   scratch.release();
 }
 
-// Distinct tuples hold disjoint ascending buckets: append each one's once,
-// sort when several contributed.
+// Distinct tuples hold disjoint ascending row lists: append each one's
+// once, sort when several contributed.
 std::span<const std::size_t> CrossRoute::pick(
-    const Node& leaf, const HashIndex& index, const TupleKey* keys,
-    std::size_t stride, std::vector<std::size_t>& scratch) const {
-  if (leaf.tuples == 1) {
-    const std::vector<std::size_t>* rows = index.find(keys[0]);
-    return rows != nullptr ? std::span<const std::size_t>(*rows)
-                           : std::span<const std::size_t>();
-  }
+    const Node& leaf, const HashIndex& index, const Keys& keys,
+    std::size_t first, std::size_t stride,
+    std::vector<std::size_t>& scratch) const {
+  if (leaf.tuples == 1) return index.find(keys.key(first), keys.hashes[first]);
   scratch.clear();
-  std::size_t buckets = 0;
+  std::size_t lists = 0;
   for (std::size_t k = 0; k < leaf.tuples; ++k) {
-    const TupleKey& key = keys[k * stride];
+    const std::size_t q = first + k * stride;
+    const std::span<const Value> key = keys.key(q);
     bool repeated = false;
     for (std::size_t m = 0; m < k && !repeated; ++m) {
-      repeated = keys[m * stride] == key;
+      const std::size_t o = first + m * stride;
+      repeated = keys.hashes[o] == keys.hashes[q] &&
+                 std::ranges::equal(keys.key(o), key);
     }
     if (repeated) continue;
-    if (const auto* rows = index.find(key)) {
-      scratch.insert(scratch.end(), rows->begin(), rows->end());
-      ++buckets;
-    }
+    const std::span<const std::size_t> rows = index.find(key, keys.hashes[q]);
+    if (rows.empty()) continue;
+    scratch.insert(scratch.end(), rows.begin(), rows.end());
+    ++lists;
   }
-  if (buckets > 1) std::sort(scratch.begin(), scratch.end());
+  if (lists > 1) std::sort(scratch.begin(), scratch.end());
   return scratch;
 }
 
 void CrossRoute::keys_at(const Node& leaf, const Value* const* cols,
-                         std::uint32_t i, std::vector<Value>& values,
-                         std::vector<TupleKey>& out) const {
-  const std::size_t width = column_sets_[leaf.columns].size();
-  values.resize(width);
-  out.resize(leaf.tuples);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    for (std::size_t p = 0; p < width; ++p) {
-      values[p] = leaf.keys[k * width + p].get_at(cols, i);
-    }
-    out[k] = TupleKey::of_values(values);
+                         std::uint32_t i, Keys& out) const {
+  out.width = column_sets_[leaf.columns].size();
+  out.cells.resize(leaf.keys.size());
+  out.hashes.resize(leaf.tuples);
+  for (std::size_t p = 0; p < leaf.keys.size(); ++p) {
+    out.cells[p] = leaf.keys[p].get_at(cols, i);
+  }
+  for (std::size_t k = 0; k < leaf.tuples; ++k) {
+    out.hashes[k] = KeyHash::of(out.key(k));
   }
 }
 
-CrossRoute::Right CrossRoute::right_side(const Table& r,
-                                         std::size_t jobs) const {
+CrossRoute::Right CrossRoute::right_side(const Table& r) const {
   Right out;
   out.rows = r.row_count();
   for (const std::vector<std::size_t>& columns : column_sets_) {
     CCSQL_COUNT(r.has_cached_index(columns) ? "plan.index_hits"
                                             : "plan.index_builds",
                 1);
-    out.index.push_back(&r.index_on(columns, jobs));
+    out.index.push_back(&r.index_on(columns));
   }
   // A node whose keys are all literals picks the same rows for every left
   // row: resolve it once.
   out.fixed.resize(nodes_.size());
-  std::vector<Value> values;
-  std::vector<TupleKey> keys;
+  Keys keys;
+  std::vector<std::size_t> scratch;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const Node& leaf = nodes_[n];
     if (leaf.kind != Node::Kind::kKeyed ||
@@ -319,10 +317,9 @@ CrossRoute::Right CrossRoute::right_side(const Table& r,
                     [](const bc::Operand& k) { return k.is_column; })) {
       continue;
     }
-    keys_at(leaf, nullptr, 0, values, keys);
-    std::vector<std::size_t> scratch;
+    keys_at(leaf, nullptr, 0, keys);
     const std::span<const std::size_t> rows =
-        pick(leaf, *out.index[leaf.columns], keys.data(), 1, scratch);
+        pick(leaf, *out.index[leaf.columns], keys, 0, 1, scratch);
     out.fixed[n].emplace(rows.begin(), rows.end());
   }
   return out;
@@ -361,32 +358,32 @@ void CrossRoute::candidates(const Table& l, const Right& right,
       split(roots_[t], lcols, rows, leaf_of.data() + t * n, begin, scratch);
     }
   }
-  // A tree that is one keyed node is probed by every left row: its keys
-  // pack a batch of rows at a time.  A leaf below a split packs the keys
-  // of each row that reaches it.
-  std::vector<std::vector<TupleKey>> batch(roots_.size());
-  std::vector<std::size_t> key_columns, probe, held, tmp;
-  std::vector<Value> values;
-  std::vector<TupleKey> row_keys;
+  // A tree that is one keyed node is probed by every left row: a batch of
+  // rows' keys fill one buffer a cell position at a time, tuple-major (key
+  // k * m + i - lo for tuple k of row i).  A leaf below a split fills the
+  // keys of each row that reaches it.
+  std::vector<Keys> batch(roots_.size());
+  std::vector<std::size_t> probe, held, tmp;
+  Keys row_keys;
   for (std::size_t lo = begin; lo < end; lo += vec::kBatchRows) {
     const std::size_t hi = std::min(end, lo + vec::kBatchRows);
+    const std::size_t m = hi - lo;
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       const Node& root = nodes_[roots_[t]];
       if (root.kind != Node::Kind::kKeyed || right.fixed[roots_[t]]) continue;
-      const std::size_t width = root.keys.size() / root.tuples;
-      batch[t].assign(root.tuples * (hi - lo), TupleKey{});
-      for (std::size_t k = 0; k < root.keys.size(); k += width) {
-        key_columns.clear();
-        values.clear();
-        for (std::size_t p = k; p < k + width; ++p) {
-          if (root.keys[p].is_column) {
-            key_columns.push_back(root.keys[p].column);
-          } else {
-            values.push_back(root.keys[p].value);
-          }
+      Keys& b = batch[t];
+      b.width = root.keys.size() / root.tuples;
+      b.cells.resize(root.keys.size() * m);
+      b.hashes.resize(root.tuples * m);
+      for (std::size_t p = 0; p < root.keys.size(); ++p) {
+        const bc::Operand& key = root.keys[p];
+        Value* dst = b.cells.data() + (p / b.width * m) * b.width + p % b.width;
+        for (std::size_t i = 0; i < m; ++i) {
+          dst[i * b.width] = key.is_column ? lcols[key.column][lo + i] : key.value;
         }
-        l.build_keys(key_columns, lo, hi, batch[t].data() + k / width * (hi - lo),
-                     values);
+      }
+      for (std::size_t q = 0; q < b.hashes.size(); ++q) {
+        b.hashes[q] = KeyHash::of(b.key(q));
       }
     }
     for (std::size_t i = lo; i < hi; ++i) {
@@ -401,13 +398,11 @@ void CrossRoute::candidates(const Table& l, const Right& right,
         if (right.fixed[at]) {
           mine = *right.fixed[at];
         } else if (at == roots_[t]) {
-          mine = pick(leaf, *right.index[leaf.columns],
-                      batch[t].data() + (i - lo), hi - lo, probe);
-        } else if (leaf.kind == Node::Kind::kKeyed) {
-          keys_at(leaf, lcols.data(), static_cast<std::uint32_t>(i), values,
-                  row_keys);
-          mine = pick(leaf, *right.index[leaf.columns], row_keys.data(), 1,
+          mine = pick(leaf, *right.index[leaf.columns], batch[t], i - lo, m,
                       probe);
+        } else if (leaf.kind == Node::Kind::kKeyed) {
+          keys_at(leaf, lcols.data(), static_cast<std::uint32_t>(i), row_keys);
+          mine = pick(leaf, *right.index[leaf.columns], row_keys, 0, 1, probe);
         }
         if (every) {
           rows = mine;

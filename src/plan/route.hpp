@@ -74,7 +74,7 @@ class CrossRoute {
     std::vector<const HashIndex*> index;        // per column set
     std::vector<std::optional<std::vector<std::size_t>>> fixed;  // per node
   };
-  [[nodiscard]] Right right_side(const Table& r, std::size_t jobs) const;
+  [[nodiscard]] Right right_side(const Table& r) const;
 
   /// Appends the candidate pairs of left rows [begin, end) of `l` — a
   /// table over the left schema the route was built for — with the rows of
@@ -119,8 +119,19 @@ class CrossRoute {
     std::uint32_t tuples = 0;  // key tuples in `keys`
     /// Key tuples of one operand (a literal or a left column) per probed
     /// column, end to end: an `in` list holds one per atom.  Within a
-    /// tuple the left columns come first, as Table::build_keys lays out.
+    /// tuple the left columns come first, then the literal tail.
     std::vector<bc::Operand> keys;
+  };
+  /// Probe keys of one width, end to end: key q's cells are
+  /// cells[q * width ...], its KeyHash hashes[q].
+  struct Keys {
+    std::size_t width = 0;
+    std::vector<Value> cells;
+    std::vector<std::uint64_t> hashes;
+
+    [[nodiscard]] std::span<const Value> key(std::size_t q) const noexcept {
+      return {cells.data() + q * width, width};
+    }
   };
   struct Builder;
 
@@ -131,15 +142,16 @@ class CrossRoute {
              std::size_t base, bc::Scratch& scratch) const;
 
   /// The right rows holding one of `leaf`'s key tuples, ascending, each
-  /// once: the index's own bucket for a single tuple, else merged into
-  /// `scratch`.  Tuple k's key is keys[k * stride].
+  /// once: the index's own row list for a single tuple, else merged into
+  /// `scratch`.  Tuple k is key first + k * stride of `keys`.
   [[nodiscard]] std::span<const std::size_t> pick(
-      const Node& leaf, const HashIndex& index, const TupleKey* keys,
-      std::size_t stride, std::vector<std::size_t>& scratch) const;
+      const Node& leaf, const HashIndex& index, const Keys& keys,
+      std::size_t first, std::size_t stride,
+      std::vector<std::size_t>& scratch) const;
   /// `leaf`'s key tuples at left row i of `cols` (nullptr when every key
-  /// is a literal) into `out`; `values` is scratch.
+  /// is a literal) into `out`.
   void keys_at(const Node& leaf, const Value* const* cols, std::uint32_t i,
-               std::vector<Value>& values, std::vector<TupleKey>& out) const;
+               Keys& out) const;
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> roots_;  // one tree per routed conjunct

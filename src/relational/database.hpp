@@ -67,7 +67,7 @@ class Snapshot;
 
 /// Tables are held by shared_ptr: copying a Database (a session copy, or
 /// the serving layer's snapshot) shares row storage and lazily-built
-/// TupleKey indexes with the original, so a copy is O(#tables) pointer
+/// hash indexes with the original, so a copy is O(#tables) pointer
 /// copies.  Every mutation is copy-on-write — it replaces the affected
 /// pointer and bumps generation(), never touching rows a concurrent reader
 /// may hold.
@@ -177,7 +177,7 @@ class Database {
 /// An immutable point-in-time Database — its tables, functions and session
 /// jobs setting.  Cheap to copy (a shared_ptr); safe to query from any
 /// thread through catalog().  The tables — rows and their lazily-built
-/// TupleKey indexes — are shared with whatever versions the live database
+/// hash indexes — are shared with whatever versions the live database
 /// still holds, and stay valid after the live side regenerates them: a
 /// writer swap never blocks or invalidates a reader.
 class Snapshot {

@@ -1,10 +1,9 @@
 #include "relational/table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/pool.hpp"
@@ -12,57 +11,9 @@
 
 namespace ccsql {
 
-// ---- TupleKey ---------------------------------------------------------------
-
-void TupleKey::set(std::size_t pos, std::uint32_t id) {
-  if (pos < 2) {
-    lo_ |= static_cast<std::uint64_t>(id) << (pos == 0 ? 32 : 0);
-  } else if (pos < 4) {
-    hi_ |= static_cast<std::uint64_t>(id) << (pos == 2 ? 32 : 0);
-  } else {
-    overflow_.push_back(id);
-  }
-}
-
-TupleKey TupleKey::of_row(RowView row, std::span<const std::size_t> cols) {
-  TupleKey k;
-  if (cols.size() > 4) k.overflow_.reserve(cols.size() - 4);
-  for (std::size_t i = 0; i < cols.size(); ++i) k.set(i, row[cols[i]].id());
-  return k;
-}
-
-TupleKey TupleKey::of_values(std::span<const Value> key) {
-  TupleKey k;
-  if (key.size() > 4) k.overflow_.reserve(key.size() - 4);
-  for (std::size_t i = 0; i < key.size(); ++i) k.set(i, key[i].id());
-  return k;
-}
-
-std::size_t TupleKey::hash() const noexcept {
-  if (hi_ == 0 && overflow_.empty()) {
-    // Short key: one splitmix64 finalizer round over the packed word.
-    std::uint64_t h = lo_ + 0x9e3779b97f4a7c15ull;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(h ^ (h >> 31));
-  }
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the full tuple
-  auto mix = [&h](std::uint64_t v) {
-    h = (h ^ v) * 0x100000001b3ull;
-  };
-  mix(lo_);
-  mix(hi_);
-  for (std::uint32_t id : overflow_) mix(id);
-  return static_cast<std::size_t>(h);
-}
-
-// ---- Table ------------------------------------------------------------------
+// ---- Row keys ---------------------------------------------------------------
 
 namespace {
-
-/// Rows packed per build_keys / TupleKey-set pass before the key buffer is
-/// recycled; also the morsel grain of parallel index builds.
-constexpr std::size_t kKeyChunk = 4096;
 
 std::vector<std::size_t> iota_cols(std::size_t n) {
   std::vector<std::size_t> cols(n);
@@ -70,26 +21,87 @@ std::vector<std::size_t> iota_cols(std::size_t n) {
   return cols;
 }
 
-/// Calls `fn(key, row)` with each row's full-row key, in row order; keys are
-/// built column-at-a-time, one chunk at a time.  Stops and returns false as
-/// soon as `fn` does.
-template <typename Fn>
-bool for_each_row_key(const Table& t, Fn fn) {
-  const std::size_t n = t.row_count();
-  const std::vector<std::size_t> cols = iota_cols(t.column_count());
-  std::vector<TupleKey> keys;
-  for (std::size_t begin = 0; begin < n; begin += kKeyChunk) {
-    const std::size_t end = std::min(n, begin + kKeyChunk);
-    keys.assign(end - begin, TupleKey{});
-    t.build_keys(cols, begin, end, keys.data());
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!fn(keys[i - begin], i)) return false;
-    }
+/// KeyHash of every row of `t` over `cols`, folded one column at a time.
+std::vector<std::uint64_t> hash_rows(const Table& t,
+                                     std::span<const std::size_t> cols) {
+  std::vector<std::uint64_t> h(t.row_count(), KeyHash::kSeed);
+  for (const std::size_t c : cols) {
+    const Value* col = t.column_data(c);
+    for (std::size_t i = 0; i < h.size(); ++i) h[i] = KeyHash::step(h[i], col[i]);
+  }
+  for (std::uint64_t& x : h) x = KeyHash::finish(x);
+  return h;
+}
+
+/// Open-addressing slots for `n` entries: a power of two, load at most 1/2.
+std::size_t slot_count(std::size_t n) {
+  return std::bit_ceil(std::max<std::size_t>(2, 2 * n));
+}
+
+/// True when row `a` of columns `ca` holds the same cells as row `b` of
+/// columns `cb`.
+bool same_cells(std::span<const Value* const> ca, std::size_t a,
+                std::span<const Value* const> cb, std::size_t b) {
+  for (std::size_t p = 0; p < ca.size(); ++p) {
+    if (ca[p][a] != cb[p][b]) return false;
   }
   return true;
 }
 
+/// A set of rows of one table distinct over some of its columns: their
+/// row ids in an open-addressing array (linear probing), every row's hash
+/// alongside.  Rows compare cell by cell straight from the column vectors,
+/// so a probe may be a row of another table with the same columns.
+class RowSet {
+ public:
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  RowSet(const Table& t, std::span<const std::size_t> cols)
+      : hashes_(hash_rows(t, cols)), slots_(slot_count(t.row_count())) {
+    for (const std::size_t c : cols) cols_.push_back(t.column_data(c));
+  }
+
+  /// Adds row `r` of the table unless an equal row is in; returns the
+  /// set's row equal to it — `r` itself when it was new.
+  std::size_t insert(std::size_t r) {
+    std::uint32_t& slot = slots_[probe(cols_, r, hashes_[r])];
+    if (slot == 0) slot = static_cast<std::uint32_t>(r + 1);
+    return slot - 1;
+  }
+
+  /// The row of the set equal to row `r` of columns `cols` (hashed `h`);
+  /// kAbsent when there is none.
+  [[nodiscard]] std::size_t find(std::span<const Value* const> cols,
+                                 std::size_t r, std::uint64_t h) const {
+    const std::uint32_t slot = slots_[probe(cols, r, h)];
+    return slot == 0 ? kAbsent : slot - 1;
+  }
+
+  [[nodiscard]] std::uint64_t hash(std::size_t r) const { return hashes_[r]; }
+
+ private:
+  /// The slot holding a row equal to row `r` of `cols`, else the empty
+  /// slot where it would go.
+  [[nodiscard]] std::size_t probe(std::span<const Value* const> cols,
+                                  std::size_t r, std::uint64_t h) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = h & mask;; s = (s + 1) & mask) {
+      const std::uint32_t slot = slots_[s];
+      if (slot == 0 ||
+          (hashes_[slot - 1] == h && same_cells(cols_, slot - 1, cols, r))) {
+        return s;
+      }
+    }
+  }
+
+  std::vector<const Value*> cols_;
+  std::vector<std::uint64_t> hashes_;  // per row of the table
+  std::vector<std::uint32_t> slots_;   // row id + 1; 0 is empty
+};
+
 }  // namespace
+
+// ---- Table ------------------------------------------------------------------
 
 Table::Table(SchemaPtr schema) : schema_(std::move(schema)) {
   if (!schema_) throw SchemaError("Table: null schema");
@@ -188,18 +200,11 @@ Table Table::distinct() const {
     out.rows_ = rows_ > 0 ? 1 : 0;
     return out;
   }
-  // Dedupe on packed symbol-id tuples built column-at-a-time: rows of up to
-  // four columns hash and compare as two inline words, with no per-row key
-  // formatting and no row materialisation.
-  std::unordered_set<TupleKey, TupleKeyHash> seen;
-  seen.reserve(rows_);
+  RowSet seen(*this, iota_cols(width()));
   std::vector<std::uint32_t> sel;
-  for_each_row_key(*this, [&](TupleKey& k, std::size_t row) {
-    if (seen.insert(std::move(k)).second) {
-      sel.push_back(static_cast<std::uint32_t>(row));
-    }
-    return true;
-  });
+  for (std::size_t r = 0; r < rows_; ++r) {
+    if (seen.insert(r) == r) sel.push_back(static_cast<std::uint32_t>(r));
+  }
   return gather(sel);
 }
 
@@ -292,40 +297,37 @@ Table Table::with_schema(SchemaPtr schema) const {
 bool Table::contains_all(const Table& other) const {
   check_same_names(other);
   if (width() == 0) return rows_ > 0 || other.rows_ == 0;
-  std::unordered_set<TupleKey, TupleKeyHash> mine;
-  mine.reserve(rows_);
-  for_each_row_key(*this, [&](TupleKey& k, std::size_t) {
-    mine.insert(std::move(k));
-    return true;
-  });
-  return for_each_row_key(other, [&](const TupleKey& k, std::size_t) {
-    return mine.count(k) != 0;
-  });
+  RowSet mine(*this, iota_cols(width()));
+  for (std::size_t r = 0; r < rows_; ++r) mine.insert(r);
+  const std::vector<const Value*> cols = other.column_ptrs();
+  const std::vector<std::uint64_t> h = hash_rows(other, iota_cols(width()));
+  for (std::size_t r = 0; r < other.rows_; ++r) {
+    if (mine.find(cols, r, h[r]) == RowSet::kAbsent) return false;
+  }
+  return true;
 }
 
 bool Table::set_equal(const Table& other) const {
   check_same_names(other);
   if (width() == 0) return (rows_ > 0) == (other.rows_ > 0);
-  // One key set: every row of `other` must find its key in it, and those
-  // finds must cover every distinct key of this table.
-  std::unordered_map<TupleKey, bool, TupleKeyHash> mine;  // key -> matched
-  mine.reserve(rows_);
-  for_each_row_key(*this, [&](TupleKey& k, std::size_t) {
-    mine.emplace(std::move(k), false);
-    return true;
-  });
-  std::size_t matched = 0;
-  const bool covered =
-      for_each_row_key(other, [&](const TupleKey& k, std::size_t) {
-        const auto it = mine.find(k);
-        if (it == mine.end()) return false;
-        if (!it->second) {
-          it->second = true;
-          ++matched;
-        }
-        return true;
-      });
-  return covered && matched == mine.size();
+  // One row set: every row of `other` must find its match in it, and those
+  // matches must cover every distinct row of this table.
+  RowSet mine(*this, iota_cols(width()));
+  std::size_t distinct = 0;
+  for (std::size_t r = 0; r < rows_; ++r) distinct += mine.insert(r) == r;
+  std::vector<bool> matched(rows_, false);
+  std::size_t covered = 0;
+  const std::vector<const Value*> cols = other.column_ptrs();
+  const std::vector<std::uint64_t> h = hash_rows(other, iota_cols(width()));
+  for (std::size_t r = 0; r < other.rows_; ++r) {
+    const std::size_t m = mine.find(cols, r, h[r]);
+    if (m == RowSet::kAbsent) return false;
+    if (!matched[m]) {
+      matched[m] = true;
+      ++covered;
+    }
+  }
+  return covered == distinct;
 }
 
 Table Table::sorted_by(const std::vector<std::string>& columns) const {
@@ -344,44 +346,6 @@ Table Table::sorted_by(const std::vector<std::string>& columns) const {
                      return false;
                    });
   return gather(order);
-}
-
-// ---- Key building -----------------------------------------------------------
-
-void Table::build_keys(std::span<const std::size_t> cols, std::size_t begin,
-                       std::size_t end, TupleKey* out,
-                       std::span<const Value> tail) const {
-  const std::size_t n = end - begin;
-  const std::size_t width = cols.size() + tail.size();
-  // A wide key's overflow ids get their storage in one exact-size
-  // allocation up front, not one growth step per pushed id.
-  if (width > 4) {
-    for (std::size_t i = 0; i < n; ++i) out[i].overflow_.reserve(width - 4);
-  }
-  // Position-major: one sequential pass per key column.  Positions ascend,
-  // so overflow ids (arity > 4) push in the same order of_row encodes them.
-  for (std::size_t pos = 0; pos < cols.size(); ++pos) {
-    const Value* col = cols_[cols[pos]]->data() + begin;
-    if (pos < 4) {
-      const unsigned shift = (pos % 2 == 0) ? 32u : 0u;
-      if (pos < 2) {
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i].lo_ |= static_cast<std::uint64_t>(col[i].id()) << shift;
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i].hi_ |= static_cast<std::uint64_t>(col[i].id()) << shift;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i].overflow_.push_back(col[i].id());
-      }
-    }
-  }
-  for (std::size_t k = 0; k < tail.size(); ++k) {
-    for (std::size_t i = 0; i < n; ++i) out[i].set(cols.size() + k, tail[k].id());
-  }
 }
 
 // ---- Hash index cache -------------------------------------------------------
@@ -410,8 +374,8 @@ Table& Table::operator=(const Table& other) {
   return *this;
 }
 
-const HashIndex& Table::index_on(const std::vector<std::size_t>& columns,
-                                 std::size_t jobs) const {
+const HashIndex& Table::index_on(
+    const std::vector<std::size_t>& columns) const {
   {
     std::lock_guard<std::mutex> lock(index_cache_mutex());
     if (index_cache_) {
@@ -420,12 +384,11 @@ const HashIndex& Table::index_on(const std::vector<std::size_t>& columns,
       if (it != index_cache_->end()) return it->second.index;
     }
   }
-  // Build outside the lock: a pool worker building here can still take part
-  // in nested parallel work (Group::wait helping) without holding the cache
-  // mutex across it.  Concurrent callers may build the same index twice;
-  // emplace below keeps the first and drops the duplicate — wasted work,
-  // never a wrong answer.
-  HashIndex built = HashIndex::build(*this, columns, jobs);
+  // Build outside the lock, so builds of other indexes do not wait on this
+  // one.  Concurrent callers may build the same index twice; emplace below
+  // keeps the first and drops the duplicate — wasted work, never a wrong
+  // answer.
+  HashIndex built = HashIndex::build(*this, columns);
   obs::MemReservation mem(obs::MemTracker::Category::kIndexes,
                           built.memory_bytes());
   std::lock_guard<std::mutex> lock(index_cache_mutex());
@@ -445,139 +408,56 @@ bool Table::has_cached_index(const std::vector<std::size_t>& columns) const {
 
 // ---- Hash index -------------------------------------------------------------
 
-namespace {
-
-/// Build sides below this row count get a single partition: the whole hash
-/// table already fits in cache, so radix scatter is pure overhead.
-constexpr std::size_t kRadixMinRows = 8192;
-/// Partition count targets ~this many build rows per partition.
-constexpr std::size_t kRadixTargetRows = 4096;
-constexpr std::size_t kRadixMaxBits = 6;  // at most 64 partitions
-
-}  // namespace
-
-HashIndex HashIndex::build(const Table& t, std::span<const std::size_t> cols,
-                           std::size_t jobs) {
+HashIndex HashIndex::build(const Table& t, std::span<const std::size_t> cols) {
   HashIndex idx;
   const std::size_t n = t.row_count();
-  idx.rows_ = n;
-
-  std::size_t bits = 0;
-  if (n >= kRadixMinRows) {
-    while (bits < kRadixMaxBits &&
-           (std::size_t{1} << (bits + 1)) <= n / kRadixTargetRows) {
-      ++bits;
+  idx.width_ = cols.size();
+  // Each row's key id, keys numbered in order of their first row.
+  RowSet seen(t, cols);
+  std::vector<std::uint32_t> key_of(n);
+  std::vector<std::uint32_t> first;  // per key: its first row
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t rep = seen.insert(i);
+    if (rep == i) {
+      key_of[i] = static_cast<std::uint32_t>(first.size());
+      first.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      key_of[i] = key_of[rep];
     }
-    if (bits == 0) bits = 1;  // past the threshold, always partition
-  }
-  const std::size_t parts = std::size_t{1} << bits;
-  idx.mask_ = parts - 1;
-  idx.parts_.assign(parts, IndexMap{});
-
-  // Pass 1: pack every row's key, morsel-parallel (morsel boundaries are
-  // jobs-independent, and each morsel writes disjoint key slots).
-  std::vector<TupleKey> keys(n);
-  core::Pool::global().parallel_for(
-      n, kKeyChunk, jobs,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        t.build_keys(cols, begin, end, keys.data() + begin);
-      });
-
-  if (parts == 1) {
-    IndexMap& m = idx.parts_[0];
-    m.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m[std::move(keys[i])].push_back(i);
-    }
-    return idx;
   }
 
-  // Pass 2: count rows per (morsel, partition), then prefix-sum into
-  // scatter offsets.  Scattering in morsel order keeps each partition's
-  // (key, row) list in ascending row order, so per-key row lists — and
-  // therefore probe output — are byte-identical to the single-partition
-  // build at any partition count and any jobs value.
-  const std::size_t morsels = (n + kKeyChunk - 1) / kKeyChunk;
-  std::vector<std::uint8_t> pid(n);
-  std::vector<std::vector<std::uint32_t>> counts(
-      morsels, std::vector<std::uint32_t>(parts, 0));
-  core::Pool::global().parallel_for(
-      n, kKeyChunk, jobs,
-      [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-        std::vector<std::uint32_t>& c = counts[morsel];
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto p =
-              static_cast<std::uint8_t>(keys[i].hash() & idx.mask_);
-          pid[i] = p;
-          ++c[p];
-        }
-      });
-
-  std::vector<std::size_t> part_total(parts, 0);
-  std::vector<std::vector<std::uint32_t>> offsets(
-      morsels, std::vector<std::uint32_t>(parts, 0));
-  for (std::size_t p = 0; p < parts; ++p) {
-    std::size_t running = 0;
-    for (std::size_t m = 0; m < morsels; ++m) {
-      offsets[m][p] = static_cast<std::uint32_t>(running);
-      running += counts[m][p];
+  const std::size_t keys = first.size();
+  idx.hashes_.resize(keys);
+  idx.keys_.resize(keys * idx.width_);
+  idx.slots_.resize(slot_count(keys));
+  const std::size_t mask = idx.slots_.size() - 1;
+  for (std::size_t k = 0; k < keys; ++k) {
+    idx.hashes_[k] = seen.hash(first[k]);
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      idx.keys_[k * idx.width_ + p] = t.at(first[k], cols[p]);
     }
-    part_total[p] = running;
+    std::size_t s = idx.hashes_[k] & mask;
+    while (idx.slots_[s] != 0) s = (s + 1) & mask;
+    idx.slots_[s] = static_cast<std::uint32_t>(k + 1);
   }
-
-  struct PartInput {
-    std::vector<TupleKey> keys;
-    std::vector<std::uint32_t> rows;
-  };
-  std::vector<PartInput> inputs(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    inputs[p].keys.resize(part_total[p]);
-    inputs[p].rows.resize(part_total[p]);
-  }
-  core::Pool::global().parallel_for(
-      n, kKeyChunk, jobs,
-      [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-        std::vector<std::uint32_t> cursor = offsets[morsel];
-        for (std::size_t i = begin; i < end; ++i) {
-          PartInput& in = inputs[pid[i]];
-          const std::uint32_t d = cursor[pid[i]]++;
-          in.keys[d] = std::move(keys[i]);
-          in.rows[d] = static_cast<std::uint32_t>(i);
-        }
-      });
-
-  // Pass 3: each partition's hash map builds independently — no serial
-  // merge, and a probe only ever touches one partition-sized map.
-  core::Pool::global().parallel_tasks(parts, jobs, [&](std::size_t p) {
-    PartInput& in = inputs[p];
-    IndexMap& m = idx.parts_[p];
-    m.reserve(in.keys.size());
-    for (std::size_t d = 0; d < in.keys.size(); ++d) {
-      m[std::move(in.keys[d])].push_back(in.rows[d]);
-    }
-  });
+  // CSR row lists, filled in row order: each list is ascending.
+  idx.offsets_.assign(keys + 1, 0);
+  for (const std::uint32_t k : key_of) ++idx.offsets_[k + 1];
+  std::partial_sum(idx.offsets_.begin(), idx.offsets_.end(),
+                   idx.offsets_.begin());
+  std::vector<std::uint32_t> cursor(idx.offsets_.begin(),
+                                    idx.offsets_.end() - 1);
+  idx.rows_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) idx.rows_[cursor[key_of[i]]++] = i;
   return idx;
 }
 
-std::size_t HashIndex::key_count() const noexcept {
-  std::size_t keys = 0;
-  for (const auto& p : parts_) keys += p.size();
-  return keys;
-}
-
 std::size_t HashIndex::memory_bytes() const noexcept {
-  std::size_t bytes = parts_.capacity() * sizeof(IndexMap);
-  for (const auto& p : parts_) bytes += partition_bytes(p);
-  return bytes;
-}
-
-std::size_t HashIndex::partition_bytes(const IndexMap& m) noexcept {
-  std::size_t bytes = m.bucket_count() * sizeof(void*);
-  for (const auto& [key, rows] : m) {
-    bytes += sizeof(std::pair<TupleKey, std::vector<std::size_t>>) +
-             key.heap_bytes() + rows.capacity() * sizeof(std::size_t);
-  }
-  return bytes;
+  return keys_.capacity() * sizeof(Value) +
+         hashes_.capacity() * sizeof(std::uint64_t) +
+         slots_.capacity() * sizeof(std::uint32_t) +
+         offsets_.capacity() * sizeof(std::uint32_t) +
+         rows_.capacity() * sizeof(std::size_t);
 }
 
 }  // namespace ccsql

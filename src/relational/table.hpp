@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <algorithm>
 #include <initializer_list>
 #include <iterator>
 #include <map>
@@ -9,7 +10,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/mem.hpp"
@@ -146,103 +146,84 @@ class RowView {
   std::size_t n_ = 0;
 };
 
-/// A tuple of symbol ids packed for hashing: the key type of hash
-/// indexes, join probes, and row deduplication.  Values are already interned
-/// 32-bit ids, so up to four of them pack into two inline words (no heap
-/// traffic for the common 1-4 column keys); wider tuples spill the remainder
-/// into an overflow vector.  Equality always compares the full tuple; the
-/// hash is the packed word for short keys and an FNV-1a mix otherwise.
-///
-/// Keys of different arities may collide structurally (a NULL id is 0), but
-/// every map is keyed by tuples of one fixed arity, so this never matters.
-class TupleKey {
- public:
-  TupleKey() = default;
+/// The one hash of a tuple of symbol ids, folded in tuple order: `step`
+/// folds in one cell, `finish` mixes the state.  A batch of rows folds one
+/// column at a time into per-row states; a probe folds its key span in one
+/// loop (`of`).  Both give the same value for the same tuple.
+struct KeyHash {
+  static constexpr std::uint64_t kSeed = 0x243f6a8885a308d3ull;
 
-  /// Key of the given cells of `row`, in `cols` order.
-  static TupleKey of_row(RowView row, std::span<const std::size_t> cols);
-  /// Key of an explicit tuple (same encoding as of_row).
-  static TupleKey of_values(std::span<const Value> key);
-
-  [[nodiscard]] std::size_t hash() const noexcept;
-
-  /// Heap bytes held by an overflow (arity > 4) key; 0 for inline keys.
-  /// MemTracker's index accounting adds this per cached key.
-  [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return overflow_.capacity() * sizeof(std::uint32_t);
+  [[nodiscard]] static constexpr std::uint64_t step(std::uint64_t h,
+                                                    Value v) noexcept {
+    return (h ^ v.id()) * 0x9e3779b97f4a7c15ull;
   }
-
-  friend bool operator==(const TupleKey& a, const TupleKey& b) {
-    return a.lo_ == b.lo_ && a.hi_ == b.hi_ && a.overflow_ == b.overflow_;
+  [[nodiscard]] static constexpr std::uint64_t finish(std::uint64_t h) noexcept {
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdull;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
   }
-
- private:
-  friend class Table;  // batch (column-at-a-time) key building
-
-  void set(std::size_t pos, std::uint32_t id);
-
-  std::uint64_t lo_ = 0;  // ids 0-1, packed high-to-low
-  std::uint64_t hi_ = 0;  // ids 2-3
-  std::vector<std::uint32_t> overflow_;  // ids 4+
+  [[nodiscard]] static std::uint64_t of(std::span<const Value> key) noexcept {
+    std::uint64_t h = kSeed;
+    for (const Value v : key) h = step(h, v);
+    return finish(h);
+  }
 };
 
-struct TupleKeyHash {
-  std::size_t operator()(const TupleKey& k) const noexcept { return k.hash(); }
-};
-
-/// A hash index over a column set: key tuple to the row indices holding it,
-/// ascending.  The one index structure of the engine: point lookups
-/// (IndexLookup) and the right sides of joins — a Select over a Cross,
-/// routed on its equalities — share it through Table::index_on.  Keys are
-/// packed symbol-id tuples, not strings: probing never formats or allocates
-/// for keys of up to four columns.
+/// A hash index over a column set: each distinct key tuple to the rows
+/// holding it, ascending.  The one index structure of the engine: point
+/// lookups (IndexLookup) and the right sides of joins — a Select over a
+/// Cross, routed on its equalities — share it through Table::index_on.
 ///
-/// Radix-partitioned: above 8192 rows, rows are scattered into 2^bits
-/// partitions by the low bits of their key hash, and each partition is an
-/// independent hash map built in parallel (no serial merge); probes route
-/// by the same bits, so each lookup touches one cache-resident partition.
-/// Smaller tables get a single partition, the classic hash table.  Row
-/// lists stay ascending at any partition count and any jobs value, so
-/// probe output is byte-identical across configurations.
+/// Flat: the distinct keys' cells in one row-major array plus their
+/// hashes, an open-addressing array of key ids (linear probing, load at
+/// most 1/2), and CSR row lists — one offsets array, one rows array.  A
+/// probe hashes its key span once and compares cells in place: no key
+/// object and no allocation.  Built in one serial pass in row order, so
+/// each row list is ascending.
 class HashIndex {
  public:
-  HashIndex() : parts_(1) {}
+  /// Builds over the given columns of `t`.
+  static HashIndex build(const Table& t, std::span<const std::size_t> cols);
 
-  /// Builds over the given columns of `t`; partition count is chosen from
-  /// the row count alone.  `jobs` > 1 parallelizes key packing, the
-  /// partition scatter and the per-partition map builds on the pool.
-  static HashIndex build(const Table& t, std::span<const std::size_t> cols,
-                         std::size_t jobs);
-
-  /// The rows holding `k`, ascending; nullptr when absent.
-  [[nodiscard]] const std::vector<std::size_t>* find(
-      const TupleKey& k) const noexcept {
-    // One partition (most tables): skip the routing hash; the map hashes.
-    const IndexMap& m = mask_ == 0 ? parts_[0] : parts_[k.hash() & mask_];
-    auto it = m.find(k);
-    return it == m.end() ? nullptr : &it->second;
+  /// The rows holding `key` (one cell per indexed column), ascending;
+  /// empty when absent.  `hash` is KeyHash::of(key).
+  [[nodiscard]] std::span<const std::size_t> find(
+      std::span<const Value> key, std::uint64_t hash) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      const std::uint32_t k = slots_[s];
+      if (k == 0) return {};
+      if (hashes_[k - 1] == hash &&
+          std::equal(key.begin(), key.end(),
+                     keys_.begin() + static_cast<std::ptrdiff_t>(
+                                         (k - 1) * width_))) {
+        return {rows_.data() + offsets_[k - 1], rows_.data() + offsets_[k]};
+      }
+    }
+  }
+  [[nodiscard]] std::span<const std::size_t> find(
+      std::span<const Value> key) const noexcept {
+    return find(key, KeyHash::of(key));
   }
 
-  [[nodiscard]] std::size_t partitions() const noexcept {
-    return parts_.size();
+  [[nodiscard]] std::size_t key_count() const noexcept {
+    return hashes_.size();
   }
-  [[nodiscard]] std::size_t key_count() const noexcept;
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_; }
-  /// Approximate heap footprint (buckets, key nodes incl. TupleKey overflow
-  /// spill, row lists) — the MemTracker kIndexes reservation backing the
-  /// index cache.  O(keys).
+  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
+  /// Heap footprint: the sum of the arrays' capacities — the MemTracker
+  /// kIndexes reservation backing the index cache.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  /// One partition: key tuple to its ascending row list.
-  using IndexMap =
-      std::unordered_map<TupleKey, std::vector<std::size_t>, TupleKeyHash>;
+  HashIndex() = default;
 
-  [[nodiscard]] static std::size_t partition_bytes(const IndexMap& m) noexcept;
-
-  std::vector<IndexMap> parts_;  // power-of-two count
-  std::size_t mask_ = 0;
-  std::size_t rows_ = 0;
+  std::size_t width_ = 0;
+  std::vector<Value> keys_;            // key_count() x width_, row-major
+  std::vector<std::uint64_t> hashes_;  // per key
+  std::vector<std::uint32_t> slots_;   // key id + 1; 0 is empty
+  // Key k's rows are rows_[offsets_[k] .. offsets_[k + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::size_t> rows_;
 };
 
 /// An in-memory relation: an ordered multiset of fixed-width rows over a
@@ -427,24 +408,6 @@ class Table {
 
   // ---- Hash indexes --------------------------------------------------------
 
-  /// Encodes the given cells of a row as an index probe key.
-  static TupleKey index_key(RowView row, std::span<const std::size_t> cols) {
-    return TupleKey::of_row(row, cols);
-  }
-  /// Encodes an explicit key tuple (same format as the row overload).
-  static TupleKey index_key(std::span<const Value> key) {
-    return TupleKey::of_values(key);
-  }
-
-  /// Packs rows [begin, end) restricted to `cols` into out[0 .. end-begin),
-  /// column at a time (one sequential pass per key column, no row gather),
-  /// with the constants `tail` at the positions after the columns.  `out`
-  /// must hold default-constructed keys.  This is the batch form of
-  /// index_key that index builds, routed join probes and distinct all use.
-  void build_keys(std::span<const std::size_t> cols, std::size_t begin,
-                  std::size_t end, TupleKey* out,
-                  std::span<const Value> tail = {}) const;
-
   /// Lazily-built hash index keyed by the given columns — what point
   /// lookups and joins' routed probes of their right sides all probe.  Built
   /// on first use and cached on the table (appending invalidates the
@@ -452,11 +415,9 @@ class Table {
   ///
   /// Thread-safe: concurrent callers may race to build the same index, but
   /// exactly one result is cached and all callers see a consistent index.
-  /// The build itself runs outside the cache lock, so a pool worker building
-  /// an index can still help with other pool tasks.  `jobs` > 1 builds on
-  /// the pool; the index is identical at any jobs value.
-  const HashIndex& index_on(const std::vector<std::size_t>& columns,
-                            std::size_t jobs = 1) const;
+  /// The build itself runs outside the cache lock, so builds of different
+  /// indexes do not wait on each other.
+  const HashIndex& index_on(const std::vector<std::size_t>& columns) const;
 
   /// True if index_on(columns) has already been built (observability).
   [[nodiscard]] bool has_cached_index(

@@ -1,14 +1,13 @@
 // Round-trip tests for the columnar Table storage: ColumnView access,
 // copy-on-write column sharing, zero-copy head/project/hcat, width-0
 // (unit-row) semantics, and the memory accounting that rides along
-// (TupleKey overflow heap bytes in HashIndex::memory_bytes, snapshot
-// catalog copies under kTables).
+// (HashIndex::memory_bytes under kIndexes, snapshot catalog copies under
+// kTables).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <numeric>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -204,92 +203,35 @@ TEST(Columnar, RowViewIteratesColumns) {
   EXPECT_TRUE(std::equal(r.begin(), r.end(), f.begin(), f.end()));
 }
 
-TEST(Columnar, BuildKeysMatchesOfRow) {
-  // 6 key columns force TupleKey overflow (only 4 ids pack inline).
-  Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
-  for (int i = 0; i < 32; ++i) {
-    t.append({V(std::string("k").append(std::to_string(i))), V("x"), V("y"),
-              V("z"), V("w"),
-              V(std::string("v").append(std::to_string(i % 3)))});
-  }
-  const std::vector<std::size_t> cols{0, 1, 2, 3, 4, 5};
-  std::vector<TupleKey> keys(t.row_count());
-  t.build_keys(cols, 0, t.row_count(), keys.data());
-  for (std::size_t r = 0; r < t.row_count(); ++r) {
-    EXPECT_EQ(keys[r], TupleKey::of_row(t.row(r), cols));
-    EXPECT_GT(keys[r].heap_bytes(), 0u) << "6-wide keys must overflow";
-  }
-}
-
-// Column-at-a-time and row-at-a-time key building agree on every arity
-// (5: one spilled id, 8: four, 33: the extended directory's full row), for
-// whole-table and offset ranges, and a wide key's spill is one exact-size
-// allocation.
-TEST(Columnar, WideKeysMatchOfRowAtEveryArity) {
-  for (const std::size_t arity : {std::size_t{5}, std::size_t{8},
-                                  std::size_t{33}}) {
-    std::vector<std::string> names;
-    for (std::size_t j = 0; j < arity; ++j) {
-      names.push_back(std::string("c").append(std::to_string(j)));
+// HashIndex::memory_bytes is the sum of its arrays' capacities: key cells
+// (keys x width ids), key hashes, slots (a power of two at load <= 1/2),
+// row-list offsets (keys + 1) and row ids.  That figure is the kIndexes
+// reservation, released when the last table holding the index dies.
+TEST(Columnar, IndexMemoryIsItsArrays) {
+  using Cat = obs::MemTracker::Category;
+  const auto live = [] {
+    return obs::MemTracker::global().usage(Cat::kIndexes).live;
+  };
+  const std::uint64_t before = live();
+  {
+    Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
+    for (int i = 0; i < 100; ++i) {
+      t.append({V(std::string("m").append(std::to_string(i % 37))), V("x"),
+                V("y"), V("z"), V("w"), V("u")});
     }
-    Table t(Schema::of(names));
-    for (std::size_t r = 0; r < 12; ++r) {
-      std::vector<Value> row;
-      for (std::size_t j = 0; j < arity; ++j) {
-        row.push_back(V(std::string("v").append(std::to_string((r + j) % 5))));
-      }
-      t.append(row);
-    }
-    std::vector<std::size_t> cols(arity);
-    std::iota(cols.begin(), cols.end(), std::size_t{0});
-    std::vector<TupleKey> keys(t.row_count());
-    t.build_keys(cols, 0, t.row_count(), keys.data());
-    std::vector<TupleKey> tail(t.row_count() - 5);
-    t.build_keys(cols, 5, t.row_count(), tail.data());
-    const std::size_t spill = (arity - 4) * sizeof(std::uint32_t);
-    for (std::size_t r = 0; r < t.row_count(); ++r) {
-      const TupleKey expect = TupleKey::of_row(t.row(r), cols);
-      EXPECT_EQ(keys[r], expect) << arity << " row " << r;
-      EXPECT_EQ(keys[r].hash(), expect.hash()) << arity << " row " << r;
-      EXPECT_EQ(keys[r].heap_bytes(), spill) << arity;
-      EXPECT_EQ(expect.heap_bytes(), spill) << arity;
-      if (r >= 5) {
-        EXPECT_EQ(tail[r - 5], expect) << arity << " row " << r;
-        EXPECT_EQ(tail[r - 5].hash(), expect.hash()) << arity << " row " << r;
-      }
-    }
-    // Rows 0 and 5 hold the same cells ((r + j) % 5 repeats every 5 rows).
-    EXPECT_EQ(keys[0], keys[5]);
-    EXPECT_FALSE(keys[0] == keys[1]);
+    const std::vector<std::size_t> cols{0, 1, 2, 3, 4, 5};
+    const HashIndex& idx = t.index_on(cols);
+    const std::size_t keys = 37;
+    ASSERT_EQ(idx.key_count(), keys);
+    const std::size_t expect = keys * cols.size() * sizeof(Value) +
+                               keys * sizeof(std::uint64_t) +
+                               std::bit_ceil(2 * keys) * sizeof(std::uint32_t) +
+                               (keys + 1) * sizeof(std::uint32_t) +
+                               t.row_count() * sizeof(std::size_t);
+    EXPECT_EQ(idx.memory_bytes(), expect);
+    EXPECT_EQ(live() - before, expect);
   }
-}
-
-// HashIndex::memory_bytes must count TupleKey overflow allocations: a
-// 6-column key spills two ids to the heap, so the wide index reports at
-// least the narrow (inline-key) index over the same rows plus that spill.
-TEST(Columnar, IndexMemoryCountsKeyOverflow) {
-  Table t(Schema::of({"a", "b", "c", "d", "e", "f"}));
-  for (int i = 0; i < 64; ++i) {
-    t.append({V(std::string("k").append(std::to_string(i))), V("x"), V("y"),
-              V("z"), V("w"), V("u")});
-  }
-  const std::vector<std::size_t> wide{0, 1, 2, 3, 4, 5};
-  const std::vector<std::size_t> narrow{0, 1};
-  // Both key sets are unique per row (column a is), so the two indexes
-  // hold the same 64 keys and row lists; only the key payload differs.
-  const HashIndex& wide_index = t.index_on(wide);
-  const HashIndex& narrow_index = t.index_on(narrow);
-  ASSERT_EQ(wide_index.key_count(), 64u);
-  ASSERT_EQ(narrow_index.key_count(), 64u);
-  std::size_t overflow = 0;
-  for (std::size_t r = 0; r < t.row_count(); ++r) {
-    overflow += TupleKey::of_row(t.row(r), wide).heap_bytes();
-  }
-  EXPECT_GT(overflow, 0u);
-  for (std::size_t r = 0; r < t.row_count(); ++r) {
-    EXPECT_EQ(TupleKey::of_row(t.row(r), narrow).heap_bytes(), 0u);
-  }
-  EXPECT_GE(wide_index.memory_bytes(), narrow_index.memory_bytes() + overflow);
+  EXPECT_EQ(live(), before);
 }
 
 // A snapshot's frozen catalog copy is tracked as kTables while any copy of
@@ -315,26 +257,24 @@ TEST(Columnar, SnapshotCopyIsAccounted) {
 
 TEST(Columnar, JoinIndexFindsEveryRowOnce) {
   Table t(Schema::of({"k", "v"}));
-  const int n = 20000;  // above the radix threshold
+  const int n = 20000;
   for (int i = 0; i < n; ++i) {
     t.append({V(std::string("k").append(std::to_string(i % 257))),
               V(std::string("v").append(std::to_string(i)))});
   }
   const std::vector<std::size_t> cols{0};
-  const HashIndex idx = HashIndex::build(t, cols, /*jobs=*/4);
-  EXPECT_GT(idx.partitions(), 1u);
+  const HashIndex idx = HashIndex::build(t, cols);
   EXPECT_EQ(idx.key_count(), 257u);
   EXPECT_EQ(idx.row_count(), static_cast<std::size_t>(n));
   // Every row list is ascending (the determinism contract) and complete.
   std::size_t total = 0;
   for (int k = 0; k < 257; ++k) {
-    const TupleKey key =
-        Table::index_key(t.row(static_cast<std::size_t>(k)), cols);
-    const std::vector<std::size_t>* rows = idx.find(key);
-    ASSERT_NE(rows, nullptr);
-    total += rows->size();
-    for (std::size_t i = 1; i < rows->size(); ++i) {
-      EXPECT_LT((*rows)[i - 1], (*rows)[i]);
+    const Value key = t.at(static_cast<std::size_t>(k), 0);
+    const std::span<const std::size_t> rows = idx.find({&key, 1});
+    ASSERT_FALSE(rows.empty());
+    total += rows.size();
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_LT(rows[i - 1], rows[i]);
     }
   }
   EXPECT_EQ(total, static_cast<std::size_t>(n));

@@ -35,7 +35,7 @@ TEST(Table, CopyWhileAnotherThreadInstallsIndexes) {
   const Table& shared = t;
   std::thread indexer([&shared] {
     (void)shared.index_on({0});
-    (void)shared.index_on({1}, /*jobs=*/2);
+    (void)shared.index_on({1});
     (void)shared.index_on({0, 1});
   });
   for (int i = 0; i < 200; ++i) {
