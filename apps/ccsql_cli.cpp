@@ -536,6 +536,7 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
             << " misses=" << stats.cache.misses
             << " evictions=" << stats.cache.evictions
             << " invalidations=" << stats.cache.invalidations
+            << " rebinds=" << stats.cache.rebinds
             << " entries=" << stats.cache.entries << "\n";
   if (drive_opts.writer_swaps > 0) {
     std::cout << "  writer: swaps=" << report.writer_swaps

@@ -205,7 +205,7 @@ struct Executor {
 
   /// The base rows an IndexLookup selects (ascending), probed through its
   /// prepared hash index; empty when the key is absent.
-  static std::span<const std::size_t> lookup_rows(const PlanNode& lookup) {
+  static std::span<const std::uint32_t> lookup_rows(const PlanNode& lookup) {
     return lookup.index->find(lookup.key_values);
   }
 
@@ -219,14 +219,15 @@ struct Executor {
         out.prefix = std::min(limit, out.base->row_count());
         CCSQL_COUNT("query.rows_scanned", *out.prefix);
         return out;
-      case PlanNode::Kind::kIndexLookup:
+      case PlanNode::Kind::kIndexLookup: {
         out.base = node.bound;
-        for (const std::size_t i : lookup_rows(node)) {
-          if (out.ids.size() >= limit) break;
-          out.ids.push_back(static_cast<std::uint32_t>(i));
-        }
+        const std::span<const std::uint32_t> rows = lookup_rows(node);
+        out.ids.assign(rows.begin(),
+                       rows.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(limit, rows.size())));
         CCSQL_COUNT("query.rows_scanned", out.ids.size());
         return out;
+      }
       default:
         return select(node, limit);
     }

@@ -66,6 +66,16 @@ PlanPtr build_core(const Database& db, const SelectStmt& stmt) {
   return proj;
 }
 
+/// Points IndexLookup `node` at its bound table's hash index on its key
+/// columns, counting whether the table already held it.
+void bind_index(PlanNode& node) {
+  CCSQL_COUNT(node.bound->has_cached_index(node.key_columns)
+                  ? "plan.index_hits"
+                  : "plan.index_builds",
+              1);
+  node.index = &node.bound->index_on(node.key_columns);
+}
+
 }  // namespace
 
 PlanPtr build_plan(const Database& db, const SelectStmt& stmt) {
@@ -92,13 +102,7 @@ PlanPtr build_plan(const Database& db, const SelectStmt& stmt) {
 // NOLINTNEXTLINE(misc-no-recursion)
 void prepare(PlanNode& root, const FunctionRegistry* functions,
              const Schema* ident_schema) {
-  if (root.kind == PlanNode::Kind::kIndexLookup) {
-    CCSQL_COUNT(root.bound->has_cached_index(root.key_columns)
-                    ? "plan.index_hits"
-                    : "plan.index_builds",
-                1);
-    root.index = &root.bound->index_on(root.key_columns);
-  }
+  if (root.kind == PlanNode::Kind::kIndexLookup) bind_index(root);
   if (root.kind == PlanNode::Kind::kSelect) {
     // Column pruning may narrow a Select over a Cross below what its
     // predicate reads: its Cross's schema decides identifier-hood.
@@ -117,6 +121,39 @@ void prepare(PlanNode& root, const FunctionRegistry* functions,
     }
   }
   for (PlanPtr& c : root.children) prepare(*c, functions, ident_schema);
+}
+
+// NOLINTNEXTLINE(misc-no-recursion)
+PlanPtr rebind(const PlanNode& node, const Database& db) {
+  auto out = make_node(node.kind);
+  if (node.kind == PlanNode::Kind::kScan ||
+      node.kind == PlanNode::Kind::kIndexLookup) {
+    const auto it = db.tables().find(node.table_name);
+    if (it == db.tables().end()) return nullptr;
+    const Table& table = it->second->table;
+    if (table.schema() != node.bound->schema()) return nullptr;
+    out->bound = &table;
+  }
+  out->schema = node.schema;
+  out->table_name = node.table_name;
+  out->alias = node.alias;
+  out->predicate = node.predicate;
+  out->compiled = node.compiled;
+  out->route = node.route;
+  out->columns = node.columns;
+  out->distinct = node.distinct;
+  out->key_values = node.key_values;
+  out->key_columns = node.key_columns;
+  out->order_by = node.order_by;
+  out->est_rows = node.est_rows;
+  if (node.kind == PlanNode::Kind::kIndexLookup) bind_index(*out);
+  out->children.reserve(node.children.size());
+  for (const PlanPtr& c : node.children) {
+    PlanPtr child = rebind(*c, db);
+    if (!child) return nullptr;
+    out->children.push_back(std::move(child));
+  }
+  return out;
 }
 
 PlanPtr plan_select(const Database& db, const SelectStmt& stmt) {

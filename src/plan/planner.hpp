@@ -36,6 +36,18 @@ namespace ccsql::plan {
 void prepare(PlanNode& root, const FunctionRegistry* functions,
              const Schema* ident_schema = nullptr);
 
+/// A copy of prepared plan `root` that reads `db`'s tables: every Scan and
+/// IndexLookup points at the table of its name in `db`, each lookup at
+/// that table's hash index (counted as prepare() counts it), and the
+/// compiled RowFilters and CrossRoutes are shared with `root`.  Null when
+/// a table `root` reads is missing from `db` (a free-standing table, with
+/// no name, always is) or has a different schema.  A prepared plan
+/// depends on the schemas and functions it was compiled against, never on
+/// rows (est_rows only feeds EXPLAIN and is copied as is), so the copy
+/// answers as plan_select(db, ...) would — provided `db` calls the same
+/// function registry `root` was compiled with, which the caller checks.
+[[nodiscard]] PlanPtr rebind(const PlanNode& root, const Database& db);
+
 /// build_plan + optimize + prepare: a plan ready to execute.
 [[nodiscard]] PlanPtr plan_select(const Database& db, const SelectStmt& stmt);
 

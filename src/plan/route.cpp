@@ -257,10 +257,9 @@ void CrossRoute::split(std::uint32_t node, vec::Columns cols,
 
 // Distinct tuples hold disjoint ascending row lists: append each one's
 // once, sort when several contributed.
-std::span<const std::size_t> CrossRoute::pick(
+std::span<const std::uint32_t> CrossRoute::pick(
     const Node& leaf, const HashIndex& index, const Keys& keys,
-    std::size_t first, std::size_t stride,
-    std::vector<std::size_t>& scratch) const {
+    std::size_t first, std::size_t stride, bc::Sel& scratch) const {
   if (leaf.tuples == 1) return index.find(keys.key(first), keys.hashes[first]);
   scratch.clear();
   std::size_t lists = 0;
@@ -274,7 +273,7 @@ std::span<const std::size_t> CrossRoute::pick(
                  std::ranges::equal(keys.key(o), key);
     }
     if (repeated) continue;
-    const std::span<const std::size_t> rows = index.find(key, keys.hashes[q]);
+    const std::span<const std::uint32_t> rows = index.find(key, keys.hashes[q]);
     if (rows.empty()) continue;
     scratch.insert(scratch.end(), rows.begin(), rows.end());
     ++lists;
@@ -309,7 +308,7 @@ CrossRoute::Right CrossRoute::right_side(const Table& r) const {
   // row: resolve it once.
   out.fixed.resize(nodes_.size());
   Keys keys;
-  std::vector<std::size_t> scratch;
+  bc::Sel scratch;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const Node& leaf = nodes_[n];
     if (leaf.kind != Node::Kind::kKeyed ||
@@ -318,7 +317,7 @@ CrossRoute::Right CrossRoute::right_side(const Table& r) const {
       continue;
     }
     keys_at(leaf, nullptr, 0, keys);
-    const std::span<const std::size_t> rows =
+    const std::span<const std::uint32_t> rows =
         pick(leaf, *out.index[leaf.columns], keys, 0, 1, scratch);
     out.fixed[n].emplace(rows.begin(), rows.end());
   }
@@ -332,13 +331,13 @@ void CrossRoute::candidates(const Table& l, const Right& right,
   if (begin >= end || right.rows == 0 || limit == 0) return;
   // Pairs left row i with `rows` (every right row when `every`); false
   // once the limit is reached.
-  const auto emit = [&](std::size_t i, std::span<const std::size_t> rows,
+  const auto emit = [&](std::size_t i, std::span<const std::uint32_t> rows,
                         bool every) {
     const std::size_t take =
         std::min(every ? right.rows : rows.size(), limit - lsel.size());
     for (std::size_t k = 0; k < take; ++k) {
       lsel.push_back(static_cast<std::uint32_t>(i));
-      rsel.push_back(static_cast<std::uint32_t>(every ? k : rows[k]));
+      rsel.push_back(every ? static_cast<std::uint32_t>(k) : rows[k]);
     }
     return lsel.size() < limit;
   };
@@ -363,7 +362,7 @@ void CrossRoute::candidates(const Table& l, const Right& right,
   // k * m + i - lo for tuple k of row i).  A leaf below a split fills the
   // keys of each row that reaches it.
   std::vector<Keys> batch(roots_.size());
-  std::vector<std::size_t> probe, held, tmp;
+  bc::Sel probe, held, tmp;
   Keys row_keys;
   for (std::size_t lo = begin; lo < end; lo += vec::kBatchRows) {
     const std::size_t hi = std::min(end, lo + vec::kBatchRows);
@@ -388,13 +387,13 @@ void CrossRoute::candidates(const Table& l, const Right& right,
     }
     for (std::size_t i = lo; i < hi; ++i) {
       // The row's candidates: the intersection of its leaves' picks.
-      std::span<const std::size_t> rows;
+      std::span<const std::uint32_t> rows;
       bool every = true;
       for (std::size_t t = 0; t < roots_.size(); ++t) {
         const std::uint32_t at = leaf_of[t * n + i - begin];
         const Node& leaf = nodes_[at];
         if (leaf.kind == Node::Kind::kAll) continue;
-        std::span<const std::size_t> mine;
+        std::span<const std::uint32_t> mine;
         if (right.fixed[at]) {
           mine = *right.fixed[at];
         } else if (at == roots_[t]) {

@@ -72,7 +72,7 @@ class CrossRoute {
   struct Right {
     std::size_t rows = 0;
     std::vector<const HashIndex*> index;        // per column set
-    std::vector<std::optional<std::vector<std::size_t>>> fixed;  // per node
+    std::vector<std::optional<bc::Sel>> fixed;  // per node
   };
   [[nodiscard]] Right right_side(const Table& r) const;
 
@@ -144,10 +144,9 @@ class CrossRoute {
   /// The right rows holding one of `leaf`'s key tuples, ascending, each
   /// once: the index's own row list for a single tuple, else merged into
   /// `scratch`.  Tuple k is key first + k * stride of `keys`.
-  [[nodiscard]] std::span<const std::size_t> pick(
+  [[nodiscard]] std::span<const std::uint32_t> pick(
       const Node& leaf, const HashIndex& index, const Keys& keys,
-      std::size_t first, std::size_t stride,
-      std::vector<std::size_t>& scratch) const;
+      std::size_t first, std::size_t stride, bc::Sel& scratch) const;
   /// `leaf`'s key tuples at left row i of `cols` (nullptr when every key
   /// is a literal) into `out`.
   void keys_at(const Node& leaf, const Value* const* cols, std::uint32_t i,

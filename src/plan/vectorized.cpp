@@ -73,15 +73,12 @@ std::size_t RowFilter::filter_range(Columns cols, std::size_t begin,
 }
 
 std::size_t RowFilter::filter_rows(Columns cols,
-                                   std::span<const std::size_t> rows,
+                                   std::span<const std::uint32_t> rows,
                                    std::size_t limit, bc::Sel& sel) const {
   return filter_batches(
       rows.size(), limit, sel,
       [&](std::size_t b, std::size_t e, bc::Sel& hits) {
-        bc::Sel& ids = scratch().acquire();
-        ids.assign(rows.begin() + b, rows.begin() + e);
-        prog_.eval_batch(cols, ids, hits, scratch());
-        scratch().release();
+        prog_.eval_batch(cols, rows.subspan(b, e - b), hits, scratch());
       },
       [&](std::uint32_t row, std::size_t b, std::size_t e) {
         return static_cast<std::size_t>(

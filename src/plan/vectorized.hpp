@@ -58,7 +58,7 @@ class RowFilter {
   /// filter_range over the ascending row ids `rows` (an index bucket)
   /// instead of a dense range.  Returns the number of ids visited: under a
   /// limit, the position in `rows` of the row that filled it, plus one.
-  std::size_t filter_rows(Columns cols, std::span<const std::size_t> rows,
+  std::size_t filter_rows(Columns cols, std::span<const std::uint32_t> rows,
                           std::size_t limit, bc::Sel& sel) const;
 
   /// Appends the members of `rows` (ascending row ids) that pass to `pass`,

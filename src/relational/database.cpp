@@ -91,6 +91,16 @@ std::size_t Database::jobs() const {
   return jobs_ != 0 ? jobs_ : core::Pool::default_jobs();
 }
 
+FunctionRegistry& Database::functions() {
+  // Another holder — a copy, a snapshot, a cached plan — may have compiled
+  // against the shared registry: mutate a private copy instead.
+  if (functions_.use_count() > 1) {
+    functions_ = std::make_shared<FunctionRegistry>(*functions_);
+  }
+  ++generation_;
+  return *functions_;
+}
+
 void Database::put(std::string name, Table table) {
   tables_.insert_or_assign(std::move(name),
                            std::make_shared<const StoredTable>(std::move(table)));
@@ -110,8 +120,7 @@ const Table& Database::get(std::string_view name) const {
 }
 
 Snapshot Database::snapshot() const {
-  auto frozen = std::make_shared<FrozenDatabase>();
-  frozen->db = *this;
+  auto frozen = std::make_shared<FrozenDatabase>(FrozenDatabase{*this, {}});
   frozen->mem = obs::MemReservation(obs::MemTracker::Category::kTables,
                                     copy_bytes(frozen->db));
   // Aliased: snapshots see a plain `const Database`, the reservation rides

@@ -65,12 +65,13 @@ struct QueryResult {
 
 class Snapshot;
 
-/// Tables are held by shared_ptr: copying a Database (a session copy, or
-/// the serving layer's snapshot) shares row storage and lazily-built
-/// hash indexes with the original, so a copy is O(#tables) pointer
-/// copies.  Every mutation is copy-on-write — it replaces the affected
-/// pointer and bumps generation(), never touching rows a concurrent reader
-/// may hold.
+/// Tables and the function registry are held by shared_ptr: copying a
+/// Database (a session copy, or the serving layer's snapshot) shares row
+/// storage, lazily-built hash indexes and the registry with the original,
+/// so a copy is O(#tables) pointer copies.  Every mutation is
+/// copy-on-write — it replaces the affected pointer and bumps
+/// generation(), never touching rows or functions a concurrent reader may
+/// hold.
 class Database {
  public:
   /// One resident table plus its MemTracker reservation.  shared_ptr-held
@@ -107,16 +108,23 @@ class Database {
   /// Throws BindError if absent.
   [[nodiscard]] const Table& get(std::string_view name) const;
 
-  [[nodiscard]] FunctionRegistry& functions() noexcept { return functions_; }
+  /// The registry WHERE clauses call.  Copies and snapshots share one
+  /// registry — compiled predicates point into it — until a copy asks for
+  /// it mutably: this overload then gives that copy its own registry
+  /// (copy-on-write), so what any other holder compiled against stays
+  /// unchanged and alive, and bumps generation() as any mutation does.
+  /// Mutate through the returned reference before the next copy or
+  /// snapshot, not after.
+  [[nodiscard]] FunctionRegistry& functions();
   [[nodiscard]] const FunctionRegistry& functions() const noexcept {
-    return functions_;
+    return *functions_;
   }
 
   [[nodiscard]] const TableMap& tables() const noexcept { return tables_; }
 
-  /// Monotonic mutation counter: put / drop / insert each bump it.  Cached
-  /// plans and snapshots are valid exactly while the generation they were
-  /// built against still matches.
+  /// Monotonic mutation counter: put / drop / insert and the mutable
+  /// functions() each bump it.  A snapshot at one generation sees exactly
+  /// the tables and functions of that generation.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }
@@ -170,7 +178,8 @@ class Database {
  private:
   TableMap tables_;
   std::uint64_t generation_ = 0;
-  FunctionRegistry functions_;
+  std::shared_ptr<FunctionRegistry> functions_ =
+      std::make_shared<FunctionRegistry>();
   std::size_t jobs_ = 0;  // 0 = follow the process-wide default
 };
 

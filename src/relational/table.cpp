@@ -448,7 +448,9 @@ HashIndex HashIndex::build(const Table& t, std::span<const std::size_t> cols) {
   std::vector<std::uint32_t> cursor(idx.offsets_.begin(),
                                     idx.offsets_.end() - 1);
   idx.rows_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) idx.rows_[cursor[key_of[i]]++] = i;
+  for (std::size_t i = 0; i < n; ++i) {
+    idx.rows_[cursor[key_of[i]]++] = static_cast<std::uint32_t>(i);
+  }
   return idx;
 }
 
@@ -457,7 +459,7 @@ std::size_t HashIndex::memory_bytes() const noexcept {
          hashes_.capacity() * sizeof(std::uint64_t) +
          slots_.capacity() * sizeof(std::uint32_t) +
          offsets_.capacity() * sizeof(std::uint32_t) +
-         rows_.capacity() * sizeof(std::size_t);
+         rows_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace ccsql

@@ -187,7 +187,7 @@ class HashIndex {
 
   /// The rows holding `key` (one cell per indexed column), ascending;
   /// empty when absent.  `hash` is KeyHash::of(key).
-  [[nodiscard]] std::span<const std::size_t> find(
+  [[nodiscard]] std::span<const std::uint32_t> find(
       std::span<const Value> key, std::uint64_t hash) const noexcept {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
@@ -201,7 +201,7 @@ class HashIndex {
       }
     }
   }
-  [[nodiscard]] std::span<const std::size_t> find(
+  [[nodiscard]] std::span<const std::uint32_t> find(
       std::span<const Value> key) const noexcept {
     return find(key, KeyHash::of(key));
   }
@@ -223,7 +223,7 @@ class HashIndex {
   std::vector<std::uint32_t> slots_;   // key id + 1; 0 is empty
   // Key k's rows are rows_[offsets_[k] .. offsets_[k + 1]).
   std::vector<std::uint32_t> offsets_;
-  std::vector<std::size_t> rows_;
+  std::vector<std::uint32_t> rows_;
 };
 
 /// An in-memory relation: an ordered multiset of fixed-width rows over a

@@ -81,36 +81,61 @@ std::size_t param_count(const SelectStmt& stmt) {
 }
 
 CachedStatementPtr PlanCache::lookup(const std::string& key,
-                                     std::uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (it->second->entry->catalog->generation() != generation) {
-    // A writer moved the catalog on: the plan (and the snapshot it pins)
-    // is stale.  Drop it; the caller re-plans at the new generation.
+                                     const Snapshot& snap) {
+  CachedStatementPtr stale;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    if (it->second->entry->catalog->generation() == snap.generation()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+      return it->second->entry;
+    }
     ++invalidations_;
-    ++misses_;
-    bytes_ -= it->second->entry->bytes;
+    stale = it->second->entry;
+  }
+  // Rebind outside the lock, as a build is done.  `stale` outlives the
+  // lock below, so the entry it displaces is freed after unlocking.
+  CachedStatementPtr rebound = rebind_statement(*stale, snap);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (rebound) {
+    ++hits_;
+    ++rebinds_;
+    insert_locked(key, rebound);
+    return rebound;
+  }
+  ++misses_;
+  auto it = index_.find(key);
+  if (it != index_.end() && it->second->entry == stale &&
+      stale->catalog->generation() < snap.generation()) {
+    bytes_ -= stale->bytes;
     lru_.erase(it->second);
     index_.erase(it);
-    return nullptr;
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->entry;
+  return nullptr;
 }
 
 void PlanCache::insert(const std::string& key, CachedStatementPtr entry) {
   if (!entry) return;
   std::lock_guard<std::mutex> lock(mu_);
+  insert_locked(key, std::move(entry));
+}
+
+void PlanCache::insert_locked(const std::string& key,
+                              CachedStatementPtr entry) {
   auto it = index_.find(key);
   if (it != index_.end()) {
-    bytes_ -= it->second->entry->bytes;
+    CachedStatementPtr& resident = it->second->entry;
+    if (resident->catalog->generation() > entry->catalog->generation()) {
+      return;
+    }
+    bytes_ -= resident->bytes;
     bytes_ += entry->bytes;
-    it->second->entry = std::move(entry);
+    resident = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -142,6 +167,7 @@ PlanCacheStats PlanCache::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.invalidations = invalidations_;
+  s.rebinds = rebinds_;
   s.entries = index_.size();
   s.bytes = bytes_;
   return s;
@@ -160,6 +186,24 @@ CachedStatementPtr build_statement(const Snapshot& snap,
   out->mem = obs::MemReservation(obs::MemTracker::Category::kPlans,
                                  out->bytes);
   CCSQL_COUNT("serve.statements_compiled", 1);
+  return out;
+}
+
+CachedStatementPtr rebind_statement(const CachedStatement& cs,
+                                    const Snapshot& snap) {
+  const Database& db = snap.catalog();
+  if (&db.functions() != &cs.catalog->functions()) return nullptr;
+  auto out = std::make_shared<CachedStatement>();
+  out->catalog = snap.shared_catalog();
+  out->units.reserve(cs.units.size());
+  for (const plan::PlanPtr& unit : cs.units) {
+    plan::PlanPtr rebound = plan::rebind(*unit, db);
+    if (!rebound) return nullptr;
+    out->units.push_back(std::move(rebound));
+  }
+  out->bytes = cs.bytes;
+  out->mem = obs::MemReservation(obs::MemTracker::Category::kPlans,
+                                 out->bytes);
   return out;
 }
 

@@ -6,11 +6,14 @@
 // text, plus — for parameterized executions — the bound parameter values,
 // each prefixed with its length.  Value: the statements' prepared plans
 // (plan::plan_select) — scans bound to the tables of the exact frozen
-// Database (snapshot) they were planned against, which the entry pins,
-// lookups to those tables' hash indexes, predicates compiled.  An entry is
-// valid only while the live database is still at the generation the entry
-// captured; a lookup at any other generation misses (counted as an
-// invalidation) and the caller re-plans.
+// Database (snapshot) the entry pins, lookups to those tables' hash
+// indexes, predicates compiled against that snapshot's function
+// registry.  A prepared plan depends on the schemas of the tables it reads
+// and on the registry, never on their rows: a lookup at another
+// generation (a writer swapped a table since) rebinds the entry to the
+// caller's snapshot (plan::rebind) when every table it reads kept its
+// schema and the registry is the same, and drops it otherwise, so the
+// caller re-plans.
 //
 // A cached plan tree is executed in place, concurrently, with no per-query
 // clone: the executor's read-only entry points (the const execute() and
@@ -54,14 +57,17 @@ namespace ccsql::serve {
 [[nodiscard]] std::size_t param_count(const SelectStmt& stmt);
 
 /// One cached, immutable compilation product.  Holds the snapshot's frozen
-/// Database it was planned against: the plans' bound-table pointers, index
-/// caches and function-registry references stay valid for as long as the
-/// entry lives, regardless of what the live database does.
+/// Database its plans read, whose function registry is the one their
+/// predicates were compiled against (a rebind requires the new snapshot
+/// to share it): the plans' bound-table pointers, index caches and
+/// function-registry references stay valid for as long as the entry
+/// lives, regardless of what the live database does.  A rebound entry
+/// holds the snapshot it was rebound to, never an older one.
 struct CachedStatement {
   /// One prepared plan per SELECT of the statement (invariants may union
   /// several probes).
   std::vector<plan::PlanPtr> units;
-  /// The frozen database planned against; its generation is the entry's.
+  /// The frozen database the plans read; its generation is the entry's.
   std::shared_ptr<const Database> catalog;
   std::size_t bytes = 0;      // estimated footprint (MemTracker kPlans)
   obs::MemReservation mem;
@@ -70,19 +76,26 @@ struct CachedStatement {
 using CachedStatementPtr = std::shared_ptr<const CachedStatement>;
 
 struct PlanCacheStats {
+  /// Lookups served without planning: resident entries at the caller's
+  /// generation, plus rebinds.
   std::uint64_t hits = 0;
+  /// Lookups the caller must plan for: no entry, or a stale one that
+  /// could not be rebound.
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Misses caused by a generation mismatch on a resident entry (a writer
-  /// swapped a table since the plan was built).  Also counted in misses.
+  /// Lookups that found a resident entry at another generation (a writer
+  /// swapped a table since it was planned): each is then either rebound
+  /// (a hit) or dropped (a miss), so this is a subset of neither.
   std::uint64_t invalidations = 0;
+  /// Stale entries rebound to the caller's snapshot (also hits).
+  std::uint64_t rebinds = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
 };
 
 /// Thread-safe LRU map: normalized SQL -> CachedStatement, bounded by entry
-/// count.  Entries whose generation no longer matches the live catalog are
-/// dropped on lookup.
+/// count.  An entry at another generation than the caller's snapshot is
+/// rebound to it on lookup, or dropped when it cannot be.
 class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity = kDefaultCapacity)
@@ -90,14 +103,20 @@ class PlanCache {
 
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// The entry for `key` if present and planned at `generation`, else
-  /// nullptr.  A hit refreshes LRU recency; a resident entry at the wrong
-  /// generation is evicted and counted as an invalidation.
+  /// The entry for `key` bound to `snap`, else nullptr (the caller plans).
+  /// A hit refreshes LRU recency.  A resident entry at another generation
+  /// is counted as an invalidation and rebound to `snap` (rebind_statement)
+  /// outside the lock; the rebound entry replaces it unless it is older
+  /// than what is resident by then.  An entry that cannot be rebound is
+  /// dropped if it is older than `snap`, and left for newer readers if
+  /// not.
   [[nodiscard]] CachedStatementPtr lookup(const std::string& key,
-                                          std::uint64_t generation);
+                                          const Snapshot& snap);
 
   /// Inserts (or replaces) `entry` under `key`, evicting the least
-  /// recently used entries beyond capacity.
+  /// recently used entries beyond capacity.  A resident entry bound to a
+  /// newer generation stays: a reader still holding an older snapshot
+  /// never moves the cache back.
   void insert(const std::string& key, CachedStatementPtr entry);
 
   void clear();
@@ -112,6 +131,7 @@ class PlanCache {
   };
 
   void evict_lru_locked();
+  void insert_locked(const std::string& key, CachedStatementPtr entry);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
@@ -121,6 +141,7 @@ class PlanCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t invalidations_ = 0;
+  std::uint64_t rebinds_ = 0;
   std::size_t bytes_ = 0;
 };
 
@@ -128,6 +149,13 @@ class PlanCache {
 /// (plan::plan_select).
 [[nodiscard]] CachedStatementPtr build_statement(
     const Snapshot& snap, const std::vector<SelectStmt>& stmts);
+
+/// `cs` rebound to `snap`'s database (plan::rebind): the same compiled
+/// plans over `snap`'s tables, holding `snap` and not `cs`'s snapshot.
+/// Null when `snap` calls another function registry than `cs` compiled
+/// against, or a table a plan reads is gone or changed its schema.
+[[nodiscard]] CachedStatementPtr rebind_statement(const CachedStatement& cs,
+                                                  const Snapshot& snap);
 
 /// Executes unit `index` of a cached statement in place — no clone — with
 /// `jobs` parallel lanes.

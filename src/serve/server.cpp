@@ -25,12 +25,10 @@ Snapshot Server::snapshot() const {
 CachedStatementPtr Server::get_or_build(
     const std::string& key, const Snapshot& snap,
     const std::function<std::vector<SelectStmt>()>& parse) {
-  if (CachedStatementPtr hit = cache_.lookup(key, snap.generation())) {
-    return hit;
-  }
-  // Concurrent misses on one key each build; the last insert wins.  Builds
-  // are pure (they touch only the immutable snapshot), so that is merely
-  // duplicated work on a cold key, never an inconsistency.
+  if (CachedStatementPtr hit = cache_.lookup(key, snap)) return hit;
+  // Concurrent misses on one key each build; the newest generation's insert
+  // stays.  Builds are pure (they touch only the immutable snapshot), so
+  // that is merely duplicated work on a cold key, never an inconsistency.
   CachedStatementPtr built = build_statement(snap, parse());
   cache_.insert(key, built);
   return built;
@@ -135,6 +133,7 @@ void Server::publish_stats(obs::Metrics& metrics) const {
   metrics.set("serve.plan_cache.misses", s.cache.misses);
   metrics.set("serve.plan_cache.evictions", s.cache.evictions);
   metrics.set("serve.plan_cache.invalidations", s.cache.invalidations);
+  metrics.set("serve.plan_cache.rebinds", s.cache.rebinds);
   metrics.set("serve.plan_cache.entries", s.cache.entries);
   metrics.set("serve.plan_cache.mem_bytes", s.cache.bytes);
   metrics.set("serve.snapshot.active", s.snapshots_active);

@@ -11,7 +11,8 @@
 // current copy-on-write Snapshot, which shares table storage and indexes
 // with the live side and stays valid across writer swaps.  Parsing and
 // planning are amortized through the prepared-statement PlanCache, keyed
-// on normalized SQL and invalidated by catalog generation.
+// on normalized SQL; after a writer swap a cached plan is rebound to the
+// new snapshot while the tables it reads keep their schemas.
 
 #include <atomic>
 #include <cstdint>
@@ -68,7 +69,7 @@ class Server {
 
   /// A prepared SELECT handle: normalized text plus its parameter arity.
   /// Cheap to copy; execute() resolves it against the cache per call, so a
-  /// handle survives catalog generations (it just re-plans after a swap).
+  /// handle survives catalog generations.
   struct Prepared {
     std::string sql;          // normalized statement text
     std::size_t params = 0;   // $N slots the statement references
@@ -85,8 +86,9 @@ class Server {
   /// Applies a catalog mutation.  Serialized against other writers; the
   /// visible effect for readers is one snapshot swap after `mutator`
   /// returns — in-flight readers keep their old snapshot, new acquisitions
-  /// see the new generation.  Cached plans invalidate via the generation
-  /// key on their next lookup.
+  /// see the new generation.  A cached plan is rebound to it on its next
+  /// lookup, or re-planned if a table it reads changed its schema or the
+  /// mutation changed the function registry.
   void update(const std::function<void(Database&)>& mutator);
 
   [[nodiscard]] ServerStats stats() const;

@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -18,9 +19,11 @@ std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// One session: loops the statement list, recording per-query latency.
+/// One session: loops the statement list, recording per-query latency, and
+/// raises `answered` once its first statement is answered.
 void run_session(Server& server, const std::vector<std::string>& statements,
-                 const DriveOptions& opts, SessionReport& report) {
+                 const DriveOptions& opts, SessionReport& report,
+                 std::atomic<bool>& answered) {
   const auto session_t0 = std::chrono::steady_clock::now();
   report.latencies_us.reserve(opts.iterations * statements.size());
   for (std::size_t iter = 0; iter < opts.iterations; ++iter) {
@@ -31,6 +34,7 @@ void run_session(Server& server, const std::vector<std::string>& statements,
       } else {
         report.violations += server.query(sql).row_count();
       }
+      if (report.queries == 0) answered.store(true, std::memory_order_release);
       const std::uint64_t us = micros_since(t0);
       report.latencies_us.push_back(static_cast<std::uint32_t>(
           std::min<std::uint64_t>(us, UINT32_MAX)));
@@ -61,10 +65,18 @@ DriveReport drive(Server& server, const std::vector<std::string>& statements,
   // Writer thread: identical-content table regenerations on a cadence.
   // Each swap deep-copies the current rows into fresh storage and re-puts
   // the table — a real regeneration (new buffers, new generation), with
-  // reader-visible contents unchanged so results stay byte-identical.
+  // reader-visible contents unchanged so results stay byte-identical.  The
+  // cadence starts once a session has answered a statement (or every
+  // session has ended), so swaps land among cached plans, not before the
+  // first one is built however slowly the sessions start.
+  std::atomic<bool> answered{false};
   std::thread writer;
   if (opts.writer_swaps > 0 && !opts.writer_table.empty()) {
-    writer = std::thread([&server, &opts, &out] {
+    writer = std::thread([&server, &opts, &out, &answered] {
+      while (!answered.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(opts.writer_period_us));
+      }
       for (std::size_t i = 0; i < opts.writer_swaps; ++i) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(opts.writer_period_us));
@@ -83,15 +95,17 @@ DriveReport drive(Server& server, const std::vector<std::string>& statements,
   try {
     core::Pool::global().parallel_tasks(
         opts.sessions, lanes,
-        [&server, &statements, &opts, &out](std::size_t i) {
-          run_session(server, statements, opts, out.sessions[i]);
+        [&server, &statements, &opts, &out, &answered](std::size_t i) {
+          run_session(server, statements, opts, out.sessions[i], answered);
         });
   } catch (...) {
     // A failed statement ends the drive; an unjoined writer would abort.
+    answered.store(true, std::memory_order_release);
     if (writer.joinable()) writer.join();
     throw;
   }
   out.wall_us = micros_since(t0);
+  answered.store(true, std::memory_order_release);
   // The writer always completes its swaps, even when the sessions finish
   // first.
   if (writer.joinable()) writer.join();

@@ -26,7 +26,8 @@ struct DriveOptions {
   std::size_t jobs = 0;
   /// Concurrent writer: perform exactly this many identical-content
   /// regenerations of `writer_table`, alongside the sessions (0 = no
-  /// writer); drive() returns after the last one.  Each swap rebuilds the
+  /// writer), the first once a session has answered a statement;
+  /// drive() returns after the last one.  Each swap rebuilds the
   /// table's storage and bumps the database generation, so reader results
   /// must be unaffected byte-for-byte.
   std::size_t writer_swaps = 0;

@@ -499,8 +499,8 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
   // and bytes= is that residual's read (8 pairs x 2 columns) plus one
   // gather per side (8 rows x 3 and x 2 columns, each read and written).
   // build= is the two indexes on M the keyed leaves probed: 3 rows, 3
-  // inmsg and 3 outmsg keys, each index 108 B of flat arrays (3 key cells,
-  // 3 hashes, 8 slots, 4 offsets, 3 row ids).
+  // inmsg and 3 outmsg keys, each index 96 B of flat arrays (3 key cells,
+  // 3 hashes, 8 slots, 4 offsets, 3 row ids, each id 4 B).
   Database db = make_catalog();
   plan::ExecContext ctx;
   ctx.analyze = true;
@@ -519,7 +519,7 @@ TEST(ExplainAnalyze, GoldenRoutedSelectOverCross) {
             "a.memmsg : b.outmsg in (data, mdone)))) (est=5.0, actual=8) "
             "[time rows_in=8 rows_out=8 batches=1 sel=100.0% bytes=384 B]\n"
             "  Cross [routed] (est=15, actual=8) [fused build=3 rows/6 "
-            "keys/216 B]\n"
+            "keys/192 B]\n"
             "    Scan D as a (est=5, actual=5) [time rows_out=5]\n"
             "    Scan M as b (est=3, actual=3) [time rows_out=3]\n");
   // Plain EXPLAIN marks the route too.

@@ -164,7 +164,7 @@ TEST(RowSet, IndexFindMatchesOracle) {
       std::vector<Value> key(width);
       for (const auto& [ids, rows] : oracle) {
         for (std::size_t p = 0; p < width; ++p) key[p] = t.at(rows[0], cols[p]);
-        const std::span<const std::size_t> found = idx.find(key);
+        const std::span<const std::uint32_t> found = idx.find(key);
         EXPECT_EQ(std::vector<std::size_t>(found.begin(), found.end()), rows)
             << what;
       }

@@ -1,6 +1,7 @@
 // The prepared-statement layer underneath serve::Server: SQL normalization
 // and cache keys, $N parameter plumbing, the LRU/invalidating PlanCache,
-// and build_statement/run_unit/plan::is_empty against the ASURA suite.
+// and build_statement/rebind_statement/run_unit/plan::is_empty against the
+// ASURA suite.
 #include "serve/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,11 @@ Database small_db() {
   d.append({V("I"), V("zero")});
   cat.put("D", std::move(d));
   return cat;
+}
+
+/// plan::is_empty over unit `u` of a cached statement, as Server runs it.
+bool cached_is_empty(const CachedStatement& cs, std::size_t u) {
+  return plan::is_empty(*cs.units.at(u), {});
 }
 
 TEST(NormalizeSql, CollapsesWhitespaceOutsideQuotes) {
@@ -76,30 +82,103 @@ TEST(PlanCacheLru, EvictsLeastRecentlyUsedBeyondCapacity) {
   cache.insert("a", build("select dirst from D"));
   cache.insert("b", build("select dirpv from D"));
   // Touch "a" so "b" is the LRU victim when "c" arrives.
-  EXPECT_NE(cache.lookup("a", snap.generation()), nullptr);
+  EXPECT_NE(cache.lookup("a", snap), nullptr);
   cache.insert("c", build("select dirst, dirpv from D"));
 
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_NE(cache.lookup("a", snap.generation()), nullptr);
-  EXPECT_EQ(cache.lookup("b", snap.generation()), nullptr);
-  EXPECT_NE(cache.lookup("c", snap.generation()), nullptr);
+  EXPECT_NE(cache.lookup("a", snap), nullptr);
+  EXPECT_EQ(cache.lookup("b", snap), nullptr);
+  EXPECT_NE(cache.lookup("c", snap), nullptr);
 }
 
+/// The first Scan or IndexLookup down `node`'s first children.
+const plan::PlanNode& scan_of(const plan::PlanNode& node) {
+  return node.children.empty() ? node : scan_of(node.child());
+}
+
+// A writer swap moves the database to a new generation.  A stale entry
+// whose tables kept their schemas is rebound: a new entry at the new
+// generation that reads only the new tables.  One whose table changed its
+// schema is dropped, and the caller re-plans.
 TEST(PlanCacheLru, GenerationMismatchInvalidatesResidentEntry) {
   Database db = small_db();
-  Snapshot snap = db.snapshot();
+  const Snapshot snap0 = db.snapshot();
   PlanCache cache;
-  cache.insert("k", build_statement(snap, {parse_select("select dirst from D")}));
+  cache.insert("k", build_statement(snap0, {parse_select("select dirst from D")}));
   // Same generation: hit.
-  EXPECT_NE(cache.lookup("k", snap.generation()), nullptr);
-  // A writer moved the catalog on: the entry is dropped, not served.
-  EXPECT_EQ(cache.lookup("k", snap.generation() + 1), nullptr);
-  const PlanCacheStats s = cache.stats();
+  EXPECT_NE(cache.lookup("k", snap0), nullptr);
+
+  // Same schema, other rows: rebound to the new snapshot.
+  Table d(Schema::of({"dirst", "dirpv"}));
+  d.append({V("E"), V("one")});
+  db.put("D", std::move(d));
+  const Snapshot snap1 = db.snapshot();
+  const CachedStatementPtr rebound = cache.lookup("k", snap1);
+  ASSERT_NE(rebound, nullptr);
+  EXPECT_EQ(rebound->catalog, snap1.shared_catalog());
+  EXPECT_EQ(scan_of(*rebound->units[0]).bound, &snap1.catalog().get("D"));
+  EXPECT_EQ(to_csv(run_unit(*rebound, 0, 1)), "dirst\nE\n");
+  PlanCacheStats s = cache.stats();
   EXPECT_EQ(s.invalidations, 1u);
+  EXPECT_EQ(s.rebinds, 1u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.entries, 1u);
+  // The rebound entry is resident: the next lookup is a plain hit.
+  EXPECT_EQ(cache.lookup("k", snap1), rebound);
+
+  // A reader still on the old snapshot is answered from its own tables,
+  // and does not move the cache back.
+  const CachedStatementPtr old = cache.lookup("k", snap0);
+  ASSERT_NE(old, nullptr);
+  EXPECT_EQ(scan_of(*old->units[0]).bound, &snap0.catalog().get("D"));
+  EXPECT_EQ(cache.lookup("k", snap1), rebound);
+
+  // Another schema: the entry is dropped, not served.
+  Table wide(Schema::of({"dirst", "dirpv", "extra"}));
+  wide.append({V("S"), V("one"), V("x")});
+  db.put("D", std::move(wide));
+  const Snapshot snap2 = db.snapshot();
+  EXPECT_EQ(cache.lookup("k", snap2), nullptr);
+  s = cache.stats();
+  EXPECT_EQ(s.invalidations, 3u);
+  EXPECT_EQ(s.rebinds, 2u);
+  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 0u);
-  // And the key misses cold afterwards, even at the original generation.
-  EXPECT_EQ(cache.lookup("k", snap.generation()), nullptr);
+  // And the key misses cold afterwards, even at the rebound generation.
+  EXPECT_EQ(cache.lookup("k", snap1), nullptr);
+}
+
+// Compiled predicates point into the function registry they were compiled
+// against.  A rebound entry shares them, so that registry must outlive the
+// database, every older snapshot and the first entry: snapshots share one
+// registry rather than copying it.  (With a copy per snapshot and no
+// registry check in the rebind, this is a heap-use-after-free under ASan.)
+// The spec outlives the entry: its message catalog is what isrequest reads.
+TEST(RebindStatement, ReboundEntryOutlivesEveryOlderSnapshot) {
+  const char* sql =
+      "select inmsg, dirpv from D where dirst = \"MESI\" and "
+      "isrequest(inmsg)";
+  const auto spec = asura::make_asura();
+  CachedStatementPtr rebound;
+  std::string want;
+  {
+    Database db = spec->database();
+    // Asking for the registry mutably gives db a copy of its own
+    // (copy-on-write), which only db, its snapshots and their entries hold.
+    (void)db.functions();
+    CachedStatementPtr first = build_statement(db.snapshot(), {parse_select(sql)});
+    const Table& d = db.get("D");
+    std::vector<std::uint32_t> keep;
+    for (std::uint32_t i = 0; i < d.row_count(); i += 2) keep.push_back(i);
+    db.put("D", d.gather(keep));
+    rebound = rebind_statement(*first, db.snapshot());
+    ASSERT_NE(rebound, nullptr);
+    want = to_csv(db.query(sql).rows);
+  }
+  EXPECT_EQ(to_csv(run_unit(*rebound, 0, 1)), want);
+  EXPECT_FALSE(cached_is_empty(*rebound, 0));
 }
 
 TEST(PlanCacheLru, TracksEstimatedBytes) {
@@ -111,11 +190,6 @@ TEST(PlanCacheLru, TracksEstimatedBytes) {
   EXPECT_GT(cache.stats().bytes, 0u);
   cache.clear();
   EXPECT_EQ(cache.stats().bytes, 0u);
-}
-
-/// plan::is_empty over unit `u` of a cached statement, as Server runs it.
-bool cached_is_empty(const CachedStatement& cs, std::size_t u) {
-  return plan::is_empty(*cs.units.at(u), {});
 }
 
 // The emptiness check over cached plans must agree with the generic

@@ -1,11 +1,12 @@
 // serve::Server: the cached-vs-fresh differential over the full ASURA
-// invariant suite (against the naive executor), writer invalidation
-// through the public API, prepared-statement execution, the published
+// invariant suite (against the naive executor), writer invalidation and
+// rebinding through the public API, prepared-statement execution, the published
 // stats, and drive()'s writer swap count.  LRU eviction is covered in
 // plan_cache_test.
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,65 @@ TEST(Server, WriterSwapInvalidatesCachedPlansAndStaysCorrect) {
   EXPECT_EQ(s.writer_swaps, 1u);
   EXPECT_GT(s.generation, gen0);
   EXPECT_GT(s.cache.invalidations, 0u);
+}
+
+// A cached plan is rebound after a swap only while every table it reads
+// keeps its schema and the function registry is the same one.  Re-putting
+// a read table with another schema, dropping it, or re-registering a
+// function drops the entry instead: the statement is planned again and
+// answers — or fails with the same BindError — as the uncached leg does.
+TEST(Server, SchemaAndFunctionChangesReplanInsteadOfRebinding) {
+  ServerOptions off;
+  off.use_plan_cache = false;
+  Server cached(spec().database());
+  Server uncached(spec().database(), off);
+  const std::string reads_d =
+      "select inmsg, dirpv from D where isrequest(inmsg) and dirst = "
+      "\"MESI\"";
+  const std::string reads_m = "select inmsg from M where isrequest(inmsg)";
+  const auto answer = [](Server& server, const std::string& sql) {
+    try {
+      return to_csv(server.query(sql).rows);
+    } catch (const BindError& e) {
+      return std::string("BindError: ") + e.what();
+    }
+  };
+  // Applies `mutate` to both servers, then asks both statements of both:
+  // `stale` resident entries must be found, and `rebound` of them rebound
+  // rather than re-planned.
+  const auto step = [&](const char* what,
+                        const std::function<void(Database&)>& mutate,
+                        std::uint64_t stale, std::uint64_t rebound) {
+    SCOPED_TRACE(what);
+    cached.update(mutate);
+    uncached.update(mutate);
+    const PlanCacheStats before = cached.stats().cache;
+    for (const std::string& sql : {reads_d, reads_m}) {
+      EXPECT_EQ(answer(cached, sql), answer(uncached, sql)) << sql;
+    }
+    const PlanCacheStats after = cached.stats().cache;
+    EXPECT_EQ(after.invalidations - before.invalidations, stale);
+    EXPECT_EQ(after.rebinds - before.rebinds, rebound);
+  };
+  for (const std::string& sql : {reads_d, reads_m}) {
+    EXPECT_EQ(answer(cached, sql), answer(uncached, sql)) << sql;
+  }
+  step("D re-put with another schema", [](Database& db) {
+    db.put(asura::kDirectory,
+           db.query("select dirst, dirpv, inmsg from D").rows);
+  }, 2, 1);
+  step("isrequest re-registered", [](Database& db) {
+    db.functions().add_unary("isrequest",
+                             [](Value v) { return v == V("mread"); });
+  }, 2, 0);
+  ASSERT_EQ(answer(cached, reads_m), "inmsg\nmread\n");
+  step("M dropped", [](Database& db) { (void)db.execute("drop table M"); },
+       2, 1);
+  EXPECT_EQ(answer(cached, reads_m), "BindError: unknown table: M");
+  step("dirpv gone from D", [](Database& db) {
+    db.put(asura::kDirectory, db.query("select dirst, inmsg from D").rows);
+  }, 1, 0);  // the failed statement over M left no entry
+  EXPECT_EQ(answer(cached, reads_d).rfind("BindError: ", 0), 0u);
 }
 
 TEST(Server, PreparedExecuteEqualsLiteralQuery) {

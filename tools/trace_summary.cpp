@@ -201,6 +201,7 @@ int main(int argc, char** argv) {
     std::cout << " evictions=" << std::uint64_t(sv("serve.plan_cache.evictions"))
               << " invalidations="
               << std::uint64_t(sv("serve.plan_cache.invalidations"))
+              << " rebinds=" << std::uint64_t(sv("serve.plan_cache.rebinds"))
               << " entries=" << std::uint64_t(sv("serve.plan_cache.entries"))
               << "\n  snapshots active="
               << std::uint64_t(sv("serve.snapshot.active"))
