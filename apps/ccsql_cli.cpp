@@ -79,9 +79,9 @@ constexpr FlagSpec kFlags[] = {
     {"-v", kSwitch, "", {"invariants", "serve"}},
     {"--casez", kSwitch, "", {"codegen"}},
     {"--fig4", kSwitch, "", {"sim"}},
-    {"--quads", kInt, "N", {"sim", "reach"}},
-    {"--addrs", kInt, "N", {"sim", "reach"}},
-    {"--capacity", kInt, "N", {"sim"}},
+    {"--quads", kCount, "N", {"sim", "reach"}},
+    {"--addrs", kCount, "N", {"sim", "reach"}},
+    {"--capacity", kCount, "N", {"sim"}},
     {"--txns", kCount, "N", {"sim"}},
     {"--seed", kInt, "N", {"sim"}},
     {"--latency", kInt, "N", {"sim"}},
@@ -251,7 +251,7 @@ int cmd_map(const ProtocolSpec& spec, const Args&) {
 int cmd_codegen(const ProtocolSpec& spec, const Args& args) {
   if (args.positional.empty()) return usage();
   ControllerSpec ed_spec = mapping::make_extended_directory(spec);
-  const Table& ed = ed_spec.generate(&spec.database().functions());
+  const Table ed = ed_spec.generate(&spec.database().functions());
   auto parts = mapping::partition_directory(ed, spec.database().functions());
   for (const auto& p : parts) {
     if (p.name != args.positional[0]) continue;

@@ -26,7 +26,7 @@ void BM_IncrementalPrefix(benchmark::State& state) {
                                     static_cast<std::size_t>(state.range(0)));
   std::size_t rows = 0;
   for (auto _ : state) {
-    Table t = generate_incremental(in);
+    Table t = generate_incremental(in, asura_functions());
     rows = t.row_count();
     benchmark::DoNotOptimize(t);
   }
@@ -41,7 +41,7 @@ void BM_MonolithicPrefix(benchmark::State& state) {
                                     static_cast<std::size_t>(state.range(0)));
   std::size_t rows = 0;
   for (auto _ : state) {
-    Table t = naive::generate_monolithic(in);
+    Table t = naive::generate_monolithic(in, asura_functions());
     rows = t.row_count();
     benchmark::DoNotOptimize(t);
   }
@@ -55,11 +55,10 @@ BENCHMARK(BM_MonolithicPrefix)->DenseRange(4, 14, 2)->Unit(benchmark::kMicroseco
 
 void BM_GenerateController(benchmark::State& state, const char* name) {
   const ProtocolSpec& spec = asura_spec();
-  const GenerationInput& in =
-      spec.controller(name).generation_input(&spec.database().functions());
+  const GenerationInput& in = spec.controller(name).generation_input();
   std::size_t rows = 0;
   for (auto _ : state) {
-    Table t = generate_incremental(in);
+    Table t = generate_incremental(in, asura_functions());
     rows = t.row_count();
     benchmark::DoNotOptimize(t);
   }
@@ -86,7 +85,7 @@ void BM_IncrementalReversedOrder(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   std::size_t rows = 0;
   for (auto _ : state) {
-    Table t = generate_incremental(in);
+    Table t = generate_incremental(in, asura_functions());
     rows = t.row_count();
     benchmark::DoNotOptimize(t);
   }
@@ -119,8 +118,8 @@ int main(int argc, char** argv) {
               "cols, %zu busy states (paper: ~500 x 30, ~40 busy states)\n",
               d.row_count(), d.column_count(), asura::busy_states().size());
   IncrementalTrace trace;
-  (void)asura_spec().controller(asura::kDirectory).generate(
-      &asura_spec().database().functions(), &trace);
+  (void)asura_spec().controller(asura::kDirectory).generate(asura_functions(),
+                                                           &trace);
   // The solver's per-column breakdown: rows left after each column's
   // constraints, and the wall time of that cross+filter step.
   std::printf("# incremental pruning trace (column: rows-after/us):");

@@ -18,17 +18,16 @@ using namespace ccsql;
 using namespace ccsql::bench;
 
 const Table& ed_table() {
-  static const ControllerSpec ed_spec =
-      mapping::make_extended_directory(asura_spec());
-  return ed_spec.generate(&asura_spec().database().functions());
+  static const Table ed = mapping::make_extended_directory(asura_spec())
+                              .generate(&asura_spec().database().functions());
+  return ed;
 }
 
 void BM_GenerateEd(benchmark::State& state) {
   std::size_t rows = 0;
   for (auto _ : state) {
     ControllerSpec ed_spec = mapping::make_extended_directory(asura_spec());
-    const Table& ed =
-        ed_spec.generate(&asura_spec().database().functions());
+    const Table ed = ed_spec.generate(&asura_spec().database().functions());
     rows = ed.row_count();
     benchmark::DoNotOptimize(ed);
   }

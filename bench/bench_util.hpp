@@ -106,6 +106,11 @@ inline const ProtocolSpec& asura_spec() {
   return *spec;
 }
 
+/// The predicates ASURA's constraints call (isrequest / isresponse).
+inline const FunctionRegistry* asura_functions() {
+  return &asura_spec().database().functions();
+}
+
 /// The generation input of controller `name` restricted to its first
 /// `columns` columns, keeping exactly the constraints whose referenced
 /// columns all fall in that prefix.  This is how the monolithic-vs-
@@ -114,8 +119,7 @@ inline const ProtocolSpec& asura_spec() {
 inline GenerationInput prefix_input(const ProtocolSpec& spec,
                                     const char* name, std::size_t columns) {
   const ControllerSpec& c = spec.controller(name);
-  const GenerationInput& full =
-      c.generation_input(&spec.database().functions());
+  const GenerationInput& full = c.generation_input();
   GenerationInput out;
   std::vector<Column> cols;
   for (std::size_t i = 0; i < columns && i < full.schema->size(); ++i) {
@@ -131,7 +135,6 @@ inline GenerationInput prefix_input(const ProtocolSpec& spec,
     }
     if (applicable) out.constraints.push_back(constraint);
   }
-  out.functions = full.functions;
   return out;
 }
 

@@ -22,7 +22,7 @@ int main() {
   const Table& d = spec->database().get(asura::kDirectory);
 
   ControllerSpec ed_spec = mapping::make_extended_directory(*spec);
-  const Table& ed = ed_spec.generate(&spec->database().functions());
+  const Table ed = ed_spec.generate(&spec->database().functions());
   std::cout << "D:  " << d.row_count() << " rows x " << d.column_count()
             << " cols\n";
   std::cout << "ED: " << ed.row_count() << " rows x " << ed.column_count()

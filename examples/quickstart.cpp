@@ -21,7 +21,6 @@ int main() {
   p.messages().add("release", MessageClass::kRequest, "drop the lock");
   p.messages().add("grant", MessageClass::kResponse, "lock granted");
   p.messages().add("queued", MessageClass::kResponse, "wait for the lock");
-  p.install_functions();
 
   // 2. The controller: columns, domains (column tables), constraints.
   ControllerSpec& c = p.add_controller("LOCK");

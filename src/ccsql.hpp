@@ -8,7 +8,6 @@
 //   ccsql::ProtocolSpec p("lock");
 //   p.messages().add("acquire", ccsql::MessageClass::kRequest, "take it");
 //   p.messages().add("grant", ccsql::MessageClass::kResponse, "granted");
-//   p.install_functions();
 //   ccsql::ControllerSpec& c = p.add_controller("LOCK");
 //   c.add_input("inmsg", {"acquire"});
 //   c.add_input("src", {"local"});
@@ -17,6 +16,8 @@
 //   c.add_output("outmsg", {"NULL", "grant"});
 //   c.constrain("outmsg", "inmsg = acquire ? outmsg = grant : outmsg = NULL");
 //   const ccsql::Database& db = p.database();   // the solver fills LOCK
+//   // After a constraint edit, p.regenerate() (Flow::run calls it) solves
+//   // again into a new database; a reference taken before it dangles.
 //   ccsql::QueryResult r = db.query("select * from LOCK where outmsg = grant");
 //   ccsql::InvariantChecker checker(db);
 //   auto results = checker.check_all(p.invariants());

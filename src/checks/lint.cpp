@@ -40,14 +40,12 @@ std::vector<LintFinding> lint(const ProtocolSpec& spec,
   for (const auto& c : spec.controllers()) {
     const Table& t = db.get(c->name());
     const Schema& schema = t.schema();
-    const GenerationInput& gen =
-        c->generation_input(&spec.database().functions());
 
     // Unused domain values.
     for (std::size_t col = 0; col < schema.size(); ++col) {
       const ColumnView values = t.column(col);
       const std::set<Value> seen(values.begin(), values.end());
-      for (const Domain& d : gen.domains) {
+      for (const Domain& d : c->domains()) {
         if (d.column() != schema.column(col).name) continue;
         for (Value v : d.values()) {
           if (seen.count(v) == 0) {
@@ -64,7 +62,7 @@ std::vector<LintFinding> lint(const ProtocolSpec& spec,
       if (schema.column(col).kind != ColumnKind::kOutput) continue;
       const auto& name = schema.column(col).name;
       const bool constrained = std::any_of(
-          gen.constraints.begin(), gen.constraints.end(),
+          c->constraints().begin(), c->constraints().end(),
           [&](const ColumnConstraint& cc) { return cc.column == name; });
       if (!constrained) {
         findings.push_back(LintFinding{

@@ -1,6 +1,5 @@
 #include "core/flow.hpp"
 
-#include <chrono>
 #include <algorithm>
 #include <sstream>
 
@@ -18,11 +17,13 @@ bool FlowReport::invariants_within_budget() const {
 }
 
 bool FlowReport::deadlock_free(std::string_view assignment) const {
+  bool analysed = assignment.empty();
   for (const auto& a : assignments) {
     if (!assignment.empty() && a.name != assignment) continue;
     if (!a.cycles.empty()) return false;
+    analysed = true;
   }
-  return true;
+  return analysed;
 }
 
 bool FlowReport::debugged(std::string_view assignment) const {
@@ -69,20 +70,22 @@ std::string FlowReport::summary() const {
 }
 
 FlowReport Flow::run(const FlowOptions& options) const {
+  for (const auto& name : options.assignments) {
+    (void)spec_->assignment(name);  // throws BindError on an unknown name
+  }
   FlowReport report;
   CCSQL_SPAN(flow_span, "flow.run", "core");
 
-  // 1. Generate the controller tables (paper, section 3).
+  // 1. Generate the controller tables (paper, section 3) into the spec's
+  // database, which every later step reads.
   {
     CCSQL_SPAN(span, "flow.generate", "core");
-    for (const auto& c : spec_->controllers()) {
-      const auto start = std::chrono::steady_clock::now();
-      c->invalidate();
-      const Table& t = c->generate(&spec_->database().functions());
-      const auto end = std::chrono::steady_clock::now();
+    const std::vector<double> micros = spec_->regenerate();
+    for (std::size_t i = 0; i < micros.size(); ++i) {
+      const std::string& name = spec_->controllers()[i]->name();
+      const Table& t = spec_->database().get(name);
       report.tables.push_back(FlowReport::TableInfo{
-          c->name(), t.row_count(), t.column_count(),
-          std::chrono::duration<double, std::micro>(end - start).count()});
+          name, t.row_count(), t.column_count(), micros[i]});
     }
     span.arg("tables", report.tables.size());
   }

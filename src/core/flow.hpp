@@ -14,7 +14,7 @@ namespace ccsql {
 /// Options for one run of the methodology flow.
 struct FlowOptions {
   /// Channel assignments to analyse for deadlocks; empty = all of the
-  /// spec's assignments.
+  /// spec's assignments.  Every name must be one of the spec's.
   std::vector<std::string> assignments;
   DeadlockOptions vcg;
   /// Run the section 5 hardware-mapping flow for the directory controller
@@ -72,7 +72,8 @@ struct FlowReport {
   /// interactive budget (trivially true when invariants were not run).
   [[nodiscard]] bool invariants_within_budget() const;
 
-  /// True iff the named assignment (or all analysed ones) is cycle-free.
+  /// True iff the named assignment was analysed and is cycle-free; with no
+  /// name, iff every analysed assignment is.
   [[nodiscard]] bool deadlock_free(std::string_view assignment = "") const;
 
   /// The paper's acceptance criterion for an enhanced architecture
@@ -92,6 +93,10 @@ class Flow {
  public:
   explicit Flow(const ProtocolSpec& spec) : spec_(&spec) {}
 
+  /// Regenerates every controller table into the spec's database (see
+  /// ProtocolSpec::regenerate for what that invalidates), then runs the
+  /// checks on them.  Throws BindError if `options.assignments` names an
+  /// assignment the spec does not have.
   [[nodiscard]] FlowReport run(const FlowOptions& options = {}) const;
 
  private:

@@ -7,7 +7,6 @@ namespace ccsql::asura {
 std::unique_ptr<ProtocolSpec> make_asura() {
   auto p = std::make_unique<ProtocolSpec>("ASURA");
   detail::add_messages(*p);
-  p->install_functions();
   detail::add_directory(*p);
   detail::add_memory(*p);
   detail::add_node(*p);

@@ -9,7 +9,7 @@ void ControllerSpec::add_column(Column column, Domain domain) {
     throw SchemaError("domain/column name mismatch: " + column.name + " vs " +
                       domain.column());
   }
-  if (generated_ || input_.schema) {
+  if (input_.schema) {
     throw SchemaError("controller " + name_ +
                       ": cannot add columns after schema finalization");
   }
@@ -65,22 +65,14 @@ const SchemaPtr& ControllerSpec::schema() const {
   return input_.schema;
 }
 
-const GenerationInput& ControllerSpec::generation_input(
-    const FunctionRegistry* functions) const {
+const GenerationInput& ControllerSpec::generation_input() const {
   (void)schema();  // finalize
-  input_.functions = functions;
   return input_;
 }
 
-const Table& ControllerSpec::generate(const FunctionRegistry* functions,
-                                      IncrementalTrace* trace) const {
-  if (!generated_ || trace != nullptr) {
-    table_ = generate_incremental(generation_input(functions), trace);
-    generated_ = true;
-  }
-  return table_;
+Table ControllerSpec::generate(const FunctionRegistry* functions,
+                               IncrementalTrace* trace) const {
+  return generate_incremental(generation_input(), functions, trace);
 }
-
-void ControllerSpec::invalidate() const { generated_ = false; }
 
 }  // namespace ccsql

@@ -82,26 +82,24 @@ class ControllerSpec {
     return input_.constraints;
   }
 
-  /// Builds the GenerationInput (schema is finalized on first call).
-  [[nodiscard]] const GenerationInput& generation_input(
-      const FunctionRegistry* functions) const;
+  /// The GenerationInput (schema is finalized on first call).
+  [[nodiscard]] const GenerationInput& generation_input() const;
 
-  /// Solves the constraints and returns the controller table.  The result is
-  /// cached; pass `trace` to observe per-column pruning on a fresh solve.
-  [[nodiscard]] const Table& generate(const FunctionRegistry* functions,
-                                      IncrementalTrace* trace = nullptr) const;
+  /// Solves the constraints and returns the controller table, on every
+  /// call.  Pass `trace` to observe per-column pruning.
+  [[nodiscard]] Table generate(const FunctionRegistry* functions,
+                               IncrementalTrace* trace = nullptr) const;
 
-  /// Drops the cached table (e.g. after mutating constraints in tests).
-  void invalidate() const;
+  /// Does nothing (no table is cached); the benchmark harness calls it.
+  void invalidate() const {}
 
  private:
   std::string name_;
   std::vector<Column> columns_;
   std::vector<MessageTriple> triples_;
   SimReading sim_;
+  // Mutable: schema() finalizes the schema on first use.
   mutable GenerationInput input_;
-  mutable bool generated_ = false;
-  mutable Table table_;
 };
 
 }  // namespace ccsql

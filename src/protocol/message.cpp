@@ -1,6 +1,7 @@
 #include "protocol/message.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "relational/error.hpp"
 
@@ -48,10 +49,18 @@ std::vector<std::string> MessageCatalog::names(
 }
 
 void MessageCatalog::install(FunctionRegistry& registry) const {
-  registry.add_unary("isrequest",
-                     [this](Value v) { return is_request(v); });
-  registry.add_unary("isresponse",
-                     [this](Value v) { return is_response(v); });
+  // The predicates own a frozen copy of the classification, so a registry
+  // (and every database copy or snapshot sharing it) may outlive the catalog.
+  const auto index =
+      std::make_shared<const std::unordered_map<Value, MessageClass>>(index_);
+  auto is = [index](MessageClass cls) {
+    return [index, cls](Value v) {
+      const auto it = index->find(v);
+      return it != index->end() && it->second == cls;
+    };
+  };
+  registry.add_unary("isrequest", is(MessageClass::kRequest));
+  registry.add_unary("isresponse", is(MessageClass::kResponse));
 }
 
 Table MessageCatalog::to_table() const {

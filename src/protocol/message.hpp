@@ -47,8 +47,9 @@ class MessageCatalog {
   [[nodiscard]] std::vector<std::string> names(
       std::optional<MessageClass> cls = std::nullopt) const;
 
-  /// Registers `isrequest` / `isresponse` predicates.  The registry must not
-  /// outlive this catalog.
+  /// Registers `isrequest` / `isresponse` predicates over the messages added
+  /// so far.  The predicates hold their own copy of the classification, so
+  /// the registry may outlive this catalog.
   void install(FunctionRegistry& registry) const;
 
   /// The catalog as a table (name, class, description) — Figure 1.

@@ -1,5 +1,7 @@
 #include "protocol/protocol_spec.hpp"
 
+#include <chrono>
+
 #include "relational/error.hpp"
 
 namespace ccsql {
@@ -35,27 +37,28 @@ const ChannelAssignment& ProtocolSpec::assignment(
   throw BindError("unknown channel assignment: " + std::string(name));
 }
 
-void ProtocolSpec::install_functions() { messages_.install(functions_); }
-
-const Database& ProtocolSpec::database() const {
-  if (!built_) {
-    db_ = Database();
-    messages_.install(functions_);
-    // Mirror the full registry (message predicates + protocol-specific
-    // functions) so WHERE clauses in invariants can use all of them.
-    db_.functions() = functions_;
-    for (const auto& c : controllers_) {
-      db_.put(c->name(), c->generate(&functions_));
-    }
-    db_.put("Messages", messages_.to_table());
-    built_ = true;
+std::vector<double> ProtocolSpec::regenerate() const {
+  Database db;
+  FunctionRegistry& functions = db.functions();
+  messages_.install(functions);
+  std::vector<double> micros;
+  for (const auto& c : controllers_) {
+    const auto start = std::chrono::steady_clock::now();
+    Table t = c->generate(&functions);
+    micros.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    db.put(c->name(), std::move(t));
   }
-  return db_;
+  db.put("Messages", messages_.to_table());
+  db_ = std::move(db);
+  return micros;
 }
 
-void ProtocolSpec::invalidate() {
-  built_ = false;
-  for (auto& c : controllers_) c->invalidate();
+const Database& ProtocolSpec::database() const {
+  // A built database always holds "Messages": empty means never built.
+  if (db_.tables().empty()) (void)regenerate();
+  return db_;
 }
 
 }  // namespace ccsql

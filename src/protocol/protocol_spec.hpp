@@ -24,8 +24,8 @@ struct NamedInvariant {
 /// per controller, the invariant suite, and one or more candidate virtual
 /// channel assignments.
 ///
-/// ProtocolSpec owns the FunctionRegistry wired to its message catalog, so
-/// it is non-copyable; pass by reference or unique_ptr.
+/// ProtocolSpec owns the generated tables (database()), so it is
+/// non-copyable; pass by reference or unique_ptr.
 class ProtocolSpec {
  public:
   explicit ProtocolSpec(std::string name);
@@ -62,22 +62,24 @@ class ProtocolSpec {
     return assignments_;
   }
 
-  /// The registry holding isrequest/isresponse plus any protocol-specific
-  /// predicates.  Call install_functions() after the message catalog is
-  /// final and before generating tables.
-  [[nodiscard]] FunctionRegistry& functions() noexcept { return functions_; }
-  void install_functions();
+  /// Solves every controller into a fresh database — one table per
+  /// controller, named by the controller, plus the message catalog under
+  /// "Messages", with the message predicates (isrequest / isresponse) in
+  /// its function registry — and makes it database().  Returns each
+  /// controller's solve time in microseconds, in controllers() order.
+  /// Every call solves every controller.
+  ///
+  /// The new database replaces the old one: a `const Table&`, a
+  /// ControllerTableRef or a CompiledTables taken from database() before
+  /// this call dangles after it.  A copy of the Database (or a Snapshot)
+  /// keeps the old tables alive.
+  std::vector<double> regenerate() const;
 
-  /// Generates every controller table (cached) and returns a query session
-  /// over a catalog with one table per controller (named by the controller),
-  /// plus the message catalog under "Messages".  The catalog's function
-  /// registry mirrors this spec's.  The session carries the process-default
-  /// jobs setting; callers needing a different one copy the Database (cheap
-  /// relative to generation) and override.
+  /// The generated tables: regenerate()'s database, built on first use.
+  /// The session carries the process-default jobs setting; callers needing
+  /// a different one copy the Database (cheap relative to generation) and
+  /// override.
   [[nodiscard]] const Database& database() const;
-
-  /// Forces regeneration on next database() call.
-  void invalidate();
 
  private:
   std::string name_;
@@ -85,9 +87,7 @@ class ProtocolSpec {
   std::vector<std::unique_ptr<ControllerSpec>> controllers_;
   std::vector<NamedInvariant> invariants_;
   std::vector<std::unique_ptr<ChannelAssignment>> assignments_;
-  // Mutable: database() lazily (re)installs the message predicates.
-  mutable FunctionRegistry functions_;
-  mutable bool built_ = false;
+  // Mutable: regenerate() replaces it.
   mutable Database db_;
 };
 

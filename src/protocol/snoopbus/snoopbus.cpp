@@ -167,7 +167,6 @@ std::unique_ptr<ProtocolSpec> make_snoopbus() {
   m.add("DataMem", rsp, "data sourced by memory");
   m.add("DataOwner", rsp, "data sourced by the owning cache");
   m.add("WbAck", rsp, "writeback acknowledged by memory");
-  p->install_functions();
 
   add_cache(*p);
   add_memory(*p);

@@ -65,6 +65,7 @@ Table domain_table(const Domain& d, const Schema& schema) {
 }  // namespace
 
 Table generate_incremental(const GenerationInput& input,
+                           const FunctionRegistry* functions,
                            IncrementalTrace* trace) {
   input.validate();
   const Schema& full = *input.schema;
@@ -115,7 +116,7 @@ Table generate_incremental(const GenerationInput& input,
       // product is never materialised.
       std::size_t candidates = 0;
       cur = plan::cross_select(cur, dom, Expr::conjunction(std::move(ready)),
-                               full, input.functions, jobs, &candidates);
+                               full, functions, jobs, &candidates);
       step.candidates = candidates;
     }
     col_span.arg("rows_before", step.rows_before_filter);
@@ -137,9 +138,10 @@ Table generate_incremental(const GenerationInput& input,
   return cur;
 }
 
-std::string first_emptying_column(const GenerationInput& input) {
+std::string first_emptying_column(const GenerationInput& input,
+                                  const FunctionRegistry* functions) {
   IncrementalTrace trace;
-  Table t = generate_incremental(input, &trace);
+  Table t = generate_incremental(input, functions, &trace);
   if (t.row_count() != 0) return "";
   for (const auto& s : trace.steps) {
     if (s.rows_after == 0) return s.column;

@@ -14,12 +14,11 @@ namespace ccsql {
 /// Everything needed to generate one controller table: the target schema
 /// (column order = generation order; the paper generates inputs first, then
 /// one output column at a time), one value domain per column, and the column
-/// constraints.  `functions` may be null when no constraint calls predicates.
+/// constraints.
 struct GenerationInput {
   SchemaPtr schema;
   std::vector<Domain> domains;
   std::vector<ColumnConstraint> constraints;
-  const FunctionRegistry* functions = nullptr;
 
   /// Throws SchemaError/BindError unless every schema column has exactly one
   /// domain and every constraint names a schema column.
@@ -44,14 +43,17 @@ struct IncrementalTrace {
 /// table, then for each column in schema order cross in its domain and apply
 /// every not-yet-applied constraint whose referenced columns are all bound.
 /// Equivalent to solving the conjunction, but prunes after every column,
-/// which is what turned the paper's 6-hour solve into minutes.
+/// which is what turned the paper's 6-hour solve into minutes.  `functions`
+/// may be null when no constraint calls a predicate.
 Table generate_incremental(const GenerationInput& input,
+                           const FunctionRegistry* functions = nullptr,
                            IncrementalTrace* trace = nullptr);
 
 /// Diagnoses an empty generation result: returns the name of the first
 /// column whose addition pruned the table to zero rows (the paper notes an
 /// inconsistent constraint set yields a zero-row table), or "" if the table
 /// is non-empty.
-std::string first_emptying_column(const GenerationInput& input);
+std::string first_emptying_column(const GenerationInput& input,
+                                  const FunctionRegistry* functions = nullptr);
 
 }  // namespace ccsql

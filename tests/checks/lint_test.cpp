@@ -47,7 +47,6 @@ TEST(Lint, AsuraFindingsArePinned) {
 TEST(Lint, UnconstrainedOutputDetected) {
   ProtocolSpec p("toy");
   p.messages().add("req", MessageClass::kRequest);
-  p.install_functions();
   ControllerSpec& c = p.add_controller("T");
   c.add_input("inmsg", {"req"});
   c.add_output("out", {"a", "b"});  // no constraint: free cross product
@@ -67,7 +66,6 @@ TEST(Lint, UnconsumedMessageDetectedAndSinkable) {
   ProtocolSpec p("toy");
   p.messages().add("req", MessageClass::kRequest);
   p.messages().add("resp", MessageClass::kResponse);
-  p.install_functions();
   ControllerSpec& c = p.add_controller("T");
   c.add_input("inmsg", {"req"});
   c.add_input("insrc", {"local"});

@@ -153,6 +153,12 @@ TEST(Cli, VacuousRunsAreUsageErrors) {
       {"reach V5 --node-ops 0,0 --classify", "operation budget"},
       {"reach V5 --max-states 0 --classify", "--max-states needs at least 1"},
       {"sim V5 --txns 0", "--txns needs at least 1"},
+      {"sim --quads 0", "--quads needs at least 1"},
+      {"sim --addrs 0", "--addrs needs at least 1"},
+      // A zero-capacity channel never accepts a message.
+      {"sim --capacity 0", "--capacity needs at least 1"},
+      {"reach --quads 0", "--quads needs at least 1"},
+      {"reach --addrs 0", "--addrs needs at least 1"},
       {"serve --iterations 0", "--iterations needs at least 1"},
       {"serve --sessions 0", "--sessions needs at least 1"},
       {"map --jobs 0", "--jobs needs at least 1"},
@@ -199,13 +205,6 @@ TEST(Cli, MalformedIntegerFlagsAreUsageErrors) {
     EXPECT_NE(bad_budget.output.find("--node-ops needs"), std::string::npos)
         << cmd << "\n" << bad_budget.output;
   }
-  // A zero-capacity channel never accepts a message; the simulator refuses
-  // the configuration instead of stalling.
-  RunResult no_capacity = run("sim --capacity 0");
-  EXPECT_EQ(no_capacity.exit_code, 1) << no_capacity.output;
-  EXPECT_NE(no_capacity.output.find("error: sim: need a channel capacity"),
-            std::string::npos)
-      << no_capacity.output;
 }
 
 TEST(Cli, DeadlockFindsFigure4AndExitsNonzero) {

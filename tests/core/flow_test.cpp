@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "protocol/asura/asura.hpp"
+#include "relational/error.hpp"
 
 namespace ccsql {
 namespace {
@@ -113,6 +116,90 @@ TEST(Flow, CatchesInjectedInvariantViolation) {
   EXPECT_FALSE(report.invariants_hold());
   EXPECT_FALSE(report.debugged(asura::kAssignV5Fix));
   EXPECT_NE(report.summary().find("1 violated"), std::string::npos);
+}
+
+TEST(Flow, UnknownAssignmentIsABindError) {
+  Flow flow(asura_spec());
+  FlowOptions opts;
+  opts.assignments = {"V9"};
+  EXPECT_THROW((void)flow.run(opts), BindError);
+}
+
+TEST(Flow, AnAssignmentNotAnalysedIsNotDebugged) {
+  Flow flow(asura_spec());
+  const FlowReport full = flow.run();
+  EXPECT_FALSE(full.deadlock_free("V9"));
+  EXPECT_FALSE(full.debugged("V9"));
+
+  FlowOptions opts;
+  opts.assignments = {asura::kAssignV5};
+  const FlowReport only_v5 = flow.run(opts);
+  EXPECT_FALSE(only_v5.deadlock_free(asura::kAssignV5Fix));
+  EXPECT_FALSE(only_v5.debugged(asura::kAssignV5Fix));
+}
+
+ControllerSpec& controller(ProtocolSpec& spec, std::string_view name) {
+  for (const auto& c : spec.controllers()) {
+    if (c->name() == name) return *c;
+  }
+  throw BindError("no controller " + std::string(name));
+}
+
+/// Everything a flow report concludes, without its timings.
+std::string verdicts(const FlowReport& r) {
+  std::ostringstream os;
+  for (const auto& t : r.tables) os << t.name << '=' << t.rows << ' ';
+  for (const auto& i : r.invariants) os << i.holds;
+  for (const auto& a : r.assignments) {
+    os << ' ' << a.name << ':' << a.edges << '/' << a.cycles.size();
+  }
+  os << " mapping=" << r.mapping.ok() << " sim=" << r.sim.healthy << ' '
+     << r.sim.detail;
+  return os.str();
+}
+
+/// The designer's loop: edit a column constraint, then rerun the flow on
+/// the same spec.  The rerun regenerates D and checks the edited table.
+TEST(Flow, RerunAfterAnEditChecksTheEditedTables) {
+  auto spec = asura::make_asura();
+  Flow flow(*spec);
+  FlowOptions opts;
+  opts.map_directory = true;
+  ASSERT_TRUE(flow.run(opts).debugged(asura::kAssignV5Fix));
+
+  controller(*spec, asura::kDirectory).constrain("memmsg",
+                                                 "not memmsg = mread");
+  const FlowReport report = flow.run(opts);
+  ASSERT_EQ(report.tables[0].name, asura::kDirectory);
+  EXPECT_EQ(report.tables[0].rows, 318u);
+  EXPECT_EQ(spec->database().get(asura::kDirectory).row_count(), 318u);
+  // Without the memory read, the directory has no answer for a readex of
+  // an uncached line.
+  EXPECT_FALSE(report.sim.healthy);
+  EXPECT_NE(report.sim.detail.find("readex(a1 0->1)"), std::string::npos)
+      << report.sim.detail;
+  EXPECT_TRUE(report.mapping.ok());
+}
+
+TEST(Flow, RerunAfterAnEditEqualsAFreshSpec) {
+  const std::pair<const char*, const char*> edits[] = {
+      {"memmsg", "not memmsg = mread"},
+      {"remmsg", "not remmsg = sinv"},
+      {"cmpl", "not cmpl = done"},
+  };
+  FlowOptions opts;
+  opts.map_directory = true;
+  for (const auto& [column, constraint] : edits) {
+    auto edited = asura::make_asura();
+    const Flow rerun(*edited);
+    (void)rerun.run(opts);
+    controller(*edited, asura::kDirectory).constrain(column, constraint);
+
+    auto fresh = asura::make_asura();
+    controller(*fresh, asura::kDirectory).constrain(column, constraint);
+    EXPECT_EQ(verdicts(rerun.run(opts)), verdicts(Flow(*fresh).run(opts)))
+        << constraint;
+  }
 }
 
 }  // namespace

@@ -13,9 +13,9 @@ const ProtocolSpec& spec() {
 }
 
 const Table& ed_table() {
-  static const ControllerSpec ed_spec =
-      mapping::make_extended_directory(spec());
-  return ed_spec.generate(&spec().database().functions());
+  static const Table ed = mapping::make_extended_directory(spec())
+                              .generate(&spec().database().functions());
+  return ed;
 }
 
 TEST(AsuraMapping, EdShape) {

@@ -32,7 +32,7 @@ int compile_and_run(const std::string& program, const std::string& name) {
 
 TEST(CodegenExec, GeneratedControllerReproducesItsTable) {
   ControllerSpec ed_spec = mapping::make_extended_directory(spec());
-  const Table& ed = ed_spec.generate(&spec().database().functions());
+  const Table ed = ed_spec.generate(&spec().database().functions());
   auto parts =
       mapping::partition_directory(ed, spec().database().functions());
   for (const auto& p : parts) {

@@ -649,10 +649,10 @@ TEST(FusedCrossSelect, AsuraTablesMatchRecordedDigests) {
     const ControllerSpec& c = std::string(pin.name) == "ED"
                                   ? ed
                                   : spec->controller(pin.name);
-    GenerationInput in = c.generation_input(fns);
+    const GenerationInput& in = c.generation_input();
     for (std::size_t jobs : {1, 4, 8}) {
       core::Pool::set_default_jobs(jobs);
-      EXPECT_EQ(digest(generate_incremental(in)), pin.digest)
+      EXPECT_EQ(digest(generate_incremental(in, fns)), pin.digest)
           << pin.name << " at jobs " << jobs;
     }
   }

@@ -26,6 +26,19 @@ TEST(Asura, HasEightControllerTables) {
   }
 }
 
+/// The message predicates own their classification: a database copied from
+/// a spec answers isrequest() the same after the spec is gone.
+TEST(Asura, DatabaseCopyOutlivesTheSpec) {
+  const char* sql = "select distinct inmsg from D where isrequest(inmsg)";
+  ASSERT_EQ(db().query(sql).row_count(), 10u);
+  Database copy;
+  {
+    const auto gone = asura::make_asura();
+    copy = gone->database();
+  }
+  EXPECT_EQ(copy.query(sql).row_count(), 10u);
+}
+
 TEST(Asura, MessageCatalogAroundFifty) {
   // Paper, section 2: "Around 50 different types of messages".  Ours is
   // slightly above: the published vocabulary plus the race-handling

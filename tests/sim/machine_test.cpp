@@ -77,6 +77,15 @@ TEST(MachineConfig, UnknownWorkloadOpThrowsNamingIt) {
   EXPECT_NO_THROW(Machine(spec(), spec().assignment(asura::kAssignV5), cfg));
 }
 
+/// A zero-capacity channel never accepts a message: the machine refuses the
+/// configuration instead of stalling.
+TEST(MachineConfig, ZeroChannelCapacityThrows) {
+  SimConfig cfg;
+  cfg.channel_capacity = 0;
+  EXPECT_THROW(Machine(spec(), spec().assignment(asura::kAssignV5), cfg),
+               std::invalid_argument);
+}
+
 TEST(MachineConfig, MoreNodeBudgetsThanQuadsThrows) {
   SimConfig cfg;
   cfg.n_quads = 2;

@@ -75,7 +75,7 @@ TEST(Generator, MonolithicMatchesIncremental) {
 TEST(Generator, TraceRecordsPruning) {
   GenerationInput in = mini_input();
   IncrementalTrace trace;
-  Table t = generate_incremental(in, &trace);
+  Table t = generate_incremental(in, nullptr, &trace);
   ASSERT_EQ(trace.steps.size(), 4u);
   EXPECT_EQ(trace.steps[0].column, "inmsg");
   // After inmsg: 2 rows, no constraint applicable yet.
@@ -91,7 +91,7 @@ TEST(Generator, TraceRecordsPruning) {
 
 TEST(Generator, GuardedStepsBuildOnlyTheirCandidates) {
   IncrementalTrace trace;
-  (void)generate_incremental(mini_input(), &trace);
+  (void)generate_incremental(mini_input(), nullptr, &trace);
   ASSERT_EQ(trace.steps.size(), 4u);
   // No constraint: the product is the step's work.
   EXPECT_EQ(trace.steps[0].candidates, 2u);
@@ -141,7 +141,7 @@ TEST(Generator, ConstraintOnLaterColumnDeferredUntilBound) {
                 Domain("b", std::vector<std::string>{"1", "2"})};
   in.constraints = {ColumnConstraint::from_text("a", "a = b")};
   IncrementalTrace trace;
-  Table t = generate_incremental(in, &trace);
+  Table t = generate_incremental(in, nullptr, &trace);
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_TRUE(trace.steps[0].constraints_applied.empty());
   EXPECT_EQ(trace.steps[1].constraints_applied.size(), 1u);
@@ -156,8 +156,7 @@ TEST(Generator, FunctionsAvailableInConstraints) {
                 Domain("act", std::vector<std::string>{"queue", "drop"})};
   in.constraints = {ColumnConstraint::from_text(
       "act", "isrequest(m) ? act = queue : act = drop")};
-  in.functions = &fns;
-  Table t = generate_incremental(in);
+  Table t = generate_incremental(in, &fns);
   ASSERT_EQ(t.row_count(), 2u);
   Database cat;
   cat.put("T", t);
@@ -165,7 +164,7 @@ TEST(Generator, FunctionsAvailableInConstraints) {
       cat.query("select * from T where m = readex and act = queue")
           .row_count(),
       1u);
-  EXPECT_TRUE(naive::generate_monolithic(in).set_equal(t));
+  EXPECT_TRUE(naive::generate_monolithic(in, &fns).set_equal(t));
 }
 
 TEST(Generator, ValidateRejectsBadInputs) {

@@ -32,7 +32,8 @@ const Domain& domain_for(const GenerationInput& in, const std::string& name) {
 
 }  // namespace
 
-Table generate_monolithic(const GenerationInput& input) {
+Table generate_monolithic(const GenerationInput& input,
+                          const FunctionRegistry* functions) {
   input.validate();
   const Schema& full = *input.schema;
   CCSQL_SPAN(span, "solver.generate_monolithic", "solver");
@@ -54,7 +55,7 @@ Table generate_monolithic(const GenerationInput& input) {
   // incremental path filters through the batch executor).
   std::vector<CompiledExpr> preds;
   for (const auto& c : input.constraints) {
-    preds.push_back(compile(c.expr, full, full, input.functions));
+    preds.push_back(compile(c.expr, full, full, functions));
   }
 
   Table out(input.schema);

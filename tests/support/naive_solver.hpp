@@ -19,6 +19,7 @@ namespace ccsql::naive {
 /// (without materializing it) and keep rows satisfying the conjunction of
 /// all constraints.  Exponential in the column count; exists as the paper's
 /// baseline and as a differential-testing oracle for the incremental path.
-[[nodiscard]] Table generate_monolithic(const GenerationInput& input);
+[[nodiscard]] Table generate_monolithic(
+    const GenerationInput& input, const FunctionRegistry* functions = nullptr);
 
 }  // namespace ccsql::naive
